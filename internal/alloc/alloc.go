@@ -69,9 +69,12 @@ type Allocator interface {
 	Release(ch chanset.Channel) error
 	// Handle processes a message addressed to this cell.
 	Handle(m message.Message)
-	// InUse returns the channels the cell is currently using. The
-	// result must be an independent snapshot (used by the global
-	// interference checker).
+	// InUse returns the channels the cell is currently using, as a
+	// read-only view of the allocator's own set: valid until the
+	// allocator's next Request/Release/Handle, never to be mutated, and
+	// to be Cloned by a caller that keeps it longer or hands it to
+	// another goroutine. (The interference checker reads 19 of these per
+	// grant; a copy each was most of a light run's allocations.)
 	InUse() chanset.Set
 	// Mode returns the paper's mode variable (0..3) for adaptive
 	// allocators; fixed-mode schemes return a constant. Used for
@@ -144,8 +147,13 @@ type Factory interface {
 // (DESIGN.md D3). Schemes embed Serial, set the start function once, and
 // call Finish when the in-flight request concludes.
 type Serial struct {
-	start    func(RequestID)
+	start func(RequestID)
+	// queue[head:] are the waiting requests. Popping advances head and
+	// an emptied queue rewinds to its base, so the common one-at-a-time
+	// station reuses one slot forever instead of allocating per request
+	// (re-slicing queue[1:] gave the capacity away).
 	queue    []RequestID
+	head     int
 	busy     bool
 	draining bool
 }
@@ -157,6 +165,12 @@ func (s *Serial) SetStart(fn func(RequestID)) { s.start = fn }
 // Submit enqueues a request and starts it immediately if the station is
 // idle.
 func (s *Serial) Submit(id RequestID) {
+	if len(s.queue) == cap(s.queue) && s.head > len(s.queue)/2 {
+		// A standing backlog never empties: reclaim the popped prefix
+		// before growing.
+		s.queue = s.queue[:copy(s.queue, s.queue[s.head:])]
+		s.head = 0
+	}
 	s.queue = append(s.queue, id)
 	s.drain()
 }
@@ -172,16 +186,19 @@ func (s *Serial) Finish() {
 func (s *Serial) Busy() bool { return s.busy }
 
 // QueueLen reports the number of requests waiting behind the active one.
-func (s *Serial) QueueLen() int { return len(s.queue) }
+func (s *Serial) QueueLen() int { return len(s.queue) - s.head }
 
 func (s *Serial) drain() {
 	if s.draining {
 		return
 	}
 	s.draining = true
-	for !s.busy && len(s.queue) > 0 {
-		id := s.queue[0]
-		s.queue = s.queue[1:]
+	for !s.busy && s.head < len(s.queue) {
+		id := s.queue[s.head]
+		s.head++
+		if s.head == len(s.queue) {
+			s.queue, s.head = s.queue[:0], 0
+		}
 		s.busy = true
 		s.start(id)
 	}

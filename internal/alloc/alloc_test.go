@@ -117,3 +117,45 @@ func TestBroadcast(t *testing.T) {
 		}
 	}
 }
+
+// TestSerialQueueMemoryIsBounded: the queue is a head-indexed slice.
+// A one-at-a-time station must reuse its slot (no allocation per
+// request), and a station with a standing backlog — one that never
+// empties, as under overload — must stay FIFO and reclaim the popped
+// prefix instead of growing with every request ever submitted.
+func TestSerialQueueMemoryIsBounded(t *testing.T) {
+	var s Serial
+	var last RequestID
+	s.SetStart(func(id RequestID) {
+		if id != last+1 {
+			t.Fatalf("started %d after %d: FIFO order broken", id, last)
+		}
+		last = id
+	})
+	next := RequestID(0)
+	submit := func() { next++; s.Submit(next) }
+	submit()
+	if allocs := testing.AllocsPerRun(1000, func() { s.Finish(); submit() }); allocs != 0 {
+		t.Errorf("idle station: %.1f allocations per request, want 0", allocs)
+	}
+	const backlog = 5
+	for i := 0; i < backlog; i++ {
+		submit()
+	}
+	for i := 0; i < 100_000; i++ {
+		s.Finish()
+		submit()
+	}
+	if s.QueueLen() != backlog {
+		t.Fatalf("QueueLen = %d, want %d", s.QueueLen(), backlog)
+	}
+	if c := cap(s.queue); c > 8*backlog {
+		t.Fatalf("queue capacity grew to %d under a standing backlog of %d", c, backlog)
+	}
+	for s.Busy() {
+		s.Finish()
+	}
+	if last != next {
+		t.Fatalf("drained to request %d of %d", last, next)
+	}
+}

@@ -338,7 +338,7 @@ func (v *AdvUpdate) onResponse(m message.Message) {
 }
 
 // InUse implements alloc.Allocator.
-func (v *AdvUpdate) InUse() chanset.Set { return v.use.Clone() }
+func (v *AdvUpdate) InUse() chanset.Set { return v.use }
 
 // Mode implements alloc.Allocator.
 func (v *AdvUpdate) Mode() int { return 0 }

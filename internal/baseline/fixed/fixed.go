@@ -81,7 +81,7 @@ func (x *Fixed) Handle(m message.Message) {
 }
 
 // InUse implements alloc.Allocator.
-func (x *Fixed) InUse() chanset.Set { return x.use.Clone() }
+func (x *Fixed) InUse() chanset.Set { return x.use }
 
 // Mode implements alloc.Allocator (always local).
 func (x *Fixed) Mode() int { return 0 }

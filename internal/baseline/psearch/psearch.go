@@ -357,7 +357,7 @@ func (p *PSearch) onResponse(m message.Message) {
 
 // InUse implements alloc.Allocator (busy channels only — allocated-but-
 // idle channels do not radiate).
-func (p *PSearch) InUse() chanset.Set { return p.busy.Clone() }
+func (p *PSearch) InUse() chanset.Set { return p.busy }
 
 // Mode implements alloc.Allocator.
 func (p *PSearch) Mode() int { return 0 }

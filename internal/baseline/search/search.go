@@ -166,7 +166,7 @@ func (s *Search) Handle(m message.Message) {
 }
 
 // InUse implements alloc.Allocator.
-func (s *Search) InUse() chanset.Set { return s.use.Clone() }
+func (s *Search) InUse() chanset.Set { return s.use }
 
 // Mode implements alloc.Allocator.
 func (s *Search) Mode() int { return 0 }

@@ -257,7 +257,7 @@ func (u *Update) onResponse(m message.Message) {
 }
 
 // InUse implements alloc.Allocator.
-func (u *Update) InUse() chanset.Set { return u.use.Clone() }
+func (u *Update) InUse() chanset.Set { return u.use }
 
 // Mode implements alloc.Allocator.
 func (u *Update) Mode() int { return 0 }

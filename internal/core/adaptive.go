@@ -361,7 +361,7 @@ func (a *Adaptive) isUpdateS(j hexgrid.CellID) bool {
 func (a *Adaptive) Request(id alloc.RequestID) { a.serial.Submit(id) }
 
 // InUse implements alloc.Allocator.
-func (a *Adaptive) InUse() chanset.Set { return a.use.Clone() }
+func (a *Adaptive) InUse() chanset.Set { return a.use }
 
 // Mode implements alloc.Allocator.
 func (a *Adaptive) Mode() int { return a.mode }

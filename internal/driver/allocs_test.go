@@ -1,0 +1,142 @@
+package driver_test
+
+import (
+	"testing"
+
+	"repro/internal/alloc"
+	"repro/internal/chanset"
+	"repro/internal/driver"
+	"repro/internal/hexgrid"
+	"repro/internal/message"
+	"repro/internal/raceflag"
+	"repro/internal/registry"
+)
+
+// Allocation budgets of the typed-event paths. testing.AllocsPerRun is
+// meaningless under -race (the detector allocates), so CI runs these in
+// a non-race step; `go test -race` skips them.
+
+// envTap wraps a factory so the test can reach each cell's alloc.Env —
+// the only way to Send through a driver the way an allocator does.
+type envTap struct {
+	alloc.Factory
+	envs map[hexgrid.CellID]alloc.Env
+}
+
+type tappedAllocator struct {
+	alloc.Allocator
+	tap  *envTap
+	cell hexgrid.CellID
+}
+
+func (f *envTap) New(cell hexgrid.CellID) alloc.Allocator {
+	return &tappedAllocator{Allocator: f.Factory.New(cell), tap: f, cell: cell}
+}
+
+func (a *tappedAllocator) Start(env alloc.Env) {
+	a.tap.envs[a.cell] = env
+	a.Allocator.Start(env)
+}
+
+func adaptiveTap(t *testing.T) (*hexgrid.Grid, *chanset.Assignment, *envTap) {
+	t.Helper()
+	g, err := hexgrid.New(hexgrid.Config{Shape: hexgrid.Rect, Width: 7, Height: 7, ReuseDistance: 2, Wrap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign, err := chanset.Assign(g, 70)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := registry.Build("adaptive", g, assign, registry.Config{Latency: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, assign, &envTap{Factory: f, envs: map[hexgrid.CellID]alloc.Env{}}
+}
+
+// announce sends what a local-mode acquisition and its release send:
+// an ACQUISITION then a RELEASE of ch from cell from to its neighbor to.
+func announce(env alloc.Env, to hexgrid.CellID, ch chanset.Channel) {
+	env.Send(message.Message{Kind: message.Acquisition, To: to, Acq: message.AcqNonSearch, Ch: ch})
+	env.Send(message.Message{Kind: message.Release, To: to, Ch: ch})
+}
+
+// TestMessageDeliveryAllocatesNothing: Send -> queue -> deliver ->
+// core's Handle of an ACQUISITION (and the RELEASE that undoes it) is
+// zero allocations on both drivers — no closure, no boxed message.
+func TestMessageDeliveryAllocatesNothing(t *testing.T) {
+	skipUnderRace(t)
+	g, assign, tap := adaptiveTap(t)
+	from := g.InteriorCell()
+	to := g.Interference(from)[0]
+	ch := assign.Primary[from].First()
+
+	s := driver.New(g, assign, tap, driver.Options{Latency: 10, Seed: 1})
+	env := tap.envs[from]
+	round := func() {
+		announce(env, to, ch)
+		if !s.Drain(16) {
+			t.Fatal("serial driver did not drain")
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(500, round); allocs != 0 {
+		t.Errorf("serial driver: %.1f allocations per Send+deliver+Handle round, want 0", allocs)
+	}
+	if got := s.Stats().Messages.Total; got != 2*502 {
+		t.Fatalf("serial driver carried %d messages, want %d", got, 2*502)
+	}
+
+	for _, shards := range []int{1, 7} { // same shard, and (7 tiles of 7 cells) a cross-shard pair
+		p, err := driver.NewParallel(g, assign, tap, driver.ParallelOptions{Latency: 10, Seed: 1, Shards: shards, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := tap.envs[from]
+		round := func() {
+			announce(env, to, ch)
+			if !p.Drain(16) {
+				t.Fatal("sharded driver did not drain")
+			}
+		}
+		round()
+		if allocs := testing.AllocsPerRun(500, round); allocs != 0 {
+			t.Errorf("sharded driver, %d shards: %.1f allocations per Send+deliver+Handle round, want 0", shards, allocs)
+		}
+		if got := p.Stats().Messages.Total; got != 2*502 {
+			t.Fatalf("sharded driver carried %d messages, want %d", got, 2*502)
+		}
+	}
+}
+
+// TestCheckerAllocatesNothing: the Theorem-1 checker reads every cell's
+// in-use set through a borrowed view.
+func TestCheckerAllocatesNothing(t *testing.T) {
+	skipUnderRace(t)
+	g, assign, tap := adaptiveTap(t)
+	s := driver.New(g, assign, tap, driver.Options{Latency: 10, Seed: 1, Check: true})
+	for c := 0; c < g.NumCells(); c++ {
+		for i := 0; i < 3; i++ {
+			s.Request(hexgrid.CellID(c), nil)
+		}
+	}
+	s.Drain(1 << 20)
+	if st := s.Stats(); st.Grants != uint64(3*g.NumCells()) {
+		t.Fatalf("setup: %d grants", st.Grants)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := s.CheckInvariant(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("CheckInvariant over %d cells allocates %.1f objects, want 0", g.NumCells(), allocs)
+	}
+}
+
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if raceflag.Enabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+}

@@ -98,6 +98,7 @@ type Sim struct {
 	dog     trace.Watchdog
 	ring    *trace.Ring
 
+	calls   CallHandler
 	nextID  alloc.RequestID
 	pending map[alloc.RequestID]*pendingReq
 	// reqFree recycles pendingReq nodes: request bookkeeping is the
@@ -163,12 +164,53 @@ func (o *simObs) bind(r *obs.Registry, j *obs.Journal, latency sim.Time) {
 		[]float64{t / 2, t, 2 * t, 4 * t, 8 * t, 16 * t, 32 * t, 64 * t})
 }
 
+// pendingReq is one in-flight request. Its completion is either cb, a
+// closure (the public Request API), or cont, a typed continuation handed
+// to the workload layer's CallHandler (the generator path: no closure
+// per request).
 type pendingReq struct {
 	cell      hexgrid.CellID
 	submitted sim.Time
 	began     sim.Time
 	cb        func(Result)
+	cont      Continuation
 }
+
+// complete hands r to whichever completion the request was submitted
+// with.
+func (p *pendingReq) complete(h CallHandler, r Result) {
+	switch {
+	case p.cb != nil:
+		p.cb(r)
+	case p.cont.Op != 0:
+		h.Complete(r, p.cont)
+	}
+}
+
+// Continuation is a typed request completion: what the workload layer
+// wants done when the request resolves, as data instead of a closure.
+// Op (nonzero) and the other fields mean whatever the CallHandler that
+// submitted it says they mean.
+type Continuation struct {
+	Op   uint8
+	Flag bool
+	Cell hexgrid.CellID
+	Ch   chanset.Channel
+	Hold sim.Time
+}
+
+// CallHandler is the workload layer's end of the typed-event contract:
+// it interprets the call-lifecycle event kinds (callKinds) and the
+// continuations of the requests it submitted with RequestCont. On the
+// sharded driver both methods run on the worker of the shard that owns
+// the event's (resp. the request's) cell.
+type CallHandler interface {
+	sim.Handler
+	Complete(r Result, c Continuation)
+}
+
+// callKinds are the event kinds a CallHandler owns.
+var callKinds = [...]sim.Kind{sim.KindArrival, sim.KindRelease, sim.KindDepart, sim.KindHandoff}
 
 // New wires a simulation. The factory builds one allocator per cell.
 func New(grid *hexgrid.Grid, assign *chanset.Assignment, factory alloc.Factory, opts Options) *Sim {
@@ -214,6 +256,44 @@ func New(grid *hexgrid.Grid, assign *chanset.Assignment, factory alloc.Factory, 
 // Engine exposes the event loop for scheduling workload events.
 func (s *Sim) Engine() *sim.Engine { return s.engine }
 
+// SetCallHandler installs the workload layer's interpreter of the
+// call-lifecycle event kinds and of RequestCont continuations.
+func (s *Sim) SetCallHandler(h CallHandler) {
+	s.calls = h
+	for _, k := range callKinds {
+		s.engine.Handle(k, h)
+	}
+}
+
+// NumShards is 1: the serial driver is the one-shard case of the
+// workload-facing surface it shares with Parallel (Now, ShardOf, PostAt,
+// PostAfter, PostRelay, RequestCont, Release).
+func (s *Sim) NumShards() int { return 1 }
+
+// ShardOf returns the shard owning cell: always 0.
+func (s *Sim) ShardOf(hexgrid.CellID) int { return 0 }
+
+// Now returns the current virtual time (the same for every cell).
+func (s *Sim) Now(hexgrid.CellID) sim.Time { return s.engine.Now() }
+
+// PostAt schedules the typed event ev at absolute time at with cell as
+// its origin.
+func (s *Sim) PostAt(cell hexgrid.CellID, at sim.Time, ev sim.Event) {
+	s.engine.Post(at, int32(cell), ev, sim.Attachment{})
+}
+
+// PostAfter schedules ev delay ticks from now with cell as its origin.
+func (s *Sim) PostAfter(cell hexgrid.CellID, delay sim.Time, ev sim.Event) {
+	s.engine.Post(s.engine.Now()+delay, int32(cell), ev, sim.Attachment{})
+}
+
+// PostRelay schedules ev one message latency from now with from as its
+// origin — the serial form of Parallel.PostRelay, where the event
+// executes in to's shard.
+func (s *Sim) PostRelay(from, _ hexgrid.CellID, ev sim.Event) {
+	s.engine.Post(s.engine.Now()+s.opts.Latency, int32(from), ev, sim.Attachment{})
+}
+
 // Grid returns the scenario grid.
 func (s *Sim) Grid() *hexgrid.Grid { return s.grid }
 
@@ -227,14 +307,16 @@ func (s *Sim) Latency() sim.Time { return s.opts.Latency }
 func (s *Sim) Allocator(cell hexgrid.CellID) alloc.Allocator { return s.allocs[cell] }
 
 // newPending takes a node off the free list (or allocates one).
-func (s *Sim) newPending(cell hexgrid.CellID, now sim.Time, cb func(Result)) *pendingReq {
+func (s *Sim) newPending(cell hexgrid.CellID, now sim.Time, cb func(Result), cont Continuation) *pendingReq {
+	var p *pendingReq
 	if n := len(s.reqFree); n > 0 {
-		p := s.reqFree[n-1]
+		p = s.reqFree[n-1]
 		s.reqFree = s.reqFree[:n-1]
-		*p = pendingReq{cell: cell, submitted: now, began: now, cb: cb}
-		return p
+	} else {
+		p = new(pendingReq)
 	}
-	return &pendingReq{cell: cell, submitted: now, began: now, cb: cb}
+	*p = pendingReq{cell: cell, submitted: now, began: now, cb: cb, cont: cont}
+	return p
 }
 
 // recycle returns a completed node to the free list. Callers must be
@@ -247,10 +329,20 @@ func (s *Sim) recycle(p *pendingReq) {
 // Request submits a channel request at cell; cb (optional) runs on
 // completion. It returns the request id.
 func (s *Sim) Request(cell hexgrid.CellID, cb func(Result)) alloc.RequestID {
+	return s.request(cell, cb, Continuation{})
+}
+
+// RequestCont is Request with a typed completion: when the request
+// resolves, the CallHandler's Complete receives the result and c.
+func (s *Sim) RequestCont(cell hexgrid.CellID, c Continuation) alloc.RequestID {
+	return s.request(cell, nil, c)
+}
+
+func (s *Sim) request(cell hexgrid.CellID, cb func(Result), cont Continuation) alloc.RequestID {
 	s.nextID++
 	id := s.nextID
 	now := s.engine.Now()
-	s.pending[id] = s.newPending(cell, now, cb)
+	s.pending[id] = s.newPending(cell, now, cb, cont)
 	s.dog.Submitted(now)
 	s.obs.outstanding.Add(1)
 	if s.obs.journal != nil {
@@ -528,12 +620,10 @@ func (e *cellEnv) Granted(id alloc.RequestID, ch chanset.Channel) {
 			panic(err)
 		}
 	}
-	if p.cb != nil {
-		p.cb(Result{
-			ID: id, Cell: e.cell, Granted: true, Ch: ch,
-			Submitted: p.submitted, Began: p.began, Done: now,
-		})
-	}
+	p.complete(s.calls, Result{
+		ID: id, Cell: e.cell, Granted: true, Ch: ch,
+		Submitted: p.submitted, Began: p.began, Done: now,
+	})
 	s.recycle(p)
 }
 
@@ -556,11 +646,9 @@ func (e *cellEnv) Denied(id alloc.RequestID) {
 			obs.FI("ticks", int64(now-p.began)))
 	}
 	s.traceEvent(trace.Event{At: now, Kind: trace.EvDeny, Cell: e.cell, Ch: chanset.NoChannel, Info: int64(id)})
-	if p.cb != nil {
-		p.cb(Result{
-			ID: id, Cell: e.cell, Granted: false, Ch: chanset.NoChannel,
-			Submitted: p.submitted, Began: p.began, Done: now,
-		})
-	}
+	p.complete(s.calls, Result{
+		ID: id, Cell: e.cell, Granted: false, Ch: chanset.NoChannel,
+		Submitted: p.submitted, Began: p.began, Done: now,
+	})
 	s.recycle(p)
 }

@@ -149,6 +149,7 @@ type Parallel struct {
 	opts    ParallelOptions
 	checker *trace.InterferenceChecker
 	shards  []parShard
+	calls   CallHandler
 
 	// Per-cell accumulators, written only by the owning shard's worker.
 	cells []cellStat
@@ -198,6 +199,7 @@ func NewParallel(grid *hexgrid.Grid, assign *chanset.Assignment, factory alloc.F
 			sh.lastAt = make(map[parLink]sim.Time)
 		}
 	}
+	p.kernel.Handle(sim.KindMessage, p)
 	p.obs.bind(opts.Obs, nil, opts.Latency)
 	p.allocs = make([]alloc.Allocator, cells)
 	for i := range p.allocs {
@@ -232,6 +234,22 @@ func NewParallel(grid *hexgrid.Grid, assign *chanset.Assignment, factory alloc.F
 // Kernel exposes the sharded event kernel.
 func (p *Parallel) Kernel() *sim.Shards { return p.kernel }
 
+// SetCallHandler installs the workload layer's interpreter of the
+// call-lifecycle event kinds and of RequestCont continuations. Pre-run
+// only.
+func (p *Parallel) SetCallHandler(h CallHandler) {
+	p.calls = h
+	for _, k := range callKinds {
+		p.kernel.Handle(k, h)
+	}
+}
+
+// HandleEvent implements sim.Handler for KindMessage: deliver the
+// message to its destination cell's allocator, on that cell's shard.
+func (p *Parallel) HandleEvent(ev sim.Event, att sim.Attachment) {
+	p.allocs[ev.Cell].Handle(transport.MessageOf(ev, att))
+}
+
 // Grid returns the scenario grid.
 func (p *Parallel) Grid() *hexgrid.Grid { return p.grid }
 
@@ -254,9 +272,39 @@ func (p *Parallel) Workers() int { return p.opts.Workers }
 // only safe while the kernel is parked).
 func (p *Parallel) Allocator(cell hexgrid.CellID) alloc.Allocator { return p.allocs[cell] }
 
+// ShardOf returns the shard that owns cell.
+func (p *Parallel) ShardOf(cell hexgrid.CellID) int { return p.part.ShardOf(cell) }
+
 // Now returns cell's shard-local virtual time.
 func (p *Parallel) Now(cell hexgrid.CellID) sim.Time {
 	return p.kernel.Now(p.part.ShardOf(cell))
+}
+
+// PostAt schedules the typed event ev at absolute time at in cell's
+// shard, with the cell as the event's origin. Callable before Run or
+// from an event already executing in that shard (workload generators
+// are built this way).
+func (p *Parallel) PostAt(cell hexgrid.CellID, at sim.Time, ev sim.Event) {
+	p.kernel.Post(p.part.ShardOf(cell), at, int32(cell), ev, sim.Attachment{})
+}
+
+// PostAfter schedules ev delay ticks from cell's shard-local now.
+func (p *Parallel) PostAfter(cell hexgrid.CellID, delay sim.Time, ev sim.Event) {
+	s := p.part.ShardOf(cell)
+	p.kernel.Post(s, p.kernel.Now(s)+delay, int32(cell), ev, sim.Attachment{})
+}
+
+// PostRelay schedules ev one message latency from from's shard-local
+// now, executing in to's shard with from as the event origin — the
+// driver primitive for workload flows that hop between cells (handoff
+// signalling). The fixed one-latency delay is exactly the kernel's
+// lookahead bound, so a relay is always a legal cross-shard event; it
+// applies even when both cells share a shard, keeping the schedule
+// independent of the partition. Must be called from an event executing
+// in from's shard (or before the run starts).
+func (p *Parallel) PostRelay(from, to hexgrid.CellID, ev sim.Event) {
+	src := p.part.ShardOf(from)
+	p.kernel.PostCross(src, p.part.ShardOf(to), p.kernel.Now(src)+p.opts.Latency, int32(from), ev, sim.Attachment{})
 }
 
 // At schedules fn at absolute time at in cell's shard, with the cell as
@@ -269,19 +317,6 @@ func (p *Parallel) At(cell hexgrid.CellID, at sim.Time, fn func()) {
 // After schedules fn delay ticks from cell's shard-local now.
 func (p *Parallel) After(cell hexgrid.CellID, delay sim.Time, fn func()) {
 	p.kernel.After(p.part.ShardOf(cell), delay, int32(cell), fn)
-}
-
-// Relay schedules fn one message latency from from's shard-local now,
-// executing in to's shard with from as the event origin — the driver
-// primitive for workload flows that hop between cells (handoff
-// signalling). The fixed one-latency delay is exactly the kernel's
-// lookahead bound, so a relay is always a legal cross-shard event; it
-// applies even when both cells share a shard, keeping the schedule
-// independent of the partition. Must be called from an event executing
-// in from's shard (or before the run starts).
-func (p *Parallel) Relay(from, to hexgrid.CellID, fn func()) {
-	src := p.part.ShardOf(from)
-	p.kernel.Cross(src, p.part.ShardOf(to), p.kernel.Now(src)+p.opts.Latency, int32(from), fn)
 }
 
 // ReserveShard pre-sizes shard s's event heap (Erlang estimate from the
@@ -298,12 +333,22 @@ func (p *Parallel) ReserveOutbox(src, dst, n int) error { return p.kernel.Reserv
 // from an event executing in the cell's own shard. IDs are unique
 // across cells but per-cell derived, not globally sequential.
 func (p *Parallel) Request(cell hexgrid.CellID, cb func(Result)) alloc.RequestID {
+	return p.request(cell, cb, Continuation{})
+}
+
+// RequestCont is Request with a typed completion: when the request
+// resolves, the CallHandler's Complete receives the result and c.
+func (p *Parallel) RequestCont(cell hexgrid.CellID, c Continuation) alloc.RequestID {
+	return p.request(cell, nil, c)
+}
+
+func (p *Parallel) request(cell hexgrid.CellID, cb func(Result), cont Continuation) alloc.RequestID {
 	si := p.part.ShardOf(cell)
 	sh := &p.shards[si]
 	id := alloc.RequestID(int64(p.cells[cell].reqCount)*int64(p.grid.NumCells()) + int64(cell) + 1)
 	p.cells[cell].reqCount++
 	now := p.kernel.Now(si)
-	sh.pending[id] = sh.newPending(cell, now, cb)
+	sh.pending[id] = sh.newPending(cell, now, cb, cont)
 	sh.dog.Submitted(now)
 	p.obs.outstanding.Add(1)
 	sh.traceEvent(trace.Event{At: now, Kind: trace.EvRequest, Cell: cell, Ch: chanset.NoChannel, Info: int64(id)})
@@ -558,14 +603,16 @@ func (p *Parallel) ModeOccupancy() [4]float64 {
 	return out
 }
 
-func (sh *parShard) newPending(cell hexgrid.CellID, now sim.Time, cb func(Result)) *pendingReq {
+func (sh *parShard) newPending(cell hexgrid.CellID, now sim.Time, cb func(Result), cont Continuation) *pendingReq {
+	var q *pendingReq
 	if n := len(sh.reqFree); n > 0 {
-		q := sh.reqFree[n-1]
+		q = sh.reqFree[n-1]
 		sh.reqFree = sh.reqFree[:n-1]
-		*q = pendingReq{cell: cell, submitted: now, began: now, cb: cb}
-		return q
+	} else {
+		q = new(pendingReq)
 	}
-	return &pendingReq{cell: cell, submitted: now, began: now, cb: cb}
+	*q = pendingReq{cell: cell, submitted: now, began: now, cb: cb, cont: cont}
+	return q
 }
 
 func (sh *parShard) recycle(q *pendingReq) {
@@ -630,10 +677,8 @@ func (e *pcellEnv) Send(m message.Message) {
 		}
 		sh.lastAt[key] = at
 	}
-	dst := p.part.ShardOf(m.To)
-	h := p.allocs[m.To]
-	msg := m
-	p.kernel.Cross(e.shard, dst, at, int32(e.cell), func() { h.Handle(msg) })
+	ev, att := transport.EventOf(m)
+	p.kernel.PostCross(e.shard, p.part.ShardOf(m.To), at, int32(e.cell), ev, att)
 }
 
 func (e *pcellEnv) After(d sim.Time, fn func()) {
@@ -681,12 +726,10 @@ func (e *pcellEnv) Granted(id alloc.RequestID, ch chanset.Channel) {
 	p.obs.outstanding.Add(-1)
 	p.obs.acquire.Observe(float64(now - q.began))
 	sh.traceEvent(trace.Event{At: now, Kind: trace.EvGrant, Cell: e.cell, Ch: ch, Info: int64(id)})
-	if q.cb != nil {
-		q.cb(Result{
-			ID: id, Cell: e.cell, Granted: true, Ch: ch,
-			Submitted: q.submitted, Began: q.began, Done: now,
-		})
-	}
+	q.complete(p.calls, Result{
+		ID: id, Cell: e.cell, Granted: true, Ch: ch,
+		Submitted: q.submitted, Began: q.began, Done: now,
+	})
 	sh.recycle(q)
 }
 
@@ -705,11 +748,9 @@ func (e *pcellEnv) Denied(id alloc.RequestID) {
 	p.obs.denied.Inc()
 	p.obs.outstanding.Add(-1)
 	sh.traceEvent(trace.Event{At: now, Kind: trace.EvDeny, Cell: e.cell, Ch: chanset.NoChannel, Info: int64(id)})
-	if q.cb != nil {
-		q.cb(Result{
-			ID: id, Cell: e.cell, Granted: false, Ch: chanset.NoChannel,
-			Submitted: q.submitted, Began: q.began, Done: now,
-		})
-	}
+	q.complete(p.calls, Result{
+		ID: id, Cell: e.cell, Granted: false, Ch: chanset.NoChannel,
+		Submitted: q.submitted, Began: q.began, Done: now,
+	})
 	sh.recycle(q)
 }

@@ -226,6 +226,9 @@ func NewNode(grid *hexgrid.Grid, assign *chanset.Assignment, factory alloc.Facto
 		r.CounterFunc("adca_abandoned_messages_total",
 			"Messages whose retransmit budget was exhausted (dead link).",
 			func() float64 { return float64(n.Abandoned()) })
+		r.CounterFunc("adca_send_errors_total",
+			"Messages dropped because the peer could not be dialed or written to.",
+			func() float64 { return float64(n.SendErrors()) })
 		r.GaugeFunc("adca_requests_outstanding",
 			"Channel requests currently in flight.",
 			func() float64 { return float64(n.Outstanding()) })
@@ -346,6 +349,18 @@ type nodeTransport struct {
 	// wirePending counts messages accepted for a peer queue but not yet
 	// written out, so Idle covers the writer pipelines.
 	wirePending atomic.Int64
+	// sendErrors counts messages dropped because their link is dead: the
+	// peer could not be dialed (it is down or shutting down) or a write
+	// to it failed. Like a loss on the wire, the drop is the reliability
+	// layer's problem — never a panic.
+	sendErrors atomic.Uint64
+}
+
+// dropDead counts one message dropped on a dead link and reports
+// whether it is the node's first, which callers log so a dead peer does
+// not flood the output.
+func (t *nodeTransport) dropDead() (first bool) {
+	return t.sendErrors.Add(1) == 1 && !t.n.isClosed()
 }
 
 // Attach implements transport.Transport.
@@ -375,10 +390,12 @@ func (t *nodeTransport) Send(m message.Message) {
 	}
 	p, err := n.peer(addr)
 	if err != nil {
-		if n.isClosed() {
-			return
+		// The peer is down or shutting down. No link was registered,
+		// so a later send dials again.
+		if t.dropDead() {
+			fmt.Printf("netrun: dial %s: %v; dropping traffic for dead links (counted in SendErrors)\n", addr, err)
 		}
-		panic(fmt.Sprintf("netrun: dial %s: %v", addr, err))
+		return
 	}
 	t.wirePending.Add(1)
 	select {
@@ -480,7 +497,7 @@ func (n *Node) writeLoop(p *peerConn) {
 			buf = message.Encode(buf[:0], m)
 			if _, err := w.Write(buf); err != nil {
 				n.fabric.wirePending.Add(-1)
-				n.drainPeer(p)
+				n.deadLink(p, err)
 				return
 			}
 			n.fabric.bytes.Add(uint64(len(buf)))
@@ -495,23 +512,25 @@ func (n *Node) writeLoop(p *peerConn) {
 			break
 		}
 		if err := w.Flush(); err != nil {
-			n.drainPeer(p)
+			n.deadLink(p, err)
 			return
 		}
 	}
 }
 
-// drainPeer discards queued traffic for a dead link until shutdown so
+// deadLink handles a failed write: it counts the lost message, then
+// discards (and counts) queued traffic for the link until shutdown so
 // senders never block on a connection that stopped writing. Losses are
 // the reliability layer's problem, exactly like losses on the wire.
-func (n *Node) drainPeer(p *peerConn) {
-	if !n.isClosed() {
-		fmt.Printf("netrun: write error on peer link; dropping queued traffic\n")
+func (n *Node) deadLink(p *peerConn, err error) {
+	if n.fabric.dropDead() {
+		fmt.Printf("netrun: write to %s: %v; dropping traffic for dead links (counted in SendErrors)\n", p.conn.RemoteAddr(), err)
 	}
 	for {
 		select {
 		case <-p.q:
 			n.fabric.wirePending.Add(-1)
+			n.fabric.sendErrors.Add(1)
 		case <-p.done:
 			return
 		}
@@ -522,6 +541,10 @@ func (n *Node) drainPeer(p *peerConn) {
 // fabric (local and remote; with a reliability layer this includes acks
 // and retransmits — they are real traffic).
 func (n *Node) MessagesSent() uint64 { return n.fabric.Stats().Total }
+
+// SendErrors returns the number of messages dropped on dead links: the
+// peer could not be dialed or a write to it failed.
+func (n *Node) SendErrors() uint64 { return n.fabric.sendErrors.Load() }
 
 // FabricStats returns the raw fabric accounting (message and wire-byte
 // counts below the reliability layer), for benchmark harnesses.
@@ -641,7 +664,7 @@ func (n *Node) Outstanding() int {
 // InUse snapshots a hosted cell's channels (runs on its goroutine).
 func (n *Node) InUse(cell hexgrid.CellID) chanset.Set {
 	done := make(chan chanset.Set, 1)
-	n.local.Do(cell, func() { done <- n.hosted[cell].InUse() })
+	n.local.Do(cell, func() { done <- n.hosted[cell].InUse().Clone() })
 	return <-done
 }
 

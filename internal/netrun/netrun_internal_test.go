@@ -102,3 +102,64 @@ func TestLocalSendAllocBudget(t *testing.T) {
 		t.Fatalf("local fabric send allocates %.1f objects/message on the caller, want <= 2", allocs)
 	}
 }
+
+// TestDialFailureIsACountedDrop closes a peer while senders are dialing
+// it: whichever side of the shutdown a sender lands on — link up, dial
+// refused, or dialed and then reset — the message is delivered or
+// counted in SendErrors, never a panic, and the sending node keeps
+// serving its own cells.
+func TestDialFailureIsACountedDrop(t *testing.T) {
+	a, b, grid := twoNodes(t)
+	m := message.Message{Kind: message.Release, From: 0, To: 1, Ch: chanset.NoChannel}
+	const senders, each = 8, 200
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < senders; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for j := 0; j < each; j++ {
+				a.fabric.Send(m) // a has never dialed b: the first sends dial
+			}
+		}()
+	}
+	close(start)
+	b.Close() // mid-dial
+	wg.Wait()
+
+	// b is gone for good now: a send to it is refused at the dial (or, if
+	// a link was registered before the listener closed, fails at the
+	// write) — counted either way, and the peer table holds no dead dial.
+	before := a.SendErrors()
+	a.netMu.RLock()
+	_, linked := a.peers[b.Addr()]
+	a.netMu.RUnlock()
+	for i := 0; i < 3; i++ {
+		a.fabric.Send(m)
+	}
+	if !linked {
+		if got := a.SendErrors(); got != before+3 {
+			t.Fatalf("SendErrors = %d after 3 sends to a closed, never-linked peer, want %d", got, before+3)
+		}
+	}
+	if a.SendErrors() > senders*each+3 {
+		t.Fatalf("SendErrors = %d exceeds the %d messages sent", a.SendErrors(), senders*each+3)
+	}
+
+	// a still grants from its own primaries.
+	cell := hexgrid.CellID(0)
+	if int(grid.InteriorCell())%2 == 0 {
+		cell = grid.InteriorCell()
+	}
+	done := make(chan Result, 1)
+	a.Request(cell, func(r Result) { done <- r })
+	select {
+	case r := <-done:
+		if !r.Granted {
+			t.Fatal("local request denied after the peer went away")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("local request hung after the peer went away")
+	}
+}

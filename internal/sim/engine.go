@@ -1,6 +1,8 @@
 // Package sim is a deterministic discrete-event simulation kernel: a
-// virtual clock, an indexed 4-ary-heap event queue with stable FIFO
-// ordering of simultaneous events, and seeded random-number streams.
+// virtual clock, one 4-ary-heap queue of flat typed event records with
+// stable FIFO ordering of simultaneous events (queue.go) under a serial
+// (Engine) and a sharded (Shards) event loop, and seeded random-number
+// streams.
 //
 // All protocol benchmarks run on this kernel so results are exactly
 // reproducible from a seed; the live goroutine runtime in
@@ -11,7 +13,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
-	"unsafe"
+	"slices"
 )
 
 // Time is virtual time in abstract ticks. The paper's unit is T, the
@@ -19,37 +21,27 @@ import (
 // microsecond-ish granularity and express T in ticks.
 type Time int64
 
-// event is one scheduled callback. Origin-attributed events (AtOrigin/
-// AfterOrigin) carry the cell that scheduled them plus a per-origin
-// counter — the same canonical key the sharded kernel (Shards) orders
-// by, which is what lets a serial run reproduce a sharded run
-// bit-for-bit. Unattributed events (At/After) use org -1 and the global
-// insertion seq as cnt, preserving their historical stable-FIFO order
-// among themselves.
-type event struct {
-	at  Time
-	org int32  // origin cell id, or -1 for unattributed events
-	cnt uint64 // per-origin counter (global seq when org is -1)
-	fn  func()
-}
-
-// Engine is the event loop. Not safe for concurrent use: all event
-// callbacks run on the caller's goroutine, one at a time, which is what
+// Engine is the serial event loop. Not safe for concurrent use: all
+// events run on the caller's goroutine, one at a time, which is what
 // makes runs deterministic.
 //
-// The queue is a 4-ary min-heap stored inline in a slice: wider nodes
-// halve the tree depth versus a binary heap (fewer cache lines touched
-// per sift) and the value-typed slice avoids the interface boxing that
-// container/heap forces on every Push/Pop.
+// Origin-attributed events (AtOrigin/AfterOrigin/Post) carry the cell
+// that scheduled them plus a per-origin counter — the same canonical key
+// the sharded kernel (Shards) orders by, which is what lets a serial run
+// reproduce a sharded run bit-for-bit. Unattributed events (At/After)
+// use origin -1 and the global insertion seq as counter, preserving
+// their historical stable-FIFO order among themselves and sorting
+// before any attributed event at the same tick.
 type Engine struct {
-	now     Time
-	seq     uint64
-	events  []event
-	stopped bool
+	now      Time
+	seq      uint64
+	q        queue
+	handlers handlers
+	stopped  bool
 	// cnt[org] is the per-origin event counter for origin-attributed
-	// events, mirroring Shards.cnt; grown on demand.
+	// events, mirroring Shards.cnt; grown geometrically on demand.
 	cnt []uint64
-	// Executed counts callbacks run; useful for progress watchdogs.
+	// Executed counts events run; useful for progress watchdogs.
 	executed uint64
 	// reserveBudget caps the heap capacity Reserve may pin (bytes);
 	// zero means DefaultReserveBudget.
@@ -59,6 +51,9 @@ type Engine struct {
 // NewEngine returns an engine at time 0 with an empty queue.
 func NewEngine() *Engine { return &Engine{} }
 
+// Handle registers h as the interpreter of events of kind k.
+func (e *Engine) Handle(k Kind, h Handler) { e.handlers.set(k, h) }
+
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
@@ -66,7 +61,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return len(e.q.heap) }
 
 // Reserve grows the queue's capacity to hold at least n events without
 // reallocating. Drivers that can estimate the number of concurrently
@@ -78,21 +73,18 @@ func (e *Engine) Reserve(n int) error {
 	if n < 0 {
 		return fmt.Errorf("sim: heap reserve of %d events is negative", n)
 	}
-	if n <= cap(e.events) {
+	if n <= cap(e.q.heap) {
 		return nil
 	}
 	budget := e.reserveBudget
 	if budget == 0 {
 		budget = DefaultReserveBudget
 	}
-	const eventSize = uint64(unsafe.Sizeof(event{}))
-	if bytes := uint64(n) * eventSize; bytes > budget {
+	if bytes := uint64(n) * EventSize; bytes > budget {
 		return fmt.Errorf("sim: heap reserve of %d events (%d MiB) exceeds memory budget (%d MiB); check the workload estimate or raise SetReserveBudget",
 			n, bytes>>20, budget>>20)
 	}
-	grown := make([]event, len(e.events), n)
-	copy(grown, e.events)
-	e.events = grown
+	e.q.reserve(n)
 	return nil
 }
 
@@ -106,73 +98,39 @@ func (e *Engine) SetReserveBudget(bytes int64) {
 	e.reserveBudget = uint64(bytes)
 }
 
-// less orders the heap by the canonical (at, origin, counter) key —
-// identical to the sharded kernel's pshard.less, so a serial run and a
-// sharded run execute simultaneous events in the same order.
-// Unattributed events (org -1) sort before any origin-attributed event
-// at the same tick and keep insertion order among themselves.
-func (e *Engine) less(i, j int) bool {
-	a, b := &e.events[i], &e.events[j]
-	if a.at != b.at {
-		return a.at < b.at
+// key draws the next canonical tie-break for origin: the per-origin
+// counter, or the global insertion seq for unattributed events (-1).
+func (e *Engine) key(origin int32) uint64 {
+	if origin < 0 {
+		e.seq++
+		return packKey(origin, e.seq)
 	}
-	if a.org != b.org {
-		return a.org < b.org
+	if n := int(origin) + 1; n > len(e.cnt) {
+		e.cnt = slices.Grow(e.cnt, n-len(e.cnt))[:n]
 	}
-	return a.cnt < b.cnt
+	e.cnt[origin]++
+	return packKey(origin, e.cnt[origin])
 }
 
-// push appends ev and restores the heap by sifting it up.
-func (e *Engine) push(ev event) {
-	e.events = append(e.events, ev)
-	i := len(e.events) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !e.less(i, parent) {
-			break
-		}
-		e.events[i], e.events[parent] = e.events[parent], e.events[i]
-		i = parent
+// Post schedules the typed event ev at the absolute time at with an
+// explicit origin cell, assigning the same canonical (at, origin,
+// per-origin counter) key the sharded kernel uses (Shards.Post). A
+// handler for ev.Kind must be registered before the event is due. att is
+// the zero Attachment for all but a few events.
+func (e *Engine) Post(at Time, origin int32, ev Event, att Attachment) {
+	if at < e.now {
+		e.panicPast(at, "")
 	}
+	ev.At, ev.key, ev.ref = at, e.key(origin), 0
+	if !att.empty() {
+		ev.ref = e.q.atts.put(att)
+	}
+	e.q.push(ev)
 }
 
-// pop removes and returns the minimum event.
-func (e *Engine) pop() event {
-	h := e.events
-	root := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h[last] = event{} // drop the fn reference so the closure can be collected
-	e.events = h[:last]
-	e.siftDown(0)
-	return root
-}
-
-// siftDown restores the heap below index i.
-func (e *Engine) siftDown(i int) {
-	h := e.events
-	n := len(h)
-	for {
-		first := 4*i + 1
-		if first >= n {
-			return
-		}
-		min := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if e.less(c, min) {
-				min = c
-			}
-		}
-		if !e.less(min, i) {
-			return
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
+// postFunc queues fn as a KindFunc event.
+func (e *Engine) postFunc(at Time, origin int32, fn func()) {
+	e.q.push(Event{At: at, key: e.key(origin), ref: e.q.fns.put(fn)})
 }
 
 // At schedules fn at the absolute virtual time at. Scheduling in the past
@@ -181,33 +139,29 @@ func (e *Engine) At(at Time, fn func()) {
 	if at < e.now {
 		e.panicPast(at, "")
 	}
-	e.seq++
-	e.push(event{at: at, org: -1, cnt: e.seq, fn: fn})
+	e.postFunc(at, -1, fn)
 }
 
 // AtOrigin schedules fn at the absolute time at with an explicit origin
-// cell, assigning the same canonical (at, origin, per-origin counter)
-// key the sharded kernel uses (Shards.At). Drivers that want serial and
-// sharded runs to produce bit-identical trajectories must schedule
-// every event through the origin-attributed API with the origins the
-// sharded path would use.
+// cell (see Post for the key). Drivers that want serial and sharded runs
+// to produce bit-identical trajectories must schedule every event
+// through the origin-attributed API with the origins the sharded path
+// would use.
 func (e *Engine) AtOrigin(at Time, origin int32, fn func()) {
 	if at < e.now {
 		e.panicPast(at, "")
 	}
-	if n := int(origin) + 1; n > len(e.cnt) {
-		grown := make([]uint64, n)
-		copy(grown, e.cnt)
-		e.cnt = grown
-	}
-	e.cnt[origin]++
-	e.push(event{at: at, org: origin, cnt: e.cnt[origin], fn: fn})
+	e.postFunc(at, origin, fn)
 }
 
 // AfterOrigin schedules fn delay ticks from now with an explicit origin
 // cell (see AtOrigin).
 func (e *Engine) AfterOrigin(delay Time, origin int32, fn func()) {
-	e.AtOrigin(e.now+delay, origin, fn)
+	at := e.now + delay
+	if at < e.now {
+		e.panicPast(at, "")
+	}
+	e.postFunc(at, origin, fn)
 }
 
 // AtLabeled is At with a diagnostic label that is included in the
@@ -218,8 +172,7 @@ func (e *Engine) AtLabeled(at Time, label string, fn func()) {
 	if at < e.now {
 		e.panicPast(at, label)
 	}
-	e.seq++
-	e.push(event{at: at, org: -1, cnt: e.seq, fn: fn})
+	e.postFunc(at, -1, fn)
 }
 
 // After schedules fn delay ticks from now. Negative delays panic;
@@ -229,17 +182,16 @@ func (e *Engine) After(delay Time, fn func()) {
 	if at < e.now {
 		e.panicPast(at, "")
 	}
-	e.seq++
-	e.push(event{at: at, org: -1, cnt: e.seq, fn: fn})
+	e.postFunc(at, -1, fn)
 }
 
 // panicPast reports a past-scheduling bug including the event's origin:
 // the label (if any) and the caller site of the scheduling call. The
-// caller lookup runs only on this failure path, keeping At/After
+// caller lookup runs only on this failure path, keeping scheduling
 // allocation-free.
 func (e *Engine) panicPast(at Time, label string) {
 	origin := "unknown origin"
-	// Skip panicPast and the At/AtLabeled/After wrapper: frame 2 is the
+	// Skip panicPast and the exported scheduling method: frame 2 is the
 	// call site that scheduled the event.
 	if _, file, line, ok := runtime.Caller(2); ok {
 		origin = fmt.Sprintf("%s:%d", file, line)
@@ -253,20 +205,22 @@ func (e *Engine) panicPast(at Time, label string) {
 // Stop makes Run return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
+// step pops and executes the earliest event.
+func (e *Engine) step() {
+	ev := e.q.pop()
+	e.now = ev.At
+	e.executed++
+	e.q.exec(&e.handlers, ev)
+}
+
 // Run executes events in order until the queue is empty, Stop is called,
 // or the next event is later than until (which then becomes the current
 // time). It returns the number of events executed by this call.
 func (e *Engine) Run(until Time) uint64 {
 	e.stopped = false
 	start := e.executed
-	for len(e.events) > 0 && !e.stopped {
-		if e.events[0].at > until {
-			break
-		}
-		ev := e.pop()
-		e.now = ev.at
-		e.executed++
-		ev.fn()
+	for len(e.q.heap) > 0 && !e.stopped && e.q.heap[0].At <= until {
+		e.step()
 	}
 	if e.now < until {
 		e.now = until
@@ -277,17 +231,14 @@ func (e *Engine) Run(until Time) uint64 {
 // Step executes exactly one event if any is queued; it reports whether an
 // event ran. Useful for fine-grained tests.
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	if len(e.q.heap) == 0 {
 		return false
 	}
-	ev := e.pop()
-	e.now = ev.at
-	e.executed++
-	ev.fn()
+	e.step()
 	return true
 }
 
-// Drain runs until the queue is empty or maxEvents callbacks have run,
+// Drain runs until the queue is empty or maxEvents events have run,
 // whichever is first. It reports whether the queue emptied. Use it in
 // tests to reach quiescence with a runaway-loop backstop.
 func (e *Engine) Drain(maxEvents uint64) bool {
@@ -296,7 +247,7 @@ func (e *Engine) Drain(maxEvents uint64) bool {
 			return true
 		}
 	}
-	return len(e.events) == 0
+	return len(e.q.heap) == 0
 }
 
 // DrainUntil executes every event at or before cutoff, leaving later
@@ -307,14 +258,11 @@ func (e *Engine) Drain(maxEvents uint64) bool {
 // before cutoff actually ran (false only when the backstop tripped).
 func (e *Engine) DrainUntil(cutoff Time, maxEvents uint64) bool {
 	start := e.executed
-	for len(e.events) > 0 && e.events[0].at <= cutoff {
+	for len(e.q.heap) > 0 && e.q.heap[0].At <= cutoff {
 		if e.executed-start >= maxEvents {
 			return false
 		}
-		ev := e.pop()
-		e.now = ev.at
-		e.executed++
-		ev.fn()
+		e.step()
 	}
 	if e.now < cutoff {
 		e.now = cutoff
@@ -323,13 +271,6 @@ func (e *Engine) DrainUntil(cutoff Time, maxEvents uint64) bool {
 }
 
 // DiscardPending drops every queued event without executing it and
-// returns how many were dropped. Entries are zeroed so captured
-// closures become collectable. The clock is unchanged.
-func (e *Engine) DiscardPending() int {
-	n := len(e.events)
-	for i := range e.events {
-		e.events[i] = event{}
-	}
-	e.events = e.events[:0]
-	return n
-}
+// returns how many were dropped. Side-table entries are cleared so
+// captured closures become collectable. The clock is unchanged.
+func (e *Engine) DiscardPending() int { return e.q.discard() }

@@ -1,8 +1,9 @@
 package sim
 
 // Conservative parallel DES kernel. The grid is sharded into contiguous
-// tiles (hexgrid.Partition); each shard owns a private 4-ary event heap
-// and advances in lockstep windows of width equal to the lookahead (the
+// tiles (hexgrid.Partition); each shard owns a private event queue (the
+// same flat-record 4-ary heap the serial Engine runs on, queue.go) and
+// advances in lockstep windows of width equal to the lookahead (the
 // one-way message latency T). Within a window [W, W+T) shards execute
 // independently: an event at time t can only affect another shard via a
 // message delivered at >= t+T >= W+T, i.e. in a later window. Cross-shard
@@ -27,36 +28,34 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"unsafe"
 )
 
-// pevent is one scheduled callback in the sharded kernel. Unlike the
-// serial Engine's global insertion seq, the (org, cnt) pair is assigned
-// by the origin cell's own shard, keeping key assignment race-free.
-type pevent struct {
-	at  Time
-	org int32  // origin cell id: the cell whose handler scheduled this
-	cnt uint64 // per-origin monotone counter; with org, breaks at-ties
-	fn  func()
-}
-
 // outRoute buffers cross-shard events from one shard to one destination
-// shard until the next window barrier.
+// shard until the next window barrier. A boxed event's ref indexes the
+// route's own side list, not the source shard's table: the route has
+// exactly one writer during a window (the source worker) and exactly
+// one reader at the barrier (whoever merges into dst), so side entries
+// move src -> dst at the flush without any two goroutines sharing a
+// free list.
 type outRoute struct {
-	dst int32
-	box []pevent
+	dst  int32
+	box  []Event
+	side []sideEntry
 }
 
-// pshard is one shard's private state: clock, heap, and outboxes.
+// pshard is one shard's private state: clock, queue, and outboxes.
+// Unlike the serial Engine's global insertion seq, an event's (origin,
+// counter) key is assigned by the origin cell's own shard, keeping key
+// assignment race-free.
 type pshard struct {
 	now      Time
 	executed uint64
-	events   []pevent
+	q        queue
 	// routes holds this shard's cross-shard mailboxes, sorted by
 	// destination shard and created lazily on first use. With
 	// contiguous ID-range tiles a shard only ever talks to its few
 	// partition neighbors (hexgrid.Partition.NeighborShards), so this
-	// stays O(neighbor shards) — a dense [][]pevent outbox would be
+	// stays O(neighbor shards) — a dense [][]Event outbox would be
 	// O(shards) per shard and dominate memory at the shard counts a
 	// 10^6-cell grid wants. Only this shard's worker appends; only the
 	// coordinator (between windows) drains.
@@ -113,6 +112,7 @@ func (s *pshard) route(dst int32) *outRoute {
 type Shards struct {
 	lookahead Time
 	shards    []pshard
+	handlers  handlers
 	// cnt[org] is the per-origin event counter. A cell's events are
 	// scheduled only by its owning shard's worker (or pre-run), so
 	// slots are never written concurrently.
@@ -142,8 +142,6 @@ type Shards struct {
 // millions of in-flight events), small enough to catch estimates that
 // are off by orders of magnitude before they OOM the host.
 const DefaultReserveBudget = 8 << 30
-
-const peventSize = uint64(unsafe.Sizeof(pevent{}))
 
 // NewShards builds a kernel with n shards, a lookahead window of T
 // ticks (the minimum cross-shard scheduling delay), and numOrigins
@@ -183,7 +181,7 @@ func (k *Shards) chargeReserve(what string, n, oldCap int) error {
 	if n < 0 {
 		return fmt.Errorf("sim: %s reserve of %d events is negative", what, n)
 	}
-	grow := uint64(n-oldCap) * peventSize
+	grow := uint64(n-oldCap) * EventSize
 	if k.reservedBytes+grow > k.reserveBudget {
 		return fmt.Errorf("sim: %s reserve of %d events (%d MiB) exceeds memory budget (%d MiB reserved of %d MiB); check the workload estimate or raise SetReserveBudget",
 			what, n, grow>>20, k.reservedBytes>>20, k.reserveBudget>>20)
@@ -220,9 +218,9 @@ func (k *Shards) Windows() uint64 { return k.windows }
 func (k *Shards) Pending() int {
 	n := 0
 	for i := range k.shards {
-		n += len(k.shards[i].events)
-		for _, rt := range k.shards[i].routes {
-			n += len(rt.box)
+		n += len(k.shards[i].q.heap)
+		for j := range k.shards[i].routes {
+			n += len(k.shards[i].routes[j].box)
 		}
 	}
 	return n
@@ -243,15 +241,13 @@ func (k *Shards) Reserve(s, n int) error {
 	if n < 0 {
 		return k.chargeReserve("heap", n, 0)
 	}
-	if n <= cap(sh.events) {
+	if n <= cap(sh.q.heap) {
 		return nil
 	}
-	if err := k.chargeReserve("heap", n, cap(sh.events)); err != nil {
+	if err := k.chargeReserve("heap", n, cap(sh.q.heap)); err != nil {
 		return err
 	}
-	grown := make([]pevent, len(sh.events), n)
-	copy(grown, sh.events)
-	sh.events = grown
+	sh.q.reserve(n)
 	return nil
 }
 
@@ -259,7 +255,7 @@ func (k *Shards) Reserve(s, n int) error {
 // grow-copy mid-window, materializing the route if needed. Absurd hints
 // are rejected like Reserve's.
 func (k *Shards) ReserveOutbox(src, dst, n int) error {
-	if n < 0 || uint64(n)*peventSize > k.reserveBudget {
+	if n < 0 || uint64(n)*EventSize > k.reserveBudget {
 		return k.chargeReserve("outbox", n, 0)
 	}
 	rt := k.shards[src].route(int32(dst))
@@ -269,7 +265,7 @@ func (k *Shards) ReserveOutbox(src, dst, n int) error {
 	if err := k.chargeReserve("outbox", n, cap(rt.box)); err != nil {
 		return err
 	}
-	grown := make([]pevent, len(rt.box), n)
+	grown := make([]Event, len(rt.box), n)
 	copy(grown, rt.box)
 	rt.box = grown
 	return nil
@@ -281,114 +277,107 @@ func (k *Shards) ReserveOutbox(src, dst, n int) error {
 // drivers use it for consistent-cut invariant checks.
 func (k *Shards) SetBarrier(fn func()) { k.barrier = fn }
 
-// At schedules fn at absolute time at on shard s with the given origin
-// cell. Scheduling in the past panics, as in the serial Engine.
-func (k *Shards) At(s int, at Time, origin int32, fn func()) {
+// Handle registers h as the interpreter of events of kind k, on every
+// shard. h runs on shard workers, concurrently for different shards.
+func (k *Shards) Handle(kind Kind, h Handler) { k.handlers.set(kind, h) }
+
+// key draws origin's next canonical tie-break.
+func (k *Shards) key(origin int32) uint64 {
+	k.cnt[origin]++
+	return packKey(origin, k.cnt[origin])
+}
+
+// post queues ev on shard s, parking side (if any) in the shard's table.
+func (k *Shards) post(s int, at Time, origin int32, ev Event, side sideEntry) {
 	sh := &k.shards[s]
 	if at < sh.now {
 		panic(fmt.Sprintf("sim: shard %d scheduling event at %d before now %d (origin cell %d)", s, at, sh.now, origin))
 	}
-	k.cnt[origin]++
-	sh.push(pevent{at: at, org: origin, cnt: k.cnt[origin], fn: fn})
+	ev.At, ev.key, ev.ref = at, k.key(origin), 0
+	if !side.empty() {
+		sh.q.park(&ev, side)
+	}
+	sh.q.push(ev)
 }
 
-// After schedules fn delay ticks from shard s's current time.
-func (k *Shards) After(s int, delay Time, origin int32, fn func()) {
-	k.At(s, k.shards[s].now+delay, origin, fn)
-}
-
-// Cross schedules fn at absolute time at on shard dst, called from an
-// event executing on shard src. The event must respect the lookahead:
-// at >= src.now + T. Violations panic — they would let a shard see an
-// event scheduled inside its current window, breaking the conservative
-// synchronization argument.
-func (k *Shards) Cross(src, dst int, at Time, origin int32, fn func()) {
+// cross boxes ev for shard dst, called from an event executing on shard
+// src. The event must respect the lookahead: at >= src.now + T.
+// Violations panic — they would let a shard see an event scheduled
+// inside its current window, breaking the conservative synchronization
+// argument.
+func (k *Shards) cross(src, dst int, at Time, origin int32, ev Event, side sideEntry) {
 	if src == dst {
-		k.At(src, at, origin, fn)
+		k.post(src, at, origin, ev, side)
 		return
 	}
 	sh := &k.shards[src]
 	if at < sh.now+k.lookahead {
 		panic(fmt.Sprintf("sim: cross-shard event %d->%d at %d violates lookahead (now %d + T %d)", src, dst, at, sh.now, k.lookahead))
 	}
-	k.cnt[origin]++
+	ev.At, ev.key, ev.ref = at, k.key(origin), 0
 	rt := sh.route(int32(dst))
-	rt.box = append(rt.box, pevent{at: at, org: origin, cnt: k.cnt[origin], fn: fn})
+	if !side.empty() {
+		rt.side = append(rt.side, side)
+		ev.ref = uint32(len(rt.side))
+	}
+	rt.box = append(rt.box, ev)
 }
 
-// less orders shard events by the canonical (at, origin, counter) key.
-func (s *pshard) less(i, j int) bool {
-	a, b := &s.events[i], &s.events[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.org != b.org {
-		return a.org < b.org
-	}
-	return a.cnt < b.cnt
+// Post schedules the typed event ev at absolute time at on shard s with
+// the given origin cell (see Engine.Post). Scheduling in the past
+// panics, as in the serial Engine.
+func (k *Shards) Post(s int, at Time, origin int32, ev Event, att Attachment) {
+	k.post(s, at, origin, ev, sideEntry{att: att})
 }
 
-// push appends ev and restores the heap by sifting it up.
-func (s *pshard) push(ev pevent) {
-	s.events = append(s.events, ev)
-	i := len(s.events) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !s.less(i, parent) {
-			break
-		}
-		s.events[i], s.events[parent] = s.events[parent], s.events[i]
-		i = parent
-	}
+// PostCross schedules the typed event ev at absolute time at on shard
+// dst, called from an event executing on shard src; at must respect the
+// lookahead (see Cross).
+func (k *Shards) PostCross(src, dst int, at Time, origin int32, ev Event, att Attachment) {
+	k.cross(src, dst, at, origin, ev, sideEntry{att: att})
 }
 
-// pop removes and returns the minimum event.
-func (s *pshard) pop() pevent {
-	h := s.events
-	root := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h[last] = pevent{} // drop the fn reference so the closure can be collected
-	s.events = h[:last]
-	s.siftDown(0)
-	return root
+// At schedules fn at absolute time at on shard s with the given origin
+// cell. Scheduling in the past panics, as in the serial Engine.
+func (k *Shards) At(s int, at Time, origin int32, fn func()) {
+	k.post(s, at, origin, Event{}, sideEntry{fn: fn})
 }
 
-// siftDown restores the heap below index i.
-func (s *pshard) siftDown(i int) {
-	h := s.events
-	n := len(h)
-	for {
-		first := 4*i + 1
-		if first >= n {
-			return
-		}
-		min := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if s.less(c, min) {
-				min = c
-			}
-		}
-		if !s.less(min, i) {
-			return
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
+// After schedules fn delay ticks from shard s's current time.
+func (k *Shards) After(s int, delay Time, origin int32, fn func()) {
+	k.post(s, k.shards[s].now+delay, origin, Event{}, sideEntry{fn: fn})
+}
+
+// Cross schedules fn at absolute time at on shard dst, called from an
+// event executing on shard src. The event must respect the lookahead:
+// at >= src.now + T, or the call panics.
+func (k *Shards) Cross(src, dst int, at Time, origin int32, fn func()) {
+	k.cross(src, dst, at, origin, Event{}, sideEntry{fn: fn})
 }
 
 // runWindow executes shard s's events with at < horizon.
-func (s *pshard) runWindow(horizon Time) {
-	for len(s.events) > 0 && s.events[0].at < horizon {
-		ev := s.pop()
-		s.now = ev.at
+func (s *pshard) runWindow(h *handlers, horizon Time) {
+	for len(s.q.heap) > 0 && s.q.heap[0].At < horizon {
+		ev := s.q.pop()
+		s.now = ev.At
 		s.executed++
-		ev.fn()
+		s.q.exec(h, ev)
 	}
+}
+
+// merge moves every boxed event of rt into dst's queue, re-homing side
+// entries from the route's list to dst's table. Barrier-only: the
+// caller owns both rt and dst.
+func (rt *outRoute) merge(dst *queue) {
+	for _, ev := range rt.box {
+		if ev.ref != 0 {
+			dst.park(&ev, rt.side[ev.ref-1])
+		}
+		dst.push(ev)
+	}
+	rt.box = rt.box[:0]
+	clear(rt.side)
+	rt.side = rt.side[:0]
 }
 
 // parallelFlushThreshold is the minimum number of boxed cross-shard
@@ -430,14 +419,7 @@ func (k *Shards) flushSerial() {
 			if len(rt.box) == 0 {
 				continue
 			}
-			dst := &k.shards[rt.dst]
-			for _, ev := range rt.box {
-				dst.push(ev)
-			}
-			for i := range rt.box {
-				rt.box[i] = pevent{}
-			}
-			rt.box = rt.box[:0]
+			rt.merge(&k.shards[rt.dst].q)
 		}
 	}
 }
@@ -490,13 +472,7 @@ func (k *Shards) flushParallel(workers int) {
 					if rt == nil || len(rt.box) == 0 {
 						continue
 					}
-					for _, ev := range rt.box {
-						dst.push(ev)
-					}
-					for i := range rt.box {
-						rt.box[i] = pevent{}
-					}
-					rt.box = rt.box[:0]
+					rt.merge(&dst.q)
 				}
 			}
 		}(w)
@@ -511,11 +487,11 @@ func (k *Shards) minDue() (Time, bool) {
 	lo, ok := Time(0), false
 	for i := range k.shards {
 		sh := &k.shards[i]
-		if len(sh.events) == 0 {
+		if len(sh.q.heap) == 0 {
 			continue
 		}
-		if !ok || sh.events[0].at < lo {
-			lo, ok = sh.events[0].at, true
+		if !ok || sh.q.heap[0].At < lo {
+			lo, ok = sh.q.heap[0].At, true
 		}
 	}
 	return lo, ok
@@ -526,23 +502,24 @@ func (k *Shards) minDue() (Time, bool) {
 // so which goroutine runs a shard never depends on timing. workers<=1
 // runs inline with zero synchronization.
 func (k *Shards) runWindowAll(workers int, horizon Time) {
+	// The clamped count is a fresh variable: reassigning the parameter
+	// would make the worker closure capture it by reference and
+	// heap-allocate it on every call, the inline path included.
 	n := len(k.shards)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+	nw := min(workers, n)
+	if nw <= 1 {
 		for i := range k.shards {
-			k.shards[i].runWindow(horizon)
+			k.shards[i].runWindow(&k.handlers, horizon)
 		}
 		return
 	}
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	wg.Add(nw)
+	for w := 0; w < nw; w++ {
 		go func(w int) {
 			defer wg.Done()
-			for i := w; i < n; i += workers {
-				k.shards[i].runWindow(horizon)
+			for i := w; i < n; i += nw {
+				k.shards[i].runWindow(&k.handlers, horizon)
 			}
 		}(w)
 	}
@@ -619,12 +596,12 @@ func (k *Shards) DrainUntil(workers int, cutoff Time, maxEvents uint64) bool {
 	// verify directly: heap tops, plus unflushed boxes on that path.
 	for i := range k.shards {
 		sh := &k.shards[i]
-		if len(sh.events) > 0 && sh.events[0].at <= cutoff {
+		if len(sh.q.heap) > 0 && sh.q.heap[0].At <= cutoff {
 			return false
 		}
 		for j := range sh.routes {
 			for _, ev := range sh.routes[j].box {
-				if ev.at <= cutoff {
+				if ev.At <= cutoff {
 					return false
 				}
 			}
@@ -635,24 +612,20 @@ func (k *Shards) DrainUntil(workers int, cutoff Time, maxEvents uint64) bool {
 
 // DiscardPending drops every queued event — shard heaps and cross-shard
 // mailboxes — without executing it and returns how many were dropped.
-// Entries are zeroed so captured closures become collectable. Shard
-// clocks are unchanged. Coordinator-context only (not during a window).
+// Side entries are cleared so captured closures become collectable.
+// Shard clocks are unchanged. Coordinator-context only (not during a
+// window).
 func (k *Shards) DiscardPending() int {
 	n := 0
 	for i := range k.shards {
 		sh := &k.shards[i]
-		n += len(sh.events)
-		for j := range sh.events {
-			sh.events[j] = pevent{}
-		}
-		sh.events = sh.events[:0]
+		n += sh.q.discard()
 		for j := range sh.routes {
 			r := &sh.routes[j]
 			n += len(r.box)
-			for x := range r.box {
-				r.box[x] = pevent{}
-			}
 			r.box = r.box[:0]
+			clear(r.side)
+			r.side = r.side[:0]
 		}
 	}
 	return n

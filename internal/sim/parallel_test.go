@@ -229,9 +229,13 @@ func TestShardsRoutesLazySparse(t *testing.T) {
 // traffic through a barrier (> parallelFlushThreshold boxed events)
 // that flush takes the destination-parallel path at workers > 1, and
 // asserts the per-origin execution logs match the workers=1 serial
-// merge exactly. The second wave targets destinations never used
-// before the run, so the inbound index goes stale mid-run and the
-// rebuild path is exercised too.
+// merge exactly. The boxed events are a mix of func events, flat typed
+// events and typed events carrying an attachment, so side entries are
+// re-homed from route to destination table on both flush paths (run
+// under -race: a side table shared between two flush workers would
+// show here). The second wave targets destinations never used before
+// the run, so the inbound index goes stale mid-run and the rebuild path
+// is exercised too.
 func TestShardsParallelFlushMatchesSerial(t *testing.T) {
 	const (
 		nShards = 8
@@ -240,8 +244,10 @@ func TestShardsParallelFlushMatchesSerial(t *testing.T) {
 		fanout  = 8
 	)
 	type hit struct {
-		at  Time
-		org int32
+		at   Time
+		org  int32
+		kind Kind
+		use  uint64 // attachment payload, 0 for none
 	}
 	run := func(workers int) [][]hit {
 		k := NewShards(nShards, T, origins)
@@ -249,6 +255,44 @@ func TestShardsParallelFlushMatchesSerial(t *testing.T) {
 		// goroutine and in canonical key order, so the logs are
 		// race-free and comparable across worker counts.
 		log := make([][]hit, nShards)
+		// secondWave fans out from dst to a shard offset no pre-run
+		// event used, materializing fresh routes mid-run. The origin
+		// must be one whose counter slot only shard dst touches (the
+		// kernel contract: an origin is scheduled from a single shard),
+		// so use dst itself rather than o — o's wave-1 events run on
+		// two different shards.
+		secondWave := func(dst int, o int32) {
+			far := (dst + 3) % nShards
+			at := k.Now(dst) + T + Time(o%5)
+			switch o % 3 {
+			case 0:
+				k.Cross(dst, far, at, int32(dst), func() {
+					log[far] = append(log[far], hit{-k.Now(far), o, KindFunc, 0})
+				})
+			case 1:
+				k.PostCross(dst, far, at, int32(dst), Event{Kind: KindRelease, Cell: int32(far), Peer: o}, Attachment{})
+			case 2:
+				k.PostCross(dst, far, at, int32(dst), Event{Kind: KindRelease, Cell: int32(far), Peer: o},
+					Attachment{Words: []uint64{uint64(o)}, Seq: uint64(dst)})
+			}
+		}
+		k.Handle(KindRelease, handlerFunc(func(ev Event, att Attachment) {
+			far := int(ev.Cell)
+			h := hit{-k.Now(far), ev.Peer, ev.Kind, att.Seq}
+			if len(att.Words) > 0 {
+				h.use += att.Words[0] << 8
+			}
+			log[far] = append(log[far], h)
+		}))
+		k.Handle(KindMessage, handlerFunc(func(ev Event, att Attachment) {
+			dst := int(ev.Cell)
+			h := hit{k.Now(dst), ev.Origin(), ev.Kind, att.Seq}
+			if len(att.Words) > 0 {
+				h.use += att.Words[0] << 8
+			}
+			log[dst] = append(log[dst], h)
+			secondWave(dst, ev.Origin())
+		}))
 		// First wave: 8192 pre-run cross events, all boxed before the
 		// first flush, so the very first barrier is over threshold.
 		for o := int32(0); o < origins; o++ {
@@ -257,20 +301,18 @@ func TestShardsParallelFlushMatchesSerial(t *testing.T) {
 				dst := (src + 1 + j%2) % nShards
 				at := T + Time((int(o)+j)%13)
 				o, dst := o, dst
-				k.Cross(src, dst, at, o, func() {
-					log[dst] = append(log[dst], hit{k.Now(dst), o})
-					// Second wave: fan out to a shard offset no pre-run
-					// event used, materializing fresh routes mid-run.
-					// The origin must be one whose counter slot only
-					// shard dst touches (the kernel contract: an origin
-					// is scheduled from a single shard), so use dst
-					// itself rather than o — o's wave-1 events run on
-					// two different shards.
-					far := (dst + 3) % nShards
-					k.Cross(dst, far, k.Now(dst)+T+Time(o%5), int32(dst), func() {
-						log[far] = append(log[far], hit{-k.Now(far), o})
+				switch j % 3 {
+				case 0:
+					k.Cross(src, dst, at, o, func() {
+						log[dst] = append(log[dst], hit{k.Now(dst), o, KindFunc, 0})
+						secondWave(dst, o)
 					})
-				})
+				case 1:
+					k.PostCross(src, dst, at, o, Event{Kind: KindMessage, Cell: int32(dst)}, Attachment{})
+				case 2:
+					k.PostCross(src, dst, at, o, Event{Kind: KindMessage, Cell: int32(dst)},
+						Attachment{Words: []uint64{uint64(o), uint64(j)}, Seq: uint64(j)})
+				}
 			}
 		}
 		if !k.Drain(workers, 1_000_000) {
@@ -279,9 +321,28 @@ func TestShardsParallelFlushMatchesSerial(t *testing.T) {
 		if k.Pending() != 0 {
 			t.Fatalf("workers=%d: %d events left pending", workers, k.Pending())
 		}
+		for s := 0; s < nShards; s++ {
+			q := &k.shards[s].q
+			if len(q.fns.free) != len(q.fns.slots) || len(q.atts.free) != len(q.atts.slots) {
+				t.Fatalf("workers=%d: shard %d still holds a side entry after the drain", workers, s)
+			}
+		}
 		return log
 	}
 	ref := run(1)
+	kinds := map[Kind]int{}
+	withUse := 0
+	for _, l := range ref {
+		for _, h := range l {
+			kinds[h.kind]++
+			if h.use != 0 {
+				withUse++
+			}
+		}
+	}
+	if kinds[KindFunc] == 0 || kinds[KindMessage] == 0 || kinds[KindRelease] == 0 || withUse == 0 {
+		t.Fatalf("the mix is vacuous: kinds %v, %d with attachment", kinds, withUse)
+	}
 	for _, w := range []int{2, 4} {
 		if got := run(w); !reflect.DeepEqual(got, ref) {
 			t.Fatalf("workers=%d: execution log diverged from serial flush", w)
@@ -296,7 +357,7 @@ func TestShardsReserveBudget(t *testing.T) {
 	if err := k.Reserve(0, -1); err == nil {
 		t.Fatal("negative heap reserve accepted")
 	}
-	huge := int(DefaultReserveBudget) // events; bytes = huge * sizeof(pevent) >> budget
+	huge := int(DefaultReserveBudget) // events; bytes = huge * EventSize >> budget
 	if err := k.Reserve(0, huge); err == nil {
 		t.Fatal("budget-blowing heap reserve accepted")
 	}
@@ -327,7 +388,7 @@ func TestShardsReserveBudget(t *testing.T) {
 func TestShardsReserveBudgetCumulative(t *testing.T) {
 	k := NewShards(2, 5, 2)
 	k.SetReserveBudget(64 << 10)
-	perCall := int((32 << 10) / peventSize) // half the budget in events
+	perCall := int((32 << 10) / EventSize) // half the budget in events
 	if err := k.Reserve(0, perCall); err != nil {
 		t.Fatalf("first half-budget reserve rejected: %v", err)
 	}

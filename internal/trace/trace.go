@@ -14,7 +14,9 @@ import (
 	"repro/internal/sim"
 )
 
-// UseFunc reports the channels a cell currently uses (a snapshot).
+// UseFunc reports the channels a cell currently uses. The checker only
+// reads the set, during the call that asked for it, so a view of live
+// state is fine.
 type UseFunc func(hexgrid.CellID) chanset.Set
 
 // InterferenceChecker validates Theorem 1: no channel is used

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/chanset"
 	"repro/internal/driver"
-	"repro/internal/hexgrid"
-	"repro/internal/sim"
 )
 
 // RunParallel drives the workload over the sharded driver to
@@ -21,7 +18,7 @@ import (
 //
 // Mobility runs sharded: a call leg draws its dwell time and neighbor
 // pick from the *current* cell's mobility substream when the leg is
-// granted, and the handoff itself is a relayed event (driver.Relay)
+// granted, and the handoff itself is a relayed event (driver.PostRelay)
 // that reaches the target cell one message latency after the crossing —
 // exactly the kernel's lookahead bound, so the hop is always a legal
 // cross-shard event. Handoff tallies are per shard and merged in shard
@@ -40,7 +37,7 @@ func RunParallel(p *driver.Parallel, spec Spec) (Stats, error) {
 // no simulation time has passed. Finish runs it to completion.
 type PrimedParallel struct {
 	p *driver.Parallel
-	g *pgenerator
+	g *generator
 }
 
 // PrimeParallel validates spec and seeds the workload over p without
@@ -50,11 +47,6 @@ type PrimedParallel struct {
 func PrimeParallel(p *driver.Parallel, spec Spec) (*PrimedParallel, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
-	}
-	n := p.Grid().NumCells()
-	st := Stats{
-		PerCellOffered: make([]uint64, n),
-		PerCellBlocked: make([]uint64, n),
 	}
 	part := p.Partition()
 	// Per-shard capacity hints from the same Erlang estimate Run feeds
@@ -84,21 +76,8 @@ func PrimeParallel(p *driver.Parallel, spec Spec) (*PrimedParallel, error) {
 			}
 		}
 	}
-	g := &pgenerator{
-		p:       p,
-		spec:    spec,
-		stats:   &st,
-		tallies: make([]ptally, part.NumShards()),
-		mob:     mobilityStreams(spec, n),
-	}
-	for i := 0; i < n; i++ {
-		cell := hexgrid.CellID(i)
-		rng := sim.Substream(spec.Seed, arrivalLabel+uint64(i))
-		if spec.WarmStart {
-			g.warmStart(cell, rng)
-		}
-		g.scheduleArrival(cell, rng)
-	}
+	g := newGenerator(p, spec)
+	g.prime()
 	return &PrimedParallel{p: p, g: g}, nil
 }
 
@@ -107,7 +86,6 @@ func PrimeParallel(p *driver.Parallel, spec Spec) (*PrimedParallel, error) {
 // tallies — in shard order, so the result is deterministic.
 func (r *PrimedParallel) Finish() (Stats, error) {
 	p, g := r.p, r.g
-	st := g.stats
 	if g.spec.DrainHorizon > 0 {
 		// Truncated drain: run to the cutoff (window boundaries and
 		// barrier samples before it are exactly the full drain's), then
@@ -116,32 +94,25 @@ func (r *PrimedParallel) Finish() (Stats, error) {
 		// bit-identical across worker and shard counts and vs Run.
 		cutoff := g.spec.Duration + g.spec.DrainHorizon
 		if !p.DrainUntil(cutoff, 2_000_000_000) {
-			return *st, fmt.Errorf("traffic: truncated drain hit its event backstop before cutoff %d: %d events pending, %d requests outstanding (per shard: %s), sim time %d",
+			return g.result(), fmt.Errorf("traffic: truncated drain hit its event backstop before cutoff %d: %d events pending, %d requests outstanding (per shard: %s), sim time %d",
 				cutoff, p.Kernel().Pending(), p.Outstanding(), shardOutstandingSummary(p.ShardOutstanding()), p.Kernel().Now(0))
 		}
 		p.ForceQuiesce()
 		if p.Outstanding() != 0 {
-			return *st, fmt.Errorf("traffic: %d requests still outstanding after forced quiesce (per shard: %s), sim time %d",
+			return g.result(), fmt.Errorf("traffic: %d requests still outstanding after forced quiesce (per shard: %s), sim time %d",
 				p.Outstanding(), shardOutstandingSummary(p.ShardOutstanding()), p.Kernel().Now(0))
 		}
 	} else {
 		if !p.Drain(2_000_000_000) {
-			return *st, fmt.Errorf("traffic: simulation did not quiesce: %d events pending, %d requests outstanding (per shard: %s), sim time %d",
+			return g.result(), fmt.Errorf("traffic: simulation did not quiesce: %d events pending, %d requests outstanding (per shard: %s), sim time %d",
 				p.Kernel().Pending(), p.Outstanding(), shardOutstandingSummary(p.ShardOutstanding()), p.Kernel().Now(0))
 		}
 		if p.Outstanding() != 0 {
-			return *st, fmt.Errorf("traffic: %d requests still outstanding after drain (per shard: %s), sim time %d (no events pending)",
+			return g.result(), fmt.Errorf("traffic: %d requests still outstanding after drain (per shard: %s), sim time %d (no events pending)",
 				p.Outstanding(), shardOutstandingSummary(p.ShardOutstanding()), p.Kernel().Now(0))
 		}
 	}
-	for i := range g.tallies {
-		t := &g.tallies[i]
-		st.Offered += t.offered
-		st.Blocked += t.blocked
-		st.HandoffAttempts += t.hoAttempts
-		st.HandoffDrops += t.hoDrops
-	}
-	return *st, nil
+	return g.result(), nil
 }
 
 // shardOutstandingSummary renders per-shard outstanding-request counts
@@ -171,140 +142,4 @@ func shardOutstandingSummary(per []int) string {
 		fmt.Fprintf(&b, " +%d more shards", nonzero-listed)
 	}
 	return b.String()
-}
-
-// ptally is one shard's scalar counters, merged in shard order at the
-// end: counters are written from shard workers, so the global Stats
-// fields cannot be touched mid-run. Padded to keep adjacent shards off
-// one cache line.
-type ptally struct {
-	offered, blocked    uint64
-	hoAttempts, hoDrops uint64
-	_                   [32]byte
-}
-
-type pgenerator struct {
-	p       *driver.Parallel
-	spec    Spec
-	stats   *Stats
-	tallies []ptally
-	// mob[cell] mirrors generator.mob: the cell's mobility substream,
-	// consumed only by the cell's owning shard.
-	mob []*sim.Rand
-}
-
-// tally returns the counters of cell's shard. Only the owning shard's
-// worker increments them, so no synchronization is needed.
-func (g *pgenerator) tally(cell hexgrid.CellID) *ptally {
-	return &g.tallies[g.p.Partition().ShardOf(cell)]
-}
-
-// warmStart mirrors generator.warmStart on the sharded driver: cell's
-// stationary in-progress calls are submitted before tick 0 from the
-// cell's arrival substream, ahead of any arrival-gap draw. Pre-run
-// requests are legal on driver.Parallel and run the allocator of the
-// cell's own shard synchronously; seeds a saturated neighborhood cannot
-// grant immediately resolve through the borrow protocol during the run
-// (the protocol's messages are latency-delayed cross events, always
-// within the kernel's lookahead bound). Grant order is fixed by the
-// kernel's canonical (time, origin, counter) order, so seeding is
-// bit-identical across shard and worker counts.
-func (g *pgenerator) warmStart(cell hexgrid.CellID, rng *sim.Rand) {
-	k := rng.Poisson(g.spec.Profile.Rate(cell, 0) * g.spec.MeanHold)
-	for i := 0; i < k; i++ {
-		remaining := rng.ExpTicks(g.spec.MeanHold)
-		g.p.Request(cell, func(r driver.Result) {
-			if r.Granted {
-				g.continueCall(r.Cell, r.Ch, remaining)
-			}
-		})
-	}
-}
-
-// scheduleArrival plants the next candidate arrival for cell, exactly
-// as generator.scheduleArrival does on the serial engine.
-func (g *pgenerator) scheduleArrival(cell hexgrid.CellID, rng *sim.Rand) {
-	maxRate := g.spec.Profile.MaxRate(cell)
-	if maxRate <= 0 {
-		return
-	}
-	gap := rng.ExpTicks(1 / maxRate)
-	at := g.p.Now(cell) + gap
-	if at > g.spec.Duration {
-		return
-	}
-	g.p.At(cell, at, func() {
-		if rng.Float64()*maxRate <= g.spec.Profile.Rate(cell, g.p.Now(cell)) {
-			g.newCall(cell, rng)
-		}
-		g.scheduleArrival(cell, rng)
-	})
-}
-
-// newCall submits a channel request and, when granted, starts the call
-// lifecycle. PerCell slots are only ever written by the owning shard,
-// so they need no tally indirection.
-func (g *pgenerator) newCall(cell hexgrid.CellID, rng *sim.Rand) {
-	now := g.p.Now(cell)
-	measured := now >= g.spec.Warmup
-	if measured {
-		t := g.tally(cell)
-		t.offered++
-		g.stats.PerCellOffered[cell]++
-	}
-	remaining := rng.ExpTicks(g.spec.MeanHold)
-	g.p.Request(cell, func(r driver.Result) {
-		if !r.Granted {
-			if measured && g.spec.countsDenial(g.p.Now(cell)) {
-				g.tally(cell).blocked++
-				g.stats.PerCellBlocked[cell]++
-			}
-			return
-		}
-		g.continueCall(r.Cell, r.Ch, remaining)
-	})
-}
-
-// continueCall mirrors generator.continueCall on the sharded kernel:
-// one leg of a call in one cell, with dwell and neighbor draws from the
-// current cell's mobility substream. The grant callback runs in the
-// cell's shard, so the draws are shard-local by construction.
-func (g *pgenerator) continueCall(cell hexgrid.CellID, ch chanset.Channel, remaining sim.Time) {
-	if g.spec.HandoffRate > 0 {
-		mob := g.mob[cell]
-		handoffIn := mob.ExpTicks(1 / g.spec.HandoffRate)
-		if handoffIn < remaining {
-			if adj := g.p.Grid().Adjacent(cell); len(adj) > 0 {
-				next := adj[mob.Intn(len(adj))]
-				left := remaining - handoffIn
-				g.p.After(cell, handoffIn, func() { g.depart(cell, ch, next, left) })
-				return
-			}
-		}
-	}
-	g.p.After(cell, remaining, func() { g.p.Release(cell, ch) })
-}
-
-// depart mirrors generator.depart: the crossing is counted in the old
-// cell's shard at crossing time, the handoff request is relayed to the
-// target cell one latency later (a legal cross-shard event by the
-// lookahead bound), and the old channel is released back home one
-// latency after the target's decision. Drops are counted in the target
-// cell's shard at decision time.
-func (g *pgenerator) depart(cell hexgrid.CellID, ch chanset.Channel, next hexgrid.CellID, left sim.Time) {
-	if g.spec.countsHandoff(g.p.Now(cell)) {
-		g.tally(cell).hoAttempts++
-	}
-	g.p.Relay(cell, next, func() {
-		g.p.Request(next, func(r driver.Result) {
-			g.p.Relay(next, cell, func() { g.p.Release(cell, ch) })
-			if !r.Granted {
-				if g.spec.countsHandoff(g.p.Now(next)) {
-					g.tally(next).hoDrops++
-				}
-				return
-			}
-			g.continueCall(r.Cell, r.Ch, left)
-		})
-	})
 }

@@ -3,8 +3,6 @@ package traffic
 import (
 	"fmt"
 
-	"repro/internal/chanset"
-
 	"repro/internal/driver"
 	"repro/internal/hexgrid"
 	"repro/internal/sim"
@@ -167,11 +165,6 @@ func Run(s *driver.Sim, spec Spec) (Stats, error) {
 		return Stats{}, err
 	}
 	n := s.Grid().NumCells()
-	st := Stats{
-		PerCellOffered: make([]uint64, n),
-		PerCellBlocked: make([]uint64, n),
-	}
-	g := &generator{sim: s, spec: spec, stats: &st, mob: mobilityStreams(spec, n)}
 	// Capacity hint for the DES kernel: the queue concurrently holds one
 	// candidate arrival per cell plus roughly one release/handoff event
 	// per held call, and the expected held-call count is the offered load
@@ -186,16 +179,10 @@ func Run(s *driver.Sim, spec Spec) (Stats, error) {
 		}
 	}
 	if err := s.Engine().Reserve(n + 64 + int(1.25*totalRate*spec.MeanHold)); err != nil {
-		return st, err
+		return Stats{}, err
 	}
-	for i := 0; i < n; i++ {
-		cell := hexgrid.CellID(i)
-		rng := sim.Substream(spec.Seed, arrivalLabel+uint64(i))
-		if spec.WarmStart {
-			g.warmStart(cell, rng)
-		}
-		g.scheduleArrival(cell, rng)
-	}
+	g := newGenerator(s, spec)
+	g.prime()
 	if spec.DrainHorizon > 0 {
 		// Truncated drain: execute everything up to the cutoff, then
 		// force the rest of the system quiescent. The forced sweep is
@@ -203,163 +190,24 @@ func Run(s *driver.Sim, spec Spec) (Stats, error) {
 		// truncated trajectory is as deterministic as the full one.
 		cutoff := spec.Duration + spec.DrainHorizon
 		if !s.DrainUntil(cutoff, 2_000_000_000) {
-			return st, fmt.Errorf("traffic: truncated drain hit its event backstop before cutoff %d: %d events pending, %d requests outstanding, sim time %d",
+			return g.result(), fmt.Errorf("traffic: truncated drain hit its event backstop before cutoff %d: %d events pending, %d requests outstanding, sim time %d",
 				cutoff, s.Engine().Pending(), s.Outstanding(), s.Engine().Now())
 		}
 		s.ForceQuiesce()
 		if s.Outstanding() != 0 {
-			return st, fmt.Errorf("traffic: %d requests still outstanding after forced quiesce at sim time %d", s.Outstanding(), s.Engine().Now())
+			return g.result(), fmt.Errorf("traffic: %d requests still outstanding after forced quiesce at sim time %d", s.Outstanding(), s.Engine().Now())
 		}
-		return st, nil
+		return g.result(), nil
 	}
 	// Run until well past Duration so calls drain; the queue empties
 	// once no arrivals are scheduled and all calls released.
 	if !s.Drain(2_000_000_000) {
-		return st, fmt.Errorf("traffic: simulation did not quiesce: %d events pending, %d requests outstanding, sim time %d",
+		return g.result(), fmt.Errorf("traffic: simulation did not quiesce: %d events pending, %d requests outstanding, sim time %d",
 			s.Engine().Pending(), s.Outstanding(), s.Engine().Now())
 	}
 	if s.Outstanding() != 0 {
-		return st, fmt.Errorf("traffic: %d requests still outstanding after drain at sim time %d (no events pending)",
+		return g.result(), fmt.Errorf("traffic: %d requests still outstanding after drain at sim time %d (no events pending)",
 			s.Outstanding(), s.Engine().Now())
 	}
-	return st, nil
-}
-
-// mobilityStreams builds the per-cell mobility substreams, or nil when
-// the spec has no mobility.
-func mobilityStreams(spec Spec, cells int) []*sim.Rand {
-	if spec.HandoffRate <= 0 {
-		return nil
-	}
-	mob := make([]*sim.Rand, cells)
-	for i := range mob {
-		mob[i] = sim.Substream(spec.Seed, mobilityLabel+uint64(i))
-	}
-	return mob
-}
-
-type generator struct {
-	sim   *driver.Sim
-	spec  Spec
-	stats *Stats
-	// mob[cell] is the cell's mobility substream (nil slice without
-	// mobility): dwell and neighbor draws for a leg are taken from the
-	// stream of the cell the leg runs in.
-	mob []*sim.Rand
-}
-
-// warmStart submits cell's stationary in-progress calls before tick 0:
-// K ~ Poisson(rate(cell, 0) × MeanHold), each with a residual
-// Exp(MeanHold) hold. The draws come from the cell's arrival substream
-// ahead of any arrival-gap draw, in the same order on the serial and
-// sharded drivers. Requests a saturated neighborhood cannot grant
-// immediately resolve through the borrow protocol during the run;
-// denied seeds simply never existed. Neither outcome touches the
-// Offered/Blocked tallies — seeded calls model traffic admitted before
-// the run began.
-func (g *generator) warmStart(cell hexgrid.CellID, rng *sim.Rand) {
-	k := rng.Poisson(g.spec.Profile.Rate(cell, 0) * g.spec.MeanHold)
-	for i := 0; i < k; i++ {
-		remaining := rng.ExpTicks(g.spec.MeanHold)
-		g.sim.Request(cell, func(r driver.Result) {
-			if r.Granted {
-				g.continueCall(r.Cell, r.Ch, remaining)
-			}
-		})
-	}
-}
-
-// scheduleArrival plants the next candidate arrival for cell using
-// thinning (non-homogeneous Poisson sampling).
-func (g *generator) scheduleArrival(cell hexgrid.CellID, rng *sim.Rand) {
-	e := g.sim.Engine()
-	maxRate := g.spec.Profile.MaxRate(cell)
-	if maxRate <= 0 {
-		return
-	}
-	gap := rng.ExpTicks(1 / maxRate)
-	at := e.Now() + gap
-	if at > g.spec.Duration {
-		return // arrivals stop; this cell's stream ends
-	}
-	e.AtOrigin(at, int32(cell), func() {
-		// Thinning: accept the candidate with probability rate/maxRate.
-		if rng.Float64()*maxRate <= g.spec.Profile.Rate(cell, e.Now()) {
-			g.newCall(cell, rng)
-		}
-		g.scheduleArrival(cell, rng)
-	})
-}
-
-// newCall submits a channel request and, when granted, schedules the
-// call lifecycle (handoffs and final release).
-func (g *generator) newCall(cell hexgrid.CellID, rng *sim.Rand) {
-	now := g.sim.Engine().Now()
-	measured := now >= g.spec.Warmup
-	if measured {
-		g.stats.Offered++
-		g.stats.PerCellOffered[cell]++
-	}
-	remaining := rng.ExpTicks(g.spec.MeanHold)
-	g.sim.Request(cell, func(r driver.Result) {
-		if !r.Granted {
-			if measured && g.spec.countsDenial(g.sim.Engine().Now()) {
-				g.stats.Blocked++
-				g.stats.PerCellBlocked[cell]++
-			}
-			return
-		}
-		g.continueCall(r.Cell, r.Ch, remaining)
-	})
-}
-
-// continueCall runs one leg of a call in one cell: either the call ends
-// here (release) or it departs toward a neighbor first. Dwell time and
-// the neighbor pick are drawn from the current cell's mobility
-// substream at leg start, so every draw belongs to the cell the leg
-// runs in — the property that lets the sharded kernel run the same
-// schedule (each stream is consumed by exactly one shard).
-func (g *generator) continueCall(cell hexgrid.CellID, ch chanset.Channel, remaining sim.Time) {
-	e := g.sim.Engine()
-	if g.spec.HandoffRate > 0 {
-		mob := g.mob[cell]
-		handoffIn := mob.ExpTicks(1 / g.spec.HandoffRate)
-		if handoffIn < remaining {
-			if adj := g.sim.Grid().Adjacent(cell); len(adj) > 0 {
-				next := adj[mob.Intn(len(adj))]
-				left := remaining - handoffIn
-				e.AfterOrigin(handoffIn, int32(cell), func() { g.depart(cell, ch, next, left) })
-				return
-			}
-		}
-	}
-	e.AfterOrigin(remaining, int32(cell), func() { g.sim.Release(cell, ch) })
-}
-
-// depart executes a cell-boundary crossing: the handoff request reaches
-// the target cell one message latency after the crossing (the signalling
-// hop), and the old channel is released one latency after the target's
-// decision — make-before-break with explicit signalling delay, the same
-// schedule the sharded kernel's lookahead bound forces, so serial and
-// parallel runs produce identical trajectories. Handoffs are counted by
-// event time (crossing resp. decision vs Warmup), matching how Offered
-// and Blocked treat warmup.
-func (g *generator) depart(cell hexgrid.CellID, ch chanset.Channel, next hexgrid.CellID, left sim.Time) {
-	e := g.sim.Engine()
-	if g.spec.countsHandoff(e.Now()) {
-		g.stats.HandoffAttempts++
-	}
-	lat := g.sim.Latency()
-	e.AfterOrigin(lat, int32(cell), func() {
-		g.sim.Request(next, func(r driver.Result) {
-			e.AfterOrigin(lat, int32(next), func() { g.sim.Release(cell, ch) })
-			if !r.Granted {
-				if g.spec.countsHandoff(e.Now()) {
-					g.stats.HandoffDrops++
-				}
-				return
-			}
-			g.continueCall(r.Cell, r.Ch, left)
-		})
-	})
+	return g.result(), nil
 }

@@ -2,8 +2,11 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/chanset"
 	"repro/internal/hexgrid"
+	"repro/internal/lamport"
 	"repro/internal/message"
 	"repro/internal/sim"
 )
@@ -18,7 +21,7 @@ type DES struct {
 	latency  sim.Time
 	jitter   sim.Time // uniform extra delay in [0, jitter]
 	rand     *sim.Rand
-	handlers map[hexgrid.CellID]Handler
+	handlers []Handler // indexed by cell; nil = unattached
 	lastAt   map[linkKey]sim.Time
 	stats    Stats
 	// wire, when set, routes every message through the binary codec
@@ -45,13 +48,49 @@ func NewDES(engine *sim.Engine, latency, jitter sim.Time, rand *sim.Rand) *DES {
 	if jitter > 0 && rand == nil {
 		panic("transport: jitter requires a random stream")
 	}
-	return &DES{
-		engine:   engine,
-		latency:  latency,
-		jitter:   jitter,
-		rand:     rand,
-		handlers: make(map[hexgrid.CellID]Handler),
-		lastAt:   make(map[linkKey]sim.Time),
+	d := &DES{
+		engine:  engine,
+		latency: latency,
+		jitter:  jitter,
+		rand:    rand,
+		lastAt:  make(map[linkKey]sim.Time),
+	}
+	engine.Handle(sim.KindMessage, d)
+	return d
+}
+
+// EventOf flattens m into the kernel's event record for a KindMessage
+// delivery. The sender is not stored: deliveries are scheduled with the
+// sender as the event origin. The two fields that do not fit the flat
+// record — the Use set of ResSearch/ResStatus responses and the
+// reliability layer's sequence number, which no DES path stamps — ride
+// in the attachment, which is zero (and free) for everything else.
+func EventOf(m message.Message) (sim.Event, sim.Attachment) {
+	return sim.Event{
+			Kind: sim.KindMessage,
+			Tag:  [5]uint8{uint8(m.Kind), uint8(m.Req), uint8(m.Res), uint8(m.Acq), m.Mode},
+			Cell: int32(m.To),
+			Ch:   int32(m.Ch),
+			T:    m.TS.Time,
+			Peer: m.TS.Node,
+		},
+		sim.Attachment{Words: m.Use.Words(), Seq: m.Seq}
+}
+
+// MessageOf rebuilds the message EventOf flattened.
+func MessageOf(ev sim.Event, att sim.Attachment) message.Message {
+	return message.Message{
+		Kind: message.Kind(ev.Tag[0]),
+		From: hexgrid.CellID(ev.Origin()),
+		To:   hexgrid.CellID(ev.Cell),
+		Req:  message.ReqType(ev.Tag[1]),
+		Res:  message.ResType(ev.Tag[2]),
+		Acq:  message.AcqType(ev.Tag[3]),
+		Mode: ev.Tag[4],
+		Ch:   chanset.Channel(ev.Ch),
+		TS:   lamport.Stamp{Time: ev.T, Node: ev.Peer},
+		Seq:  att.Seq,
+		Use:  chanset.FromWords(att.Words),
 	}
 }
 
@@ -59,12 +98,21 @@ func NewDES(engine *sim.Engine, latency, jitter sim.Time, rand *sim.Rand) *DES {
 func (d *DES) Latency() sim.Time { return d.latency }
 
 // Attach implements Transport.
-func (d *DES) Attach(id hexgrid.CellID, h Handler) { d.handlers[id] = h }
+func (d *DES) Attach(id hexgrid.CellID, h Handler) {
+	if n := int(id) + 1; n > len(d.handlers) {
+		d.handlers = slices.Grow(d.handlers, n-len(d.handlers))[:n]
+	}
+	d.handlers[id] = h
+}
+
+// HandleEvent implements sim.Handler: deliver a KindMessage event.
+func (d *DES) HandleEvent(ev sim.Event, att sim.Attachment) {
+	d.handlers[ev.Cell].Handle(MessageOf(ev, att))
+}
 
 // Send implements Transport.
 func (d *DES) Send(m message.Message) {
-	h, ok := d.handlers[m.To]
-	if !ok {
+	if m.To < 0 || int(m.To) >= len(d.handlers) || d.handlers[m.To] == nil {
 		panic(fmt.Sprintf("transport: send to unattached cell %d: %v", m.To, m))
 	}
 	d.stats.count(m)
@@ -89,7 +137,8 @@ func (d *DES) Send(m message.Message) {
 	// Deliveries carry the *sender* as the event origin — the same key
 	// assignment the sharded driver uses (pcellEnv.Send), so serial and
 	// sharded runs order simultaneous deliveries identically.
-	d.engine.AtOrigin(at, int32(m.From), func() { h.Handle(m) })
+	ev, att := EventOf(m)
+	d.engine.Post(at, int32(m.From), ev, att)
 }
 
 // Stats implements Transport.

@@ -1,10 +1,12 @@
 package transport
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/chanset"
 	"repro/internal/hexgrid"
+	"repro/internal/lamport"
 	"repro/internal/message"
 	"repro/internal/sim"
 )
@@ -167,5 +169,49 @@ func TestDESBadConfigPanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestEventOfRoundTrips: every Message field survives the flat event
+// record — the common ones inline, Use and Seq through the attachment,
+// From as the event's origin — and a message with neither Use nor Seq
+// needs no attachment at all.
+func TestEventOfRoundTrips(t *testing.T) {
+	e := sim.NewEngine()
+	tr := NewDES(e, 3, 0, nil)
+	rec := &recorder{e: e}
+	tr.Attach(9, rec)
+	msgs := []message.Message{
+		// Ascending senders: same-tick deliveries run in origin order.
+		{Kind: message.ChangeMode, From: 0, To: 9, Mode: message.ModeBorrowing},
+		{Kind: message.Request, From: 4, To: 9, Req: message.ReqTransfer, Ch: 17, TS: lamport.Stamp{Time: 1 << 40, Node: 4}},
+		{Kind: message.Response, From: 5, To: 9, Res: message.ResSearch, Ch: chanset.NoChannel,
+			TS: lamport.Stamp{Time: 77, Node: 9}, Use: chanset.SetOf(0, 3, 69, 130)},
+		{Kind: message.Acquisition, From: 6, To: 9, Acq: message.AcqSearch, Ch: 2, Seq: 12345},
+		{Kind: message.Response, From: 7, To: 9, Res: message.ResStatus, Use: chanset.NewSet(70)},
+	}
+	for _, m := range msgs {
+		ev, att := EventOf(m)
+		if wantAtt := m.Seq != 0 || len(m.Use.Words()) > 0; wantAtt == (att.Seq == 0 && len(att.Words) == 0) {
+			t.Errorf("%v: attachment presence = %v, want %v", m, !wantAtt, wantAtt)
+		}
+		if ev.Kind != sim.KindMessage {
+			t.Errorf("%v: event kind %d", m, ev.Kind)
+		}
+		tr.Send(m)
+	}
+	e.Run(10)
+	if len(rec.msgs) != len(msgs) {
+		t.Fatalf("delivered %d of %d", len(rec.msgs), len(msgs))
+	}
+	for i, got := range rec.msgs {
+		want := msgs[i]
+		if !got.Use.Equal(want.Use) {
+			t.Errorf("message %d: Use %v, want %v", i, got.Use, want.Use)
+		}
+		got.Use, want.Use = chanset.Set{}, chanset.Set{}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("message %d: got %+v, want %+v", i, got, want)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/message"
+	"repro/internal/sim"
 )
 
 // TestWaitIdleCoversRetransmits closes the PR-4 caveat: an unacked
@@ -107,7 +108,7 @@ func TestRegistrarOfFindsLiveThroughStack(t *testing.T) {
 	if registrarOf(tr) != WorkRegistrar(live) {
 		t.Fatal("registrarOf did not find Live beneath Faulty")
 	}
-	des := NewDES(nil, 1, 0, nil)
+	des := NewDES(sim.NewEngine(), 1, 0, nil)
 	if registrarOf(des) != nil {
 		t.Fatal("registrarOf invented a registrar for DES")
 	}
