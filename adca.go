@@ -444,6 +444,10 @@ type Stats struct {
 	// BadReleases counts Release calls for channels the cell did not
 	// hold (rejected with an error, state untouched).
 	BadReleases uint64
+	// BadMessages counts received protocol messages the adaptive scheme
+	// dropped as malformed (sender outside the interference region,
+	// channel or Use set outside the spectrum).
+	BadMessages uint64
 	// Transport is the transport-layer accounting.
 	Transport TransportStats
 }
@@ -485,6 +489,7 @@ func networkStats(st driver.Stats) Stats {
 		ModeChanges:         st.Counters.ModeChanges,
 		Deferred:            st.Counters.Deferred,
 		BadReleases:         st.Counters.BadReleases,
+		BadMessages:         st.Counters.BadMessages,
 		Transport: TransportStats{
 			Messages:         st.Messages.Total,
 			WireBytes:        st.Messages.Bytes,
@@ -703,15 +708,36 @@ func RunParallelWorkload(sc Scenario, w Workload, pc ParallelConfig) (WorkloadSt
 // results). Scenario.Obs is not supported on the sharded driver
 // (journals would be schedule-dependent) and is ignored.
 func RunParallel(sc Scenario, w Workload, opts ...Option) (WorkloadStats, Stats, error) {
+	n, err := NewParallel(sc, opts...)
+	if err != nil {
+		return WorkloadStats{}, Stats{}, err
+	}
+	ws, err := n.RunWorkload(w)
+	if err != nil {
+		return WorkloadStats{}, Stats{}, err
+	}
+	return ws, n.Stats(), nil
+}
+
+// ParallelNetwork is a scenario wired on the sharded driver: RunParallel
+// in two steps, for a caller that wants the network in hand after the
+// run (chansim -memprofile profiles the heap while it is still live).
+type ParallelNetwork struct {
+	p *driver.Parallel
+}
+
+// NewParallel builds the scenario on the sharded driver; see RunParallel
+// for what the options size and what is not supported.
+func NewParallel(sc Scenario, opts ...Option) (*ParallelNetwork, error) {
 	c := applyOptions(sc, opts)
 	sc, pc := c.sc, c.pc
 	grid, assign, cfg, sc, err := buildParts(sc)
 	if err != nil {
-		return WorkloadStats{}, Stats{}, err
+		return nil, err
 	}
 	factory, err := registry.Build(sc.Scheme, grid, assign, cfg)
 	if err != nil {
-		return WorkloadStats{}, Stats{}, fmt.Errorf("adca: %w", err)
+		return nil, fmt.Errorf("adca: %w", err)
 	}
 	p, err := driver.NewParallel(grid, assign, factory, driver.ParallelOptions{
 		Latency: sim.Time(sc.LatencyTicks),
@@ -722,18 +748,27 @@ func RunParallel(sc Scenario, w Workload, opts ...Option) (WorkloadStats, Stats,
 		Workers: pc.Workers,
 	})
 	if err != nil {
-		return WorkloadStats{}, Stats{}, fmt.Errorf("adca: %w", err)
+		return nil, fmt.Errorf("adca: %w", err)
 	}
-	spec, err := workloadSpec(grid, w)
-	if err != nil {
-		return WorkloadStats{}, Stats{}, err
-	}
-	ts, err := traffic.RunParallel(p, spec)
-	if err != nil {
-		return WorkloadStats{}, Stats{}, err
-	}
-	if err := p.CheckInvariant(); err != nil {
-		return WorkloadStats{}, Stats{}, err
-	}
-	return workloadStats(ts), networkStats(p.Stats()), nil
+	return &ParallelNetwork{p: p}, nil
 }
+
+// RunWorkload drives Poisson traffic over the network to completion and
+// verifies the interference invariant over the final state.
+func (n *ParallelNetwork) RunWorkload(w Workload) (WorkloadStats, error) {
+	spec, err := workloadSpec(n.p.Grid(), w)
+	if err != nil {
+		return WorkloadStats{}, err
+	}
+	ts, err := traffic.RunParallel(n.p, spec)
+	if err != nil {
+		return WorkloadStats{}, err
+	}
+	if err := n.p.CheckInvariant(); err != nil {
+		return WorkloadStats{}, err
+	}
+	return workloadStats(ts), nil
+}
+
+// Stats returns the aggregate statistics so far.
+func (n *ParallelNetwork) Stats() Stats { return networkStats(n.p.Stats()) }

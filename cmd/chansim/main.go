@@ -25,6 +25,12 @@
 // measured window untouched; see DESIGN.md §9.8) — the way to run a
 // giant warm-started scenario without simulating every hang-up.
 //
+// Profiles: -cpuprofile writes a pprof CPU profile of the whole run;
+// -memprofile writes a heap profile once the run has finished, after a
+// runtime.GC() and with the network still live, so inuse_space is the
+// simulator's steady footprint by allocation site (`go tool pprof
+// -sample_index=inuse_space -top`). Both work with -shards.
+//
 // Performance: -bench runs the measurement harness instead of a
 // scenario and emits a BENCH_*.json document (per-event kernel cost,
 // sweep wall-clock, the live-network message path over loopback TCP,
@@ -40,6 +46,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -82,10 +90,15 @@ func main() {
 		benchOut   = flag.String("bench-out", "", "with -bench: write the JSON here instead of stdout")
 		benchOnly  = flag.String("bench-only", "", "with -bench: run only these comma-separated sections ("+strings.Join(experiments.BenchSections, ",")+")")
 		workers    = flag.Int("workers", 0, "with -bench: sweep pool width; with -shards: kernel worker goroutines (0 = NumCPU)")
+
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProfile = flag.String("memprofile", "", "write a heap profile to this file after the run (after a GC, the network still live)")
 	)
 	flag.Parse()
+	stopCPUProfile := startCPUProfile(*cpuProfile)
 	if *bench {
 		runBench(*workers, *benchQuick, *benchOnly, *benchOut)
+		stopCPUProfile()
 		return
 	}
 	if *height == 0 {
@@ -216,11 +229,19 @@ func main() {
 			fmt.Fprintln(os.Stderr, "chansim: -metrics/-journal need the serial driver (drop -shards)")
 			os.Exit(1)
 		}
-		ws, st, err := adca.RunParallel(sc, w, adca.WithShards(*shards), adca.WithWorkers(*workers))
+		pnet, err := adca.NewParallel(sc, adca.WithShards(*shards), adca.WithWorkers(*workers))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+		ws, err := pnet.RunWorkload(w)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		stopCPUProfile()
+		writeHeapProfile(*memProfile, pnet)
+		st := pnet.Stats()
 		scheme := sc.Scheme
 		if scheme == "" {
 			scheme = "adaptive"
@@ -260,6 +281,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	stopCPUProfile()
+	writeHeapProfile(*memProfile, net)
 	fmt.Printf("cells / channels  %d / %d\n", net.NumCells(), net.NumChannels())
 	printReport(net.Scheme(), ws, net.Stats(), sc.LatencyTicks)
 	if addr := net.MetricsAddr(); addr != "" && *linger > 0 {
@@ -294,6 +317,51 @@ func printReport(scheme string, ws adca.WorkloadStats, st adca.Stats, latencyTic
 			float64(st.SearchGrants)/float64(grants))
 	}
 	fmt.Printf("invariant         ok (no co-channel interference)\n")
+}
+
+// startCPUProfile starts a CPU profile into path and returns the
+// function that finishes it; with no path both do nothing.
+func startCPUProfile(path string) (stop func()) {
+	if path == "" {
+		return func() {}
+	}
+	f, err := os.Create(path)
+	if err == nil {
+		err = pprof.StartCPUProfile(f)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "chansim: -cpuprofile:", err)
+		os.Exit(1)
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "chansim: -cpuprofile:", err)
+			os.Exit(1)
+		}
+	}
+}
+
+// writeHeapProfile writes the heap profile to path (none if empty). It
+// collects first, so the profile is the settled heap, and keeps network
+// reachable across the write, so that heap still holds the simulator.
+func writeHeapProfile(path string, network any) {
+	if path == "" {
+		return
+	}
+	runtime.GC()
+	f, err := os.Create(path)
+	if err == nil {
+		err = pprof.WriteHeapProfile(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "chansim: -memprofile:", err)
+		os.Exit(1)
+	}
+	runtime.KeepAlive(network)
 }
 
 // runBench drives the measurement harness and writes the JSON report.

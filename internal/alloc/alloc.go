@@ -31,6 +31,13 @@ type Env interface {
 	Latency() sim.Time
 	// Send transmits m to m.To. Delivery is asynchronous, reliable and
 	// FIFO per (sender, receiver) pair.
+	//
+	// m.Use may be a view of the sender's live state: it is valid only
+	// for the duration of the call, and a runtime that delivers later
+	// takes its one copy before Send returns (the DES kernels copy the
+	// words into a recycled side-table buffer, the live runtimes clone).
+	// Symmetrically, the Use of a message passed to Allocator.Handle is
+	// valid only until Handle returns; a scheme that keeps it clones it.
 	Send(m message.Message)
 	// Began reports that request id left the station queue and protocol
 	// work started (separates queueing delay from acquisition delay).
@@ -108,6 +115,10 @@ type Counters struct {
 	// Deferred counts incoming requests parked in DeferQ (timestamp
 	// races lost by the requester; zero for the non-adaptive schemes).
 	Deferred uint64
+	// BadMessages counts received messages dropped as malformed: a
+	// sender outside the interference region, a channel outside the
+	// spectrum, a Use set wider than it (adaptive scheme only).
+	BadMessages uint64
 }
 
 // Add accumulates o into c.
@@ -120,6 +131,7 @@ func (c *Counters) Add(o Counters) {
 	c.ModeChanges += o.ModeChanges
 	c.BadReleases += o.BadReleases
 	c.Deferred += o.Deferred
+	c.BadMessages += o.BadMessages
 }
 
 // Grants returns the total successful acquisitions.

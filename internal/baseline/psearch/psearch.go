@@ -317,7 +317,8 @@ func (p *PSearch) onResponse(m message.Message) {
 		if p.ph != phaseSearch || !m.TS.Equal(p.reqTS) || !p.awaiting[m.From] {
 			return
 		}
-		p.allocBy[m.From] = m.Use
+		// Kept until decide(): m.Use dies with this call.
+		p.allocBy[m.From] = m.Use.Clone()
 	case message.ResStatus:
 		if p.ph != phaseSearch || !m.TS.Equal(p.reqTS) {
 			return

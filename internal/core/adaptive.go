@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/alloc"
 	"repro/internal/chanset"
@@ -157,11 +158,19 @@ func (p Params) Validate() error {
 }
 
 // Factory builds adaptive allocators for a given grid and primary plan.
+// It must not be copied after first use (it holds a sync.Pool).
 type Factory struct {
-	grid   *hexgrid.Grid
-	assign *chanset.Assignment
-	params Params
-	obs    *obs.Protocol
+	grid     *hexgrid.Grid
+	assign   *chanset.Assignment
+	params   Params
+	strategy LenderStrategy
+	obs      *obs.Protocol
+	// scratch pools best()'s candidate storage. A lender scan consumes
+	// its candidates before it returns, so the storage belongs to no
+	// cell; a pool keeps it per worker on the sharded kernel and safe on
+	// the live runtimes, where cells of one factory run on different
+	// goroutines.
+	scratch sync.Pool
 }
 
 // NewFactory validates params and returns a Factory.
@@ -169,28 +178,37 @@ func NewFactory(grid *hexgrid.Grid, assign *chanset.Assignment, params Params) (
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	return &Factory{grid: grid, assign: assign, params: params}, nil
+	if assign.NumChannels > maxNFCCount {
+		return nil, fmt.Errorf("core: %d channels exceed the %d a free-primary sample can count", assign.NumChannels, maxNFCCount)
+	}
+	return &Factory{
+		grid: grid, assign: assign, params: params,
+		strategy: params.lenderStrategy(),
+		scratch:  sync.Pool{New: func() any { return new(lenderScratch) }},
+	}, nil
 }
 
 // Name implements alloc.Factory.
 func (f *Factory) Name() string { return "adaptive" }
 
 // Instrument binds every allocator this factory creates from now on to
-// the given instrument bundle. A nil bundle (the default) keeps the
-// protocol core fully uninstrumented — the zero-value obs.Protocol's
-// nil instruments are allocation-free no-ops, so hot paths pay only a
-// nil check. Instruments observe the protocol; they never feed back
-// into its decisions, so enabling them cannot perturb DES determinism.
+// the given instrument bundle, which they share by pointer. A nil bundle
+// (the default) keeps the protocol core fully uninstrumented — a zero
+// obs.Protocol's nil instruments are allocation-free no-ops, so hot
+// paths pay only a nil check. Instruments observe the protocol; they
+// never feed back into its decisions, so enabling them cannot perturb
+// DES determinism.
 func (f *Factory) Instrument(p *obs.Protocol) { f.obs = p }
+
+// noObs is the bundle of an uninstrumented allocator: all instruments
+// nil, never written.
+var noObs obs.Protocol
 
 // New implements alloc.Factory.
 func (f *Factory) New(cell hexgrid.CellID) alloc.Allocator {
-	a := &Adaptive{
-		factory: f,
-		cell:    cell,
-	}
+	a := &Adaptive{factory: f, cell: cell, obs: &noObs}
 	if f.obs != nil {
-		a.obs = *f.obs
+		a.obs = f.obs
 	}
 	return a
 }
@@ -208,128 +226,178 @@ type deferred struct {
 	search bool // true: search request; false: update request
 	ch     chanset.Channel
 	ts     lamport.Stamp
-	from   hexgrid.CellID
+	k      int32 // the requester's neighbor index
 }
+
+// The channel sets of a cell's slab, by set index (see Adaptive.slab).
+const (
+	setUse     = iota // Use_i
+	setInter          // I_i: the union of every U_j
+	setScratch        // the result of freePrimary/freeAnywhere
+	// setU+k is U_j for j = neighbors[k]; setU+len(neighbors)+k is the
+	// grant record of the same neighbor.
+	setU
+)
+
+// The neighbor masks at the front of the slab.
+const (
+	maskUpdateS = iota // UpdateS_i
+	maskAwait          // neighbors the active request phase still awaits
+	numMasks
+)
 
 // Adaptive is one cell's adaptive allocator.
 //
-// Per-neighbor knowledge (U_j, UpdateS_i, grant records, response
-// collection) is stored in neighbor-index order over the cell's sorted
-// interference list rather than in maps keyed by cell id: a map entry
-// costs ~50 bytes of bucket overhead per neighbor per cell, which at
-// 10^6 cells × 18 neighbors dominates steady-state memory, while a
-// binary search over ≤ 18 sorted ids costs a handful of compares on
-// paths that were already doing a hash. Cold state (grant records,
-// lender-candidate scratch) materializes lazily on first use.
+// Everything the station knows per channel or per neighbor lives in one
+// flat word slab, in neighbor-index order over the cell's sorted
+// interference list: a set is a run of w words, a bit is
+// slab[off+ch/64], and no set has a header of its own. Maps keyed by
+// cell id cost ~50 bytes of bucket overhead per neighbor per cell and a
+// chanset.Set per neighbor costs a 24-byte header plus a pointer hop on
+// every bit test; at 10^6 cells x 18 neighbors either dominates
+// steady-state memory, while a binary search over <= 18 sorted ids costs
+// a handful of compares. Where set algebra wants a chanset.Set, view
+// builds one on the stack over the slab's words.
 type Adaptive struct {
 	factory *Factory
-	cell    hexgrid.CellID
+	env     alloc.Env
+	obs     *obs.Protocol // never nil; &noObs when uninstrumented
 
-	env       alloc.Env
 	neighbors []hexgrid.CellID
-	spectrum  chanset.Set
-	pr        chanset.Set
-	clock     lamport.Clock
+	pr        chanset.Set // aliases the assignment's PR_i; read-only
 
-	// Use_i and per-neighbor knowledge.
-	use chanset.Set
-	// u[k] is U_j for j = neighbors[k], all windowed into one flat
-	// backing array (two allocations per cell, not one per neighbor).
-	u     []chanset.Set
-	iCnt  []int16 // per-channel count of neighbors believed to use it
-	inter chanset.Set // I_i: bit set iff iCnt > 0
-	// granted[k] holds channels we granted to neighbors[k] that it has
-	// not yet visibly acquired or released. A borrowing-update winner
-	// acquires silently (Figure 3, mode 2), so a Use-set snapshot taken
-	// by j between our grant and its acquisition would otherwise erase
-	// the channel from U_j and let us reuse it concurrently (DESIGN.md
-	// D9). nil until the cell first grants anything.
-	granted []chanset.Set
-
-	mode    int
-	updateS []bool // UpdateS_i, by neighbor index
-	// updateSMask mirrors updateS as a bitmask over neighbor indices
-	// whenever the neighborhood fits in one word (reuse distance 2 has
-	// 18 interior neighbors; updates to indices >= 64 are skipped and
-	// the mask goes unused). nbrMasks[k] — built lazily with candSets —
-	// marks which of this cell's neighbors also interfere with
-	// neighbors[k], so best() counts |UpdateS_i ∩ IN_j| with one
+	// slab holds, in order: the numMasks neighbor masks (bit k stands for
+	// neighbors[k]; (n+63)/64 words each, so neighborhoods past 64 cells
+	// just take more words), then the channel sets, w words each —
+	// Use_i, I_i, the free-set scratch, U_j for every neighbor, and the
+	// grant record of every neighbor.
+	//
+	// A grant record holds the channels we granted to that neighbor that
+	// it has not yet visibly acquired or released. A borrowing-update
+	// winner acquires silently (Figure 3, mode 2), so a Use-set snapshot
+	// taken by j between our grant and its acquisition would otherwise
+	// erase the channel from U_j and let us reuse it concurrently
+	// (DESIGN.md D9).
+	slab []uint64
+	// nbrMasks[k] marks which of this cell's neighbors also interfere
+	// with neighbors[k], so best() counts |UpdateS_i ∩ IN_j| with one
 	// AND+popcount instead of a binary search per member of IN_j, the
 	// dominant cost of candidate gathering under steady borrow load.
-	updateSMask uint64
-	nbrMasks    []uint64
-	deferQ      []deferred
+	// Built on the first borrow attempt, and only when the neighborhood
+	// fits one mask word.
+	nbrMasks []uint64
+
+	deferQ []deferred
 	// deferSpare recycles the drained defer queue's backing array:
 	// under borrow pressure a hot cell defers and drains continuously,
 	// and reallocating the queue on every cycle showed up as churn.
 	deferSpare []deferred
-	waiting    int
-	pending    bool
-	rounds     int
 
-	// pred forecasts the free-primary count for check_mode; strategy
-	// ranks lenders in best(). Both default to the paper's policies
-	// (policy.go) and are fixed at Start.
-	pred     Predictor
-	strategy LenderStrategy
-	// cands and candSets back best()'s candidate list so building it
-	// stays allocation-free: one reusable LenderCandidate slot and one
-	// reusable free-primaries set per interference neighbor. candSets
-	// materializes on the first borrow attempt — cells that never
-	// borrow never pay for it.
-	cands    []LenderCandidate
-	candSets []chanset.Set
+	// pred forecasts the free-primary count for check_mode (policy.go);
+	// fixed at Start. The lender strategy is the factory's.
+	pred Predictor
 
 	serial alloc.Serial
 	req    *request // active request FSM, nil when idle
 	// reqBuf backs req: one request is in flight at a time, so the FSM
 	// state is reused across requests instead of allocated per request.
 	reqBuf request
-	// await/awaitN track which neighbors the active request phase still
-	// needs a response from (by neighbor index). One phase collects at a
-	// time, so the mask is shared across phases and requests.
-	await  []bool
-	awaitN int
-	// scratch holds the result of freePrimary/freeAnywhere; reusing one
-	// buffer keeps those per-dispatch set computations allocation-free.
-	scratch chanset.Set
 
+	clock    lamport.Clock
 	counters alloc.Counters
-	obs      obs.Protocol // zero value: disabled (nil instruments no-op)
+
+	cell    hexgrid.CellID
+	nch     int32 // channels in the spectrum
+	w       int32 // words per channel set
+	setOff  int32 // slab offset of set 0: numMasks mask regions precede it
+	mode    int32
+	waiting int32
+	rounds  int32
+	// awaitN counts the bits of the await mask. One phase collects at a
+	// time, so the mask is shared across phases and requests.
+	awaitN  int32
+	pending bool
 }
 
 // Start implements alloc.Allocator.
 func (a *Adaptive) Start(env alloc.Env) {
 	a.env = env
 	a.neighbors = env.Neighbors()
-	a.spectrum = a.factory.assign.Spectrum
-	a.pr = a.factory.assign.Primary[a.cell]
+	assign := a.factory.assign
+	a.pr = assign.Primary[a.cell]
 	a.clock = *lamport.NewClock(int32(a.cell))
-	n := a.factory.assign.NumChannels
-	a.use = chanset.NewSet(n)
-	a.u = a.neighborSets()
-	a.iCnt = make([]int16, n)
-	a.inter = chanset.NewSet(n)
-	a.scratch = chanset.NewSet(n)
-	a.updateS = make([]bool, len(a.neighbors))
-	a.await = make([]bool, len(a.neighbors))
+	n := len(a.neighbors)
+	a.nch = int32(assign.NumChannels)
+	a.w = int32((assign.NumChannels + 63) / 64)
+	a.setOff = int32(numMasks * ((n + 63) / 64))
+	a.slab = make([]uint64, int(a.setOff)+(setU+2*n)*int(a.w))
 	a.pred = a.factory.params.predictorBuilder().New(a.factory.params.Window)
 	a.pred.Init(env.Now(), a.pr.Len())
-	a.strategy = a.factory.params.lenderStrategy()
 	a.serial.SetStart(a.startRequest)
 }
 
-// neighborSets returns one zeroed channel set per interference
-// neighbor, all windowed (capacity-capped) into a single flat backing
-// array: two allocations total instead of one per neighbor.
-func (a *Adaptive) neighborSets() []chanset.Set {
-	w := (a.factory.assign.NumChannels + 63) / 64
-	back := make([]uint64, w*len(a.neighbors))
-	sets := make([]chanset.Set, len(a.neighbors))
-	for i := range sets {
-		sets[i] = chanset.FromWords(back[i*w : (i+1)*w : (i+1)*w])
+// words returns the words of one channel set of the slab, capped so a
+// stray grow can never run into the next set.
+func (a *Adaptive) words(set int) []uint64 {
+	off, w := int(a.setOff)+set*int(a.w), int(a.w)
+	return a.slab[off : off+w : off+w]
+}
+
+// view wraps one channel set of the slab as a chanset.Set. The view is
+// live: it reads and writes the slab.
+func (a *Adaptive) view(set int) chanset.Set { return chanset.FromWords(a.words(set)) }
+
+// uSet and grantSet are the set indices of U_j and of j's grant record
+// for j = neighbors[k].
+func (a *Adaptive) uSet(k int) int     { return setU + k }
+func (a *Adaptive) grantSet(k int) int { return setU + len(a.neighbors) + k }
+
+// bit locates channel ch of a set: the slab index of its word and its
+// mask within it. ch must be a channel of the spectrum.
+func (a *Adaptive) bit(set int, ch chanset.Channel) (int, uint64) {
+	return int(a.setOff) + set*int(a.w) + int(ch>>6), 1 << (uint(ch) & 63)
+}
+
+// has reports whether ch (of the spectrum, or NoChannel) is in the set.
+func (a *Adaptive) has(set int, ch chanset.Channel) bool {
+	if ch < 0 {
+		return false
 	}
-	return sets
+	i, m := a.bit(set, ch)
+	return a.slab[i]&m != 0
+}
+
+// add inserts ch into the set; NoChannel is a no-op.
+func (a *Adaptive) add(set int, ch chanset.Channel) {
+	if ch >= 0 {
+		i, m := a.bit(set, ch)
+		a.slab[i] |= m
+	}
+}
+
+// remove deletes ch from the set; NoChannel is a no-op.
+func (a *Adaptive) remove(set int, ch chanset.Channel) {
+	if ch >= 0 {
+		i, m := a.bit(set, ch)
+		a.slab[i] &^= m
+	}
+}
+
+// mask returns one of the slab's neighbor masks.
+func (a *Adaptive) mask(which int) []uint64 {
+	mw := int(a.setOff) / numMasks
+	return a.slab[which*mw : (which+1)*mw]
+}
+
+// maskBit locates neighbor index k in a mask: its word and its bit.
+func (a *Adaptive) maskBit(which, k int) (*uint64, uint64) {
+	return &a.mask(which)[k>>6], 1 << (uint(k) & 63)
+}
+
+// inMask reports whether neighbor index k is in the mask.
+func (a *Adaptive) inMask(which, k int) bool {
+	word, bit := a.maskBit(which, k)
+	return *word&bit != 0
 }
 
 // nbrIdx returns j's index in the sorted interference list, or -1 when
@@ -350,21 +418,14 @@ func (a *Adaptive) nbrIdx(j hexgrid.CellID) int {
 	return -1
 }
 
-// isUpdateS reports whether j is known to be in borrowing mode
-// (UpdateS_i membership); false for non-neighbors.
-func (a *Adaptive) isUpdateS(j hexgrid.CellID) bool {
-	idx := a.nbrIdx(j)
-	return idx >= 0 && a.updateS[idx]
-}
-
 // Request implements alloc.Allocator.
 func (a *Adaptive) Request(id alloc.RequestID) { a.serial.Submit(id) }
 
 // InUse implements alloc.Allocator.
-func (a *Adaptive) InUse() chanset.Set { return a.use }
+func (a *Adaptive) InUse() chanset.Set { return a.view(setUse) }
 
 // Mode implements alloc.Allocator.
-func (a *Adaptive) Mode() int { return a.mode }
+func (a *Adaptive) Mode() int { return int(a.mode) }
 
 // ProtocolCounters implements alloc.CounterProvider.
 func (a *Adaptive) ProtocolCounters() alloc.Counters { return a.counters }
@@ -373,120 +434,86 @@ func (a *Adaptive) ProtocolCounters() alloc.Counters { return a.counters }
 func (a *Adaptive) Primary() chanset.Set { return a.pr.Clone() }
 
 // Waiting exposes waiting_i (for tests).
-func (a *Adaptive) Waiting() int { return a.waiting }
+func (a *Adaptive) Waiting() int { return int(a.waiting) }
 
 // free returns PR_i − (Use_i ∪ I_i): the free primary channels in this
-// cell's view. The result aliases a.scratch and is valid only until the
-// next freePrimary/freeAnywhere call (every call site consumes it
-// immediately; checkMode refills it, so don't hold it across one).
+// cell's view. The result is a view of the slab's scratch set and is
+// valid only until the next freePrimary/freeAnywhere call (every call
+// site consumes it immediately; checkMode refills it, so don't hold it
+// across one).
 func (a *Adaptive) freePrimary() chanset.Set {
 	return a.freeFrom(a.pr)
 }
 
-// freeAnywhere returns Spectrum − Use_i − I_i, aliasing a.scratch like
+// freeAnywhere returns Spectrum − Use_i − I_i, in the scratch set like
 // freePrimary.
 func (a *Adaptive) freeAnywhere() chanset.Set {
-	return a.freeFrom(a.spectrum)
+	return a.freeFrom(a.factory.assign.Spectrum)
 }
 
 func (a *Adaptive) freeFrom(base chanset.Set) chanset.Set {
-	a.scratch.Clear()
-	a.scratch.UnionWith(base)
-	a.scratch.SubtractWith(a.use)
-	a.scratch.SubtractWith(a.inter)
-	return a.scratch
+	b := base.Words() // w words, like every set of the assignment
+	use, inter, out := a.words(setUse), a.words(setInter), a.words(setScratch)
+	for i := range out {
+		out[i] = b[i] &^ (use[i] | inter[i])
+	}
+	return chanset.FromWords(out)
 }
 
-// addU records that neighbor j uses channel ch.
-func (a *Adaptive) addU(j hexgrid.CellID, ch chanset.Channel) {
-	if !ch.Valid() {
+// addU records that neighbors[k] uses channel ch.
+func (a *Adaptive) addU(k int, ch chanset.Channel) {
+	a.add(a.uSet(k), ch)
+	a.add(setInter, ch)
+}
+
+// removeU records that neighbors[k] no longer uses channel ch.
+func (a *Adaptive) removeU(k int, ch chanset.Channel) {
+	if !a.has(a.uSet(k), ch) {
 		return
 	}
-	idx := a.nbrIdx(j)
-	if idx < 0 || a.u[idx].Contains(ch) {
-		return
-	}
-	a.u[idx].Add(ch)
-	a.iCnt[ch]++
-	a.inter.Add(ch)
+	a.remove(a.uSet(k), ch)
+	a.refreshInter(int(ch >> 6))
 }
 
-// removeU records that neighbor j no longer uses channel ch.
-func (a *Adaptive) removeU(j hexgrid.CellID, ch chanset.Channel) {
-	idx := a.nbrIdx(j)
-	if idx < 0 || !a.u[idx].Contains(ch) {
-		return
+// refreshInter recomputes word wi of I_i as the union of that word over
+// every U_j: a channel stays interfered while any neighbor is believed
+// to use it, which the OR answers without a per-channel count.
+func (a *Adaptive) refreshInter(wi int) {
+	w := int(a.w)
+	u := int(a.setOff) + setU*w + wi
+	var or uint64
+	for range a.neighbors {
+		or |= a.slab[u]
+		u += w
 	}
-	a.u[idx].Remove(ch)
-	a.iCnt[ch]--
-	if a.iCnt[ch] <= 0 {
-		a.iCnt[ch] = 0
-		a.inter.Remove(ch)
-	}
+	a.slab[int(a.setOff)+setInter*w+wi] = or
 }
 
-// grantRecord marks ch as granted to j (pending acquisition),
-// materializing the per-neighbor grant sets on the cell's first grant.
-func (a *Adaptive) grantRecord(j hexgrid.CellID, ch chanset.Channel) {
-	idx := a.nbrIdx(j)
-	if idx < 0 {
-		return // requests only arrive from neighbors
-	}
-	if a.granted == nil {
-		a.granted = a.neighborSets()
-	}
-	a.granted[idx].Add(ch)
-}
+// grantRecord marks ch as granted to neighbors[k], pending acquisition.
+func (a *Adaptive) grantRecord(k int, ch chanset.Channel) { a.add(a.grantSet(k), ch) }
 
-// grantedOf returns the grant-record set for neighbor index idx; the
-// zero (empty) set when the cell has never granted anything.
-func (a *Adaptive) grantedOf(idx int) chanset.Set {
-	if a.granted == nil {
-		return chanset.Set{}
-	}
-	return a.granted[idx]
-}
+// grantResolve clears a pending grant record: neighbors[k] either
+// acquired ch visibly (snapshot/ACQUISITION) or released it.
+func (a *Adaptive) grantResolve(k int, ch chanset.Channel) { a.remove(a.grantSet(k), ch) }
 
-// grantResolve clears a pending grant record: j either acquired ch
-// visibly (snapshot/ACQUISITION) or released it.
-func (a *Adaptive) grantResolve(j hexgrid.CellID, ch chanset.Channel) {
-	if a.granted == nil {
-		return
-	}
-	if idx := a.nbrIdx(j); idx >= 0 {
-		a.granted[idx].Remove(ch)
-	}
-}
-
-// replaceU replaces the whole U_j with the received snapshot, preserving
-// channels we granted to j that j has not yet visibly acquired.
-func (a *Adaptive) replaceU(j hexgrid.CellID, snapshot chanset.Set) {
-	idx := a.nbrIdx(j)
-	if idx < 0 {
-		return // not an interference neighbor; ignore
-	}
-	old := a.u[idx]
-	if g := a.grantedOf(idx); !g.Empty() {
-		// Channels now visible in j's snapshot are owned by j; the
-		// snapshot stream governs them from here on. grantResolve removes
-		// the current channel from g, which the Next cursor permits.
-		for ch := g.First(); ch.Valid(); ch = g.Next(ch) {
-			if snapshot.Contains(ch) {
-				a.grantResolve(j, ch)
-			}
+// replaceU replaces the whole U_j of neighbors[k] with the received
+// snapshot, preserving channels we granted to j that j has not yet
+// visibly acquired: channels now visible in the snapshot are owned by j
+// and leave the grant record (the snapshot stream governs them from here
+// on); still-pending grants are unioned into the effective snapshot.
+func (a *Adaptive) replaceU(k int, snapshot chanset.Set) {
+	snap := snapshot.Words() // at most w words: Handle checked
+	u, g := a.words(a.uSet(k)), a.words(a.grantSet(k))
+	for wi := range u {
+		var s uint64
+		if wi < len(snap) {
+			s = snap[wi]
 		}
-		// Still-pending grants are unioned into the effective snapshot.
-		snapshot = chanset.Union(snapshot, g)
-	}
-	// removeU deletes the current channel from old (= a.u[j]) while the
-	// cursor walks it — safe: Next only scans bits above the cursor.
-	for ch := old.First(); ch.Valid(); ch = old.Next(ch) {
-		if !snapshot.Contains(ch) {
-			a.removeU(j, ch)
+		g[wi] &^= s
+		if next := s | g[wi]; next != u[wi] {
+			u[wi] = next
+			a.refreshInter(wi)
 		}
-	}
-	for ch := snapshot.First(); ch.Valid(); ch = snapshot.Next(ch) {
-		a.addU(j, ch)
 	}
 }
 
@@ -501,7 +528,7 @@ func (a *Adaptive) checkMode() {
 	now := a.env.Now()
 	a.pred.Observe(now, s)
 	next := a.pred.Predict(now, s, 2*a.env.Latency())
-	p := a.factory.params
+	p := &a.factory.params
 	switch {
 	case a.mode == ModeLocal && next < p.ThetaLow:
 		a.mode = ModeBorrow
@@ -523,7 +550,7 @@ func (a *Adaptive) checkMode() {
 // modeEvent instruments one hysteresis transition: the labeled
 // transition counter plus a "mode" journal record carrying the old and
 // new mode and the NFC predictor value that drove the switch.
-func (a *Adaptive) modeEvent(from, to int, pred float64) {
+func (a *Adaptive) modeEvent(from, to int32, pred float64) {
 	if to == ModeBorrow {
 		a.obs.ModeToBorrowing.Inc()
 	} else {

@@ -31,8 +31,11 @@ func (e *stubEnv) ID() hexgrid.CellID          { return e.id }
 func (e *stubEnv) Neighbors() []hexgrid.CellID { return e.neighbors }
 func (e *stubEnv) Now() sim.Time               { return e.now }
 func (e *stubEnv) Latency() sim.Time           { return 10 }
-func (e *stubEnv) Send(m message.Message)      { e.sent = append(e.sent, m) }
-func (e *stubEnv) Began(alloc.RequestID)       {}
+func (e *stubEnv) Send(m message.Message) {
+	m.Use = m.Use.Clone() // kept past the call: the Env.Send contract
+	e.sent = append(e.sent, m)
+}
+func (e *stubEnv) Began(alloc.RequestID) {}
 func (e *stubEnv) Granted(_ alloc.RequestID, ch chanset.Channel) {
 	e.granted = append(e.granted, ch)
 }
@@ -45,15 +48,8 @@ func (e *stubEnv) Moved(from, to chanset.Channel) { panic("unused") }
 // distance (hexagon radius 1 grid, reuse 2 — every pair interferes).
 func station(t *testing.T) (*Adaptive, *stubEnv) {
 	t.Helper()
-	g := hexgrid.MustNew(hexgrid.Config{Shape: hexgrid.Hexagon, Radius: 1, ReuseDistance: 2})
-	assign := chanset.MustAssign(g, 14) // 7 colors → 2 primaries per cell
-	f, err := NewFactory(g, assign, DefaultParams(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := f.New(0).(*Adaptive)
-	env := &stubEnv{id: 0, neighbors: g.Interference(0), rand: sim.NewRand(1)}
-	a.Start(env)
+	// 14 channels over 7 colors: 2 primaries per cell.
+	a, env, _ := stationAt(t, hexgrid.Config{Shape: hexgrid.Hexagon, Radius: 1, ReuseDistance: 2}, 14, 0)
 	return a, env
 }
 
@@ -80,10 +76,10 @@ func TestHandlerUpdateRequestGrantWhenFree(t *testing.T) {
 	if len(ms) != 1 || ms[0].Res != message.ResGrant || ms[0].Ch != 9 || !ms[0].TS.Equal(ts) {
 		t.Fatalf("expected grant echoing ts, got %v", ms)
 	}
-	if !a.inter.Contains(9) {
+	if !a.view(setInter).Contains(9) {
 		t.Fatal("granted channel must enter I_i")
 	}
-	if g := a.grantedOf(a.nbrIdx(1)); !g.Contains(9) {
+	if g := a.view(a.grantSet(a.nbrIdx(1))); !g.Contains(9) {
 		t.Fatal("granted channel must be recorded in the D9 overlay")
 	}
 }
@@ -99,7 +95,7 @@ func TestHandlerUpdateRequestRejectWhenInUse(t *testing.T) {
 	if len(ms) != 1 || ms[0].Res != message.ResReject {
 		t.Fatalf("expected reject for in-use channel, got %v", ms)
 	}
-	if a.grantedOf(a.nbrIdx(1)).Contains(ch) {
+	if a.view(a.grantSet(a.nbrIdx(1))).Contains(ch) {
 		t.Fatal("rejected channel must not enter the grant overlay")
 	}
 }
@@ -134,7 +130,7 @@ func TestHandlerAcquisitionDecrementsWaiting(t *testing.T) {
 	if a.waiting != 0 {
 		t.Fatalf("waiting = %d after drop acquisition", a.waiting)
 	}
-	if !a.inter.Empty() {
+	if !a.view(setInter).Empty() {
 		t.Fatal("a -1 acquisition must not pollute I_i")
 	}
 }
@@ -146,12 +142,12 @@ func TestHandlerChangeModeTracksUpdateS(t *testing.T) {
 	if len(ms) != 1 || ms[0].Res != message.ResStatus {
 		t.Fatalf("expected status response, got %v", ms)
 	}
-	if !a.isUpdateS(3) {
+	if !a.inMask(maskUpdateS, a.nbrIdx(3)) {
 		t.Fatal("sender must join UpdateS")
 	}
 	a.Handle(message.Message{Kind: message.ChangeMode, Mode: message.ModeLocal, From: 3, To: 0})
 	env.take()
-	if a.isUpdateS(3) {
+	if a.inMask(maskUpdateS, a.nbrIdx(3)) {
 		t.Fatal("sender must leave UpdateS")
 	}
 }
@@ -162,10 +158,10 @@ func TestHandlerReleaseClearsInterference(t *testing.T) {
 		TS: lamport.Stamp{Time: 5, Node: 1}})
 	env.take()
 	a.Handle(message.Message{Kind: message.Release, From: 1, To: 0, Ch: 9})
-	if a.inter.Contains(9) {
+	if a.view(setInter).Contains(9) {
 		t.Fatal("release must clear I_i")
 	}
-	if a.grantedOf(a.nbrIdx(1)).Contains(9) {
+	if a.view(a.grantSet(a.nbrIdx(1))).Contains(9) {
 		t.Fatal("release must clear the grant overlay")
 	}
 }
@@ -179,19 +175,19 @@ func TestHandlerStatusSnapshotCannotEraseGrant(t *testing.T) {
 	env.take()
 	a.Handle(message.Message{Kind: message.Response, Res: message.ResStatus, From: 1, To: 0,
 		Use: chanset.NewSet(14)})
-	if !a.inter.Contains(9) {
+	if !a.view(setInter).Contains(9) {
 		t.Fatal("stale snapshot erased a pending grant (D9 regression)")
 	}
 	// Once the channel shows up in a snapshot, the overlay resolves and
 	// later snapshots govern.
 	a.Handle(message.Message{Kind: message.Response, Res: message.ResStatus, From: 1, To: 0,
 		Use: chanset.SetOf(9)})
-	if a.grantedOf(a.nbrIdx(1)).Contains(9) {
+	if a.view(a.grantSet(a.nbrIdx(1))).Contains(9) {
 		t.Fatal("overlay should resolve when the snapshot shows the channel")
 	}
 	a.Handle(message.Message{Kind: message.Response, Res: message.ResStatus, From: 1, To: 0,
 		Use: chanset.NewSet(14)})
-	if a.inter.Contains(9) {
+	if a.view(setInter).Contains(9) {
 		t.Fatal("post-resolution snapshots must clear the channel")
 	}
 }
@@ -204,11 +200,11 @@ func TestHandlerTwoNeighborsSameChannelRefcount(t *testing.T) {
 	a.Handle(message.Message{Kind: message.Acquisition, Acq: message.AcqNonSearch, From: 1, To: 0, Ch: 9})
 	a.Handle(message.Message{Kind: message.Acquisition, Acq: message.AcqNonSearch, From: 4, To: 0, Ch: 9})
 	a.Handle(message.Message{Kind: message.Release, From: 1, To: 0, Ch: 9})
-	if !a.inter.Contains(9) {
+	if !a.view(setInter).Contains(9) {
 		t.Fatal("channel still used by neighbor 4 — must stay in I_0")
 	}
 	a.Handle(message.Message{Kind: message.Release, From: 4, To: 0, Ch: 9})
-	if a.inter.Contains(9) {
+	if a.view(setInter).Contains(9) {
 		t.Fatal("both released — channel must leave I_0")
 	}
 }

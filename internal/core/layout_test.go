@@ -1,0 +1,440 @@
+package core
+
+// Tests of the one-slab-per-cell layout: its size, its set algebra
+// against per-set chanset.Sets, and its allocation and footprint
+// budgets.
+
+import (
+	"runtime"
+	"sync"
+	"testing"
+	"unsafe"
+
+	"repro/internal/alloc"
+	"repro/internal/chanset"
+	"repro/internal/hexgrid"
+	"repro/internal/lamport"
+	"repro/internal/message"
+	"repro/internal/raceflag"
+	"repro/internal/sim"
+)
+
+// TestAdaptiveStructSize pins the allocator struct to the 448-byte size
+// class: at 10^6 cells every class step is 30-60 MB.
+func TestAdaptiveStructSize(t *testing.T) {
+	if got := unsafe.Sizeof(Adaptive{}); got > 448 {
+		t.Fatalf("unsafe.Sizeof(core.Adaptive{}) = %d, budget 448", got)
+	}
+}
+
+// stationAt starts cell's allocator on the given grid behind a stubEnv.
+func stationAt(t testing.TB, gcfg hexgrid.Config, channels int, cell hexgrid.CellID) (*Adaptive, *stubEnv, *chanset.Assignment) {
+	t.Helper()
+	g, err := hexgrid.New(gcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign, err := chanset.Assign(g, channels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewFactory(g, assign, DefaultParams(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := f.New(cell).(*Adaptive)
+	env := &stubEnv{id: cell, neighbors: g.Interference(cell), rand: sim.NewRand(1)}
+	a.Start(env)
+	return a, env, assign
+}
+
+// setModel is the per-neighbor knowledge kept the way it was before the
+// slab: one chanset.Set per U_j and per grant record, and a per-channel
+// count of the neighbors believed to use it behind I_i.
+type setModel struct {
+	u, granted []chanset.Set
+	cnt        []int
+	inter      chanset.Set
+}
+
+func newSetModel(neighbors, channels int) *setModel {
+	m := &setModel{cnt: make([]int, channels), inter: chanset.NewSet(channels)}
+	for i := 0; i < neighbors; i++ {
+		m.u = append(m.u, chanset.NewSet(channels))
+		m.granted = append(m.granted, chanset.NewSet(channels))
+	}
+	return m
+}
+
+func (m *setModel) addU(k int, ch chanset.Channel) {
+	if !ch.Valid() || m.u[k].Contains(ch) {
+		return
+	}
+	m.u[k].Add(ch)
+	m.cnt[ch]++
+	m.inter.Add(ch)
+}
+
+func (m *setModel) removeU(k int, ch chanset.Channel) {
+	if !m.u[k].Contains(ch) {
+		return
+	}
+	m.u[k].Remove(ch)
+	if m.cnt[ch]--; m.cnt[ch] == 0 {
+		m.inter.Remove(ch)
+	}
+}
+
+func (m *setModel) replaceU(k int, snapshot chanset.Set) {
+	for _, ch := range m.granted[k].Channels() {
+		if snapshot.Contains(ch) {
+			m.granted[k].Remove(ch)
+		}
+	}
+	snapshot = chanset.Union(snapshot, m.granted[k])
+	for _, ch := range m.u[k].Channels() {
+		if !snapshot.Contains(ch) {
+			m.removeU(k, ch)
+		}
+	}
+	for _, ch := range snapshot.Channels() {
+		m.addU(k, ch)
+	}
+}
+
+// TestSlabMatchesPerSetModel drives a station's receive procedures with
+// random traffic from its neighbors and checks every set of the slab
+// against the per-set model after each message. It runs on a corner, an
+// edge and an interior cell of an unwrapped grid (5, 8-11 and 18
+// neighbors) at 70 channels and at 130 (three words per set), so
+// neighbor-count and word-count arithmetic are both off the common case.
+func TestSlabMatchesPerSetModel(t *testing.T) {
+	gcfg := hexgrid.Config{Shape: hexgrid.Rect, Width: 9, Height: 9, ReuseDistance: 2}
+	for _, channels := range []int{70, 130} {
+		for _, cell := range []hexgrid.CellID{0, 4, 40} {
+			a, env, _ := stationAt(t, gcfg, channels, cell)
+			n := len(a.neighbors)
+			if cell == 40 && n != 18 || cell != 40 && n >= 18 {
+				t.Fatalf("cell %d has %d neighbors: the grid no longer gives the mix this test wants", cell, n)
+			}
+			if w := (channels + 63) / 64; int(a.w) != w || len(a.slab) != numMasks+(setU+2*n)*w {
+				t.Fatalf("cell %d, %d channels: w=%d, slab of %d words", cell, channels, a.w, len(a.slab))
+			}
+			model := newSetModel(n, channels)
+			rng := sim.NewRand(uint64(channels) + uint64(cell))
+			for step := 0; step < 3000; step++ {
+				k := rng.Intn(n)
+				from := a.neighbors[k]
+				ch := chanset.Channel(rng.Intn(channels))
+				env.now++
+				m := message.Message{From: from, To: cell, Ch: ch, TS: lamport.Stamp{Time: int64(step), Node: int32(from)}}
+				switch rng.Intn(5) {
+				case 0:
+					m.Kind, m.Acq = message.Acquisition, message.AcqNonSearch
+					model.granted[k].Remove(ch)
+					model.addU(k, ch)
+				case 1:
+					m.Kind = message.Release
+					model.granted[k].Remove(ch)
+					model.removeU(k, ch)
+				case 2: // an update request: granted unless the channel is in use here
+					m.Kind, m.Req = message.Request, message.ReqUpdate
+					if !a.InUse().Contains(ch) {
+						model.granted[k].Add(ch)
+						model.addU(k, ch)
+					}
+				default: // a Use snapshot, sometimes trimmed to fewer words
+					m.Kind, m.Res, m.Ch = message.Response, message.ResStatus, chanset.NoChannel
+					var limit int
+					if rng.Intn(2) == 0 {
+						m.Res = message.ResSearch
+					}
+					m.Use, limit = chanset.NewSet(channels), channels
+					if rng.Intn(4) == 0 {
+						m.Use, limit = chanset.NewSet(64), 64
+					}
+					for i := rng.Intn(8); i > 0; i-- {
+						m.Use.Add(chanset.Channel(rng.Intn(limit)))
+					}
+					model.replaceU(k, m.Use)
+				}
+				a.Handle(m)
+				env.take()
+				for j := 0; j < n; j++ {
+					if got := a.view(a.uSet(j)); !got.Equal(model.u[j]) {
+						t.Fatalf("cell %d, %d ch, step %d (%v): U_%d = %v, model %v", cell, channels, step, m, a.neighbors[j], got, model.u[j])
+					}
+					if got := a.view(a.grantSet(j)); !got.Equal(model.granted[j]) {
+						t.Fatalf("cell %d, %d ch, step %d (%v): grant record of %d = %v, model %v", cell, channels, step, m, a.neighbors[j], got, model.granted[j])
+					}
+				}
+				if got := a.view(setInter); !got.Equal(model.inter) {
+					t.Fatalf("cell %d, %d ch, step %d (%v): I_i = %v, model %v", cell, channels, step, m, got, model.inter)
+				}
+				if !a.InUse().Empty() || a.counters.BadMessages != 0 {
+					t.Fatalf("cell %d step %d: Use_i = %v, %d bad messages; the traffic should touch neither", cell, step, a.InUse(), a.counters.BadMessages)
+				}
+			}
+		}
+	}
+}
+
+// TestNeighborMasksPastOneWord: a neighborhood wider than 64 cells
+// spreads UpdateS_i and the await mask over several slab words, and the
+// lender scan falls back from the precomputed overlap masks.
+func TestNeighborMasksPastOneWord(t *testing.T) {
+	gcfg := hexgrid.Config{Shape: hexgrid.Rect, Width: 15, Height: 15, ReuseDistance: 5, Wrap: true}
+	a, env, _ := stationAt(t, gcfg, 200, 0)
+	n := len(a.neighbors)
+	if n <= 64 {
+		t.Fatalf("reuse distance 5 gives %d neighbors, want more than 64", n)
+	}
+	if got := int(a.setOff); got != numMasks*((n+63)/64) {
+		t.Fatalf("mask words: setOff = %d for %d neighbors", got, n)
+	}
+	a.awaitAll()
+	if int(a.awaitN) != n || !a.inMask(maskAwait, n-1) || !a.inMask(maskAwait, 64) {
+		t.Fatalf("awaitAll over %d neighbors: awaitN %d", n, a.awaitN)
+	}
+	for k := 0; k < n; k++ {
+		a.awaitClear(k)
+		a.awaitClear(k) // idempotent
+	}
+	if a.awaitN != 0 {
+		t.Fatalf("awaitN = %d after clearing every neighbor", a.awaitN)
+	}
+	for _, w := range a.words(setUse) {
+		if w != 0 {
+			t.Fatal("mask writes ran into Use_i")
+		}
+	}
+	// Two neighbors past index 63 enter borrowing mode; a primary
+	// acquisition is then announced to exactly those two, in order.
+	for _, k := range []int{70, 65} {
+		a.Handle(message.Message{Kind: message.ChangeMode, From: a.neighbors[k], To: 0, Mode: message.ModeBorrowing})
+	}
+	env.take()
+	a.Request(1)
+	var to []hexgrid.CellID
+	for _, m := range env.take() {
+		if m.Kind == message.Acquisition {
+			to = append(to, m.To)
+		}
+	}
+	if len(to) != 2 || to[0] != a.neighbors[65] || to[1] != a.neighbors[70] {
+		t.Fatalf("acquisition announced to %v, want [%d %d]", to, a.neighbors[65], a.neighbors[70])
+	}
+	if a.best(); a.nbrMasks != nil {
+		t.Fatal("overlap masks built for a neighborhood wider than one word")
+	}
+}
+
+// TestLenderScratchSharedAcrossGoroutines: the lender scan's scratch
+// comes from one pool on the factory, and on livenet/netrun the cells of
+// one factory run on different goroutines. Eight stations scan
+// concurrently (run under -race); each must keep choosing the lender it
+// chose alone, whatever its neighbors' scans leave in the pool.
+func TestLenderScratchSharedAcrossGoroutines(t *testing.T) {
+	g := hexgrid.MustNew(hexgrid.Config{Shape: hexgrid.Rect, Width: 9, Height: 9, ReuseDistance: 2})
+	assign := chanset.MustAssign(g, 70)
+	f, err := NewFactory(g, assign, DefaultParams(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := []hexgrid.CellID{0, 4, 8, 36, 40, 44, 72, 80} // corners, edges, interior: different widths
+	stations := make([]*Adaptive, len(cells))
+	want := make([]hexgrid.CellID, len(cells))
+	for i, c := range cells {
+		a := f.New(c).(*Adaptive)
+		a.Start(&stubEnv{id: c, neighbors: g.Interference(c), rand: sim.NewRand(uint64(c) + 1)})
+		// A different neighbor in borrowing mode and a different busy
+		// channel per station, so the scans differ.
+		a.Handle(message.Message{Kind: message.ChangeMode, From: a.neighbors[i%len(a.neighbors)], To: c, Mode: message.ModeBorrowing})
+		a.Handle(message.Message{Kind: message.Acquisition, From: a.neighbors[0], To: c, Ch: chanset.Channel(i)})
+		stations[i], want[i] = a, a.best()
+		if want[i] == hexgrid.None {
+			t.Fatalf("cell %d found no lender", c)
+		}
+	}
+	var wg sync.WaitGroup
+	for i, a := range stations {
+		wg.Add(1)
+		go func(i int, a *Adaptive) {
+			defer wg.Done()
+			for n := 0; n < 2000; n++ {
+				if got := a.best(); got != want[i] {
+					t.Errorf("cell %d: scan %d chose lender %d, alone it chose %d", cells[i], n, got, want[i])
+					return
+				}
+			}
+		}(i, a)
+	}
+	wg.Wait()
+}
+
+// TestCheckModeAllocatesNothing: in steady state — the free-primary
+// count moving up and down, the NFC ring appending and evicting —
+// check_mode allocates nothing.
+func TestCheckModeAllocatesNothing(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	a, env, assign := stationAt(t, hexgrid.Config{Shape: hexgrid.Rect, Width: 7, Height: 7, ReuseDistance: 2, Wrap: true}, 70, 24)
+	nbr := a.neighbors[0]
+	ch := assign.Primary[24].First() // a neighbor on our primary moves our free count
+	round := func() {
+		env.now += 7
+		a.Handle(message.Message{Kind: message.Acquisition, Acq: message.AcqNonSearch, From: nbr, To: 24, Ch: ch})
+		env.now += 7
+		a.Handle(message.Message{Kind: message.Release, From: nbr, To: 24, Ch: ch})
+		a.checkMode()
+	}
+	for i := 0; i < 200; i++ {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(1000, round); allocs != 0 {
+		t.Fatalf("three check_mode calls allocate %.2f objects in steady state, want 0", allocs)
+	}
+	if len(env.sent) != 0 || a.mode != ModeLocal {
+		t.Fatalf("the rounds were meant to stay in local mode: mode %d, %d messages", a.mode, len(env.sent))
+	}
+}
+
+// footprintNet hosts one allocator per cell behind envs that deliver
+// through one FIFO queue. Everything it owns is allocated before the
+// footprint test takes its baseline, so heap growth is core's alone.
+type footprintNet struct {
+	grid   *hexgrid.Grid
+	allocs []alloc.Allocator
+	envs   []footprintEnv
+	queue  []message.Message
+	words  []uint64 // arena for queued Use words, reused every drain
+	now    sim.Time
+}
+
+type footprintEnv struct {
+	net     *footprintNet
+	cell    hexgrid.CellID
+	rand    sim.Rand
+	granted chanset.Channel
+}
+
+func (e *footprintEnv) ID() hexgrid.CellID          { return e.cell }
+func (e *footprintEnv) Neighbors() []hexgrid.CellID { return e.net.grid.Interference(e.cell) }
+func (e *footprintEnv) Now() sim.Time               { return e.net.now }
+func (e *footprintEnv) Latency() sim.Time           { return 10 }
+func (e *footprintEnv) Began(alloc.RequestID)       {}
+func (e *footprintEnv) Denied(alloc.RequestID)      {}
+func (e *footprintEnv) After(sim.Time, func())      { panic("core does not use After") }
+func (e *footprintEnv) Rand() *sim.Rand             { return &e.rand }
+func (e *footprintEnv) Moved(_, _ chanset.Channel)  { panic("unused") }
+func (e *footprintEnv) Granted(_ alloc.RequestID, ch chanset.Channel) {
+	e.granted = ch
+}
+
+// Send takes the transport's copy into the net's arena.
+func (e *footprintEnv) Send(m message.Message) {
+	n := e.net
+	if w := m.Use.Words(); len(w) > 0 {
+		off := len(n.words)
+		n.words = append(n.words, w...)
+		m.Use = chanset.FromWords(n.words[off:])
+	}
+	n.queue = append(n.queue, m)
+}
+
+func (n *footprintNet) drain() {
+	for i := 0; i < len(n.queue); i++ {
+		if i%64 == 0 {
+			n.now += 10
+		}
+		n.allocs[n.queue[i].To].Handle(n.queue[i])
+	}
+	n.queue, n.words = n.queue[:0], n.words[:0]
+}
+
+// TestPerCellFootprintBudget measures what one cell costs in core: N
+// cells at 70 channels and 18 neighbors, each driven through everything
+// that materializes state — its primaries exhausted, the switch to
+// borrowing mode, a lender scan, a borrowing round that ends in a grant,
+// and every channel released again. GC-settled heap growth / N must stay
+// under the ceiling. (The same drive cost about 4.6 KB per cell with a
+// chanset.Set per U_j and the candidate scratch in every cell.)
+func TestPerCellFootprintBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's shadow allocations count as heap")
+	}
+	const ceiling = 1600 // bytes per cell
+	g, err := hexgrid.New(hexgrid.Config{Shape: hexgrid.Rect, Width: 32, Height: 32, ReuseDistance: 2, Wrap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign, err := chanset.Assign(g, 70)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewFactory(g, assign, DefaultParams(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := g.NumCells()
+	net := &footprintNet{
+		grid:   g,
+		allocs: make([]alloc.Allocator, cells),
+		envs:   make([]footprintEnv, cells),
+		queue:  make([]message.Message, 0, 4096),
+		words:  make([]uint64, 0, 8192),
+	}
+	heap := func() uint64 {
+		// Twice: the first collection only moves sync.Pool contents and
+		// finalizable garbage of earlier tests to where the second frees
+		// them, and garbage alive at the baseline would deflate the delta.
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for c := range net.allocs {
+		net.envs[c] = footprintEnv{net: net, cell: hexgrid.CellID(c), rand: *sim.NewRand(uint64(c) + 1)}
+		net.allocs[c] = f.New(hexgrid.CellID(c))
+		net.allocs[c].Start(&net.envs[c])
+	}
+	var id alloc.RequestID
+	borrowed := 0
+	held := make([]chanset.Channel, 0, 16)
+	for c := range net.allocs {
+		a, env := net.allocs[c].(*Adaptive), &net.envs[c]
+		if len(a.neighbors) != 18 {
+			t.Fatalf("cell %d has %d neighbors", c, len(a.neighbors))
+		}
+		held = held[:0]
+		for i := 0; i <= a.pr.Len(); i++ { // every primary, then one borrowed
+			id++
+			env.granted = chanset.NoChannel
+			a.Request(id)
+			net.drain()
+			if !env.granted.Valid() {
+				t.Fatalf("cell %d: request %d of %d not granted", c, i+1, a.pr.Len()+1)
+			}
+			held = append(held, env.granted)
+		}
+		if a.pr.Contains(held[len(held)-1]) || a.nbrMasks == nil {
+			t.Fatalf("cell %d: last grant %d was not borrowed through a lender scan", c, held[len(held)-1])
+		}
+		borrowed++
+		for _, ch := range held {
+			if err := a.Release(ch); err != nil {
+				t.Fatal(err)
+			}
+			net.drain()
+		}
+	}
+	perCell := float64(heap()-before) / float64(cells)
+	runtime.KeepAlive(net)
+	t.Logf("core footprint: %.0f bytes per cell (%d cells, each through borrow, best() and a grant; ceiling %d)", perCell, borrowed, ceiling)
+	if perCell > ceiling {
+		t.Fatalf("core costs %.0f bytes per cell, ceiling %d", perCell, ceiling)
+	}
+}

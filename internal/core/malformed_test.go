@@ -1,0 +1,138 @@
+package core
+
+import (
+	"bytes"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/chanset"
+	"repro/internal/hexgrid"
+	"repro/internal/lamport"
+	"repro/internal/message"
+	"repro/internal/obs"
+	"repro/internal/sim"
+)
+
+// TestMalformedMessagesAreCountedDrops: message.Decode accepts any int32
+// channel, any sender id and any Use width, so whatever a TCP frame can
+// carry reaches Handle. Each malformed shape, on each of the five
+// message kinds, must be dropped before it touches the station — no
+// reply, no state change, no Lamport tick, and above all no panic and no
+// write into another neighbor's slab words — and counted three ways:
+// the protocol counter, the adca_bad_messages_total instrument and a
+// journal record.
+func TestMalformedMessagesAreCountedDrops(t *testing.T) {
+	const channels, cell = 70, hexgrid.CellID(40)
+	g := hexgrid.MustNew(hexgrid.Config{Shape: hexgrid.Rect, Width: 9, Height: 9, ReuseDistance: 2})
+	assign := chanset.MustAssign(g, channels)
+	f, err := NewFactory(g, assign, DefaultParams(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.New()
+	var journal bytes.Buffer
+	j := obs.NewJournal(&journal)
+	f.Instrument(obs.NewProtocol(reg, j))
+	a := f.New(cell).(*Adaptive)
+	env := &stubEnv{id: cell, neighbors: g.Interference(cell), rand: sim.NewRand(1)}
+	a.Start(env)
+
+	nbr := a.neighbors[3]
+	if a.nbrIdx(0) >= 0 {
+		t.Fatal("cell 0 was meant to be outside cell 40's interference region")
+	}
+	// Some honest state first, so "unchanged" means something: a held
+	// channel, a borrowing neighbor, a neighbor's channel, a grant.
+	a.Request(1)
+	a.Handle(message.Message{Kind: message.ChangeMode, From: nbr, To: cell, Mode: message.ModeBorrowing})
+	a.Handle(message.Message{Kind: message.Acquisition, From: a.neighbors[5], To: cell, Ch: 33})
+	a.Handle(message.Message{Kind: message.Request, Req: message.ReqUpdate, From: nbr, To: cell, Ch: 34,
+		TS: lamport.Stamp{Time: 3, Node: int32(nbr)}})
+	env.take()
+
+	wide := chanset.NewSet(3 * 64) // three words on a two-word spectrum
+	wide.Add(5)
+	stray := chanset.NewSet(channels) // two words, one member past channel 69
+	stray.Add(100)
+	shapes := []struct {
+		name   string
+		mutate func(*message.Message)
+	}{
+		{"channel past the spectrum", func(m *message.Message) { m.Ch = 99 }},
+		{"channel far past the slab", func(m *message.Message) { m.Ch = 1 << 30 }},
+		{"channel below NoChannel", func(m *message.Message) { m.Ch = -7 }},
+		{"sender not a neighbor", func(m *message.Message) { m.From = 0 }},
+		{"sender is the cell itself", func(m *message.Message) { m.From = cell }},
+		{"sender id negative", func(m *message.Message) { m.From = -3 }},
+		{"Use wider than the spectrum", func(m *message.Message) { m.Use = wide }},
+		{"Use member outside the spectrum", func(m *message.Message) { m.Use = stray }},
+	}
+	kinds := []message.Message{
+		{Kind: message.Request, Req: message.ReqUpdate, Ch: 12},
+		{Kind: message.Request, Req: message.ReqSearch, Ch: chanset.NoChannel},
+		{Kind: message.Response, Res: message.ResGrant, Ch: 12},
+		{Kind: message.Response, Res: message.ResSearch, Ch: chanset.NoChannel},
+		{Kind: message.Response, Res: message.ResStatus, Ch: chanset.NoChannel},
+		{Kind: message.ChangeMode, Mode: message.ModeBorrowing},
+		{Kind: message.Acquisition, Acq: message.AcqNonSearch, Ch: 12},
+		{Kind: message.Acquisition, Acq: message.AcqSearch, Ch: chanset.NoChannel},
+		{Kind: message.Release, Ch: 12},
+	}
+	seen := map[message.Kind]bool{}
+	var want uint64
+	for _, base := range kinds {
+		seen[base.Kind] = true
+		for _, shape := range shapes {
+			m := base
+			m.From, m.To = nbr, cell
+			m.TS = lamport.Stamp{Time: 1 << 40, Node: int32(nbr)} // would jump the clock if witnessed
+			shape.mutate(&m)
+			slab, clock, mode, waiting := slices.Clone(a.slab), a.clock, a.mode, a.waiting
+			a.Handle(m)
+			want++
+			name := base.Kind.String() + "/" + shape.name
+			if sent := env.take(); len(sent) != 0 {
+				t.Errorf("%s: answered with %v", name, sent)
+			}
+			if !slices.Equal(slab, a.slab) || clock != a.clock || mode != a.mode || waiting != a.waiting {
+				t.Errorf("%s: station state changed", name)
+			}
+			if a.counters.BadMessages != want {
+				t.Errorf("%s: BadMessages = %d, want %d", name, a.counters.BadMessages, want)
+			}
+		}
+	}
+	if len(seen) != 5 {
+		t.Fatalf("table covers %d message kinds, want all 5", len(seen))
+	}
+	if got := reg.Snapshot()["adca_bad_messages_total"]; got != float64(want) {
+		t.Errorf("adca_bad_messages_total = %v, want %d", got, want)
+	}
+	if err := j.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(journal.String(), `"bad_message"`); got != int(want) {
+		t.Errorf("journal holds %d bad_message records, want %d", got, want)
+	}
+
+	// The well-formed edge cases stay accepted: NoChannel where a kind
+	// carries no channel, a Use set narrower than the spectrum, the last
+	// channel of the spectrum.
+	narrow := chanset.NewSet(64)
+	narrow.Add(7)
+	for _, m := range []message.Message{
+		{Kind: message.Acquisition, Acq: message.AcqSearch, Ch: chanset.NoChannel},
+		{Kind: message.Response, Res: message.ResStatus, Use: narrow},
+		{Kind: message.Release, Ch: channels - 1},
+	} {
+		m.From, m.To = nbr, cell
+		a.Handle(m)
+	}
+	if a.counters.BadMessages != want {
+		t.Errorf("well-formed edge cases were counted as bad: %d, want %d", a.counters.BadMessages, want)
+	}
+	if !a.view(a.uSet(3)).Contains(7) {
+		t.Error("a narrower Use snapshot was not applied")
+	}
+}

@@ -58,8 +58,8 @@ func TestNFCWindowEviction(t *testing.T) {
 func TestNFCCompaction(t *testing.T) {
 	var w nfcWindow
 	w.init(0, 10, 10)
-	// Many samples far apart force head advancement and physical
-	// compaction; the window must stay correct throughout.
+	// Many samples far apart force head advancement and ring wrap-around;
+	// the window must stay correct throughout.
 	for i := 1; i <= 500; i++ {
 		at := sim.Time(i * 100)
 		w.add(at, i%7)
@@ -72,8 +72,8 @@ func TestNFCCompaction(t *testing.T) {
 			t.Fatalf("cutoff value wrong at step %d: %d", i, got)
 		}
 	}
-	if len(w.times) > 200 {
-		t.Fatalf("compaction failed: %d retained samples", len(w.times))
+	if len(w.ring) > nfcRingMin {
+		t.Fatalf("eviction failed: the ring grew to %d samples", len(w.ring))
 	}
 }
 

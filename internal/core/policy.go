@@ -96,8 +96,7 @@ type LenderStrategy interface {
 // linear extrapolation over the NFC_i sample list (nfc.go). It is the
 // default and reproduces the pre-seam trajectories exactly.
 type linearPredictor struct {
-	window sim.Time
-	w      nfcWindow
+	w nfcWindow // w.window is set at construction
 }
 
 type linearBuilder struct{}
@@ -108,10 +107,10 @@ func LinearPredictor() PredictorBuilder { return linearBuilder{} }
 
 func (linearBuilder) Name() string { return "linear" }
 func (linearBuilder) New(window sim.Time) Predictor {
-	return &linearPredictor{window: window}
+	return &linearPredictor{w: nfcWindow{window: window}}
 }
 
-func (p *linearPredictor) Init(t0 sim.Time, count int)   { p.w.init(t0, count, p.window) }
+func (p *linearPredictor) Init(t0 sim.Time, count int)   { p.w.init(t0, count, p.w.window) }
 func (p *linearPredictor) Observe(t sim.Time, count int) { p.w.add(t, count) }
 func (p *linearPredictor) Predict(now sim.Time, count int, horizon sim.Time) float64 {
 	return p.w.predict(now, count, horizon)

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"repro/internal/alloc"
-
 	"repro/internal/chanset"
 	"repro/internal/hexgrid"
 	"repro/internal/lamport"
@@ -34,8 +33,8 @@ const (
 
 // request is the in-flight channel request (at most one per station;
 // additional arrivals queue in the Serial). The set of neighbors the
-// active phase is still awaiting lives on the Adaptive (await/awaitN):
-// only one phase collects responses at a time.
+// active phase is still awaiting lives on the Adaptive (the slab's await
+// mask and awaitN): only one phase collects responses at a time.
 type request struct {
 	id alloc.RequestID
 	// ts is assigned once and kept across retries, exactly as the
@@ -155,7 +154,7 @@ func (a *Adaptive) dispatchBorrow() {
 	if j != hexgrid.None {
 		ch = a.pickBorrow(j)
 	}
-	if j != hexgrid.None && a.rounds <= a.factory.params.Alpha && ch.Valid() {
+	if j != hexgrid.None && int(a.rounds) <= a.factory.params.Alpha && ch.Valid() {
 		// Borrowing update attempt (mode 2): optimistically pick ch
 		// and ask the whole interference region for permission.
 		a.mode = ModeBorrowUpdate
@@ -281,21 +280,14 @@ func (a *Adaptive) finishGrant(ch chanset.Channel, path int) {
 // according to the mode it was acquired in, drain the defer queue, and
 // re-check the mode if still local.
 func (a *Adaptive) acquire(ch chanset.Channel) {
-	if ch.Valid() {
-		a.use.Add(ch)
-	}
+	a.add(setUse, ch)
 	a.rounds = 0
 	switch a.mode {
 	case ModeLocal, ModeBorrow:
 		// Only neighbors currently in borrowing mode track our usage.
-		for k, j := range a.neighbors { // deterministic order
-			if a.updateS[k] {
-				a.env.Send(message.Message{
-					Kind: message.Acquisition, Acq: message.AcqNonSearch,
-					From: a.cell, To: j, Ch: ch,
-				})
-			}
-		}
+		a.sendUpdateS(message.Message{
+			Kind: message.Acquisition, Acq: message.AcqNonSearch, Ch: ch,
+		})
 	case ModeBorrowUpdate:
 		// The grant round already informed the whole neighborhood.
 		a.mode = ModeBorrow
@@ -316,26 +308,27 @@ func (a *Adaptive) acquire(ch chanset.Channel) {
 		a.obs.DeferQueueDepth.Add(-float64(len(q)))
 	}
 	for _, d := range q {
+		from := a.neighbors[d.k]
 		if d.search {
 			a.waiting++
 			a.env.Send(message.Message{
 				Kind: message.Response, Res: message.ResSearch,
-				From: a.cell, To: d.from, TS: d.ts, Use: a.use.Clone(),
+				From: a.cell, To: from, TS: d.ts, Use: a.view(setUse),
 			})
 			continue
 		}
-		if a.use.Contains(d.ch) {
+		if a.has(setUse, d.ch) {
 			a.env.Send(message.Message{
 				Kind: message.Response, Res: message.ResReject,
-				From: a.cell, To: d.from, Ch: d.ch, TS: d.ts,
+				From: a.cell, To: from, Ch: d.ch, TS: d.ts,
 			})
 		} else {
 			a.env.Send(message.Message{
 				Kind: message.Response, Res: message.ResGrant,
-				From: a.cell, To: d.from, Ch: d.ch, TS: d.ts,
+				From: a.cell, To: from, Ch: d.ch, TS: d.ts,
 			})
-			a.grantRecord(d.from, d.ch)
-			a.addU(d.from, d.ch)
+			a.grantRecord(int(d.k), d.ch)
+			a.addU(int(d.k), d.ch)
 		}
 	}
 	if a.mode == ModeLocal {
@@ -350,7 +343,7 @@ func (a *Adaptive) acquire(ch chanset.Channel) {
 // than panicking: on the live runtime a panic here would take down the
 // whole process over one misbehaving caller.
 func (a *Adaptive) Release(ch chanset.Channel) error {
-	if !a.use.Contains(ch) {
+	if !a.inSpectrum(ch) || !a.has(setUse, ch) {
 		a.counters.BadReleases++
 		a.obs.BadReleases.Inc()
 		if a.obs.Journal != nil {
@@ -364,25 +357,19 @@ func (a *Adaptive) Release(ch chanset.Channel) error {
 	// to the region instead (strictly better for neighbors: a primary
 	// only we can use stays busy, a sharable channel frees up).
 	if a.factory.params.Repack && a.pr.Contains(ch) {
-		borrowed := chanset.Subtract(a.use, a.pr)
+		borrowed := chanset.Subtract(a.view(setUse), a.pr)
 		if b := borrowed.First(); b.Valid() {
-			a.use.Remove(b)
+			a.remove(setUse, b)
 			a.env.Moved(b, ch) // ch stays in use, now carrying b's call
 			broadcast(a, message.Message{Kind: message.Release, Ch: b})
 			a.checkMode()
 			return nil
 		}
 	}
-	a.use.Remove(ch)
+	a.remove(setUse, ch)
 	if a.mode == ModeLocal && a.pr.Contains(ch) {
 		// A primary release matters only to borrowing neighbors.
-		for k, j := range a.neighbors {
-			if a.updateS[k] {
-				a.env.Send(message.Message{
-					Kind: message.Release, From: a.cell, To: j, Ch: ch,
-				})
-			}
-		}
+		a.sendUpdateS(message.Message{Kind: message.Release, Ch: ch})
 	} else {
 		// Borrowed (non-primary) channels were acquired through a round
 		// that informed the whole interference region; release them the
@@ -397,50 +384,99 @@ func (a *Adaptive) Release(ch chanset.Channel) error {
 // Handle implements alloc.Allocator: the five receive procedures of the
 // paper (Figures 4, 5, 7, 8 and the response handling implicit in
 // Figure 2's wait conditions).
+//
+// A message is checked before it touches any state: the sender must be
+// an interference neighbor, the channel in the spectrum (or NoChannel)
+// and the Use snapshot no wider than the spectrum and silent outside it.
+// The wire codec accepts any int32 and any width, and with flat slabs an
+// out-of-range index would land in another neighbor's words, so anything
+// else is dropped and counted.
 func (a *Adaptive) Handle(m message.Message) {
+	k := a.nbrIdx(m.From)
+	if k < 0 || (m.Ch != chanset.NoChannel && !a.inSpectrum(m.Ch)) || !a.fitsSpectrum(m.Use) {
+		a.badMessage(m)
+		return
+	}
 	// Lamport receive rule. Without it two causally ordered requests
 	// could carry inverted timestamps and break the deferral argument
 	// of Theorems 1 and 2.
 	a.clock.Witness(m.TS)
 	switch m.Kind {
 	case message.Request:
-		a.onRequest(m)
+		a.onRequest(m, k)
 	case message.Response:
-		a.onResponse(m)
+		a.onResponse(m, k)
 	case message.ChangeMode:
-		a.onChangeMode(m)
+		a.onChangeMode(m, k)
 	case message.Acquisition:
-		a.onAcquisition(m)
+		a.onAcquisition(m, k)
 	case message.Release:
-		a.onRelease(m)
+		a.onRelease(m, k)
+	}
+}
+
+// inSpectrum reports whether ch is a channel of the spectrum.
+func (a *Adaptive) inSpectrum(ch chanset.Channel) bool {
+	return uint32(ch) < uint32(a.nch)
+}
+
+// fitsSpectrum reports whether a received Use set has at most the
+// spectrum's width and no member outside it.
+func (a *Adaptive) fitsSpectrum(use chanset.Set) bool {
+	words := use.Words()
+	if len(words) > int(a.w) {
+		return false
+	}
+	spectrum := a.factory.assign.Spectrum.Words()
+	for i, w := range words {
+		if w&^spectrum[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// badMessage drops a message Handle refused, leaving all state — the
+// Lamport clock included — untouched.
+func (a *Adaptive) badMessage(m message.Message) {
+	a.counters.BadMessages++
+	a.obs.BadMessages.Inc()
+	if a.obs.Journal != nil {
+		a.obs.Journal.Emit(int64(a.env.Now()), "bad_message", int(a.cell),
+			obs.FS("kind", m.Kind.String()), obs.FI("from", int64(m.From)),
+			obs.FI("ch", int64(m.Ch)), obs.FI("use_words", int64(len(m.Use.Words()))))
 	}
 }
 
 // onRequest is Figure 4.
-func (a *Adaptive) onRequest(m message.Message) {
+func (a *Adaptive) onRequest(m message.Message, k int) {
 	if m.Req == message.ReqUpdate {
 		switch a.mode {
 		case ModeLocal, ModeBorrow:
-			a.respondUpdate(m)
+			if a.has(setUse, m.Ch) {
+				a.sendReject(m)
+			} else {
+				a.sendGrant(m, k)
+			}
 		case ModeBorrowUpdate:
 			// Reject if the channel is busy here or our own pending
 			// request is older (lower timestamp wins).
-			if a.use.Contains(m.Ch) || a.req.ts.Less(m.TS) {
+			if a.has(setUse, m.Ch) || a.req.ts.Less(m.TS) {
 				a.sendReject(m)
 			} else {
-				a.sendGrant(m)
+				a.sendGrant(m, k)
 			}
 		case ModeBorrowSearch:
 			// Safety refinement over the literal Figure 4 (DESIGN.md
 			// D7): a channel we are using must be rejected outright
 			// even while searching.
 			switch {
-			case a.use.Contains(m.Ch):
+			case a.has(setUse, m.Ch):
 				a.sendReject(m)
 			case a.req.ts.Less(m.TS):
-				a.deferPush(deferred{ch: m.Ch, ts: m.TS, from: m.From})
+				a.deferPush(deferred{ch: m.Ch, ts: m.TS, k: int32(k)})
 			default:
-				a.sendGrant(m)
+				a.sendGrant(m, k)
 			}
 		}
 		return
@@ -455,13 +491,13 @@ func (a *Adaptive) onRequest(m message.Message) {
 		// borrowing-mode quiescence of DESIGN.md D8, or a hot region
 		// livelocks (observed at 1.1 Erlang/primary).
 		if a.pending && a.req != nil && a.req.ts.Less(m.TS) {
-			a.deferPush(deferred{search: true, ts: m.TS, from: m.From})
+			a.deferPush(deferred{search: true, ts: m.TS, k: int32(k)})
 		} else {
 			a.respondSearch(m)
 		}
 	case ModeBorrowUpdate, ModeBorrowSearch:
 		if a.req.ts.Less(m.TS) {
-			a.deferPush(deferred{search: true, ts: m.TS, from: m.From})
+			a.deferPush(deferred{search: true, ts: m.TS, k: int32(k)})
 		} else {
 			a.respondSearch(m)
 		}
@@ -482,16 +518,8 @@ func (a *Adaptive) deferPush(d deferred) {
 			kind = "search"
 		}
 		a.obs.Journal.Emit(int64(a.env.Now()), "defer", int(a.cell),
-			obs.FS("req_kind", kind), obs.FI("from", int64(d.from)),
+			obs.FS("req_kind", kind), obs.FI("from", int64(a.neighbors[d.k])),
 			obs.FI("depth", int64(len(a.deferQ))))
-	}
-}
-
-func (a *Adaptive) respondUpdate(m message.Message) {
-	if a.use.Contains(m.Ch) {
-		a.sendReject(m)
-	} else {
-		a.sendGrant(m)
 	}
 }
 
@@ -505,13 +533,13 @@ func (a *Adaptive) sendReject(m message.Message) {
 // sendGrant grants channel m.Ch to m.From and records the channel as
 // interfered (the requester is about to use it; a RELEASE undoes this if
 // the requester's round fails).
-func (a *Adaptive) sendGrant(m message.Message) {
+func (a *Adaptive) sendGrant(m message.Message, k int) {
 	a.env.Send(message.Message{
 		Kind: message.Response, Res: message.ResGrant,
 		From: a.cell, To: m.From, Ch: m.Ch, TS: m.TS,
 	})
-	a.grantRecord(m.From, m.Ch)
-	a.addU(m.From, m.Ch)
+	a.grantRecord(k, m.Ch)
+	a.addU(k, m.Ch)
 	a.checkMode()
 }
 
@@ -519,16 +547,16 @@ func (a *Adaptive) respondSearch(m message.Message) {
 	a.waiting++
 	a.env.Send(message.Message{
 		Kind: message.Response, Res: message.ResSearch,
-		From: a.cell, To: m.From, TS: m.TS, Use: a.use.Clone(),
+		From: a.cell, To: m.From, TS: m.TS, Use: a.view(setUse),
 	})
 }
 
 // onResponse feeds the active request FSM.
-func (a *Adaptive) onResponse(m message.Message) {
+func (a *Adaptive) onResponse(m message.Message, k int) {
 	r := a.req
 	switch m.Res {
 	case message.ResGrant, message.ResReject:
-		if r == nil || r.ph != phaseGrants || !m.TS.Equal(r.ts) || !a.awaitHas(m.From) {
+		if r == nil || r.ph != phaseGrants || !m.TS.Equal(r.ts) || !a.inMask(maskAwait, k) {
 			// Stale grant for an attempt we already resolved: undo the
 			// permission the responder recorded. (Unreachable while
 			// every attempt collects all responses; kept as armor.)
@@ -539,7 +567,7 @@ func (a *Adaptive) onResponse(m message.Message) {
 			}
 			return
 		}
-		a.awaitClear(m.From)
+		a.awaitClear(k)
 		if m.Res == message.ResGrant {
 			r.granted = append(r.granted, m.From)
 		} else {
@@ -549,17 +577,17 @@ func (a *Adaptive) onResponse(m message.Message) {
 			a.completeGrants()
 		}
 	case message.ResSearch:
-		a.replaceU(m.From, m.Use)
-		if r != nil && r.ph == phaseSearch && m.TS.Equal(r.ts) && a.awaitHas(m.From) {
-			a.awaitClear(m.From)
+		a.replaceU(k, m.Use)
+		if r != nil && r.ph == phaseSearch && m.TS.Equal(r.ts) && a.inMask(maskAwait, k) {
+			a.awaitClear(k)
 			if a.awaitN == 0 {
 				a.completeSearch()
 			}
 		}
 	case message.ResStatus:
-		a.replaceU(m.From, m.Use)
-		if r != nil && r.ph == phaseStatus && a.awaitHas(m.From) {
-			a.awaitClear(m.From)
+		a.replaceU(k, m.Use)
+		if r != nil && r.ph == phaseStatus && a.inMask(maskAwait, k) {
+			a.awaitClear(k)
 			if a.awaitN == 0 {
 				a.dispatch()
 			}
@@ -568,29 +596,24 @@ func (a *Adaptive) onResponse(m message.Message) {
 }
 
 // onChangeMode is Figure 5.
-func (a *Adaptive) onChangeMode(m message.Message) {
-	if idx := a.nbrIdx(m.From); idx >= 0 {
-		borrowing := m.Mode != message.ModeLocal
-		a.updateS[idx] = borrowing
-		if idx < 64 {
-			if borrowing {
-				a.updateSMask |= 1 << uint(idx)
-			} else {
-				a.updateSMask &^= 1 << uint(idx)
-			}
-		}
+func (a *Adaptive) onChangeMode(m message.Message, k int) {
+	word, bit := a.maskBit(maskUpdateS, k)
+	if m.Mode != message.ModeLocal {
+		*word |= bit
+	} else {
+		*word &^= bit
 	}
 	a.env.Send(message.Message{
 		Kind: message.Response, Res: message.ResStatus,
-		From: a.cell, To: m.From, Use: a.use.Clone(),
+		From: a.cell, To: m.From, Use: a.view(setUse),
 	})
 }
 
 // onAcquisition is Figure 7.
-func (a *Adaptive) onAcquisition(m message.Message) {
+func (a *Adaptive) onAcquisition(m message.Message, k int) {
 	if m.Ch.Valid() {
-		a.grantResolve(m.From, m.Ch)
-		a.addU(m.From, m.Ch)
+		a.grantResolve(k, m.Ch)
+		a.addU(k, m.Ch)
 		a.checkMode()
 	}
 	if m.Acq == message.AcqSearch {
@@ -605,10 +628,17 @@ func (a *Adaptive) onAcquisition(m message.Message) {
 }
 
 // onRelease is Figure 8.
-func (a *Adaptive) onRelease(m message.Message) {
-	a.grantResolve(m.From, m.Ch)
-	a.removeU(m.From, m.Ch)
+func (a *Adaptive) onRelease(m message.Message, k int) {
+	a.grantResolve(k, m.Ch)
+	a.removeU(k, m.Ch)
 	a.checkMode()
+}
+
+// lenderScratch is the storage of one best() call: the candidate list
+// and one free-primaries set per candidate, drawn from Factory.scratch.
+type lenderScratch struct {
+	cands []LenderCandidate
+	words []uint64
 }
 
 // best selects the lender: it gathers every eligible candidate — the
@@ -616,105 +646,121 @@ func (a *Adaptive) onRelease(m message.Message) {
 // we could borrow (DESIGN.md D1) — and delegates the ranking to the
 // configured LenderStrategy (policy.go). The default strategy is the
 // paper's Figure 10 Best(): fewest borrowing neighbors in common with
-// us, ties broken on cell id. Candidate storage is reused across calls,
-// so the borrow path stays allocation-free.
+// us, ties broken on cell id. Candidate storage comes from the factory's
+// pool and goes back before best returns, so the borrow path stays
+// allocation-free and no cell carries the scratch.
 func (a *Adaptive) best() hexgrid.CellID {
-	free := a.freeAnywhere()
-	if free.Empty() {
+	freeSet := a.freeAnywhere()
+	if freeSet.Empty() {
 		return hexgrid.None
 	}
-	if a.candSets == nil {
-		// First borrow attempt of this cell's lifetime: candidate sets
-		// are only needed on the (rarer) borrowing path, so the slab is
-		// deferred until then — as is nbrMasks, the per-neighbor
-		// interference overlap precomputed as bitmasks over this cell's
-		// neighbor indices (grids whose neighborhoods exceed one word
-		// keep the scan below).
-		a.candSets = a.neighborSets()
-		a.cands = make([]LenderCandidate, 0, len(a.neighbors))
-		if len(a.neighbors) <= 64 {
-			a.nbrMasks = make([]uint64, len(a.neighbors))
-			for ji, j := range a.neighbors {
-				var m uint64
-				for _, k := range a.factory.grid.Interference(j) {
-					if idx := a.nbrIdx(k); idx >= 0 {
-						m |= 1 << uint(idx)
-					}
-				}
-				a.nbrMasks[ji] = m
-			}
-		}
+	free := freeSet.Words()
+	n, w := len(a.neighbors), int(a.w)
+	if a.nbrMasks == nil && n <= 64 {
+		a.buildNbrMasks()
 	}
-	cands := a.cands[:0]
+	sc := a.factory.scratch.Get().(*lenderScratch)
+	defer a.factory.scratch.Put(sc)
+	if cap(sc.cands) < n {
+		sc.cands = make([]LenderCandidate, 0, n)
+	}
+	if len(sc.words) < n*w {
+		sc.words = make([]uint64, n*w)
+	}
+	cands := sc.cands[:0]
+	updateS := a.mask(maskUpdateS)
 	for ji, j := range a.neighbors {
-		if a.updateS[ji] {
+		if a.inMask(maskUpdateS, ji) {
 			continue // NotBorrowing = IN_i − UpdateS_i
 		}
-		set := a.candSets[len(cands)]
-		set.Clear()
-		set.UnionWith(free)
-		set.IntersectWith(a.factory.assign.Primary[j])
-		if set.Empty() {
+		off := len(cands) * w
+		set := sc.words[off : off+w : off+w]
+		primary := a.factory.assign.Primary[j].Words()
+		count, lowest := 0, chanset.NoChannel
+		for wi := range set {
+			x := free[wi] & primary[wi]
+			set[wi] = x
+			if x != 0 && count == 0 {
+				lowest = chanset.Channel(wi*64 + bits.TrailingZeros64(x))
+			}
+			count += bits.OnesCount64(x)
+		}
+		if count == 0 {
 			continue // nothing to borrow from j
 		}
-		var bn int
+		var bn int // |UpdateS_i ∩ IN_j|
 		if a.nbrMasks != nil {
-			bn = bits.OnesCount64(a.updateSMask & a.nbrMasks[ji])
+			bn = bits.OnesCount64(updateS[0] & a.nbrMasks[ji])
 		} else {
 			for _, k := range a.factory.grid.Interference(j) {
-				if a.isUpdateS(k) {
-					bn++ // |UpdateS_i ∩ IN_j|
+				if idx := a.nbrIdx(k); idx >= 0 && a.inMask(maskUpdateS, idx) {
+					bn++
 				}
 			}
 		}
 		cands = append(cands, LenderCandidate{
 			Cell:            j,
-			FreePrimaries:   set,
-			FreeCount:       set.Len(),
-			LowestFree:      set.First(),
+			FreePrimaries:   chanset.FromWords(set),
+			FreeCount:       count,
+			LowestFree:      lowest,
 			SharedBorrowers: bn,
 		})
 	}
 	if len(cands) == 0 {
 		return hexgrid.None
 	}
-	idx := a.strategy.Choose(cands, a.env.Rand())
+	idx := a.factory.strategy.Choose(cands, a.env.Rand())
 	if idx < 0 || idx >= len(cands) {
 		return hexgrid.None // strategy declined: fall through to search
 	}
 	return cands[idx].Cell
 }
 
+// buildNbrMasks precomputes, on the cell's first borrow attempt, the
+// per-neighbor interference overlap as bitmasks over this cell's
+// neighbor indices (grids whose neighborhoods exceed one word keep the
+// scan in best).
+func (a *Adaptive) buildNbrMasks() {
+	a.nbrMasks = make([]uint64, len(a.neighbors))
+	for ji, j := range a.neighbors {
+		var m uint64
+		for _, k := range a.factory.grid.Interference(j) {
+			if idx := a.nbrIdx(k); idx >= 0 {
+				m |= 1 << uint(idx)
+			}
+		}
+		a.nbrMasks[ji] = m
+	}
+}
+
 // pickBorrow selects the channel to borrow from lender j: the lowest
 // free channel primary to j (DESIGN.md D1).
 func (a *Adaptive) pickBorrow(j hexgrid.CellID) chanset.Channel {
-	free := a.freeAnywhere() // aliases a.scratch; consumed here
+	free := a.freeAnywhere() // the slab's scratch set; consumed here
 	free.IntersectWith(a.factory.assign.Primary[j])
 	return free.First()
 }
 
-// awaitAll marks every interference neighbor as awaited. The await
-// slice (indexed like a.neighbors) is shared across phases: only one
-// request phase is collecting responses at any moment.
+// awaitAll marks every interference neighbor as awaited. The await mask
+// is shared across phases: only one request phase is collecting
+// responses at any moment.
 func (a *Adaptive) awaitAll() {
-	for i := range a.await {
-		a.await[i] = true
+	n := len(a.neighbors)
+	aw := a.mask(maskAwait)
+	for i := range aw {
+		aw[i] = ^uint64(0)
 	}
-	a.awaitN = len(a.neighbors)
+	if r := uint(n) & 63; r != 0 {
+		aw[len(aw)-1] = 1<<r - 1
+	}
+	a.awaitN = int32(n)
 }
 
-// awaitHas reports whether neighbor j is still awaited.
-func (a *Adaptive) awaitHas(j hexgrid.CellID) bool {
-	idx := a.nbrIdx(j)
-	return idx >= 0 && a.await[idx]
-}
-
-// awaitClear removes neighbor j from the awaited set. Callers check
-// awaitHas first, so the index is always valid here.
-func (a *Adaptive) awaitClear(j hexgrid.CellID) {
-	idx := a.nbrIdx(j)
-	if idx >= 0 && a.await[idx] {
-		a.await[idx] = false
+// awaitClear removes neighbor index k from the awaited set.
+func (a *Adaptive) awaitClear(k int) {
+	word, bit := a.maskBit(maskAwait, k)
+	if *word&bit != 0 {
+		*word &^= bit
 		a.awaitN--
 	}
 }
@@ -726,5 +772,17 @@ func broadcast(a *Adaptive, m message.Message) {
 		mm := m
 		mm.To = j
 		a.env.Send(mm)
+	}
+}
+
+// sendUpdateS sends m (From filled in) to every neighbor in UpdateS_i,
+// in neighbor order.
+func (a *Adaptive) sendUpdateS(m message.Message) {
+	m.From = a.cell
+	for wi, word := range a.mask(maskUpdateS) {
+		for ; word != 0; word &= word - 1 {
+			m.To = a.neighbors[wi*64+bits.TrailingZeros64(word)]
+			a.env.Send(m)
+		}
 	}
 }

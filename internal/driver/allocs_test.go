@@ -110,6 +110,77 @@ func TestMessageDeliveryAllocatesNothing(t *testing.T) {
 	}
 }
 
+// useRound makes cell from collect two Use snapshots from its neighbor
+// to, the way the protocol does: a search REQUEST answered by
+// respondSearch (the ACQUISITION(search) that follows settles to's
+// waiting count), and a CHANGE_MODE there and back, each answered by a
+// RESPONSE(status). Every answer carries to's live Use_i as a view, is
+// copied once by the transport, and ends in from's replaceU.
+func useRound(env alloc.Env, to hexgrid.CellID) {
+	env.Send(message.Message{Kind: message.Request, Req: message.ReqSearch, To: to, Ch: chanset.NoChannel})
+	env.Send(message.Message{Kind: message.Acquisition, Acq: message.AcqSearch, To: to, Ch: chanset.NoChannel})
+	env.Send(message.Message{Kind: message.ChangeMode, To: to, Mode: message.ModeBorrowing})
+	env.Send(message.Message{Kind: message.ChangeMode, To: to, Mode: message.ModeLocal})
+}
+
+// TestUseSnapshotRoundAllocatesNothing: respondSearch -> deliver ->
+// replaceU and CHANGE_MODE -> RESPONSE(status) -> replaceU are zero
+// allocations on both drivers — the Use set is neither cloned by the
+// sender nor boxed by the transport, and the side-table slot it rides in
+// is recycled.
+func TestUseSnapshotRoundAllocatesNothing(t *testing.T) {
+	skipUnderRace(t)
+	g, assign, tap := adaptiveTap(t)
+	from := g.InteriorCell()
+	to := g.Interference(from)[0]
+	const perRound = 7 // 4 sent by from, 3 snapshots back
+
+	s := driver.New(g, assign, tap, driver.Options{Latency: 10, Seed: 1})
+	for i := 0; i < 3; i++ { // a Use_i worth copying
+		s.Request(to, nil)
+	}
+	s.Drain(64)
+	env := tap.envs[from]
+	round := func() {
+		useRound(env, to)
+		if !s.Drain(32) {
+			t.Fatal("serial driver did not drain")
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(500, round); allocs != 0 {
+		t.Errorf("serial driver: %.1f allocations per Use-snapshot round, want 0", allocs)
+	}
+	if got := s.Stats().Messages.Total; got != perRound*502 {
+		t.Fatalf("serial driver carried %d messages, want %d", got, perRound*502)
+	}
+
+	for _, shards := range []int{1, 7} { // same shard, and a cross-shard pair
+		p, err := driver.NewParallel(g, assign, tap, driver.ParallelOptions{Latency: 10, Seed: 1, Shards: shards, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			p.Request(to, nil)
+		}
+		p.Drain(64)
+		env := tap.envs[from]
+		round := func() {
+			useRound(env, to)
+			if !p.Drain(32) {
+				t.Fatal("sharded driver did not drain")
+			}
+		}
+		round()
+		if allocs := testing.AllocsPerRun(500, round); allocs != 0 {
+			t.Errorf("sharded driver, %d shards: %.1f allocations per Use-snapshot round, want 0", shards, allocs)
+		}
+		if got := p.Stats().Messages.Total; got != perRound*502 {
+			t.Fatalf("sharded driver carried %d messages, want %d", got, perRound*502)
+		}
+	}
+}
+
 // TestCheckerAllocatesNothing: the Theorem-1 checker reads every cell's
 // in-use set through a borrowed view.
 func TestCheckerAllocatesNothing(t *testing.T) {

@@ -445,6 +445,11 @@ func (e *liveEnv) Send(m message.Message) {
 	if m.From != e.cell {
 		m.From = e.cell
 	}
+	// The message crosses goroutines and may sit in retransmit queues:
+	// take the copy alloc.Env.Send owes a Use that is only a view.
+	if len(m.Use.Words()) > 0 {
+		m.Use = m.Use.Clone()
+	}
 	e.net.net.Send(m)
 }
 

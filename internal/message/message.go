@@ -3,10 +3,12 @@
 //
 // One Message struct serves every scheme: the adaptive scheme and the
 // baselines share REQUEST / RESPONSE / CHANGE_MODE / ACQUISITION /
-// RELEASE, with unused fields zero. Set payloads (Use_j) are carried as
-// value copies so a receiver can never alias a sender's live state —
-// stations only ever learn about each other through messages, exactly as
-// in the distributed system being modelled.
+// RELEASE, with unused fields zero. A receiver never aliases a sender's
+// live state — stations only ever learn about each other through
+// messages, exactly as in the distributed system being modelled — but
+// the copy of a set payload (Use_j) is the transport's to take, once
+// (alloc.Env.Send): a sender may hand in a view of its live Use_i, and a
+// receiver reads the payload only until its Handle returns.
 package message
 
 import (

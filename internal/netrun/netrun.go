@@ -732,6 +732,12 @@ func (e *nodeEnv) Send(m message.Message) {
 	if m.From != e.cell {
 		m.From = e.cell
 	}
+	// The message crosses goroutines (mailboxes, the peer writer, the
+	// retransmit queue): take the copy alloc.Env.Send owes a Use that is
+	// only a view.
+	if len(m.Use.Words()) > 0 {
+		m.Use = m.Use.Clone()
+	}
 	e.node.stack.Send(m)
 }
 

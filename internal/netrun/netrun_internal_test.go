@@ -1,10 +1,12 @@
 package netrun
 
 import (
+	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/alloc"
 	"repro/internal/chanset"
 	"repro/internal/hexgrid"
 	"repro/internal/message"
@@ -161,5 +163,68 @@ func TestDialFailureIsACountedDrop(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("local request hung after the peer went away")
+	}
+}
+
+// TestMalformedFrameIsACountedDrop: the wire codec accepts any int32
+// channel, any sender and any Use width, so a raw TCP peer can hand a
+// hosted allocator all of them. Each used to index past the per-channel
+// tables and kill the node; now each is a counted drop and the node goes
+// on serving.
+func TestMalformedFrameIsACountedDrop(t *testing.T) {
+	a, _, grid := twoNodes(t)
+	const cell = hexgrid.CellID(0) // hosted by a
+	nbr := grid.Interference(cell)[0]
+	stranger := hexgrid.None
+	for c := 0; c < grid.NumCells(); c++ {
+		if id := hexgrid.CellID(c); id != cell && !grid.Interferes(cell, id) {
+			stranger = id
+			break
+		}
+	}
+	if stranger == hexgrid.None {
+		t.Fatal("the grid has no cell outside cell 0's interference region")
+	}
+	wide := chanset.NewSet(3 * 64) // three words on a 16-channel spectrum
+	wide.Add(130)
+	frames := []message.Message{
+		{Kind: message.Acquisition, From: nbr, To: cell, Ch: 99},
+		{Kind: message.Response, Res: message.ResStatus, From: nbr, To: cell, Use: wide},
+		{Kind: message.ChangeMode, From: stranger, To: cell, Mode: message.ModeBorrowing},
+	}
+	conn, err := net.Dial("tcp", a.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for _, m := range frames {
+		if err := message.Write(conn, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Read the counter on the cell's own mailbox goroutine.
+	bad := func() uint64 {
+		got := make(chan uint64, 1)
+		a.local.Do(cell, func() {
+			got <- a.hosted[cell].(alloc.CounterProvider).ProtocolCounters().BadMessages
+		})
+		return <-got
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for bad() != uint64(len(frames)) {
+		if time.Now().After(deadline) {
+			t.Fatalf("BadMessages = %d, want %d", bad(), len(frames))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	done := make(chan Result, 1)
+	a.Request(cell, func(r Result) { done <- r })
+	select {
+	case r := <-done:
+		if !r.Granted {
+			t.Fatal("request denied after the malformed frames")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the node stopped serving after the malformed frames")
 	}
 }

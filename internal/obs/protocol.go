@@ -32,6 +32,10 @@ type Protocol struct {
 	// BadReleases counts Release calls for channels the cell did not
 	// hold (adca_bad_releases_total).
 	BadReleases *Counter
+	// BadMessages counts received messages dropped as malformed: sender
+	// not a neighbor, channel or Use set outside the spectrum
+	// (adca_bad_messages_total).
+	BadMessages *Counter
 	// Journal receives the structured event stream (nil: disabled).
 	Journal *Journal
 }
@@ -73,5 +77,7 @@ func NewProtocol(r *Registry, j *Journal) *Protocol {
 		"Requests stalled waiting for search-handshake quiescence (waiting > 0).")
 	p.BadReleases = r.Counter("adca_bad_releases_total",
 		"Release calls for channels the cell did not hold (rejected, state untouched).")
+	p.BadMessages = r.Counter("adca_bad_messages_total",
+		"Received messages dropped as malformed (non-neighbor sender, channel or Use set outside the spectrum).")
 	return p
 }

@@ -116,21 +116,22 @@ func (e *Engine) key(origin int32) uint64 {
 // explicit origin cell, assigning the same canonical (at, origin,
 // per-origin counter) key the sharded kernel uses (Shards.Post). A
 // handler for ev.Kind must be registered before the event is due. att is
-// the zero Attachment for all but a few events.
+// the zero Attachment for all but a few events; its Words are copied
+// before Post returns.
 func (e *Engine) Post(at Time, origin int32, ev Event, att Attachment) {
 	if at < e.now {
 		e.panicPast(at, "")
 	}
 	ev.At, ev.key, ev.ref = at, e.key(origin), 0
 	if !att.empty() {
-		ev.ref = e.q.atts.put(att)
+		ev.ref = e.q.parkAtt(att)
 	}
 	e.q.push(ev)
 }
 
 // postFunc queues fn as a KindFunc event.
 func (e *Engine) postFunc(at Time, origin int32, fn func()) {
-	e.q.push(Event{At: at, key: e.key(origin), ref: e.q.fns.put(fn)})
+	e.q.push(Event{At: at, key: e.key(origin), ref: e.q.parkFunc(fn)})
 }
 
 // At schedules fn at the absolute virtual time at. Scheduling in the past

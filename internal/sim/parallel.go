@@ -36,11 +36,13 @@ import (
 // exactly one writer during a window (the source worker) and exactly
 // one reader at the barrier (whoever merges into dst), so side entries
 // move src -> dst at the flush without any two goroutines sharing a
-// free list.
+// free list. Attachment words are copied into the route's words arena
+// when boxed and from there into a destination slot at the merge.
 type outRoute struct {
-	dst  int32
-	box  []Event
-	side []sideEntry
+	dst   int32
+	box   []Event
+	side  []sideEntry
+	words []uint64
 }
 
 // pshard is one shard's private state: clock, queue, and outboxes.
@@ -317,6 +319,13 @@ func (k *Shards) cross(src, dst int, at Time, origin int32, ev Event, side sideE
 	ev.At, ev.key, ev.ref = at, k.key(origin), 0
 	rt := sh.route(int32(dst))
 	if !side.empty() {
+		if n := len(side.att.Words); n > 0 {
+			// The caller's words are a view valid for this call only.
+			// An arena that grows leaves earlier entries on the old
+			// array, which nothing writes to again, so they stay intact.
+			rt.words = append(rt.words, side.att.Words...)
+			side.att.Words = rt.words[len(rt.words)-n:]
+		}
 		rt.side = append(rt.side, side)
 		ev.ref = uint32(len(rt.side))
 	}
@@ -375,9 +384,15 @@ func (rt *outRoute) merge(dst *queue) {
 		}
 		dst.push(ev)
 	}
+	rt.discard()
+}
+
+// discard empties the route, keeping its capacity.
+func (rt *outRoute) discard() {
 	rt.box = rt.box[:0]
 	clear(rt.side)
 	rt.side = rt.side[:0]
+	rt.words = rt.words[:0]
 }
 
 // parallelFlushThreshold is the minimum number of boxed cross-shard
@@ -623,9 +638,7 @@ func (k *Shards) DiscardPending() int {
 		for j := range sh.routes {
 			r := &sh.routes[j]
 			n += len(r.box)
-			r.box = r.box[:0]
-			clear(r.side)
-			r.side = r.side[:0]
+			r.discard()
 		}
 	}
 	return n

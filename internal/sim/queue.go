@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"unsafe"
 )
 
@@ -102,6 +103,13 @@ func (ev Event) Origin() int32 { return int32(ev.key>>counterBits) - 1 }
 // transport sequence number, which the DES never stamps. The zero value
 // means "none" and costs nothing; anything else is parked in the
 // queue's side table until the event executes.
+//
+// Words is a view on both sides of the queue. The posting call copies
+// it into a recycled side-table buffer before it returns, so the caller
+// may hand in memory it goes on mutating (a station's live Use_i). The
+// Handler reads the buffer in place: it is valid until HandleEvent
+// returns and is reused by a later Post after that, so a handler that
+// keeps the words must copy them.
 type Attachment struct {
 	Words []uint64
 	Seq   uint64
@@ -110,7 +118,8 @@ type Attachment struct {
 func (a Attachment) empty() bool { return len(a.Words) == 0 && a.Seq == 0 }
 
 // Handler interprets the events of the kinds it is registered for. att
-// is the zero Attachment unless the event was posted with one.
+// is the zero Attachment unless the event was posted with one; its
+// Words are valid until HandleEvent returns.
 type Handler interface {
 	HandleEvent(ev Event, att Attachment)
 }
@@ -135,33 +144,29 @@ type sideEntry struct {
 func (e sideEntry) empty() bool { return e.fn == nil && e.att.empty() }
 
 // sideTable is a free-listed slab: slots are reused LIFO, so it never
-// grows past the number of entries simultaneously in flight.
+// grows past the number of entries simultaneously in flight. A released
+// slot keeps its value; the func table zeroes its slot itself.
 type sideTable[T any] struct {
 	slots []T
 	free  []uint32
 }
 
-// put parks v and returns its ref (slot + 1).
-func (t *sideTable[T]) put(v T) uint32 {
+// alloc returns the ref (slot + 1) of a free slot.
+func (t *sideTable[T]) alloc() uint32 {
 	if n := len(t.free); n > 0 {
 		slot := t.free[n-1]
 		t.free = t.free[:n-1]
-		t.slots[slot] = v
 		return slot + 1
 	}
-	t.slots = append(t.slots, v)
+	var zero T
+	t.slots = append(t.slots, zero)
 	return uint32(len(t.slots))
 }
 
-// take returns the value behind ref and frees its slot, zeroing it so
-// whatever it referenced can be collected.
-func (t *sideTable[T]) take(ref uint32) T {
-	var zero T
-	v := t.slots[ref-1]
-	t.slots[ref-1] = zero
-	t.free = append(t.free, ref-1)
-	return v
-}
+// at is the slot behind ref; the pointer dies with the next alloc.
+func (t *sideTable[T]) at(ref uint32) *T { return &t.slots[ref-1] }
+
+func (t *sideTable[T]) release(ref uint32) { t.free = append(t.free, ref-1) }
 
 func (t *sideTable[T]) reset() {
 	clear(t.slots)
@@ -173,12 +178,25 @@ func (t *sideTable[T]) reset() {
 // records stored inline in a slice — wider nodes halve the tree depth
 // versus a binary heap, and the value-typed slice avoids the interface
 // boxing container/heap forces on every Push/Pop — plus the side tables
-// for the events that carry a pointer: an event's ref indexes fns when
-// its kind is KindFunc, atts otherwise.
+// for the events that carry more than the record holds: an event's ref
+// indexes fns when its kind is KindFunc, atts otherwise.
 type queue struct {
 	heap []Event
 	fns  sideTable[func()]
-	atts sideTable[Attachment]
+	atts sideTable[attSlot]
+	// attWords is the attachments' word arena, pointer-free like the
+	// heap: slot s owns attWords[s*attStride : (s+1)*attStride]. The
+	// stride is the width of the widest set posted so far — one value
+	// per run, the spectrum's — so slots are fixed-width and recycled
+	// with their table slot.
+	attWords  []uint64
+	attStride int
+}
+
+// attSlot is a parked attachment less its words, which sit in attWords.
+type attSlot struct {
+	seq uint64
+	n   uint32 // words in use, <= attStride
 }
 
 // less orders events by the canonical (at, origin, counter) key.
@@ -244,12 +262,60 @@ func (q *queue) pop() Event {
 	return root
 }
 
+// parkFunc stores fn and returns its ref.
+func (q *queue) parkFunc(fn func()) uint32 {
+	ref := q.fns.alloc()
+	*q.fns.at(ref) = fn
+	return ref
+}
+
+// parkAtt copies att into a free slot of the arena and returns its ref.
+// The arena grows with the table (amortized), so once the table has seen
+// the run's peak of attachments in flight, parking allocates nothing. A
+// handler still reading an older array after a growth is unharmed:
+// nothing writes to that array again.
+func (q *queue) parkAtt(att Attachment) uint32 {
+	n := len(att.Words)
+	if n > q.attStride {
+		q.restride(n)
+	}
+	ref := q.atts.alloc()
+	off := int(ref-1) * q.attStride
+	if need := off + q.attStride; need > len(q.attWords) {
+		q.attWords = slices.Grow(q.attWords, need-len(q.attWords))[:need]
+	}
+	copy(q.attWords[off:], att.Words)
+	*q.atts.at(ref) = attSlot{seq: att.Seq, n: uint32(n)}
+	return ref
+}
+
+// restride widens every slot to stride words (a wider set than any
+// before was posted: at most once per distinct width).
+func (q *queue) restride(stride int) {
+	words := make([]uint64, len(q.atts.slots)*stride, cap(q.atts.slots)*stride)
+	for s, slot := range q.atts.slots {
+		copy(words[s*stride:], q.attWords[s*q.attStride:][:slot.n])
+	}
+	q.attWords, q.attStride = words, stride
+}
+
+// attachment rebuilds the attachment behind ref as a view of the arena.
+func (q *queue) attachment(ref uint32) Attachment {
+	slot := *q.atts.at(ref)
+	if slot.n == 0 {
+		return Attachment{Seq: slot.seq}
+	}
+	off := int(ref-1) * q.attStride
+	end := off + int(slot.n)
+	return Attachment{Words: q.attWords[off:end:end], Seq: slot.seq}
+}
+
 // park stores e in the table ev's kind selects and sets ev's ref.
 func (q *queue) park(ev *Event, e sideEntry) {
 	if ev.Kind == KindFunc {
-		ev.ref = q.fns.put(e.fn)
+		ev.ref = q.parkFunc(e.fn)
 	} else {
-		ev.ref = q.atts.put(e.att)
+		ev.ref = q.parkAtt(e.att)
 	}
 }
 
@@ -260,6 +326,7 @@ func (q *queue) discard() int {
 	q.heap = q.heap[:0]
 	q.fns.reset()
 	q.atts.reset()
+	q.attWords = q.attWords[:0]
 	return n
 }
 
@@ -274,18 +341,26 @@ func (q *queue) reserve(n int) {
 // anything else through the handler registered for its kind.
 func (q *queue) exec(h *handlers, ev Event) {
 	if ev.Kind == KindFunc {
-		q.fns.take(ev.ref)()
+		slot := q.fns.at(ev.ref)
+		fn := *slot
+		*slot = nil // the closure is collectable once it has run
+		q.fns.release(ev.ref)
+		fn()
 		return
-	}
-	var att Attachment
-	if ev.ref != 0 {
-		att = q.atts.take(ev.ref)
 	}
 	hd := h[ev.Kind]
 	if hd == nil {
 		panic(fmt.Sprintf("sim: no handler registered for event kind %d (at %d, origin %d)", ev.Kind, ev.At, ev.Origin()))
 	}
-	hd.HandleEvent(ev, att)
+	if ev.ref == 0 {
+		hd.HandleEvent(ev, Attachment{})
+		return
+	}
+	// The slot is released only after the handler returns: the handler
+	// reads the words in place, and an attachment it posts meanwhile
+	// must land in another slot.
+	hd.HandleEvent(ev, q.attachment(ev.ref))
+	q.atts.release(ev.ref)
 }
 
 // EventSize is the size of one queued event record in bytes (48): what

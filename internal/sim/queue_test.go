@@ -231,3 +231,147 @@ func TestAtOriginAscendingOriginsGrowsGeometrically(t *testing.T) {
 		t.Fatalf("%d ascending origins cost %.0f allocations; the counter slice is being regrown per origin", n, allocs)
 	}
 }
+
+// wordsOf is the attachment a lifetime-test event with tag x carries.
+func wordsOf(x int64) []uint64 { return []uint64{uint64(x), ^uint64(x), uint64(x) * 3} }
+
+func checkWords(t *testing.T, where string, ev Event, att Attachment) {
+	t.Helper()
+	want := wordsOf(ev.T)
+	if len(att.Words) != len(want) || att.Words[0] != want[0] || att.Words[1] != want[1] || att.Words[2] != want[2] || att.Seq != uint64(ev.T) {
+		t.Errorf("%s: event %d read attachment %v seq %d, want %v", where, ev.T, att.Words, att.Seq, want) // not Fatal: shard handlers run off the test goroutine
+	}
+}
+
+// TestAttachmentSlotOutlivesHandler: an attachment's words are a view of
+// a recycled side-table slot, released only after the handler returns.
+// A handler that posts new attachment-carrying events while it handles
+// one — what a station does when a Use snapshot makes it answer with its
+// own — must still read its own snapshot intact afterwards, and every
+// posted snapshot must arrive intact: on Engine, on Shards within a
+// shard, and across a shard boundary through the route arena and
+// outRoute.merge. The poster reuses (and scribbles over) one buffer, as
+// a station's live Use_i is, so any table that kept the caller's slice
+// instead of copying fails too.
+func TestAttachmentSlotOutlivesHandler(t *testing.T) {
+	const events = 20_000
+
+	t.Run("Engine", func(t *testing.T) {
+		e := NewEngine()
+		live := make([]uint64, 3)
+		next := int64(0)
+		post := func() {
+			next++
+			copy(live, wordsOf(next))
+			e.Post(e.Now()+Time(1+next%3), int32(next%5), Event{Kind: KindMessage, T: next}, Attachment{Words: live, Seq: uint64(next)})
+			live[0], live[1], live[2] = 0xdead, 0xdead, 0xdead // the view dies with the call
+		}
+		handled := 0
+		e.Handle(KindMessage, handlerFunc(func(ev Event, att Attachment) {
+			handled++
+			checkWords(t, "before posting", ev, att)
+			if next < events {
+				post()
+				if next-int64(handled) < 16 { // keep a few in flight, not 2^n
+					post() // one lands in a fresh slot, one would take ours were it free
+				}
+			}
+			checkWords(t, "after posting", ev, att)
+		}))
+		post()
+		if !e.Drain(10 * events) {
+			t.Fatal("did not drain")
+		}
+		if handled < events {
+			t.Fatalf("handled %d events, want at least %d", handled, events)
+		}
+		if n := len(e.q.atts.slots); n > 64 {
+			t.Fatalf("attachment table grew to %d slots", n)
+		}
+	})
+
+	t.Run("Shards", func(t *testing.T) {
+		const nShards, T = 4, Time(5)
+		k := NewShards(nShards, T, nShards)
+		// One poster state per shard: handlers of different shards run on
+		// different goroutines.
+		type poster struct {
+			live    []uint64
+			next    int64
+			posted  int
+			handled int
+			_       [64]byte
+		}
+		ps := make([]poster, nShards)
+		for s := range ps {
+			ps[s] = poster{live: make([]uint64, 3), next: int64(s) << 32}
+		}
+		post := func(s, dst int) {
+			p := &ps[s]
+			p.next++
+			p.posted++
+			copy(p.live, wordsOf(p.next))
+			ev, att := Event{Kind: KindMessage, Cell: int32(dst), T: p.next}, Attachment{Words: p.live, Seq: uint64(p.next)}
+			k.PostCross(s, dst, k.Now(s)+T+Time(p.next%3), int32(s), ev, att)
+			p.live[0], p.live[1], p.live[2] = 0xdead, 0xdead, 0xdead
+		}
+		k.Handle(KindMessage, handlerFunc(func(ev Event, att Attachment) {
+			s := int(ev.Cell)
+			p := &ps[s]
+			p.handled++
+			checkWords(t, "before posting", ev, att)
+			if p.handled < events/nShards {
+				post(s, (s+1)%nShards) // across the boundary: route arena, then merge
+				if p.posted-p.handled < 16 {
+					post(s, s) // same shard: straight into this shard's table
+				}
+			}
+			checkWords(t, "after posting", ev, att)
+		}))
+		for s := 0; s < nShards; s++ {
+			post(s, s)
+		}
+		if !k.Drain(2, 100*events) {
+			t.Fatal("did not drain")
+		}
+		for s := range ps {
+			if ps[s].handled < events/nShards {
+				t.Fatalf("shard %d handled %d events", s, ps[s].handled)
+			}
+			q := &k.shards[s].q
+			if len(q.atts.free) != len(q.atts.slots) {
+				t.Fatalf("shard %d: %d of %d attachment slots still held after the drain", s, len(q.atts.slots)-len(q.atts.free), len(q.atts.slots))
+			}
+		}
+	})
+}
+
+// TestAttachmentRestride: a wider set than any posted before re-strides
+// the arena without disturbing the parked ones.
+func TestAttachmentRestride(t *testing.T) {
+	e := NewEngine()
+	var got [][]uint64
+	e.Handle(KindMessage, handlerFunc(func(_ Event, att Attachment) {
+		got = append(got, append([]uint64(nil), att.Words...))
+	}))
+	e.Post(1, 0, Event{Kind: KindMessage}, Attachment{Words: []uint64{1}})
+	e.Post(2, 0, Event{Kind: KindMessage}, Attachment{Words: []uint64{2, 3}})
+	e.Post(3, 0, Event{Kind: KindMessage}, Attachment{Seq: 9})
+	e.Post(4, 0, Event{Kind: KindMessage}, Attachment{Words: []uint64{4, 5, 6, 7}})
+	e.Post(5, 0, Event{Kind: KindMessage}, Attachment{Words: []uint64{8}})
+	e.Drain(10)
+	want := [][]uint64{{1}, {2, 3}, nil, {4, 5, 6, 7}, {8}}
+	if len(got) != len(want) {
+		t.Fatalf("handled %d events", len(got))
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("event %d: words %v, want %v", i, got[i], want[i])
+		}
+		for j := range want[i] {
+			if got[i][j] != want[i][j] {
+				t.Fatalf("event %d: words %v, want %v", i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -64,7 +64,9 @@ func NewDES(engine *sim.Engine, latency, jitter sim.Time, rand *sim.Rand) *DES {
 // sender as the event origin. The two fields that do not fit the flat
 // record — the Use set of ResSearch/ResStatus responses and the
 // reliability layer's sequence number, which no DES path stamps — ride
-// in the attachment, which is zero (and free) for everything else.
+// in the attachment, which is zero (and free) for everything else. The
+// attachment's words alias m.Use; the kernel's Post copies them into a
+// side-table buffer, which is the one copy alloc.Env.Send promises.
 func EventOf(m message.Message) (sim.Event, sim.Attachment) {
 	return sim.Event{
 			Kind: sim.KindMessage,
@@ -77,7 +79,8 @@ func EventOf(m message.Message) (sim.Event, sim.Attachment) {
 		sim.Attachment{Words: m.Use.Words(), Seq: m.Seq}
 }
 
-// MessageOf rebuilds the message EventOf flattened.
+// MessageOf rebuilds the message EventOf flattened. Its Use is a view of
+// the side-table buffer, valid until the handler returns.
 func MessageOf(ev sim.Event, att sim.Attachment) message.Message {
 	return message.Message{
 		Kind: message.Kind(ev.Tag[0]),
