@@ -215,6 +215,10 @@ func buildParts(sc Scenario) (*hexgrid.Grid, *chanset.Assignment, registry.Confi
 	if sc.LatencyTicks == 0 {
 		sc.LatencyTicks = 10
 	}
+	// Refuse a grid the event kernel cannot address before building it.
+	if err := sim.CheckOrigins(sc.GridWidth * sc.GridHeight); err != nil {
+		return nil, nil, registry.Config{}, sc, fmt.Errorf("adca: grid %dx%d: %w", sc.GridWidth, sc.GridHeight, err)
+	}
 	grid, err := hexgrid.New(hexgrid.Config{
 		Shape: hexgrid.Rect,
 		Width: sc.GridWidth, Height: sc.GridHeight,
@@ -504,6 +508,14 @@ func networkStats(st driver.Stats) Stats {
 	}
 }
 
+// KernelFootprint is what the event kernel's queues hold and have held:
+// bytes and pages per table, and the high-water marks of the queue.
+type KernelFootprint = sim.Footprint
+
+// KernelFootprint reports the event kernel's memory and queue
+// high-water marks (with Obs, also the adca_kernel_* gauges).
+func (n *Network) KernelFootprint() KernelFootprint { return n.sim.Engine().Footprint() }
+
 // Metrics snapshots every registered metric as exposition-style keys
 // (e.g. `adca_grants_total{path="local"}`). Nil when the scenario did
 // not enable Obs.
@@ -772,3 +784,7 @@ func (n *ParallelNetwork) RunWorkload(w Workload) (WorkloadStats, error) {
 
 // Stats returns the aggregate statistics so far.
 func (n *ParallelNetwork) Stats() Stats { return networkStats(n.p.Stats()) }
+
+// KernelFootprint reports the sharded event kernel's memory and queue
+// high-water marks, summed over shards. Not during a run.
+func (n *ParallelNetwork) KernelFootprint() KernelFootprint { return n.p.Kernel().Footprint() }

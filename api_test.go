@@ -39,6 +39,10 @@ func TestScenarioValidation(t *testing.T) {
 			Adaptive: &adca.AdaptiveParams{ThetaLow: 1, ThetaHigh: 3},
 		}, "WindowTicks"},
 		{"unknown scheme", adca.Scenario{Scheme: "nope"}, "unknown scheme"},
+		// One cell past what the event kernel's packed key addresses
+		// (4096 x 4096 = 2^24): refused before the grid is built.
+		{"grid too large", adca.Scenario{GridWidth: 4096, GridHeight: 4096}, "16777215 origins"},
+		{"square grid too large", adca.Scenario{GridWidth: 4097}, "16777215 origins"},
 	}
 	for _, c := range cases {
 		_, err := adca.New(c.sc)
@@ -48,6 +52,9 @@ func TestScenarioValidation(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
+		}
+		if _, perr := adca.NewParallel(c.sc); perr == nil || perr.Error() != err.Error() {
+			t.Errorf("%s: NewParallel says %v, New says %v", c.name, perr, err)
 		}
 	}
 }

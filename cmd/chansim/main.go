@@ -29,7 +29,11 @@
 // -memprofile writes a heap profile once the run has finished, after a
 // runtime.GC() and with the network still live, so inuse_space is the
 // simulator's steady footprint by allocation site (`go tool pprof
-// -sample_index=inuse_space -top`). Both work with -shards.
+// -sample_index=inuse_space -top`); -exectrace writes a runtime/trace
+// execution trace of the whole run (`go tool trace`: goroutines per
+// shard worker, barrier waits, GC). All three work with -shards. The
+// report's "kernel" lines are the event kernel's own account of its
+// memory (sim.Footprint), no profile needed.
 //
 // Performance: -bench runs the measurement harness instead of a
 // scenario and emits a BENCH_*.json document (per-event kernel cost,
@@ -48,6 +52,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"runtime/trace"
 	"strings"
 	"time"
 
@@ -93,12 +98,14 @@ func main() {
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file after the run (after a GC, the network still live)")
+		execTrace  = flag.String("exectrace", "", "write a runtime/trace execution trace of the run to this file")
 	)
 	flag.Parse()
-	stopCPUProfile := startCPUProfile(*cpuProfile)
+	stopCPU, stopTrace := startCPUProfile(*cpuProfile), startExecTrace(*execTrace)
+	stopProfiles := func() { stopCPU(); stopTrace() }
 	if *bench {
 		runBench(*workers, *benchQuick, *benchOnly, *benchOut)
-		stopCPUProfile()
+		stopProfiles()
 		return
 	}
 	if *height == 0 {
@@ -239,7 +246,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		stopCPUProfile()
+		stopProfiles()
 		writeHeapProfile(*memProfile, pnet)
 		st := pnet.Stats()
 		scheme := sc.Scheme
@@ -248,6 +255,7 @@ func main() {
 		}
 		fmt.Printf("driver            parallel (%d shards)\n", *shards)
 		printReport(scheme, ws, st, sc.LatencyTicks)
+		printKernel(pnet.KernelFootprint())
 		return
 	}
 	if *metricsAddr != "" || *journalPath != "" {
@@ -281,10 +289,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	stopCPUProfile()
+	stopProfiles()
 	writeHeapProfile(*memProfile, net)
 	fmt.Printf("cells / channels  %d / %d\n", net.NumCells(), net.NumChannels())
 	printReport(net.Scheme(), ws, net.Stats(), sc.LatencyTicks)
+	printKernel(net.KernelFootprint())
 	if addr := net.MetricsAddr(); addr != "" && *linger > 0 {
 		fmt.Printf("metrics           lingering at http://%s/metrics for %v\n", addr, *linger)
 		time.Sleep(*linger)
@@ -317,6 +326,38 @@ func printReport(scheme string, ws adca.WorkloadStats, st adca.Stats, latencyTic
 			float64(st.SearchGrants)/float64(grants))
 	}
 	fmt.Printf("invariant         ok (no co-channel interference)\n")
+}
+
+// printKernel renders the event kernel's own account of what it holds.
+func printKernel(f adca.KernelFootprint) {
+	const mb = 1 << 20
+	fmt.Printf("kernel memory     heap %.1f MB (%d pages), attachments %.1f MB (%d pages), funcs %.1f MB, routes %.1f MB\n",
+		float64(f.HeapBytes)/mb, f.HeapPages, float64(f.AttBytes)/mb, f.AttPages, float64(f.SideBytes)/mb, float64(f.RouteBytes)/mb)
+	fmt.Printf("kernel queue      peak %d records for %d events pending; %d records popped\n",
+		f.PeakRecords, f.PeakEvents, f.Pops)
+}
+
+// startExecTrace starts a runtime/trace execution trace into path and
+// returns the function that finishes it; with no path both do nothing.
+func startExecTrace(path string) (stop func()) {
+	if path == "" {
+		return func() {}
+	}
+	f, err := os.Create(path)
+	if err == nil {
+		err = trace.Start(f)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "chansim: -exectrace:", err)
+		os.Exit(1)
+	}
+	return func() {
+		trace.Stop()
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "chansim: -exectrace:", err)
+			os.Exit(1)
+		}
+	}
 }
 
 // startCPUProfile starts a CPU profile into path and returns the

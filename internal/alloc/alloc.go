@@ -7,6 +7,8 @@
 package alloc
 
 import (
+	"math/bits"
+
 	"repro/internal/chanset"
 	"repro/internal/hexgrid"
 	"repro/internal/message"
@@ -38,6 +40,9 @@ type Env interface {
 	// words into a recycled side-table buffer, the live runtimes clone).
 	// Symmetrically, the Use of a message passed to Allocator.Handle is
 	// valid only until Handle returns; a scheme that keeps it clones it.
+	//
+	// An Env may also offer Multicaster, one call for a send to many
+	// neighbors; schemes use it through Broadcast and Multicast.
 	Send(m message.Message)
 	// Began reports that request id left the station queue and protocol
 	// work started (separates queueing delay from acquisition delay).
@@ -217,11 +222,53 @@ func (s *Serial) drain() {
 	s.draining = false
 }
 
-// Broadcast sends a copy of m to every cell in targets, stamping To.
-func Broadcast(env Env, m message.Message, targets []hexgrid.CellID) {
-	for _, to := range targets {
-		mm := m
-		mm.To = to
-		env.Send(mm)
+// Multicaster is an optional capability of an Env (discovered by type
+// assertion, so an Env need not have it): a runtime that can carry one
+// message to many neighbors more cheaply than as separate Sends — the
+// DES drivers queue one event record per destination shard instead of
+// one per destination — implements it; the live and TCP runtimes do
+// not, and callers reach either through Broadcast and Multicast below.
+type Multicaster interface {
+	// Multicast sends m, with To stamped, to every neighbor whose index
+	// i in Neighbors() has bit i%64 of mask[i/64] set — to all of them
+	// when mask is nil — exactly as that many Sends in ascending index
+	// order would: the same deliveries in the same order, the same
+	// message counts, the same treatment of m.Use as a view, and nothing
+	// at all where Send would have sent nothing.
+	Multicast(m message.Message, mask []uint64)
+}
+
+// Broadcast sends a copy of m to every interference neighbor, stamping
+// To.
+func Broadcast(env Env, m message.Message) { Multicast(env, m, nil) }
+
+// Multicast sends a copy of m to the neighbors mask selects (see
+// Multicaster; nil selects all), in neighbor order: through the Env's
+// Multicaster capability when it has one, by Send otherwise.
+func Multicast(env Env, m message.Message, mask []uint64) {
+	if mc, ok := env.(Multicaster); ok {
+		mc.Multicast(m, mask)
+		return
+	}
+	SendEach(env, m, mask)
+}
+
+// SendEach is Multicast by one Send per neighbor: what an Env without
+// the capability gets, and what one with it falls back to for a message
+// it has to treat per destination.
+func SendEach(env Env, m message.Message, mask []uint64) {
+	neighbors := env.Neighbors()
+	if mask == nil {
+		for _, to := range neighbors {
+			m.To = to
+			env.Send(m)
+		}
+		return
+	}
+	for wi, word := range mask {
+		for ; word != 0; word &= word - 1 {
+			m.To = neighbors[wi*64+bits.TrailingZeros64(word)]
+			env.Send(m)
+		}
 	}
 }

@@ -234,12 +234,10 @@ func (v *AdvUpdate) finish(granted bool, ch chanset.Channel, local bool) {
 		}
 		// Every acquisition is broadcast so neighborhood views stay
 		// current (the +2N term of Table 1, with the release).
-		for _, j := range v.neighbors {
-			v.env.Send(message.Message{
-				Kind: message.Acquisition, Acq: message.AcqNonSearch,
-				From: v.cell, To: j, Ch: ch,
-			})
-		}
+		alloc.Broadcast(v.env, message.Message{
+			Kind: message.Acquisition, Acq: message.AcqNonSearch,
+			From: v.cell, Ch: ch,
+		})
 		v.env.Granted(id, ch)
 	} else {
 		v.counters.Drops++
@@ -258,11 +256,7 @@ func (v *AdvUpdate) Release(ch chanset.Channel) error {
 		return fmt.Errorf("advupdate: cell %d releasing unheld channel %d", v.cell, ch)
 	}
 	v.use.Remove(ch)
-	for _, j := range v.neighbors {
-		v.env.Send(message.Message{
-			Kind: message.Release, From: v.cell, To: j, Ch: ch,
-		})
-	}
+	alloc.Broadcast(v.env, message.Message{Kind: message.Release, From: v.cell, Ch: ch})
 	return nil
 }
 

@@ -135,11 +135,11 @@ func (p *PSearch) begin(id alloc.RequestID) {
 	p.awaiting = make(map[hexgrid.CellID]bool, len(p.neighbors))
 	for _, j := range p.neighbors {
 		p.awaiting[j] = true
-		p.env.Send(message.Message{
-			Kind: message.Request, Req: message.ReqSearch,
-			From: p.cell, To: j, Ch: chanset.NoChannel, TS: p.reqTS,
-		})
 	}
+	alloc.Broadcast(p.env, message.Message{
+		Kind: message.Request, Req: message.ReqSearch,
+		From: p.cell, Ch: chanset.NoChannel, TS: p.reqTS,
+	})
 	if len(p.awaiting) == 0 {
 		p.decide()
 	}

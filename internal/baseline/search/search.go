@@ -80,11 +80,11 @@ func (s *Search) begin(id alloc.RequestID) {
 	s.awaiting = make(map[hexgrid.CellID]bool, len(s.neighbors))
 	for _, j := range s.neighbors {
 		s.awaiting[j] = true
-		s.env.Send(message.Message{
-			Kind: message.Request, Req: message.ReqSearch,
-			From: s.cell, To: j, Ch: chanset.NoChannel, TS: s.reqTS,
-		})
 	}
+	alloc.Broadcast(s.env, message.Message{
+		Kind: message.Request, Req: message.ReqSearch,
+		From: s.cell, Ch: chanset.NoChannel, TS: s.reqTS,
+	})
 	if len(s.awaiting) == 0 {
 		s.complete()
 	}

@@ -141,11 +141,11 @@ func (u *Update) attempt() {
 	u.awaiting = make(map[hexgrid.CellID]bool, len(u.neighbors))
 	for _, j := range u.neighbors {
 		u.awaiting[j] = true
-		u.env.Send(message.Message{
-			Kind: message.Request, Req: message.ReqUpdate,
-			From: u.cell, To: j, Ch: ch, TS: u.reqTS,
-		})
 	}
+	alloc.Broadcast(u.env, message.Message{
+		Kind: message.Request, Req: message.ReqUpdate,
+		From: u.cell, Ch: ch, TS: u.reqTS,
+	})
 	if len(u.awaiting) == 0 {
 		u.resolve()
 	}
@@ -170,12 +170,10 @@ func (u *Update) finish(granted bool, ch chanset.Channel) {
 		u.use.Add(ch)
 		u.counters.GrantsUpdate++
 		// Inform the whole region so local views stay current.
-		for _, j := range u.neighbors {
-			u.env.Send(message.Message{
-				Kind: message.Acquisition, Acq: message.AcqNonSearch,
-				From: u.cell, To: j, Ch: ch,
-			})
-		}
+		alloc.Broadcast(u.env, message.Message{
+			Kind: message.Acquisition, Acq: message.AcqNonSearch,
+			From: u.cell, Ch: ch,
+		})
 		u.env.Granted(id, ch)
 	} else {
 		u.counters.Drops++
@@ -194,11 +192,7 @@ func (u *Update) Release(ch chanset.Channel) error {
 		return fmt.Errorf("update: cell %d releasing unheld channel %d", u.cell, ch)
 	}
 	u.use.Remove(ch)
-	for _, j := range u.neighbors {
-		u.env.Send(message.Message{
-			Kind: message.Release, From: u.cell, To: j, Ch: ch,
-		})
-	}
+	alloc.Broadcast(u.env, message.Message{Kind: message.Release, From: u.cell, Ch: ch})
 	return nil
 }
 

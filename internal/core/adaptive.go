@@ -534,16 +534,12 @@ func (a *Adaptive) checkMode() {
 		a.mode = ModeBorrow
 		a.counters.ModeChanges++
 		a.modeEvent(ModeLocal, ModeBorrow, next)
-		alloc.Broadcast(a.env, message.Message{
-			Kind: message.ChangeMode, From: a.cell, Mode: message.ModeBorrowing,
-		}, a.neighbors)
+		alloc.Broadcast(a.env, message.Message{Kind: message.ChangeMode, From: a.cell, Mode: message.ModeBorrowing})
 	case a.mode == ModeBorrow && next >= p.ThetaHigh && a.req == nil:
 		a.mode = ModeLocal
 		a.counters.ModeChanges++
 		a.modeEvent(ModeBorrow, ModeLocal, next)
-		alloc.Broadcast(a.env, message.Message{
-			Kind: message.ChangeMode, From: a.cell, Mode: message.ModeLocal,
-		}, a.neighbors)
+		alloc.Broadcast(a.env, message.Message{Kind: message.ChangeMode, From: a.cell, Mode: message.ModeLocal})
 	}
 }
 

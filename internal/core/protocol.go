@@ -116,7 +116,7 @@ func (a *Adaptive) forceBorrow() {
 	a.mode = ModeBorrow
 	a.counters.ModeChanges++
 	a.modeEvent(ModeLocal, ModeBorrow, 0)
-	broadcast(a, message.Message{Kind: message.ChangeMode, Mode: message.ModeBorrowing})
+	alloc.Broadcast(a.env, message.Message{Kind: message.ChangeMode, From: a.cell, Mode: message.ModeBorrowing})
 }
 
 // stallEvent instruments one quiescence stall (a request parked in
@@ -170,8 +170,8 @@ func (a *Adaptive) dispatchBorrow() {
 		a.awaitAll()
 		r.granted = r.granted[:0]
 		r.rejected = false
-		broadcast(a, message.Message{
-			Kind: message.Request, Req: message.ReqUpdate, Ch: ch, TS: r.ts,
+		alloc.Broadcast(a.env, message.Message{
+			Kind: message.Request, From: a.cell, Req: message.ReqUpdate, Ch: ch, TS: r.ts,
 		})
 		if a.awaitN == 0 {
 			a.completeGrants()
@@ -189,8 +189,8 @@ func (a *Adaptive) dispatchBorrow() {
 	}
 	r.ph = phaseSearch
 	a.awaitAll()
-	broadcast(a, message.Message{
-		Kind: message.Request, Req: message.ReqSearch, Ch: chanset.NoChannel, TS: r.ts,
+	alloc.Broadcast(a.env, message.Message{
+		Kind: message.Request, From: a.cell, Req: message.ReqSearch, Ch: chanset.NoChannel, TS: r.ts,
 	})
 	if a.awaitN == 0 {
 		a.completeSearch()
@@ -292,8 +292,8 @@ func (a *Adaptive) acquire(ch chanset.Channel) {
 		// The grant round already informed the whole neighborhood.
 		a.mode = ModeBorrow
 	case ModeBorrowSearch:
-		broadcast(a, message.Message{
-			Kind: message.Acquisition, Acq: message.AcqSearch, Ch: ch,
+		alloc.Broadcast(a.env, message.Message{
+			Kind: message.Acquisition, From: a.cell, Acq: message.AcqSearch, Ch: ch,
 		})
 		a.mode = ModeBorrow
 	}
@@ -361,7 +361,7 @@ func (a *Adaptive) Release(ch chanset.Channel) error {
 		if b := borrowed.First(); b.Valid() {
 			a.remove(setUse, b)
 			a.env.Moved(b, ch) // ch stays in use, now carrying b's call
-			broadcast(a, message.Message{Kind: message.Release, Ch: b})
+			alloc.Broadcast(a.env, message.Message{Kind: message.Release, From: a.cell, Ch: b})
 			a.checkMode()
 			return nil
 		}
@@ -375,7 +375,7 @@ func (a *Adaptive) Release(ch chanset.Channel) error {
 		// that informed the whole interference region; release them the
 		// same way even from local mode, or their owners' grant records
 		// would go stale forever (DESIGN.md D10).
-		broadcast(a, message.Message{Kind: message.Release, Ch: ch})
+		alloc.Broadcast(a.env, message.Message{Kind: message.Release, From: a.cell, Ch: ch})
 	}
 	a.checkMode()
 	return nil
@@ -765,24 +765,9 @@ func (a *Adaptive) awaitClear(k int) {
 	}
 }
 
-// broadcast sends m (From filled in) to every interference neighbor.
-func broadcast(a *Adaptive, m message.Message) {
-	m.From = a.cell
-	for _, j := range a.neighbors {
-		mm := m
-		mm.To = j
-		a.env.Send(mm)
-	}
-}
-
 // sendUpdateS sends m (From filled in) to every neighbor in UpdateS_i,
 // in neighbor order.
 func (a *Adaptive) sendUpdateS(m message.Message) {
 	m.From = a.cell
-	for wi, word := range a.mask(maskUpdateS) {
-		for ; word != 0; word &= word - 1 {
-			m.To = a.neighbors[wi*64+bits.TrailingZeros64(word)]
-			a.env.Send(m)
-		}
-	}
+	alloc.Multicast(a.env, m, a.mask(maskUpdateS))
 }

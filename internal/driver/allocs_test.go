@@ -181,6 +181,63 @@ func TestUseSnapshotRoundAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestMulticastRoundAllocatesNothing: a broadcast ACQUISITION and the
+// RELEASE that undoes it — fan post, pop-side expansion, core's Handle at
+// each of the 18 neighbors — is zero allocations on both drivers, and
+// counts 18 messages per broadcast in one step.
+func TestMulticastRoundAllocatesNothing(t *testing.T) {
+	skipUnderRace(t)
+	g, assign, tap := adaptiveTap(t)
+	from := g.InteriorCell()
+	ch := assign.Primary[from].First()
+	perRound := uint64(2 * len(g.Interference(from)))
+	broadcasts := func(env alloc.Env) {
+		if _, ok := env.(alloc.Multicaster); !ok {
+			t.Fatalf("%T does not offer alloc.Multicaster", env)
+		}
+		alloc.Broadcast(env, message.Message{Kind: message.Acquisition, Acq: message.AcqNonSearch, Ch: ch})
+		alloc.Broadcast(env, message.Message{Kind: message.Release, Ch: ch})
+	}
+
+	s := driver.New(g, assign, tap, driver.Options{Latency: 10, Seed: 1})
+	env := tap.envs[from]
+	round := func() {
+		broadcasts(env)
+		if !s.Drain(64) {
+			t.Fatal("serial driver did not drain")
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(500, round); allocs != 0 {
+		t.Errorf("serial driver: %.1f allocations per broadcast round, want 0", allocs)
+	}
+	if st, fp := s.Stats().Messages, s.Engine().Footprint(); st.Total != perRound*502 || st.ByKind[message.Release] != perRound/2*502 || fp.Pops != 2*502 {
+		t.Fatalf("serial driver carried %d messages (%d releases) in %d records, want %d (%d) in %d", st.Total, st.ByKind[message.Release], fp.Pops, perRound*502, perRound/2*502, 2*502)
+	}
+
+	for _, shards := range []int{1, 7} { // one shard, and a neighborhood spread over three
+		p, err := driver.NewParallel(g, assign, tap, driver.ParallelOptions{Latency: 10, Seed: 1, Shards: shards, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := tap.envs[from]
+		round := func() {
+			broadcasts(env)
+			if !p.Drain(64) {
+				t.Fatal("sharded driver did not drain")
+			}
+		}
+		round()
+		if allocs := testing.AllocsPerRun(500, round); allocs != 0 {
+			t.Errorf("sharded driver, %d shards: %.1f allocations per broadcast round, want 0", shards, allocs)
+		}
+		st, fp := p.Stats().Messages, p.Kernel().Footprint()
+		if st.Total != perRound*502 || fp.Pops < 2*502 || fp.Pops > 2*5*502 {
+			t.Fatalf("sharded driver, %d shards: carried %d messages in %d records, want %d in a few per broadcast", shards, st.Total, fp.Pops, perRound*502)
+		}
+	}
+}
+
 // TestCheckerAllocatesNothing: the Theorem-1 checker reads every cell's
 // in-use set through a borrowed view.
 func TestCheckerAllocatesNothing(t *testing.T) {

@@ -143,6 +143,20 @@ type simObs struct {
 	outstanding *obs.Gauge
 	acquire     *obs.Histogram
 	journal     *obs.Journal
+	// The event kernel's footprint (sim.Footprint), set whenever the
+	// kernel parks — the end of Run, Drain and DrainUntil — rather than
+	// read by a collector: the queues are not safe to walk mid-run.
+	kernelBytes *obs.GaugeVec
+	kernelPages *obs.GaugeVec
+	kernelPeak  *obs.GaugeVec
+}
+
+// gridFanout resolves the kernel's fan records against the grid's
+// interference lists: the lists alloc.Env.Neighbors hands the schemes.
+type gridFanout struct{ grid *hexgrid.Grid }
+
+func (f gridFanout) Neighbor(origin int32, i int) int32 {
+	return int32(f.grid.Interference(hexgrid.CellID(origin))[i])
 }
 
 func (o *simObs) bind(r *obs.Registry, j *obs.Journal, latency sim.Time) {
@@ -162,6 +176,28 @@ func (o *simObs) bind(r *obs.Registry, j *obs.Journal, latency sim.Time) {
 	o.acquire = r.Histogram("adca_acquire_ticks",
 		"Acquisition (protocol) delay of granted requests, in ticks.",
 		[]float64{t / 2, t, 2 * t, 4 * t, 8 * t, 16 * t, 32 * t, 64 * t})
+	o.kernelBytes = r.GaugeVec("adca_kernel_bytes",
+		"Memory the event kernel's tables hold, as of the last time it parked.", "table")
+	o.kernelPages = r.GaugeVec("adca_kernel_pages",
+		"Pages the event kernel's paged tables hold, as of the last time it parked.", "table")
+	o.kernelPeak = r.GaugeVec("adca_kernel_peak_pending",
+		"High-water mark of the event queues: records queued, and the events they stood for.", "unit")
+}
+
+// footprint publishes kernel's footprint; a no-op without a registry.
+func (o *simObs) footprint(kernel interface{ Footprint() sim.Footprint }) {
+	if o.kernelBytes == nil {
+		return
+	}
+	f := kernel.Footprint()
+	o.kernelBytes.With("heap").Set(float64(f.HeapBytes))
+	o.kernelBytes.With("attachments").Set(float64(f.AttBytes))
+	o.kernelBytes.With("funcs").Set(float64(f.SideBytes))
+	o.kernelBytes.With("routes").Set(float64(f.RouteBytes))
+	o.kernelPages.With("heap").Set(float64(f.HeapPages))
+	o.kernelPages.With("attachments").Set(float64(f.AttPages))
+	o.kernelPeak.With("records").Set(float64(f.PeakRecords))
+	o.kernelPeak.With("events").Set(float64(f.PeakEvents))
 }
 
 // pendingReq is one in-flight request. Its completion is either cb, a
@@ -215,7 +251,11 @@ var callKinds = [...]sim.Kind{sim.KindArrival, sim.KindRelease, sim.KindDepart, 
 // New wires a simulation. The factory builds one allocator per cell.
 func New(grid *hexgrid.Grid, assign *chanset.Assignment, factory alloc.Factory, opts Options) *Sim {
 	opts.applyDefaults()
+	if err := sim.CheckOrigins(grid.NumCells()); err != nil {
+		panic("driver: " + err.Error())
+	}
 	engine := sim.NewEngine()
+	engine.SetFanout(gridFanout{grid})
 	var jr *sim.Rand
 	if opts.Jitter > 0 {
 		jr = sim.Substream(opts.Seed, 0xfeed)
@@ -382,17 +422,26 @@ func (s *Sim) Release(cell hexgrid.CellID, ch chanset.Channel) {
 }
 
 // Run advances virtual time to until, executing all due events.
-func (s *Sim) Run(until sim.Time) { s.engine.Run(until) }
+func (s *Sim) Run(until sim.Time) {
+	s.engine.Run(until)
+	s.obs.footprint(s.engine)
+}
 
 // Drain runs to quiescence with a backstop; it reports whether the event
 // queue emptied.
-func (s *Sim) Drain(maxEvents uint64) bool { return s.engine.Drain(maxEvents) }
+func (s *Sim) Drain(maxEvents uint64) bool {
+	drained := s.engine.Drain(maxEvents)
+	s.obs.footprint(s.engine)
+	return drained
+}
 
 // DrainUntil executes every event at or before cutoff and parks the
 // clock there, leaving later events queued for ForceQuiesce. It reports
 // whether all due events ran (false only on the maxEvents backstop).
 func (s *Sim) DrainUntil(cutoff sim.Time, maxEvents uint64) bool {
-	return s.engine.DrainUntil(cutoff, maxEvents)
+	done := s.engine.DrainUntil(cutoff, maxEvents)
+	s.obs.footprint(s.engine)
+	return done
 }
 
 // ForceQuiesce terminates a truncated run at the current clock: it
@@ -568,6 +617,21 @@ func (e *cellEnv) Send(m message.Message) {
 	}
 	e.sim.obs.messages.Inc()
 	e.sim.net.Send(m)
+}
+
+// Multicast implements alloc.Multicaster: one fan record on the engine
+// where the transport can carry m that way, a Send each where it cannot.
+func (e *cellEnv) Multicast(m message.Message, mask []uint64) {
+	if e.sim.teardown {
+		return
+	}
+	m.From = e.cell
+	sent, ok := e.sim.net.Multicast(m, len(e.Neighbors()), mask)
+	if !ok {
+		alloc.SendEach(e, m, mask)
+		return
+	}
+	e.sim.obs.messages.Add(uint64(sent))
 }
 
 func (e *cellEnv) After(d sim.Time, fn func()) { e.sim.engine.AfterOrigin(d, int32(e.cell), fn) }

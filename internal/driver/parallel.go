@@ -28,6 +28,7 @@ package driver
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sort"
 
@@ -174,6 +175,9 @@ func NewParallel(grid *hexgrid.Grid, assign *chanset.Assignment, factory alloc.F
 	if opts.Latency < 1 {
 		return nil, fmt.Errorf("driver: parallel kernel needs latency >= 1, got %d", opts.Latency)
 	}
+	if err := sim.CheckOrigins(cells); err != nil {
+		return nil, fmt.Errorf("driver: %w", err)
+	}
 	part, err := grid.Partition(opts.Shards)
 	if err != nil {
 		return nil, err
@@ -200,6 +204,7 @@ func NewParallel(grid *hexgrid.Grid, assign *chanset.Assignment, factory alloc.F
 		}
 	}
 	p.kernel.Handle(sim.KindMessage, p)
+	p.kernel.SetFanout(gridFanout{grid})
 	p.obs.bind(opts.Obs, nil, opts.Latency)
 	p.allocs = make([]alloc.Allocator, cells)
 	for i := range p.allocs {
@@ -395,12 +400,17 @@ func (p *Parallel) ActiveCalls() uint64 {
 }
 
 // Run advances all shards in lockstep windows to until.
-func (p *Parallel) Run(until sim.Time) { p.kernel.Run(p.opts.Workers, until) }
+func (p *Parallel) Run(until sim.Time) {
+	p.kernel.Run(p.opts.Workers, until)
+	p.obs.footprint(p.kernel)
+}
 
 // Drain runs to quiescence with a backstop; it reports whether every
 // queue emptied.
 func (p *Parallel) Drain(maxEvents uint64) bool {
-	return p.kernel.Drain(p.opts.Workers, maxEvents)
+	drained := p.kernel.Drain(p.opts.Workers, maxEvents)
+	p.obs.footprint(p.kernel)
+	return drained
 }
 
 // DrainUntil executes every event at or before cutoff — window
@@ -409,7 +419,9 @@ func (p *Parallel) Drain(maxEvents uint64) bool {
 // events queued for ForceQuiesce. It reports whether all due events ran
 // (false only on the maxEvents backstop).
 func (p *Parallel) DrainUntil(cutoff sim.Time, maxEvents uint64) bool {
-	return p.kernel.DrainUntil(p.opts.Workers, cutoff, maxEvents)
+	done := p.kernel.DrainUntil(p.opts.Workers, cutoff, maxEvents)
+	p.obs.footprint(p.kernel)
+	return done
 }
 
 // ForceQuiesce terminates a truncated run at the current clock with the
@@ -679,6 +691,44 @@ func (e *pcellEnv) Send(m message.Message) {
 	}
 	ev, att := transport.EventOf(m)
 	p.kernel.PostCross(e.shard, p.part.ShardOf(m.To), at, int32(e.cell), ev, att)
+}
+
+// Multicast implements alloc.Multicaster. The destinations of one send
+// that live in one shard are consecutive in send order — so they hold
+// consecutive counters of the sender — and go out as one fan record per
+// maximal such run (one per destination shard: neighbour lists are
+// sorted and shards are contiguous id ranges, though the grouping does
+// not rely on it). With jitter or the codec on, every destination has
+// its own due time, RNG draw and round trip, and a message carrying an
+// attachment parks one per destination: those go out by Send.
+func (e *pcellEnv) Multicast(m message.Message, mask []uint64) {
+	p := e.p
+	ev, att := transport.EventOf(m)
+	neighbors := e.Neighbors()
+	if p.opts.Jitter > 0 || p.opts.Wire || !att.Empty() || len(neighbors) > sim.MaxFanNeighbors {
+		alloc.SendEach(e, m, mask)
+		return
+	}
+	if p.teardown {
+		return
+	}
+	at := p.kernel.Now(e.shard) + p.opts.Latency
+	sent := 0
+	for w := 0; w*64 < len(neighbors); w++ {
+		word := sim.FanWord(mask, len(neighbors), w)
+		sent += bits.OnesCount64(word)
+		for word != 0 {
+			dst := p.part.ShardOf(neighbors[w*64+bits.TrailingZeros64(word)])
+			run := word & -word
+			for rest := word &^ run; rest != 0 && p.part.ShardOf(neighbors[w*64+bits.TrailingZeros64(rest)]) == dst; rest &= rest - 1 {
+				run |= rest & -rest
+			}
+			p.kernel.PostFan(e.shard, dst, at, int32(e.cell), ev, w, run)
+			word &^= run
+		}
+	}
+	p.obs.messages.Add(uint64(sent))
+	p.shards[e.shard].msgs.CountN(m, sent)
 }
 
 func (e *pcellEnv) After(d sim.Time, fn func()) {

@@ -38,6 +38,7 @@ import (
 	"os"
 
 	"repro/internal/policy"
+	"repro/internal/sim"
 )
 
 // Grid is the JSON grid block.
@@ -176,6 +177,15 @@ func (sc Scenario) Validate() error {
 	}
 	if sc.Grid.Width < 0 || sc.Grid.Height < 0 || sc.Grid.ReuseDistance < 0 {
 		return fmt.Errorf("grid dimensions must be >= 0: %+v", sc.Grid)
+	}
+	// A grid the event kernel's packed key cannot address would build
+	// (slowly) and then panic at its first event: refuse it here.
+	w, h := sc.Grid.Width, sc.Grid.Height
+	if h == 0 {
+		h = w // the runner's default
+	}
+	if err := sim.CheckOrigins(w * h); err != nil {
+		return fmt.Errorf("grid %dx%d: %w", w, h, err)
 	}
 	if sc.LatencyTicks < 0 || sc.JitterTicks < 0 {
 		return fmt.Errorf("latency/jitter must be >= 0")

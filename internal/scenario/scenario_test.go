@@ -80,10 +80,18 @@ func TestValidateRanges(t *testing.T) {
 		`{"workload": {"erlang_per_cell": -2}}`,
 		`{"workload": {"duration_ticks": 100, "warmup_ticks": 100}}`,
 		`{"workload": {"hotspot": {"erlang": -1}}}`,
+		`{"grid": {"width": 4096, "height": 4096}}`, // 2^24 cells: one past the kernel's packed key
+		`{"grid": {"width": 4097}}`,
 	}
 	for i, body := range bad {
 		if _, err := Load(write(t, body)); err == nil {
 			t.Errorf("case %d should fail: %s", i, body)
+		}
+	}
+	// The largest addressable grids still validate.
+	for _, body := range []string{`{"grid": {"width": 4095, "height": 4097}}`, `{"grid": {"width": 4095}}`} {
+		if _, err := Load(write(t, body)); err != nil {
+			t.Errorf("%s: %v", body, err)
 		}
 	}
 }

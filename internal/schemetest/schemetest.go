@@ -6,8 +6,10 @@
 package schemetest
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/chanset"
 	"repro/internal/core"
 	"repro/internal/driver"
@@ -26,6 +28,37 @@ type Scenario struct {
 	Seed     uint64
 	Latency  sim.Time
 	Adaptive *core.Params // optional override for the adaptive scheme
+	// SendOnly hides the driver's alloc.Multicaster capability from the
+	// scheme (see SendOnly).
+	SendOnly bool
+}
+
+// SendOnly wraps f so that its allocators start on an Env offering
+// alloc.Env's own methods and nothing more: every optional capability
+// of the runtime's Env — alloc.Multicaster — is hidden, and a broadcast
+// goes out as one Send per neighbor. The reference path of the
+// multicast-equivalence tests.
+func SendOnly(f alloc.Factory) alloc.Factory { return sendOnlyFactory{f} }
+
+type sendOnlyFactory struct{ alloc.Factory }
+
+func (f sendOnlyFactory) New(cell hexgrid.CellID) alloc.Allocator {
+	return sendOnlyAllocator{f.Factory.New(cell)}
+}
+
+type sendOnlyAllocator struct{ alloc.Allocator }
+
+// Start hands the allocator the Env with only alloc.Env's methods
+// promoted.
+func (a sendOnlyAllocator) Start(env alloc.Env) { a.Allocator.Start(struct{ alloc.Env }{env}) }
+
+// ProtocolCounters keeps the wrapped allocator's alloc.CounterProvider
+// visible to the driver's Stats.
+func (a sendOnlyAllocator) ProtocolCounters() alloc.Counters {
+	if cp, ok := a.Allocator.(alloc.CounterProvider); ok {
+		return cp.ProtocolCounters()
+	}
+	return alloc.Counters{}
 }
 
 // DefaultGrid is the wrapped 7x7 reuse-2 lattice used across the suite.
@@ -51,9 +84,13 @@ func Build(t *testing.T, scheme string, sc Scenario) *driver.Sim {
 	if sc.Adaptive != nil {
 		cfg.Adaptive = *sc.Adaptive
 	}
-	f, err := registry.Build(scheme, g, assign, cfg)
+	var f alloc.Factory
+	f, err = registry.Build(scheme, g, assign, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if sc.SendOnly {
+		f = SendOnly(f)
 	}
 	return driver.New(g, assign, f, driver.Options{
 		Latency: sc.Latency, Seed: sc.Seed, Check: true,
@@ -118,6 +155,19 @@ func Conformance(t *testing.T, scheme string) {
 			Grid: DefaultGrid(), Channels: 21, Events: 500,
 			MeanGap: 20, MeanHold: 6000, Seed: 12,
 		})
+	})
+	t.Run("multicast-equals-sends", func(t *testing.T) {
+		// The driver carries a broadcast as one queue record; the scheme
+		// must not be able to tell.
+		sc := Scenario{
+			Grid: DefaultGrid(), Channels: 21, Events: 500,
+			MeanGap: 20, MeanHold: 6000, Seed: 12,
+		}
+		multicast := RandomWorkload(t, scheme, sc)
+		sc.SendOnly = true
+		if sends := RandomWorkload(t, scheme, sc); !reflect.DeepEqual(sends, multicast) {
+			t.Fatalf("%s: stats differ with the Env's Multicaster hidden:\n%+v\n%+v", scheme, sends, multicast)
+		}
 	})
 	t.Run("hot-neighborhood", func(t *testing.T) {
 		s := Build(t, scheme, Scenario{Grid: DefaultGrid(), Channels: 28, Seed: 13})

@@ -34,3 +34,11 @@ func TestRandomWorkloadReturnsStats(t *testing.T) {
 		t.Fatalf("stats lost requests: %+v", st)
 	}
 }
+
+// TestConformanceAdaptive runs the battery for the paper's own scheme,
+// which lives in a package the harness imports and so cannot call it
+// itself: with the baselines' own TestConformance, all six schemes face
+// it — the multicast-equals-sends case included.
+func TestConformanceAdaptive(t *testing.T) {
+	schemetest.Conformance(t, "adaptive")
+}

@@ -58,3 +58,26 @@ func BenchmarkRandIntn(b *testing.B) {
 	}
 	_ = sink
 }
+
+// BenchmarkQueueHold is the hold model on the bare queue: a heap kept
+// 40 000 records deep — a steady-sharded shard's — where every pop
+// pushes a successor a random gap later.
+func BenchmarkQueueHold(b *testing.B) {
+	const depth = 40_000
+	r := NewRand(7)
+	gaps := make([]Time, 4096)
+	for i := range gaps {
+		gaps[i] = r.ExpTicks(3000) + 1
+	}
+	var q queue
+	for i := 0; i < depth; i++ {
+		q.push(Event{At: gaps[i&4095], key: uint64(i)})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev := q.pop()
+		ev.At += gaps[i&4095]
+		ev.key = uint64(depth + i)
+		q.push(ev)
+	}
+}

@@ -1,6 +1,7 @@
 // Package sim is a deterministic discrete-event simulation kernel: a
-// virtual clock, one 4-ary-heap queue of flat typed event records with
-// stable FIFO ordering of simultaneous events (queue.go) under a serial
+// virtual clock, one 4-ary-heap queue of flat typed event records in
+// paged storage, with stable FIFO ordering of simultaneous events and
+// one record per multi-destination send (queue.go), under a serial
 // (Engine) and a sharded (Shards) event loop, and seeded random-number
 // streams.
 //
@@ -12,6 +13,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 )
@@ -37,12 +40,9 @@ type Engine struct {
 	seq      uint64
 	q        queue
 	handlers handlers
-	stopped  bool
 	// cnt[org] is the per-origin event counter for origin-attributed
 	// events, mirroring Shards.cnt; grown geometrically on demand.
 	cnt []uint64
-	// Executed counts events run; useful for progress watchdogs.
-	executed uint64
 	// reserveBudget caps the heap capacity Reserve may pin (bytes);
 	// zero means DefaultReserveBudget.
 	reserveBudget uint64
@@ -54,14 +54,25 @@ func NewEngine() *Engine { return &Engine{} }
 // Handle registers h as the interpreter of events of kind k.
 func (e *Engine) Handle(k Kind, h Handler) { e.handlers.set(k, h) }
 
+// SetFanout installs the resolver of fan records; PostFan needs one.
+func (e *Engine) SetFanout(f Fanout) { e.handlers.fan = f }
+
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Executed returns the number of events executed so far.
-func (e *Engine) Executed() uint64 { return e.executed }
+// Executed returns the number of events executed so far (useful for
+// progress watchdogs).
+func (e *Engine) Executed() uint64 { return e.q.executed }
 
 // Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.q.heap) }
+func (e *Engine) Pending() int { return e.q.pending }
+
+// Footprint reports what the queue holds and has held.
+func (e *Engine) Footprint() Footprint {
+	var f Footprint
+	e.q.addTo(&f)
+	return f
+}
 
 // Reserve grows the queue's capacity to hold at least n events without
 // reallocating. Drivers that can estimate the number of concurrently
@@ -73,7 +84,7 @@ func (e *Engine) Reserve(n int) error {
 	if n < 0 {
 		return fmt.Errorf("sim: heap reserve of %d events is negative", n)
 	}
-	if n <= cap(e.q.heap) {
+	if n <= e.q.capacity() {
 		return nil
 	}
 	budget := e.reserveBudget
@@ -98,18 +109,17 @@ func (e *Engine) SetReserveBudget(bytes int64) {
 	e.reserveBudget = uint64(bytes)
 }
 
-// key draws the next canonical tie-break for origin: the per-origin
-// counter, or the global insertion seq for unattributed events (-1).
-func (e *Engine) key(origin int32) uint64 {
+// keys draws the canonical tie-breaks of n consecutive events of origin
+// and returns the first: the per-origin counter, or the global insertion
+// seq for unattributed events (-1).
+func (e *Engine) keys(origin int32, n int) uint64 {
 	if origin < 0 {
-		e.seq++
-		return packKey(origin, e.seq)
+		return drawKeys(&e.seq, origin, n)
 	}
 	if n := int(origin) + 1; n > len(e.cnt) {
 		e.cnt = slices.Grow(e.cnt, n-len(e.cnt))[:n]
 	}
-	e.cnt[origin]++
-	return packKey(origin, e.cnt[origin])
+	return drawKeys(&e.cnt[origin], origin, n)
 }
 
 // Post schedules the typed event ev at the absolute time at with an
@@ -122,16 +132,30 @@ func (e *Engine) Post(at Time, origin int32, ev Event, att Attachment) {
 	if at < e.now {
 		e.panicPast(at, "")
 	}
-	ev.At, ev.key, ev.ref = at, e.key(origin), 0
-	if !att.empty() {
-		ev.ref = e.q.parkAtt(att)
+	ev.At, ev.key, ev.ref = at, e.keys(origin, 1), 0
+	if !att.Empty() {
+		ev.ref = e.q.atts.park(att)
 	}
-	e.q.push(ev)
+	e.q.post(ev, 1)
+}
+
+// PostFan schedules ev at the absolute time at once for each cell of
+// origin's neighbour list (as the Fanout set with SetFanout resolves
+// it) whose index i has bit i-64*word set in mask, with ev.Cell that
+// cell: exactly the events, keys and order of one Post per set bit in
+// ascending index order, queued as a single record.
+func (e *Engine) PostFan(at Time, origin int32, ev Event, word int, mask uint64) {
+	if at < e.now {
+		e.panicPast(at, "")
+	}
+	if n := bits.OnesCount64(mask); n > 0 {
+		e.q.post(e.handlers.fanRecord(ev, at, e.keys(origin, n), word, mask), n)
+	}
 }
 
 // postFunc queues fn as a KindFunc event.
 func (e *Engine) postFunc(at Time, origin int32, fn func()) {
-	e.q.push(Event{At: at, key: e.key(origin), ref: e.q.parkFunc(fn)})
+	e.q.post(Event{At: at, key: e.keys(origin, 1), ref: e.q.fns.park(fn)}, 1)
 }
 
 // At schedules fn at the absolute virtual time at. Scheduling in the past
@@ -204,38 +228,52 @@ func (e *Engine) panicPast(at Time, label string) {
 }
 
 // Stop makes Run return after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
+func (e *Engine) Stop() { e.q.stop = true }
 
-// step pops and executes the earliest event.
-func (e *Engine) step() {
-	ev := e.q.pop()
-	e.now = ev.At
-	e.executed++
-	e.q.exec(&e.handlers, ev)
+// run executes events in order while one is due at or before until, at
+// most budget of them, and reports whether it ran out of due events
+// rather than budget. Stop ends it only when stoppable: the drains run
+// through a Stop, as they always have.
+func (e *Engine) run(until Time, budget uint64, stoppable bool) bool {
+	e.q.stop = false
+	for e.q.n > 0 && e.q.top().At <= until {
+		if budget == 0 {
+			return false
+		}
+		ev := e.q.pop()
+		e.now = ev.At
+		budget -= e.q.exec(&e.handlers, ev, budget)
+		if e.q.stop {
+			if stoppable {
+				break
+			}
+			e.q.stop = false
+		}
+	}
+	return true
 }
 
 // Run executes events in order until the queue is empty, Stop is called,
 // or the next event is later than until (which then becomes the current
 // time). It returns the number of events executed by this call.
 func (e *Engine) Run(until Time) uint64 {
-	e.stopped = false
-	start := e.executed
-	for len(e.q.heap) > 0 && !e.stopped && e.q.heap[0].At <= until {
-		e.step()
-	}
+	start := e.q.executed
+	e.run(until, math.MaxUint64, true)
 	if e.now < until {
 		e.now = until
 	}
-	return e.executed - start
+	return e.q.executed - start
 }
 
 // Step executes exactly one event if any is queued; it reports whether an
 // event ran. Useful for fine-grained tests.
 func (e *Engine) Step() bool {
-	if len(e.q.heap) == 0 {
+	if e.q.n == 0 {
 		return false
 	}
-	e.step()
+	ev := e.q.pop()
+	e.now = ev.At
+	e.q.exec(&e.handlers, ev, 1)
 	return true
 }
 
@@ -243,12 +281,8 @@ func (e *Engine) Step() bool {
 // whichever is first. It reports whether the queue emptied. Use it in
 // tests to reach quiescence with a runaway-loop backstop.
 func (e *Engine) Drain(maxEvents uint64) bool {
-	for i := uint64(0); i < maxEvents; i++ {
-		if !e.Step() {
-			return true
-		}
-	}
-	return len(e.q.heap) == 0
+	e.run(math.MaxInt64, maxEvents, false)
+	return e.q.n == 0
 }
 
 // DrainUntil executes every event at or before cutoff, leaving later
@@ -258,12 +292,8 @@ func (e *Engine) Drain(maxEvents uint64) bool {
 // checked per event; DrainUntil reports whether every event due at or
 // before cutoff actually ran (false only when the backstop tripped).
 func (e *Engine) DrainUntil(cutoff Time, maxEvents uint64) bool {
-	start := e.executed
-	for len(e.q.heap) > 0 && e.q.heap[0].At <= cutoff {
-		if e.executed-start >= maxEvents {
-			return false
-		}
-		e.step()
+	if !e.run(cutoff, maxEvents, false) {
+		return false
 	}
 	if e.now < cutoff {
 		e.now = cutoff

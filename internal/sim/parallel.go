@@ -26,8 +26,10 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
+	"unsafe"
 )
 
 // outRoute buffers cross-shard events from one shard to one destination
@@ -39,10 +41,13 @@ import (
 // free list. Attachment words are copied into the route's words arena
 // when boxed and from there into a destination slot at the merge.
 type outRoute struct {
-	dst   int32
-	box   []Event
-	side  []sideEntry
-	words []uint64
+	dst int32
+	box []Event
+	// pending is the number of events the boxed records stand for (a
+	// fan record counts once per destination).
+	pending int
+	side    []sideEntry
+	words   []uint64
 }
 
 // pshard is one shard's private state: clock, queue, and outboxes.
@@ -50,9 +55,8 @@ type outRoute struct {
 // counter) key is assigned by the origin cell's own shard, keeping key
 // assignment race-free.
 type pshard struct {
-	now      Time
-	executed uint64
-	q        queue
+	now Time
+	q   queue
 	// routes holds this shard's cross-shard mailboxes, sorted by
 	// destination shard and created lazily on first use. With
 	// contiguous ID-range tiles a shard only ever talks to its few
@@ -158,6 +162,9 @@ func NewShards(n int, lookahead Time, numOrigins int) *Shards {
 	if numOrigins < 1 {
 		panic(fmt.Sprintf("sim: NewShards with %d origins", numOrigins))
 	}
+	if err := CheckOrigins(numOrigins); err != nil {
+		panic(err.Error())
+	}
 	return &Shards{
 		lookahead:     lookahead,
 		shards:        make([]pshard, n),
@@ -207,7 +214,7 @@ func (k *Shards) Now(s int) Time { return k.shards[s].now }
 func (k *Shards) Executed() uint64 {
 	var n uint64
 	for i := range k.shards {
-		n += k.shards[i].executed
+		n += k.shards[i].q.executed
 	}
 	return n
 }
@@ -220,12 +227,29 @@ func (k *Shards) Windows() uint64 { return k.windows }
 func (k *Shards) Pending() int {
 	n := 0
 	for i := range k.shards {
-		n += len(k.shards[i].q.heap)
+		n += k.shards[i].q.pending
 		for j := range k.shards[i].routes {
-			n += len(k.shards[i].routes[j].box)
+			n += k.shards[i].routes[j].pending
 		}
 	}
 	return n
+}
+
+// Footprint reports what the shard queues and mailboxes hold and have
+// held. Coordinator-context only (not during a window).
+func (k *Shards) Footprint() Footprint {
+	var f Footprint
+	for i := range k.shards {
+		sh := &k.shards[i]
+		sh.q.addTo(&f)
+		for j := range sh.routes {
+			rt := &sh.routes[j]
+			f.RouteBytes += uint64(cap(rt.box))*EventSize + uint64(cap(rt.side))*uint64(unsafe.Sizeof(sideEntry{})) + uint64(cap(rt.words))*8
+			f.Records += len(rt.box)
+			f.Events += rt.pending
+		}
+	}
+	return f
 }
 
 // Routes returns the number of cross-shard mailboxes shard s has
@@ -243,10 +267,10 @@ func (k *Shards) Reserve(s, n int) error {
 	if n < 0 {
 		return k.chargeReserve("heap", n, 0)
 	}
-	if n <= cap(sh.q.heap) {
+	if n <= sh.q.capacity() {
 		return nil
 	}
-	if err := k.chargeReserve("heap", n, cap(sh.q.heap)); err != nil {
+	if err := k.chargeReserve("heap", n, sh.q.capacity()); err != nil {
 		return err
 	}
 	sh.q.reserve(n)
@@ -283,41 +307,54 @@ func (k *Shards) SetBarrier(fn func()) { k.barrier = fn }
 // shard. h runs on shard workers, concurrently for different shards.
 func (k *Shards) Handle(kind Kind, h Handler) { k.handlers.set(kind, h) }
 
-// key draws origin's next canonical tie-break.
-func (k *Shards) key(origin int32) uint64 {
-	k.cnt[origin]++
-	return packKey(origin, k.cnt[origin])
+// SetFanout installs the resolver of fan records; PostFan needs one. f
+// is called from shard workers, concurrently for different shards.
+func (k *Shards) SetFanout(f Fanout) { k.handlers.fan = f }
+
+// keys draws the canonical tie-breaks of origin's next n events and
+// returns the first.
+func (k *Shards) keys(origin int32, n int) uint64 {
+	return drawKeys(&k.cnt[origin], origin, n)
+}
+
+// checkPost panics on an event scheduled into shard s's past.
+func (k *Shards) checkPost(s int, at Time, origin int32) {
+	if now := k.shards[s].now; at < now {
+		panic(fmt.Sprintf("sim: shard %d scheduling event at %d before now %d (origin cell %d)", s, at, now, origin))
+	}
+}
+
+// checkCross panics on a cross-shard event that does not respect the
+// lookahead, at >= src.now + T: it would let a shard see an event
+// scheduled inside its current window, breaking the conservative
+// synchronization argument.
+func (k *Shards) checkCross(src, dst int, at Time) {
+	if now := k.shards[src].now; at < now+k.lookahead {
+		panic(fmt.Sprintf("sim: cross-shard event %d->%d at %d violates lookahead (now %d + T %d)", src, dst, at, now, k.lookahead))
+	}
 }
 
 // post queues ev on shard s, parking side (if any) in the shard's table.
 func (k *Shards) post(s int, at Time, origin int32, ev Event, side sideEntry) {
+	k.checkPost(s, at, origin)
 	sh := &k.shards[s]
-	if at < sh.now {
-		panic(fmt.Sprintf("sim: shard %d scheduling event at %d before now %d (origin cell %d)", s, at, sh.now, origin))
-	}
-	ev.At, ev.key, ev.ref = at, k.key(origin), 0
+	ev.At, ev.key, ev.ref = at, k.keys(origin, 1), 0
 	if !side.empty() {
 		sh.q.park(&ev, side)
 	}
-	sh.q.push(ev)
+	sh.q.post(ev, 1)
 }
 
 // cross boxes ev for shard dst, called from an event executing on shard
-// src. The event must respect the lookahead: at >= src.now + T.
-// Violations panic — they would let a shard see an event scheduled
-// inside its current window, breaking the conservative synchronization
-// argument.
+// src. The event must respect the lookahead (checkCross).
 func (k *Shards) cross(src, dst int, at Time, origin int32, ev Event, side sideEntry) {
 	if src == dst {
 		k.post(src, at, origin, ev, side)
 		return
 	}
-	sh := &k.shards[src]
-	if at < sh.now+k.lookahead {
-		panic(fmt.Sprintf("sim: cross-shard event %d->%d at %d violates lookahead (now %d + T %d)", src, dst, at, sh.now, k.lookahead))
-	}
-	ev.At, ev.key, ev.ref = at, k.key(origin), 0
-	rt := sh.route(int32(dst))
+	k.checkCross(src, dst, at)
+	ev.At, ev.key, ev.ref = at, k.keys(origin, 1), 0
+	rt := k.shards[src].route(int32(dst))
 	if !side.empty() {
 		if n := len(side.att.Words); n > 0 {
 			// The caller's words are a view valid for this call only.
@@ -330,6 +367,7 @@ func (k *Shards) cross(src, dst int, at Time, origin int32, ev Event, side sideE
 		ev.ref = uint32(len(rt.side))
 	}
 	rt.box = append(rt.box, ev)
+	rt.pending++
 }
 
 // Post schedules the typed event ev at absolute time at on shard s with
@@ -344,6 +382,27 @@ func (k *Shards) Post(s int, at Time, origin int32, ev Event, att Attachment) {
 // lookahead (see Cross).
 func (k *Shards) PostCross(src, dst int, at Time, origin int32, ev Event, att Attachment) {
 	k.cross(src, dst, at, origin, ev, sideEntry{att: att})
+}
+
+// PostFan schedules ev at absolute time at on shard dst once for each
+// cell of origin's neighbour list whose index i has bit i-64*word set
+// in mask (see Engine.PostFan): the events, keys and order of one
+// PostCross per set bit, queued — or boxed, when dst is not src — as a
+// single record. Every such cell must belong to shard dst.
+func (k *Shards) PostFan(src, dst int, at Time, origin int32, ev Event, word int, mask uint64) {
+	n := bits.OnesCount64(mask)
+	if n == 0 {
+		return
+	}
+	if src == dst {
+		k.checkPost(src, at, origin)
+		k.shards[src].q.post(k.handlers.fanRecord(ev, at, k.keys(origin, n), word, mask), n)
+		return
+	}
+	k.checkCross(src, dst, at)
+	rt := k.shards[src].route(int32(dst))
+	rt.box = append(rt.box, k.handlers.fanRecord(ev, at, k.keys(origin, n), word, mask))
+	rt.pending += n
 }
 
 // At schedules fn at absolute time at on shard s with the given origin
@@ -366,11 +425,10 @@ func (k *Shards) Cross(src, dst int, at Time, origin int32, fn func()) {
 
 // runWindow executes shard s's events with at < horizon.
 func (s *pshard) runWindow(h *handlers, horizon Time) {
-	for len(s.q.heap) > 0 && s.q.heap[0].At < horizon {
+	for s.q.n > 0 && s.q.top().At < horizon {
 		ev := s.q.pop()
 		s.now = ev.At
-		s.executed++
-		s.q.exec(h, ev)
+		s.q.exec(h, ev, math.MaxUint64)
 	}
 }
 
@@ -379,17 +437,18 @@ func (s *pshard) runWindow(h *handlers, horizon Time) {
 // caller owns both rt and dst.
 func (rt *outRoute) merge(dst *queue) {
 	for _, ev := range rt.box {
-		if ev.ref != 0 {
+		if ev.fan == 0 && ev.ref != 0 {
 			dst.park(&ev, rt.side[ev.ref-1])
 		}
 		dst.push(ev)
 	}
+	dst.owe(rt.pending)
 	rt.discard()
 }
 
 // discard empties the route, keeping its capacity.
 func (rt *outRoute) discard() {
-	rt.box = rt.box[:0]
+	rt.box, rt.pending = rt.box[:0], 0
 	clear(rt.side)
 	rt.side = rt.side[:0]
 	rt.words = rt.words[:0]
@@ -502,11 +561,11 @@ func (k *Shards) minDue() (Time, bool) {
 	lo, ok := Time(0), false
 	for i := range k.shards {
 		sh := &k.shards[i]
-		if len(sh.q.heap) == 0 {
+		if sh.q.n == 0 {
 			continue
 		}
-		if !ok || sh.q.heap[0].At < lo {
-			lo, ok = sh.q.heap[0].At, true
+		if at := sh.q.top().At; !ok || at < lo {
+			lo, ok = at, true
 		}
 	}
 	return lo, ok
@@ -611,7 +670,7 @@ func (k *Shards) DrainUntil(workers int, cutoff Time, maxEvents uint64) bool {
 	// verify directly: heap tops, plus unflushed boxes on that path.
 	for i := range k.shards {
 		sh := &k.shards[i]
-		if len(sh.q.heap) > 0 && sh.q.heap[0].At <= cutoff {
+		if sh.q.n > 0 && sh.q.top().At <= cutoff {
 			return false
 		}
 		for j := range sh.routes {
@@ -637,7 +696,7 @@ func (k *Shards) DiscardPending() int {
 		n += sh.q.discard()
 		for j := range sh.routes {
 			r := &sh.routes[j]
-			n += len(r.box)
+			n += r.pending
 			r.discard()
 		}
 	}

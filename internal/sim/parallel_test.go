@@ -323,7 +323,7 @@ func TestShardsParallelFlushMatchesSerial(t *testing.T) {
 		}
 		for s := 0; s < nShards; s++ {
 			q := &k.shards[s].q
-			if len(q.fns.free) != len(q.fns.slots) || len(q.atts.free) != len(q.atts.slots) {
+			if len(q.fns.free) != len(q.fns.slots) || q.atts.freeSlots() != q.atts.n {
 				t.Fatalf("workers=%d: shard %d still holds a side entry after the drain", workers, s)
 			}
 		}

@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 	"unsafe"
 )
 
@@ -63,6 +63,10 @@ type Event struct {
 	// Tag holds the owner's sub-type bytes (a message's kind, request,
 	// response and acquisition types and mode).
 	Tag [5]uint8
+	// fan is nonzero in a fan record, which stands for several events at
+	// once (PostFan). Only the kernel can set it, and a Handler never
+	// sees one, so an event handed to a scheduling call always has 0.
+	fan uint16
 }
 
 // Key packing limits. 24 bits of origin cover 16.7 M cells — sixteen
@@ -78,6 +82,17 @@ const (
 	maxCounter = 1<<counterBits - 1
 )
 
+// CheckOrigins reports whether a kernel can address n distinct origins
+// (one per cell): nil up to MaxOrigins, a descriptive error past it.
+// Constructors that return errors call it; NewShards panics with it.
+func CheckOrigins(n int) error {
+	if n > MaxOrigins {
+		return fmt.Errorf("sim: %d cells exceed the %d origins the packed (origin, counter) event key can address (%d bits of origin)",
+			n, MaxOrigins, originBits)
+	}
+	return nil
+}
+
 // packKey builds the tie-break word. Ordering packed keys as unsigned
 // integers is ordering (origin, counter) lexicographically with origin
 // -1 first — exactly the old three-field compare.
@@ -92,6 +107,18 @@ func packKey(origin int32, counter uint64) uint64 {
 func panicKey(origin int32, counter uint64) {
 	panic(fmt.Sprintf("sim: event key overflow: origin %d (limit %d), counter %d (limit %d) — the packed (origin, counter) key is %d+%d bits",
 		origin, MaxOrigins-1, counter, uint64(maxCounter), originBits, counterBits))
+}
+
+// drawKeys advances origin's counter *cnt by n and returns the key of
+// the first of the n consecutive events; the other keys follow it by
+// plain addition, the last one having been range-checked here.
+func drawKeys(cnt *uint64, origin int32, n int) uint64 {
+	first := packKey(origin, *cnt+1)
+	*cnt += uint64(n)
+	if *cnt > maxCounter {
+		panicKey(origin, *cnt)
+	}
+	return first
 }
 
 // Origin returns the cell that scheduled the event (-1 for unattributed
@@ -115,7 +142,8 @@ type Attachment struct {
 	Seq   uint64
 }
 
-func (a Attachment) empty() bool { return len(a.Words) == 0 && a.Seq == 0 }
+// Empty reports whether a is the zero Attachment, which parks nothing.
+func (a Attachment) Empty() bool { return len(a.Words) == 0 && a.Seq == 0 }
 
 // Handler interprets the events of the kinds it is registered for. att
 // is the zero Attachment unless the event was posted with one; its
@@ -124,14 +152,36 @@ type Handler interface {
 	HandleEvent(ev Event, att Attachment)
 }
 
-// handlers is the per-kernel dispatch table, indexed by Kind.
-type handlers [numKinds]Handler
+// Fanout resolves the destinations of fan records (PostFan): the kernel
+// knows a destination only as an index into its origin's neighbour
+// list, and the list belongs to the driver.
+type Fanout interface {
+	// Neighbor returns the i-th cell of origin's neighbour list. The
+	// list must not change while a fan record of that origin is queued.
+	Neighbor(origin int32, i int) int32
+}
+
+// handlers is the per-kernel dispatch table: a Handler per Kind and the
+// resolver of fan records.
+type handlers struct {
+	kind [numKinds]Handler
+	fan  Fanout
+}
 
 func (h *handlers) set(k Kind, fn Handler) {
 	if k == KindFunc || k >= numKinds {
 		panic(fmt.Sprintf("sim: cannot register a handler for kind %d", k))
 	}
-	h[k] = fn
+	h.kind[k] = fn
+}
+
+// of returns the handler of ev's kind.
+func (h *handlers) of(ev *Event) Handler {
+	hd := h.kind[ev.Kind]
+	if hd == nil {
+		panic(fmt.Sprintf("sim: no handler registered for event kind %d (at %d, origin %d)", ev.Kind, ev.At, ev.Origin()))
+	}
+	return hd
 }
 
 // sideEntry is what an event may park outside its flat record: the func
@@ -141,62 +191,230 @@ type sideEntry struct {
 	att Attachment
 }
 
-func (e sideEntry) empty() bool { return e.fn == nil && e.att.empty() }
+func (e sideEntry) empty() bool { return e.fn == nil && e.att.Empty() }
 
-// sideTable is a free-listed slab: slots are reused LIFO, so it never
-// grows past the number of entries simultaneously in flight. A released
-// slot keeps its value; the func table zeroes its slot itself.
-type sideTable[T any] struct {
-	slots []T
+// Paged storage. The queue's tables grow by pages of pageSlots slots
+// that are never copied or abandoned once allocated, so the bytes a
+// table has ever allocated are the bytes it holds: an append-grown
+// array allocates about 3.3 times its final size on the way up and
+// leaves the collector that much to chase, and a heap that bursts —
+// the warm start's — paid for it in peak resident memory. A table
+// still smaller than one page is a single array that doubles, as a
+// slice would: a queue that stays small (16 shards × a few hundred
+// events) costs what it did before paging.
+const (
+	pageShift = 10
+	pageSlots = 1 << pageShift // 48 KB of events
+	pageMask  = pageSlots - 1
+)
+
+// paged is a table of slots, each width elements of T, in pages.
+type paged[T any] struct {
+	tab [][]T
+	// cap is the number of slots the pages hold: the first page's while
+	// it is the only one (and possibly short), whole pages after that.
+	cap int
+}
+
+// grow makes room for at least one more slot: a first page short of
+// pageSlots doubles; a table of whole pages gets one more.
+func (p *paged[T]) grow(width int) {
+	if p.cap < pageSlots {
+		p.resizeFirst(min(pageSlots, max(4, 2*p.cap)), width)
+		return
+	}
+	p.tab = append(p.tab, make([]T, pageSlots*width))
+	p.cap += pageSlots
+}
+
+// reserve makes room for n slots. Within the first page the fit is
+// exact; past it the table is rounded up to whole pages.
+func (p *paged[T]) reserve(n, width int) {
+	if n <= p.cap {
+		return
+	}
+	if p.cap < pageSlots {
+		p.resizeFirst(min(n, pageSlots), width)
+	}
+	for p.cap < n {
+		p.tab = append(p.tab, make([]T, pageSlots*width))
+		p.cap += pageSlots
+	}
+}
+
+// resizeFirst replaces the first — and only — page by one of n slots:
+// the one copy a table ever makes of its contents.
+func (p *paged[T]) resizeFirst(n, width int) {
+	first := make([]T, n*width)
+	if len(p.tab) == 0 {
+		p.tab = append(p.tab, first)
+	} else {
+		copy(first, p.tab[0])
+		p.tab[0] = first
+	}
+	p.cap = n
+}
+
+// bytes is the memory the pages hold.
+func (p *paged[T]) bytes() uint64 {
+	var zero T
+	n := 0
+	for _, pg := range p.tab {
+		n += len(pg)
+	}
+	return uint64(n) * uint64(unsafe.Sizeof(zero))
+}
+
+// funcTable parks the funcs of KindFunc events in a free-listed slab:
+// slots are reused LIFO, so it never grows past the number of funcs
+// simultaneously in flight. It is two plain slices, not paged: no
+// workload that scales schedules funcs (messages, call events and
+// completions are typed), and a func event already pays one indirection
+// more than a typed one.
+type funcTable struct {
+	slots []func()
 	free  []uint32
 }
 
-// alloc returns the ref (slot + 1) of a free slot.
-func (t *sideTable[T]) alloc() uint32 {
+// park stores fn and returns its ref (slot + 1).
+func (t *funcTable) park(fn func()) uint32 {
 	if n := len(t.free); n > 0 {
 		slot := t.free[n-1]
 		t.free = t.free[:n-1]
+		t.slots[slot] = fn
 		return slot + 1
 	}
-	var zero T
-	t.slots = append(t.slots, zero)
+	t.slots = append(t.slots, fn)
 	return uint32(len(t.slots))
 }
 
-// at is the slot behind ref; the pointer dies with the next alloc.
-func (t *sideTable[T]) at(ref uint32) *T { return &t.slots[ref-1] }
-
-func (t *sideTable[T]) release(ref uint32) { t.free = append(t.free, ref-1) }
-
-func (t *sideTable[T]) reset() {
-	clear(t.slots)
-	t.slots = t.slots[:0]
-	t.free = t.free[:0]
+// take returns the func behind ref and frees its slot, dropping the
+// reference so the closure is collectable once it has run.
+func (t *funcTable) take(ref uint32) func() {
+	fn := t.slots[ref-1]
+	t.slots[ref-1] = nil
+	t.free = append(t.free, ref-1)
+	return fn
 }
+
+func (t *funcTable) reset() {
+	clear(t.slots)
+	t.slots, t.free = t.slots[:0], t.free[:0]
+}
+
+// attHeader is the number of words before a parked attachment's set:
+// the sequence number (in a free slot, the ref of the next free one)
+// and the count of set words in use.
+const attHeader = 2
+
+// attArena parks attachments in one pointer-free word table: slot s is
+// width words, the header and then room for the widest set posted so
+// far — one value per run, the spectrum's — so slots are fixed-width
+// and recycled LIFO through a free list threaded through the slots
+// themselves.
+type attArena struct {
+	words paged[uint64]
+	width int    // words per slot
+	n     int    // slots handed out so far
+	free  uint32 // ref of the slot released last, 0 for none
+}
+
+// slot returns the words of the slot behind ref.
+func (a *attArena) slot(ref uint32) []uint64 {
+	s := int(ref - 1)
+	off := (s & pageMask) * a.width
+	return a.words.tab[s>>pageShift][off : off+a.width : off+a.width]
+}
+
+// park copies att into a free slot and returns its ref. Once the arena
+// has seen the run's peak of attachments in flight, parking allocates
+// nothing. A handler still reading a first page that has since been
+// doubled, or pages that have since been widened, is unharmed: nothing
+// writes to the old arrays again.
+func (a *attArena) park(att Attachment) uint32 {
+	if need := attHeader + len(att.Words); need > a.width {
+		a.widen(need)
+	}
+	ref := a.free
+	var slot []uint64
+	if ref != 0 {
+		slot = a.slot(ref)
+		a.free = uint32(slot[0])
+	} else {
+		if a.n == a.words.cap {
+			a.words.grow(a.width)
+		}
+		a.n++
+		ref = uint32(a.n)
+		slot = a.slot(ref)
+	}
+	slot[0], slot[1] = att.Seq, uint64(len(att.Words))
+	copy(slot[attHeader:], att.Words)
+	return ref
+}
+
+// widen rebuilds the arena with width words per slot (a wider set than
+// any before was posted: at most once per distinct width, and before
+// anything is parked in a run that has one width).
+func (a *attArena) widen(width int) {
+	old := *a
+	a.words, a.width = paged[uint64]{}, width
+	a.words.reserve(old.words.cap, width)
+	for ref := uint32(1); int(ref) <= old.n; ref++ {
+		copy(a.slot(ref), old.slot(ref))
+	}
+}
+
+// get rebuilds the attachment behind ref as a view of the arena.
+func (a *attArena) get(ref uint32) Attachment {
+	slot := a.slot(ref)
+	n := attHeader + int(slot[1])
+	if n == attHeader {
+		return Attachment{Seq: slot[0]}
+	}
+	return Attachment{Words: slot[attHeader:n:n], Seq: slot[0]}
+}
+
+func (a *attArena) release(ref uint32) {
+	a.slot(ref)[0] = uint64(a.free)
+	a.free = ref
+}
+
+func (a *attArena) reset() { a.n, a.free = 0, 0 }
+
+// heapRoot is the slot of the heap's root. With the root at 3 the
+// children of slot i are 4(i-2) .. 4(i-2)+3 and the parent of c is
+// c/4+2: every sibling group starts at a multiple of four, so a group
+// never straddles a page (or a cache line pair) and a sift-down level
+// costs one page lookup. Slots 0-2 are unused.
+const heapRoot = 3
 
 // queue is the event queue under both kernels: a 4-ary min-heap of flat
-// records stored inline in a slice — wider nodes halve the tree depth
-// versus a binary heap, and the value-typed slice avoids the interface
-// boxing container/heap forces on every Push/Pop — plus the side tables
-// for the events that carry more than the record holds: an event's ref
+// records in paged storage — wider nodes halve the tree depth versus a
+// binary heap, and value-typed pages avoid the interface boxing
+// container/heap forces on every Push/Pop — plus the side tables for
+// the events that carry more than the record holds: an event's ref
 // indexes fns when its kind is KindFunc, atts otherwise.
+//
+// A record is one event or, with fan set, one fan record (PostFan):
+// several events of one origin and one due time, delivered one handler
+// call each when the record is popped. pending and executed count
+// events, never records.
 type queue struct {
-	heap []Event
-	fns  sideTable[func()]
-	atts sideTable[attSlot]
-	// attWords is the attachments' word arena, pointer-free like the
-	// heap: slot s owns attWords[s*attStride : (s+1)*attStride]. The
-	// stride is the width of the widest set posted so far — one value
-	// per run, the spectrum's — so slots are fixed-width and recycled
-	// with their table slot.
-	attWords  []uint64
-	attStride int
-}
+	heap paged[Event]
+	n    int // records in the heap: slots heapRoot .. heapRoot+n-1
+	fns  funcTable
+	atts attArena
 
-// attSlot is a parked attachment less its words, which sit in attWords.
-type attSlot struct {
-	seq uint64
-	n   uint32 // words in use, <= attStride
+	pending  int    // events queued and not yet executed
+	executed uint64 // events executed
+	pops     uint64 // records popped
+	// peakRecords and peakPending are the high-water marks of n and
+	// pending.
+	peakRecords, peakPending int
+	// stop ends a fan record's expansion after the delivery under way
+	// (Engine.Stop).
+	stop bool
 }
 
 // less orders events by the canonical (at, origin, counter) key.
@@ -207,162 +425,244 @@ func less(a, b *Event) bool {
 	return a.key < b.key
 }
 
-// push appends ev and restores the heap by sifting it up. Parents move
-// down into the hole; ev is written once, where it lands.
-func (q *queue) push(ev Event) {
-	q.heap = append(q.heap, ev)
-	h := q.heap
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !less(&ev, &h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
+// top is the earliest record; the heap must not be empty.
+func (q *queue) top() *Event { return &q.heap.tab[0][heapRoot] }
+
+// owe counts n more events as queued.
+func (q *queue) owe(n int) {
+	q.pending += n
+	if q.pending > q.peakPending {
+		q.peakPending = q.pending
 	}
-	h[i] = ev
 }
 
-// pop removes and returns the minimum event: the last entry sifts down
+// post queues ev, which stands for n events (1 unless it is a fan
+// record).
+func (q *queue) post(ev Event, n int) {
+	q.owe(n)
+	q.push(ev)
+}
+
+// push adds the record ev and restores the heap by sifting it up.
+// Parents move down into the hole; ev is written once, where it lands.
+func (q *queue) push(ev Event) {
+	i := heapRoot + q.n
+	if i >= q.heap.cap {
+		q.heap.grow(1)
+	}
+	q.n++
+	if q.n > q.peakRecords {
+		q.peakRecords = q.n
+	}
+	tab := q.heap.tab
+	hole := &tab[i>>pageShift][i&pageMask]
+	for i > heapRoot {
+		i = i/4 + 2
+		parent := &tab[i>>pageShift][i&pageMask]
+		if !less(&ev, parent) {
+			break
+		}
+		*hole = *parent
+		hole = parent
+	}
+	*hole = ev
+}
+
+// pop removes and returns the earliest record: the last one sifts down
 // from the root, smaller children moving up into the hole.
 func (q *queue) pop() Event {
-	h := q.heap
-	root := h[0]
-	n := len(h) - 1
-	x := h[n]
-	h = h[:n]
-	q.heap = h
-	if n == 0 {
-		return root
-	}
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		min := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if less(&h[c], &h[min]) {
-				min = c
+	tab := q.heap.tab
+	hole := &tab[0][heapRoot]
+	root := *hole
+	q.pops++
+	q.n--
+	end := heapRoot + q.n // the last record's slot; the heap's end once it has moved
+	x := tab[end>>pageShift][end&pageMask]
+	for first := 4 * (heapRoot - 2); first < end; {
+		group := tab[first>>pageShift][first&pageMask:]
+		group = group[:min(4, end-first)]
+		m := 0
+		for c := 1; c < len(group); c++ {
+			if less(&group[c], &group[m]) {
+				m = c
 			}
 		}
-		if !less(&h[min], &x) {
+		if !less(&group[m], &x) {
 			break
 		}
-		h[i] = h[min]
-		i = min
+		*hole = group[m]
+		hole = &group[m]
+		first = 4 * (first + m - 2)
 	}
-	h[i] = x
+	*hole = x
 	return root
-}
-
-// parkFunc stores fn and returns its ref.
-func (q *queue) parkFunc(fn func()) uint32 {
-	ref := q.fns.alloc()
-	*q.fns.at(ref) = fn
-	return ref
-}
-
-// parkAtt copies att into a free slot of the arena and returns its ref.
-// The arena grows with the table (amortized), so once the table has seen
-// the run's peak of attachments in flight, parking allocates nothing. A
-// handler still reading an older array after a growth is unharmed:
-// nothing writes to that array again.
-func (q *queue) parkAtt(att Attachment) uint32 {
-	n := len(att.Words)
-	if n > q.attStride {
-		q.restride(n)
-	}
-	ref := q.atts.alloc()
-	off := int(ref-1) * q.attStride
-	if need := off + q.attStride; need > len(q.attWords) {
-		q.attWords = slices.Grow(q.attWords, need-len(q.attWords))[:need]
-	}
-	copy(q.attWords[off:], att.Words)
-	*q.atts.at(ref) = attSlot{seq: att.Seq, n: uint32(n)}
-	return ref
-}
-
-// restride widens every slot to stride words (a wider set than any
-// before was posted: at most once per distinct width).
-func (q *queue) restride(stride int) {
-	words := make([]uint64, len(q.atts.slots)*stride, cap(q.atts.slots)*stride)
-	for s, slot := range q.atts.slots {
-		copy(words[s*stride:], q.attWords[s*q.attStride:][:slot.n])
-	}
-	q.attWords, q.attStride = words, stride
-}
-
-// attachment rebuilds the attachment behind ref as a view of the arena.
-func (q *queue) attachment(ref uint32) Attachment {
-	slot := *q.atts.at(ref)
-	if slot.n == 0 {
-		return Attachment{Seq: slot.seq}
-	}
-	off := int(ref-1) * q.attStride
-	end := off + int(slot.n)
-	return Attachment{Words: q.attWords[off:end:end], Seq: slot.seq}
 }
 
 // park stores e in the table ev's kind selects and sets ev's ref.
 func (q *queue) park(ev *Event, e sideEntry) {
 	if ev.Kind == KindFunc {
-		ev.ref = q.parkFunc(e.fn)
+		ev.ref = q.fns.park(e.fn)
 	} else {
-		ev.ref = q.parkAtt(e.att)
+		ev.ref = q.atts.park(e.att)
 	}
 }
 
-// discard drops every queued event and side entry and returns how many
-// events were dropped. Capacity is kept.
+// discard drops every queued record and side entry and returns how many
+// events were dropped. Pages are kept.
 func (q *queue) discard() int {
-	n := len(q.heap)
-	q.heap = q.heap[:0]
+	dropped := q.pending
+	q.n, q.pending = 0, 0
 	q.fns.reset()
 	q.atts.reset()
-	q.attWords = q.attWords[:0]
-	return n
+	return dropped
 }
 
-// reserve grows the heap's capacity to n events.
-func (q *queue) reserve(n int) {
-	grown := make([]Event, len(q.heap), n)
-	copy(grown, q.heap)
-	q.heap = grown
+// capacity is the number of records the heap's pages hold.
+func (q *queue) capacity() int { return max(0, q.heap.cap-heapRoot) }
+
+// reserve makes room for n records.
+func (q *queue) reserve(n int) { q.heap.reserve(n+heapRoot, 1) }
+
+// Fan records. A send to many cells of one origin's neighbour list is
+// one record: At, the origin and every payload field are shared, the
+// destinations are a 64-bit mask over one 64-index word of the list —
+// low half in Cell, high half in ref, which a fan record has no other
+// use for, the word's number plus one in fan — and key is the key of the
+// first destination still owed; the others hold the consecutive
+// counters after it, in ascending index order, exactly the keys that
+// many single posts would have drawn. No other key can lie between
+// consecutive counters of one origin, so when the record is popped
+// nothing queued sorts between its deliveries and they run back to
+// back; only something a handler queues meanwhile — a zero-delay post
+// from a lower-numbered origin — can, and exec checks for that.
+
+// MaxFanNeighbors is the length of the longest neighbour list a fan
+// record can index.
+const MaxFanNeighbors = 64 * (1<<16 - 1)
+
+// FanWord returns word w of a neighbour-index mask over an n-cell list
+// — bit b of word w stands for index 64w+b, PostFan's convention — where
+// a nil mask means every index.
+func FanWord(mask []uint64, n, w int) uint64 {
+	if mask != nil {
+		return mask[w]
+	}
+	if rest := n - 64*w; rest < 64 {
+		return 1<<uint(rest) - 1
+	}
+	return ^uint64(0)
 }
 
-// exec runs one popped event: a KindFunc through its side-table func,
-// anything else through the handler registered for its kind.
-func (q *queue) exec(h *handlers, ev Event) {
+func (ev *Event) fanMask() uint64 { return uint64(uint32(ev.Cell)) | uint64(ev.ref)<<32 }
+
+func (ev *Event) setFanMask(m uint64) { ev.Cell, ev.ref = int32(uint32(m)), uint32(m>>32) }
+
+// fanRecord turns ev into the fan record of mask over the given word of
+// the origin's neighbour list, with key the first of its keys.
+func (h *handlers) fanRecord(ev Event, at Time, key uint64, word int, mask uint64) Event {
+	if h.fan == nil {
+		panic("sim: PostFan without a Fanout to resolve destinations (SetFanout)")
+	}
+	if word < 0 || word >= MaxFanNeighbors/64 {
+		panic(fmt.Sprintf("sim: PostFan over word %d of a neighbour list; a fan record reaches %d neighbours", word, MaxFanNeighbors))
+	}
+	ev.At, ev.key, ev.fan = at, key, uint16(word+1)
+	ev.setFanMask(mask)
+	return ev
+}
+
+// exec runs the popped record ev and returns how many events that was:
+// one — a KindFunc through its side-table func, anything else through
+// the handler registered for its kind — or, for a fan record, one per
+// destination in key order, until the record is spent, budget events
+// have run, stop is set, or a handler has queued something that sorts
+// before the next delivery; what is left then goes back on the heap as
+// a shorter fan record.
+func (q *queue) exec(h *handlers, ev Event, budget uint64) uint64 {
+	if ev.fan != 0 {
+		return q.execFan(h, ev, budget)
+	}
+	q.pending--
+	q.executed++
 	if ev.Kind == KindFunc {
-		slot := q.fns.at(ev.ref)
-		fn := *slot
-		*slot = nil // the closure is collectable once it has run
-		q.fns.release(ev.ref)
-		fn()
-		return
+		q.fns.take(ev.ref)()
+		return 1
 	}
-	hd := h[ev.Kind]
-	if hd == nil {
-		panic(fmt.Sprintf("sim: no handler registered for event kind %d (at %d, origin %d)", ev.Kind, ev.At, ev.Origin()))
-	}
+	hd := h.of(&ev)
 	if ev.ref == 0 {
 		hd.HandleEvent(ev, Attachment{})
-		return
+		return 1
 	}
 	// The slot is released only after the handler returns: the handler
 	// reads the words in place, and an attachment it posts meanwhile
 	// must land in another slot.
-	hd.HandleEvent(ev, q.attachment(ev.ref))
+	hd.HandleEvent(ev, q.atts.get(ev.ref))
 	q.atts.release(ev.ref)
+	return 1
+}
+
+func (q *queue) execFan(h *handlers, ev Event, budget uint64) uint64 {
+	hd := h.of(&ev)
+	origin, base, mask := ev.Origin(), int(ev.fan-1)<<6, ev.fanMask()
+	fan := ev.fan
+	ev.ref, ev.fan = 0, 0
+	for done := uint64(1); ; done++ {
+		ev.Cell = h.fan.Neighbor(origin, base+bits.TrailingZeros64(mask))
+		mask &= mask - 1
+		q.pending--
+		q.executed++
+		hd.HandleEvent(ev, Attachment{})
+		if mask == 0 {
+			return done
+		}
+		ev.key++
+		if done == budget || q.stop || (q.n > 0 && less(q.top(), &ev)) {
+			ev.fan = fan
+			ev.setFanMask(mask)
+			q.push(ev)
+			return done
+		}
+	}
 }
 
 // EventSize is the size of one queued event record in bytes (48): what
 // the reserve budgets are charged in.
 const EventSize = uint64(unsafe.Sizeof(Event{}))
+
+// Footprint is what a kernel's queues hold and have held: the memory of
+// each table and the high-water marks of the queue itself.
+type Footprint struct {
+	// HeapPages and HeapBytes are the event heaps' pages.
+	HeapPages int
+	HeapBytes uint64
+	// AttPages and AttBytes are the attachment arenas'.
+	AttPages int
+	AttBytes uint64
+	// SideBytes is the func side tables.
+	SideBytes uint64
+	// RouteBytes is the capacity of the cross-shard mailboxes with
+	// their side lists and word arenas (zero on the serial kernel).
+	RouteBytes uint64
+	// Records and Events are what is queued now: heap and mailbox
+	// records, and the events they stand for (Pending).
+	Records, Events int
+	// PeakRecords and PeakEvents are the high-water marks of the two,
+	// taken per queue and summed: what the heaps had to grow to.
+	PeakRecords, PeakEvents int
+	// Pops counts records popped; Executed()/Pops is the mean fan-out.
+	Pops uint64
+}
+
+// addTo accumulates q's share of a kernel's footprint.
+func (q *queue) addTo(f *Footprint) {
+	f.HeapPages += len(q.heap.tab)
+	f.HeapBytes += q.heap.bytes()
+	f.AttPages += len(q.atts.words.tab)
+	f.AttBytes += q.atts.words.bytes()
+	f.SideBytes += uint64(cap(q.fns.slots))*uint64(unsafe.Sizeof(q.fns.slots[0])) + uint64(cap(q.fns.free))*4
+	f.Records += q.n
+	f.Events += q.pending
+	f.PeakRecords += q.peakRecords
+	f.PeakEvents += q.peakPending
+	f.Pops += q.pops
+}

@@ -114,6 +114,26 @@ func TestPackedKeyOverflowPanics(t *testing.T) {
 	NewEngine().AtOrigin(0, MaxOrigins, func() {})
 }
 
+// TestOriginLimitFailsAtConstruction: a cell count past the packed
+// key's origin width is refused when the kernel is built — a descriptive
+// error from CheckOrigins, which NewShards panics with — not at the first
+// event of the first too-high cell.
+func TestOriginLimitFailsAtConstruction(t *testing.T) {
+	if err := CheckOrigins(MaxOrigins); err != nil {
+		t.Fatalf("CheckOrigins(MaxOrigins) = %v", err)
+	}
+	err := CheckOrigins(MaxOrigins + 1)
+	if err == nil || !strings.Contains(err.Error(), "16777216 cells") || !strings.Contains(err.Error(), "16777215 origins") {
+		t.Fatalf("CheckOrigins(MaxOrigins+1) = %v", err)
+	}
+	defer func() {
+		if msg, _ := recover().(string); msg != err.Error() {
+			t.Errorf("NewShards with %d origins: panic %q, want %q", MaxOrigins+1, msg, err)
+		}
+	}()
+	NewShards(4, 10, MaxOrigins+1)
+}
+
 // TestSideTableSlotsAreRecycled runs 10^6 schedule/execute cycles of
 // func and attachment-carrying events and checks the side table never
 // grows past the in-flight count — executed events return their slots —
@@ -138,13 +158,13 @@ func TestSideTableSlotsAreRecycled(t *testing.T) {
 	if got.Seq == 0 || len(got.Words) != 1 {
 		t.Fatalf("attachment did not reach the handler: %+v", got)
 	}
-	if nf, na := len(e.q.fns.slots), len(e.q.atts.slots); nf > inFlight+1 || na > inFlight+1 {
+	if nf, na := len(e.q.fns.slots), e.q.atts.n; nf > inFlight+1 || na > inFlight+1 {
 		t.Fatalf("side tables grew to %d func and %d attachment slots with %d events in flight", nf, na, inFlight)
 	}
 	if dropped := e.DiscardPending(); dropped != inFlight {
 		t.Fatalf("DiscardPending dropped %d events, want %d", dropped, inFlight)
 	}
-	if n := len(e.q.fns.slots) + len(e.q.atts.slots) + len(e.q.fns.free) + len(e.q.atts.free); n != 0 {
+	if n := len(e.q.fns.slots) + e.q.atts.n + len(e.q.fns.free) + e.q.atts.freeSlots(); n != 0 {
 		t.Fatalf("DiscardPending left %d side entries and free slots", n)
 	}
 	for i := 0; i < inFlight; i++ {
@@ -176,6 +196,15 @@ func TestSideTableSlotsAreRecycled(t *testing.T) {
 			t.Fatalf("shard %d: DiscardPending left side entries behind", s)
 		}
 	}
+}
+
+// freeSlots walks the arena's free list and returns its length.
+func (a *attArena) freeSlots() int {
+	n := 0
+	for ref := a.free; ref != 0; ref = uint32(a.slot(ref)[0]) {
+		n++
+	}
+	return n
 }
 
 // handlerFunc adapts a function to Handler.
@@ -285,7 +314,7 @@ func TestAttachmentSlotOutlivesHandler(t *testing.T) {
 		if handled < events {
 			t.Fatalf("handled %d events, want at least %d", handled, events)
 		}
-		if n := len(e.q.atts.slots); n > 64 {
+		if n := e.q.atts.n; n > 64 {
 			t.Fatalf("attachment table grew to %d slots", n)
 		}
 	})
@@ -339,8 +368,8 @@ func TestAttachmentSlotOutlivesHandler(t *testing.T) {
 				t.Fatalf("shard %d handled %d events", s, ps[s].handled)
 			}
 			q := &k.shards[s].q
-			if len(q.atts.free) != len(q.atts.slots) {
-				t.Fatalf("shard %d: %d of %d attachment slots still held after the drain", s, len(q.atts.slots)-len(q.atts.free), len(q.atts.slots))
+			if free := q.atts.freeSlots(); free != q.atts.n {
+				t.Fatalf("shard %d: %d of %d attachment slots still held after the drain", s, q.atts.n-free, q.atts.n)
 			}
 		}
 	})

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/chanset"
@@ -142,6 +143,29 @@ func (d *DES) Send(m message.Message) {
 	// sharded runs order simultaneous deliveries identically.
 	ev, att := EventOf(m)
 	d.engine.Post(at, int32(m.From), ev, att)
+}
+
+// Multicast sends m from m.From to the cells of its n-cell neighbour
+// list — the list the engine's sim.Fanout resolves — whose index mask
+// selects (alloc.Multicaster's mask; nil selects all n), exactly as one
+// Send each in ascending index order would, and returns how many that
+// was. It queues one fan record per 64 neighbours instead of one event
+// per destination. A message that needs per-destination treatment — a
+// jittered due time, a codec round trip, an attachment to park — is
+// refused (ok false, nothing sent): the caller sends it one by one.
+func (d *DES) Multicast(m message.Message, n int, mask []uint64) (sent int, ok bool) {
+	ev, att := EventOf(m)
+	if d.jitter > 0 || d.wire || !att.Empty() || n > sim.MaxFanNeighbors {
+		return 0, false
+	}
+	at := d.engine.Now() + d.latency
+	for w := 0; w*64 < n; w++ {
+		word := sim.FanWord(mask, n, w)
+		d.engine.PostFan(at, int32(m.From), ev, w, word)
+		sent += bits.OnesCount64(word)
+	}
+	d.stats.CountN(m, sent)
+	return sent, true
 }
 
 // Stats implements Transport.

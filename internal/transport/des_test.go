@@ -215,3 +215,84 @@ func TestEventOfRoundTrips(t *testing.T) {
 		}
 	}
 }
+
+// listFanout resolves fan records against fixed neighbour lists.
+type listFanout [][]hexgrid.CellID
+
+func (l listFanout) Neighbor(origin int32, i int) int32 { return int32(l[origin][i]) }
+
+// TestDESMulticastMatchesSends: a Multicast delivers the messages — To
+// stamped, same order, same times, same Stats — that one Send per
+// selected neighbour delivers, as one engine record per 64 neighbours;
+// and it refuses (sending nothing) what needs per-destination treatment.
+func TestDESMulticastMatchesSends(t *testing.T) {
+	neighbors := make([]hexgrid.CellID, 70)
+	for i := range neighbors {
+		neighbors[i] = hexgrid.CellID(1 + i)
+	}
+	mask := []uint64{1<<0 | 1<<9 | 1<<63, 1 << 2}
+	m := message.Message{Kind: message.Acquisition, Acq: message.AcqNonSearch, From: 0, Ch: 7, TS: lamport.Stamp{Time: 5, Node: 0}}
+
+	run := func(multicast bool) (*recorder, Stats, uint64) {
+		e := sim.NewEngine()
+		e.SetFanout(listFanout{neighbors})
+		tr := NewDES(e, 10, 0, nil)
+		rec := &recorder{e: e}
+		for _, c := range neighbors {
+			tr.Attach(c, rec)
+		}
+		for _, mk := range [][]uint64{nil, mask} {
+			if multicast {
+				want := len(neighbors)
+				if mk != nil {
+					want = 4
+				}
+				if sent, ok := tr.Multicast(m, len(neighbors), mk); !ok || sent != want {
+					t.Fatalf("Multicast = %d, %v; want %d, true", sent, ok, want)
+				}
+				continue
+			}
+			for i, to := range neighbors {
+				if mk == nil || mk[i/64]>>(uint(i)%64)&1 != 0 {
+					mm := m
+					mm.To = to
+					tr.Send(mm)
+				}
+			}
+		}
+		e.Run(100)
+		return rec, tr.Stats(), e.Footprint().Pops
+	}
+	sends, sendStats, sendPops := run(false)
+	fans, fanStats, fanPops := run(true)
+	if len(sends.msgs) != 74 || !reflect.DeepEqual(fans.msgs, sends.msgs) || !reflect.DeepEqual(fans.at, sends.at) {
+		t.Fatalf("Multicast delivered %d messages, Send %d, or they differ", len(fans.msgs), len(sends.msgs))
+	}
+	if fanStats != sendStats || fanStats.Total != 74 || fanStats.ByKind[message.Acquisition] != 74 {
+		t.Fatalf("Stats differ: multicast %+v, sends %+v", fanStats, sendStats)
+	}
+	if sendPops != 74 || fanPops != 4 {
+		t.Fatalf("%d records popped for the sends, %d for the multicasts; want 74 and 4", sendPops, fanPops)
+	}
+
+	e := sim.NewEngine()
+	jittered := NewDES(e, 10, 3, sim.NewRand(1))
+	wired := NewDES(sim.NewEngine(), 10, 0, nil)
+	wired.EnableWire()
+	plain := NewDES(sim.NewEngine(), 10, 0, nil)
+	withUse := m
+	withUse.Use = chanset.NewSet(70)
+	withUse.Use.Add(2)
+	for name, refused := range map[string]bool{
+		"jitter": func() bool { _, ok := jittered.Multicast(m, 70, nil); return !ok }(),
+		"wire":   func() bool { _, ok := wired.Multicast(m, 70, nil); return !ok }(),
+		"use":    func() bool { _, ok := plain.Multicast(withUse, 70, nil); return !ok }(),
+	} {
+		if !refused {
+			t.Errorf("%s: Multicast did not refuse a message that needs a Send per destination", name)
+		}
+	}
+	if e.Pending() != 0 || jittered.Stats().Total+wired.Stats().Total+plain.Stats().Total != 0 {
+		t.Error("a refused Multicast sent or counted something")
+	}
+}

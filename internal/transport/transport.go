@@ -92,15 +92,18 @@ func (s *Stats) Add(o Stats) {
 // Count records one sent message. Exported for drivers that keep their
 // own per-shard Stats (the parallel DES driver) rather than wrapping a
 // Transport implementation.
-func (s *Stats) Count(m message.Message) { s.count(m) }
+func (s *Stats) Count(m message.Message) { s.CountN(m, 1) }
 
-// count records one sent message (shared by implementations).
-func (s *Stats) count(m message.Message) {
-	s.Total++
+// CountN records n sent copies of m in one step (a multicast).
+func (s *Stats) CountN(m message.Message, n int) {
+	s.Total += uint64(n)
 	if int(m.Kind) < len(s.ByKind) {
-		s.ByKind[m.Kind]++
+		s.ByKind[m.Kind] += uint64(n)
 	}
 }
+
+// count records one sent message (shared by implementations).
+func (s *Stats) count(m message.Message) { s.CountN(m, 1) }
 
 // Idler is implemented by transports that can report quiescence (Live
 // and the decorators stacked on it). Decorators combine their own
