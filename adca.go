@@ -6,10 +6,11 @@
 //
 // A Network is a simulated cellular system: a hexagonal grid of cells,
 // each run by a mobile service station executing a distributed channel
-// allocation scheme over a message transport with latency T. Five
-// schemes are available: the paper's adaptive hybrid ("adaptive") and
-// the comparison baselines ("fixed", "basic-search", "basic-update",
-// "advanced-update").
+// allocation scheme over a message transport with latency T. Six
+// schemes are available: the paper's adaptive hybrid ("adaptive"), the
+// comparison baselines ("fixed", "basic-search", "basic-update",
+// "advanced-update") and the allocated-set search of Prakash et al.
+// that §6 compares against ("allocated-search").
 //
 // Quick start:
 //
@@ -692,26 +693,6 @@ func (n *Network) RunWorkload(w Workload) (WorkloadStats, error) {
 	return workloadStats(ts), nil
 }
 
-// ParallelConfig sizes the sharded runner for RunParallelWorkload.
-type ParallelConfig struct {
-	// Shards is the tile count (default min(16, cells)). It is part of
-	// the scenario only through per-cell request-id derivation; per-cell
-	// trajectories and all workload statistics are shard-count-invariant.
-	Shards int
-	// Workers is the goroutine count advancing shards (default NumCPU).
-	// Never affects results.
-	Workers int
-}
-
-// RunParallelWorkload runs the workload on the sharded driver with an
-// explicit ParallelConfig.
-//
-// Deprecated: use RunParallel, which takes the same sizing through
-// WithShards/WithWorkers and composes with the policy and obs options.
-func RunParallelWorkload(sc Scenario, w Workload, pc ParallelConfig) (WorkloadStats, Stats, error) {
-	return RunParallel(sc, w, WithShards(pc.Shards), WithWorkers(pc.Workers))
-}
-
 // RunParallel builds the scenario on the sharded driver and drives the
 // same workload RunWorkload would, including mobility: arrival, holding
 // and mobility randomness are per-cell substreams, so the run is
@@ -742,8 +723,7 @@ type ParallelNetwork struct {
 // for what the options size and what is not supported.
 func NewParallel(sc Scenario, opts ...Option) (*ParallelNetwork, error) {
 	c := applyOptions(sc, opts)
-	sc, pc := c.sc, c.pc
-	grid, assign, cfg, sc, err := buildParts(sc)
+	grid, assign, cfg, sc, err := buildParts(c.sc)
 	if err != nil {
 		return nil, err
 	}
@@ -756,8 +736,8 @@ func NewParallel(sc Scenario, opts ...Option) (*ParallelNetwork, error) {
 		Jitter:  sim.Time(sc.JitterTicks),
 		Seed:    sc.Seed,
 		Check:   sc.CheckInterference,
-		Shards:  pc.Shards,
-		Workers: pc.Workers,
+		Shards:  c.shards,
+		Workers: c.workers,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("adca: %w", err)

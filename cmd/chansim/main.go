@@ -22,7 +22,7 @@
 // worker count; only -metrics/-journal require the serial path.
 // -drain-horizon H truncates the post-duration drain H ticks after the
 // arrival window (held calls force-released in canonical order, the
-// measured window untouched; see DESIGN.md §9.8) — the way to run a
+// measured window untouched; see DESIGN.md §9.5) — the way to run a
 // giant warm-started scenario without simulating every hang-up.
 //
 // Profiles: -cpuprofile writes a pprof CPU profile of the whole run;
@@ -34,21 +34,13 @@
 // shard worker, barrier waits, GC). All three work with -shards. The
 // report's "kernel" lines are the event kernel's own account of its
 // memory (sim.Footprint), no profile needed.
-//
-// Performance: -bench runs the measurement harness instead of a
-// scenario and emits a BENCH_*.json document (per-event kernel cost,
-// sweep wall-clock, the live-network message path over loopback TCP,
-// the sharded parallel kernel's scaling on 50x50, mobile 50x50 and
-// 100x100 grids, and giant-grid scale on 500x500/1000x1000 lattices,
-// all with per-run trajectory hashes; see DESIGN.md §9, §9.5 and
-// §9.6). -bench-quick shrinks the workload for CI smoke; -bench-only
-// selects sections; -bench-out writes the JSON to a file; -workers
-// bounds the sweep pool.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -57,56 +49,77 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/experiments"
 	"repro/internal/policy"
 	"repro/internal/scenario"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main without the process: it parses args, runs the scenario,
+// writes the report to stdout and diagnostics to stderr, and returns
+// the exit code.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("chansim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		config       = flag.String("config", "", "load scenario from this JSON file (flags below are ignored)")
-		scheme       = flag.String("scheme", "adaptive", "allocation scheme: "+strings.Join(adca.Schemes(), ", "))
-		width        = flag.Int("width", 7, "grid width (cells)")
-		height       = flag.Int("height", 0, "grid height (0 = width)")
-		reuse        = flag.Int("reuse", 2, "co-channel reuse distance (cells)")
-		wrap         = flag.Bool("wrap", true, "wrap the grid toroidally (no boundary effects)")
-		channels     = flag.Int("channels", 70, "spectrum size")
-		latency      = flag.Int64("latency", 10, "one-way message latency T (ticks)")
-		erlang       = flag.Float64("erlang", 5, "offered load per cell (Erlang)")
-		hotErlang    = flag.Float64("hot-erlang", 0, "hot-cell offered load (0 = no hotspot)")
-		handoff      = flag.Float64("handoff", 0, "per-call handoff rate (events/tick)")
-		hold         = flag.Float64("hold", 3000, "mean call duration (ticks)")
-		duration     = flag.Int64("duration", 200_000, "arrival window (ticks)")
-		warmup       = flag.Int64("warmup", 20_000, "warmup excluded from stats (ticks)")
-		warmStart    = flag.Bool("warm-start", false, "seed stationary Erlang occupancy before tick 0 (skip the ramp-up transient)")
-		drainHorizon = flag.Int64("drain-horizon", 0, "truncate the post-duration drain this many ticks after duration, force-releasing held calls (0 = drain to quiescence)")
-		seed         = flag.Uint64("seed", 1, "random seed (runs are deterministic per seed)")
-		check        = flag.Bool("check", true, "verify the interference invariant on every grant")
-		shards       = flag.Int("shards", 0, "run on the sharded parallel driver with this many shards (0 = serial)")
-		predictor    = flag.String("predictor", "", `adaptive NFC predictor "name[,key=val...]": `+strings.Join(adca.Predictors(), ", "))
-		lender       = flag.String("lender", "", `adaptive lender strategy "name[,key=val...]": `+strings.Join(adca.LenderStrategies(), ", "))
+		config       = fs.String("config", "", "load scenario from this JSON file (flags below are ignored)")
+		scheme       = fs.String("scheme", "adaptive", "allocation scheme: "+strings.Join(adca.Schemes(), ", "))
+		width        = fs.Int("width", 7, "grid width (cells)")
+		height       = fs.Int("height", 0, "grid height (0 = width)")
+		reuse        = fs.Int("reuse", 2, "co-channel reuse distance (cells)")
+		wrap         = fs.Bool("wrap", true, "wrap the grid toroidally (no boundary effects)")
+		channels     = fs.Int("channels", 70, "spectrum size")
+		latency      = fs.Int64("latency", 10, "one-way message latency T (ticks)")
+		erlang       = fs.Float64("erlang", 5, "offered load per cell (Erlang)")
+		hotErlang    = fs.Float64("hot-erlang", 0, "hot-cell offered load (0 = no hotspot)")
+		handoff      = fs.Float64("handoff", 0, "per-call handoff rate (events/tick)")
+		hold         = fs.Float64("hold", 3000, "mean call duration (ticks)")
+		duration     = fs.Int64("duration", 200_000, "arrival window (ticks)")
+		warmup       = fs.Int64("warmup", 20_000, "warmup excluded from stats (ticks)")
+		warmStart    = fs.Bool("warm-start", false, "seed stationary Erlang occupancy before tick 0 (skip the ramp-up transient)")
+		drainHorizon = fs.Int64("drain-horizon", 0, "truncate the post-duration drain this many ticks after duration, force-releasing held calls (0 = drain to quiescence)")
+		seed         = fs.Uint64("seed", 1, "random seed (runs are deterministic per seed)")
+		check        = fs.Bool("check", true, "verify the interference invariant on every grant")
+		shards       = fs.Int("shards", 0, "run on the sharded parallel driver with this many shards (0 = serial)")
+		workers      = fs.Int("workers", 0, "with -shards: kernel worker goroutines (0 = NumCPU)")
+		predictor    = fs.String("predictor", "", `adaptive NFC predictor "name[,key=val...]": `+strings.Join(adca.Predictors(), ", "))
+		lender       = fs.String("lender", "", `adaptive lender strategy "name[,key=val...]": `+strings.Join(adca.LenderStrategies(), ", "))
 
-		metricsAddr = flag.String("metrics", "", "serve Prometheus text metrics at this address (e.g. :9090)")
-		journalPath = flag.String("journal", "", "write a JSONL event journal to this file")
-		linger      = flag.Duration("linger", 0, "keep the metrics endpoint up this long after the report")
+		metricsAddr = fs.String("metrics", "", "serve Prometheus text metrics at this address (e.g. :9090)")
+		journalPath = fs.String("journal", "", "write a JSONL event journal to this file")
+		linger      = fs.Duration("linger", 0, "keep the metrics endpoint up this long after the report")
 
-		bench      = flag.Bool("bench", false, "run the performance harness instead of a scenario; emit JSON")
-		benchQuick = flag.Bool("bench-quick", false, "with -bench: shorter runs (CI smoke)")
-		benchOut   = flag.String("bench-out", "", "with -bench: write the JSON here instead of stdout")
-		benchOnly  = flag.String("bench-only", "", "with -bench: run only these comma-separated sections ("+strings.Join(experiments.BenchSections, ",")+")")
-		workers    = flag.Int("workers", 0, "with -bench: sweep pool width; with -shards: kernel worker goroutines (0 = NumCPU)")
-
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file after the run (after a GC, the network still live)")
-		execTrace  = flag.String("exectrace", "", "write a runtime/trace execution trace of the run to this file")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProfile = fs.String("memprofile", "", "write a heap profile to this file after the run (after a GC, the network still live)")
+		execTrace  = fs.String("exectrace", "", "write a runtime/trace execution trace of the run to this file")
 	)
-	flag.Parse()
-	stopCPU, stopTrace := startCPUProfile(*cpuProfile), startExecTrace(*execTrace)
-	stopProfiles := func() { stopCPU(); stopTrace() }
-	if *bench {
-		runBench(*workers, *benchQuick, *benchOnly, *benchOut)
-		stopProfiles()
-		return
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	// Every return finishes the profiles. A run refused before it
+	// simulated anything leaves none behind; one that fails later
+	// leaves closed, readable files.
+	var prof profiles
+	simulated := false
+	defer func() {
+		if err := prof.finish(!simulated); err != nil && code == 0 {
+			code = fail(err)
+		}
+	}()
+	if err := prof.start("-cpuprofile", *cpuProfile, pprof.StartCPUProfile, pprof.StopCPUProfile); err != nil {
+		return fail(err)
+	}
+	if err := prof.start("-exectrace", *execTrace, trace.Start, trace.Stop); err != nil {
+		return fail(err)
 	}
 	if *height == 0 {
 		*height = *width
@@ -136,8 +149,7 @@ func main() {
 	if *config != "" {
 		file, err := scenario.Load(*config)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
 		sc = adca.Scenario{
 			Scheme:        file.Scheme,
@@ -208,16 +220,14 @@ func main() {
 	if *predictor != "" {
 		spec, err := policy.ParseSpec(*predictor)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
 		sc.Predictor = &adca.PolicySpec{Name: spec.Name, Params: spec.Params}
 	}
 	if *lender != "" {
 		spec, err := policy.ParseSpec(*lender)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
 		sc.Lender = &adca.PolicySpec{Name: spec.Name, Params: spec.Params}
 	}
@@ -233,38 +243,39 @@ func main() {
 		// (bit-identical stats at any shard/worker count), minus the
 		// serial-only observability sinks.
 		if *metricsAddr != "" || *journalPath != "" {
-			fmt.Fprintln(os.Stderr, "chansim: -metrics/-journal need the serial driver (drop -shards)")
-			os.Exit(1)
+			return fail(errors.New("chansim: -metrics/-journal need the serial driver (drop -shards)"))
 		}
 		pnet, err := adca.NewParallel(sc, adca.WithShards(*shards), adca.WithWorkers(*workers))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
 		ws, err := pnet.RunWorkload(w)
+		simulated = err == nil || pnet.KernelFootprint().Pops > 0
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
-		stopProfiles()
-		writeHeapProfile(*memProfile, pnet)
+		if err := prof.finish(false); err != nil {
+			return fail(err)
+		}
+		if err := writeHeapProfile(*memProfile, pnet); err != nil {
+			return fail(err)
+		}
 		st := pnet.Stats()
 		scheme := sc.Scheme
 		if scheme == "" {
 			scheme = "adaptive"
 		}
-		fmt.Printf("driver            parallel (%d shards)\n", *shards)
-		printReport(scheme, ws, st, sc.LatencyTicks)
-		printKernel(pnet.KernelFootprint())
-		return
+		fmt.Fprintf(stdout, "driver            parallel (%d shards)\n", *shards)
+		printReport(stdout, scheme, ws, st, sc.LatencyTicks)
+		printKernel(stdout, pnet.KernelFootprint())
+		return 0
 	}
 	if *metricsAddr != "" || *journalPath != "" {
 		oc := &adca.ObsConfig{MetricsAddr: *metricsAddr}
 		if *journalPath != "" {
 			jf, err := os.Create(*journalPath)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return fail(err)
 			}
 			defer jf.Close()
 			oc.Journal = jf
@@ -273,122 +284,126 @@ func main() {
 	}
 	net, err := adca.New(sc)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(err)
 	}
 	defer net.Close()
 	if addr := net.MetricsAddr(); addr != "" {
-		fmt.Printf("metrics           http://%s/metrics\n", addr)
+		fmt.Fprintf(stdout, "metrics           http://%s/metrics\n", addr)
 	}
 	ws, err := net.RunWorkload(w)
+	simulated = err == nil || net.KernelFootprint().Pops > 0
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(err)
 	}
 	if err := net.CheckInterference(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(err)
 	}
-	stopProfiles()
-	writeHeapProfile(*memProfile, net)
-	fmt.Printf("cells / channels  %d / %d\n", net.NumCells(), net.NumChannels())
-	printReport(net.Scheme(), ws, net.Stats(), sc.LatencyTicks)
-	printKernel(net.KernelFootprint())
+	if err := prof.finish(false); err != nil {
+		return fail(err)
+	}
+	if err := writeHeapProfile(*memProfile, net); err != nil {
+		return fail(err)
+	}
+	fmt.Fprintf(stdout, "cells / channels  %d / %d\n", net.NumCells(), net.NumChannels())
+	printReport(stdout, net.Scheme(), ws, net.Stats(), sc.LatencyTicks)
+	printKernel(stdout, net.KernelFootprint())
 	if addr := net.MetricsAddr(); addr != "" && *linger > 0 {
-		fmt.Printf("metrics           lingering at http://%s/metrics for %v\n", addr, *linger)
+		fmt.Fprintf(stdout, "metrics           lingering at http://%s/metrics for %v\n", addr, *linger)
 		time.Sleep(*linger)
 	}
+	return 0
 }
 
 // printReport renders the common scenario report: telephony outcomes
 // (including handoff drops, merged across shards on the parallel
 // driver), latency in units of T, message overhead and the adaptive
 // path mix.
-func printReport(scheme string, ws adca.WorkloadStats, st adca.Stats, latencyTicks int64) {
-	fmt.Printf("scheme            %s\n", scheme)
-	fmt.Printf("offered calls     %d\n", ws.Offered)
-	fmt.Printf("blocking          %.4f\n", ws.BlockingProbability)
+func printReport(w io.Writer, scheme string, ws adca.WorkloadStats, st adca.Stats, latencyTicks int64) {
+	fmt.Fprintf(w, "scheme            %s\n", scheme)
+	fmt.Fprintf(w, "offered calls     %d\n", ws.Offered)
+	fmt.Fprintf(w, "blocking          %.4f\n", ws.BlockingProbability)
 	if ws.HandoffAttempts > 0 {
-		fmt.Printf("handoff drops     %.4f (%d attempts)\n", ws.HandoffDropProbability, ws.HandoffAttempts)
+		fmt.Fprintf(w, "handoff drops     %.4f (%d attempts)\n", ws.HandoffDropProbability, ws.HandoffAttempts)
 	}
 	tUnit := float64(latencyTicks)
 	if tUnit == 0 {
 		tUnit = 10
 	}
-	fmt.Printf("acq time (mean)   %.2f T\n", st.MeanAcquireTicks/tUnit)
-	fmt.Printf("acq time (p95)    %.2f T\n", st.P95AcquireTicks/tUnit)
-	fmt.Printf("messages/call     %.2f\n", st.MessagesPerRequest)
+	fmt.Fprintf(w, "acq time (mean)   %.2f T\n", st.MeanAcquireTicks/tUnit)
+	fmt.Fprintf(w, "acq time (p95)    %.2f T\n", st.P95AcquireTicks/tUnit)
+	fmt.Fprintf(w, "messages/call     %.2f\n", st.MessagesPerRequest)
 	grants := st.LocalGrants + st.UpdateGrants + st.SearchGrants
 	if grants > 0 && scheme == "adaptive" {
-		fmt.Printf("path mix          ξ1=%.3f ξ2=%.3f ξ3=%.3f\n",
+		fmt.Fprintf(w, "path mix          ξ1=%.3f ξ2=%.3f ξ3=%.3f\n",
 			float64(st.LocalGrants)/float64(grants),
 			float64(st.UpdateGrants)/float64(grants),
 			float64(st.SearchGrants)/float64(grants))
 	}
-	fmt.Printf("invariant         ok (no co-channel interference)\n")
+	fmt.Fprintf(w, "invariant         ok (no co-channel interference)\n")
 }
 
 // printKernel renders the event kernel's own account of what it holds.
-func printKernel(f adca.KernelFootprint) {
+func printKernel(w io.Writer, f adca.KernelFootprint) {
 	const mb = 1 << 20
-	fmt.Printf("kernel memory     heap %.1f MB (%d pages), attachments %.1f MB (%d pages), funcs %.1f MB, routes %.1f MB\n",
+	fmt.Fprintf(w, "kernel memory     heap %.1f MB (%d pages), attachments %.1f MB (%d pages), funcs %.1f MB, routes %.1f MB\n",
 		float64(f.HeapBytes)/mb, f.HeapPages, float64(f.AttBytes)/mb, f.AttPages, float64(f.SideBytes)/mb, float64(f.RouteBytes)/mb)
-	fmt.Printf("kernel queue      peak %d records for %d events pending; %d records popped\n",
+	fmt.Fprintf(w, "kernel queue      peak %d records for %d events pending; %d records popped\n",
 		f.PeakRecords, f.PeakEvents, f.Pops)
 }
 
-// startExecTrace starts a runtime/trace execution trace into path and
-// returns the function that finishes it; with no path both do nothing.
-func startExecTrace(path string) (stop func()) {
-	if path == "" {
-		return func() {}
-	}
-	f, err := os.Create(path)
-	if err == nil {
-		err = trace.Start(f)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "chansim: -exectrace:", err)
-		os.Exit(1)
-	}
-	return func() {
-		trace.Stop()
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "chansim: -exectrace:", err)
-			os.Exit(1)
-		}
-	}
+// profiles are the -cpuprofile and -exectrace outputs a run has started.
+type profiles []profile
+
+type profile struct {
+	flag string
+	file *os.File
+	stop func()
 }
 
-// startCPUProfile starts a CPU profile into path and returns the
-// function that finishes it; with no path both do nothing.
-func startCPUProfile(path string) (stop func()) {
+// start begins one profile into path (none if empty) and records how to
+// finish it.
+func (ps *profiles) start(flag, path string, start func(io.Writer) error, stop func()) error {
 	if path == "" {
-		return func() {}
+		return nil
 	}
 	f, err := os.Create(path)
 	if err == nil {
-		err = pprof.StartCPUProfile(f)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "chansim: -cpuprofile:", err)
-		os.Exit(1)
-	}
-	return func() {
-		pprof.StopCPUProfile()
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "chansim: -cpuprofile:", err)
-			os.Exit(1)
+		if err = start(f); err != nil {
+			f.Close()
+			os.Remove(path)
 		}
 	}
+	if err != nil {
+		return fmt.Errorf("chansim: %s: %w", flag, err)
+	}
+	*ps = append(*ps, profile{flag, f, stop})
+	return nil
+}
+
+// finish stops every profile still running and closes its file, or,
+// with discard, removes it. Finishing twice is harmless.
+func (ps *profiles) finish(discard bool) error {
+	var first error
+	for _, p := range *ps {
+		p.stop()
+		err := p.file.Close()
+		if discard {
+			err = os.Remove(p.file.Name())
+		}
+		if err != nil && first == nil {
+			first = fmt.Errorf("chansim: %s: %w", p.flag, err)
+		}
+	}
+	*ps = nil
+	return first
 }
 
 // writeHeapProfile writes the heap profile to path (none if empty). It
 // collects first, so the profile is the settled heap, and keeps network
 // reachable across the write, so that heap still holds the simulator.
-func writeHeapProfile(path string, network any) {
+func writeHeapProfile(path string, network any) error {
 	if path == "" {
-		return
+		return nil
 	}
 	runtime.GC()
 	f, err := os.Create(path)
@@ -398,32 +413,9 @@ func writeHeapProfile(path string, network any) {
 			err = cerr
 		}
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "chansim: -memprofile:", err)
-		os.Exit(1)
-	}
 	runtime.KeepAlive(network)
-}
-
-// runBench drives the measurement harness and writes the JSON report.
-func runBench(workers int, quick bool, only, out string) {
-	rep, err := experiments.RunBenchOnly(workers, quick, only)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fmt.Errorf("chansim: -memprofile: %w", err)
 	}
-	data, err := experiments.MarshalReport(rep)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if out == "" {
-		os.Stdout.Write(data)
-		return
-	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "bench report written to %s\n", out)
+	return nil
 }

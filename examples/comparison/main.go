@@ -1,4 +1,4 @@
-// Comparison: all five schemes across low, moderate and high uniform
+// Comparison: all six schemes across low, moderate and high uniform
 // load — a compact version of the paper's Tables 1-3 showing who pays
 // what, and where the static/dynamic crossover falls.
 package main

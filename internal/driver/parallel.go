@@ -12,7 +12,7 @@ package driver
 // the final channel sets — is a function of (scenario, seed, shard
 // count) only. The worker count changes wall-clock, never results; the
 // shard count is part of the scenario (fixed defaults keep it machine-
-// independent). See DESIGN.md §9.5 for the argument.
+// independent). See DESIGN.md §9.4 for the argument.
 //
 // Divergences from the serial Sim, all deliberate:
 //   - Request IDs are derived per cell (id = count*N + cell + 1) instead
@@ -388,8 +388,7 @@ func (p *Parallel) Release(cell hexgrid.CellID, ch chanset.Channel) {
 // ActiveCalls returns the number of channels currently held across the
 // grid (grants minus releases). Only safe while the kernel is parked —
 // before Run, at a window barrier, or after Run/Drain returns — since
-// shard workers update the counters mid-window. The scale bench samples
-// it at barriers to report measured occupancy.
+// shard workers update the counters mid-window.
 func (p *Parallel) ActiveCalls() uint64 {
 	var n uint64
 	for i := range p.shards {

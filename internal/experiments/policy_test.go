@@ -4,95 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/chanset"
-	"repro/internal/core"
-	"repro/internal/driver"
-	"repro/internal/hexgrid"
 	"repro/internal/policy"
-	"repro/internal/registry"
-	"repro/internal/sim"
-	"repro/internal/traffic"
 )
-
-// goldenRun is one pinned default-policy trajectory. The hashes were
-// captured on the commit immediately before the policy seam was
-// extracted (PR 7), so they certify that the default Predictor and
-// LenderStrategy reproduce the paper's hard-coded check_mode/Best()
-// behavior bit for bit.
-type goldenRun struct {
-	name          string
-	width, height int
-	erlang        float64
-	handoff       float64
-	duration      sim.Time
-	hash          string
-}
-
-var goldenRuns = []goldenRun{
-	{name: "12x12-borrow", width: 12, height: 12, erlang: 9, duration: 8000,
-		hash: "5c96389351e9f1c36023c18de2f05eb73a8e5a0d4660525865f54cd4d7defb34"},
-	{name: "10x10-mobile", width: 10, height: 10, erlang: 8, handoff: 0.00067, duration: 6000,
-		hash: "34791a7a5feb3181e2521d6d8ec95a38c797f6bf3e06fba1b99a869eb537eefc"},
-}
-
-func runGolden(t *testing.T, c goldenRun, params core.Params) string {
-	t.Helper()
-	g := hexgrid.MustNew(hexgrid.Config{
-		Shape: hexgrid.Rect, Width: c.width, Height: c.height,
-		ReuseDistance: 2, Wrap: true,
-	})
-	assign := chanset.MustAssign(g, 70)
-	factory, err := registry.Build("adaptive", g, assign, registry.Config{Latency: 10, Adaptive: params})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := driver.New(g, assign, factory, driver.Options{Latency: 10, Seed: 101})
-	ts, err := traffic.Run(s, traffic.Spec{
-		Profile:     traffic.Uniform{PerCell: c.erlang / 3000},
-		MeanHold:    3000,
-		HandoffRate: c.handoff,
-		Duration:    c.duration,
-		Warmup:      c.duration / 5,
-		Seed:        101,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return trajectoryHash(s.Stats(), ts)
-}
-
-// TestDefaultPolicyTrajectoryGolden pins the default predictor+strategy
-// to the pre-seam trajectories: zero-value params (policy seam fully
-// defaulted) must reproduce the hashes captured before the refactor.
-func TestDefaultPolicyTrajectoryGolden(t *testing.T) {
-	for _, c := range goldenRuns {
-		if h := runGolden(t, c, core.Params{}); h != c.hash {
-			t.Errorf("%s: default-policy trajectory hash %s != pre-seam golden %s", c.name, h, c.hash)
-		}
-	}
-}
-
-// TestExplicitDefaultPoliciesBitIdentical asserts that selecting the
-// defaults *by name* through the policy registry changes nothing: the
-// explicit ("linear", "best") pair hashes equal to the zero value.
-func TestExplicitDefaultPoliciesBitIdentical(t *testing.T) {
-	pb, err := policy.BuildPredictor(policy.Spec{Name: "linear"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls, err := policy.BuildStrategy(policy.Spec{Name: "best"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := core.DefaultParams(10)
-	params.Predictor = pb
-	params.Strategy = ls
-	for _, c := range goldenRuns {
-		if h := runGolden(t, c, params); h != c.hash {
-			t.Errorf("%s: explicit linear/best trajectory hash %s != golden %s", c.name, h, c.hash)
-		}
-	}
-}
 
 // TestPolicySweepDeterministicAcrossWidths mirrors the pool determinism
 // contract for the new predictor × strategy sweep: the rendered

@@ -17,7 +17,10 @@ type Option func(*runConfig)
 // the parallel-runner sizing (ignored by the serial driver).
 type runConfig struct {
 	sc Scenario
-	pc ParallelConfig
+	// shards is the tile count (default min(16, cells)); workers the
+	// goroutine count advancing them (default NumCPU). Neither affects
+	// results.
+	shards, workers int
 }
 
 func applyOptions(sc Scenario, opts []Option) runConfig {
@@ -58,11 +61,11 @@ func WithLender(name string, params map[string]float64) Option {
 
 // WithShards sets the sharded runner's tile count (RunParallel only).
 func WithShards(n int) Option {
-	return func(c *runConfig) { c.pc.Shards = n }
+	return func(c *runConfig) { c.shards = n }
 }
 
 // WithWorkers sets the sharded runner's goroutine count (RunParallel
 // only; never affects results).
 func WithWorkers(n int) Option {
-	return func(c *runConfig) { c.pc.Workers = n }
+	return func(c *runConfig) { c.workers = n }
 }

@@ -83,28 +83,6 @@ func TestPolicyRegistriesExported(t *testing.T) {
 	}
 }
 
-// TestRunParallelWorkloadWrapper pins the deprecated signature to the
-// new option-based entry point.
-func TestRunParallelWorkloadWrapper(t *testing.T) {
-	sc := adca.Scenario{Wrap: true, Seed: 9}
-	w := adca.Workload{ErlangPerCell: 6, DurationTicks: 15_000, WarmupTicks: 1_500, Seed: 9}
-	//lint:ignore SA1019 the deprecated wrapper's behavior is under test
-	oldWS, oldSt, err := adca.RunParallelWorkload(sc, w, adca.ParallelConfig{Shards: 7, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	newWS, newSt, err := adca.RunParallel(sc, w, adca.WithShards(7), adca.WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldWS != newWS {
-		t.Errorf("wrapper workload stats diverged: %+v vs %+v", oldWS, newWS)
-	}
-	if oldSt.Grants != newSt.Grants || oldSt.Denies != newSt.Denies || oldSt.Messages != newSt.Messages {
-		t.Errorf("wrapper driver tallies diverged: %+v vs %+v", oldSt, newSt)
-	}
-}
-
 // TestRunParallelPolicyOptions drives a non-default pair through the
 // sharded runner and checks serial equality — the seam must stay
 // deterministic under the parallel kernel through the facade too.
