@@ -510,7 +510,9 @@ func networkStats(st driver.Stats) Stats {
 }
 
 // KernelFootprint is what the event kernel's queues hold and have held:
-// bytes and pages per table, and the high-water marks of the queue.
+// bytes and pages per table, the high-water marks of the queue, and how
+// many message attachments (Use snapshots) were stored and how many
+// shared a stored one.
 type KernelFootprint = sim.Footprint
 
 // KernelFootprint reports the event kernel's memory and queue

@@ -221,13 +221,18 @@ const (
 	ModeBorrowSearch = 3 // borrowing, search request pending
 )
 
-// deferred is one entry of DeferQ_i.
+// deferred is one entry of DeferQ_i. The request's timestamp is kept as
+// its two fields so the entry packs into 24 bytes, not 32.
 type deferred struct {
-	search bool // true: search request; false: update request
+	tsTime int64
+	tsNode int32
 	ch     chanset.Channel
-	ts     lamport.Stamp
 	k      int32 // the requester's neighbor index
+	search bool  // true: search request; false: update request
 }
+
+// ts is the deferred request's timestamp.
+func (d deferred) ts() lamport.Stamp { return lamport.Stamp{Time: d.tsTime, Node: d.tsNode} }
 
 // The channel sets of a cell's slab, by set index (see Adaptive.slab).
 const (
@@ -287,11 +292,9 @@ type Adaptive struct {
 	// fits one mask word.
 	nbrMasks []uint64
 
+	// deferQ is DeferQ_i. acquire drains it in place, so one backing
+	// array serves every defer-and-drain cycle of a hot cell.
 	deferQ []deferred
-	// deferSpare recycles the drained defer queue's backing array:
-	// under borrow pressure a hot cell defers and drains continuously,
-	// and reallocating the queue on every cycle showed up as churn.
-	deferSpare []deferred
 
 	// pred forecasts the free-primary count for check_mode (policy.go);
 	// fixed at Start. The lender strategy is the factory's.

@@ -19,11 +19,15 @@ import (
 	"repro/internal/sim"
 )
 
-// TestAdaptiveStructSize pins the allocator struct to the 448-byte size
-// class: at 10^6 cells every class step is 30-60 MB.
+// TestAdaptiveStructSize pins the allocator struct at 424 bytes, inside
+// the 448-byte size class: at 10^6 cells every class step is 30-60 MB.
+// A defer-queue entry is 24.
 func TestAdaptiveStructSize(t *testing.T) {
-	if got := unsafe.Sizeof(Adaptive{}); got > 448 {
-		t.Fatalf("unsafe.Sizeof(core.Adaptive{}) = %d, budget 448", got)
+	if got := unsafe.Sizeof(Adaptive{}); got > 424 {
+		t.Fatalf("unsafe.Sizeof(core.Adaptive{}) = %d, budget 424", got)
+	}
+	if got := unsafe.Sizeof(deferred{}); got > 24 {
+		t.Fatalf("unsafe.Sizeof(core.deferred{}) = %d, budget 24", got)
 	}
 }
 

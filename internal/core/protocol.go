@@ -297,40 +297,40 @@ func (a *Adaptive) acquire(ch chanset.Channel) {
 		})
 		a.mode = ModeBorrow
 	}
-	// Drain DeferQ_i, swapping in the spare backing array so the two
-	// buffers ping-pong instead of reallocating every cycle. Iterating
-	// q while new deferrals append to a.deferQ is safe: env.Send only
-	// schedules future deliveries, so nothing runs a handler mid-drain.
-	q := a.deferQ
-	a.deferQ = a.deferSpare[:0]
-	a.deferSpare = q
-	if len(q) > 0 {
-		a.obs.DeferQueueDepth.Add(-float64(len(q)))
+	// Drain DeferQ_i in place: answer the n entries queued now, by index,
+	// then close the gap. Nothing appends meanwhile on the DES — env.Send
+	// only schedules future deliveries, so no handler runs mid-drain —
+	// and an entry that did would sit past n and move to the front.
+	n := len(a.deferQ)
+	if n > 0 {
+		a.obs.DeferQueueDepth.Add(-float64(n))
 	}
-	for _, d := range q {
+	for i := 0; i < n; i++ {
+		d := a.deferQ[i]
 		from := a.neighbors[d.k]
 		if d.search {
 			a.waiting++
 			a.env.Send(message.Message{
 				Kind: message.Response, Res: message.ResSearch,
-				From: a.cell, To: from, TS: d.ts, Use: a.view(setUse),
+				From: a.cell, To: from, TS: d.ts(), Use: a.view(setUse),
 			})
 			continue
 		}
 		if a.has(setUse, d.ch) {
 			a.env.Send(message.Message{
 				Kind: message.Response, Res: message.ResReject,
-				From: a.cell, To: from, Ch: d.ch, TS: d.ts,
+				From: a.cell, To: from, Ch: d.ch, TS: d.ts(),
 			})
 		} else {
 			a.env.Send(message.Message{
 				Kind: message.Response, Res: message.ResGrant,
-				From: a.cell, To: from, Ch: d.ch, TS: d.ts,
+				From: a.cell, To: from, Ch: d.ch, TS: d.ts(),
 			})
 			a.grantRecord(int(d.k), d.ch)
 			a.addU(int(d.k), d.ch)
 		}
 	}
+	a.deferQ = a.deferQ[:copy(a.deferQ, a.deferQ[n:])]
 	if a.mode == ModeLocal {
 		a.checkMode()
 	}
@@ -474,7 +474,7 @@ func (a *Adaptive) onRequest(m message.Message, k int) {
 			case a.has(setUse, m.Ch):
 				a.sendReject(m)
 			case a.req.ts.Less(m.TS):
-				a.deferPush(deferred{ch: m.Ch, ts: m.TS, k: int32(k)})
+				a.deferPush(deferred{ch: m.Ch, tsTime: m.TS.Time, tsNode: m.TS.Node, k: int32(k)})
 			default:
 				a.sendGrant(m, k)
 			}
@@ -491,13 +491,13 @@ func (a *Adaptive) onRequest(m message.Message, k int) {
 		// borrowing-mode quiescence of DESIGN.md D8, or a hot region
 		// livelocks (observed at 1.1 Erlang/primary).
 		if a.pending && a.req != nil && a.req.ts.Less(m.TS) {
-			a.deferPush(deferred{search: true, ts: m.TS, k: int32(k)})
+			a.deferPush(deferred{search: true, tsTime: m.TS.Time, tsNode: m.TS.Node, k: int32(k)})
 		} else {
 			a.respondSearch(m)
 		}
 	case ModeBorrowUpdate, ModeBorrowSearch:
 		if a.req.ts.Less(m.TS) {
-			a.deferPush(deferred{search: true, ts: m.TS, k: int32(k)})
+			a.deferPush(deferred{search: true, tsTime: m.TS.Time, tsNode: m.TS.Node, k: int32(k)})
 		} else {
 			a.respondSearch(m)
 		}

@@ -181,6 +181,76 @@ func TestUseSnapshotRoundAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestSharedSnapshotRoundAllocatesNothing: every neighbor of a cell
+// changes mode there and back, and the cell answers all 36 CHANGE_MODEs
+// with the same Use_i. The snapshot is stored once per queue it is bound
+// for — one slot serially, one per destination shard sharded — the other
+// answers take a reference, and the round allocates nothing on either
+// driver.
+func TestSharedSnapshotRoundAllocatesNothing(t *testing.T) {
+	skipUnderRace(t)
+	g, assign, tap := adaptiveTap(t)
+	to := g.InteriorCell()
+	neighbors := g.Interference(to)
+	answers := uint64(2 * len(neighbors))
+	modeChanges := func() {
+		for _, n := range neighbors {
+			env := tap.envs[n]
+			env.Send(message.Message{Kind: message.ChangeMode, To: to, Mode: message.ModeBorrowing})
+			env.Send(message.Message{Kind: message.ChangeMode, To: to, Mode: message.ModeLocal})
+		}
+	}
+
+	s := driver.New(g, assign, tap, driver.Options{Latency: 10, Seed: 1})
+	for i := 0; i < 3; i++ { // a Use_i worth copying
+		s.Request(to, nil)
+	}
+	s.Drain(64)
+	round := func() {
+		modeChanges()
+		if !s.Drain(256) {
+			t.Fatal("serial driver did not drain")
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(500, round); allocs != 0 {
+		t.Errorf("serial driver: %.1f allocations per shared-snapshot round, want 0", allocs)
+	}
+	if fp := s.Engine().Footprint(); fp.AttParked != 502 || fp.AttShared != (answers-1)*502 {
+		t.Fatalf("serial driver stored %d snapshots and shared %d, want %d and %d", fp.AttParked, fp.AttShared, 502, (answers-1)*502)
+	}
+
+	for _, shards := range []int{1, 7} { // one queue, and a neighborhood spread over three shards
+		p, err := driver.NewParallel(g, assign, tap, driver.ParallelOptions{Latency: 10, Seed: 1, Shards: shards, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			p.Request(to, nil)
+		}
+		p.Drain(64)
+		round := func() {
+			modeChanges()
+			if !p.Drain(256) {
+				t.Fatal("sharded driver did not drain")
+			}
+		}
+		round()
+		if allocs := testing.AllocsPerRun(500, round); allocs != 0 {
+			t.Errorf("sharded driver, %d shards: %.1f allocations per shared-snapshot round, want 0", shards, allocs)
+		}
+		reached := map[int]bool{}
+		for _, n := range neighbors {
+			reached[p.ShardOf(n)] = true
+		}
+		fp := p.Kernel().Footprint()
+		// Answers go out in sender order, so one shard's are consecutive.
+		if stored := uint64(len(reached)) * 502; fp.AttParked != stored || fp.AttShared != answers*502-stored {
+			t.Fatalf("sharded driver, %d shards: stored %d snapshots and shared %d of %d answers to %d shards", shards, fp.AttParked, fp.AttShared, answers*502, len(reached))
+		}
+	}
+}
+
 // TestMulticastRoundAllocatesNothing: a broadcast ACQUISITION and the
 // RELEASE that undoes it — fan post, pop-side expansion, core's Handle at
 // each of the 18 neighbors — is zero allocations on both drivers, and

@@ -10,7 +10,6 @@ package driver
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/alloc"
 	"repro/internal/chanset"
@@ -149,6 +148,7 @@ type simObs struct {
 	kernelBytes *obs.GaugeVec
 	kernelPages *obs.GaugeVec
 	kernelPeak  *obs.GaugeVec
+	kernelAtts  *obs.GaugeVec
 }
 
 // gridFanout resolves the kernel's fan records against the grid's
@@ -182,6 +182,8 @@ func (o *simObs) bind(r *obs.Registry, j *obs.Journal, latency sim.Time) {
 		"Pages the event kernel's paged tables hold, as of the last time it parked.", "table")
 	o.kernelPeak = r.GaugeVec("adca_kernel_peak_pending",
 		"High-water mark of the event queues: records queued, and the events they stood for.", "unit")
+	o.kernelAtts = r.GaugeVec("adca_kernel_attachments",
+		"Message attachments posted so far: stored (parked), and satisfied by one already stored (shared).", "how")
 }
 
 // footprint publishes kernel's footprint; a no-op without a registry.
@@ -198,6 +200,8 @@ func (o *simObs) footprint(kernel interface{ Footprint() sim.Footprint }) {
 	o.kernelPages.With("attachments").Set(float64(f.AttPages))
 	o.kernelPeak.With("records").Set(float64(f.PeakRecords))
 	o.kernelPeak.With("events").Set(float64(f.PeakEvents))
+	o.kernelAtts.With("parked").Set(float64(f.AttParked))
+	o.kernelAtts.With("shared").Set(float64(f.AttShared))
 }
 
 // pendingReq is one in-flight request. Its completion is either cb, a
@@ -452,11 +456,12 @@ func (s *Sim) DrainUntil(cutoff sim.Time, maxEvents uint64) bool {
 // never be delivered before the cutoff, and a warm giant grid would
 // otherwise schedule-and-discard tens of millions of them — then
 // discards what the releases did queue and cancels the remaining
-// in-flight requests in ascending id order (no callback, no grant/deny
-// count). The sharded driver performs the identical sweep, which is
-// what keeps a truncated trajectory bit-identical between the two. It
-// returns how many channels were force-released and how many requests
-// were cancelled.
+// in-flight requests: no callback, no grant/deny count, no trace event,
+// so no order to observe, and the nodes are left to the collector. The
+// sharded driver performs the identical sweep, which is what keeps a
+// truncated trajectory bit-identical between the two. It returns how
+// many channels were force-released and how many requests were
+// cancelled.
 func (s *Sim) ForceQuiesce() (released, cancelled int) {
 	s.teardown = true
 	defer func() { s.teardown = false }()
@@ -472,21 +477,10 @@ func (s *Sim) ForceQuiesce() (released, cancelled int) {
 		}
 	}
 	s.engine.DiscardPending()
-	if n := len(s.pending); n > 0 {
-		ids := make([]alloc.RequestID, 0, n)
-		for id := range s.pending {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			p := s.pending[id]
-			delete(s.pending, id)
-			s.dog.Cancelled()
-			s.obs.outstanding.Add(-1)
-			s.recycle(p)
-			cancelled++
-		}
-	}
+	cancelled = len(s.pending)
+	clear(s.pending)
+	s.dog.Cancelled(cancelled)
+	s.obs.outstanding.Add(-float64(cancelled))
 	clear(s.moved)
 	return released, cancelled
 }

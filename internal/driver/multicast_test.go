@@ -187,6 +187,8 @@ func TestKernelFootprintGauges(t *testing.T) {
 			`adca_requests_granted_total`:              float64(st.Grants),
 			`adca_kernel_bytes{table="funcs"}`:         float64(fp.SideBytes),
 			`adca_kernel_pages{table="attachments"}`:   float64(fp.AttPages),
+			`adca_kernel_attachments{how="parked"}`:    float64(fp.AttParked),
+			`adca_kernel_attachments{how="shared"}`:    float64(fp.AttShared),
 			`adca_requests_outstanding`:                0,
 			`adca_requests_denied_total`:               float64(st.Denies),
 			`adca_acquire_ticks_count`:                 float64(st.Grants),
@@ -195,7 +197,7 @@ func TestKernelFootprintGauges(t *testing.T) {
 				t.Errorf("%s: %s = %v, want %v", name, key, got, want)
 			}
 		}
-		if fp.HeapBytes == 0 || fp.AttBytes == 0 || fp.PeakRecords == 0 || fp.PeakEvents < fp.PeakRecords || fp.Pops == 0 || fp.Events != 0 || fp.Records != 0 {
+		if fp.HeapBytes == 0 || fp.AttBytes == 0 || fp.AttParked == 0 || fp.AttShared == 0 || fp.PeakRecords == 0 || fp.PeakEvents < fp.PeakRecords || fp.Pops == 0 || fp.Events != 0 || fp.Records != 0 {
 			t.Errorf("%s: footprint %+v after a drained run", name, fp)
 		}
 	}

@@ -428,9 +428,11 @@ func (p *Parallel) DrainUntil(cutoff sim.Time, maxEvents uint64) bool {
 // queued events, force-release every held channel in ascending
 // (cell, in-use-set) order through the normal Release path (protocol
 // sends suppressed — teardown — since nothing can be delivered before
-// the cutoff), discard what the releases did queue, then cancel
-// in-flight requests in ascending id order per shard (no callback, no
-// grant/deny count).
+// the cutoff), discard what the releases did queue, then cancel every
+// in-flight request: no callback, no grant/deny count, no trace event,
+// so no order to observe. The cancelled nodes are left to the collector
+// — the run is over, and a free list of them would sit on top of its
+// peak.
 // Coordinator-context only: call it after DrainUntil returns, never
 // mid-window. All shard clocks are equal then, so the forced releases
 // trace at one uniform cutoff time and the merged trace reproduces the
@@ -453,21 +455,11 @@ func (p *Parallel) ForceQuiesce() (released, cancelled int) {
 	p.kernel.DiscardPending()
 	for i := range p.shards {
 		sh := &p.shards[i]
-		if n := len(sh.pending); n > 0 {
-			ids := make([]alloc.RequestID, 0, n)
-			for id := range sh.pending {
-				ids = append(ids, id)
-			}
-			sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-			for _, id := range ids {
-				pr := sh.pending[id]
-				delete(sh.pending, id)
-				sh.dog.Cancelled()
-				p.obs.outstanding.Add(-1)
-				sh.recycle(pr)
-				cancelled++
-			}
-		}
+		n := len(sh.pending)
+		clear(sh.pending)
+		sh.dog.Cancelled(n)
+		p.obs.outstanding.Add(-float64(n))
+		cancelled += n
 		clear(sh.moved)
 	}
 	return released, cancelled

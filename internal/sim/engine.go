@@ -43,6 +43,12 @@ type Engine struct {
 	// cnt[org] is the per-origin event counter for origin-attributed
 	// events, mirroring Shards.cnt; grown geometrically on demand.
 	cnt []uint64
+	// last[org] is the ref of the attachment origin org posted last, the
+	// hint that lets a repeated snapshot share its slot (queue.attach);
+	// anon is the same for unattributed events. Mirrors Shards.last and
+	// grows on demand like cnt.
+	last []uint32
+	anon uint32
 	// reserveBudget caps the heap capacity Reserve may pin (bytes);
 	// zero means DefaultReserveBudget.
 	reserveBudget uint64
@@ -134,9 +140,20 @@ func (e *Engine) Post(at Time, origin int32, ev Event, att Attachment) {
 	}
 	ev.At, ev.key, ev.ref = at, e.keys(origin, 1), 0
 	if !att.Empty() {
-		ev.ref = e.q.atts.park(att)
+		ev.ref = e.q.attach(e.memo(origin), att)
 	}
 	e.q.post(ev, 1)
+}
+
+// memo returns origin's attachment hint.
+func (e *Engine) memo(origin int32) *uint32 {
+	if origin < 0 {
+		return &e.anon
+	}
+	if n := int(origin) + 1; n > len(e.last) {
+		e.last = slices.Grow(e.last, n-len(e.last))[:n]
+	}
+	return &e.last[origin]
 }
 
 // PostFan schedules ev at the absolute time at once for each cell of

@@ -57,17 +57,56 @@ type fanRec struct {
 	sum  uint64 // attachment checksum
 }
 
-// fanSched drives one schedule over one kernel. post and postFan hide
-// whether that is an Engine or Shards; fans selects the mode.
-type fanSched struct {
-	w    *fanWorld
-	fans bool
-	T    Time
-
+// ports is how a test schedule reaches the kernel under it, hiding
+// whether that is an Engine or Shards.
+type ports struct {
 	now     func(cell int32) Time
 	post    func(from, to int32, at Time, ev Event, att Attachment)
 	postFan func(from int32, at Time, ev Event, word int, mask uint64)
 	fn      func(cell int32, at Time, f func())
+}
+
+func enginePorts(e *Engine) ports {
+	return ports{
+		now: func(int32) Time { return e.Now() },
+		post: func(from, to int32, at Time, ev Event, att Attachment) {
+			ev.Cell = to
+			e.Post(at, from, ev, att)
+		},
+		postFan: func(from int32, at Time, ev Event, word int, mask uint64) { e.PostFan(at, from, ev, word, mask) },
+		fn:      func(cell int32, at Time, f func()) { e.AtOrigin(at, cell, f) },
+	}
+}
+
+func shardsPorts(k *Shards, w *fanWorld) ports {
+	return ports{
+		now: func(cell int32) Time { return k.Now(w.shardOf(cell)) },
+		post: func(from, to int32, at Time, ev Event, att Attachment) {
+			ev.Cell = to
+			k.PostCross(w.shardOf(from), w.shardOf(to), at, from, ev, att)
+		},
+		postFan: func(from int32, at Time, ev Event, word int, mask uint64) {
+			// One record per maximal run of same-shard destinations.
+			for mask != 0 {
+				dst := w.shardOf(w.nbrs[from][word*64+bits.TrailingZeros64(mask)])
+				run := mask & -mask
+				for rest := mask &^ run; rest != 0 && w.shardOf(w.nbrs[from][word*64+bits.TrailingZeros64(rest)]) == dst; rest &= rest - 1 {
+					run |= rest & -rest
+				}
+				k.PostFan(w.shardOf(from), dst, at, from, ev, word, run)
+				mask &^= run
+			}
+		},
+		fn: func(cell int32, at Time, f func()) { k.At(w.shardOf(cell), at, cell, f) },
+	}
+}
+
+// fanSched drives one schedule over one kernel; fans selects the mode.
+type fanSched struct {
+	w    *fanWorld
+	fans bool
+	T    Time
+	ports
 
 	rng  []Rand     // per cell
 	logs [][]fanRec // per shard, in execution order
@@ -164,13 +203,7 @@ func fanOnEngine(w *fanWorld, fans bool) (*Engine, *fanSched) {
 	e.SetFanout(w)
 	e.Handle(KindMessage, s)
 	e.Handle(KindRelease, s)
-	s.now = func(int32) Time { return e.Now() }
-	s.post = func(from, to int32, at Time, ev Event, att Attachment) {
-		ev.Cell = to
-		e.Post(at, from, ev, att)
-	}
-	s.postFan = func(from int32, at Time, ev Event, word int, mask uint64) { e.PostFan(at, from, ev, word, mask) }
-	s.fn = func(cell int32, at Time, f func()) { e.AtOrigin(at, cell, f) }
+	s.ports = enginePorts(e)
 	s.seed()
 	return e, s
 }
@@ -181,24 +214,7 @@ func fanOnShards(w *fanWorld, fans bool) (*Shards, *fanSched) {
 	k.SetFanout(w)
 	k.Handle(KindMessage, s)
 	k.Handle(KindRelease, s)
-	s.now = func(cell int32) Time { return k.Now(w.shardOf(cell)) }
-	s.post = func(from, to int32, at Time, ev Event, att Attachment) {
-		ev.Cell = to
-		k.PostCross(w.shardOf(from), w.shardOf(to), at, from, ev, att)
-	}
-	s.postFan = func(from int32, at Time, ev Event, word int, mask uint64) {
-		// One record per maximal run of same-shard destinations.
-		for mask != 0 {
-			dst := w.shardOf(w.nbrs[from][word*64+bits.TrailingZeros64(mask)])
-			run := mask & -mask
-			for rest := mask &^ run; rest != 0 && w.shardOf(w.nbrs[from][word*64+bits.TrailingZeros64(rest)]) == dst; rest &= rest - 1 {
-				run |= rest & -rest
-			}
-			k.PostFan(w.shardOf(from), dst, at, from, ev, word, run)
-			mask &^= run
-		}
-	}
-	s.fn = func(cell int32, at Time, f func()) { k.At(w.shardOf(cell), at, cell, f) }
+	s.ports = shardsPorts(k, w)
 	s.seed()
 	return k, s
 }

@@ -7,9 +7,10 @@ import (
 	"repro/internal/raceflag"
 )
 
-// Budgets of the paged tables and of fan records. Allocation counts are
-// meaningless under -race (the detector allocates), so CI runs these in
-// its non-race step; `go test -race` skips them.
+// Budgets of the paged tables, of fan records and of shared attachments.
+// Allocation counts are meaningless under -race (the detector
+// allocates), so CI runs these in its non-race step; `go test -race`
+// skips them.
 
 func skipUnderRace(t *testing.T) {
 	t.Helper()
@@ -185,5 +186,89 @@ func TestFanRoundAllocatesNothing(t *testing.T) {
 	}
 	if handled != 2*7*502 || e.Executed() != 7*502 || k.Executed() != 7*502 {
 		t.Fatalf("handled %d events (engine %d, shards %d), want %d each", handled, e.Executed(), k.Executed(), 7*502)
+	}
+}
+
+// TestSharedAttachmentFootprintBudget: a station answering its 18
+// neighbours with one Use_i posts 18 identical attachments. They occupy
+// one arena slot on the engine and within a shard, and across a boundary
+// one mailbox entry that the merge parks once.
+func TestSharedAttachmentFootprintBudget(t *testing.T) {
+	const posts = 18
+	use := []uint64{0xf0f0, 0x3}
+	msg := Event{Kind: KindMessage}
+	count := handlerFunc(func(Event, Attachment) {})
+
+	e := NewEngine()
+	e.Handle(KindMessage, count)
+	for i := 0; i < posts; i++ {
+		e.Post(5, 0, msg, Attachment{Words: use})
+	}
+	if f := e.Footprint(); e.q.atts.n != 1 || f.AttParked != 1 || f.AttShared != posts-1 || f.Events != posts {
+		t.Fatalf("engine: %d posts took %d slots (%d stored, %d shared)", posts, e.q.atts.n, f.AttParked, f.AttShared)
+	}
+
+	k := NewShards(2, 5, 2)
+	k.Handle(KindMessage, count)
+	for i := 0; i < posts; i++ {
+		k.PostCross(0, 0, 5, 0, msg, Attachment{Words: use})
+		k.PostCross(0, 1, 5, 0, msg, Attachment{Words: use})
+	}
+	rt := k.shards[0].findRoute(1)
+	if n := k.shards[0].q.atts.n; n != 1 || len(rt.words) != attHeader+len(use) || len(rt.box) != posts {
+		t.Fatalf("shards: %d posts each way took %d slots in the shard and %d mailbox words under %d records", posts, n, len(rt.words), len(rt.box))
+	}
+	k.flush(1)
+	if f := k.Footprint(); k.shards[1].q.atts.n != 1 || f.AttParked != 2 || f.AttShared != 2*(posts-1) || f.Events != 2*posts {
+		t.Fatalf("shards: the merge parked %d slots (%d stored, %d shared so far)", k.shards[1].q.atts.n, f.AttParked, f.AttShared)
+	}
+	if !e.Drain(posts) || !k.Drain(1, 2*posts) {
+		t.Fatal("did not drain")
+	}
+}
+
+// TestSharedAttachmentRoundAllocatesNothing: posting one snapshot 18
+// times and delivering it 18 times allocates nothing once the queue is
+// warm — on the engine, within a shard and across a shard boundary.
+func TestSharedAttachmentRoundAllocatesNothing(t *testing.T) {
+	skipUnderRace(t)
+	const posts = 18
+	use := []uint64{0xf0f0, 0x3}
+	msg := Event{Kind: KindMessage}
+	handled := 0
+	count := handlerFunc(func(_ Event, att Attachment) { handled += len(att.Words) / 2 })
+
+	e := NewEngine()
+	e.Handle(KindMessage, count)
+	round := func() {
+		use[0]++ // a new snapshot every round, the same one within it
+		for i := 0; i < posts; i++ {
+			e.Post(e.Now()+5, 0, msg, Attachment{Words: use})
+		}
+		e.Run(e.Now() + 5)
+	}
+	round()
+	if allocs := testing.AllocsPerRun(500, round); allocs != 0 {
+		t.Errorf("engine: %.1f allocations per shared round, want 0", allocs)
+	}
+
+	k := NewShards(2, 5, 2)
+	k.Handle(KindMessage, count)
+	sround := func() {
+		use[0]++
+		at := k.Now(0) + 5
+		for i := 0; i < posts; i++ {
+			k.PostCross(0, 0, at, 0, msg, Attachment{Words: use})
+			k.PostCross(0, 1, at, 0, msg, Attachment{Words: use})
+		}
+		k.Run(1, at)
+	}
+	sround()
+	if allocs := testing.AllocsPerRun(500, sround); allocs != 0 {
+		t.Errorf("shards: %.1f allocations per shared round, want 0", allocs)
+	}
+	ef, kf := e.Footprint(), k.Footprint()
+	if handled != 3*posts*502 || ef.AttParked != 502 || ef.AttShared != (posts-1)*502 || kf.AttParked != 2*502 || kf.AttShared != 2*(posts-1)*502 {
+		t.Fatalf("handled %d events; engine stored %d and shared %d, shards %d and %d", handled, ef.AttParked, ef.AttShared, kf.AttParked, kf.AttShared)
 	}
 }

@@ -34,20 +34,46 @@ import (
 
 // outRoute buffers cross-shard events from one shard to one destination
 // shard until the next window barrier. A boxed event's ref indexes the
-// route's own side list, not the source shard's table: the route has
-// exactly one writer during a window (the source worker) and exactly
-// one reader at the barrier (whoever merges into dst), so side entries
-// move src -> dst at the flush without any two goroutines sharing a
-// free list. Attachment words are copied into the route's words arena
-// when boxed and from there into a destination slot at the merge.
+// route's own tables, not the source shard's: the route has exactly one
+// writer during a window (the source worker) and exactly one reader at
+// the barrier (whoever merges into dst), so what an event parks moves
+// src -> dst at the flush without any two goroutines sharing a free
+// list. A func event's ref is its index + 1 in fns. A typed event's is
+// the offset + 1 of its attachment in words: an attHeader, its high half
+// zero until the merge has parked the entry, and then the set. An entry
+// is written once per run of identical posts (attach) and parked once in
+// the destination arena however many boxed records point at it (merge).
 type outRoute struct {
 	dst int32
 	box []Event
 	// pending is the number of events the boxed records stand for (a
 	// fan record counts once per destination).
 	pending int
-	side    []sideEntry
+	fns     []func()
 	words   []uint64
+	// parked and shared count the attachments boxed here, like the
+	// queue's attParked and attShared.
+	parked, shared uint64
+}
+
+// attach stores att for the record about to be boxed and returns the
+// ref it is to carry. *memo is the poster's hint, as in queue.attach:
+// the index + 1 of the boxed record that carried its last attachment.
+// Whatever it holds, the hint is safe to follow: a record at that index
+// of the box as it is now, typed and with a ref, names an entry of words
+// as they are now, and the entry is shared only if it holds exactly att.
+func (rt *outRoute) attach(memo *uint32, att Attachment) uint32 {
+	if i := int(*memo) - 1; i >= 0 && i < len(rt.box) {
+		if b := &rt.box[i]; b.fan == 0 && b.Kind != KindFunc && b.ref != 0 && holds(rt.words[b.ref-1:], att) {
+			rt.shared++
+			return b.ref
+		}
+	}
+	rt.parked++
+	*memo = uint32(len(rt.box) + 1)
+	ref := uint32(len(rt.words) + 1)
+	rt.words = append(append(rt.words, att.Seq, uint64(len(att.Words))), att.Words...)
+	return ref
 }
 
 // pshard is one shard's private state: clock, queue, and outboxes.
@@ -122,7 +148,10 @@ type Shards struct {
 	// cnt[org] is the per-origin event counter. A cell's events are
 	// scheduled only by its owning shard's worker (or pre-run), so
 	// slots are never written concurrently.
-	cnt     []uint64
+	cnt []uint64
+	// last[org] is where origin org's last attachments went, written
+	// under the same rule as cnt.
+	last    []attMemo
 	barrier func()
 	windows uint64
 	// reservedBytes accumulates the capacity pinned by Reserve and
@@ -140,6 +169,19 @@ type Shards struct {
 	// byte-for-byte. Rebuilt lazily when any shard grows a new route.
 	inbound    [][]int32
 	routeCount []int
+}
+
+// attMemo is what the kernel remembers per origin so that a snapshot
+// the origin sends again — a station answers every neighbour with the
+// same Use_i until the set changes — is stored once: the arena ref of
+// the last attachment it posted into a shard's own queue (queue.attach)
+// and the box index + 1 of the record that carried the last one it
+// posted across a boundary (outRoute.attach). Both are hints, checked
+// against the bytes they point at, so neither records which queue or
+// route it meant nor is ever invalidated — not by a delivery, a flush, a
+// DiscardPending or a recycled slot.
+type attMemo struct {
+	slot, box uint32
 }
 
 // DefaultReserveBudget caps the cumulative event capacity (in bytes) a
@@ -169,6 +211,7 @@ func NewShards(n int, lookahead Time, numOrigins int) *Shards {
 		lookahead:     lookahead,
 		shards:        make([]pshard, n),
 		cnt:           make([]uint64, numOrigins),
+		last:          make([]attMemo, numOrigins),
 		reserveBudget: DefaultReserveBudget,
 	}
 }
@@ -244,9 +287,11 @@ func (k *Shards) Footprint() Footprint {
 		sh.q.addTo(&f)
 		for j := range sh.routes {
 			rt := &sh.routes[j]
-			f.RouteBytes += uint64(cap(rt.box))*EventSize + uint64(cap(rt.side))*uint64(unsafe.Sizeof(sideEntry{})) + uint64(cap(rt.words))*8
+			f.RouteBytes += uint64(cap(rt.box))*EventSize + uint64(cap(rt.fns))*uint64(unsafe.Sizeof(rt.fns[0])) + uint64(cap(rt.words))*8
 			f.Records += len(rt.box)
 			f.Events += rt.pending
+			f.AttParked += rt.parked
+			f.AttShared += rt.shared
 		}
 	}
 	return f
@@ -334,13 +379,18 @@ func (k *Shards) checkCross(src, dst int, at Time) {
 	}
 }
 
-// post queues ev on shard s, parking side (if any) in the shard's table.
+// post queues ev on shard s, parking side (if any) in the table of the
+// shard's queue that ev's kind selects.
 func (k *Shards) post(s int, at Time, origin int32, ev Event, side sideEntry) {
 	k.checkPost(s, at, origin)
 	sh := &k.shards[s]
 	ev.At, ev.key, ev.ref = at, k.keys(origin, 1), 0
 	if !side.empty() {
-		sh.q.park(&ev, side)
+		if ev.Kind == KindFunc {
+			ev.ref = sh.q.fns.park(side.fn)
+		} else {
+			ev.ref = sh.q.attach(&k.last[origin].slot, side.att)
+		}
 	}
 	sh.q.post(ev, 1)
 }
@@ -356,15 +406,12 @@ func (k *Shards) cross(src, dst int, at Time, origin int32, ev Event, side sideE
 	ev.At, ev.key, ev.ref = at, k.keys(origin, 1), 0
 	rt := k.shards[src].route(int32(dst))
 	if !side.empty() {
-		if n := len(side.att.Words); n > 0 {
-			// The caller's words are a view valid for this call only.
-			// An arena that grows leaves earlier entries on the old
-			// array, which nothing writes to again, so they stay intact.
-			rt.words = append(rt.words, side.att.Words...)
-			side.att.Words = rt.words[len(rt.words)-n:]
+		if ev.Kind == KindFunc {
+			rt.fns = append(rt.fns, side.fn)
+			ev.ref = uint32(len(rt.fns))
+		} else {
+			ev.ref = rt.attach(&k.last[origin].box, side.att)
 		}
-		rt.side = append(rt.side, side)
-		ev.ref = uint32(len(rt.side))
 	}
 	rt.box = append(rt.box, ev)
 	rt.pending++
@@ -432,13 +479,27 @@ func (s *pshard) runWindow(h *handlers, horizon Time) {
 	}
 }
 
-// merge moves every boxed event of rt into dst's queue, re-homing side
-// entries from the route's list to dst's table. Barrier-only: the
-// caller owns both rt and dst.
+// merge moves every boxed event of rt into dst's queue, re-homing what
+// the events parked from the route's tables to dst's: a func moves, an
+// attachment entry is copied into dst's arena by the first record that
+// refers to it, leaves the slot's ref in its header, and costs every
+// later record a reference. Barrier-only: the caller owns both rt and
+// dst.
 func (rt *outRoute) merge(dst *queue) {
 	for _, ev := range rt.box {
 		if ev.fan == 0 && ev.ref != 0 {
-			dst.park(&ev, rt.side[ev.ref-1])
+			if ev.Kind == KindFunc {
+				ev.ref = dst.fns.park(rt.fns[ev.ref-1])
+			} else {
+				e := rt.words[ev.ref-1:]
+				if slot := uint32(e[1] >> 32); slot != 0 {
+					dst.atts.retain(slot)
+					ev.ref = slot
+				} else {
+					ev.ref = dst.atts.park(attOf(e))
+					e[1] |= uint64(ev.ref) << 32
+				}
+			}
 		}
 		dst.push(ev)
 	}
@@ -449,8 +510,8 @@ func (rt *outRoute) merge(dst *queue) {
 // discard empties the route, keeping its capacity.
 func (rt *outRoute) discard() {
 	rt.box, rt.pending = rt.box[:0], 0
-	clear(rt.side)
-	rt.side = rt.side[:0]
+	clear(rt.fns)
+	rt.fns = rt.fns[:0]
 	rt.words = rt.words[:0]
 }
 

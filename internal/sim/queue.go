@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"unsafe"
 )
 
@@ -132,11 +133,12 @@ func (ev Event) Origin() int32 { return int32(ev.key>>counterBits) - 1 }
 // queue's side table until the event executes.
 //
 // Words is a view on both sides of the queue. The posting call copies
-// it into a recycled side-table buffer before it returns, so the caller
-// may hand in memory it goes on mutating (a station's live Use_i). The
-// Handler reads the buffer in place: it is valid until HandleEvent
-// returns and is reused by a later Post after that, so a handler that
-// keeps the words must copy them.
+// it into a recycled side-table buffer before it returns — or finds the
+// same bytes already parked there and takes a reference (attArena) — so
+// the caller may hand in memory it goes on mutating (a station's live
+// Use_i). The Handler reads the buffer in place: it is valid until
+// HandleEvent returns and may be reused by a later Post after that, so a
+// handler that keeps the words must copy them.
 type Attachment struct {
 	Words []uint64
 	Seq   uint64
@@ -184,8 +186,8 @@ func (h *handlers) of(ev *Event) Handler {
 	return hd
 }
 
-// sideEntry is what an event may park outside its flat record: the func
-// of a KindFunc event or the attachment of a typed one.
+// sideEntry is what a scheduling call hands the queue beside the flat
+// record: the func of a KindFunc event or the attachment of a typed one.
 type sideEntry struct {
 	fn  func()
 	att Attachment
@@ -302,16 +304,46 @@ func (t *funcTable) reset() {
 	t.slots, t.free = t.slots[:0], t.free[:0]
 }
 
-// attHeader is the number of words before a parked attachment's set:
-// the sequence number (in a free slot, the ref of the next free one)
-// and the count of set words in use.
-const attHeader = 2
+// attHeader is the number of words before a stored attachment's set,
+// in an arena slot and in a mailbox entry (outRoute) alike: the sequence
+// number, then the count of set words in use in the low half of a word
+// whose high half belongs to the table. The arena counts there the
+// queued events that refer to the slot — zero in a free slot, whose
+// first word is the ref of the next free one; a mailbox keeps there the
+// slot its entry was parked in at the flush.
+const (
+	attHeader = 2
+	attRef    = 1 << 32 // one reference, in the second header word
+)
+
+// attOf rebuilds the attachment stored at e as a view of it.
+func attOf(e []uint64) Attachment {
+	n := attHeader + int(uint32(e[1]))
+	if n == attHeader {
+		return Attachment{Seq: e[0]}
+	}
+	return Attachment{Words: e[attHeader:n:n], Seq: e[0]}
+}
+
+// holds reports whether the attachment stored at e is exactly att.
+func holds(e []uint64, att Attachment) bool {
+	n := len(att.Words)
+	return e[0] == att.Seq && uint32(e[1]) == uint32(n) && slices.Equal(e[attHeader:attHeader+n], att.Words)
+}
 
 // attArena parks attachments in one pointer-free word table: slot s is
 // width words, the header and then room for the widest set posted so
 // far — one value per run, the spectrum's — so slots are fixed-width
 // and recycled LIFO through a free list threaded through the slots
 // themselves.
+//
+// A slot is stored once however many events carry it: a post whose
+// attachment is, word for word, the one a live slot holds takes a
+// reference (share) instead of a copy, and the last delivery frees the
+// slot (release). Which slot to look at is the caller's hint — the
+// kernels remember, per origin, where its last attachment went (attMemo)
+// — and only a hint: sharing is decided by the slot's content, so a
+// stale hint costs a copy, never a wrong word.
 type attArena struct {
 	words paged[uint64]
 	width int    // words per slot
@@ -326,11 +358,11 @@ func (a *attArena) slot(ref uint32) []uint64 {
 	return a.words.tab[s>>pageShift][off : off+a.width : off+a.width]
 }
 
-// park copies att into a free slot and returns its ref. Once the arena
-// has seen the run's peak of attachments in flight, parking allocates
-// nothing. A handler still reading a first page that has since been
-// doubled, or pages that have since been widened, is unharmed: nothing
-// writes to the old arrays again.
+// park copies att into a free slot, held by one reference, and returns
+// its ref. Once the arena has seen the run's peak of attachments in
+// flight, parking allocates nothing. A handler still reading a first
+// page that has since been doubled, or pages that have since been
+// widened, is unharmed: nothing writes to the old arrays again.
 func (a *attArena) park(att Attachment) uint32 {
 	if need := attHeader + len(att.Words); need > a.width {
 		a.widen(need)
@@ -348,10 +380,30 @@ func (a *attArena) park(att Attachment) uint32 {
 		ref = uint32(a.n)
 		slot = a.slot(ref)
 	}
-	slot[0], slot[1] = att.Seq, uint64(len(att.Words))
+	slot[0], slot[1] = att.Seq, attRef|uint64(len(att.Words))
 	copy(slot[attHeader:], att.Words)
 	return ref
 }
+
+// share takes one more reference to the slot behind ref if that slot is
+// live and holds exactly att, and reports whether it did. Any ref is
+// safe to ask about — zero, freed, recycled for another attachment,
+// left over from before a reset: a slot past n has not been handed out
+// since the reset and a free one counts no reference.
+func (a *attArena) share(ref uint32, att Attachment) bool {
+	if ref == 0 || int(ref) > a.n {
+		return false
+	}
+	slot := a.slot(ref)
+	if slot[1] < attRef || !holds(slot, att) {
+		return false
+	}
+	slot[1] += attRef
+	return true
+}
+
+// retain takes one more reference to the live slot behind ref.
+func (a *attArena) retain(ref uint32) { a.slot(ref)[1] += attRef }
 
 // widen rebuilds the arena with width words per slot (a wider set than
 // any before was posted: at most once per distinct width, and before
@@ -366,17 +418,16 @@ func (a *attArena) widen(width int) {
 }
 
 // get rebuilds the attachment behind ref as a view of the arena.
-func (a *attArena) get(ref uint32) Attachment {
-	slot := a.slot(ref)
-	n := attHeader + int(slot[1])
-	if n == attHeader {
-		return Attachment{Seq: slot[0]}
-	}
-	return Attachment{Words: slot[attHeader:n:n], Seq: slot[0]}
-}
+func (a *attArena) get(ref uint32) Attachment { return attOf(a.slot(ref)) }
 
+// release drops one reference to the slot behind ref and frees the slot
+// when that was the last.
 func (a *attArena) release(ref uint32) {
-	a.slot(ref)[0] = uint64(a.free)
+	slot := a.slot(ref)
+	if slot[1] -= attRef; slot[1] >= attRef {
+		return
+	}
+	slot[0], slot[1] = uint64(a.free), 0
 	a.free = ref
 }
 
@@ -409,6 +460,9 @@ type queue struct {
 	pending  int    // events queued and not yet executed
 	executed uint64 // events executed
 	pops     uint64 // records popped
+	// attParked and attShared count the attachments posted here: stored,
+	// and satisfied by a slot already holding the same bytes.
+	attParked, attShared uint64
 	// peakRecords and peakPending are the high-water marks of n and
 	// pending.
 	peakRecords, peakPending int
@@ -498,13 +552,19 @@ func (q *queue) pop() Event {
 	return root
 }
 
-// park stores e in the table ev's kind selects and sets ev's ref.
-func (q *queue) park(ev *Event, e sideEntry) {
-	if ev.Kind == KindFunc {
-		ev.ref = q.fns.park(e.fn)
+// attach parks att for one more event and returns the ref the event is
+// to carry. *memo is the poster's hint: the ref attach returned the last
+// time it was handed this memo (zero at first). While the slot behind it
+// is still queued and att repeats its bytes, the event shares that slot;
+// otherwise att is copied into a fresh one, which *memo then names.
+func (q *queue) attach(memo *uint32, att Attachment) uint32 {
+	if q.atts.share(*memo, att) {
+		q.attShared++
 	} else {
-		ev.ref = q.atts.park(e.att)
+		q.attParked++
+		*memo = q.atts.park(att)
 	}
+	return *memo
 }
 
 // discard drops every queued record and side entry and returns how many
@@ -641,8 +701,13 @@ type Footprint struct {
 	// SideBytes is the func side tables.
 	SideBytes uint64
 	// RouteBytes is the capacity of the cross-shard mailboxes with
-	// their side lists and word arenas (zero on the serial kernel).
+	// their func lists and word arenas (zero on the serial kernel).
 	RouteBytes uint64
+	// AttParked and AttShared split the attachments posted so far into
+	// those that were stored — an arena slot or a mailbox entry written —
+	// and those that cost a reference to one already holding the same
+	// bytes. AttShared / (AttParked + AttShared) is the sharing ratio.
+	AttParked, AttShared uint64
 	// Records and Events are what is queued now: heap and mailbox
 	// records, and the events they stand for (Pending).
 	Records, Events int
@@ -665,4 +730,6 @@ func (q *queue) addTo(f *Footprint) {
 	f.PeakRecords += q.peakRecords
 	f.PeakEvents += q.peakPending
 	f.Pops += q.pops
+	f.AttParked += q.attParked
+	f.AttShared += q.attShared
 }

@@ -183,16 +183,16 @@ func TestSideTableSlotsAreRecycled(t *testing.T) {
 	k.Run(1, 500_000)
 	for s := 0; s < 2; s++ {
 		sh := &k.shards[s]
-		if len(sh.q.fns.slots) > 1 || len(sh.routes[0].side) > 1 {
-			t.Fatalf("shard %d: side table %d, route side list %d after %d cross events",
-				s, len(sh.q.fns.slots), len(sh.routes[0].side), k.Executed())
+		if len(sh.q.fns.slots) > 1 || len(sh.routes[0].fns) > 1 {
+			t.Fatalf("shard %d: side table %d, route func list %d after %d cross events",
+				s, len(sh.q.fns.slots), len(sh.routes[0].fns), k.Executed())
 		}
 	}
 	if k.DiscardPending() != 1 {
 		t.Fatal("one cross event should have been pending")
 	}
 	for s := 0; s < 2; s++ {
-		if sh := &k.shards[s]; len(sh.q.fns.slots) != 0 || len(sh.routes[0].side) != 0 {
+		if sh := &k.shards[s]; len(sh.q.fns.slots) != 0 || len(sh.routes[0].fns) != 0 {
 			t.Fatalf("shard %d: DiscardPending left side entries behind", s)
 		}
 	}
@@ -281,7 +281,8 @@ func checkWords(t *testing.T, where string, ev Event, att Attachment) {
 // shard, and across a shard boundary through the route arena and
 // outRoute.merge. The poster reuses (and scribbles over) one buffer, as
 // a station's live Use_i is, so any table that kept the caller's slice
-// instead of copying fails too.
+// instead of copying fails too. A slot several events share lives until
+// the last of them has been handled.
 func TestAttachmentSlotOutlivesHandler(t *testing.T) {
 	const events = 20_000
 
@@ -371,6 +372,83 @@ func TestAttachmentSlotOutlivesHandler(t *testing.T) {
 			if free := q.atts.freeSlots(); free != q.atts.n {
 				t.Fatalf("shard %d: %d of %d attachment slots still held after the drain", s, q.atts.n-free, q.atts.n)
 			}
+		}
+	})
+
+	// One snapshot posted three times is one slot under three events. It
+	// must stay readable, and stay put, until the last of them has been
+	// handled — after the earlier sharers were delivered, and while each
+	// handler parks new attachments that would land in the slot were it
+	// freed a delivery too soon.
+	t.Run("Shared", func(t *testing.T) {
+		const shared = 7 // the tag (words and Seq) of the repeated snapshot
+		live := make([]uint64, 3)
+		att := func(x int64) Attachment {
+			copy(live, wordsOf(x))
+			return Attachment{Words: live, Seq: uint64(x)}
+		}
+		scribble := func() { live[0], live[1], live[2] = 0xdead, 0xdead, 0xdead }
+
+		e := NewEngine()
+		next, handled := int64(100), 0
+		e.Handle(KindMessage, handlerFunc(func(ev Event, a Attachment) {
+			handled++
+			checkWords(t, "before posting", ev, a)
+			if ev.T == shared {
+				for i := 0; i < 2; i++ {
+					next++
+					e.Post(e.Now()+10, 1, Event{Kind: KindMessage, T: next}, att(next))
+					scribble()
+				}
+			}
+			checkWords(t, "after posting", ev, a)
+		}))
+		for at := Time(1); at <= 3; at++ {
+			e.Post(at, 0, Event{Kind: KindMessage, T: shared}, att(shared))
+			scribble()
+		}
+		if e.q.atts.n != 1 {
+			t.Fatalf("three identical posts took %d slots", e.q.atts.n)
+		}
+		if !e.Drain(100) || handled != 3+6 {
+			t.Fatalf("handled %d events", handled)
+		}
+		if f := e.Footprint(); f.AttShared != 2 || e.q.atts.n != 1+6 || e.q.atts.freeSlots() != e.q.atts.n {
+			t.Fatalf("%d shared, %d slots, %d free after the drain", f.AttShared, e.q.atts.n, e.q.atts.freeSlots())
+		}
+
+		// Across a boundary: one mailbox entry, parked once by the merge;
+		// the handlers on the far side post within their own shard.
+		k := NewShards(2, 5, 2)
+		next, handled = 100, 0
+		k.Handle(KindMessage, handlerFunc(func(ev Event, a Attachment) {
+			handled++
+			checkWords(t, "before posting", ev, a)
+			if ev.T == shared {
+				for i := 0; i < 2; i++ {
+					next++
+					k.Post(1, k.Now(1)+10, 1, Event{Kind: KindMessage, T: next}, att(next))
+					scribble()
+				}
+			}
+			checkWords(t, "after posting", ev, a)
+		}))
+		for at := Time(5); at <= 7; at++ {
+			k.PostCross(0, 1, at, 0, Event{Kind: KindMessage, T: shared}, att(shared))
+			scribble()
+		}
+		if rt := k.shards[0].findRoute(1); len(rt.words) != attHeader+3 || len(rt.box) != 3 {
+			t.Fatalf("three identical posts boxed %d words under %d records", len(rt.words), len(rt.box))
+		}
+		k.Run(1, 5)
+		if q := &k.shards[1].q; q.atts.n != 1+2 {
+			t.Fatalf("%d slots at the destination after the merge and the first delivery, want the shared one and that handler's two", q.atts.n)
+		}
+		if !k.Drain(1, 100) || handled != 3+6 {
+			t.Fatalf("handled %d events", handled)
+		}
+		if q := &k.shards[1].q; q.atts.freeSlots() != q.atts.n {
+			t.Fatalf("%d of %d slots still held after the drain", q.atts.n-q.atts.freeSlots(), q.atts.n)
 		}
 	})
 }

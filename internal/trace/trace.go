@@ -84,12 +84,12 @@ func (w *Watchdog) Completed(now sim.Time) {
 	w.lastProgress = now
 }
 
-// Cancelled records a request withdrawn without completing — a
+// Cancelled records n requests withdrawn without completing — a
 // truncate-at-horizon drain cancelling calls still in flight at the
 // cutoff. Unlike Completed it counts no completion and marks no
 // progress, so completion tallies only ever reflect real outcomes.
-func (w *Watchdog) Cancelled() {
-	w.outstanding--
+func (w *Watchdog) Cancelled(n int) {
+	w.outstanding -= n
 }
 
 // Outstanding returns the number of in-flight requests.

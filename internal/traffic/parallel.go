@@ -41,9 +41,9 @@ type PrimedParallel struct {
 }
 
 // PrimeParallel validates spec and seeds the workload over p without
-// running it. The split from RunParallel exists so the scale bench can
-// time the O(cells) warm-start seeding separately from the simulation
-// it replaces; RunParallel is PrimeParallel + Finish.
+// running it. The split from RunParallel exists so the repository
+// benchmark can time the O(cells) warm-start seeding (setup_s) apart
+// from the simulation (run_s); RunParallel is PrimeParallel + Finish.
 func PrimeParallel(p *driver.Parallel, spec Spec) (*PrimedParallel, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
