@@ -7,8 +7,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strings"
@@ -22,32 +24,46 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main without the process: it parses args, animates the grid
+// on stdout, writes diagnostics to stderr, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("changrid", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		scheme  = flag.String("scheme", "adaptive", "allocation scheme: "+strings.Join(registry.Names(), ", "))
-		width   = flag.Int("width", 7, "grid width")
-		chans   = flag.Int("channels", 35, "spectrum size")
-		seconds = flag.Int("seconds", 5, "demo duration")
-		fps     = flag.Int("fps", 4, "frames per second")
-		seed    = flag.Int64("seed", 1, "workload seed")
+		scheme  = fs.String("scheme", "adaptive", "allocation scheme: "+strings.Join(registry.Names(), ", "))
+		width   = fs.Int("width", 7, "grid width")
+		chans   = fs.Int("channels", 35, "spectrum size")
+		seconds = fs.Int("seconds", 5, "demo duration")
+		fps     = fs.Int("fps", 4, "frames per second")
+		seed    = fs.Int64("seed", 1, "workload seed")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
 
 	grid, err := hexgrid.New(hexgrid.Config{
 		Shape: hexgrid.Rect, Width: *width, Height: *width, ReuseDistance: 2, Wrap: true,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(err)
 	}
 	assign, err := chanset.Assign(grid, *chans)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(err)
 	}
 	factory, err := registry.Build(*scheme, grid, assign, registry.Config{Latency: 10})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(err)
 	}
 	net := livenet.New(grid, assign, factory, livenet.Options{
 		Delay: 100 * time.Microsecond, LatencyTicks: 10, Seed: uint64(*seed),
@@ -105,18 +121,14 @@ func main() {
 	}()
 
 	frames := *seconds * *fps
-	for f := 0; f < frames; f++ {
+	for f := 0; f < frames && net.Violation() == nil; f++ {
 		time.Sleep(time.Second / time.Duration(*fps))
 		mu.Lock()
 		frame := render(grid, held, *width)
 		mu.Unlock()
-		fmt.Printf("\033[H\033[2J%s", frame)
-		fmt.Printf("scheme=%s grants=%d denies=%d msgs=%d\n",
+		fmt.Fprintf(stdout, "\033[H\033[2J%s", frame)
+		fmt.Fprintf(stdout, "scheme=%s grants=%d denies=%d msgs=%d\n",
 			*scheme, net.Grants(), net.Denies(), net.Messages().Total)
-		if err := net.Violation(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 	}
 	close(stop)
 	wg.Wait()
@@ -124,7 +136,11 @@ func main() {
 	// network down (max hold is ~420ms).
 	time.Sleep(600 * time.Millisecond)
 	net.WaitSettled(5 * time.Second)
-	fmt.Println("done: no co-channel interference observed")
+	if err := net.Violation(); err != nil {
+		return fail(err)
+	}
+	fmt.Fprintln(stdout, "done: no co-channel interference observed")
+	return 0
 }
 
 // render draws per-cell active call counts as a staggered hex-ish grid.

@@ -21,8 +21,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"time"
@@ -37,22 +39,40 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main without the process: it parses args, runs the cluster,
+// writes the report to stdout and diagnostics to stderr, and returns
+// the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("channet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		nNodes      = flag.Int("nodes", 4, "number of TCP nodes to partition the cells across")
-		calls       = flag.Int("calls", 40, "concurrent calls to place in one interference region")
-		chans       = flag.Int("channels", 21, "spectrum size (21 = 3 primaries per cell)")
-		scheme      = flag.String("scheme", "adaptive", "allocation scheme")
-		drop        = flag.Float64("drop", 0, "per-message drop probability injected at each node")
-		dup         = flag.Float64("dup", 0, "per-message duplication probability")
-		reorder     = flag.Float64("reorder", 0, "per-message reordering probability")
-		jitter      = flag.Duration("jitter", 0, "max extra per-message latency (uniform in [0, jitter])")
-		seed        = flag.Uint64("seed", 1, "fault-injection seed")
-		timeout     = flag.Duration("timeout", 15*time.Second, "per-request deadline (0 disables the watchdog)")
-		metricsAddr = flag.String("metrics", "", "serve Prometheus text metrics at this address (e.g. :9090)")
-		journalPath = flag.String("journal", "", "write a JSONL event journal to this file")
-		linger      = flag.Duration("linger", 0, "keep the metrics endpoint up this long after the run")
+		nNodes      = fs.Int("nodes", 4, "number of TCP nodes to partition the cells across")
+		calls       = fs.Int("calls", 40, "concurrent calls to place in one interference region")
+		chans       = fs.Int("channels", 21, "spectrum size (21 = 3 primaries per cell)")
+		scheme      = fs.String("scheme", "adaptive", "allocation scheme")
+		drop        = fs.Float64("drop", 0, "per-message drop probability injected at each node")
+		dup         = fs.Float64("dup", 0, "per-message duplication probability")
+		reorder     = fs.Float64("reorder", 0, "per-message reordering probability")
+		jitter      = fs.Duration("jitter", 0, "max extra per-message latency (uniform in [0, jitter])")
+		seed        = fs.Uint64("seed", 1, "fault-injection seed")
+		timeout     = fs.Duration("timeout", 15*time.Second, "per-request deadline (0 disables the watchdog)")
+		metricsAddr = fs.String("metrics", "", "serve Prometheus text metrics at this address (e.g. :9090)")
+		journalPath = fs.String("journal", "", "write a JSONL event journal to this file")
+		linger      = fs.Duration("linger", 0, "keep the metrics endpoint up this long after the run")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
 
 	var reg *obs.Registry
 	if *metricsAddr != "" {
@@ -62,8 +82,7 @@ func main() {
 	if *journalPath != "" {
 		jf, err := os.Create(*journalPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer jf.Close()
 		journal = obs.NewJournal(jf)
@@ -73,8 +92,7 @@ func main() {
 	grid := hexgrid.MustNew(hexgrid.Config{Shape: hexgrid.Rect, Width: 7, Height: 7, ReuseDistance: 2, Wrap: true})
 	assign, err := chanset.Assign(grid, *chans)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(err)
 	}
 	// One factory (and so one protocol instrument bundle) is shared by
 	// every node in this process: same-named counters aggregate across
@@ -84,19 +102,17 @@ func main() {
 		Obs:     obs.NewProtocol(reg, journal),
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(err)
 	}
 
 	var srv *obs.Server
 	if *metricsAddr != "" {
 		srv, err = obs.Serve(*metricsAddr, reg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer srv.Close()
-		fmt.Printf("metrics: http://%s/metrics\n", srv.Addr())
+		fmt.Fprintf(stdout, "metrics: http://%s/metrics\n", srv.Addr())
 	}
 
 	var fault *transport.FaultConfig
@@ -106,10 +122,9 @@ func main() {
 			JitterMax: *jitter,
 		}
 		if err := fault.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
-		fmt.Printf("fault model: drop=%.3f dup=%.3f reorder=%.3f jitter≤%v (seed %d), reliability layer on\n",
+		fmt.Fprintf(stdout, "fault model: drop=%.3f dup=%.3f reorder=%.3f jitter≤%v (seed %d), reliability layer on\n",
 			*drop, *dup, *reorder, *jitter, *seed)
 	}
 
@@ -133,11 +148,10 @@ func main() {
 		}
 		n, err := netrun.NewNode(grid, assign, factory, "127.0.0.1:0", cfg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
 		nodes[i] = n
-		fmt.Printf("node %d: %s hosting %d cells\n", i, n.Addr(), len(parts[i]))
+		fmt.Fprintf(stdout, "node %d: %s hosting %d cells\n", i, n.Addr(), len(parts[i]))
 	}
 	defer func() {
 		for _, n := range nodes {
@@ -154,7 +168,7 @@ func main() {
 
 	center := grid.InteriorCell()
 	region := append([]hexgrid.CellID{center}, grid.Interference(center)...)
-	fmt.Printf("\nplacing %d calls across the %d-cell interference region of cell %d...\n",
+	fmt.Fprintf(stdout, "\nplacing %d calls across the %d-cell interference region of cell %d...\n",
 		*calls, len(region), center)
 
 	var wg sync.WaitGroup
@@ -182,12 +196,16 @@ func main() {
 					host.Release(r.Cell, r.Ch)
 				}
 			case <-time.After(30 * time.Second):
-				fmt.Fprintln(os.Stderr, "request timed out")
+				fmt.Fprintln(stderr, "request timed out")
 			}
 		}(cell, host, time.Duration(5+i%20)*time.Millisecond)
 	}
 	wg.Wait()
-	time.Sleep(50 * time.Millisecond)
+	for i, n := range nodes {
+		if !n.WaitSettled(10 * time.Second) {
+			return fail(fmt.Errorf("node %d did not settle", i))
+		}
+	}
 
 	var agg transport.Stats
 	var tally metrics.Tally
@@ -207,8 +225,14 @@ func main() {
 	tally.Add("acks sent", agg.AcksSent)
 	tally.Add("retry budget exhausted", agg.RetryExhausted)
 
-	fmt.Printf("granted %d, denied %d\n\n%s\n", granted, denied, tally.String())
-	// Committed-outcome interference check across the whole grid.
+	fmt.Fprintf(stdout, "granted %d, denied %d\n\n%s\n", granted, denied, tally.String())
+	// Committed-outcome interference check: each node's own, among the
+	// cells it hosts, then a sweep across the whole grid.
+	for _, n := range nodes {
+		if err := n.Violation(); err != nil {
+			return fail(err)
+		}
+	}
 	for c := 0; c < grid.NumCells(); c++ {
 		a := hexgrid.CellID(c)
 		ua := nodes[owner[a]].InUse(a)
@@ -217,14 +241,14 @@ func main() {
 		}
 		for _, b := range grid.Interference(a) {
 			if ua.Intersects(nodes[owner[b]].InUse(b)) {
-				fmt.Fprintf(os.Stderr, "INTERFERENCE between %d and %d\n", a, b)
-				os.Exit(1)
+				return fail(fmt.Errorf("INTERFERENCE between %d and %d", a, b))
 			}
 		}
 	}
-	fmt.Println("no co-channel interference across the distributed run")
+	fmt.Fprintln(stdout, "no co-channel interference across the distributed run")
 	if srv != nil && *linger > 0 {
-		fmt.Printf("metrics: lingering at http://%s/metrics for %v\n", srv.Addr(), *linger)
+		fmt.Fprintf(stdout, "metrics: lingering at http://%s/metrics for %v\n", srv.Addr(), *linger)
 		time.Sleep(*linger)
 	}
+	return 0
 }

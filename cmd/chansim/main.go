@@ -151,6 +151,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if err != nil {
 			return fail(err)
 		}
+		if file.Fault != nil {
+			// The DES has no loss model yet (ROADMAP item 5).
+			fmt.Fprintln(stderr, "chansim: fault block applies to the wall-clock runtime only; ignored")
+		}
 		sc = adca.Scenario{
 			Scheme:        file.Scheme,
 			GridWidth:     file.Grid.Width,

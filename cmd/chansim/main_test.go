@@ -94,3 +94,16 @@ func TestProfilesOfRefusedAndFailedRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultBlockIsReportedIgnored: the DES has no loss model, so a
+// scenario's fault block does not apply; chansim says so once on stderr
+// and still runs the scenario.
+func TestFaultBlockIsReportedIgnored(t *testing.T) {
+	code, stdout, stderr := chansim("-config", filepath.Join("..", "..", "scenarios", "lossy.json"))
+	if want := "chansim: fault block applies to the wall-clock runtime only; ignored\n"; code != 0 || stderr != want {
+		t.Errorf("exit %d, stderr %q; want exit 0, stderr %q", code, stderr, want)
+	}
+	if !strings.Contains(stdout, "invariant         ok") {
+		t.Errorf("the scenario did not run to its report:\n%s", stdout)
+	}
+}

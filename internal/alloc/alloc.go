@@ -57,8 +57,6 @@ type Env interface {
 	// eventual release from `from` to `to`. Only the repacking-enabled
 	// adaptive scheme emits this.
 	Moved(from, to chanset.Channel)
-	// After schedules fn on this station after d ticks.
-	After(d sim.Time, fn func())
 	// Rand is this cell's private random stream.
 	Rand() *sim.Rand
 }

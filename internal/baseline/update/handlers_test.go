@@ -34,7 +34,6 @@ func (e *stubEnv) Granted(_ alloc.RequestID, ch chanset.Channel) {
 	e.granted = append(e.granted, ch)
 }
 func (e *stubEnv) Denied(alloc.RequestID)         { e.denied++ }
-func (e *stubEnv) After(d sim.Time, fn func())    { panic("unused") }
 func (e *stubEnv) Rand() *sim.Rand                { return e.rand }
 func (e *stubEnv) Moved(from, to chanset.Channel) { panic("unused") }
 

@@ -40,7 +40,6 @@ func (e *stubEnv) Granted(_ alloc.RequestID, ch chanset.Channel) {
 	e.granted = append(e.granted, ch)
 }
 func (e *stubEnv) Denied(alloc.RequestID)         { e.denied++ }
-func (e *stubEnv) After(d sim.Time, fn func())    { panic("core does not use After") }
 func (e *stubEnv) Rand() *sim.Rand                { return e.rand }
 func (e *stubEnv) Moved(from, to chanset.Channel) { panic("unused") }
 

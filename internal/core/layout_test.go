@@ -329,7 +329,6 @@ func (e *footprintEnv) Now() sim.Time               { return e.net.now }
 func (e *footprintEnv) Latency() sim.Time           { return 10 }
 func (e *footprintEnv) Began(alloc.RequestID)       {}
 func (e *footprintEnv) Denied(alloc.RequestID)      {}
-func (e *footprintEnv) After(sim.Time, func())      { panic("core does not use After") }
 func (e *footprintEnv) Rand() *sim.Rand             { return &e.rand }
 func (e *footprintEnv) Moved(_, _ chanset.Channel)  { panic("unused") }
 func (e *footprintEnv) Granted(_ alloc.RequestID, ch chanset.Channel) {

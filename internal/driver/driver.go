@@ -628,8 +628,6 @@ func (e *cellEnv) Multicast(m message.Message, mask []uint64) {
 	e.sim.obs.messages.Add(uint64(sent))
 }
 
-func (e *cellEnv) After(d sim.Time, fn func()) { e.sim.engine.AfterOrigin(d, int32(e.cell), fn) }
-
 func (e *cellEnv) Began(id alloc.RequestID) {
 	if p, ok := e.sim.pending[id]; ok {
 		p.began = e.sim.engine.Now()

@@ -722,10 +722,6 @@ func (e *pcellEnv) Multicast(m message.Message, mask []uint64) {
 	p.shards[e.shard].msgs.CountN(m, sent)
 }
 
-func (e *pcellEnv) After(d sim.Time, fn func()) {
-	e.p.kernel.After(e.shard, d, int32(e.cell), fn)
-}
-
 func (e *pcellEnv) Began(id alloc.RequestID) {
 	sh := &e.p.shards[e.shard]
 	if q, ok := sh.pending[id]; ok {

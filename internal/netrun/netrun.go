@@ -1,20 +1,26 @@
-// Package netrun runs the allocation protocol as an actual distributed
-// system: stations are partitioned across Nodes that exchange the wire
-// messages of internal/message over real TCP connections. It exists to
-// demonstrate that nothing in the protocol depends on shared memory —
-// the same allocator code that runs on the DES and the goroutine runtime
-// runs unchanged over sockets.
+// Package netrun is the wall-clock runtime: one goroutine per hosted
+// station (transport.Live), wall-clock delays, real parallelism, the
+// same allocator code that runs on the DES. It exists to validate the
+// protocol under true concurrency (race detector, nondeterministic
+// interleavings) and to power the demos; the measured experiments use
+// the deterministic DES driver instead.
 //
-// Topology: every Node listens on one TCP address and hosts a set of
-// cells. A routing table (cell → address) is distributed out of band
-// (it is static configuration, like the cell plan itself). Connections
-// between nodes are dialed lazily and kept open; per-connection writes
-// are serialized, and TCP ordering gives per-link FIFO.
+// The paper's stations share nothing and talk over reliable FIFO links
+// of bounded latency, so where two stations sit is a property of the
+// link, not of the runtime. A Node hosts a set of cells: a message for
+// a hosted cell goes to that cell's mailbox, one for any other cell
+// goes out as a wire message of internal/message over TCP. A node that
+// hosts every cell and listens nowhere is the in-process network
+// (internal/livenet constructs exactly that); several listening nodes
+// are the distributed one. The routing table (cell → address) is
+// distributed out of band (it is static configuration, like the cell
+// plan itself). Connections between nodes are dialed lazily and kept
+// open; per-connection writes are serialized, and TCP ordering gives
+// per-link FIFO.
 //
-// The node's routing fabric is exposed internally as a
-// transport.Transport (nodeTransport), so the same Faulty and Reliable
-// decorators that degrade and repair the in-process live runtime stack
-// directly over the socket runtime (Config.Fault / Config.Reliable).
+// The node's routing fabric is a transport.Transport (nodeTransport),
+// so the Faulty and Reliable decorators stack over it whatever the
+// links are (Config.Fault / Config.Reliable).
 package netrun
 
 import (
@@ -36,75 +42,99 @@ import (
 	"repro/internal/transport"
 )
 
-// Config describes one node's share of the network.
+// Config describes one node: the cells it hosts and the links it gives
+// them.
 type Config struct {
-	// Cells hosted by this node.
+	// Cells hosted by this node; nil hosts every cell of the grid.
 	Cells []hexgrid.CellID
-	// LatencyTicks is T as reported to allocators.
+	// Delay is the modeled one-way latency, in wall time, of every
+	// delivery to a hosted cell (0 = straight into the mailbox). A
+	// message that arrived over TCP waits it out on top of the wire's.
+	Delay time.Duration
+	// LatencyTicks is the T value reported to allocators (the adaptive
+	// predictor works in ticks; one tick is mapped to TickDuration).
 	LatencyTicks sim.Time
-	// TickDuration maps ticks to wall time (default 100µs).
+	// TickDuration maps ticks to wall time for Env.Now and the journal
+	// (default 100µs).
 	TickDuration time.Duration
 	// Seed drives per-cell randomness.
 	Seed uint64
 
 	// Fault, when non-nil, injects drops/duplicates/reordering/jitter
 	// into this node's outgoing traffic (local and remote alike). A
-	// Reliable layer is stacked above automatically. Every node in a
-	// cluster should carry the same reliability setting: sequence
-	// numbers stamped here are consumed by the peer's Reliable layer.
+	// Reliable layer is stacked above automatically so the protocol
+	// still sees reliable-FIFO links. Every node in a cluster should
+	// carry the same reliability setting: sequence numbers stamped here
+	// are consumed by the peer's Reliable layer.
 	Fault *transport.FaultConfig
 	// Reliable tunes the ack/retransmit layer; nil means defaults when
 	// Fault is set, no layer otherwise.
 	Reliable *transport.ReliableConfig
-	// RequestTimeout, when positive, completes overdue requests as
-	// counted denials (see Node.DeadlineDenials).
+	// RequestTimeout, when positive, bounds each request's wall-clock
+	// lifetime: a request not granted or denied in time completes as a
+	// counted deadline denial (see Node.DeadlineDenials). A grant that
+	// arrives after its deadline is released back automatically.
 	RequestTimeout time.Duration
 
 	// Obs, when non-nil, registers this node's runtime- and
 	// transport-level metrics as scrape-time collectors. Several nodes
 	// of one process may share a single registry: same-named collectors
-	// sum at collection time, yielding cluster-wide totals.
+	// sum at collection time, yielding cluster-wide totals. The DES
+	// driver registers some of the same families as plain counters, and
+	// mixing the two shapes in one registry panics by design.
 	Obs *obs.Registry
-	// Journal, when non-nil, receives request lifecycle records.
+	// Journal, when non-nil, receives request lifecycle records
+	// (request/result/deadline_deny), timestamped in ticks.
 	Journal *obs.Journal
 }
 
-// Result mirrors livenet.Result.
+// Result is one completed request.
 type Result struct {
 	Cell    hexgrid.CellID
 	Granted bool
 	Ch      chanset.Channel
 }
 
+// layer is what every level of a node's stack is: a transport that can
+// report quiescence.
+type layer interface {
+	transport.Transport
+	transport.Idler
+}
+
 // pendingReq tracks one in-flight request.
 type pendingReq struct {
 	cell  hexgrid.CellID
 	cb    func(Result)
-	timer *time.Timer
+	timer *time.Timer // nil when no RequestTimeout is configured
 }
 
-// Node hosts a subset of the stations and speaks TCP to its peers.
+// Node hosts a set of stations and speaks TCP to the nodes hosting the
+// rest.
 type Node struct {
 	grid   *hexgrid.Grid
 	cfg    Config
-	ln     net.Listener
+	ln     net.Listener    // nil when the node listens nowhere
 	local  *transport.Live // mailboxes for hosted cells
 	fabric *nodeTransport  // routing fabric as a transport.Transport
-	stack  transport.Transport
+	stack  layer           // top of the stack: what stations talk to
 	rel    *transport.Reliable
 	hosted map[hexgrid.CellID]alloc.Allocator
 
 	mu              sync.Mutex
 	accepted        []net.Conn
 	pending         map[alloc.RequestID]*pendingReq
-	expired         map[alloc.RequestID]bool
+	expired         map[alloc.RequestID]bool // deadline fired, outcome pending
 	nextID          alloc.RequestID
 	outst           int
 	grants          uint64
 	denies          uint64
 	deadlineDenials uint64
+	lateGrants      uint64
 	abandoned       uint64
 	badReleases     uint64
+	holding         []chanset.Set // committed holdings per hosted cell (checker)
+	violation       error
 	closed          bool
 
 	// netMu guards the routing table and peer set; the per-message send
@@ -145,9 +175,9 @@ func (p *peerConn) close() {
 const peerQueueDepth = 1024
 
 // NewNode builds a node hosting cfg.Cells of grid, starts its stations,
-// and listens on addr ("127.0.0.1:0" for an ephemeral port). Routes for
-// remote cells must be installed with SetRoutes before the stations send
-// to them.
+// and listens on addr ("127.0.0.1:0" for an ephemeral port, "" for no
+// listener). Routes for remote cells must be installed with SetRoutes
+// before the stations send to them. Callers must Close it.
 func NewNode(grid *hexgrid.Grid, assign *chanset.Assignment, factory alloc.Factory, addr string, cfg Config) (*Node, error) {
 	if cfg.TickDuration <= 0 {
 		cfg.TickDuration = 100 * time.Microsecond
@@ -160,24 +190,34 @@ func NewNode(grid *hexgrid.Grid, assign *chanset.Assignment, factory alloc.Facto
 			return nil, err
 		}
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("netrun: %w", err)
+	if cfg.Cells == nil {
+		cfg.Cells = make([]hexgrid.CellID, grid.NumCells())
+		for i := range cfg.Cells {
+			cfg.Cells[i] = hexgrid.CellID(i)
+		}
+	}
+	var ln net.Listener
+	if addr != "" {
+		var err error
+		if ln, err = net.Listen("tcp", addr); err != nil {
+			return nil, fmt.Errorf("netrun: %w", err)
+		}
 	}
 	n := &Node{
 		grid:    grid,
 		cfg:     cfg,
 		ln:      ln,
-		local:   transport.NewLive(0, 0),
+		local:   transport.NewLive(cfg.Delay, 0),
 		hosted:  make(map[hexgrid.CellID]alloc.Allocator, len(cfg.Cells)),
 		routes:  make(map[hexgrid.CellID]string),
 		peers:   make(map[string]*peerConn),
 		pending: make(map[alloc.RequestID]*pendingReq),
 		expired: make(map[alloc.RequestID]bool),
+		holding: make([]chanset.Set, grid.NumCells()),
 		start:   time.Now(),
 	}
-	n.fabric = &nodeTransport{n: n, handlers: make(map[hexgrid.CellID]transport.Handler)}
-	var top transport.Transport = n.fabric
+	n.fabric = &nodeTransport{n: n}
+	var top layer = n.fabric
 	if cfg.Fault != nil {
 		top = transport.NewFaulty(top, *cfg.Fault)
 	}
@@ -187,6 +227,9 @@ func NewNode(grid *hexgrid.Grid, assign *chanset.Assignment, factory alloc.Facto
 			rcfg = *cfg.Reliable
 		}
 		n.rel = transport.NewReliable(top, rcfg)
+		// A message that exhausts its retransmit budget means a dead
+		// link; count it — the deadline watchdog converts the affected
+		// requests into denials.
 		n.rel.OnAbandon = func(message.Message) {
 			n.mu.Lock()
 			n.abandoned++
@@ -198,10 +241,11 @@ func NewNode(grid *hexgrid.Grid, assign *chanset.Assignment, factory alloc.Facto
 	for _, cell := range cfg.Cells {
 		a := factory.New(cell)
 		n.hosted[cell] = a
-		n.local.Attach(cell, a) // reserves the cell's mailbox goroutine
-		n.stack.Attach(cell, a) // delivery path (reliability wraps the handler)
+		n.stack.Attach(cell, a) // through the stack: reliability wraps the handler
 	}
 	n.local.Start()
+	// Start must run on each station's goroutine so allocator state is
+	// never touched cross-thread.
 	var wg sync.WaitGroup
 	for _, cell := range cfg.Cells {
 		cell := cell
@@ -223,24 +267,37 @@ func NewNode(grid *hexgrid.Grid, assign *chanset.Assignment, factory alloc.Facto
 		r.CounterFunc("adca_deadline_denials_total",
 			"Requests denied by the RequestTimeout watchdog rather than the protocol.",
 			func() float64 { return float64(n.DeadlineDenials()) })
+		r.CounterFunc("adca_late_grants_total",
+			"Grants that arrived after their deadline and were released back.",
+			func() float64 { return float64(n.LateGrants()) })
 		r.CounterFunc("adca_abandoned_messages_total",
 			"Messages whose retransmit budget was exhausted (dead link).",
 			func() float64 { return float64(n.Abandoned()) })
 		r.CounterFunc("adca_send_errors_total",
-			"Messages dropped because the peer could not be dialed or written to.",
+			"Messages dropped: peer not dialed or written to, or a frame for a cell not hosted here.",
 			func() float64 { return float64(n.SendErrors()) })
 		r.GaugeFunc("adca_requests_outstanding",
 			"Channel requests currently in flight.",
 			func() float64 { return float64(n.Outstanding()) })
 		transport.RegisterObs(r, n.stack.Stats)
 	}
-	n.wg.Add(1)
-	go n.acceptLoop()
+	if ln != nil {
+		n.wg.Add(1)
+		go n.acceptLoop()
+	}
 	return n, nil
 }
 
-// Addr returns the node's listen address.
-func (n *Node) Addr() string { return n.ln.Addr().String() }
+// Addr returns the node's listen address, "" when it has none.
+func (n *Node) Addr() string {
+	if n.ln == nil {
+		return ""
+	}
+	return n.ln.Addr().String()
+}
+
+// Grid returns the cell layout.
+func (n *Node) Grid() *hexgrid.Grid { return n.grid }
 
 // SetRoutes installs the cell → address table for remote cells.
 func (n *Node) SetRoutes(routes map[hexgrid.CellID]string) {
@@ -253,7 +310,7 @@ func (n *Node) SetRoutes(routes map[hexgrid.CellID]string) {
 
 // Close shuts the node down: reliability timers first (so nothing
 // retransmits into a dead fabric), then listener, peer connections,
-// stations.
+// stations; the journal is flushed last.
 func (n *Node) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -265,7 +322,9 @@ func (n *Node) Close() {
 	if n.rel != nil {
 		n.rel.Close()
 	}
-	n.ln.Close()
+	if n.ln != nil {
+		n.ln.Close()
+	}
 	n.netMu.Lock()
 	for _, p := range n.peers {
 		p.close() // unblock senders and tell the writer to exit
@@ -278,6 +337,7 @@ func (n *Node) Close() {
 	n.mu.Unlock()
 	n.wg.Wait()
 	n.local.Stop()
+	_ = n.cfg.Journal.Flush() // the journal keeps its first error for its owner's Close
 }
 
 func (n *Node) acceptLoop() {
@@ -328,17 +388,11 @@ func (n *Node) isClosed() bool {
 
 // nodeTransport adapts the node's routing fabric — local mailboxes plus
 // lazily-dialed TCP peers — to transport.Transport, so Faulty and
-// Reliable stack over the socket runtime exactly as over the in-process
-// one. Attach is called through the stack top, which means the stored
-// handlers already carry the reliability layer's receive side.
+// Reliable stack over it whatever the links are. Attach is called
+// through the stack top, which means the handlers the mailboxes hold
+// already carry the reliability layer's receive side.
 type nodeTransport struct {
 	n *Node
-
-	// handlers is written only during NewNode's attach loop, before any
-	// station runs; the RWMutex makes that ordering explicit without
-	// putting an exclusive lock on the per-message deliver path.
-	hmu      sync.RWMutex
-	handlers map[hexgrid.CellID]transport.Handler
 
 	// Traffic accounting is atomic: one counter update per message, no
 	// critical sections on the send path (stats used to take a mutex
@@ -349,26 +403,24 @@ type nodeTransport struct {
 	// wirePending counts messages accepted for a peer queue but not yet
 	// written out, so Idle covers the writer pipelines.
 	wirePending atomic.Int64
-	// sendErrors counts messages dropped because their link is dead: the
-	// peer could not be dialed (it is down or shutting down) or a write
-	// to it failed. Like a loss on the wire, the drop is the reliability
-	// layer's problem — never a panic.
+	// sendErrors counts messages dropped because their link is dead —
+	// the peer could not be dialed (it is down or shutting down) or a
+	// write to it failed — or because they arrived for a cell this node
+	// does not host. Like a loss on the wire, the drop is the
+	// reliability layer's problem — never a panic.
 	sendErrors atomic.Uint64
 }
 
-// dropDead counts one message dropped on a dead link and reports
-// whether it is the node's first, which callers log so a dead peer does
+// dropDead counts one dropped message and reports whether it is the
+// node's first, which callers log so a dead or misconfigured peer does
 // not flood the output.
 func (t *nodeTransport) dropDead() (first bool) {
 	return t.sendErrors.Add(1) == 1 && !t.n.isClosed()
 }
 
-// Attach implements transport.Transport.
-func (t *nodeTransport) Attach(id hexgrid.CellID, h transport.Handler) {
-	t.hmu.Lock()
-	t.handlers[id] = h
-	t.hmu.Unlock()
-}
+// Attach implements transport.Transport: the hosted cell gets its
+// mailbox, with h behind it.
+func (t *nodeTransport) Attach(id hexgrid.CellID, h transport.Handler) { t.n.local.Attach(id, h) }
 
 // Send implements transport.Transport: local destinations go through the
 // hosted cell's mailbox, remote ones onto the peer writer's queue.
@@ -379,7 +431,7 @@ func (t *nodeTransport) Send(m message.Message) {
 	}
 	n := t.n
 	if _, ok := n.hosted[m.To]; ok {
-		t.deliver(m)
+		n.local.Send(m)
 		return
 	}
 	n.netMu.RLock()
@@ -405,17 +457,17 @@ func (t *nodeTransport) Send(m message.Message) {
 	}
 }
 
-// deliver hands m to the attached (stack-wrapped) handler of a hosted
-// cell, on that cell's mailbox goroutine.
+// deliver hands a frame read off the wire to its cell's mailbox. The
+// hosted check is what stands between a stale routing table or a
+// hostile peer and Live's panic on an unattached cell.
 func (t *nodeTransport) deliver(m message.Message) {
-	t.hmu.RLock()
-	h := t.handlers[m.To]
-	t.hmu.RUnlock()
-	if h == nil {
-		fmt.Printf("netrun: misrouted message for cell %d\n", m.To)
+	if _, ok := t.n.hosted[m.To]; !ok {
+		if t.dropDead() {
+			fmt.Printf("netrun: frame for cell %d, which is not hosted here; dropping such frames (counted in SendErrors)\n", m.To)
+		}
 		return
 	}
-	t.n.local.Do(m.To, func() { h.Handle(m) })
+	t.n.local.Send(m)
 }
 
 // Stats implements transport.Transport.
@@ -542,8 +594,9 @@ func (n *Node) deadLink(p *peerConn, err error) {
 // and retransmits — they are real traffic).
 func (n *Node) MessagesSent() uint64 { return n.fabric.Stats().Total }
 
-// SendErrors returns the number of messages dropped on dead links: the
-// peer could not be dialed or a write to it failed.
+// SendErrors returns the number of messages dropped: the peer could not
+// be dialed, a write to it failed, or the frame was for a cell this
+// node does not host.
 func (n *Node) SendErrors() uint64 { return n.fabric.sendErrors.Load() }
 
 // FabricStats returns the raw fabric accounting (message and wire-byte
@@ -555,7 +608,9 @@ func (n *Node) FabricStats() transport.Stats { return n.fabric.Stats() }
 // counters.
 func (n *Node) Stats() transport.Stats { return n.stack.Stats() }
 
-// Request submits a channel request at a hosted cell.
+// Request submits a channel request at a hosted cell; cb (may be nil) is
+// invoked when the request completes — on the station's goroutine for a
+// normal grant/denial, on a timer goroutine for a deadline denial.
 func (n *Node) Request(cell hexgrid.CellID, cb func(Result)) {
 	if _, ok := n.hosted[cell]; !ok {
 		panic(fmt.Sprintf("netrun: cell %d not hosted here", cell))
@@ -576,14 +631,16 @@ func (n *Node) Request(cell hexgrid.CellID, cb func(Result)) {
 	n.local.Do(cell, func() { n.hosted[cell].Request(id) })
 }
 
-// expire completes an overdue request as a counted denial (the deadline
-// watchdog; see Config.RequestTimeout).
+// expire fires when a request overstays RequestTimeout: it completes as
+// a counted denial so the caller (and WaitSettled) never hang on a
+// wedged link. The protocol may still conclude later; a late grant is
+// released back in complete.
 func (n *Node) expire(id alloc.RequestID) {
 	n.mu.Lock()
 	p := n.pending[id]
 	if p == nil {
 		n.mu.Unlock()
-		return
+		return // completed normally just before the timer fired
 	}
 	delete(n.pending, id)
 	n.expired[id] = true
@@ -628,7 +685,16 @@ func (n *Node) DeadlineDenials() uint64 {
 	return n.deadlineDenials
 }
 
-// Abandoned reports messages whose retransmit budget was exhausted.
+// LateGrants reports grants that arrived after their deadline denial and
+// were released back.
+func (n *Node) LateGrants() uint64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.lateGrants
+}
+
+// Abandoned reports messages whose retransmit budget was exhausted
+// (zero without a reliability layer).
 func (n *Node) Abandoned() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -642,16 +708,23 @@ func (n *Node) BadReleases() uint64 {
 	return n.badReleases
 }
 
-// Release returns a channel at a hosted cell. A rejected release
-// (channel not held) is counted, not fatal.
+// Release returns a channel at a hosted cell. A release the allocator
+// rejects (channel not held) is counted, not fatal: one misbehaving
+// caller must not take down the signaling plane.
 func (n *Node) Release(cell hexgrid.CellID, ch chanset.Channel) {
-	n.local.Do(cell, func() {
-		if err := n.hosted[cell].Release(ch); err != nil {
-			n.mu.Lock()
-			n.badReleases++
-			n.mu.Unlock()
-		}
-	})
+	n.mu.Lock()
+	n.holding[cell].Remove(ch)
+	n.mu.Unlock()
+	n.local.Do(cell, func() { n.release(cell, ch) })
+}
+
+// release hands ch back to cell's allocator, on the station's goroutine.
+func (n *Node) release(cell hexgrid.CellID, ch chanset.Channel) {
+	if err := n.hosted[cell].Release(ch); err != nil {
+		n.mu.Lock()
+		n.badReleases++
+		n.mu.Unlock()
+	}
 }
 
 // Outstanding returns in-flight request count at this node.
@@ -668,24 +741,46 @@ func (n *Node) InUse(cell hexgrid.CellID) chanset.Set {
 	return <-done
 }
 
+// Violation returns the first co-channel interference detected among
+// the committed outcomes of this node's hosted cells, or nil.
+func (n *Node) Violation() error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.violation
+}
+
+// WaitSettled blocks until no request is outstanding at this node and
+// its whole transport stack is idle, or the timeout elapses; reports
+// whether it settled.
+func (n *Node) WaitSettled(timeout time.Duration) bool {
+	deadline := time.Now().Add(timeout)
+	for time.Now().Before(deadline) {
+		if n.Outstanding() == 0 && n.stack.Idle() {
+			return true
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	return false
+}
+
+// complete records a finished request and runs its callback. It runs on
+// the granting cell's station goroutine (via env.Granted / env.Denied).
 func (n *Node) complete(cell hexgrid.CellID, id alloc.RequestID, granted bool, ch chanset.Channel) {
 	n.mu.Lock()
 	p := n.pending[id]
 	if p == nil {
-		// The deadline watchdog got here first. A late grant hands its
-		// channel back (we are on the station's goroutine).
-		wasExpired := n.expired[id]
+		// The deadline watchdog already completed this request as a
+		// denial. A late grant must hand its channel back — we are on
+		// the station's goroutine, so the release is a direct call.
+		late := n.expired[id] && granted
 		delete(n.expired, id)
-		if wasExpired && granted {
-			n.mu.Unlock()
-			if err := n.hosted[cell].Release(ch); err != nil {
-				n.mu.Lock()
-				n.badReleases++
-				n.mu.Unlock()
-			}
-			return
+		if late {
+			n.lateGrants++
 		}
 		n.mu.Unlock()
+		if late {
+			n.release(cell, ch)
+		}
 		return
 	}
 	if p.timer != nil {
@@ -695,6 +790,17 @@ func (n *Node) complete(cell hexgrid.CellID, id alloc.RequestID, granted bool, c
 	n.outst--
 	if granted {
 		n.grants++
+		n.holding[cell].Add(ch)
+		// Committed-outcome interference check (Theorem 1 over the
+		// node's book of record).
+		if n.violation == nil {
+			for _, j := range n.grid.Interference(cell) {
+				if n.holding[j].Contains(ch) {
+					n.violation = fmt.Errorf("netrun: cells %d and %d both hold channel %d", cell, j, ch)
+					break
+				}
+			}
+		}
 	} else {
 		n.denies++
 	}
@@ -712,7 +818,8 @@ func (n *Node) complete(cell hexgrid.CellID, id alloc.RequestID, granted bool, c
 	}
 }
 
-// nodeEnv implements alloc.Env over the node.
+// nodeEnv implements alloc.Env over the node. All methods are invoked
+// from the owning station's goroutine.
 type nodeEnv struct {
 	node *Node
 	cell hexgrid.CellID
@@ -723,15 +830,10 @@ func (e *nodeEnv) ID() hexgrid.CellID          { return e.cell }
 func (e *nodeEnv) Neighbors() []hexgrid.CellID { return e.node.grid.Interference(e.cell) }
 func (e *nodeEnv) Latency() sim.Time           { return e.node.cfg.LatencyTicks }
 func (e *nodeEnv) Rand() *sim.Rand             { return e.rand }
-
-func (e *nodeEnv) Now() sim.Time {
-	return sim.Time(time.Since(e.node.start) / e.node.cfg.TickDuration)
-}
+func (e *nodeEnv) Now() sim.Time               { return sim.Time(e.node.nowTicks()) }
 
 func (e *nodeEnv) Send(m message.Message) {
-	if m.From != e.cell {
-		m.From = e.cell
-	}
+	m.From = e.cell
 	// The message crosses goroutines (mailboxes, the peer writer, the
 	// retransmit queue): take the copy alloc.Env.Send owes a Use that is
 	// only a view.
@@ -739,11 +841,6 @@ func (e *nodeEnv) Send(m message.Message) {
 		m.Use = m.Use.Clone()
 	}
 	e.node.stack.Send(m)
-}
-
-func (e *nodeEnv) After(d sim.Time, fn func()) {
-	wall := time.Duration(d) * e.node.cfg.TickDuration
-	time.AfterFunc(wall, func() { e.node.local.Do(e.cell, fn) })
 }
 
 func (e *nodeEnv) Began(alloc.RequestID) {}
@@ -756,14 +853,9 @@ func (e *nodeEnv) Denied(id alloc.RequestID) {
 	e.node.complete(e.cell, id, false, chanset.NoChannel)
 }
 
-// Probe returns a hosted allocator for debugging/inspection. The caller
-// must only use methods safe for cross-goroutine access or quiescent
-// networks.
-func (n *Node) Probe(cell hexgrid.CellID) alloc.Allocator { return n.hosted[cell] }
-
 // Moved implements alloc.Env. Channel repacking needs runtime-side
-// release redirection, which the distributed runtime does not provide —
+// release redirection, which the wall-clock runtime does not provide —
 // build repacking scenarios on the DES driver.
 func (e *nodeEnv) Moved(from, to chanset.Channel) {
-	panic("netrun: channel repacking is not supported on the distributed runtime")
+	panic("netrun: channel repacking is not supported on the wall-clock runtime")
 }

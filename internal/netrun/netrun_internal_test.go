@@ -10,6 +10,7 @@ import (
 	"repro/internal/chanset"
 	"repro/internal/hexgrid"
 	"repro/internal/message"
+	"repro/internal/obs"
 	"repro/internal/registry"
 )
 
@@ -170,7 +171,8 @@ func TestDialFailureIsACountedDrop(t *testing.T) {
 // channel, any sender and any Use width, so a raw TCP peer can hand a
 // hosted allocator all of them. Each used to index past the per-channel
 // tables and kill the node; now each is a counted drop and the node goes
-// on serving.
+// on serving. So is a frame for a cell the node does not host, which
+// used to print one line per frame and count nothing.
 func TestMalformedFrameIsACountedDrop(t *testing.T) {
 	a, _, grid := twoNodes(t)
 	const cell = hexgrid.CellID(0) // hosted by a
@@ -197,7 +199,10 @@ func TestMalformedFrameIsACountedDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	for _, m := range frames {
+	// Cell 1 lives on the other node. Sent first, so it has been read by
+	// the time the frames behind it are counted.
+	unhosted := message.Message{Kind: message.Release, From: cell, To: 1, Ch: chanset.NoChannel}
+	for _, m := range append([]message.Message{unhosted}, frames...) {
 		if err := message.Write(conn, m); err != nil {
 			t.Fatal(err)
 		}
@@ -217,6 +222,9 @@ func TestMalformedFrameIsACountedDrop(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	if got := a.SendErrors(); got != 1 {
+		t.Fatalf("SendErrors = %d after one frame for a cell hosted elsewhere, want 1", got)
+	}
 	done := make(chan Result, 1)
 	a.Request(cell, func(r Result) { done <- r })
 	select {
@@ -226,5 +234,105 @@ func TestMalformedFrameIsACountedDrop(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("the node stopped serving after the malformed frames")
+	}
+}
+
+// TestLateGrantIsReleasedBack: a borrow whose deadline is shorter than
+// one message round is denied by the watchdog, and the grant the
+// protocol still concludes is counted and handed back — on one node
+// hosting every cell and on two nodes over TCP, the link being the only
+// difference between them.
+func TestLateGrantIsReleasedBack(t *testing.T) {
+	grid := hexgrid.MustNew(hexgrid.Config{Shape: hexgrid.Rect, Width: 7, Height: 7, ReuseDistance: 2, Wrap: true})
+	assign := chanset.MustAssign(grid, 21) // 3 primaries per cell
+	factory, err := registry.Build("adaptive", grid, assign, registry.Config{Latency: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := grid.InteriorCell()
+	for _, tc := range []struct {
+		name, addr string
+		nodes      int
+	}{{"in-process", "", 1}, {"tcp", "127.0.0.1:0", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.New()
+			nodes := make([]*Node, tc.nodes)
+			routes := map[hexgrid.CellID]string{}
+			for i := range nodes {
+				var cells []hexgrid.CellID // nil on the single node: every cell
+				for c := i; tc.nodes > 1 && c < grid.NumCells(); c += tc.nodes {
+					cells = append(cells, hexgrid.CellID(c))
+				}
+				// Every hop waits out Delay, so no permission round ends
+				// inside the 1 ms deadline set below.
+				n, err := NewNode(grid, assign, factory, tc.addr, Config{
+					Cells: cells, Delay: 2 * time.Millisecond, LatencyTicks: 10, Seed: uint64(i) + 1,
+					RequestTimeout: 10 * time.Second, Obs: reg,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(n.Close)
+				nodes[i] = n
+				for _, c := range n.cfg.Cells {
+					routes[c] = n.Addr()
+				}
+			}
+			for _, n := range nodes {
+				n.SetRoutes(routes)
+			}
+			host := nodes[int(cell)%tc.nodes]
+			if tc.nodes == 1 && (host.Addr() != "" || len(host.hosted) != grid.NumCells()) {
+				t.Fatalf("Cells nil, addr \"\": Addr() = %q, %d stations hosted, want \"\" and %d",
+					host.Addr(), len(host.hosted), grid.NumCells())
+			}
+			results := make(chan Result, 1)
+			request := func(timeout time.Duration) Result {
+				t.Helper()
+				host.mu.Lock()
+				host.cfg.RequestTimeout = timeout
+				host.mu.Unlock()
+				host.Request(cell, func(r Result) { results <- r })
+				select {
+				case r := <-results:
+					return r
+				case <-time.After(30 * time.Second):
+					t.Fatal("request neither granted nor denied")
+					return Result{}
+				}
+			}
+			primaries := assign.Primary[cell].Len()
+			for i := 0; i < primaries; i++ {
+				if r := request(10 * time.Second); !r.Granted {
+					t.Fatalf("primary request %d denied", i)
+				}
+			}
+			if r := request(time.Millisecond); r.Granted || host.DeadlineDenials() != 1 {
+				t.Fatalf("borrow with a 1ms deadline: granted=%v, DeadlineDenials=%d; want a deadline denial", r.Granted, host.DeadlineDenials())
+			}
+			deadline := time.Now().Add(20 * time.Second)
+			for reg.Snapshot()["adca_late_grants_total"] != 1 {
+				if time.Now().After(deadline) {
+					t.Fatalf("adca_late_grants_total = %v, want 1", reg.Snapshot()["adca_late_grants_total"])
+				}
+				time.Sleep(time.Millisecond)
+			}
+			for _, n := range nodes {
+				if !n.WaitSettled(20 * time.Second) {
+					t.Fatal("did not settle")
+				}
+			}
+			if got := host.InUse(cell).Len(); got != primaries || host.BadReleases() != 0 {
+				t.Fatalf("after the late grant: %d channels in use, %d bad releases; want %d and 0", got, host.BadReleases(), primaries)
+			}
+			if r := request(10 * time.Second); !r.Granted {
+				t.Fatal("borrow with a generous deadline denied after the late grant was handed back")
+			}
+			for _, n := range nodes {
+				if err := n.Violation(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }

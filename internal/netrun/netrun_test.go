@@ -174,6 +174,11 @@ func TestDistributedNeighborhoodSafety(t *testing.T) {
 			}
 		}
 	}
+	for _, n := range hostOf {
+		if err := n.Violation(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func TestDistributedFixedNoSockets(t *testing.T) {
@@ -324,6 +329,11 @@ func TestDistributedFaultyLinksEveryRequestTerminates(t *testing.T) {
 			if ua.Intersects(nodes[owner[b]].InUse(b)) {
 				t.Fatalf("co-channel interference between %d and %d under faults", a, b)
 			}
+		}
+	}
+	for _, n := range nodes {
+		if err := n.Violation(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -17,8 +17,8 @@ import (
 //
 // Per-link FIFO: with zero Delay, senders enqueue directly into the
 // receiver's mailbox, so program order on the sender is delivery order.
-// With a positive Delay, messages pass through a single timer-wheel
-// scheduler goroutine (see delaySched) that delivers each message Delay
+// With a positive Delay, messages pass through a single FIFO scheduler
+// goroutine (see delaySched) that delivers each message Delay
 // after its send while preserving Send-call order — O(1) goroutines
 // regardless of how many (from, to) pairs talk, and back-to-back sends
 // on one link overlap in flight instead of serializing one Delay apart.
@@ -251,8 +251,7 @@ func (l *Live) DroppedOnStop() uint64 { return l.droppedOnStop.Load() }
 // before the fabric counts as drained.
 //
 // Caveat: "no queued work" is still not "no outstanding requests". Work
-// scheduled outside the transport and its registered layers —
-// time.AfterFunc timers armed by allocator Env.After calls, a caller
+// scheduled outside the transport and its registered layers — a caller
 // about to Send — is invisible here, so the transport can be
 // momentarily idle while the protocol still owes answers. Callers must
 // track application-level completion (e.g. outstanding-request counts)
