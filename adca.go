@@ -190,9 +190,9 @@ func (sc Scenario) validate() error {
 	return nil
 }
 
-// buildParts applies the scenario defaults and constructs the pieces
-// shared by the serial and sharded drivers: grid, primary plan and the
-// scheme registry config. It returns the defaulted scenario so callers
+// buildParts applies the scenario defaults and constructs the pieces a
+// driver is wired from: grid, primary plan and the scheme registry
+// config. It returns the defaulted scenario so callers
 // read back effective values (latency, scheme).
 func buildParts(sc Scenario) (*hexgrid.Grid, *chanset.Assignment, registry.Config, Scenario, error) {
 	if err := sc.validate(); err != nil {
@@ -261,12 +261,28 @@ func buildParts(sc Scenario) (*hexgrid.Grid, *chanset.Assignment, registry.Confi
 	return grid, assign, cfg, sc, nil
 }
 
-// New builds a Network from the scenario. Options apply on top of the
-// scenario (WithPredictor, WithLender, WithObs, ...); a bare
-// New(Scenario{...}) keeps its pre-option behavior exactly.
+// New builds a Network from the scenario on the serial event kernel.
+// Options apply on top of the scenario (WithPredictor, WithLender,
+// WithObs, ...); a bare New(Scenario{...}) keeps its pre-option behavior
+// exactly.
 func New(sc Scenario, opts ...Option) (*Network, error) {
-	sc = applyOptions(sc, opts).sc
-	grid, assign, cfg, sc, err := buildParts(sc)
+	return build(applyOptions(sc, opts), false)
+}
+
+// NewParallel builds the same Network on the sharded event kernel:
+// WithShards/WithWorkers size it without changing results. Scenario.Obs
+// works at any shard count, its Journal with one shard only — records
+// from shards running concurrently would interleave by schedule — and is
+// a descriptive error with more.
+func NewParallel(sc Scenario, opts ...Option) (*Network, error) {
+	return build(applyOptions(sc, opts), true)
+}
+
+// ParallelNetwork is Network.
+type ParallelNetwork = Network
+
+func build(c runConfig, sharded bool) (*Network, error) {
+	grid, assign, cfg, sc, err := buildParts(c.sc)
 	if err != nil {
 		return nil, err
 	}
@@ -282,14 +298,23 @@ func New(sc Scenario, opts ...Option) (*Network, error) {
 	if err != nil {
 		return nil, fmt.Errorf("adca: %w", err)
 	}
-	n.sim = driver.New(grid, assign, factory, driver.Options{
+	dopts := driver.Options{
 		Latency: sim.Time(sc.LatencyTicks),
 		Jitter:  sim.Time(sc.JitterTicks),
 		Seed:    sc.Seed,
 		Check:   sc.CheckInterference,
 		Obs:     n.reg,
 		Journal: n.journal,
-	})
+		Shards:  c.shards,
+		Workers: c.workers,
+	}
+	if sharded {
+		if n.sim, err = driver.NewParallel(grid, assign, factory, dopts); err != nil {
+			return nil, fmt.Errorf("adca: %w", err)
+		}
+	} else {
+		n.sim = driver.New(grid, assign, factory, dopts)
+	}
 	if sc.Obs != nil && sc.Obs.MetricsAddr != "" {
 		srv, err := obs.Serve(sc.Obs.MetricsAddr, n.reg)
 		if err != nil {
@@ -358,7 +383,7 @@ func (n *Network) InUse(cell int) []int {
 func (n *Network) Mode(cell int) int { return n.sim.Allocator(hexgrid.CellID(cell)).Mode() }
 
 // Now returns the current virtual time in ticks.
-func (n *Network) Now() int64 { return int64(n.sim.Engine().Now()) }
+func (n *Network) Now() int64 { return int64(n.sim.Now(0)) }
 
 // Request submits a channel request at cell; cb (may be nil) runs when
 // it completes, with Result.ID set to the returned id. Use
@@ -376,8 +401,20 @@ func (n *Network) Request(cell int, cb func(Result)) RequestID {
 func (n *Network) RequestAt(at int64, cell int, cb func(Result)) RequestID {
 	n.nextID++
 	id := n.nextID
-	n.sim.Engine().At(sim.Time(at), func() { n.submit(id, cell, cb) })
+	n.at(at, cell, func() { n.submit(id, cell, cb) })
 	return id
+}
+
+// at schedules fn at an absolute virtual time: unattributed on the
+// serial kernel — ahead of every cell's own events of that tick, as it
+// always ran — and as an event of cell in cell's shard on the sharded
+// one, which has no unattributed events.
+func (n *Network) at(at int64, cell int, fn func()) {
+	if e := n.sim.Engine(); e != nil {
+		e.At(sim.Time(at), fn)
+		return
+	}
+	n.sim.At(hexgrid.CellID(cell), sim.Time(at), fn)
 }
 
 func (n *Network) submit(id RequestID, cell int, cb func(Result)) {
@@ -402,11 +439,11 @@ func (n *Network) Release(cell, channel int) {
 
 // ReleaseAt schedules a release at an absolute virtual time.
 func (n *Network) ReleaseAt(at int64, cell, channel int) {
-	n.sim.Engine().At(sim.Time(at), func() { n.Release(cell, channel) })
+	n.at(at, cell, func() { n.Release(cell, channel) })
 }
 
 // RunFor advances virtual time by d ticks.
-func (n *Network) RunFor(d int64) { n.sim.Run(n.sim.Engine().Now() + sim.Time(d)) }
+func (n *Network) RunFor(d int64) { n.sim.Run(n.sim.Now(0) + sim.Time(d)) }
 
 // RunUntilIdle processes events until the network quiesces; it reports
 // false if the event budget (1e9 events) was exhausted first.
@@ -475,8 +512,7 @@ type TransportStats struct {
 // Stats returns the current statistics snapshot.
 func (n *Network) Stats() Stats { return networkStats(n.sim.Stats()) }
 
-// networkStats converts a driver snapshot (serial or sharded) into the
-// public Stats shape.
+// networkStats converts a driver snapshot into the public Stats shape.
 func networkStats(st driver.Stats) Stats {
 	return Stats{
 		Grants:              st.Grants,
@@ -516,8 +552,9 @@ func networkStats(st driver.Stats) Stats {
 type KernelFootprint = sim.Footprint
 
 // KernelFootprint reports the event kernel's memory and queue
-// high-water marks (with Obs, also the adca_kernel_* gauges).
-func (n *Network) KernelFootprint() KernelFootprint { return n.sim.Engine().Footprint() }
+// high-water marks, summed over shards (with Obs, also the
+// adca_kernel_* gauges). Not during a run.
+func (n *Network) KernelFootprint() KernelFootprint { return n.sim.Footprint() }
 
 // Metrics snapshots every registered metric as exposition-style keys
 // (e.g. `adca_grants_total{path="local"}`). Nil when the scenario did
@@ -682,7 +719,8 @@ func workloadStats(ts traffic.Stats) WorkloadStats {
 	}
 }
 
-// RunWorkload drives Poisson traffic over the network to completion.
+// RunWorkload drives Poisson traffic over the network to completion and
+// verifies the interference invariant over the final state.
 func (n *Network) RunWorkload(w Workload) (WorkloadStats, error) {
 	spec, err := workloadSpec(n.sim.Grid(), w)
 	if err != nil {
@@ -692,81 +730,28 @@ func (n *Network) RunWorkload(w Workload) (WorkloadStats, error) {
 	if err != nil {
 		return WorkloadStats{}, err
 	}
+	if err := n.sim.CheckInvariant(); err != nil {
+		return WorkloadStats{}, err
+	}
 	return workloadStats(ts), nil
 }
 
-// RunParallel builds the scenario on the sharded driver and drives the
-// same workload RunWorkload would, including mobility: arrival, holding
-// and mobility randomness are per-cell substreams, so the run is
-// bit-identical to the serial RunWorkload trajectory at any shard and
-// worker count (WithShards/WithWorkers size the runner without changing
-// results). Scenario.Obs is not supported on the sharded driver
-// (journals would be schedule-dependent) and is ignored.
+// RunParallel builds the scenario on the sharded kernel (NewParallel)
+// and drives the workload RunWorkload would, mobility included: arrival,
+// holding and mobility randomness are per-cell substreams, so the
+// trajectory is that of the serial RunWorkload at any shard and worker
+// count.
 func RunParallel(sc Scenario, w Workload, opts ...Option) (WorkloadStats, Stats, error) {
 	n, err := NewParallel(sc, opts...)
 	if err != nil {
 		return WorkloadStats{}, Stats{}, err
 	}
 	ws, err := n.RunWorkload(w)
+	if cerr := n.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return WorkloadStats{}, Stats{}, err
 	}
 	return ws, n.Stats(), nil
 }
-
-// ParallelNetwork is a scenario wired on the sharded driver: RunParallel
-// in two steps, for a caller that wants the network in hand after the
-// run (chansim -memprofile profiles the heap while it is still live).
-type ParallelNetwork struct {
-	p *driver.Parallel
-}
-
-// NewParallel builds the scenario on the sharded driver; see RunParallel
-// for what the options size and what is not supported.
-func NewParallel(sc Scenario, opts ...Option) (*ParallelNetwork, error) {
-	c := applyOptions(sc, opts)
-	grid, assign, cfg, sc, err := buildParts(c.sc)
-	if err != nil {
-		return nil, err
-	}
-	factory, err := registry.Build(sc.Scheme, grid, assign, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("adca: %w", err)
-	}
-	p, err := driver.NewParallel(grid, assign, factory, driver.ParallelOptions{
-		Latency: sim.Time(sc.LatencyTicks),
-		Jitter:  sim.Time(sc.JitterTicks),
-		Seed:    sc.Seed,
-		Check:   sc.CheckInterference,
-		Shards:  c.shards,
-		Workers: c.workers,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("adca: %w", err)
-	}
-	return &ParallelNetwork{p: p}, nil
-}
-
-// RunWorkload drives Poisson traffic over the network to completion and
-// verifies the interference invariant over the final state.
-func (n *ParallelNetwork) RunWorkload(w Workload) (WorkloadStats, error) {
-	spec, err := workloadSpec(n.p.Grid(), w)
-	if err != nil {
-		return WorkloadStats{}, err
-	}
-	ts, err := traffic.RunParallel(n.p, spec)
-	if err != nil {
-		return WorkloadStats{}, err
-	}
-	if err := n.p.CheckInvariant(); err != nil {
-		return WorkloadStats{}, err
-	}
-	return workloadStats(ts), nil
-}
-
-// Stats returns the aggregate statistics so far.
-func (n *ParallelNetwork) Stats() Stats { return networkStats(n.p.Stats()) }
-
-// KernelFootprint reports the sharded event kernel's memory and queue
-// high-water marks, summed over shards. Not during a run.
-func (n *ParallelNetwork) KernelFootprint() KernelFootprint { return n.p.Kernel().Footprint() }

@@ -249,3 +249,73 @@ func TestObsPreservesDeterminism(t *testing.T) {
 		t.Fatal("instrumentation changed protocol outcomes")
 	}
 }
+
+// TestShardedObsMatchesStats: Scenario.Obs on the sharded kernel is
+// bound, not dropped — a 7-shard 2-worker run satisfies the Stats <->
+// metrics identities of TestStatsMatchMetrics (every instrument is an
+// atomic, so this also runs under -race), a one-shard run accepts a
+// journal, and a journal with more shards is a descriptive error.
+func TestShardedObsMatchesStats(t *testing.T) {
+	sc := adca.Scenario{Wrap: true, Seed: 11, CheckInterference: true, Obs: &adca.ObsConfig{}}
+	w := adca.Workload{ErlangPerCell: 9, DurationTicks: 30_000, Seed: 11}
+	net, err := adca.NewParallel(sc, adca.WithShards(7), adca.WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	if _, err := net.RunWorkload(w); err != nil {
+		t.Fatal(err)
+	}
+	st, m := net.Stats(), net.Metrics()
+	if st.ModeChanges == 0 || st.UpdateAttempts == 0 || st.Messages == 0 {
+		t.Fatalf("9 Erlang/cell should exercise borrowing: %+v", st)
+	}
+	for key, want := range map[string]uint64{
+		`adca_grants_total{path="local"}`:  st.LocalGrants,
+		`adca_grants_total{path="update"}`: st.UpdateGrants,
+		`adca_grants_total{path="search"}`: st.SearchGrants,
+		"adca_denies_total":                st.ProtocolDenies,
+		"adca_borrow_attempts_total":       st.UpdateAttempts,
+		"adca_deferred_total":              st.Deferred,
+		"adca_requests_granted_total":      st.Grants,
+		"adca_requests_denied_total":       st.Denies,
+		"adca_transport_messages_total":    st.Messages,
+		"adca_requests_outstanding":        0,
+		"adca_acquire_ticks_count":         st.Grants,
+		"adca_defer_queue_depth":           0,
+	} {
+		if got, ok := m[key]; !ok || got != float64(want) {
+			t.Errorf("%s = %v (present: %v), want %d", key, got, ok, want)
+		}
+	}
+	trans := m[`adca_mode_transitions_total{from="local",to="borrowing"}`] +
+		m[`adca_mode_transitions_total{from="borrowing",to="local"}`]
+	if trans != float64(st.ModeChanges) {
+		t.Errorf("mode transitions = %v, want %d", trans, st.ModeChanges)
+	}
+	// The same scenario on the serial kernel: the same integers.
+	serial := adca.MustNew(sc)
+	defer serial.Close()
+	if _, err := serial.RunWorkload(w); err != nil {
+		t.Fatal(err)
+	}
+	if sst := serial.Stats(); sst.Grants != st.Grants || sst.Denies != st.Denies || sst.Messages != st.Messages || sst.ModeChanges != st.ModeChanges {
+		t.Errorf("7 shards: %+v\nserial:   %+v", st, sst)
+	}
+
+	var journal bytes.Buffer
+	sc.Obs = &adca.ObsConfig{Journal: &journal}
+	one, err := adca.NewParallel(sc, adca.WithShards(1))
+	if err != nil {
+		t.Fatalf("a journal at one shard: %v", err)
+	}
+	if _, err := one.RunWorkload(w); err != nil {
+		t.Fatal(err)
+	}
+	if err := one.Close(); err != nil || journal.Len() == 0 {
+		t.Errorf("a journal at one shard: Close says %v, %d bytes written", err, journal.Len())
+	}
+	if _, err := adca.NewParallel(sc, adca.WithShards(7)); err == nil || !strings.Contains(err.Error(), "a journal needs one shard, got 7") {
+		t.Errorf("a journal at 7 shards: error %v, want the one-shard rule", err)
+	}
+}

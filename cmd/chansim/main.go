@@ -16,10 +16,12 @@
 //	chansim -erlang 9 -metrics :9090 -linger 1m -journal run.jsonl
 //	chansim -config scenarios/mobility.json -shards 16
 //
-// Scale: -shards N runs the scenario on the sharded parallel driver
-// (N tiles, -workers goroutines). The trajectory — including mobility
-// (-handoff) — is bit-identical to the serial driver's at any shard and
-// worker count; only -metrics/-journal require the serial path.
+// Scale: -shards N runs the scenario on the sharded event kernel (N
+// tiles, -workers goroutines). The trajectory — including mobility
+// (-handoff) — is bit-identical to the serial kernel's at any shard and
+// worker count. -metrics works with any -shards; -journal needs one
+// shard (-shards 1, or none), since records from shards running
+// concurrently would interleave by schedule.
 // -drain-horizon H truncates the post-duration drain H ticks after the
 // arrival window (held calls force-released in canonical order, the
 // measured window untouched; see DESIGN.md §9.5) — the way to run a
@@ -82,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		drainHorizon = fs.Int64("drain-horizon", 0, "truncate the post-duration drain this many ticks after duration, force-releasing held calls (0 = drain to quiescence)")
 		seed         = fs.Uint64("seed", 1, "random seed (runs are deterministic per seed)")
 		check        = fs.Bool("check", true, "verify the interference invariant on every grant")
-		shards       = fs.Int("shards", 0, "run on the sharded parallel driver with this many shards (0 = serial)")
+		shards       = fs.Int("shards", 0, "run on the sharded event kernel with this many shards (0 = serial kernel)")
 		workers      = fs.Int("workers", 0, "with -shards: kernel worker goroutines (0 = NumCPU)")
 		predictor    = fs.String("predictor", "", `adaptive NFC predictor "name[,key=val...]": `+strings.Join(adca.Predictors(), ", "))
 		lender       = fs.String("lender", "", `adaptive lender strategy "name[,key=val...]": `+strings.Join(adca.LenderStrategies(), ", "))
@@ -242,37 +244,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		w.HotCell = -1 // grid interior
 		w.HotRadius = hotRadius
 	}
-	if *shards > 0 {
-		// Sharded parallel run: same trajectory as the serial driver
-		// (bit-identical stats at any shard/worker count), minus the
-		// serial-only observability sinks.
-		if *metricsAddr != "" || *journalPath != "" {
-			return fail(errors.New("chansim: -metrics/-journal need the serial driver (drop -shards)"))
-		}
-		pnet, err := adca.NewParallel(sc, adca.WithShards(*shards), adca.WithWorkers(*workers))
-		if err != nil {
-			return fail(err)
-		}
-		ws, err := pnet.RunWorkload(w)
-		simulated = err == nil || pnet.KernelFootprint().Pops > 0
-		if err != nil {
-			return fail(err)
-		}
-		if err := prof.finish(false); err != nil {
-			return fail(err)
-		}
-		if err := writeHeapProfile(*memProfile, pnet); err != nil {
-			return fail(err)
-		}
-		st := pnet.Stats()
-		scheme := sc.Scheme
-		if scheme == "" {
-			scheme = "adaptive"
-		}
-		fmt.Fprintf(stdout, "driver            parallel (%d shards)\n", *shards)
-		printReport(stdout, scheme, ws, st, sc.LatencyTicks)
-		printKernel(stdout, pnet.KernelFootprint())
-		return 0
+	if *journalPath != "" && *shards > 1 {
+		// adca.NewParallel would say the same; saying it here leaves no
+		// empty journal file behind.
+		return fail(fmt.Errorf("chansim: -journal needs one shard (-shards 1, or no -shards), got -shards %d: records from shards running concurrently would interleave by schedule", *shards))
 	}
 	if *metricsAddr != "" || *journalPath != "" {
 		oc := &adca.ObsConfig{MetricsAddr: *metricsAddr}
@@ -286,7 +261,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		sc.Obs = oc
 	}
-	net, err := adca.New(sc)
+	// -shards N is the same scenario on the sharded kernel: the same
+	// trajectory at any shard and worker count.
+	build := adca.New
+	if *shards > 0 {
+		build = adca.NewParallel
+	}
+	net, err := build(sc, adca.WithShards(*shards), adca.WithWorkers(*workers))
 	if err != nil {
 		return fail(err)
 	}
@@ -294,12 +275,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if addr := net.MetricsAddr(); addr != "" {
 		fmt.Fprintf(stdout, "metrics           http://%s/metrics\n", addr)
 	}
+	// RunWorkload verifies the interference invariant over the final
+	// state before it returns.
 	ws, err := net.RunWorkload(w)
 	simulated = err == nil || net.KernelFootprint().Pops > 0
 	if err != nil {
-		return fail(err)
-	}
-	if err := net.CheckInterference(); err != nil {
 		return fail(err)
 	}
 	if err := prof.finish(false); err != nil {
@@ -307,6 +287,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	if err := writeHeapProfile(*memProfile, net); err != nil {
 		return fail(err)
+	}
+	if *shards > 0 {
+		fmt.Fprintf(stdout, "driver            parallel (%d shards)\n", *shards)
 	}
 	fmt.Fprintf(stdout, "cells / channels  %d / %d\n", net.NumCells(), net.NumChannels())
 	printReport(stdout, net.Scheme(), ws, net.Stats(), sc.LatencyTicks)
@@ -318,10 +301,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	return 0
 }
 
-// printReport renders the common scenario report: telephony outcomes
-// (including handoff drops, merged across shards on the parallel
-// driver), latency in units of T, message overhead and the adaptive
-// path mix.
+// printReport renders the scenario report: telephony outcomes
+// (including handoff drops, merged across shards), latency in units of
+// T, message overhead and the adaptive path mix.
 func printReport(w io.Writer, scheme string, ws adca.WorkloadStats, st adca.Stats, latencyTicks int64) {
 	fmt.Fprintf(w, "scheme            %s\n", scheme)
 	fmt.Fprintf(w, "offered calls     %d\n", ws.Offered)

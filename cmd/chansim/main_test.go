@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -52,8 +53,56 @@ func TestReportIdenticalAcrossDrivers(t *testing.T) {
 func TestShardsRefuseJournal(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "run.jsonl")
 	code, _, stderr := chansim("-shards", "4", "-journal", journal)
-	if want := "chansim: -metrics/-journal need the serial driver (drop -shards)\n"; code != 1 || stderr != want {
+	if want := "chansim: -journal needs one shard (-shards 1, or no -shards), got -shards 4: records from shards running concurrently would interleave by schedule\n"; code != 1 || stderr != want {
 		t.Errorf("exit %d, stderr %q; want exit 1, stderr %q", code, stderr, want)
+	}
+	if _, err := os.Stat(journal); !os.IsNotExist(err) {
+		t.Errorf("the refused run left a journal file behind (stat error: %v)", err)
+	}
+}
+
+// TestOneShardJournalMatchesSerial: -journal works with -shards 1, and
+// an 8x8 borrowing scenario's journal is then the serial one record for
+// record — byte for byte once the request ids, which the two kernels'
+// constructors number differently, are dropped. -metrics works at any
+// shard count.
+func TestOneShardJournalMatchesSerial(t *testing.T) {
+	scenario := []string{"-width", "8", "-erlang", "9", "-duration", "4000", "-warmup", "800", "-seed", "3"}
+	req := regexp.MustCompile(`"req":\d+,?`)
+	journal := func(extra ...string) []string {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "run.jsonl")
+		if code, _, stderr := chansim(append(append(scenario, "-journal", path), extra...)...); code != 0 {
+			t.Fatalf("chansim %v -journal: exit %d, stderr %q", extra, code, stderr)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Split(req.ReplaceAllString(string(raw), ""), "\n")
+	}
+	serial, one := journal(), journal("-shards", "1")
+	borrows := 0
+	for _, line := range serial {
+		if strings.Contains(line, `"type":"borrow"`) {
+			borrows++
+		}
+	}
+	if len(serial) < 1000 || borrows == 0 {
+		t.Fatalf("the serial journal has %d records, %d of them borrows: the scenario is vacuous", len(serial), borrows)
+	}
+	if len(one) != len(serial) {
+		t.Fatalf("-shards 1 journals %d records, the serial kernel %d", len(one), len(serial))
+	}
+	for i := range serial {
+		if one[i] != serial[i] {
+			t.Fatalf("record %d: -shards 1 journals %s, the serial kernel %s", i, one[i], serial[i])
+		}
+	}
+
+	code, stdout, stderr := chansim(append(scenario, "-shards", "4", "-workers", "2", "-metrics", "127.0.0.1:0")...)
+	if code != 0 || !strings.Contains(stdout, "metrics           http://127.0.0.1:") || !strings.Contains(stdout, "invariant         ok") {
+		t.Errorf("-shards 4 -metrics: exit %d, stderr %q, stdout\n%s", code, stderr, stdout)
 	}
 }
 

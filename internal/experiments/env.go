@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/driver"
 	"repro/internal/hexgrid"
+	"repro/internal/metrics"
 	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/traffic"
@@ -199,20 +200,8 @@ func runOnceFull(env Env, scheme string, profile traffic.Profile, handoffRate fl
 		m.ModeBorrowFrac = borrowSum / float64(samples)
 		m.ModeSearchFrac = searchSum / float64(samples)
 	}
-	m.Fairness = jain(ts.GrantRatios())
+	m.Fairness = metrics.JainIndex(ts.GrantRatios())
 	return m, ts, nil
-}
-
-func jain(xs []float64) float64 {
-	var sum, sq float64
-	for _, x := range xs {
-		sum += x
-		sq += x * x
-	}
-	if sq == 0 {
-		return 1
-	}
-	return sum * sum / (float64(len(xs)) * sq)
 }
 
 // InterferenceDegree returns N for the environment's grid (interior

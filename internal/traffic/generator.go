@@ -8,9 +8,8 @@ import (
 	"repro/internal/sim"
 )
 
-// host is what the generator needs of a driver; *driver.Sim (one shard)
-// and *driver.Parallel both provide it. Posting and requesting follow
-// the sharded driver's context rule: from cell's own shard, or pre-run.
+// host is what the generator needs of the driver. Posting and requesting
+// follow the driver's context rule: from cell's own shard, or pre-run.
 type host interface {
 	Grid() *hexgrid.Grid
 	NumShards() int

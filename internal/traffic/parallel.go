@@ -7,14 +7,17 @@ import (
 	"repro/internal/driver"
 )
 
-// RunParallel drives the workload over the sharded driver to
-// completion, mirroring Run. Every random stream the workload consumes
-// is per cell with the same labels Run uses — arrivals/holding
+// Run drives the workload over s to completion (arrivals stop at
+// Duration, held calls drain afterwards) and returns the stats: it is
+// RunParallel, and *driver.Sim is *driver.Parallel.
+func Run(s *driver.Sim, spec Spec) (Stats, error) { return RunParallel(s, spec) }
+
+// RunParallel drives the workload over the driver to completion. Every
+// random stream the workload consumes is per cell — arrivals/holding
 // (Substream(seed, arrivalLabel+cell)) and mobility
 // (Substream(seed, mobilityLabel+cell)) — so each stream is consumed
 // entirely inside its cell's shard and the generated schedule is
-// identical at any shard or worker count, and identical to the serial
-// engine's.
+// identical at any shard or worker count, on either kernel.
 //
 // Mobility runs sharded: a call leg draws its dwell time and neighbor
 // pick from the *current* cell's mobility substream when the leg is
@@ -31,10 +34,10 @@ func RunParallel(p *driver.Parallel, spec Spec) (Stats, error) {
 	return r.Finish()
 }
 
-// PrimedParallel is a seeded-but-not-yet-run parallel workload: kernel
-// reserves are placed, warm-start occupancy (Spec.WarmStart) is
-// submitted and every cell's first candidate arrival is scheduled, but
-// no simulation time has passed. Finish runs it to completion.
+// PrimedParallel is a seeded-but-not-yet-run workload: kernel reserves
+// are placed, warm-start occupancy (Spec.WarmStart) is submitted and
+// every cell's first candidate arrival is scheduled, but no simulation
+// time has passed. Finish runs it to completion.
 type PrimedParallel struct {
 	p *driver.Parallel
 	g *generator
@@ -49,10 +52,13 @@ func PrimeParallel(p *driver.Parallel, spec Spec) (*PrimedParallel, error) {
 		return nil, err
 	}
 	part := p.Partition()
-	// Per-shard capacity hints from the same Erlang estimate Run feeds
-	// Engine.Reserve: one candidate arrival per cell plus ~one release
-	// per held call, held calls ≈ offered Erlangs, 1.25x headroom (2x
-	// pinned double the steady state for nothing at giant-grid scale).
+	// Per-shard capacity hints for the kernel: a shard's queue
+	// concurrently holds one candidate arrival per cell plus roughly one
+	// release/handoff event per held call, and the expected held-call
+	// count is the offered load in Erlangs (Σ rate × mean hold). 1.25x
+	// headroom absorbs load fluctuations without pinning double the
+	// steady-state footprint — at 10^6 cells a 2x hint alone added
+	// hundreds of MB of permanently-dead heap capacity.
 	// Mailboxes are reserved only toward the shards the partition's halo
 	// can actually reach — O(neighbor shards) per shard, where the old
 	// all-destinations loop was O(shards²) slices in total and dominated
@@ -89,27 +95,28 @@ func (r *PrimedParallel) Finish() (Stats, error) {
 	if g.spec.DrainHorizon > 0 {
 		// Truncated drain: run to the cutoff (window boundaries and
 		// barrier samples before it are exactly the full drain's), then
-		// force the rest quiescent with the same canonical sweep the
-		// serial driver performs, so the truncated trajectory stays
-		// bit-identical across worker and shard counts and vs Run.
+		// force the rest quiescent. The forced sweep is canonical
+		// (ascending cell, then ascending channel), so the truncated
+		// trajectory is as deterministic as the full one, at any worker
+		// and shard count.
 		cutoff := g.spec.Duration + g.spec.DrainHorizon
 		if !p.DrainUntil(cutoff, 2_000_000_000) {
 			return g.result(), fmt.Errorf("traffic: truncated drain hit its event backstop before cutoff %d: %d events pending, %d requests outstanding (per shard: %s), sim time %d",
-				cutoff, p.Kernel().Pending(), p.Outstanding(), shardOutstandingSummary(p.ShardOutstanding()), p.Kernel().Now(0))
+				cutoff, p.Pending(), p.Outstanding(), shardOutstandingSummary(p.ShardOutstanding()), p.Now(0))
 		}
 		p.ForceQuiesce()
 		if p.Outstanding() != 0 {
 			return g.result(), fmt.Errorf("traffic: %d requests still outstanding after forced quiesce (per shard: %s), sim time %d",
-				p.Outstanding(), shardOutstandingSummary(p.ShardOutstanding()), p.Kernel().Now(0))
+				p.Outstanding(), shardOutstandingSummary(p.ShardOutstanding()), p.Now(0))
 		}
 	} else {
 		if !p.Drain(2_000_000_000) {
 			return g.result(), fmt.Errorf("traffic: simulation did not quiesce: %d events pending, %d requests outstanding (per shard: %s), sim time %d",
-				p.Kernel().Pending(), p.Outstanding(), shardOutstandingSummary(p.ShardOutstanding()), p.Kernel().Now(0))
+				p.Pending(), p.Outstanding(), shardOutstandingSummary(p.ShardOutstanding()), p.Now(0))
 		}
 		if p.Outstanding() != 0 {
 			return g.result(), fmt.Errorf("traffic: %d requests still outstanding after drain (per shard: %s), sim time %d (no events pending)",
-				p.Outstanding(), shardOutstandingSummary(p.ShardOutstanding()), p.Kernel().Now(0))
+				p.Outstanding(), shardOutstandingSummary(p.ShardOutstanding()), p.Now(0))
 		}
 	}
 	return g.result(), nil

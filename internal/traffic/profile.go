@@ -1,4 +1,4 @@
-// Package traffic generates call workloads over a driver.Sim: Poisson
+// Package traffic generates call workloads over the DES driver: Poisson
 // call arrivals with exponential holding times, spatial load profiles
 // (uniform, hot spot, ramp, moving hot spot), and mobility-driven
 // handoffs. It reports the telephony metrics the paper's motivation is

@@ -3,8 +3,6 @@ package traffic
 import (
 	"fmt"
 
-	"repro/internal/driver"
-	"repro/internal/hexgrid"
 	"repro/internal/sim"
 )
 
@@ -156,58 +154,4 @@ func (st Stats) GrantRatios() []float64 {
 		out[i] = 1 - float64(st.PerCellBlocked[i])/float64(st.PerCellOffered[i])
 	}
 	return out
-}
-
-// Run drives the workload over s to completion (arrivals stop at
-// Duration, held calls drain afterwards) and returns the stats.
-func Run(s *driver.Sim, spec Spec) (Stats, error) {
-	if err := spec.validate(); err != nil {
-		return Stats{}, err
-	}
-	n := s.Grid().NumCells()
-	// Capacity hint for the DES kernel: the queue concurrently holds one
-	// candidate arrival per cell plus roughly one release/handoff event
-	// per held call, and the expected held-call count is the offered load
-	// in Erlangs (Σ rate × mean hold). 1.25x headroom absorbs load
-	// fluctuations without pinning double the steady-state footprint —
-	// at 10^6 cells the old 2x hint alone added hundreds of MB of
-	// permanently-dead heap capacity.
-	var totalRate float64
-	for i := 0; i < n; i++ {
-		if r := spec.Profile.MaxRate(hexgrid.CellID(i)); r > 0 {
-			totalRate += r
-		}
-	}
-	if err := s.Engine().Reserve(n + 64 + int(1.25*totalRate*spec.MeanHold)); err != nil {
-		return Stats{}, err
-	}
-	g := newGenerator(s, spec)
-	g.prime()
-	if spec.DrainHorizon > 0 {
-		// Truncated drain: execute everything up to the cutoff, then
-		// force the rest of the system quiescent. The forced sweep is
-		// canonical (ascending cell, then ascending request id), so the
-		// truncated trajectory is as deterministic as the full one.
-		cutoff := spec.Duration + spec.DrainHorizon
-		if !s.DrainUntil(cutoff, 2_000_000_000) {
-			return g.result(), fmt.Errorf("traffic: truncated drain hit its event backstop before cutoff %d: %d events pending, %d requests outstanding, sim time %d",
-				cutoff, s.Engine().Pending(), s.Outstanding(), s.Engine().Now())
-		}
-		s.ForceQuiesce()
-		if s.Outstanding() != 0 {
-			return g.result(), fmt.Errorf("traffic: %d requests still outstanding after forced quiesce at sim time %d", s.Outstanding(), s.Engine().Now())
-		}
-		return g.result(), nil
-	}
-	// Run until well past Duration so calls drain; the queue empties
-	// once no arrivals are scheduled and all calls released.
-	if !s.Drain(2_000_000_000) {
-		return g.result(), fmt.Errorf("traffic: simulation did not quiesce: %d events pending, %d requests outstanding, sim time %d",
-			s.Engine().Pending(), s.Outstanding(), s.Engine().Now())
-	}
-	if s.Outstanding() != 0 {
-		return g.result(), fmt.Errorf("traffic: %d requests still outstanding after drain at sim time %d (no events pending)",
-			s.Outstanding(), s.Engine().Now())
-	}
-	return g.result(), nil
 }

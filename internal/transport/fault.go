@@ -61,7 +61,8 @@ func (c FaultConfig) Validate() error {
 type Faulty struct {
 	inner Transport
 	cfg   FaultConfig
-	// reg is the in-flight registrar beneath this layer (nil on DES):
+	// reg is the in-flight registrar beneath this layer (nil when the
+	// stack has none):
 	// jittered sends waiting in time.AfterFunc register as external work
 	// so Live.WaitIdle cannot report idle under them.
 	reg WorkRegistrar

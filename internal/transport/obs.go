@@ -7,7 +7,7 @@ import "repro/internal/obs"
 // reliability-layer work). stats is called at collection time, so it
 // must be safe to invoke from the scrape goroutine — Live, Faulty and
 // Reliable all satisfy this (atomics or mutex-guarded Stats); the DES
-// transport does not, which is why the DES driver counts messages
+// driver's per-shard Stats do not, which is why it counts messages
 // inline instead of registering here.
 //
 // Registering several stats funcs (one per node) under one registry is

@@ -45,6 +45,11 @@ func (c ReliableConfig) Validate() error {
 	return nil
 }
 
+// linkKey names one directed link.
+type linkKey struct {
+	from, to hexgrid.CellID
+}
+
 // Reliable restores the reliable-FIFO contract over a lossy transport:
 // every protocol message gets a per-link sequence number, the receive
 // side acks it, dedups resends, buffers out-of-order arrivals and
@@ -56,7 +61,8 @@ func (c ReliableConfig) Validate() error {
 type Reliable struct {
 	inner Transport
 	cfg   ReliableConfig
-	// reg is the in-flight registrar beneath this layer (nil on DES).
+	// reg is the in-flight registrar beneath this layer (nil when the
+	// stack has none).
 	// Every outstanding unacked message holds exactly one work unit from
 	// Send until ack, retry exhaustion, or Close — so Live.WaitIdle
 	// blocks on armed retransmit timers instead of racing them.
@@ -121,7 +127,7 @@ func (r *Reliable) Inner() Transport { return r.inner }
 
 // addWork/workDone bracket one unacked message's lifetime in the
 // underlying transport's idleness accounting; no-ops without a
-// registrar (DES).
+// registrar.
 func (r *Reliable) addWork() {
 	if r.reg != nil {
 		r.reg.AddExternalWork()

@@ -1,11 +1,16 @@
 // Package transport delivers control messages between mobile service
-// stations. Two implementations share one interface:
+// stations.
 //
-//   - DES: deterministic delivery on the discrete-event engine with a
-//     fixed (optionally jittered) one-way latency T, per-link FIFO.
 //   - Live: one goroutine per station with channel mailboxes and real
 //     (scaled) delays — the "goroutines are base stations" runtime used
-//     to shake out ordering assumptions under true concurrency.
+//     to shake out ordering assumptions under true concurrency — and the
+//     Faulty and Reliable decorators stacked on it.
+//   - The deterministic DES transport — delivery on the discrete-event
+//     kernel after a fixed (optionally jittered) one-way latency T,
+//     per-link FIFO — is not a type here: it is internal/driver's
+//     alloc.Env, whose Send and Multicast frame a message as a kernel
+//     event with EventOf and rebuild it with MessageOf (des.go), and
+//     count traffic in a Stats.
 //
 // Both count traffic by message kind so experiments can report the
 // paper's message-complexity metric.
@@ -89,9 +94,8 @@ func (s *Stats) Add(o Stats) {
 	s.RetryExhausted += o.RetryExhausted
 }
 
-// Count records one sent message. Exported for drivers that keep their
-// own per-shard Stats (the parallel DES driver) rather than wrapping a
-// Transport implementation.
+// Count records one sent message. Exported for the DES driver, which
+// keeps per-shard Stats rather than wrapping a Transport implementation.
 func (s *Stats) Count(m message.Message) { s.CountN(m, 1) }
 
 // CountN records n sent copies of m in one step (a multicast).
@@ -113,7 +117,7 @@ type Idler interface {
 }
 
 // innerIdle reports whether t is idle, treating transports without an
-// idleness notion (e.g. DES, where the engine owns time) as always idle.
+// idleness notion as always idle.
 func innerIdle(t Transport) bool {
 	if i, ok := t.(Idler); ok {
 		return i.Idle()
@@ -138,8 +142,7 @@ type Unwrapper interface {
 }
 
 // registrarOf returns the nearest WorkRegistrar at or beneath t, or nil
-// when the stack bottoms out without one (e.g. a DES transport, whose
-// engine owns time and needs no idleness accounting).
+// when the stack bottoms out without one.
 func registrarOf(t Transport) WorkRegistrar {
 	for t != nil {
 		if r, ok := t.(WorkRegistrar); ok {

@@ -4,8 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/hexgrid"
 	"repro/internal/message"
-	"repro/internal/sim"
 )
 
 // TestWaitIdleCoversRetransmits closes the PR-4 caveat: an unacked
@@ -108,8 +108,15 @@ func TestRegistrarOfFindsLiveThroughStack(t *testing.T) {
 	if registrarOf(tr) != WorkRegistrar(live) {
 		t.Fatal("registrarOf did not find Live beneath Faulty")
 	}
-	des := NewDES(sim.NewEngine(), 1, 0, nil)
-	if registrarOf(des) != nil {
-		t.Fatal("registrarOf invented a registrar for DES")
+	if registrarOf(bareTransport{}) != nil {
+		t.Fatal("registrarOf invented a registrar for a transport that has none")
 	}
 }
+
+// bareTransport is a Transport and nothing else: no idleness notion, no
+// registrar, nothing to unwrap.
+type bareTransport struct{}
+
+func (bareTransport) Attach(hexgrid.CellID, Handler) {}
+func (bareTransport) Send(message.Message)           {}
+func (bareTransport) Stats() Stats                   { return Stats{} }

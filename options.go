@@ -9,12 +9,12 @@ package adca
 //		adca.WithLender("interference-aware", nil))
 //	ws, st, _ := adca.RunParallel(sc, w, adca.WithShards(16))
 
-// Option adjusts a facade call (New, RunParallel). Options apply on top
-// of the Scenario, last one wins.
+// Option adjusts a facade call (New, NewParallel, RunParallel). Options
+// apply on top of the Scenario, last one wins.
 type Option func(*runConfig)
 
 // runConfig is the resolved form of a facade call: the scenario plus
-// the parallel-runner sizing (ignored by the serial driver).
+// the sharded kernel's sizing (New runs one shard whatever they say).
 type runConfig struct {
 	sc Scenario
 	// shards is the tile count (default min(16, cells)); workers the
@@ -59,13 +59,14 @@ func WithLender(name string, params map[string]float64) Option {
 	return func(c *runConfig) { c.sc.Lender = &PolicySpec{Name: name, Params: params} }
 }
 
-// WithShards sets the sharded runner's tile count (RunParallel only).
+// WithShards sets the sharded kernel's tile count (NewParallel and
+// RunParallel).
 func WithShards(n int) Option {
 	return func(c *runConfig) { c.shards = n }
 }
 
-// WithWorkers sets the sharded runner's goroutine count (RunParallel
-// only; never affects results).
+// WithWorkers sets the sharded kernel's goroutine count (NewParallel and
+// RunParallel; never affects results).
 func WithWorkers(n int) Option {
 	return func(c *runConfig) { c.workers = n }
 }
