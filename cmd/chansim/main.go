@@ -333,8 +333,8 @@ func printKernel(w io.Writer, f adca.KernelFootprint) {
 	const mb = 1 << 20
 	fmt.Fprintf(w, "kernel memory     heap %.1f MB (%d pages), attachments %.1f MB (%d pages), funcs %.1f MB, routes %.1f MB\n",
 		float64(f.HeapBytes)/mb, f.HeapPages, float64(f.AttBytes)/mb, f.AttPages, float64(f.SideBytes)/mb, float64(f.RouteBytes)/mb)
-	fmt.Fprintf(w, "kernel queue      peak %d records for %d events pending; %d records popped; attachments %d stored, %d shared\n",
-		f.PeakRecords, f.PeakEvents, f.Pops, f.AttParked, f.AttShared)
+	fmt.Fprintf(w, "kernel queue      peak %d records for %d events pending, in a pool that peaked at %d pages (%.1f MB, %d out now); %d records popped; attachments %d stored, %d shared\n",
+		f.PeakRecords, f.PeakEvents, f.PoolPages, float64(f.PoolBytes)/mb, f.PoolOut, f.Pops, f.AttParked, f.AttShared)
 }
 
 // profiles are the -cpuprofile and -exectrace outputs a run has started.

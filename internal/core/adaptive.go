@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/alloc"
@@ -171,6 +172,11 @@ type Factory struct {
 	// the live runtimes, where cells of one factory run on different
 	// goroutines.
 	scratch sync.Pool
+	// masks interns the neighbor-overlap vectors (Adaptive.nbrMasks) by
+	// value: a vector depends only on the shape of a neighborhood, of
+	// which a wrapped grid has a few dozen, so its cells share them.
+	masksMu sync.Mutex
+	masks   map[[64]uint64]*[64]uint64
 }
 
 // NewFactory validates params and returns a Factory.
@@ -239,8 +245,7 @@ const (
 	setUse     = iota // Use_i
 	setInter          // I_i: the union of every U_j
 	setScratch        // the result of freePrimary/freeAnywhere
-	// setU+k is U_j for j = neighbors[k]; setU+len(neighbors)+k is the
-	// grant record of the same neighbor.
+	// setU+k is U_j for j = neighbors[k].
 	setU
 )
 
@@ -274,22 +279,23 @@ type Adaptive struct {
 	// slab holds, in order: the numMasks neighbor masks (bit k stands for
 	// neighbors[k]; (n+63)/64 words each, so neighborhoods past 64 cells
 	// just take more words), then the channel sets, w words each —
-	// Use_i, I_i, the free-set scratch, U_j for every neighbor, and the
-	// grant record of every neighbor.
-	//
-	// A grant record holds the channels we granted to that neighbor that
-	// it has not yet visibly acquired or released. A borrowing-update
-	// winner acquires silently (Figure 3, mode 2), so a Use-set snapshot
-	// taken by j between our grant and its acquisition would otherwise
-	// erase the channel from U_j and let us reuse it concurrently
-	// (DESIGN.md D9).
+	// Use_i, I_i, the free-set scratch, and U_j for every neighbor.
 	slab []uint64
+	// grants is the grant ledger: a pair (k, ch) for every channel we
+	// granted to neighbors[k] that it has not yet visibly acquired or
+	// released. A borrowing-update winner acquires silently (Figure 3,
+	// mode 2), so a Use-set snapshot taken by j between our grant and its
+	// acquisition would otherwise erase the channel from U_j and let us
+	// reuse it concurrently (DESIGN.md D9). A station has a handful
+	// outstanding at worst, and pays for those, not for a set per neighbor.
+	grants []grant
 	// nbrMasks[k] marks which of this cell's neighbors also interfere
 	// with neighbors[k], so best() counts |UpdateS_i ∩ IN_j| with one
 	// AND+popcount instead of a binary search per member of IN_j, the
 	// dominant cost of candidate gathering under steady borrow load.
-	// Built on the first borrow attempt, and only when the neighborhood
-	// fits one mask word.
+	// Set on the first borrow attempt, and only when the neighborhood
+	// fits one mask word; shared with every cell of the same shape
+	// (Factory.masks) and read-only.
 	nbrMasks []uint64
 
 	// deferQ is DeferQ_i. acquire drains it in place, so one backing
@@ -333,7 +339,7 @@ func (a *Adaptive) Start(env alloc.Env) {
 	a.nch = int32(assign.NumChannels)
 	a.w = int32((assign.NumChannels + 63) / 64)
 	a.setOff = int32(numMasks * ((n + 63) / 64))
-	a.slab = make([]uint64, int(a.setOff)+(setU+2*n)*int(a.w))
+	a.slab = make([]uint64, int(a.setOff)+(setU+n)*int(a.w))
 	a.pred = a.factory.params.predictorBuilder().New(a.factory.params.Window)
 	a.pred.Init(env.Now(), a.pr.Len())
 	a.serial.SetStart(a.startRequest)
@@ -350,10 +356,8 @@ func (a *Adaptive) words(set int) []uint64 {
 // live: it reads and writes the slab.
 func (a *Adaptive) view(set int) chanset.Set { return chanset.FromWords(a.words(set)) }
 
-// uSet and grantSet are the set indices of U_j and of j's grant record
-// for j = neighbors[k].
-func (a *Adaptive) uSet(k int) int     { return setU + k }
-func (a *Adaptive) grantSet(k int) int { return setU + len(a.neighbors) + k }
+// uSet is the set index of U_j for j = neighbors[k].
+func (a *Adaptive) uSet(k int) int { return setU + k }
 
 // bit locates channel ch of a set: the slab index of its word and its
 // mask within it. ch must be a channel of the spectrum.
@@ -492,28 +496,66 @@ func (a *Adaptive) refreshInter(wi int) {
 	a.slab[int(a.setOff)+setInter*w+wi] = or
 }
 
-// grantRecord marks ch as granted to neighbors[k], pending acquisition.
-func (a *Adaptive) grantRecord(k int, ch chanset.Channel) { a.add(a.grantSet(k), ch) }
+// grant is one entry of the grant ledger: ch is granted to neighbors[k].
+type grant struct {
+	k  int32
+	ch chanset.Channel
+}
+
+// granted returns the ledger index of (k, ch), or -1. A pending grant is
+// always in U_j too — every record is followed by addU, a snapshot ORs
+// the pending ones back in — so one bit test spares most scans.
+func (a *Adaptive) granted(k int, ch chanset.Channel) int {
+	if !a.has(a.uSet(k), ch) {
+		return -1
+	}
+	return slices.Index(a.grants, grant{int32(k), ch})
+}
+
+// grantRecord marks ch as granted to neighbors[k], pending acquisition;
+// NoChannel is a no-op.
+func (a *Adaptive) grantRecord(k int, ch chanset.Channel) {
+	if ch >= 0 && a.granted(k, ch) < 0 {
+		a.grants = append(a.grants, grant{int32(k), ch})
+	}
+}
 
 // grantResolve clears a pending grant record: neighbors[k] either
 // acquired ch visibly (snapshot/ACQUISITION) or released it.
-func (a *Adaptive) grantResolve(k int, ch chanset.Channel) { a.remove(a.grantSet(k), ch) }
+func (a *Adaptive) grantResolve(k int, ch chanset.Channel) {
+	if i := a.granted(k, ch); i >= 0 {
+		last := len(a.grants) - 1
+		a.grants[i] = a.grants[last]
+		a.grants = a.grants[:last]
+	}
+}
 
 // replaceU replaces the whole U_j of neighbors[k] with the received
 // snapshot, preserving channels we granted to j that j has not yet
 // visibly acquired: channels now visible in the snapshot are owned by j
-// and leave the grant record (the snapshot stream governs them from here
-// on); still-pending grants are unioned into the effective snapshot.
+// and leave the ledger (the snapshot stream governs them from here on);
+// still-pending grants are unioned into the effective snapshot.
 func (a *Adaptive) replaceU(k int, snapshot chanset.Set) {
-	snap := snapshot.Words() // at most w words: Handle checked
-	u, g := a.words(a.uSet(k)), a.words(a.grantSet(k))
-	for wi := range u {
-		var s uint64
-		if wi < len(snap) {
-			s = snap[wi]
+	kept := a.grants[:0]
+	for _, g := range a.grants {
+		if int(g.k) != k || !snapshot.Contains(g.ch) {
+			kept = append(kept, g)
 		}
-		g[wi] &^= s
-		if next := s | g[wi]; next != u[wi] {
+	}
+	a.grants = kept
+	snap := snapshot.Words() // at most w words: Handle checked
+	u := a.words(a.uSet(k))
+	for wi := range u {
+		var next uint64
+		if wi < len(snap) {
+			next = snap[wi]
+		}
+		for _, g := range kept {
+			if int(g.k) == k && int(g.ch>>6) == wi {
+				next |= 1 << (uint(g.ch) & 63)
+			}
+		}
+		if next != u[wi] {
 			u[wi] = next
 			a.refreshInter(wi)
 		}

@@ -78,7 +78,7 @@ func TestHandlerUpdateRequestGrantWhenFree(t *testing.T) {
 	if !a.view(setInter).Contains(9) {
 		t.Fatal("granted channel must enter I_i")
 	}
-	if g := a.view(a.grantSet(a.nbrIdx(1))); !g.Contains(9) {
+	if a.granted(a.nbrIdx(1), 9) < 0 {
 		t.Fatal("granted channel must be recorded in the D9 overlay")
 	}
 }
@@ -94,7 +94,7 @@ func TestHandlerUpdateRequestRejectWhenInUse(t *testing.T) {
 	if len(ms) != 1 || ms[0].Res != message.ResReject {
 		t.Fatalf("expected reject for in-use channel, got %v", ms)
 	}
-	if a.view(a.grantSet(a.nbrIdx(1))).Contains(ch) {
+	if a.granted(a.nbrIdx(1), ch) >= 0 {
 		t.Fatal("rejected channel must not enter the grant overlay")
 	}
 }
@@ -160,7 +160,7 @@ func TestHandlerReleaseClearsInterference(t *testing.T) {
 	if a.view(setInter).Contains(9) {
 		t.Fatal("release must clear I_i")
 	}
-	if a.view(a.grantSet(a.nbrIdx(1))).Contains(9) {
+	if a.granted(a.nbrIdx(1), 9) >= 0 {
 		t.Fatal("release must clear the grant overlay")
 	}
 }
@@ -181,7 +181,7 @@ func TestHandlerStatusSnapshotCannotEraseGrant(t *testing.T) {
 	// later snapshots govern.
 	a.Handle(message.Message{Kind: message.Response, Res: message.ResStatus, From: 1, To: 0,
 		Use: chanset.SetOf(9)})
-	if a.view(a.grantSet(a.nbrIdx(1))).Contains(9) {
+	if a.granted(a.nbrIdx(1), 9) >= 0 {
 		t.Fatal("overlay should resolve when the snapshot shows the channel")
 	}
 	a.Handle(message.Message{Kind: message.Response, Res: message.ResStatus, From: 1, To: 0,

@@ -88,14 +88,14 @@ func TestMalformedMessagesAreCountedDrops(t *testing.T) {
 			m.From, m.To = nbr, cell
 			m.TS = lamport.Stamp{Time: 1 << 40, Node: int32(nbr)} // would jump the clock if witnessed
 			shape.mutate(&m)
-			slab, clock, mode, waiting := slices.Clone(a.slab), a.clock, a.mode, a.waiting
+			slab, grants, clock, mode, waiting := slices.Clone(a.slab), slices.Clone(a.grants), a.clock, a.mode, a.waiting
 			a.Handle(m)
 			want++
 			name := base.Kind.String() + "/" + shape.name
 			if sent := env.take(); len(sent) != 0 {
 				t.Errorf("%s: answered with %v", name, sent)
 			}
-			if !slices.Equal(slab, a.slab) || clock != a.clock || mode != a.mode || waiting != a.waiting {
+			if !slices.Equal(slab, a.slab) || !slices.Equal(grants, a.grants) || clock != a.clock || mode != a.mode || waiting != a.waiting {
 				t.Errorf("%s: station state changed", name)
 			}
 			if a.counters.BadMessages != want {
@@ -134,5 +134,45 @@ func TestMalformedMessagesAreCountedDrops(t *testing.T) {
 	}
 	if !a.view(a.uSet(3)).Contains(7) {
 		t.Error("a narrower Use snapshot was not applied")
+	}
+}
+
+// TestMalformedUseCannotReachLedger: the grant ledger is resolved by the
+// snapshots a neighbor sends (replaceU), and it no longer lives in slab
+// words a width check protects by construction. A Use set wider than the
+// spectrum, or with a member outside it, that also names the granted
+// channel must still be dropped whole: the grant stays pending and the
+// channel stays interfered, so the D9 race stays closed against a
+// malformed frame. The same channel in a well-formed snapshot resolves it.
+func TestMalformedUseCannotReachLedger(t *testing.T) {
+	a, env, _ := stationAt(t, hexgrid.Config{Shape: hexgrid.Rect, Width: 9, Height: 9, ReuseDistance: 2}, 70, 40)
+	k := 3
+	nbr := a.neighbors[k]
+	a.Handle(message.Message{Kind: message.Request, Req: message.ReqUpdate, From: nbr, To: 40, Ch: 34,
+		TS: lamport.Stamp{Time: 3, Node: int32(nbr)}})
+	env.take()
+	if a.granted(k, 34) < 0 {
+		t.Fatal("the grant was not recorded")
+	}
+	wide := chanset.NewSet(3 * 64)
+	wide.Add(34)
+	wide.Add(150)
+	stray := chanset.NewSet(70)
+	stray.Add(34)
+	stray.Add(100)
+	for _, res := range []message.ResType{message.ResStatus, message.ResSearch} {
+		for name, use := range map[string]chanset.Set{"wider than the spectrum": wide, "member outside the spectrum": stray} {
+			a.Handle(message.Message{Kind: message.Response, Res: res, From: nbr, To: 40, Ch: chanset.NoChannel, Use: use})
+			if a.granted(k, 34) < 0 || len(a.grants) != 1 || !a.view(setInter).Contains(34) || !a.view(a.uSet(k)).Contains(34) {
+				t.Fatalf("a Use %s resolved the pending grant: ledger %v, I_i %v", name, a.grants, a.view(setInter))
+			}
+		}
+	}
+	if a.counters.BadMessages != 4 {
+		t.Fatalf("BadMessages = %d, want 4", a.counters.BadMessages)
+	}
+	a.Handle(message.Message{Kind: message.Response, Res: message.ResStatus, From: nbr, To: 40, Ch: chanset.NoChannel, Use: chanset.SetOf(34)})
+	if len(a.grants) != 0 || !a.view(a.uSet(k)).Contains(34) {
+		t.Fatalf("a well-formed snapshot showing the channel left ledger %v, U_j %v", a.grants, a.view(a.uSet(k)))
 	}
 }

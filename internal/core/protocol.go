@@ -716,21 +716,37 @@ func (a *Adaptive) best() hexgrid.CellID {
 	return cands[idx].Cell
 }
 
-// buildNbrMasks precomputes, on the cell's first borrow attempt, the
+// buildNbrMasks sets, on the cell's first borrow attempt, the
 // per-neighbor interference overlap as bitmasks over this cell's
 // neighbor indices (grids whose neighborhoods exceed one word keep the
-// scan in best).
+// scan in best): one merge of two sorted lists per neighbor, into a
+// vector on the stack that is then interned in the factory.
 func (a *Adaptive) buildNbrMasks() {
-	a.nbrMasks = make([]uint64, len(a.neighbors))
+	var masks [64]uint64
 	for ji, j := range a.neighbors {
-		var m uint64
-		for _, k := range a.factory.grid.Interference(j) {
-			if idx := a.nbrIdx(k); idx >= 0 {
-				m |= 1 << uint(idx)
+		in, i := a.factory.grid.Interference(j), 0
+		for idx, nb := range a.neighbors {
+			for i < len(in) && in[i] < nb {
+				i++
+			}
+			if i < len(in) && in[i] == nb {
+				masks[ji] |= 1 << uint(idx)
 			}
 		}
-		a.nbrMasks[ji] = m
 	}
+	f := a.factory
+	f.masksMu.Lock()
+	defer f.masksMu.Unlock()
+	shared := f.masks[masks]
+	if shared == nil {
+		if f.masks == nil {
+			f.masks = make(map[[64]uint64]*[64]uint64)
+		}
+		shared = new([64]uint64)
+		*shared = masks
+		f.masks[masks] = shared
+	}
+	a.nbrMasks = shared[:len(a.neighbors)]
 }
 
 // pickBorrow selects the channel to borrow from lender j: the lowest

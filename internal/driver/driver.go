@@ -305,7 +305,7 @@ func (o *simObs) bind(r *obs.Registry, j *obs.Journal, latency sim.Time) {
 	o.kernelBytes = r.GaugeVec("adca_kernel_bytes",
 		"Memory the event kernel's tables hold, as of the last time it parked.", "table")
 	o.kernelPages = r.GaugeVec("adca_kernel_pages",
-		"Pages the event kernel's paged tables hold, as of the last time it parked.", "table")
+		"Pages the event kernel's paged tables hold, as of the last time it parked; pool is the high-water mark of event pages out at once.", "table")
 	o.kernelPeak = r.GaugeVec("adca_kernel_peak_pending",
 		"High-water mark of the event queues: records queued, and the events they stood for.", "unit")
 	o.kernelAtts = r.GaugeVec("adca_kernel_attachments",
@@ -322,7 +322,9 @@ func (o *simObs) footprint(k eventKernel) {
 	o.kernelBytes.With("attachments").Set(float64(f.AttBytes))
 	o.kernelBytes.With("funcs").Set(float64(f.SideBytes))
 	o.kernelBytes.With("routes").Set(float64(f.RouteBytes))
+	o.kernelBytes.With("pool").Set(float64(f.PoolBytes))
 	o.kernelPages.With("heap").Set(float64(f.HeapPages))
+	o.kernelPages.With("pool").Set(float64(f.PoolPages))
 	o.kernelPages.With("attachments").Set(float64(f.AttPages))
 	o.kernelPeak.With("records").Set(float64(f.PeakRecords))
 	o.kernelPeak.With("events").Set(float64(f.PeakEvents))

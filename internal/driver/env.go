@@ -259,16 +259,6 @@ func (p *Parallel) ReserveShard(s, n int) error {
 	return p.kernel.Reserve(s, n)
 }
 
-// ReserveOutbox pre-sizes the src->dst mailbox, materializing the
-// route. Absurd hints are rejected like ReserveShard's. The serial
-// kernel has no mailboxes, and no second shard to name.
-func (p *Parallel) ReserveOutbox(src, dst, n int) error {
-	if p.engine != nil {
-		return nil
-	}
-	return p.kernel.ReserveOutbox(src, dst, n)
-}
-
 // Run advances virtual time to until, executing all due events (the
 // shards in lockstep windows).
 func (p *Parallel) Run(until sim.Time) {

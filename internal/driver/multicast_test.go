@@ -181,6 +181,8 @@ func TestKernelFootprintGauges(t *testing.T) {
 			`adca_kernel_bytes{table="attachments"}`:   float64(fp.AttBytes),
 			`adca_kernel_bytes{table="routes"}`:        float64(fp.RouteBytes),
 			`adca_kernel_pages{table="heap"}`:          float64(fp.HeapPages),
+			`adca_kernel_bytes{table="pool"}`:          float64(fp.PoolBytes),
+			`adca_kernel_pages{table="pool"}`:          float64(fp.PoolPages),
 			`adca_kernel_peak_pending{unit="records"}`: float64(fp.PeakRecords),
 			`adca_kernel_peak_pending{unit="events"}`:  float64(fp.PeakEvents),
 			`adca_transport_messages_total`:            float64(st.Messages.Total),
@@ -221,5 +223,10 @@ func TestKernelFootprintGauges(t *testing.T) {
 	check("sharded", reg, fp, p.Stats())
 	if fp.RouteBytes == 0 {
 		t.Errorf("sharded: no route memory in %+v", fp)
+	}
+	// The mailboxes' pages come from the pool and are back in it between
+	// barriers; a 144-cell grid's heaps never outgrow their own first page.
+	if fp.PoolPages == 0 || fp.PoolOut != 0 || fp.PoolBytes != uint64(fp.PoolPages)<<10*sim.EventSize {
+		t.Errorf("sharded: pool of %d pages (%d bytes), %d out after a drained run", fp.PoolPages, fp.PoolBytes, fp.PoolOut)
 	}
 }

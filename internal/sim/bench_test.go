@@ -69,7 +69,7 @@ func BenchmarkQueueHold(b *testing.B) {
 	for i := range gaps {
 		gaps[i] = r.ExpTicks(3000) + 1
 	}
-	var q queue
+	q := queue{pool: new(pagePool)}
 	for i := 0; i < depth; i++ {
 		q.push(Event{At: gaps[i&4095], key: uint64(i)})
 	}

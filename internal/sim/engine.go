@@ -39,6 +39,7 @@ type Engine struct {
 	now      Time
 	seq      uint64
 	q        queue
+	pool     pagePool // the queue's; a serial kernel shares it with no one
 	handlers handlers
 	// cnt[org] is the per-origin event counter for origin-attributed
 	// events, mirroring Shards.cnt; grown geometrically on demand.
@@ -55,7 +56,11 @@ type Engine struct {
 }
 
 // NewEngine returns an engine at time 0 with an empty queue.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine {
+	e := &Engine{}
+	e.q.pool = &e.pool
+	return e
+}
 
 // Handle registers h as the interpreter of events of kind k.
 func (e *Engine) Handle(k Kind, h Handler) { e.handlers.set(k, h) }
@@ -76,6 +81,7 @@ func (e *Engine) Pending() int { return e.q.pending }
 // Footprint reports what the queue holds and has held.
 func (e *Engine) Footprint() Footprint {
 	var f Footprint
+	e.pool.addTo(&f)
 	e.q.addTo(&f)
 	return f
 }

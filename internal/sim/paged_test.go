@@ -37,7 +37,7 @@ func TestPagedTablesAllocationBudget(t *testing.T) {
 	const slack = 64 // the first page's doublings and the page table's own growth
 
 	const events = 1 << 20
-	var q queue
+	q := queue{pool: new(pagePool)}
 	objects, bytes := allocated(func() {
 		for i := 0; i < events; i++ {
 			q.push(Event{At: Time(i % 4096), key: uint64(i)})
@@ -85,7 +85,7 @@ func TestPagedTablesAllocationBudget(t *testing.T) {
 // TestSmallQueueStaysSmall: a queue that never outgrows its first page
 // holds a doubling array, as a slice would — not a whole page.
 func TestSmallQueueStaysSmall(t *testing.T) {
-	var q queue
+	q := queue{pool: new(pagePool)}
 	for i := 0; i < 100; i++ {
 		q.push(Event{At: Time(i)})
 	}
@@ -215,8 +215,8 @@ func TestSharedAttachmentFootprintBudget(t *testing.T) {
 		k.PostCross(0, 1, 5, 0, msg, Attachment{Words: use})
 	}
 	rt := k.shards[0].findRoute(1)
-	if n := k.shards[0].q.atts.n; n != 1 || len(rt.words) != attHeader+len(use) || len(rt.box) != posts {
-		t.Fatalf("shards: %d posts each way took %d slots in the shard and %d mailbox words under %d records", posts, n, len(rt.words), len(rt.box))
+	if n := k.shards[0].q.atts.n; n != 1 || len(rt.words) != attHeader+len(use) || rt.n != posts {
+		t.Fatalf("shards: %d posts each way took %d slots in the shard and %d mailbox words under %d records", posts, n, len(rt.words), rt.n)
 	}
 	k.flush(1)
 	if f := k.Footprint(); k.shards[1].q.atts.n != 1 || f.AttParked != 2 || f.AttShared != 2*(posts-1) || f.Events != 2*posts {

@@ -45,7 +45,12 @@ import (
 // the destination arena however many boxed records point at it (merge).
 type outRoute struct {
 	dst int32
-	box []Event
+	// box is the boxed records, n of them in append order, in pages of the
+	// kernel's pool: put takes one when the last is full and merge gives
+	// each back once copied out — to the heap it is filling, as a rule —
+	// so between barriers a mailbox holds no page.
+	box [][]Event
+	n   int
 	// pending is the number of events the boxed records stand for (a
 	// fan record counts once per destination).
 	pending int
@@ -63,17 +68,30 @@ type outRoute struct {
 // of the box as it is now, typed and with a ref, names an entry of words
 // as they are now, and the entry is shared only if it holds exactly att.
 func (rt *outRoute) attach(memo *uint32, att Attachment) uint32 {
-	if i := int(*memo) - 1; i >= 0 && i < len(rt.box) {
-		if b := &rt.box[i]; b.fan == 0 && b.Kind != KindFunc && b.ref != 0 && holds(rt.words[b.ref-1:], att) {
+	if i := int(*memo) - 1; i >= 0 && i < rt.n {
+		if b := rt.at(i); b.fan == 0 && b.Kind != KindFunc && b.ref != 0 && holds(rt.words[b.ref-1:], att) {
 			rt.shared++
 			return b.ref
 		}
 	}
 	rt.parked++
-	*memo = uint32(len(rt.box) + 1)
+	*memo = uint32(rt.n + 1)
 	ref := uint32(len(rt.words) + 1)
 	rt.words = append(append(rt.words, att.Seq, uint64(len(att.Words))), att.Words...)
 	return ref
+}
+
+// at returns boxed record i.
+func (rt *outRoute) at(i int) *Event { return &rt.box[i>>pageShift][i&pageMask] }
+
+// put boxes ev, which stands for n events.
+func (rt *outRoute) put(pool *pagePool, ev Event, n int) {
+	if rt.n>>pageShift == len(rt.box) {
+		rt.box = append(rt.box, pool.get())
+	}
+	*rt.at(rt.n) = ev
+	rt.n++
+	rt.pending += n
 }
 
 // pshard is one shard's private state: clock, queue, and outboxes.
@@ -144,6 +162,7 @@ func (s *pshard) route(dst int32) *outRoute {
 type Shards struct {
 	lookahead Time
 	shards    []pshard
+	pool      pagePool // every shard heap's and mailbox's event pages
 	handlers  handlers
 	// cnt[org] is the per-origin event counter. A cell's events are
 	// scheduled only by its owning shard's worker (or pre-run), so
@@ -154,10 +173,10 @@ type Shards struct {
 	last    []attMemo
 	barrier func()
 	windows uint64
-	// reservedBytes accumulates the capacity pinned by Reserve and
-	// ReserveOutbox, checked against reserveBudget so an absurd hint
-	// (from a miscomputed workload estimate) fails fast with an error
-	// instead of silently attempting a huge allocation.
+	// reservedBytes accumulates the capacity pinned by Reserve, checked
+	// against reserveBudget so an absurd hint (from a miscomputed
+	// workload estimate) fails fast with an error instead of silently
+	// attempting a huge allocation.
 	reservedBytes uint64
 	reserveBudget uint64
 	// inbound[dst] lists the source shards (ascending) that have
@@ -185,7 +204,7 @@ type attMemo struct {
 }
 
 // DefaultReserveBudget caps the cumulative event capacity (in bytes) a
-// kernel's Reserve/ReserveOutbox calls may pin unless overridden with
+// kernel's Reserve calls may pin unless overridden with
 // SetReserveBudget. Generous enough for a 10^6-cell run (tens of
 // millions of in-flight events), small enough to catch estimates that
 // are off by orders of magnitude before they OOM the host.
@@ -207,39 +226,27 @@ func NewShards(n int, lookahead Time, numOrigins int) *Shards {
 	if err := CheckOrigins(numOrigins); err != nil {
 		panic(err.Error())
 	}
-	return &Shards{
+	k := &Shards{
 		lookahead:     lookahead,
 		shards:        make([]pshard, n),
 		cnt:           make([]uint64, numOrigins),
 		last:          make([]attMemo, numOrigins),
 		reserveBudget: DefaultReserveBudget,
 	}
+	for i := range k.shards {
+		k.shards[i].q.pool = &k.pool
+	}
+	return k
 }
 
 // SetReserveBudget caps the cumulative bytes of event capacity that
-// Reserve and ReserveOutbox may pin; bytes <= 0 restores the default.
+// Reserve may pin; bytes <= 0 restores the default.
 func (k *Shards) SetReserveBudget(bytes int64) {
 	if bytes <= 0 {
 		k.reserveBudget = DefaultReserveBudget
 		return
 	}
 	k.reserveBudget = uint64(bytes)
-}
-
-// chargeReserve accounts for growing a buffer from oldCap to n events,
-// returning a descriptive error when the hint is absurd: negative, or
-// pushing cumulative reserved capacity past the budget.
-func (k *Shards) chargeReserve(what string, n, oldCap int) error {
-	if n < 0 {
-		return fmt.Errorf("sim: %s reserve of %d events is negative", what, n)
-	}
-	grow := uint64(n-oldCap) * EventSize
-	if k.reservedBytes+grow > k.reserveBudget {
-		return fmt.Errorf("sim: %s reserve of %d events (%d MiB) exceeds memory budget (%d MiB reserved of %d MiB); check the workload estimate or raise SetReserveBudget",
-			what, n, grow>>20, k.reservedBytes>>20, k.reserveBudget>>20)
-	}
-	k.reservedBytes += grow
-	return nil
 }
 
 // NumShards returns the shard count.
@@ -282,13 +289,14 @@ func (k *Shards) Pending() int {
 // held. Coordinator-context only (not during a window).
 func (k *Shards) Footprint() Footprint {
 	var f Footprint
+	k.pool.addTo(&f)
 	for i := range k.shards {
 		sh := &k.shards[i]
 		sh.q.addTo(&f)
 		for j := range sh.routes {
 			rt := &sh.routes[j]
-			f.RouteBytes += uint64(cap(rt.box))*EventSize + uint64(cap(rt.fns))*uint64(unsafe.Sizeof(rt.fns[0])) + uint64(cap(rt.words))*8
-			f.Records += len(rt.box)
+			f.RouteBytes += uint64(len(rt.box))*pageSlots*EventSize + uint64(cap(rt.fns))*uint64(unsafe.Sizeof(rt.fns[0])) + uint64(cap(rt.words))*8
+			f.Records += rt.n
 			f.Events += rt.pending
 			f.AttParked += rt.parked
 			f.AttShared += rt.shared
@@ -303,42 +311,26 @@ func (k *Shards) Footprint() Footprint {
 // sparse-routing property.
 func (k *Shards) Routes(s int) int { return len(k.shards[s].routes) }
 
-// Reserve grows shard s's heap capacity to hold at least n events
-// without reallocating, mirroring Engine.Reserve for the serial kernel.
-// Absurd hints — negative, or blowing the kernel's reserve budget —
-// return a descriptive error and leave the heap untouched.
+// Reserve grows shard s's heap to hold at least n events, mirroring
+// Engine.Reserve for the serial kernel: the pages come out of the pool
+// now instead of one by one as the heap fills. Absurd hints — negative,
+// or blowing the kernel's reserve budget — return a descriptive error
+// and leave the heap untouched.
 func (k *Shards) Reserve(s, n int) error {
-	sh := &k.shards[s]
+	q := &k.shards[s].q
 	if n < 0 {
-		return k.chargeReserve("heap", n, 0)
+		return fmt.Errorf("sim: heap reserve of %d events is negative", n)
 	}
-	if n <= sh.q.capacity() {
+	if n <= q.capacity() {
 		return nil
 	}
-	if err := k.chargeReserve("heap", n, sh.q.capacity()); err != nil {
-		return err
+	grow := uint64(n-q.capacity()) * EventSize
+	if k.reservedBytes+grow > k.reserveBudget {
+		return fmt.Errorf("sim: heap reserve of %d events (%d MiB) exceeds memory budget (%d MiB reserved of %d MiB); check the workload estimate or raise SetReserveBudget",
+			n, grow>>20, k.reservedBytes>>20, k.reserveBudget>>20)
 	}
-	sh.q.reserve(n)
-	return nil
-}
-
-// ReserveOutbox pre-sizes the src->dst mailbox so halo traffic does not
-// grow-copy mid-window, materializing the route if needed. Absurd hints
-// are rejected like Reserve's.
-func (k *Shards) ReserveOutbox(src, dst, n int) error {
-	if n < 0 || uint64(n)*EventSize > k.reserveBudget {
-		return k.chargeReserve("outbox", n, 0)
-	}
-	rt := k.shards[src].route(int32(dst))
-	if n <= cap(rt.box) {
-		return nil
-	}
-	if err := k.chargeReserve("outbox", n, cap(rt.box)); err != nil {
-		return err
-	}
-	grown := make([]Event, len(rt.box), n)
-	copy(grown, rt.box)
-	rt.box = grown
+	k.reservedBytes += grow
+	q.reserve(n)
 	return nil
 }
 
@@ -413,8 +405,7 @@ func (k *Shards) cross(src, dst int, at Time, origin int32, ev Event, side sideE
 			ev.ref = rt.attach(&k.last[origin].box, side.att)
 		}
 	}
-	rt.box = append(rt.box, ev)
-	rt.pending++
+	rt.put(&k.pool, ev, 1)
 }
 
 // Post schedules the typed event ev at absolute time at on shard s with
@@ -447,9 +438,7 @@ func (k *Shards) PostFan(src, dst int, at Time, origin int32, ev Event, word int
 		return
 	}
 	k.checkCross(src, dst, at)
-	rt := k.shards[src].route(int32(dst))
-	rt.box = append(rt.box, k.handlers.fanRecord(ev, at, k.keys(origin, n), word, mask))
-	rt.pending += n
+	k.shards[src].route(int32(dst)).put(&k.pool, k.handlers.fanRecord(ev, at, k.keys(origin, n), word, mask), n)
 }
 
 // At schedules fn at absolute time at on shard s with the given origin
@@ -483,33 +472,36 @@ func (s *pshard) runWindow(h *handlers, horizon Time) {
 // the events parked from the route's tables to dst's: a func moves, an
 // attachment entry is copied into dst's arena by the first record that
 // refers to it, leaves the slot's ref in its header, and costs every
-// later record a reference. Barrier-only: the caller owns both rt and
-// dst.
+// later record a reference. Each page goes back to the pool once it has
+// been copied out. Barrier-only: the caller owns both rt and dst.
 func (rt *outRoute) merge(dst *queue) {
-	for _, ev := range rt.box {
-		if ev.fan == 0 && ev.ref != 0 {
-			if ev.Kind == KindFunc {
-				ev.ref = dst.fns.park(rt.fns[ev.ref-1])
-			} else {
-				e := rt.words[ev.ref-1:]
-				if slot := uint32(e[1] >> 32); slot != 0 {
-					dst.atts.retain(slot)
-					ev.ref = slot
+	for p, pg := range rt.box {
+		for _, ev := range pg[:min(pageSlots, rt.n-p<<pageShift)] {
+			if ev.fan == 0 && ev.ref != 0 {
+				if ev.Kind == KindFunc {
+					ev.ref = dst.fns.park(rt.fns[ev.ref-1])
 				} else {
-					ev.ref = dst.atts.park(attOf(e))
-					e[1] |= uint64(ev.ref) << 32
+					e := rt.words[ev.ref-1:]
+					if slot := uint32(e[1] >> 32); slot != 0 {
+						dst.atts.retain(slot)
+						ev.ref = slot
+					} else {
+						ev.ref = dst.atts.park(attOf(e))
+						e[1] |= uint64(ev.ref) << 32
+					}
 				}
 			}
+			dst.push(ev)
 		}
-		dst.push(ev)
+		dst.pool.put(pg)
 	}
 	dst.owe(rt.pending)
-	rt.discard()
+	rt.reset()
 }
 
-// discard empties the route, keeping its capacity.
-func (rt *outRoute) discard() {
-	rt.box, rt.pending = rt.box[:0], 0
+// reset empties the route, whose pages have gone back to the pool.
+func (rt *outRoute) reset() {
+	rt.box, rt.n, rt.pending = rt.box[:0], 0, 0
 	clear(rt.fns)
 	rt.fns = rt.fns[:0]
 	rt.words = rt.words[:0]
@@ -532,7 +524,7 @@ func (k *Shards) flush(workers int) {
 	total := 0
 	for si := range k.shards {
 		for ri := range k.shards[si].routes {
-			total += len(k.shards[si].routes[ri].box)
+			total += k.shards[si].routes[ri].n
 		}
 	}
 	if total == 0 {
@@ -551,7 +543,7 @@ func (k *Shards) flushSerial() {
 		src := &k.shards[si]
 		for ri := range src.routes {
 			rt := &src.routes[ri]
-			if len(rt.box) == 0 {
+			if rt.n == 0 {
 				continue
 			}
 			rt.merge(&k.shards[rt.dst].q)
@@ -560,7 +552,7 @@ func (k *Shards) flushSerial() {
 }
 
 // flushParallel distributes the merge by destination shard. Routes are
-// created only by Cross/ReserveOutbox, never during flush, so the
+// created only by a cross-shard post, never during flush, so the
 // inbound index is stable for the whole call and only needs rebuilding
 // when some shard materialized a new route since the last build.
 func (k *Shards) flushParallel(workers int) {
@@ -604,7 +596,7 @@ func (k *Shards) flushParallel(workers int) {
 				dst := &k.shards[d]
 				for _, si := range srcs {
 					rt := k.shards[si].findRoute(int32(d))
-					if rt == nil || len(rt.box) == 0 {
+					if rt == nil || rt.n == 0 {
 						continue
 					}
 					rt.merge(&dst.q)
@@ -735,8 +727,8 @@ func (k *Shards) DrainUntil(workers int, cutoff Time, maxEvents uint64) bool {
 			return false
 		}
 		for j := range sh.routes {
-			for _, ev := range sh.routes[j].box {
-				if ev.At <= cutoff {
+			for rt, i := &sh.routes[j], 0; i < rt.n; i++ {
+				if rt.at(i).At <= cutoff {
 					return false
 				}
 			}
@@ -747,9 +739,9 @@ func (k *Shards) DrainUntil(workers int, cutoff Time, maxEvents uint64) bool {
 
 // DiscardPending drops every queued event — shard heaps and cross-shard
 // mailboxes — without executing it and returns how many were dropped.
-// Side entries are cleared so captured closures become collectable.
-// Shard clocks are unchanged. Coordinator-context only (not during a
-// window).
+// Side entries are cleared so captured closures become collectable, and
+// every event page but each heap's first goes back to the pool. Shard
+// clocks are unchanged. Coordinator-context only (not during a window).
 func (k *Shards) DiscardPending() int {
 	n := 0
 	for i := range k.shards {
@@ -758,7 +750,10 @@ func (k *Shards) DiscardPending() int {
 		for j := range sh.routes {
 			r := &sh.routes[j]
 			n += r.pending
-			r.discard()
+			for _, pg := range r.box {
+				k.pool.put(pg)
+			}
+			r.reset()
 		}
 	}
 	return n

@@ -148,13 +148,15 @@ func TestShardsDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestShardsReserve checks the capacity hints take and don't disturb
+// TestShardsReserve checks the capacity hint takes and doesn't disturb
 // queued events.
 func TestShardsReserve(t *testing.T) {
 	k := NewShards(2, 5, 2)
 	k.At(0, 1, 0, func() {})
-	k.Reserve(0, 1000)
-	k.ReserveOutbox(0, 1, 500)
+	k.Reserve(0, 3000)
+	if f := k.Footprint(); f.HeapPages != 3 || f.PoolPages != 2 || f.PoolOut != 2 {
+		t.Fatalf("Reserve(3000) left %d heap pages, %d of the pool's %d out; want the shard's own page and two of the pool's", f.HeapPages, f.PoolOut, f.PoolPages)
+	}
 	if k.Pending() != 1 {
 		t.Fatalf("pending = %d after reserve, want 1", k.Pending())
 	}
@@ -361,24 +363,12 @@ func TestShardsReserveBudget(t *testing.T) {
 	if err := k.Reserve(0, huge); err == nil {
 		t.Fatal("budget-blowing heap reserve accepted")
 	}
-	if err := k.ReserveOutbox(0, 1, -7); err == nil {
-		t.Fatal("negative outbox reserve accepted")
-	}
-	if err := k.ReserveOutbox(0, 1, huge); err == nil {
-		t.Fatal("budget-blowing outbox reserve accepted")
-	}
-	if got := k.Routes(0); got != 0 {
-		t.Fatalf("rejected outbox reserve materialized a route (routes = %d)", got)
+	if f := k.Footprint(); f.HeapPages != 0 || f.PoolPages != 0 {
+		t.Fatalf("rejected reserves left %d heap pages and %d pool pages", f.HeapPages, f.PoolPages)
 	}
 	// Sane hints still work after rejections.
 	if err := k.Reserve(0, 1024); err != nil {
 		t.Fatalf("sane heap reserve rejected: %v", err)
-	}
-	if err := k.ReserveOutbox(0, 1, 256); err != nil {
-		t.Fatalf("sane outbox reserve rejected: %v", err)
-	}
-	if got := k.Routes(0); got != 1 {
-		t.Fatalf("routes = %d after one outbox reserve, want 1", got)
 	}
 }
 
@@ -395,11 +385,11 @@ func TestShardsReserveBudgetCumulative(t *testing.T) {
 	if err := k.Reserve(1, perCall); err != nil {
 		t.Fatalf("second half-budget reserve rejected: %v", err)
 	}
-	if err := k.ReserveOutbox(0, 1, perCall); err == nil {
+	if err := k.Reserve(0, 2*perCall); err == nil {
 		t.Fatal("reserve past the cumulative budget accepted")
 	}
 	k.SetReserveBudget(0)
-	if err := k.ReserveOutbox(0, 1, perCall); err != nil {
+	if err := k.Reserve(0, 2*perCall); err != nil {
 		t.Fatalf("reserve after restoring the default budget rejected: %v", err)
 	}
 }

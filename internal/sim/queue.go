@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 	"unsafe"
 )
 
@@ -218,43 +219,31 @@ type paged[T any] struct {
 	cap int
 }
 
-// grow makes room for at least one more slot: a first page short of
-// pageSlots doubles; a table of whole pages gets one more.
-func (p *paged[T]) grow(width int) {
-	if p.cap < pageSlots {
-		p.resizeFirst(min(pageSlots, max(4, 2*p.cap)), width)
-		return
+// growFirst makes a first page still short of pageSlots hold n slots, a
+// whole page at most — the one copy a table ever makes of its contents —
+// and reports whether there was such a page; a table of whole pages
+// grows by add.
+func (p *paged[T]) growFirst(n, width int) bool {
+	if p.cap >= pageSlots {
+		return false
 	}
-	p.tab = append(p.tab, make([]T, pageSlots*width))
+	if n = min(n, pageSlots); n > p.cap {
+		first := make([]T, n*width)
+		if len(p.tab) == 0 {
+			p.tab = append(p.tab, first)
+		} else {
+			copy(first, p.tab[0])
+			p.tab[0] = first
+		}
+		p.cap = n
+	}
+	return true
+}
+
+// add appends a whole page to a table whose first page is whole.
+func (p *paged[T]) add(pg []T) {
+	p.tab = append(p.tab, pg)
 	p.cap += pageSlots
-}
-
-// reserve makes room for n slots. Within the first page the fit is
-// exact; past it the table is rounded up to whole pages.
-func (p *paged[T]) reserve(n, width int) {
-	if n <= p.cap {
-		return
-	}
-	if p.cap < pageSlots {
-		p.resizeFirst(min(n, pageSlots), width)
-	}
-	for p.cap < n {
-		p.tab = append(p.tab, make([]T, pageSlots*width))
-		p.cap += pageSlots
-	}
-}
-
-// resizeFirst replaces the first — and only — page by one of n slots:
-// the one copy a table ever makes of its contents.
-func (p *paged[T]) resizeFirst(n, width int) {
-	first := make([]T, n*width)
-	if len(p.tab) == 0 {
-		p.tab = append(p.tab, first)
-	} else {
-		copy(first, p.tab[0])
-		p.tab[0] = first
-	}
-	p.cap = n
 }
 
 // bytes is the memory the pages hold.
@@ -265,6 +254,47 @@ func (p *paged[T]) bytes() uint64 {
 		n += len(pg)
 	}
 	return uint64(n) * uint64(unsafe.Sizeof(zero))
+}
+
+// pagePool is a kernel's stock of whole event pages, the only source of
+// one. A heap past its first page and a cross-shard mailbox from its
+// first record draw on it and hand back what they empty, so no table is
+// sized for a worst case the others never see at the same time. The pool
+// never frees, and allocates only when every page it holds is out: the
+// pages it holds, out + len(free), are the most that were ever out at once.
+type pagePool struct {
+	mu   sync.Mutex // shard workers and flush workers share the pool
+	free [][]Event
+	out  int // pages handed out now
+}
+
+// poisonPages makes put overwrite every page with records due at -1,
+// which sort before anything a run can queue: a table that reads a slot
+// of a recycled page before writing it runs one. Set by tests only.
+var poisonPages bool
+
+func (p *pagePool) get() []Event {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.out++
+	if n := len(p.free); n > 0 {
+		pg := p.free[n-1]
+		p.free = p.free[:n-1]
+		return pg
+	}
+	return make([]Event, pageSlots)
+}
+
+func (p *pagePool) put(pg []Event) {
+	if poisonPages {
+		for i := range pg {
+			pg[i] = Event{At: -1}
+		}
+	}
+	p.mu.Lock()
+	p.out--
+	p.free = append(p.free, pg)
+	p.mu.Unlock()
 }
 
 // funcTable parks the funcs of KindFunc events in a free-listed slab:
@@ -373,8 +403,8 @@ func (a *attArena) park(att Attachment) uint32 {
 		slot = a.slot(ref)
 		a.free = uint32(slot[0])
 	} else {
-		if a.n == a.words.cap {
-			a.words.grow(a.width)
+		if a.n == a.words.cap && !a.words.growFirst(max(4, 2*a.words.cap), a.width) {
+			a.words.add(make([]uint64, pageSlots*a.width))
 		}
 		a.n++
 		ref = uint32(a.n)
@@ -411,7 +441,10 @@ func (a *attArena) retain(ref uint32) { a.slot(ref)[1] += attRef }
 func (a *attArena) widen(width int) {
 	old := *a
 	a.words, a.width = paged[uint64]{}, width
-	a.words.reserve(old.words.cap, width)
+	a.words.growFirst(old.words.cap, width)
+	for a.words.cap < old.words.cap {
+		a.words.add(make([]uint64, pageSlots*width))
+	}
 	for ref := uint32(1); int(ref) <= old.n; ref++ {
 		copy(a.slot(ref), old.slot(ref))
 	}
@@ -445,7 +478,8 @@ const heapRoot = 3
 // binary heap, and value-typed pages avoid the interface boxing
 // container/heap forces on every Push/Pop — plus the side tables for
 // the events that carry more than the record holds: an event's ref
-// indexes fns when its kind is KindFunc, atts otherwise.
+// indexes fns when its kind is KindFunc, atts otherwise. The heap's
+// first page is the queue's own; the others come from the kernel's pool.
 //
 // A record is one event or, with fan set, one fan record (PostFan):
 // several events of one origin and one due time, delivered one handler
@@ -453,6 +487,7 @@ const heapRoot = 3
 // events, never records.
 type queue struct {
 	heap paged[Event]
+	pool *pagePool
 	n    int // records in the heap: slots heapRoot .. heapRoot+n-1
 	fns  funcTable
 	atts attArena
@@ -501,8 +536,8 @@ func (q *queue) post(ev Event, n int) {
 // Parents move down into the hole; ev is written once, where it lands.
 func (q *queue) push(ev Event) {
 	i := heapRoot + q.n
-	if i >= q.heap.cap {
-		q.heap.grow(1)
+	if i >= q.heap.cap && !q.heap.growFirst(max(4, 2*q.heap.cap), 1) {
+		q.heap.add(q.pool.get())
 	}
 	q.n++
 	if q.n > q.peakRecords {
@@ -532,6 +567,9 @@ func (q *queue) pop() Event {
 	q.n--
 	end := heapRoot + q.n // the last record's slot; the heap's end once it has moved
 	x := tab[end>>pageShift][end&pageMask]
+	if q.heap.cap-end >= 2*pageSlots {
+		q.dropPage() // one empty page of hysteresis stays
+	}
 	for first := 4 * (heapRoot - 2); first < end; {
 		group := tab[first>>pageShift][first&pageMask:]
 		group = group[:min(4, end-first)]
@@ -567,11 +605,24 @@ func (q *queue) attach(memo *uint32, att Attachment) uint32 {
 	return *memo
 }
 
+// dropPage hands the heap's last page, which holds no record, to the pool.
+func (q *queue) dropPage() {
+	last := len(q.heap.tab) - 1
+	q.pool.put(q.heap.tab[last])
+	q.heap.tab[last] = nil
+	q.heap.tab = q.heap.tab[:last]
+	q.heap.cap -= pageSlots
+}
+
 // discard drops every queued record and side entry and returns how many
-// events were dropped. Pages are kept.
+// events were dropped. Every heap page but the first goes back to the
+// pool; the side tables keep theirs.
 func (q *queue) discard() int {
 	dropped := q.pending
 	q.n, q.pending = 0, 0
+	for len(q.heap.tab) > 1 {
+		q.dropPage()
+	}
 	q.fns.reset()
 	q.atts.reset()
 	return dropped
@@ -580,8 +631,13 @@ func (q *queue) discard() int {
 // capacity is the number of records the heap's pages hold.
 func (q *queue) capacity() int { return max(0, q.heap.cap-heapRoot) }
 
-// reserve makes room for n records.
-func (q *queue) reserve(n int) { q.heap.reserve(n+heapRoot, 1) }
+// reserve makes room for n records, taking the pages from the pool now.
+func (q *queue) reserve(n int) {
+	q.heap.growFirst(n+heapRoot, 1)
+	for q.heap.cap < n+heapRoot {
+		q.heap.add(q.pool.get())
+	}
+}
 
 // Fan records. A send to many cells of one origin's neighbour list is
 // one record: At, the origin and every payload field are shared, the
@@ -700,9 +756,16 @@ type Footprint struct {
 	AttBytes uint64
 	// SideBytes is the func side tables.
 	SideBytes uint64
-	// RouteBytes is the capacity of the cross-shard mailboxes with
-	// their func lists and word arenas (zero on the serial kernel).
+	// RouteBytes is what the cross-shard mailboxes hold — the pages of
+	// records not yet merged, their func lists and word arenas (zero on
+	// the serial kernel).
 	RouteBytes uint64
+	// PoolPages and PoolBytes are the event pages the kernel's pool has
+	// allocated, which is the most that were ever out of it at once — in
+	// heaps past their first page, where HeapPages counts them too, and
+	// in mailboxes. PoolOut is how many are out now.
+	PoolPages, PoolOut int
+	PoolBytes          uint64
 	// AttParked and AttShared split the attachments posted so far into
 	// those that were stored — an arena slot or a mailbox entry written —
 	// and those that cost a reference to one already holding the same
@@ -716,6 +779,14 @@ type Footprint struct {
 	PeakRecords, PeakEvents int
 	// Pops counts records popped; Executed()/Pops is the mean fan-out.
 	Pops uint64
+}
+
+// addTo reports the pool's share of a kernel's footprint.
+func (p *pagePool) addTo(f *Footprint) {
+	p.mu.Lock()
+	f.PoolPages, f.PoolOut = p.out+len(p.free), p.out
+	p.mu.Unlock()
+	f.PoolBytes = uint64(f.PoolPages) * pageSlots * EventSize
 }
 
 // addTo accumulates q's share of a kernel's footprint.

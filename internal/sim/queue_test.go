@@ -437,8 +437,8 @@ func TestAttachmentSlotOutlivesHandler(t *testing.T) {
 			k.PostCross(0, 1, at, 0, Event{Kind: KindMessage, T: shared}, att(shared))
 			scribble()
 		}
-		if rt := k.shards[0].findRoute(1); len(rt.words) != attHeader+3 || len(rt.box) != 3 {
-			t.Fatalf("three identical posts boxed %d words under %d records", len(rt.words), len(rt.box))
+		if rt := k.shards[0].findRoute(1); len(rt.words) != attHeader+3 || rt.n != 3 {
+			t.Fatalf("three identical posts boxed %d words under %d records", len(rt.words), rt.n)
 		}
 		k.Run(1, 5)
 		if q := &k.shards[1].q; q.atts.n != 1+2 {

@@ -529,15 +529,15 @@ func TestSharedAttachmentCornerCases(t *testing.T) {
 			origin := int32(2 + i)
 			cross(k.Now(0)+5, origin, a)
 			k.Run(1, k.Now(0)+5)
-			if k.last[origin].box != 1 || len(rt().box) != 0 {
-				t.Fatalf("case %d: memo %+v over a box of %d", i, k.last[origin], len(rt().box))
+			if k.last[origin].box != 1 || rt().n != 0 || len(rt().box) != 0 {
+				t.Fatalf("case %d: memo %+v over a box of %d records in %d pages", i, k.last[origin], rt().n, len(rt().box))
 			}
 			at := k.Now(0) + 5
 			fill(at)
 			cross(at, origin, a)
 			cross(at+1, origin, a)
-			if r := rt(); len(r.box) != 3 || r.box[1].ref == 0 || r.box[2].ref != r.box[1].ref {
-				t.Fatalf("case %d: box %+v", i, r.box)
+			if r := rt(); r.n != 3 || r.at(1).ref == 0 || r.at(2).ref != r.at(1).ref {
+				t.Fatalf("case %d: box %+v", i, r.box[0][:r.n])
 			}
 			k.Run(1, at+1)
 			if got := read[len(read)-2:]; got[0].n != 2 || got[0].words[0] != a[0] || got[0].words[1] != a[1] || got[1] != got[0] {

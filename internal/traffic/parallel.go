@@ -59,10 +59,8 @@ func PrimeParallel(p *driver.Parallel, spec Spec) (*PrimedParallel, error) {
 	// headroom absorbs load fluctuations without pinning double the
 	// steady-state footprint — at 10^6 cells a 2x hint alone added
 	// hundreds of MB of permanently-dead heap capacity.
-	// Mailboxes are reserved only toward the shards the partition's halo
-	// can actually reach — O(neighbor shards) per shard, where the old
-	// all-destinations loop was O(shards²) slices in total and dominated
-	// startup memory at the shard counts a 10^6-cell grid wants.
+	// Mailboxes take no hint: they borrow pages from the kernel's pool
+	// while they hold records and hold none between barriers.
 	for si := 0; si < part.NumShards(); si++ {
 		t := part.Tile(si)
 		var rate float64
@@ -73,13 +71,6 @@ func PrimeParallel(p *driver.Parallel, spec Spec) (*PrimedParallel, error) {
 		}
 		if err := p.ReserveShard(si, t.Cells()+64+int(1.25*rate*spec.MeanHold)); err != nil {
 			return nil, err
-		}
-		if h := len(t.Halo); h > 0 {
-			for _, di := range part.NeighborShards(si) {
-				if err := p.ReserveOutbox(si, int(di), 4*h); err != nil {
-					return nil, err
-				}
-			}
 		}
 	}
 	g := newGenerator(p, spec)
