@@ -490,6 +490,10 @@ type Stats struct {
 	// dropped as malformed (sender outside the interference region,
 	// channel or Use set outside the spectrum).
 	BadMessages uint64
+	// WarmStations counts the cells holding the adaptive scheme's
+	// borrowing block (U_j, the grant ledger, DeferQ_i), which a station
+	// allocates only when it first stores into it; 0 for other schemes.
+	WarmStations int
 	// Transport is the transport-layer accounting.
 	Transport TransportStats
 }
@@ -510,7 +514,11 @@ type TransportStats struct {
 }
 
 // Stats returns the current statistics snapshot.
-func (n *Network) Stats() Stats { return networkStats(n.sim.Stats()) }
+func (n *Network) Stats() Stats {
+	st := networkStats(n.sim.Stats())
+	st.WarmStations = n.sim.WarmStations()
+	return st
+}
 
 // networkStats converts a driver snapshot into the public Stats shape.
 func networkStats(st driver.Stats) Stats {

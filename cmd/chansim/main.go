@@ -292,7 +292,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stdout, "driver            parallel (%d shards)\n", *shards)
 	}
 	fmt.Fprintf(stdout, "cells / channels  %d / %d\n", net.NumCells(), net.NumChannels())
-	printReport(stdout, net.Scheme(), ws, net.Stats(), sc.LatencyTicks)
+	st := net.Stats()
+	printReport(stdout, net.Scheme(), ws, st, sc.LatencyTicks)
+	if net.Scheme() == "adaptive" {
+		fmt.Fprintf(stdout, "warm stations     %d of %d hold a borrowing block\n", st.WarmStations, net.NumCells())
+	}
 	printKernel(stdout, net.KernelFootprint())
 	if addr := net.MetricsAddr(); addr != "" && *linger > 0 {
 		fmt.Fprintf(stdout, "metrics           lingering at http://%s/metrics for %v\n", addr, *linger)

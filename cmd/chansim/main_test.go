@@ -18,9 +18,10 @@ func chansim(args ...string) (code int, stdout, stderr string) {
 }
 
 // TestReportIdenticalAcrossDrivers pins, at the CLI, that a mobile
-// scenario reports the same outcome from the serial driver, from one
-// shard and from seven shards on two workers. The mean acquisition time
-// is left out: the drivers sum the same samples in a different order.
+// scenario reports the same outcome — and the same stations warm — from
+// the serial driver, from one shard and from seven shards on two
+// workers. The mean acquisition time is left out: the drivers sum the
+// same samples in a different order.
 func TestReportIdenticalAcrossDrivers(t *testing.T) {
 	scenario := []string{"-width", "8", "-erlang", "9", "-handoff", "0.00067", "-duration", "4000", "-warmup", "800", "-seed", "3"}
 	outcome := func(extra ...string) string {
@@ -31,14 +32,14 @@ func TestReportIdenticalAcrossDrivers(t *testing.T) {
 		}
 		var kept []string
 		for _, line := range strings.Split(stdout, "\n") {
-			for _, label := range []string{"offered calls", "blocking", "handoff drops", "messages/call", "path mix"} {
+			for _, label := range []string{"offered calls", "blocking", "handoff drops", "messages/call", "path mix", "warm stations"} {
 				if strings.HasPrefix(line, label) {
 					kept = append(kept, line)
 				}
 			}
 		}
-		if len(kept) != 5 {
-			t.Fatalf("chansim %v: want 5 outcome lines, got %q from\n%s", extra, kept, stdout)
+		if len(kept) != 6 {
+			t.Fatalf("chansim %v: want 6 outcome lines, got %q from\n%s", extra, kept, stdout)
 		}
 		return strings.Join(kept, "\n")
 	}

@@ -11,6 +11,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -165,14 +166,14 @@ type Factory struct {
 	assign   *chanset.Assignment
 	params   Params
 	strategy LenderStrategy
-	obs      *obs.Protocol
+	obs      *obs.Protocol // never nil; &noObs when uninstrumented
 	// scratch pools best()'s candidate storage. A lender scan consumes
 	// its candidates before it returns, so the storage belongs to no
 	// cell; a pool keeps it per worker on the sharded kernel and safe on
 	// the live runtimes, where cells of one factory run on different
 	// goroutines.
 	scratch sync.Pool
-	// masks interns the neighbor-overlap vectors (Adaptive.nbrMasks) by
+	// masks interns the neighbor-overlap vectors (borrowing.masks) by
 	// value: a vector depends only on the shape of a neighborhood, of
 	// which a wrapped grid has a few dozen, so its cells share them.
 	masksMu sync.Mutex
@@ -190,6 +191,7 @@ func NewFactory(grid *hexgrid.Grid, assign *chanset.Assignment, params Params) (
 	return &Factory{
 		grid: grid, assign: assign, params: params,
 		strategy: params.lenderStrategy(),
+		obs:      &noObs,
 		scratch:  sync.Pool{New: func() any { return new(lenderScratch) }},
 	}, nil
 }
@@ -197,14 +199,14 @@ func NewFactory(grid *hexgrid.Grid, assign *chanset.Assignment, params Params) (
 // Name implements alloc.Factory.
 func (f *Factory) Name() string { return "adaptive" }
 
-// Instrument binds every allocator this factory creates from now on to
-// the given instrument bundle, which they share by pointer. A nil bundle
-// (the default) keeps the protocol core fully uninstrumented — a zero
-// obs.Protocol's nil instruments are allocation-free no-ops, so hot
-// paths pay only a nil check. Instruments observe the protocol; they
-// never feed back into its decisions, so enabling them cannot perturb
-// DES determinism.
-func (f *Factory) Instrument(p *obs.Protocol) { f.obs = p }
+// Instrument binds every allocator of this factory to the given
+// instrument bundle, which they share by pointer; call it before the
+// cells start. A nil bundle (the default) keeps the protocol core fully
+// uninstrumented — a zero obs.Protocol's nil instruments are
+// allocation-free no-ops, so hot paths pay only a nil check. Instruments
+// observe the protocol; they never feed back into its decisions, so
+// enabling them cannot perturb DES determinism.
+func (f *Factory) Instrument(p *obs.Protocol) { f.obs = cmp.Or(p, &noObs) }
 
 // noObs is the bundle of an uninstrumented allocator: all instruments
 // nil, never written.
@@ -212,11 +214,7 @@ var noObs obs.Protocol
 
 // New implements alloc.Factory.
 func (f *Factory) New(cell hexgrid.CellID) alloc.Allocator {
-	a := &Adaptive{factory: f, cell: cell, obs: &noObs}
-	if f.obs != nil {
-		a.obs = f.obs
-	}
-	return a
+	return &Adaptive{factory: f, cell: cell}
 }
 
 // Mode values of the paper (the mode_i variable).
@@ -245,8 +243,7 @@ const (
 	setUse     = iota // Use_i
 	setInter          // I_i: the union of every U_j
 	setScratch        // the result of freePrimary/freeAnywhere
-	// setU+k is U_j for j = neighbors[k].
-	setU
+	numSets
 )
 
 // The neighbor masks at the front of the slab.
@@ -258,8 +255,8 @@ const (
 
 // Adaptive is one cell's adaptive allocator.
 //
-// Everything the station knows per channel or per neighbor lives in one
-// flat word slab, in neighbor-index order over the cell's sorted
+// Everything the station knows per channel or per neighbor lives in flat
+// word slabs, in neighbor-index order over the cell's sorted
 // interference list: a set is a run of w words, a bit is
 // slab[off+ch/64], and no set has a header of its own. Maps keyed by
 // cell id cost ~50 bytes of bucket overhead per neighbor per cell and a
@@ -268,39 +265,21 @@ const (
 // steady-state memory, while a binary search over <= 18 sorted ids costs
 // a handful of compares. Where set algebra wants a chanset.Set, view
 // builds one on the stack over the slab's words.
+//
+// What the factory knows — PR_i, the spectrum, the instruments and the
+// interference list every Env hands out as grid.Interference(cell) — is
+// read through it, not copied into every station.
 type Adaptive struct {
 	factory *Factory
 	env     alloc.Env
-	obs     *obs.Protocol // never nil; &noObs when uninstrumented
-
-	neighbors []hexgrid.CellID
-	pr        chanset.Set // aliases the assignment's PR_i; read-only
 
 	// slab holds, in order: the numMasks neighbor masks (bit k stands for
-	// neighbors[k]; (n+63)/64 words each, so neighborhoods past 64 cells
-	// just take more words), then the channel sets, w words each —
-	// Use_i, I_i, the free-set scratch, and U_j for every neighbor.
+	// neighbors()[k]; (n+63)/64 words each, so neighborhoods past 64
+	// cells just take more words), then Use_i, I_i and the free-set
+	// scratch, w words each.
 	slab []uint64
-	// grants is the grant ledger: a pair (k, ch) for every channel we
-	// granted to neighbors[k] that it has not yet visibly acquired or
-	// released. A borrowing-update winner acquires silently (Figure 3,
-	// mode 2), so a Use-set snapshot taken by j between our grant and its
-	// acquisition would otherwise erase the channel from U_j and let us
-	// reuse it concurrently (DESIGN.md D9). A station has a handful
-	// outstanding at worst, and pays for those, not for a set per neighbor.
-	grants []grant
-	// nbrMasks[k] marks which of this cell's neighbors also interfere
-	// with neighbors[k], so best() counts |UpdateS_i ∩ IN_j| with one
-	// AND+popcount instead of a binary search per member of IN_j, the
-	// dominant cost of candidate gathering under steady borrow load.
-	// Set on the first borrow attempt, and only when the neighborhood
-	// fits one mask word; shared with every cell of the same shape
-	// (Factory.masks) and read-only.
-	nbrMasks []uint64
-
-	// deferQ is DeferQ_i. acquire drains it in place, so one backing
-	// array serves every defer-and-drain cycle of a hot cell.
-	deferQ []deferred
+	// blk is the borrowing block, nil while the station is cold.
+	blk *borrowing
 
 	// pred forecasts the free-primary count for check_mode (policy.go);
 	// fixed at Start. The lender strategy is the factory's.
@@ -316,7 +295,6 @@ type Adaptive struct {
 	counters alloc.Counters
 
 	cell    hexgrid.CellID
-	nch     int32 // channels in the spectrum
 	w       int32 // words per channel set
 	setOff  int32 // slab offset of set 0: numMasks mask regions precede it
 	mode    int32
@@ -328,22 +306,67 @@ type Adaptive struct {
 	pending bool
 }
 
+// borrowing is a station's borrowing block: the only storage of what it
+// keeps once it takes part in borrowing — as a lender, as a borrower or
+// as the neighbor of one. At low load most stations never store here, so
+// the block is allocated by the first store (warm) and every read of a
+// cold station answers "empty" without allocating.
+type borrowing struct {
+	// u holds U_j for j = neighbors()[k] at words k·w to (k+1)·w.
+	u []uint64
+	// grants is the grant ledger: a pair (k, ch) for every channel we
+	// granted to neighbors()[k] that it has not yet visibly acquired or
+	// released. A borrowing-update winner acquires silently (Figure 3,
+	// mode 2), so a Use-set snapshot taken by j between our grant and its
+	// acquisition would otherwise erase the channel from U_j and let us
+	// reuse it concurrently (DESIGN.md D9). A station has a handful
+	// outstanding at worst, and pays for those, not for a set per neighbor.
+	grants []grant
+	// deferQ is DeferQ_i. acquire drains it in place, so one backing
+	// array serves every defer-and-drain cycle of a hot cell.
+	deferQ []deferred
+	// grantors are the neighbors that granted the update attempt in
+	// flight, in arrival order: a rejected attempt releases to them.
+	grantors []hexgrid.CellID
+	// masks[k] marks which of this cell's neighbors also interfere with
+	// neighbors()[k], so best() counts |UpdateS_i ∩ IN_j| with one
+	// AND+popcount instead of a binary search per member of IN_j, the
+	// dominant cost of candidate gathering under steady borrow load. Set
+	// on the first lender scan, and only when the neighborhood fits one
+	// mask word; shared with every cell of the same shape (Factory.masks)
+	// and read-only.
+	masks *[64]uint64
+}
+
 // Start implements alloc.Allocator.
 func (a *Adaptive) Start(env alloc.Env) {
 	a.env = env
-	a.neighbors = env.Neighbors()
 	assign := a.factory.assign
-	a.pr = assign.Primary[a.cell]
 	a.clock = *lamport.NewClock(int32(a.cell))
-	n := len(a.neighbors)
-	a.nch = int32(assign.NumChannels)
 	a.w = int32((assign.NumChannels + 63) / 64)
-	a.setOff = int32(numMasks * ((n + 63) / 64))
-	a.slab = make([]uint64, int(a.setOff)+(setU+n)*int(a.w))
+	a.setOff = int32(numMasks * ((len(a.neighbors()) + 63) / 64))
+	a.slab = make([]uint64, int(a.setOff)+numSets*int(a.w))
 	a.pred = a.factory.params.predictorBuilder().New(a.factory.params.Window)
-	a.pred.Init(env.Now(), a.pr.Len())
+	a.pred.Init(env.Now(), a.primary().Len())
 	a.serial.SetStart(a.startRequest)
 }
+
+// neighbors is the cell's sorted interference list, IN_i.
+func (a *Adaptive) neighbors() []hexgrid.CellID { return a.factory.grid.Interference(a.cell) }
+
+// primary is PR_i; it aliases the assignment and is read-only.
+func (a *Adaptive) primary() chanset.Set { return a.factory.assign.Primary[a.cell] }
+
+// block returns the borrowing block, allocating it on the first store.
+func (a *Adaptive) block() *borrowing {
+	if a.blk == nil {
+		a.blk = &borrowing{u: make([]uint64, len(a.neighbors())*int(a.w))}
+	}
+	return a.blk
+}
+
+// Warm reports whether the station holds a borrowing block.
+func (a *Adaptive) Warm() bool { return a.blk != nil }
 
 // words returns the words of one channel set of the slab, capped so a
 // stray grow can never run into the next set.
@@ -355,9 +378,6 @@ func (a *Adaptive) words(set int) []uint64 {
 // view wraps one channel set of the slab as a chanset.Set. The view is
 // live: it reads and writes the slab.
 func (a *Adaptive) view(set int) chanset.Set { return chanset.FromWords(a.words(set)) }
-
-// uSet is the set index of U_j for j = neighbors[k].
-func (a *Adaptive) uSet(k int) int { return setU + k }
 
 // bit locates channel ch of a set: the slab index of its word and its
 // mask within it. ch must be a channel of the spectrum.
@@ -410,16 +430,17 @@ func (a *Adaptive) inMask(which, k int) bool {
 // nbrIdx returns j's index in the sorted interference list, or -1 when
 // j is not a neighbor of this cell.
 func (a *Adaptive) nbrIdx(j hexgrid.CellID) int {
-	lo, hi := 0, len(a.neighbors)
+	nb := a.neighbors()
+	lo, hi := 0, len(nb)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if a.neighbors[mid] < j {
+		if nb[mid] < j {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(a.neighbors) && a.neighbors[lo] == j {
+	if lo < len(nb) && nb[lo] == j {
 		return lo
 	}
 	return -1
@@ -438,7 +459,7 @@ func (a *Adaptive) Mode() int { return int(a.mode) }
 func (a *Adaptive) ProtocolCounters() alloc.Counters { return a.counters }
 
 // Primary returns PR_i (for tests).
-func (a *Adaptive) Primary() chanset.Set { return a.pr.Clone() }
+func (a *Adaptive) Primary() chanset.Set { return a.primary().Clone() }
 
 // Waiting exposes waiting_i (for tests).
 func (a *Adaptive) Waiting() int { return int(a.waiting) }
@@ -449,7 +470,7 @@ func (a *Adaptive) Waiting() int { return int(a.waiting) }
 // site consumes it immediately; checkMode refills it, so don't hold it
 // across one).
 func (a *Adaptive) freePrimary() chanset.Set {
-	return a.freeFrom(a.pr)
+	return a.freeFrom(a.primary())
 }
 
 // freeAnywhere returns Spectrum − Use_i − I_i, in the scratch set like
@@ -467,18 +488,38 @@ func (a *Adaptive) freeFrom(base chanset.Set) chanset.Set {
 	return chanset.FromWords(out)
 }
 
-// addU records that neighbors[k] uses channel ch.
-func (a *Adaptive) addU(k int, ch chanset.Channel) {
-	a.add(a.uSet(k), ch)
-	a.add(setInter, ch)
+// uBit locates channel ch of U_j for j = neighbors()[k] in the block:
+// the index of its word and its mask within it.
+func (a *Adaptive) uBit(k int, ch chanset.Channel) (int, uint64) {
+	return k*int(a.w) + int(ch>>6), 1 << (uint(ch) & 63)
 }
 
-// removeU records that neighbors[k] no longer uses channel ch.
+// hasU reports whether neighbors()[k] is believed to use ch (of the
+// spectrum, or NoChannel); false on a cold station.
+func (a *Adaptive) hasU(k int, ch chanset.Channel) bool {
+	if a.blk == nil || ch < 0 {
+		return false
+	}
+	i, m := a.uBit(k, ch)
+	return a.blk.u[i]&m != 0
+}
+
+// addU records that neighbors()[k] uses channel ch; NoChannel is a no-op.
+func (a *Adaptive) addU(k int, ch chanset.Channel) {
+	if ch >= 0 {
+		i, m := a.uBit(k, ch)
+		a.block().u[i] |= m
+		a.add(setInter, ch)
+	}
+}
+
+// removeU records that neighbors()[k] no longer uses channel ch.
 func (a *Adaptive) removeU(k int, ch chanset.Channel) {
-	if !a.has(a.uSet(k), ch) {
+	if !a.hasU(k, ch) {
 		return
 	}
-	a.remove(a.uSet(k), ch)
+	i, m := a.uBit(k, ch)
+	a.blk.u[i] &^= m
 	a.refreshInter(int(ch >> 6))
 }
 
@@ -486,17 +527,17 @@ func (a *Adaptive) removeU(k int, ch chanset.Channel) {
 // every U_j: a channel stays interfered while any neighbor is believed
 // to use it, which the OR answers without a per-channel count.
 func (a *Adaptive) refreshInter(wi int) {
-	w := int(a.w)
-	u := int(a.setOff) + setU*w + wi
 	var or uint64
-	for range a.neighbors {
-		or |= a.slab[u]
-		u += w
+	if a.blk != nil {
+		u, w := a.blk.u, int(a.w)
+		for i := wi; i < len(u); i += w {
+			or |= u[i]
+		}
 	}
-	a.slab[int(a.setOff)+setInter*w+wi] = or
+	a.slab[int(a.setOff)+setInter*int(a.w)+wi] = or
 }
 
-// grant is one entry of the grant ledger: ch is granted to neighbors[k].
+// grant is one entry of the grant ledger: ch is granted to neighbors()[k].
 type grant struct {
 	k  int32
 	ch chanset.Channel
@@ -506,45 +547,53 @@ type grant struct {
 // always in U_j too — every record is followed by addU, a snapshot ORs
 // the pending ones back in — so one bit test spares most scans.
 func (a *Adaptive) granted(k int, ch chanset.Channel) int {
-	if !a.has(a.uSet(k), ch) {
+	if !a.hasU(k, ch) {
 		return -1
 	}
-	return slices.Index(a.grants, grant{int32(k), ch})
+	return slices.Index(a.blk.grants, grant{int32(k), ch})
 }
 
-// grantRecord marks ch as granted to neighbors[k], pending acquisition;
-// NoChannel is a no-op.
+// grantRecord marks ch as granted to neighbors()[k], pending
+// acquisition; NoChannel is a no-op.
 func (a *Adaptive) grantRecord(k int, ch chanset.Channel) {
 	if ch >= 0 && a.granted(k, ch) < 0 {
-		a.grants = append(a.grants, grant{int32(k), ch})
+		b := a.block()
+		b.grants = append(b.grants, grant{int32(k), ch})
 	}
 }
 
-// grantResolve clears a pending grant record: neighbors[k] either
+// grantResolve clears a pending grant record: neighbors()[k] either
 // acquired ch visibly (snapshot/ACQUISITION) or released it.
 func (a *Adaptive) grantResolve(k int, ch chanset.Channel) {
 	if i := a.granted(k, ch); i >= 0 {
-		last := len(a.grants) - 1
-		a.grants[i] = a.grants[last]
-		a.grants = a.grants[:last]
+		g := a.blk.grants
+		last := len(g) - 1
+		g[i] = g[last]
+		a.blk.grants = g[:last]
 	}
 }
 
-// replaceU replaces the whole U_j of neighbors[k] with the received
+// replaceU replaces the whole U_j of neighbors()[k] with the received
 // snapshot, preserving channels we granted to j that j has not yet
 // visibly acquired: channels now visible in the snapshot are owned by j
 // and leave the ledger (the snapshot stream governs them from here on);
-// still-pending grants are unioned into the effective snapshot.
+// still-pending grants are unioned into the effective snapshot. On a
+// cold station an empty snapshot changes nothing.
 func (a *Adaptive) replaceU(k int, snapshot chanset.Set) {
-	kept := a.grants[:0]
-	for _, g := range a.grants {
+	if a.blk == nil && snapshot.Empty() {
+		return
+	}
+	b := a.block()
+	kept := b.grants[:0]
+	for _, g := range b.grants {
 		if int(g.k) != k || !snapshot.Contains(g.ch) {
 			kept = append(kept, g)
 		}
 	}
-	a.grants = kept
+	b.grants = kept
 	snap := snapshot.Words() // at most w words: Handle checked
-	u := a.words(a.uSet(k))
+	off, w := k*int(a.w), int(a.w)
+	u := b.u[off : off+w : off+w]
 	for wi := range u {
 		var next uint64
 		if wi < len(snap) {
@@ -593,12 +642,12 @@ func (a *Adaptive) checkMode() {
 // new mode and the NFC predictor value that drove the switch.
 func (a *Adaptive) modeEvent(from, to int32, pred float64) {
 	if to == ModeBorrow {
-		a.obs.ModeToBorrowing.Inc()
+		a.factory.obs.ModeToBorrowing.Inc()
 	} else {
-		a.obs.ModeToLocal.Inc()
+		a.factory.obs.ModeToLocal.Inc()
 	}
-	if a.obs.Journal != nil {
-		a.obs.Journal.Emit(int64(a.env.Now()), "mode", int(a.cell),
+	if a.factory.obs.Journal != nil {
+		a.factory.obs.Journal.Emit(int64(a.env.Now()), "mode", int(a.cell),
 			obs.FI("old", int64(from)), obs.FI("new", int64(to)), obs.F("pred", pred))
 	}
 }

@@ -240,8 +240,8 @@ func TestHandlerSearchDeferredWhilePendingOlder(t *testing.T) {
 	if ms := env.take(); len(ms) != 0 {
 		t.Fatalf("younger search must be deferred, got %v", ms)
 	}
-	if len(a.deferQ) != 1 || !a.deferQ[0].search {
-		t.Fatalf("deferQ = %+v", a.deferQ)
+	if !a.Warm() || len(a.blk.deferQ) != 1 || !a.blk.deferQ[0].search {
+		t.Fatalf("deferQ = %+v", a.blk)
 	}
 	// Older search arrives → answered immediately.
 	old := lamport.Stamp{Time: 0, Node: 5}

@@ -1,8 +1,9 @@
 package core
 
-// Tests of the one-slab-per-cell layout: its size, its set algebra
-// against per-set chanset.Sets, and its allocation and footprint
-// budgets.
+// Tests of the per-cell layout — the slab every station holds and the
+// borrowing block a station allocates on its first store: their sizes,
+// their set algebra against per-set chanset.Sets, and their allocation
+// and footprint budgets.
 
 import (
 	"fmt"
@@ -20,15 +21,18 @@ import (
 	"repro/internal/sim"
 )
 
-// TestAdaptiveStructSize pins the allocator struct at 448 bytes, which
-// is exactly a size class: at 10^6 cells every class step is 30-60 MB.
-// The grant ledger's slice header took the 24 bytes the struct had to
-// spare inside that class (424 before), in exchange for the n·w words of
-// per-neighbor grant sets it removed from the slab. A defer-queue entry
-// is 24, a ledger entry 8.
+// TestAdaptiveStructSize pins the allocator struct at 352 bytes or
+// less: every station pays for it, warm or cold, and at 10^6 cells every
+// size-class step is 30-60 MB. It was 448 until the ledger, DeferQ_i and
+// the lender masks moved into the borrowing block behind one pointer
+// (64 bytes), what the factory already knows — PR_i, the spectrum size,
+// the instrument bundle and the neighbor list — was read through it
+// instead of copied (64 bytes with padding), and the request FSM gave
+// its grantor list to the block (40 bytes with a one-byte phase); it is
+// 280 now. A defer-queue entry is 24, a ledger entry 8.
 func TestAdaptiveStructSize(t *testing.T) {
-	if got := unsafe.Sizeof(Adaptive{}); got > 448 {
-		t.Fatalf("unsafe.Sizeof(core.Adaptive{}) = %d, budget 448", got)
+	if got := unsafe.Sizeof(Adaptive{}); got > 352 {
+		t.Fatalf("unsafe.Sizeof(core.Adaptive{}) = %d, budget 352", got)
 	}
 	if got := unsafe.Sizeof(deferred{}); got > 24 {
 		t.Fatalf("unsafe.Sizeof(core.deferred{}) = %d, budget 24", got)
@@ -59,6 +63,24 @@ func stationAt(t testing.TB, gcfg hexgrid.Config, channels int, cell hexgrid.Cel
 	return a, env, assign
 }
 
+// uOf is U_j for j = neighbors()[k]: a live view of the block's words,
+// empty on a cold station.
+func (a *Adaptive) uOf(k int) chanset.Set {
+	if a.blk == nil {
+		return chanset.Set{}
+	}
+	w := int(a.w)
+	return chanset.FromWords(a.blk.u[k*w : (k+1)*w])
+}
+
+// ledger is the grant ledger, nil on a cold station.
+func (a *Adaptive) ledger() []grant {
+	if a.blk == nil {
+		return nil
+	}
+	return a.blk.grants
+}
+
 // setModel is the per-neighbor knowledge kept the way it was before the
 // slab and the ledger: one chanset.Set per U_j and per grant record, and
 // a per-channel count of the neighbors believed to use it behind I_i.
@@ -66,6 +88,17 @@ type setModel struct {
 	u, granted []chanset.Set
 	cnt        []int
 	inter      chanset.Set
+}
+
+// holds reports whether the model stores anything: a non-empty U_j or a
+// pending grant.
+func (m *setModel) holds() bool {
+	for k := range m.u {
+		if !m.u[k].Empty() || !m.granted[k].Empty() {
+			return true
+		}
+	}
+	return false
 }
 
 func newSetModel(neighbors, channels int) *setModel {
@@ -120,10 +153,13 @@ func (m *setModel) replaceU(k int, snapshot chanset.Set) (erased, survived int) 
 }
 
 // TestSlabMatchesPerSetModel drives a station's receive procedures with
-// random traffic from its neighbors and checks every set of the slab,
-// and the grant ledger as the per-neighbor sets it stands for, against
-// the per-set model after each message. It runs on a corner, an edge and
-// an interior cell of an unwrapped grid (5, 8-11 and 18 neighbors) at 70
+// random traffic from its neighbors and checks every set of the slab and
+// of the borrowing block, and the grant ledger as the per-neighbor sets it
+// stands for, against the per-set model after each message. The station
+// starts cold, and its block must appear exactly with the first message
+// that leaves the model holding a non-empty U_j or a pending grant (this
+// traffic defers nothing and scans for no lender). It runs on a corner,
+// an edge and an interior cell of an unwrapped grid (5, 8-11 and 18 neighbors) at 70
 // channels and at 130 (three words per set), so neighbor-count and
 // word-count arithmetic are both off the common case. The traffic must
 // reach every way the ledger changes: a snapshot that shows a granted
@@ -136,22 +172,31 @@ func TestSlabMatchesPerSetModel(t *testing.T) {
 	for _, channels := range []int{70, 130} {
 		for _, cell := range []hexgrid.CellID{0, 4, 40} {
 			a, env, _ := stationAt(t, gcfg, channels, cell)
-			n := len(a.neighbors)
+			n := len(a.neighbors())
 			if cell == 40 && n != 18 || cell != 40 && n >= 18 {
 				t.Fatalf("cell %d has %d neighbors: the grid no longer gives the mix this test wants", cell, n)
 			}
-			if w := (channels + 63) / 64; int(a.w) != w || len(a.slab) != numMasks+(setU+n)*w {
-				t.Fatalf("cell %d, %d channels: w=%d, slab of %d words", cell, channels, a.w, len(a.slab))
+			w := (channels + 63) / 64
+			if int(a.w) != w || len(a.slab) != numMasks+numSets*w || a.Warm() {
+				t.Fatalf("cell %d, %d channels: w=%d, slab of %d words, warm %v at Start", cell, channels, a.w, len(a.slab), a.Warm())
 			}
+			// The first coldUntil messages are releases and empty
+			// snapshots, which store nothing; random traffic follows.
+			warmAt, coldUntil := -1, 10+channels%7+int(cell)%5
 			model := newSetModel(n, channels)
 			rng := sim.NewRand(uint64(channels) + uint64(cell))
 			for step := 0; step < 3000; step++ {
 				k := rng.Intn(n)
-				from := a.neighbors[k]
+				from := a.neighbors()[k]
 				ch := chanset.Channel(rng.Intn(channels))
 				env.now++
 				m := message.Message{From: from, To: cell, Ch: ch, TS: lamport.Stamp{Time: int64(step), Node: int32(from)}}
-				switch rng.Intn(5) {
+				cold := step < coldUntil
+				kind := rng.Intn(5)
+				if cold {
+					kind = 1 + 2*rng.Intn(2)
+				}
+				switch kind {
 				case 0:
 					m.Kind, m.Acq = message.Acquisition, message.AcqNonSearch
 					model.granted[k].Remove(ch)
@@ -179,7 +224,7 @@ func TestSlabMatchesPerSetModel(t *testing.T) {
 					if rng.Intn(4) == 0 {
 						m.Use, limit = chanset.NewSet(64), 64
 					}
-					for i := rng.Intn(8); i > 0; i-- {
+					for i := rng.Intn(8); i > 0 && !cold; i-- {
 						m.Use.Add(chanset.Channel(rng.Intn(limit)))
 					}
 					if held := model.granted[k].Channels(); len(held) > 0 && rng.Intn(2) == 0 {
@@ -193,21 +238,30 @@ func TestSlabMatchesPerSetModel(t *testing.T) {
 				a.Handle(m)
 				env.take()
 				a.grantRecord(k, chanset.NoChannel)
+				if warmAt < 0 && model.holds() {
+					warmAt = step
+				}
+				if a.Warm() != (warmAt >= 0) {
+					t.Fatalf("cell %d, %d ch, step %d (%v): warm %v, but the model first held something at step %d", cell, channels, step, m, a.Warm(), warmAt)
+				}
+				if a.Warm() && len(a.blk.u) != n*w {
+					t.Fatalf("cell %d, %d ch: block of %d U_j words, want %d", cell, channels, len(a.blk.u), n*w)
+				}
 				ledger, entries := newSetModel(n, channels).granted, 0
-				for _, g := range a.grants {
+				for _, g := range a.ledger() {
 					ledger[g.k].Add(g.ch)
 				}
 				for j := 0; j < n; j++ {
-					if got := a.view(a.uSet(j)); !got.Equal(model.u[j]) {
-						t.Fatalf("cell %d, %d ch, step %d (%v): U_%d = %v, model %v", cell, channels, step, m, a.neighbors[j], got, model.u[j])
+					if got := a.uOf(j); !got.Equal(model.u[j]) {
+						t.Fatalf("cell %d, %d ch, step %d (%v): U_%d = %v, model %v", cell, channels, step, m, a.neighbors()[j], got, model.u[j])
 					}
 					if !ledger[j].Equal(model.granted[j]) {
-						t.Fatalf("cell %d, %d ch, step %d (%v): grant record of %d = %v, model %v", cell, channels, step, m, a.neighbors[j], ledger[j], model.granted[j])
+						t.Fatalf("cell %d, %d ch, step %d (%v): grant record of %d = %v, model %v", cell, channels, step, m, a.neighbors()[j], ledger[j], model.granted[j])
 					}
 					entries += ledger[j].Len()
 				}
-				if entries != len(a.grants) {
-					t.Fatalf("cell %d, %d ch, step %d (%v): %d ledger entries for %d distinct grants: %v", cell, channels, step, m, len(a.grants), entries, a.grants)
+				if entries != len(a.ledger()) {
+					t.Fatalf("cell %d, %d ch, step %d (%v): %d ledger entries for %d distinct grants: %v", cell, channels, step, m, len(a.ledger()), entries, a.ledger())
 				}
 				if got := a.view(setInter); !got.Equal(model.inter) {
 					t.Fatalf("cell %d, %d ch, step %d (%v): I_i = %v, model %v", cell, channels, step, m, got, model.inter)
@@ -215,6 +269,9 @@ func TestSlabMatchesPerSetModel(t *testing.T) {
 				if !a.InUse().Empty() || a.counters.BadMessages != 0 {
 					t.Fatalf("cell %d step %d: Use_i = %v, %d bad messages; the traffic should touch neither", cell, step, a.InUse(), a.counters.BadMessages)
 				}
+			}
+			if warmAt < coldUntil {
+				t.Fatalf("cell %d, %d ch: warm at step %d, inside the %d cold messages", cell, channels, warmAt, coldUntil)
 			}
 		}
 	}
@@ -229,7 +286,7 @@ func TestSlabMatchesPerSetModel(t *testing.T) {
 func TestNeighborMasksPastOneWord(t *testing.T) {
 	gcfg := hexgrid.Config{Shape: hexgrid.Rect, Width: 15, Height: 15, ReuseDistance: 5, Wrap: true}
 	a, env, _ := stationAt(t, gcfg, 200, 0)
-	n := len(a.neighbors)
+	n := len(a.neighbors())
 	if n <= 64 {
 		t.Fatalf("reuse distance 5 gives %d neighbors, want more than 64", n)
 	}
@@ -255,7 +312,7 @@ func TestNeighborMasksPastOneWord(t *testing.T) {
 	// Two neighbors past index 63 enter borrowing mode; a primary
 	// acquisition is then announced to exactly those two, in order.
 	for _, k := range []int{70, 65} {
-		a.Handle(message.Message{Kind: message.ChangeMode, From: a.neighbors[k], To: 0, Mode: message.ModeBorrowing})
+		a.Handle(message.Message{Kind: message.ChangeMode, From: a.neighbors()[k], To: 0, Mode: message.ModeBorrowing})
 	}
 	env.take()
 	a.Request(1)
@@ -265,10 +322,10 @@ func TestNeighborMasksPastOneWord(t *testing.T) {
 			to = append(to, m.To)
 		}
 	}
-	if len(to) != 2 || to[0] != a.neighbors[65] || to[1] != a.neighbors[70] {
-		t.Fatalf("acquisition announced to %v, want [%d %d]", to, a.neighbors[65], a.neighbors[70])
+	if len(to) != 2 || to[0] != a.neighbors()[65] || to[1] != a.neighbors()[70] {
+		t.Fatalf("acquisition announced to %v, want [%d %d]", to, a.neighbors()[65], a.neighbors()[70])
 	}
-	if a.best(); a.nbrMasks != nil {
+	if a.best(); !a.Warm() || a.blk.masks != nil {
 		t.Fatal("overlap masks built for a neighborhood wider than one word")
 	}
 }
@@ -295,24 +352,27 @@ func TestNeighborMasksAreInternedMerges(t *testing.T) {
 		for c := 0; c < g.NumCells(); c++ {
 			a := station(hexgrid.CellID(c))
 			a.buildNbrMasks()
-			if len(a.nbrMasks) != len(a.neighbors) {
-				t.Fatalf("cell %d: %d masks for %d neighbors", c, len(a.nbrMasks), len(a.neighbors))
-			}
-			for ji, j := range a.neighbors {
+			masks := a.blk.masks[:len(a.neighbors())]
+			for ji, j := range a.neighbors() {
 				var want uint64
 				for _, k := range g.Interference(j) {
 					if idx := a.nbrIdx(k); idx >= 0 {
 						want |= 1 << uint(idx)
 					}
 				}
-				if a.nbrMasks[ji] != want {
-					t.Fatalf("cell %d, neighbor %d: mask %#x, want %#x", c, j, a.nbrMasks[ji], want)
+				if masks[ji] != want {
+					t.Fatalf("cell %d, neighbor %d: mask %#x, want %#x", c, j, masks[ji], want)
 				}
 			}
-			shape := fmt.Sprint(a.nbrMasks)
+			for _, rest := range a.blk.masks[len(masks):] {
+				if rest != 0 {
+					t.Fatalf("cell %d: a mask past its %d neighbors", c, len(masks))
+				}
+			}
+			shape := fmt.Sprint(masks)
 			if first, seen := byShape[shape]; !seen {
-				byShape[shape] = &a.nbrMasks[0]
-			} else if first != &a.nbrMasks[0] {
+				byShape[shape] = &a.blk.masks[0]
+			} else if first != &a.blk.masks[0] {
 				t.Fatalf("cell %d keeps a private copy of a vector another cell holds", c)
 			}
 		}
@@ -348,8 +408,8 @@ func TestLenderScratchSharedAcrossGoroutines(t *testing.T) {
 		a.Start(&stubEnv{id: c, neighbors: g.Interference(c), rand: sim.NewRand(uint64(c) + 1)})
 		// A different neighbor in borrowing mode and a different busy
 		// channel per station, so the scans differ.
-		a.Handle(message.Message{Kind: message.ChangeMode, From: a.neighbors[i%len(a.neighbors)], To: c, Mode: message.ModeBorrowing})
-		a.Handle(message.Message{Kind: message.Acquisition, From: a.neighbors[0], To: c, Ch: chanset.Channel(i)})
+		a.Handle(message.Message{Kind: message.ChangeMode, From: a.neighbors()[i%len(a.neighbors())], To: c, Mode: message.ModeBorrowing})
+		a.Handle(message.Message{Kind: message.Acquisition, From: a.neighbors()[0], To: c, Ch: chanset.Channel(i)})
 		stations[i], want[i] = a, a.best()
 		if want[i] == hexgrid.None {
 			t.Fatalf("cell %d found no lender", c)
@@ -379,7 +439,7 @@ func TestCheckModeAllocatesNothing(t *testing.T) {
 		t.Skip("allocation budgets are not meaningful under the race detector")
 	}
 	a, env, assign := stationAt(t, hexgrid.Config{Shape: hexgrid.Rect, Width: 7, Height: 7, ReuseDistance: 2, Wrap: true}, 70, 24)
-	nbr := a.neighbors[0]
+	nbr := a.neighbors()[0]
 	ch := assign.Primary[24].First() // a neighbor on our primary moves our free count
 	round := func() {
 		env.now += 7
@@ -451,74 +511,84 @@ func (n *footprintNet) drain() {
 	n.queue, n.words = n.queue[:0], n.words[:0]
 }
 
-// TestPerCellFootprintBudget measures what one cell costs in core: N
-// cells at 70 channels and 18 neighbors, each driven through everything
-// that materializes state — its primaries exhausted, the switch to
-// borrowing mode, a lender scan, a borrowing round that ends in a grant,
-// and every channel released again. GC-settled heap growth / N must stay
-// under the ceiling. (The same drive cost about 4.6 KB per cell with a
-// chanset.Set per U_j and the candidate scratch in every cell.)
-func TestPerCellFootprintBudget(t *testing.T) {
-	if raceflag.Enabled {
-		t.Skip("the race detector's shadow allocations count as heap")
-	}
-	const ceiling = 1200 // bytes per cell
-	g, err := hexgrid.New(hexgrid.Config{Shape: hexgrid.Rect, Width: 32, Height: 32, ReuseDistance: 2, Wrap: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assign, err := chanset.Assign(g, 70)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := NewFactory(g, assign, DefaultParams(10))
+// newFootprintNet builds 32x32 wrapped cells at 70 channels and 18
+// neighbors — every station's slab is then 8 words — with everything the
+// net owns allocated, and the allocators not yet started.
+func newFootprintNet(t *testing.T) (*footprintNet, *Factory) {
+	t.Helper()
+	g := hexgrid.MustNew(hexgrid.Config{Shape: hexgrid.Rect, Width: 32, Height: 32, ReuseDistance: 2, Wrap: true})
+	f, err := NewFactory(g, chanset.MustAssign(g, 70), DefaultParams(10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cells := g.NumCells()
-	net := &footprintNet{
+	return &footprintNet{
 		grid:   g,
 		allocs: make([]alloc.Allocator, cells),
 		envs:   make([]footprintEnv, cells),
 		queue:  make([]message.Message, 0, 4096),
 		words:  make([]uint64, 0, 8192),
+	}, f
+}
+
+// start builds and starts every cell's allocator.
+func (n *footprintNet) start(f *Factory) {
+	for c := range n.allocs {
+		n.envs[c] = footprintEnv{net: n, cell: hexgrid.CellID(c), rand: *sim.NewRand(uint64(c) + 1)}
+		n.allocs[c] = f.New(hexgrid.CellID(c))
+		n.allocs[c].Start(&n.envs[c])
 	}
-	heap := func() uint64 {
-		// Twice: the first collection only moves sync.Pool contents and
-		// finalizable garbage of earlier tests to where the second frees
-		// them, and garbage alive at the baseline would deflate the delta.
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
+}
+
+// settledHeap is the live heap after the collector has settled.
+func settledHeap() uint64 {
+	// Twice: the first collection only moves sync.Pool contents and
+	// finalizable garbage of earlier tests to where the second frees
+	// them, and garbage alive at the baseline would deflate the delta.
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestPerCellFootprintBudget measures what one warm cell costs in core:
+// N cells at 70 channels and 18 neighbors, each driven through
+// everything that materializes state — its primaries exhausted, the
+// switch to borrowing mode, a lender scan, a borrowing round that ends
+// in a grant, and every channel released again. GC-settled heap growth
+// / N must stay under the ceiling, and a warm cell may cost no more than
+// it did before cold stations (1 108 B with everything allocated at
+// Start). (The same drive cost about 4.6 KB per cell with a chanset.Set
+// per U_j and the candidate scratch in every cell.)
+func TestPerCellFootprintBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's shadow allocations count as heap")
 	}
-	before := heap()
-	for c := range net.allocs {
-		net.envs[c] = footprintEnv{net: net, cell: hexgrid.CellID(c), rand: *sim.NewRand(uint64(c) + 1)}
-		net.allocs[c] = f.New(hexgrid.CellID(c))
-		net.allocs[c].Start(&net.envs[c])
-	}
+	const ceiling, eager = 1200, 1108 // bytes per cell
+	net, f := newFootprintNet(t)
+	before := settledHeap()
+	net.start(f)
 	var id alloc.RequestID
 	borrowed := 0
 	held := make([]chanset.Channel, 0, 16)
 	for c := range net.allocs {
 		a, env := net.allocs[c].(*Adaptive), &net.envs[c]
-		if len(a.neighbors) != 18 {
-			t.Fatalf("cell %d has %d neighbors", c, len(a.neighbors))
+		if len(a.neighbors()) != 18 {
+			t.Fatalf("cell %d has %d neighbors", c, len(a.neighbors()))
 		}
 		held = held[:0]
-		for i := 0; i <= a.pr.Len(); i++ { // every primary, then one borrowed
+		for i := 0; i <= a.primary().Len(); i++ { // every primary, then one borrowed
 			id++
 			env.granted = chanset.NoChannel
 			a.Request(id)
 			net.drain()
 			if !env.granted.Valid() {
-				t.Fatalf("cell %d: request %d of %d not granted", c, i+1, a.pr.Len()+1)
+				t.Fatalf("cell %d: request %d of %d not granted", c, i+1, a.primary().Len()+1)
 			}
 			held = append(held, env.granted)
 		}
-		if a.pr.Contains(held[len(held)-1]) || a.nbrMasks == nil {
+		if a.primary().Contains(held[len(held)-1]) || !a.Warm() || a.blk.masks == nil {
 			t.Fatalf("cell %d: last grant %d was not borrowed through a lender scan", c, held[len(held)-1])
 		}
 		borrowed++
@@ -529,10 +599,88 @@ func TestPerCellFootprintBudget(t *testing.T) {
 			net.drain()
 		}
 	}
-	perCell := float64(heap()-before) / float64(cells)
+	perCell := float64(settledHeap()-before) / float64(len(net.allocs))
 	runtime.KeepAlive(net)
-	t.Logf("core footprint: %.0f bytes per cell (%d cells, each through borrow, best() and a grant; ceiling %d)", perCell, borrowed, ceiling)
+	t.Logf("core footprint: %.0f bytes per warm cell (%d cells, each through borrow, best() and a grant; ceiling %d)", perCell, borrowed, ceiling)
+	if perCell > ceiling || perCell > eager+16 {
+		t.Fatalf("core costs %.0f bytes per warm cell, ceiling %d and at most 16 above the %d of eager allocation", perCell, ceiling, eager)
+	}
+}
+
+// TestColdStationFootprint measures what a station costs while it never
+// borrows, lends or hears of a borrowed channel: N cells that grant and
+// release one primary each, locally, after a neighbor has announced
+// borrowing mode and returned to local — CHANGE_MODE and status replies
+// carrying an empty Use_i, which store nothing. No station may hold a
+// borrowing block, each keeps an 8-word slab, and GC-settled heap growth
+// / N stays under 520 B (896 B when every station allocated U_j and the
+// rest at Start).
+func TestColdStationFootprint(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's shadow allocations count as heap")
+	}
+	const ceiling = 520 // bytes per cell
+	net, f := newFootprintNet(t)
+	before := settledHeap()
+	net.start(f)
+	var id alloc.RequestID
+	for c := range net.allocs {
+		a, env := net.allocs[c].(*Adaptive), &net.envs[c]
+		nbr := a.neighbors()[0]
+		for _, mode := range []uint8{message.ModeBorrowing, message.ModeLocal} {
+			net.queue = append(net.queue, message.Message{Kind: message.ChangeMode, From: nbr, To: a.cell, Mode: mode})
+		}
+		net.drain()
+		id++
+		env.granted = chanset.NoChannel
+		a.Request(id)
+		net.drain()
+		if !a.primary().Contains(env.granted) {
+			t.Fatalf("cell %d: request not granted a primary locally (got %d)", c, env.granted)
+		}
+		if err := a.Release(env.granted); err != nil {
+			t.Fatal(err)
+		}
+		net.drain()
+	}
+	perCell := float64(settledHeap()-before) / float64(len(net.allocs))
+	runtime.KeepAlive(net)
+	for c := range net.allocs {
+		a := net.allocs[c].(*Adaptive)
+		if a.Warm() || len(a.slab) != 8 || a.counters.BadMessages != 0 || a.counters.GrantsLocal != 1 {
+			t.Fatalf("cell %d: warm %v, slab of %d words, %+v", c, a.Warm(), len(a.slab), a.counters)
+		}
+	}
+	t.Logf("core footprint: %.0f bytes per cold cell (%d cells; ceiling %d)", perCell, len(net.allocs), ceiling)
 	if perCell > ceiling {
-		t.Fatalf("core costs %.0f bytes per cell, ceiling %d", perCell, ceiling)
+		t.Fatalf("core costs %.0f bytes per cold cell, ceiling %d", perCell, ceiling)
+	}
+}
+
+// TestColdStationReadsAllocateNothing: on a cold station, the reads of the
+// borrowing block — a grant lookup, a release by a neighbor, an empty
+// snapshot, the DeferQ_i drain — answer "empty" without allocating it
+// or anything else.
+func TestColdStationReadsAllocateNothing(t *testing.T) {
+	a, _, _ := stationAt(t, hexgrid.Config{Shape: hexgrid.Rect, Width: 9, Height: 9, ReuseDistance: 2}, 70, 40)
+	empty := chanset.NewSet(70)
+	reads := map[string]func(){
+		"granted":           func() { a.granted(3, 12) },
+		"removeU":           func() { a.removeU(3, 12) },
+		"replaceU(empty)":   func() { a.replaceU(3, empty) },
+		"replaceU(nil)":     func() { a.replaceU(3, chanset.Set{}) },
+		"DeferQ_i drain":    func() { a.acquire(chanset.NoChannel) },
+		"refreshInter":      func() { a.refreshInter(1) },
+		"grantResolve":      func() { a.grantResolve(3, 12) },
+		"grantRecord(none)": func() { a.grantRecord(3, chanset.NoChannel) },
+		"addU(none)":        func() { a.addU(3, chanset.NoChannel) },
+	}
+	for name, read := range reads {
+		if allocs := testing.AllocsPerRun(100, read); allocs != 0 && !raceflag.Enabled {
+			t.Errorf("%s on a cold station allocates %.1f objects", name, allocs)
+		}
+		if a.Warm() || !a.view(setInter).Empty() {
+			t.Fatalf("%s warmed the station or touched I_i", name)
+		}
 	}
 }

@@ -38,7 +38,7 @@ func TestMalformedMessagesAreCountedDrops(t *testing.T) {
 	env := &stubEnv{id: cell, neighbors: g.Interference(cell), rand: sim.NewRand(1)}
 	a.Start(env)
 
-	nbr := a.neighbors[3]
+	nbr := a.neighbors()[3]
 	if a.nbrIdx(0) >= 0 {
 		t.Fatal("cell 0 was meant to be outside cell 40's interference region")
 	}
@@ -46,61 +46,27 @@ func TestMalformedMessagesAreCountedDrops(t *testing.T) {
 	// channel, a borrowing neighbor, a neighbor's channel, a grant.
 	a.Request(1)
 	a.Handle(message.Message{Kind: message.ChangeMode, From: nbr, To: cell, Mode: message.ModeBorrowing})
-	a.Handle(message.Message{Kind: message.Acquisition, From: a.neighbors[5], To: cell, Ch: 33})
+	a.Handle(message.Message{Kind: message.Acquisition, From: a.neighbors()[5], To: cell, Ch: 33})
 	a.Handle(message.Message{Kind: message.Request, Req: message.ReqUpdate, From: nbr, To: cell, Ch: 34,
 		TS: lamport.Stamp{Time: 3, Node: int32(nbr)}})
 	env.take()
 
-	wide := chanset.NewSet(3 * 64) // three words on a two-word spectrum
-	wide.Add(5)
-	stray := chanset.NewSet(channels) // two words, one member past channel 69
-	stray.Add(100)
-	shapes := []struct {
-		name   string
-		mutate func(*message.Message)
-	}{
-		{"channel past the spectrum", func(m *message.Message) { m.Ch = 99 }},
-		{"channel far past the slab", func(m *message.Message) { m.Ch = 1 << 30 }},
-		{"channel below NoChannel", func(m *message.Message) { m.Ch = -7 }},
-		{"sender not a neighbor", func(m *message.Message) { m.From = 0 }},
-		{"sender is the cell itself", func(m *message.Message) { m.From = cell }},
-		{"sender id negative", func(m *message.Message) { m.From = -3 }},
-		{"Use wider than the spectrum", func(m *message.Message) { m.Use = wide }},
-		{"Use member outside the spectrum", func(m *message.Message) { m.Use = stray }},
-	}
-	kinds := []message.Message{
-		{Kind: message.Request, Req: message.ReqUpdate, Ch: 12},
-		{Kind: message.Request, Req: message.ReqSearch, Ch: chanset.NoChannel},
-		{Kind: message.Response, Res: message.ResGrant, Ch: 12},
-		{Kind: message.Response, Res: message.ResSearch, Ch: chanset.NoChannel},
-		{Kind: message.Response, Res: message.ResStatus, Ch: chanset.NoChannel},
-		{Kind: message.ChangeMode, Mode: message.ModeBorrowing},
-		{Kind: message.Acquisition, Acq: message.AcqNonSearch, Ch: 12},
-		{Kind: message.Acquisition, Acq: message.AcqSearch, Ch: chanset.NoChannel},
-		{Kind: message.Release, Ch: 12},
-	}
 	seen := map[message.Kind]bool{}
 	var want uint64
-	for _, base := range kinds {
-		seen[base.Kind] = true
-		for _, shape := range shapes {
-			m := base
-			m.From, m.To = nbr, cell
-			m.TS = lamport.Stamp{Time: 1 << 40, Node: int32(nbr)} // would jump the clock if witnessed
-			shape.mutate(&m)
-			slab, grants, clock, mode, waiting := slices.Clone(a.slab), slices.Clone(a.grants), a.clock, a.mode, a.waiting
-			a.Handle(m)
-			want++
-			name := base.Kind.String() + "/" + shape.name
-			if sent := env.take(); len(sent) != 0 {
-				t.Errorf("%s: answered with %v", name, sent)
-			}
-			if !slices.Equal(slab, a.slab) || !slices.Equal(grants, a.grants) || clock != a.clock || mode != a.mode || waiting != a.waiting {
-				t.Errorf("%s: station state changed", name)
-			}
-			if a.counters.BadMessages != want {
-				t.Errorf("%s: BadMessages = %d, want %d", name, a.counters.BadMessages, want)
-			}
+	for _, frame := range malformedFrames(channels, cell, nbr) {
+		m := frame.m
+		seen[m.Kind] = true
+		slab, u, grants, clock, mode, waiting := slices.Clone(a.slab), slices.Clone(a.blk.u), slices.Clone(a.ledger()), a.clock, a.mode, a.waiting
+		a.Handle(m)
+		want++
+		if sent := env.take(); len(sent) != 0 {
+			t.Errorf("%s: answered with %v", frame.name, sent)
+		}
+		if !slices.Equal(slab, a.slab) || !slices.Equal(u, a.blk.u) || !slices.Equal(grants, a.ledger()) || clock != a.clock || mode != a.mode || waiting != a.waiting {
+			t.Errorf("%s: station state changed", frame.name)
+		}
+		if a.counters.BadMessages != want {
+			t.Errorf("%s: BadMessages = %d, want %d", frame.name, a.counters.BadMessages, want)
 		}
 	}
 	if len(seen) != 5 {
@@ -132,9 +98,64 @@ func TestMalformedMessagesAreCountedDrops(t *testing.T) {
 	if a.counters.BadMessages != want {
 		t.Errorf("well-formed edge cases were counted as bad: %d, want %d", a.counters.BadMessages, want)
 	}
-	if !a.view(a.uSet(3)).Contains(7) {
+	if !a.uOf(3).Contains(7) {
 		t.Error("a narrower Use snapshot was not applied")
 	}
+}
+
+// malformedFrame is one row of the malformed-message table.
+type malformedFrame struct {
+	name string
+	m    message.Message
+}
+
+// malformedFrames is every malformed shape applied to each of the five
+// message kinds, as sent by nbr to cell on a spectrum of channels (< 128):
+// the table TestMalformedMessagesAreCountedDrops checks and the seed
+// corpus of FuzzStationDropsMalformed.
+func malformedFrames(channels int, cell, nbr hexgrid.CellID) []malformedFrame {
+	wide := chanset.NewSet(3 * 64) // three words on a two-word spectrum
+	wide.Add(5)
+	stray := chanset.NewSet(channels) // two words, one member past the spectrum
+	stray.Add(100)
+	shapes := []struct {
+		name   string
+		mutate func(*message.Message)
+	}{
+		{"channel past the spectrum", func(m *message.Message) { m.Ch = 99 }},
+		{"channel far past the slab", func(m *message.Message) { m.Ch = 1 << 30 }},
+		{"channel below NoChannel", func(m *message.Message) { m.Ch = -7 }},
+		{"sender not a neighbor", func(m *message.Message) { m.From = 0 }},
+		{"sender is the cell itself", func(m *message.Message) { m.From = cell }},
+		{"sender id negative", func(m *message.Message) { m.From = -3 }},
+		{"Use wider than the spectrum", func(m *message.Message) { m.Use = wide }},
+		{"Use member outside the spectrum", func(m *message.Message) { m.Use = stray }},
+	}
+	kinds := []struct {
+		name string
+		m    message.Message
+	}{
+		{"update request", message.Message{Kind: message.Request, Req: message.ReqUpdate, Ch: 12}},
+		{"search request", message.Message{Kind: message.Request, Req: message.ReqSearch, Ch: chanset.NoChannel}},
+		{"grant", message.Message{Kind: message.Response, Res: message.ResGrant, Ch: 12}},
+		{"search response", message.Message{Kind: message.Response, Res: message.ResSearch, Ch: chanset.NoChannel}},
+		{"status response", message.Message{Kind: message.Response, Res: message.ResStatus, Ch: chanset.NoChannel}},
+		{"change mode", message.Message{Kind: message.ChangeMode, Mode: message.ModeBorrowing}},
+		{"acquisition", message.Message{Kind: message.Acquisition, Acq: message.AcqNonSearch, Ch: 12}},
+		{"search acquisition", message.Message{Kind: message.Acquisition, Acq: message.AcqSearch, Ch: chanset.NoChannel}},
+		{"release", message.Message{Kind: message.Release, Ch: 12}},
+	}
+	var out []malformedFrame
+	for _, base := range kinds {
+		for _, shape := range shapes {
+			m := base.m
+			m.From, m.To = nbr, cell
+			m.TS = lamport.Stamp{Time: 1 << 40, Node: int32(nbr)} // would jump the clock if witnessed
+			shape.mutate(&m)
+			out = append(out, malformedFrame{base.name + ", " + shape.name, m})
+		}
+	}
+	return out
 }
 
 // TestMalformedUseCannotReachLedger: the grant ledger is resolved by the
@@ -147,7 +168,7 @@ func TestMalformedMessagesAreCountedDrops(t *testing.T) {
 func TestMalformedUseCannotReachLedger(t *testing.T) {
 	a, env, _ := stationAt(t, hexgrid.Config{Shape: hexgrid.Rect, Width: 9, Height: 9, ReuseDistance: 2}, 70, 40)
 	k := 3
-	nbr := a.neighbors[k]
+	nbr := a.neighbors()[k]
 	a.Handle(message.Message{Kind: message.Request, Req: message.ReqUpdate, From: nbr, To: 40, Ch: 34,
 		TS: lamport.Stamp{Time: 3, Node: int32(nbr)}})
 	env.take()
@@ -163,8 +184,8 @@ func TestMalformedUseCannotReachLedger(t *testing.T) {
 	for _, res := range []message.ResType{message.ResStatus, message.ResSearch} {
 		for name, use := range map[string]chanset.Set{"wider than the spectrum": wide, "member outside the spectrum": stray} {
 			a.Handle(message.Message{Kind: message.Response, Res: res, From: nbr, To: 40, Ch: chanset.NoChannel, Use: use})
-			if a.granted(k, 34) < 0 || len(a.grants) != 1 || !a.view(setInter).Contains(34) || !a.view(a.uSet(k)).Contains(34) {
-				t.Fatalf("a Use %s resolved the pending grant: ledger %v, I_i %v", name, a.grants, a.view(setInter))
+			if a.granted(k, 34) < 0 || len(a.ledger()) != 1 || !a.view(setInter).Contains(34) || !a.uOf(k).Contains(34) {
+				t.Fatalf("a Use %s resolved the pending grant: ledger %v, I_i %v", name, a.ledger(), a.view(setInter))
 			}
 		}
 	}
@@ -172,7 +193,7 @@ func TestMalformedUseCannotReachLedger(t *testing.T) {
 		t.Fatalf("BadMessages = %d, want 4", a.counters.BadMessages)
 	}
 	a.Handle(message.Message{Kind: message.Response, Res: message.ResStatus, From: nbr, To: 40, Ch: chanset.NoChannel, Use: chanset.SetOf(34)})
-	if len(a.grants) != 0 || !a.view(a.uSet(k)).Contains(34) {
-		t.Fatalf("a well-formed snapshot showing the channel left ledger %v, U_j %v", a.grants, a.view(a.uSet(k)))
+	if len(a.ledger()) != 0 || !a.uOf(k).Contains(34) {
+		t.Fatalf("a well-formed snapshot showing the channel left ledger %v, U_j %v", a.ledger(), a.uOf(k))
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/alloc"
 	"repro/internal/chanset"
@@ -22,7 +23,7 @@ import (
 //	phaseGrants  — mode 2: REQUEST(update, r) sent, collecting
 //	               grant/reject from every IN_i member.
 //	phaseSearch  — mode 3: REQUEST(search) sent, collecting Use sets.
-type phase int
+type phase uint8
 
 const (
 	phaseQuiesce phase = iota
@@ -42,9 +43,8 @@ type request struct {
 	// this is what makes old requests win deferral races and
 	// guarantees progress (Theorem 2).
 	ts       lamport.Stamp
-	ph       phase
 	ch       chanset.Channel // candidate channel in phaseGrants
-	granted  []hexgrid.CellID
+	ph       phase
 	rejected bool
 }
 
@@ -57,15 +57,11 @@ const (
 
 // startRequest is the Serial's start hook: a fresh request begins. The
 // FSM state lives in a.reqBuf — one request is in flight per station at
-// a time, so the struct (and its granted slice) is recycled instead of
-// allocated per request.
+// a time, so the struct is recycled instead of allocated per request.
 func (a *Adaptive) startRequest(id alloc.RequestID) {
 	a.env.Began(id)
 	r := &a.reqBuf
-	*r = request{
-		id: id, ts: a.clock.Tick(), ch: chanset.NoChannel,
-		granted: r.granted[:0],
-	}
+	*r = request{id: id, ts: a.clock.Tick(), ch: chanset.NoChannel}
 	a.req = r
 	a.dispatch()
 }
@@ -122,9 +118,9 @@ func (a *Adaptive) forceBorrow() {
 // stallEvent instruments one quiescence stall (a request parked in
 // phaseQuiesce behind waiting_i > 0).
 func (a *Adaptive) stallEvent() {
-	a.obs.QuiesceStalls.Inc()
-	if a.obs.Journal != nil {
-		a.obs.Journal.Emit(int64(a.env.Now()), "stall", int(a.cell),
+	a.factory.obs.QuiesceStalls.Inc()
+	if a.factory.obs.Journal != nil {
+		a.factory.obs.Journal.Emit(int64(a.env.Now()), "stall", int(a.cell),
 			obs.FI("waiting", int64(a.waiting)), obs.FI("req", int64(a.req.id)))
 	}
 }
@@ -159,16 +155,16 @@ func (a *Adaptive) dispatchBorrow() {
 		// and ask the whole interference region for permission.
 		a.mode = ModeBorrowUpdate
 		a.counters.UpdateAttempts++
-		a.obs.BorrowAttempts.Inc()
-		if a.obs.Journal != nil {
-			a.obs.Journal.Emit(int64(a.env.Now()), "borrow", int(a.cell),
+		a.factory.obs.BorrowAttempts.Inc()
+		if a.factory.obs.Journal != nil {
+			a.factory.obs.Journal.Emit(int64(a.env.Now()), "borrow", int(a.cell),
 				obs.FI("lender", int64(j)), obs.FI("ch", int64(ch)),
 				obs.FI("round", int64(a.rounds)))
 		}
 		r.ph = phaseGrants
 		r.ch = ch
 		a.awaitAll()
-		r.granted = r.granted[:0]
+		a.blk.grantors = a.blk.grantors[:0] // best() warmed the station
 		r.rejected = false
 		alloc.Broadcast(a.env, message.Message{
 			Kind: message.Request, From: a.cell, Req: message.ReqUpdate, Ch: ch, TS: r.ts,
@@ -182,9 +178,9 @@ func (a *Adaptive) dispatchBorrow() {
 	// timestamp order sequentializes concurrent requests, so a free
 	// channel is found whenever one exists.
 	a.mode = ModeBorrowSearch
-	a.obs.BorrowSearches.Inc()
-	if a.obs.Journal != nil {
-		a.obs.Journal.Emit(int64(a.env.Now()), "search", int(a.cell),
+	a.factory.obs.BorrowSearches.Inc()
+	if a.factory.obs.Journal != nil {
+		a.factory.obs.Journal.Emit(int64(a.env.Now()), "search", int(a.cell),
 			obs.FI("round", int64(a.rounds)))
 	}
 	r.ph = phaseSearch
@@ -207,13 +203,13 @@ func (a *Adaptive) completeGrants() {
 	}
 	// Failed: release the permissions we did get, then retry (the
 	// granters added ch to their interference sets when granting).
-	a.obs.BorrowRejected.Inc()
-	if a.obs.Journal != nil {
-		a.obs.Journal.Emit(int64(a.env.Now()), "borrow_rejected", int(a.cell),
+	a.factory.obs.BorrowRejected.Inc()
+	if a.factory.obs.Journal != nil {
+		a.factory.obs.Journal.Emit(int64(a.env.Now()), "borrow_rejected", int(a.cell),
 			obs.FI("ch", int64(r.ch)), obs.FI("round", int64(a.rounds)))
 	}
 	a.mode = ModeBorrow
-	for _, g := range r.granted {
+	for _, g := range a.blk.grantors {
 		a.env.Send(message.Message{
 			Kind: message.Release, From: a.cell, To: g, Ch: r.ch, TS: r.ts,
 		})
@@ -234,9 +230,9 @@ func (a *Adaptive) completeSearch() {
 	// neighbors decrement their waiting counters (DESIGN.md D6).
 	a.acquire(chanset.NoChannel)
 	a.counters.Drops++
-	a.obs.Denies.Inc()
-	if a.obs.Journal != nil {
-		a.obs.Journal.Emit(int64(a.env.Now()), "deny", int(a.cell),
+	a.factory.obs.Denies.Inc()
+	if a.factory.obs.Journal != nil {
+		a.factory.obs.Journal.Emit(int64(a.env.Now()), "deny", int(a.cell),
 			obs.FI("req", int64(r.id)))
 	}
 	id := r.id
@@ -254,19 +250,19 @@ func (a *Adaptive) finishGrant(ch chanset.Channel, path int) {
 	switch path {
 	case pathLocal:
 		a.counters.GrantsLocal++
-		a.obs.GrantsLocal.Inc()
+		a.factory.obs.GrantsLocal.Inc()
 		pathName = "local"
 	case pathUpdate:
 		a.counters.GrantsUpdate++
-		a.obs.GrantsUpdate.Inc()
+		a.factory.obs.GrantsUpdate.Inc()
 		pathName = "update"
 	case pathSearch:
 		a.counters.GrantsSearch++
-		a.obs.GrantsSearch.Inc()
+		a.factory.obs.GrantsSearch.Inc()
 		pathName = "search"
 	}
-	if a.obs.Journal != nil {
-		a.obs.Journal.Emit(int64(a.env.Now()), "grant", int(a.cell),
+	if a.factory.obs.Journal != nil {
+		a.factory.obs.Journal.Emit(int64(a.env.Now()), "grant", int(a.cell),
 			obs.FS("path", pathName), obs.FI("ch", int64(ch)),
 			obs.FI("req", int64(r.id)))
 	}
@@ -301,13 +297,16 @@ func (a *Adaptive) acquire(ch chanset.Channel) {
 	// then close the gap. Nothing appends meanwhile on the DES — env.Send
 	// only schedules future deliveries, so no handler runs mid-drain —
 	// and an entry that did would sit past n and move to the front.
-	n := len(a.deferQ)
+	n := 0
+	if a.blk != nil {
+		n = len(a.blk.deferQ)
+	}
 	if n > 0 {
-		a.obs.DeferQueueDepth.Add(-float64(n))
+		a.factory.obs.DeferQueueDepth.Add(-float64(n))
 	}
 	for i := 0; i < n; i++ {
-		d := a.deferQ[i]
-		from := a.neighbors[d.k]
+		d := a.blk.deferQ[i]
+		from := a.neighbors()[d.k]
 		if d.search {
 			a.waiting++
 			a.env.Send(message.Message{
@@ -330,7 +329,9 @@ func (a *Adaptive) acquire(ch chanset.Channel) {
 			a.addU(int(d.k), d.ch)
 		}
 	}
-	a.deferQ = a.deferQ[:copy(a.deferQ, a.deferQ[n:])]
+	if n > 0 {
+		a.blk.deferQ = slices.Delete(a.blk.deferQ, 0, n)
+	}
 	if a.mode == ModeLocal {
 		a.checkMode()
 	}
@@ -345,9 +346,9 @@ func (a *Adaptive) acquire(ch chanset.Channel) {
 func (a *Adaptive) Release(ch chanset.Channel) error {
 	if !a.inSpectrum(ch) || !a.has(setUse, ch) {
 		a.counters.BadReleases++
-		a.obs.BadReleases.Inc()
-		if a.obs.Journal != nil {
-			a.obs.Journal.Emit(int64(a.env.Now()), "bad_release", int(a.cell),
+		a.factory.obs.BadReleases.Inc()
+		if a.factory.obs.Journal != nil {
+			a.factory.obs.Journal.Emit(int64(a.env.Now()), "bad_release", int(a.cell),
 				obs.FI("ch", int64(ch)))
 		}
 		return fmt.Errorf("core: cell %d releasing channel %d it does not hold", a.cell, ch)
@@ -356,8 +357,8 @@ func (a *Adaptive) Release(ch chanset.Channel) error {
 	// a borrowed call onto it and releasing the borrowed channel back
 	// to the region instead (strictly better for neighbors: a primary
 	// only we can use stays busy, a sharable channel frees up).
-	if a.factory.params.Repack && a.pr.Contains(ch) {
-		borrowed := chanset.Subtract(a.view(setUse), a.pr)
+	if a.factory.params.Repack && a.primary().Contains(ch) {
+		borrowed := chanset.Subtract(a.view(setUse), a.primary())
 		if b := borrowed.First(); b.Valid() {
 			a.remove(setUse, b)
 			a.env.Moved(b, ch) // ch stays in use, now carrying b's call
@@ -367,7 +368,7 @@ func (a *Adaptive) Release(ch chanset.Channel) error {
 		}
 	}
 	a.remove(setUse, ch)
-	if a.mode == ModeLocal && a.pr.Contains(ch) {
+	if a.mode == ModeLocal && a.primary().Contains(ch) {
 		// A primary release matters only to borrowing neighbors.
 		a.sendUpdateS(message.Message{Kind: message.Release, Ch: ch})
 	} else {
@@ -417,7 +418,7 @@ func (a *Adaptive) Handle(m message.Message) {
 
 // inSpectrum reports whether ch is a channel of the spectrum.
 func (a *Adaptive) inSpectrum(ch chanset.Channel) bool {
-	return uint32(ch) < uint32(a.nch)
+	return uint32(ch) < uint32(a.factory.assign.NumChannels)
 }
 
 // fitsSpectrum reports whether a received Use set has at most the
@@ -440,9 +441,9 @@ func (a *Adaptive) fitsSpectrum(use chanset.Set) bool {
 // Lamport clock included — untouched.
 func (a *Adaptive) badMessage(m message.Message) {
 	a.counters.BadMessages++
-	a.obs.BadMessages.Inc()
-	if a.obs.Journal != nil {
-		a.obs.Journal.Emit(int64(a.env.Now()), "bad_message", int(a.cell),
+	a.factory.obs.BadMessages.Inc()
+	if a.factory.obs.Journal != nil {
+		a.factory.obs.Journal.Emit(int64(a.env.Now()), "bad_message", int(a.cell),
 			obs.FS("kind", m.Kind.String()), obs.FI("from", int64(m.From)),
 			obs.FI("ch", int64(m.Ch)), obs.FI("use_words", int64(len(m.Use.Words()))))
 	}
@@ -508,18 +509,19 @@ func (a *Adaptive) onRequest(m message.Message, k int) {
 // (total deferrals plus the live aggregate queue-depth gauge; the drain
 // in acquire decrements the gauge).
 func (a *Adaptive) deferPush(d deferred) {
-	a.deferQ = append(a.deferQ, d)
+	b := a.block()
+	b.deferQ = append(b.deferQ, d)
 	a.counters.Deferred++
-	a.obs.DeferredTotal.Inc()
-	a.obs.DeferQueueDepth.Add(1)
-	if a.obs.Journal != nil {
+	a.factory.obs.DeferredTotal.Inc()
+	a.factory.obs.DeferQueueDepth.Add(1)
+	if a.factory.obs.Journal != nil {
 		kind := "update"
 		if d.search {
 			kind = "search"
 		}
-		a.obs.Journal.Emit(int64(a.env.Now()), "defer", int(a.cell),
-			obs.FS("req_kind", kind), obs.FI("from", int64(a.neighbors[d.k])),
-			obs.FI("depth", int64(len(a.deferQ))))
+		a.factory.obs.Journal.Emit(int64(a.env.Now()), "defer", int(a.cell),
+			obs.FS("req_kind", kind), obs.FI("from", int64(a.neighbors()[d.k])),
+			obs.FI("depth", int64(len(b.deferQ))))
 	}
 }
 
@@ -569,7 +571,7 @@ func (a *Adaptive) onResponse(m message.Message, k int) {
 		}
 		a.awaitClear(k)
 		if m.Res == message.ResGrant {
-			r.granted = append(r.granted, m.From)
+			a.blk.grantors = append(a.blk.grantors, m.From)
 		} else {
 			r.rejected = true
 		}
@@ -648,15 +650,18 @@ type lenderScratch struct {
 // paper's Figure 10 Best(): fewest borrowing neighbors in common with
 // us, ties broken on cell id. Candidate storage comes from the factory's
 // pool and goes back before best returns, so the borrow path stays
-// allocation-free and no cell carries the scratch.
+// allocation-free and no cell carries the scratch. The first scan warms
+// the station.
 func (a *Adaptive) best() hexgrid.CellID {
+	b := a.block()
 	freeSet := a.freeAnywhere()
 	if freeSet.Empty() {
 		return hexgrid.None
 	}
 	free := freeSet.Words()
-	n, w := len(a.neighbors), int(a.w)
-	if a.nbrMasks == nil && n <= 64 {
+	nbrs, w := a.neighbors(), int(a.w)
+	n := len(nbrs)
+	if b.masks == nil && n <= 64 {
 		a.buildNbrMasks()
 	}
 	sc := a.factory.scratch.Get().(*lenderScratch)
@@ -669,7 +674,7 @@ func (a *Adaptive) best() hexgrid.CellID {
 	}
 	cands := sc.cands[:0]
 	updateS := a.mask(maskUpdateS)
-	for ji, j := range a.neighbors {
+	for ji, j := range nbrs {
 		if a.inMask(maskUpdateS, ji) {
 			continue // NotBorrowing = IN_i − UpdateS_i
 		}
@@ -689,8 +694,8 @@ func (a *Adaptive) best() hexgrid.CellID {
 			continue // nothing to borrow from j
 		}
 		var bn int // |UpdateS_i ∩ IN_j|
-		if a.nbrMasks != nil {
-			bn = bits.OnesCount64(updateS[0] & a.nbrMasks[ji])
+		if b.masks != nil {
+			bn = bits.OnesCount64(updateS[0] & b.masks[ji])
 		} else {
 			for _, k := range a.factory.grid.Interference(j) {
 				if idx := a.nbrIdx(k); idx >= 0 && a.inMask(maskUpdateS, idx) {
@@ -723,9 +728,10 @@ func (a *Adaptive) best() hexgrid.CellID {
 // vector on the stack that is then interned in the factory.
 func (a *Adaptive) buildNbrMasks() {
 	var masks [64]uint64
-	for ji, j := range a.neighbors {
+	nbrs := a.neighbors()
+	for ji, j := range nbrs {
 		in, i := a.factory.grid.Interference(j), 0
-		for idx, nb := range a.neighbors {
+		for idx, nb := range nbrs {
 			for i < len(in) && in[i] < nb {
 				i++
 			}
@@ -746,7 +752,7 @@ func (a *Adaptive) buildNbrMasks() {
 		*shared = masks
 		f.masks[masks] = shared
 	}
-	a.nbrMasks = shared[:len(a.neighbors)]
+	a.block().masks = shared
 }
 
 // pickBorrow selects the channel to borrow from lender j: the lowest
@@ -761,7 +767,7 @@ func (a *Adaptive) pickBorrow(j hexgrid.CellID) chanset.Channel {
 // is shared across phases: only one request phase is collecting
 // responses at any moment.
 func (a *Adaptive) awaitAll() {
-	n := len(a.neighbors)
+	n := len(a.neighbors())
 	aw := a.mask(maskAwait)
 	for i := range aw {
 		aw[i] = ^uint64(0)

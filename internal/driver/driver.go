@@ -877,6 +877,24 @@ func (p *Parallel) Stats() Stats {
 	return st
 }
 
+// Warmer is an allocator that allocates its per-cell borrowing storage
+// on first use (core.Adaptive): Warm reports whether it has.
+type Warmer interface{ Warm() bool }
+
+// WarmStations counts the cells whose allocator holds its borrowing
+// storage (see Warmer), as of the call. It is not a Stats field: Stats is
+// the run's outcome, identical however the storage is laid out. Only
+// safe while the kernel is parked.
+func (p *Parallel) WarmStations() int {
+	n := 0
+	for _, a := range p.allocs {
+		if w, ok := a.(Warmer); ok && w.Warm() {
+			n++
+		}
+	}
+	return n
+}
+
 // ModeOccupancy returns the fraction of cells currently in each mode
 // 0..3 (adaptive scheme introspection; other schemes report mode 0).
 // Only safe while the kernel is parked.

@@ -93,6 +93,51 @@ func TestStatsAggregation(t *testing.T) {
 	if st.Counters.GrantsLocal != uint64(prim) {
 		t.Fatalf("counters: %+v", st.Counters)
 	}
+	if n := s.WarmStations(); n != 0 {
+		t.Fatalf("%d fixed-allocation stations counted warm", n)
+	}
+}
+
+// TestWarmStationsCensus: WarmStations counts the adaptive stations
+// holding a borrowing block at read time. Local grants warm none; one cell
+// borrowing past its primaries warms itself and the neighbors it asked,
+// not the grid, and the serial and the sharded kernel agree.
+func TestWarmStationsCensus(t *testing.T) {
+	g := hexgrid.MustNew(hexgrid.Config{Shape: hexgrid.Rect, Width: 12, Height: 12, ReuseDistance: 2, Wrap: true})
+	assign := chanset.MustAssign(g, 35)
+	cell := g.InteriorCell()
+	census := func(s *driver.Sim) (local, borrowed int) {
+		t.Helper()
+		for _, c := range []hexgrid.CellID{0, cell} {
+			s.Request(c, nil)
+		}
+		s.Drain(1_000_000)
+		local = s.WarmStations()
+		for i := 0; i < assign.Primary[cell].Len(); i++ {
+			s.Request(cell, nil)
+		}
+		s.Drain(1_000_000)
+		return local, s.WarmStations()
+	}
+	f, err := registry.Build("adaptive", g, assign, registry.Config{Latency: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, borrowed := census(driver.New(g, assign, f, driver.Options{Seed: 5, Check: true}))
+	if local != 0 || borrowed <= len(g.Interference(cell)) || borrowed == g.NumCells() {
+		t.Fatalf("warm stations: %d after local grants, %d after one cell borrowed (%d neighbors, %d cells)", local, borrowed, len(g.Interference(cell)), g.NumCells())
+	}
+	f, err = registry.Build("adaptive", g, assign, registry.Config{Latency: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := driver.NewParallel(g, assign, f, driver.ParallelOptions{Seed: 5, Check: true, Shards: 4, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l, b := census(p); l != local || b != borrowed {
+		t.Fatalf("4 shards count %d and %d warm, the serial kernel %d and %d", l, b, local, borrowed)
+	}
 }
 
 func TestEmptyStatsSafe(t *testing.T) {
