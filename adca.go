@@ -29,89 +29,35 @@ import (
 	"io"
 
 	"repro/internal/chanset"
-	"repro/internal/core"
 	"repro/internal/driver"
 	"repro/internal/hexgrid"
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/registry"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/traffic"
 )
 
 // Scenario configures a Network. The zero value of each field selects a
 // sensible default (a wrapped 7x7 reuse-2 grid, 70 channels, T = 10
-// ticks, the adaptive scheme).
-type Scenario struct {
-	// Scheme selects the allocation algorithm; see Schemes().
-	Scheme string
-	// GridWidth and GridHeight size the hexagonal cell array.
-	GridWidth, GridHeight int
-	// ReuseDistance is the co-channel interference radius in cells.
-	ReuseDistance int
-	// Wrap connects the grid toroidally, removing boundary effects.
-	Wrap bool
-	// Channels is the number of radio channels in the spectrum.
-	Channels int
-	// LatencyTicks is the one-way control-message delay T.
-	LatencyTicks int64
-	// JitterTicks adds uniform extra delay in [0, Jitter] per message.
-	JitterTicks int64
-	// Seed drives all randomness.
-	Seed uint64
-	// CheckInterference enables the Theorem-1 invariant checker on
-	// every grant (panics on violation).
-	CheckInterference bool
-	// Adaptive overrides the adaptive scheme's tuning (nil: defaults).
-	Adaptive *AdaptiveParams
-	// Predictor selects the adaptive scheme's NFC predictor by name
-	// (nil: the paper's "linear" predictor). See Predictors().
-	Predictor *PolicySpec
-	// Lender selects the adaptive scheme's lender-selection strategy by
-	// name (nil: the paper's "best"). See LenderStrategies().
-	Lender *PolicySpec
-	// MaxRounds caps the retries of the update-based baselines.
-	MaxRounds int
-	// Obs, when non-nil, enables observability: labeled metrics (and
-	// optionally a Prometheus endpoint and a JSONL event journal).
-	Obs *ObsConfig
-}
+// ticks, the adaptive scheme). It is the one scenario description,
+// shared with scenario files and chansim's flags.
+type Scenario = scenario.Scenario
 
 // ObsConfig enables the observability layer of a Network. The zero
 // value collects metrics in memory only (read them with
-// Network.Metrics or Network.WriteMetrics).
-type ObsConfig struct {
-	// MetricsAddr, when non-empty, serves the Prometheus text
-	// exposition format over HTTP at this address (e.g. ":9090"; use
-	// ":0" for an ephemeral port and read it back with MetricsAddr).
-	MetricsAddr string
-	// Journal, when non-nil, receives one JSON object per protocol and
-	// lifecycle event (JSONL). The writer stays owned by the caller;
-	// Network.Close flushes it but does not close it.
-	Journal io.Writer
-}
+// Network.Metrics or Network.WriteMetrics); Network.Close flushes its
+// Journal but does not close it.
+type ObsConfig = scenario.ObsConfig
 
 // AdaptiveParams are the paper's tuning knobs (θ_l, θ_h, α, W).
-type AdaptiveParams struct {
-	ThetaLow, ThetaHigh float64
-	Alpha               int
-	WindowTicks         int64
-}
+type AdaptiveParams = scenario.AdaptiveParams
 
 // PolicySpec selects a registered adaptive policy (an NFC predictor or
 // a lender-selection strategy) by name, with optional parameters, e.g.
 // {Name: "ewma", Params: map[string]float64{"alpha": 0.2}}.
-type PolicySpec struct {
-	Name   string
-	Params map[string]float64
-}
-
-func (p *PolicySpec) spec() policy.Spec {
-	if p == nil {
-		return policy.Spec{}
-	}
-	return policy.Spec{Name: p.Name, Params: p.Params}
-}
+type PolicySpec = scenario.PolicySpec
 
 // Predictors lists the registered NFC predictor names.
 func Predictors() []string { return policy.Predictors() }
@@ -144,121 +90,10 @@ func Schemes() []string { return registry.Names() }
 
 // Network is a running simulated cellular network.
 type Network struct {
-	sim    *driver.Sim
-	scheme string
-	nextID RequestID
-
-	reg     *obs.Registry
-	journal *obs.Journal
+	sim     *driver.Sim
+	parts   *scenario.Parts
+	nextID  RequestID
 	metrics *obs.Server
-}
-
-// validate rejects nonsense field values with descriptive errors before
-// they can surface as panics deep inside grid, histogram or predictor
-// construction. Zero values are fine (they select defaults); negatives
-// and inverted parameter bands are not.
-func (sc Scenario) validate() error {
-	switch {
-	case sc.GridWidth < 0:
-		return fmt.Errorf("adca: GridWidth must be >= 0, got %d", sc.GridWidth)
-	case sc.GridHeight < 0:
-		return fmt.Errorf("adca: GridHeight must be >= 0, got %d", sc.GridHeight)
-	case sc.ReuseDistance < 0:
-		return fmt.Errorf("adca: ReuseDistance must be >= 0, got %d", sc.ReuseDistance)
-	case sc.Channels < 0:
-		return fmt.Errorf("adca: Channels must be >= 0, got %d", sc.Channels)
-	case sc.LatencyTicks < 0:
-		return fmt.Errorf("adca: LatencyTicks must be >= 0, got %d", sc.LatencyTicks)
-	case sc.JitterTicks < 0:
-		return fmt.Errorf("adca: JitterTicks must be >= 0, got %d", sc.JitterTicks)
-	case sc.MaxRounds < 0:
-		return fmt.Errorf("adca: MaxRounds must be >= 0, got %d", sc.MaxRounds)
-	}
-	if p := sc.Adaptive; p != nil {
-		switch {
-		case p.ThetaLow <= 0:
-			return fmt.Errorf("adca: Adaptive.ThetaLow must be > 0, got %v", p.ThetaLow)
-		case p.ThetaHigh <= p.ThetaLow:
-			return fmt.Errorf("adca: Adaptive.ThetaHigh (%v) must exceed ThetaLow (%v)",
-				p.ThetaHigh, p.ThetaLow)
-		case p.Alpha < 0:
-			return fmt.Errorf("adca: Adaptive.Alpha must be >= 0, got %d", p.Alpha)
-		case p.WindowTicks <= 0:
-			return fmt.Errorf("adca: Adaptive.WindowTicks must be > 0, got %d", p.WindowTicks)
-		}
-	}
-	return nil
-}
-
-// buildParts applies the scenario defaults and constructs the pieces a
-// driver is wired from: grid, primary plan and the scheme registry
-// config. It returns the defaulted scenario so callers
-// read back effective values (latency, scheme).
-func buildParts(sc Scenario) (*hexgrid.Grid, *chanset.Assignment, registry.Config, Scenario, error) {
-	if err := sc.validate(); err != nil {
-		return nil, nil, registry.Config{}, sc, err
-	}
-	if sc.Scheme == "" {
-		sc.Scheme = "adaptive"
-	}
-	if sc.GridWidth == 0 {
-		sc.GridWidth = 7
-	}
-	if sc.GridHeight == 0 {
-		sc.GridHeight = sc.GridWidth
-	}
-	if sc.ReuseDistance == 0 {
-		sc.ReuseDistance = 2
-	}
-	if sc.Channels == 0 {
-		sc.Channels = 70
-	}
-	if sc.LatencyTicks == 0 {
-		sc.LatencyTicks = 10
-	}
-	// Refuse a grid the event kernel cannot address before building it.
-	if err := sim.CheckOrigins(sc.GridWidth * sc.GridHeight); err != nil {
-		return nil, nil, registry.Config{}, sc, fmt.Errorf("adca: grid %dx%d: %w", sc.GridWidth, sc.GridHeight, err)
-	}
-	grid, err := hexgrid.New(hexgrid.Config{
-		Shape: hexgrid.Rect,
-		Width: sc.GridWidth, Height: sc.GridHeight,
-		ReuseDistance: sc.ReuseDistance,
-		Wrap:          sc.Wrap,
-	})
-	if err != nil {
-		return nil, nil, registry.Config{}, sc, fmt.Errorf("adca: %w", err)
-	}
-	assign, err := chanset.Assign(grid, sc.Channels)
-	if err != nil {
-		return nil, nil, registry.Config{}, sc, fmt.Errorf("adca: %w", err)
-	}
-	cfg := registry.Config{Latency: sim.Time(sc.LatencyTicks), MaxRounds: sc.MaxRounds}
-	if sc.Adaptive != nil {
-		cfg.Adaptive = core.Params{
-			ThetaLow:  sc.Adaptive.ThetaLow,
-			ThetaHigh: sc.Adaptive.ThetaHigh,
-			Alpha:     sc.Adaptive.Alpha,
-			Window:    sim.Time(sc.Adaptive.WindowTicks),
-		}
-	}
-	// Policy selection rides alongside the scalar tuning; registry.Build
-	// keeps the overrides when it derives default scalars.
-	if sc.Predictor != nil {
-		pb, err := policy.BuildPredictor(sc.Predictor.spec())
-		if err != nil {
-			return nil, nil, registry.Config{}, sc, fmt.Errorf("adca: %w", err)
-		}
-		cfg.Adaptive.Predictor = pb
-	}
-	if sc.Lender != nil {
-		ls, err := policy.BuildStrategy(sc.Lender.spec())
-		if err != nil {
-			return nil, nil, registry.Config{}, sc, fmt.Errorf("adca: %w", err)
-		}
-		cfg.Adaptive.Strategy = ls
-	}
-	return grid, assign, cfg, sc, nil
 }
 
 // New builds a Network from the scenario on the serial event kernel.
@@ -278,49 +113,19 @@ func NewParallel(sc Scenario, opts ...Option) (*Network, error) {
 	return build(applyOptions(sc, opts), true)
 }
 
-// ParallelNetwork is Network.
-type ParallelNetwork = Network
-
 func build(c runConfig, sharded bool) (*Network, error) {
-	grid, assign, cfg, sc, err := buildParts(c.sc)
-	if err != nil {
-		return nil, err
-	}
-	n := &Network{scheme: sc.Scheme}
-	if sc.Obs != nil {
-		n.reg = obs.New()
-		if sc.Obs.Journal != nil {
-			n.journal = obs.NewJournal(sc.Obs.Journal)
-		}
-		cfg.Obs = obs.NewProtocol(n.reg, n.journal)
-	}
-	factory, err := registry.Build(sc.Scheme, grid, assign, cfg)
+	p, err := scenario.Build(c.sc)
 	if err != nil {
 		return nil, fmt.Errorf("adca: %w", err)
 	}
-	dopts := driver.Options{
-		Latency: sim.Time(sc.LatencyTicks),
-		Jitter:  sim.Time(sc.JitterTicks),
-		Seed:    sc.Seed,
-		Check:   sc.CheckInterference,
-		Obs:     n.reg,
-		Journal: n.journal,
-		Shards:  c.shards,
-		Workers: c.workers,
+	n := &Network{parts: p}
+	if n.sim, err = p.Driver(sharded, c.shards, c.workers); err != nil {
+		return nil, fmt.Errorf("adca: %w", err)
 	}
-	if sharded {
-		if n.sim, err = driver.NewParallel(grid, assign, factory, dopts); err != nil {
-			return nil, fmt.Errorf("adca: %w", err)
-		}
-	} else {
-		n.sim = driver.New(grid, assign, factory, dopts)
-	}
-	if sc.Obs != nil && sc.Obs.MetricsAddr != "" {
-		srv, err := obs.Serve(sc.Obs.MetricsAddr, n.reg)
-		if err != nil {
+	if o := p.Scenario.Obs; o != nil && o.MetricsAddr != "" {
+		if n.metrics, err = obs.Serve(o.MetricsAddr, p.Registry); err != nil {
 			return nil, fmt.Errorf("adca: metrics endpoint: %w", err)
 		}
-		n.metrics = srv
 	}
 	return n, nil
 }
@@ -335,7 +140,7 @@ func MustNew(sc Scenario, opts ...Option) *Network {
 }
 
 // Scheme returns the running scheme's name.
-func (n *Network) Scheme() string { return n.scheme }
+func (n *Network) Scheme() string { return n.parts.Scenario.Scheme }
 
 // NumCells returns the number of cells.
 func (n *Network) NumCells() int { return n.sim.Grid().NumCells() }
@@ -344,14 +149,7 @@ func (n *Network) NumCells() int { return n.sim.Grid().NumCells() }
 func (n *Network) NumChannels() int { return n.sim.Assignment().NumChannels }
 
 // Primaries returns the primary channel ids of cell.
-func (n *Network) Primaries(cell int) []int {
-	pr := n.sim.Assignment().Primary[cell]
-	out := make([]int, 0, pr.Len())
-	for c := pr.First(); c.Valid(); c = pr.Next(c) {
-		out = append(out, int(c))
-	}
-	return out
-}
+func (n *Network) Primaries(cell int) []int { return channels(n.sim.Assignment().Primary[cell]) }
 
 // InterferenceNeighbors returns the cells within the reuse distance of
 // cell.
@@ -370,9 +168,13 @@ func (n *Network) CenterCell() int { return int(n.sim.Grid().InteriorCell()) }
 
 // InUse returns the channels cell is currently using.
 func (n *Network) InUse(cell int) []int {
-	use := n.sim.Allocator(hexgrid.CellID(cell)).InUse()
-	out := make([]int, 0, use.Len())
-	for c := use.First(); c.Valid(); c = use.Next(c) {
+	return channels(n.sim.Allocator(hexgrid.CellID(cell)).InUse())
+}
+
+// channels lists the channel ids of set in ascending order.
+func channels(set chanset.Set) []int {
+	out := make([]int, 0, set.Len())
+	for c := set.First(); c.Valid(); c = set.Next(c) {
 		out = append(out, int(c))
 	}
 	return out
@@ -515,13 +317,7 @@ type TransportStats struct {
 
 // Stats returns the current statistics snapshot.
 func (n *Network) Stats() Stats {
-	st := networkStats(n.sim.Stats())
-	st.WarmStations = n.sim.WarmStations()
-	return st
-}
-
-// networkStats converts a driver snapshot into the public Stats shape.
-func networkStats(st driver.Stats) Stats {
+	st := n.sim.Stats()
 	return Stats{
 		Grants:              st.Grants,
 		Denies:              st.Denies,
@@ -539,6 +335,7 @@ func networkStats(st driver.Stats) Stats {
 		Deferred:            st.Counters.Deferred,
 		BadReleases:         st.Counters.BadReleases,
 		BadMessages:         st.Counters.BadMessages,
+		WarmStations:        n.sim.WarmStations(),
 		Transport: TransportStats{
 			Messages:         st.Messages.Total,
 			WireBytes:        st.Messages.Bytes,
@@ -567,11 +364,11 @@ func (n *Network) KernelFootprint() KernelFootprint { return n.sim.Footprint() }
 // Metrics snapshots every registered metric as exposition-style keys
 // (e.g. `adca_grants_total{path="local"}`). Nil when the scenario did
 // not enable Obs.
-func (n *Network) Metrics() map[string]float64 { return n.reg.Snapshot() }
+func (n *Network) Metrics() map[string]float64 { return n.parts.Registry.Snapshot() }
 
 // WriteMetrics renders the metrics in the Prometheus text exposition
 // format. A no-op when Obs was not enabled.
-func (n *Network) WriteMetrics(w io.Writer) error { return n.reg.WritePrometheus(w) }
+func (n *Network) WriteMetrics(w io.Writer) error { return n.parts.Registry.WritePrometheus(w) }
 
 // MetricsAddr returns the bound address of the metrics endpoint, or ""
 // when none is serving (useful with ObsConfig.MetricsAddr ":0").
@@ -589,7 +386,7 @@ func (n *Network) MetricsAddr() string {
 func (n *Network) Close() error {
 	err := n.metrics.Close()
 	n.metrics = nil
-	if ferr := n.journal.Flush(); err == nil {
+	if ferr := n.parts.Journal.Flush(); err == nil {
 		err = ferr
 	}
 	return err
@@ -597,60 +394,15 @@ func (n *Network) Close() error {
 
 // WorkloadPhase is one timed hot spot: the cells within HotRadius of
 // HotCell offer HotErlang load from StartTicks (inclusive) to EndTicks
-// (exclusive). Sequencing several phases across the grid models commute
-// waves and flash crowds.
-type WorkloadPhase struct {
-	HotCell              int
-	HotRadius            int
-	HotErlang            float64
-	StartTicks, EndTicks int64
-}
+// (exclusive).
+type WorkloadPhase = scenario.WorkloadPhase
 
 // DiurnalCycle modulates all arrival rates sinusoidally:
 // 1 + Swing·sin(2π·t/PeriodTicks) — the day/night cycle.
-type DiurnalCycle struct {
-	Swing       float64
-	PeriodTicks int64
-}
+type DiurnalCycle = scenario.DiurnalCycle
 
 // Workload describes Poisson call traffic for RunWorkload.
-type Workload struct {
-	// ErlangPerCell is the offered load per cell (arrival rate times
-	// mean hold).
-	ErlangPerCell float64
-	// HotCell and HotErlang optionally overlay a hot spot; HotRadius
-	// extends it to the cells within that hex distance of HotCell. A
-	// negative HotCell (here and in phases) selects the grid's interior
-	// cell.
-	HotCell   int
-	HotErlang float64
-	HotRadius int
-	// Phases optionally overlay timed hot spots (commute waves, flash
-	// crowds, stadium events).
-	Phases []WorkloadPhase
-	// Diurnal optionally applies a day/night cycle to all rates.
-	Diurnal *DiurnalCycle
-	// MeanHoldTicks is the mean call duration (default 3000).
-	MeanHoldTicks float64
-	// HandoffRate is the per-call mobility rate (events per tick).
-	HandoffRate float64
-	// DurationTicks bounds arrivals; WarmupTicks excludes the initial
-	// transient from statistics.
-	DurationTicks, WarmupTicks int64
-	// Seed drives the workload randomness.
-	Seed uint64
-	// WarmStart seeds every cell's stationary Erlang occupancy as
-	// in-progress calls before tick 0 (O(cells) setup instead of
-	// simulating ≳ one mean hold of ramp-up). Seeded calls are not
-	// counted as offered.
-	WarmStart bool
-	// DrainHorizonTicks, when > 0, truncates the post-duration drain
-	// DurationTicks + DrainHorizonTicks into the run: later events are
-	// discarded and still-held calls force-released in canonical order,
-	// so stats over the measurement window match a full drain at a
-	// fraction of its wall-clock. 0 drains to natural quiescence.
-	DrainHorizonTicks int64
-}
+type Workload = scenario.Workload
 
 // WorkloadStats reports a workload run.
 type WorkloadStats struct {
@@ -660,79 +412,12 @@ type WorkloadStats struct {
 	HandoffDropProbability        float64
 }
 
-// workloadSpec translates the facade Workload (loads in Erlang) into
-// the internal traffic.Spec (rates per tick), building the profile
-// through the shared traffic.BuildProfile so the serial and sharded
-// runners — and the scenario loader — agree on profile semantics.
-func workloadSpec(grid *hexgrid.Grid, w Workload) (traffic.Spec, error) {
-	if w.MeanHoldTicks == 0 {
-		w.MeanHoldTicks = 3000
-	}
-	if w.DurationTicks == 0 {
-		w.DurationTicks = 120_000
-	}
-	// A negative center selects the grid's interior cell — callers that
-	// build workloads before the grid exists (scenario files, the
-	// sharded runner) use it instead of Network.CenterCell.
-	center := func(c int) hexgrid.CellID {
-		if c < 0 {
-			return grid.InteriorCell()
-		}
-		return hexgrid.CellID(c)
-	}
-	ps := traffic.ProfileSpec{BaseRate: w.ErlangPerCell / w.MeanHoldTicks}
-	if w.HotErlang > 0 {
-		ps.Hotspot = &traffic.HotspotSpec{
-			Center: center(w.HotCell),
-			Radius: w.HotRadius,
-			Rate:   w.HotErlang / w.MeanHoldTicks,
-		}
-	}
-	for _, ph := range w.Phases {
-		ps.Phases = append(ps.Phases, traffic.PhaseSpec{
-			Center: center(ph.HotCell),
-			Radius: ph.HotRadius,
-			Rate:   ph.HotErlang / w.MeanHoldTicks,
-			Start:  sim.Time(ph.StartTicks),
-			End:    sim.Time(ph.EndTicks),
-		})
-	}
-	if d := w.Diurnal; d != nil {
-		ps.Diurnal = &traffic.DiurnalSpec{Swing: d.Swing, Period: sim.Time(d.PeriodTicks)}
-	}
-	profile, err := traffic.BuildProfile(grid, ps)
-	if err != nil {
-		return traffic.Spec{}, fmt.Errorf("adca: %w", err)
-	}
-	return traffic.Spec{
-		Profile:      profile,
-		MeanHold:     w.MeanHoldTicks,
-		HandoffRate:  w.HandoffRate,
-		Duration:     sim.Time(w.DurationTicks),
-		Warmup:       sim.Time(w.WarmupTicks),
-		Seed:         w.Seed,
-		WarmStart:    w.WarmStart,
-		DrainHorizon: sim.Time(w.DrainHorizonTicks),
-	}, nil
-}
-
-func workloadStats(ts traffic.Stats) WorkloadStats {
-	return WorkloadStats{
-		Offered:                ts.Offered,
-		Blocked:                ts.Blocked,
-		HandoffAttempts:        ts.HandoffAttempts,
-		HandoffDrops:           ts.HandoffDrops,
-		BlockingProbability:    ts.BlockingProbability(),
-		HandoffDropProbability: ts.HandoffDropProbability(),
-	}
-}
-
 // RunWorkload drives Poisson traffic over the network to completion and
 // verifies the interference invariant over the final state.
 func (n *Network) RunWorkload(w Workload) (WorkloadStats, error) {
-	spec, err := workloadSpec(n.sim.Grid(), w)
+	spec, err := w.Spec(n.sim.Grid())
 	if err != nil {
-		return WorkloadStats{}, err
+		return WorkloadStats{}, fmt.Errorf("adca: %w", err)
 	}
 	ts, err := traffic.Run(n.sim, spec)
 	if err != nil {
@@ -741,7 +426,14 @@ func (n *Network) RunWorkload(w Workload) (WorkloadStats, error) {
 	if err := n.sim.CheckInvariant(); err != nil {
 		return WorkloadStats{}, err
 	}
-	return workloadStats(ts), nil
+	return WorkloadStats{
+		Offered:                ts.Offered,
+		Blocked:                ts.Blocked,
+		HandoffAttempts:        ts.HandoffAttempts,
+		HandoffDrops:           ts.HandoffDrops,
+		BlockingProbability:    ts.BlockingProbability(),
+		HandoffDropProbability: ts.HandoffDropProbability(),
+	}, nil
 }
 
 // RunParallel builds the scenario on the sharded kernel (NewParallel)

@@ -43,6 +43,10 @@ func TestScenarioValidation(t *testing.T) {
 		// (4096 x 4096 = 2^24): refused before the grid is built.
 		{"grid too large", adca.Scenario{GridWidth: 4096, GridHeight: 4096}, "16777215 origins"},
 		{"square grid too large", adca.Scenario{GridWidth: 4097}, "16777215 origins"},
+		// Sides whose product overflows int: refused by the limit, not
+		// wrapped past it into a grid the allocator cannot hold.
+		{"side past the limit", adca.Scenario{GridWidth: 1 << 32}, "16777215 origins"},
+		{"square overflowing int", adca.Scenario{GridWidth: 3037000500}, "16777215 origins"},
 	}
 	for _, c := range cases {
 		_, err := adca.New(c.sc)

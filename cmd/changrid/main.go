@@ -17,10 +17,10 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/chanset"
 	"repro/internal/hexgrid"
 	"repro/internal/livenet"
 	"repro/internal/registry"
+	"repro/internal/scenario"
 )
 
 func main() {
@@ -51,21 +51,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	grid, err := hexgrid.New(hexgrid.Config{
-		Shape: hexgrid.Rect, Width: *width, Height: *width, ReuseDistance: 2, Wrap: true,
-	})
+	p, err := scenario.Build(scenario.Scenario{Scheme: *scheme, GridWidth: *width, Wrap: true, Channels: *chans})
 	if err != nil {
 		return fail(err)
 	}
-	assign, err := chanset.Assign(grid, *chans)
-	if err != nil {
-		return fail(err)
-	}
-	factory, err := registry.Build(*scheme, grid, assign, registry.Config{Latency: 10})
-	if err != nil {
-		return fail(err)
-	}
-	net := livenet.New(grid, assign, factory, livenet.Options{
+	grid := p.Grid
+	net := livenet.New(grid, p.Assign, p.Factory, livenet.Options{
 		Delay: 100 * time.Microsecond, LatencyTicks: 10, Seed: uint64(*seed),
 	})
 	defer net.Stop()

@@ -29,12 +29,11 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/chanset"
 	"repro/internal/hexgrid"
 	"repro/internal/metrics"
 	"repro/internal/netrun"
 	"repro/internal/obs"
-	"repro/internal/registry"
+	"repro/internal/scenario"
 	"repro/internal/transport"
 )
 
@@ -74,40 +73,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	var reg *obs.Registry
-	if *metricsAddr != "" {
-		reg = obs.New()
-	}
-	var journal *obs.Journal
+	oc := &scenario.ObsConfig{}
 	if *journalPath != "" {
 		jf, err := os.Create(*journalPath)
 		if err != nil {
 			return fail(err)
 		}
 		defer jf.Close()
-		journal = obs.NewJournal(jf)
-		defer journal.Close()
-	}
-
-	grid := hexgrid.MustNew(hexgrid.Config{Shape: hexgrid.Rect, Width: 7, Height: 7, ReuseDistance: 2, Wrap: true})
-	assign, err := chanset.Assign(grid, *chans)
-	if err != nil {
-		return fail(err)
+		oc.Journal = jf
 	}
 	// One factory (and so one protocol instrument bundle) is shared by
 	// every node in this process: same-named counters aggregate across
 	// cells, so the endpoint reports fleet-wide protocol totals.
-	factory, err := registry.Build(*scheme, grid, assign, registry.Config{
-		Latency: 10,
-		Obs:     obs.NewProtocol(reg, journal),
-	})
+	p, err := scenario.Build(scenario.Scenario{Scheme: *scheme, Wrap: true, Channels: *chans, Obs: oc})
 	if err != nil {
 		return fail(err)
 	}
+	defer p.Journal.Close()
+	grid := p.Grid
 
 	var srv *obs.Server
 	if *metricsAddr != "" {
-		srv, err = obs.Serve(*metricsAddr, reg)
+		srv, err = obs.Serve(*metricsAddr, p.Registry)
 		if err != nil {
 			return fail(err)
 		}
@@ -139,14 +126,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg := netrun.Config{
 			Cells: parts[i], LatencyTicks: 10, Seed: uint64(i) + 1,
 			RequestTimeout: *timeout,
-			Obs:            reg, Journal: journal,
+			Obs:            p.Registry, Journal: p.Journal,
 		}
 		if fault != nil {
 			f := *fault
 			f.Seed = *seed + uint64(i)
 			cfg.Fault = &f
 		}
-		n, err := netrun.NewNode(grid, assign, factory, "127.0.0.1:0", cfg)
+		n, err := netrun.NewNode(grid, p.Assign, p.Factory, "127.0.0.1:0", cfg)
 		if err != nil {
 			return fail(err)
 		}

@@ -1,6 +1,12 @@
-// Command chansim runs one channel-allocation scenario from flags and
-// prints a report: blocking, handoff drops, acquisition latency, message
-// overhead and the adaptive scheme's acquisition-path mix.
+// Command chansim runs one channel-allocation scenario and prints a
+// report: blocking, handoff drops, acquisition latency, message overhead
+// and the adaptive scheme's acquisition-path mix.
+//
+// The scenario comes from the flags, or from a -config JSON file
+// (internal/scenario) with every flag set explicitly on the command line
+// overriding the file: `-config scenarios/mobility.json -seed 7` is that
+// file with "seed": 7. Flags left at their defaults do not apply to a
+// file.
 //
 // Observability: -metrics serves the run's labeled metrics as
 // Prometheus text over HTTP (add -linger to keep the endpoint up after
@@ -15,6 +21,7 @@
 //	chansim -config scenarios/policy-lab.json
 //	chansim -erlang 9 -metrics :9090 -linger 1m -journal run.jsonl
 //	chansim -config scenarios/mobility.json -shards 16
+//	chansim -config scenarios/hotspot.json -erlang 2 -scheme fixed
 //
 // Scale: -shards N runs the scenario on the sharded event kernel (N
 // tiles, -workers goroutines). The trajectory — including mobility
@@ -65,29 +72,32 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("chansim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	// The description flags write into the run's description directly.
+	var f scenario.File
+	sc, w := &f.Scenario, &f.Workload
+	fs.StringVar(&sc.Scheme, "scheme", "adaptive", "allocation scheme: "+strings.Join(adca.Schemes(), ", "))
+	fs.IntVar(&sc.GridWidth, "width", 7, "grid width (cells)")
+	fs.IntVar(&sc.GridHeight, "height", 0, "grid height (0 = width)")
+	fs.IntVar(&sc.ReuseDistance, "reuse", 2, "co-channel reuse distance (cells)")
+	fs.BoolVar(&sc.Wrap, "wrap", true, "wrap the grid toroidally (no boundary effects)")
+	fs.IntVar(&sc.Channels, "channels", 70, "spectrum size")
+	fs.Int64Var(&sc.LatencyTicks, "latency", 10, "one-way message latency T (ticks)")
+	fs.Uint64Var(&sc.Seed, "seed", 1, "random seed (runs are deterministic per seed)")
+	fs.BoolVar(&sc.CheckInterference, "check", true, "verify the interference invariant on every grant")
+	fs.Float64Var(&w.ErlangPerCell, "erlang", 5, "offered load per cell (Erlang)")
+	fs.Float64Var(&w.HotErlang, "hot-erlang", 0, "hot-cell offered load (0 = no hotspot)")
+	fs.Float64Var(&w.HandoffRate, "handoff", 0, "per-call handoff rate (events/tick)")
+	fs.Float64Var(&w.MeanHoldTicks, "hold", 3000, "mean call duration (ticks)")
+	fs.Int64Var(&w.DurationTicks, "duration", 200_000, "arrival window (ticks)")
+	fs.Int64Var(&w.WarmupTicks, "warmup", 20_000, "warmup excluded from stats (ticks)")
+	fs.BoolVar(&w.WarmStart, "warm-start", false, "seed stationary Erlang occupancy before tick 0 (skip the ramp-up transient)")
+	fs.Int64Var(&w.DrainHorizonTicks, "drain-horizon", 0, "truncate the post-duration drain this many ticks after duration, force-releasing held calls (0 = drain to quiescence)")
 	var (
-		config       = fs.String("config", "", "load scenario from this JSON file (flags below are ignored)")
-		scheme       = fs.String("scheme", "adaptive", "allocation scheme: "+strings.Join(adca.Schemes(), ", "))
-		width        = fs.Int("width", 7, "grid width (cells)")
-		height       = fs.Int("height", 0, "grid height (0 = width)")
-		reuse        = fs.Int("reuse", 2, "co-channel reuse distance (cells)")
-		wrap         = fs.Bool("wrap", true, "wrap the grid toroidally (no boundary effects)")
-		channels     = fs.Int("channels", 70, "spectrum size")
-		latency      = fs.Int64("latency", 10, "one-way message latency T (ticks)")
-		erlang       = fs.Float64("erlang", 5, "offered load per cell (Erlang)")
-		hotErlang    = fs.Float64("hot-erlang", 0, "hot-cell offered load (0 = no hotspot)")
-		handoff      = fs.Float64("handoff", 0, "per-call handoff rate (events/tick)")
-		hold         = fs.Float64("hold", 3000, "mean call duration (ticks)")
-		duration     = fs.Int64("duration", 200_000, "arrival window (ticks)")
-		warmup       = fs.Int64("warmup", 20_000, "warmup excluded from stats (ticks)")
-		warmStart    = fs.Bool("warm-start", false, "seed stationary Erlang occupancy before tick 0 (skip the ramp-up transient)")
-		drainHorizon = fs.Int64("drain-horizon", 0, "truncate the post-duration drain this many ticks after duration, force-releasing held calls (0 = drain to quiescence)")
-		seed         = fs.Uint64("seed", 1, "random seed (runs are deterministic per seed)")
-		check        = fs.Bool("check", true, "verify the interference invariant on every grant")
-		shards       = fs.Int("shards", 0, "run on the sharded event kernel with this many shards (0 = serial kernel)")
-		workers      = fs.Int("workers", 0, "with -shards: kernel worker goroutines (0 = NumCPU)")
-		predictor    = fs.String("predictor", "", `adaptive NFC predictor "name[,key=val...]": `+strings.Join(adca.Predictors(), ", "))
-		lender       = fs.String("lender", "", `adaptive lender strategy "name[,key=val...]": `+strings.Join(adca.LenderStrategies(), ", "))
+		config    = fs.String("config", "", "load scenario from this JSON file; flags set explicitly override it")
+		predictor = fs.String("predictor", "", `adaptive NFC predictor "name[,key=val...]": `+strings.Join(adca.Predictors(), ", "))
+		lender    = fs.String("lender", "", `adaptive lender strategy "name[,key=val...]": `+strings.Join(adca.LenderStrategies(), ", "))
+		shards    = fs.Int("shards", 0, "run on the sharded event kernel with this many shards (0 = serial kernel)")
+		workers   = fs.Int("workers", 0, "with -shards: kernel worker goroutines (0 = NumCPU)")
 
 		metricsAddr = fs.String("metrics", "", "serve Prometheus text metrics at this address (e.g. :9090)")
 		journalPath = fs.String("journal", "", "write a JSONL event journal to this file")
@@ -123,104 +133,26 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if err := prof.start("-exectrace", *execTrace, trace.Start, trace.Stop); err != nil {
 		return fail(err)
 	}
-	if *height == 0 {
-		*height = *width
-	}
-	sc := adca.Scenario{
-		Scheme:            *scheme,
-		GridWidth:         *width,
-		GridHeight:        *height,
-		ReuseDistance:     *reuse,
-		Wrap:              *wrap,
-		Channels:          *channels,
-		LatencyTicks:      *latency,
-		Seed:              *seed,
-		CheckInterference: *check,
-	}
-	w := adca.Workload{
-		ErlangPerCell:     *erlang,
-		MeanHoldTicks:     *hold,
-		HandoffRate:       *handoff,
-		DurationTicks:     *duration,
-		WarmupTicks:       *warmup,
-		Seed:              *seed,
-		WarmStart:         *warmStart,
-		DrainHorizonTicks: *drainHorizon,
-	}
-	hotRadius := 0
+	// A -config file replaces the flags' defaults, and every flag set on
+	// the command line then overrides it (each value parsed once already,
+	// so setting it again cannot fail).
 	if *config != "" {
-		file, err := scenario.Load(*config)
-		if err != nil {
+		given := map[string]string{}
+		fs.Visit(func(fl *flag.Flag) { given[fl.Name] = fl.Value.String() })
+		var err error
+		if f, err = scenario.Load(*config); err != nil {
 			return fail(err)
 		}
-		if file.Fault != nil {
+		for name, v := range given {
+			fs.Set(name, v)
+		}
+		if f.Fault != nil {
 			// The DES has no loss model yet (ROADMAP item 5).
 			fmt.Fprintln(stderr, "chansim: fault block applies to the wall-clock runtime only; ignored")
 		}
-		sc = adca.Scenario{
-			Scheme:        file.Scheme,
-			GridWidth:     file.Grid.Width,
-			GridHeight:    file.Grid.Height,
-			ReuseDistance: file.Grid.ReuseDistance,
-			Wrap:          file.Grid.Wrap,
-			Channels:      file.Channels,
-			LatencyTicks:  file.LatencyTicks,
-			JitterTicks:   file.JitterTicks,
-			Seed:          file.Seed,
-			MaxRounds:     file.MaxRounds,
-			// Honor -check so giant-grid scenarios can skip the O(cells ×
-			// neighbors) invariant sweep at every window barrier; the
-			// default keeps config runs checked.
-			CheckInterference: *check,
-		}
-		if a := file.Adaptive; a != nil {
-			sc.Adaptive = &adca.AdaptiveParams{
-				ThetaLow: a.ThetaLow, ThetaHigh: a.ThetaHigh,
-				Alpha: a.Alpha, WindowTicks: a.WindowTicks,
-			}
-		}
-		if p := file.Predictor; p != nil {
-			sc.Predictor = &adca.PolicySpec{Name: p.Name, Params: p.Params}
-		}
-		if l := file.Lender; l != nil {
-			sc.Lender = &adca.PolicySpec{Name: l.Name, Params: l.Params}
-		}
-		w = adca.Workload{Seed: file.Seed}
-		if wl := file.Workload; wl != nil {
-			w.ErlangPerCell = wl.ErlangPerCell
-			w.MeanHoldTicks = wl.MeanHoldTicks
-			w.HandoffRate = wl.HandoffRate
-			w.DurationTicks = wl.DurationTicks
-			w.WarmupTicks = wl.WarmupTicks
-			// -warm-start also works as an override on top of a file.
-			w.WarmStart = wl.WarmStart || *warmStart
-			// -drain-horizon likewise overrides the file when set.
-			w.DrainHorizonTicks = wl.DrainHorizonTicks
-			if *drainHorizon != 0 {
-				w.DrainHorizonTicks = *drainHorizon
-			}
-			if h := wl.Hotspot; h != nil {
-				w.HotErlang = h.Erlang
-				hotRadius = h.Radius
-			}
-			for _, p := range wl.Phases {
-				center := -1 // grid interior unless the file pins a cell
-				if p.CenterCell != nil {
-					center = *p.CenterCell
-				}
-				w.Phases = append(w.Phases, adca.WorkloadPhase{
-					HotCell:    center,
-					HotRadius:  p.Radius,
-					HotErlang:  p.Erlang,
-					StartTicks: p.StartTicks,
-					EndTicks:   p.EndTicks,
-				})
-			}
-			if d := wl.Diurnal; d != nil {
-				w.Diurnal = &adca.DiurnalCycle{Swing: d.Swing, PeriodTicks: d.PeriodTicks}
-			}
-		}
 	}
+	// One seed drives both; a hot spot sits on the grid's interior cell.
+	w.Seed, w.HotCell = sc.Seed, -1
 	// Policy flags override the scenario file: the point of the seam is
 	// re-running a checked-in scenario under a different policy pair.
 	if *predictor != "" {
@@ -228,21 +160,14 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		if err != nil {
 			return fail(err)
 		}
-		sc.Predictor = &adca.PolicySpec{Name: spec.Name, Params: spec.Params}
+		sc.Predictor = &spec
 	}
 	if *lender != "" {
 		spec, err := policy.ParseSpec(*lender)
 		if err != nil {
 			return fail(err)
 		}
-		sc.Lender = &adca.PolicySpec{Name: spec.Name, Params: spec.Params}
-	}
-	if *hotErlang > 0 && *config == "" {
-		w.HotErlang = *hotErlang
-	}
-	if w.HotErlang > 0 {
-		w.HotCell = -1 // grid interior
-		w.HotRadius = hotRadius
+		sc.Lender = &spec
 	}
 	if *journalPath != "" && *shards > 1 {
 		// adca.NewParallel would say the same; saying it here leaves no
@@ -267,7 +192,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if *shards > 0 {
 		build = adca.NewParallel
 	}
-	net, err := build(sc, adca.WithShards(*shards), adca.WithWorkers(*workers))
+	net, err := build(*sc, adca.WithShards(*shards), adca.WithWorkers(*workers))
 	if err != nil {
 		return fail(err)
 	}
@@ -277,7 +202,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	// RunWorkload verifies the interference invariant over the final
 	// state before it returns.
-	ws, err := net.RunWorkload(w)
+	ws, err := net.RunWorkload(*w)
 	simulated = err == nil || net.KernelFootprint().Pops > 0
 	if err != nil {
 		return fail(err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -155,5 +156,54 @@ func TestFaultBlockIsReportedIgnored(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "invariant         ok") {
 		t.Errorf("the scenario did not run to its report:\n%s", stdout)
+	}
+}
+
+// TestFlagsOverrideConfig: a flag set on the command line overrides the
+// -config file exactly as writing its value into the file would, so
+// -seed 7 changes the outcome, to that of the file with "seed": 7.
+// -erlang likewise changes the offered load of a hot-spot file.
+func TestFlagsOverrideConfig(t *testing.T) {
+	report := func(args ...string) map[string]string {
+		t.Helper()
+		code, stdout, stderr := chansim(args...)
+		if code != 0 {
+			t.Fatalf("chansim %v: exit %d, stderr %q", args, code, stderr)
+		}
+		lines := map[string]string{}
+		for _, line := range strings.Split(stdout, "\n") {
+			for _, label := range []string{"offered calls", "blocking", "handoff drops", "messages/call", "path mix", "warm stations"} {
+				if strings.HasPrefix(line, label) {
+					lines[label] = line
+				}
+			}
+		}
+		if lines["offered calls"] == "" {
+			t.Fatalf("chansim %v: no outcome in\n%s", args, stdout)
+		}
+		return lines
+	}
+	mobility := filepath.Join("..", "..", "scenarios", "mobility.json")
+	raw, err := os.ReadFile(mobility)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeded := filepath.Join(t.TempDir(), "mobility-seed7.json")
+	if edited := strings.Replace(string(raw), `"seed": 3,`, `"seed": 7,`, 1); edited == string(raw) {
+		t.Fatal(`mobility.json no longer has "seed": 3`)
+	} else if err := os.WriteFile(seeded, []byte(edited), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	file, flag, edited := report("-config", mobility), report("-config", mobility, "-seed", "7"), report("-config", seeded)
+	if len(file) != 6 || reflect.DeepEqual(flag, file) {
+		t.Errorf("-seed 7 did not change the outcome of mobility.json:\n%q", file)
+	}
+	if !reflect.DeepEqual(flag, edited) {
+		t.Errorf("-config mobility.json -seed 7 reports\n%q\nthe file with \"seed\": 7 reports\n%q", flag, edited)
+	}
+
+	hotspot := filepath.Join("..", "..", "scenarios", "hotspot.json")
+	if def, two := report("-config", hotspot)["offered calls"], report("-config", hotspot, "-erlang", "2")["offered calls"]; def == two {
+		t.Errorf("-erlang 2 did not change hotspot.json's offered calls: %q", def)
 	}
 }

@@ -10,22 +10,18 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/chanset"
 	"repro/internal/hexgrid"
 	"repro/internal/livenet"
-	"repro/internal/registry"
+	"repro/internal/scenario"
 )
 
 func main() {
-	grid := hexgrid.MustNew(hexgrid.Config{
-		Shape: hexgrid.Rect, Width: 7, Height: 7, ReuseDistance: 2, Wrap: true,
-	})
-	assign := chanset.MustAssign(grid, 21) // only 3 primaries per cell
-	factory, err := registry.Build("adaptive", grid, assign, registry.Config{Latency: 10})
+	p, err := scenario.Build(scenario.Scenario{Wrap: true, Channels: 21}) // only 3 primaries per cell
 	if err != nil {
 		panic(err)
 	}
-	net := livenet.New(grid, assign, factory, livenet.Options{
+	grid := p.Grid
+	net := livenet.New(grid, p.Assign, p.Factory, livenet.Options{
 		Delay:        150 * time.Microsecond, // wire latency
 		LatencyTicks: 10,
 		Seed:         99,

@@ -1,6 +1,11 @@
-// Package scenario loads simulation scenarios from JSON files, so
-// experiments can be version-controlled and shared instead of encoded in
-// command lines. The schema mirrors the public adca facade:
+// Package scenario is the one description of a simulation run: the
+// network (Scenario) and the call traffic over it (Workload), their one
+// validator, and the one builder from a description to a runtime
+// (Build). The public adca facade aliases these types; chansim fills
+// them from a JSON file, its flags or both.
+//
+// Scenario files let experiments be version-controlled and shared
+// instead of encoded in command lines:
 //
 //	{
 //	  "scheme": "adaptive",
@@ -26,65 +31,156 @@
 //
 // "phases" are timed hotspot episodes (a commute wave is several phases
 // marching across the grid); "diurnal" modulates all arrival rates by
-// 1 + swing·sin(2π·t/period). A phase without "center_cell" centres on
-// the grid's interior cell.
-//
-// Omitted fields default exactly as in adca.Scenario / adca.Workload.
+// 1 + swing·sin(2π·t/period). The hotspot, and a phase without
+// "center_cell", centre on the grid's interior cell. The workload's seed
+// is the top-level one. Omitted fields take the defaults of the Go
+// types.
 package scenario
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+	"slices"
+	"time"
 
 	"repro/internal/policy"
+	"repro/internal/registry"
 	"repro/internal/sim"
+	"repro/internal/transport"
 )
 
-// Grid is the JSON grid block.
-type Grid struct {
-	Width         int  `json:"width"`
-	Height        int  `json:"height"`
-	ReuseDistance int  `json:"reuse_distance"`
-	Wrap          bool `json:"wrap"`
+// Scenario configures a network. The zero value of each field selects a
+// sensible default (a wrapped 7x7 reuse-2 grid, 70 channels, T = 10
+// ticks, the adaptive scheme). The tags name a field's key in a file;
+// "-" marks a field the file spells differently or not at all.
+type Scenario struct {
+	// Scheme selects the allocation algorithm; see registry.Names.
+	Scheme string `json:"scheme"`
+	// GridWidth and GridHeight size the hexagonal cell array.
+	GridWidth, GridHeight int `json:"-"`
+	// ReuseDistance is the co-channel interference radius in cells.
+	ReuseDistance int `json:"-"`
+	// Wrap connects the grid toroidally, removing boundary effects.
+	Wrap bool `json:"-"`
+	// Channels is the number of radio channels in the spectrum.
+	Channels int `json:"channels"`
+	// LatencyTicks is the one-way control-message delay T.
+	LatencyTicks int64 `json:"latency_ticks"`
+	// JitterTicks adds uniform extra delay in [0, Jitter] per message.
+	JitterTicks int64 `json:"jitter_ticks"`
+	// Seed drives all randomness.
+	Seed uint64 `json:"seed"`
+	// CheckInterference enables the Theorem-1 invariant checker on
+	// every grant (panics on violation).
+	CheckInterference bool `json:"-"`
+	// Adaptive overrides the adaptive scheme's tuning (nil: defaults).
+	Adaptive *AdaptiveParams `json:"adaptive"`
+	// Predictor selects the adaptive scheme's NFC predictor by name
+	// (nil: the paper's "linear" predictor). See policy.Predictors.
+	Predictor *PolicySpec `json:"predictor"`
+	// Lender selects the adaptive scheme's lender-selection strategy by
+	// name (nil: the paper's "best"). See policy.Strategies.
+	Lender *PolicySpec `json:"lender"`
+	// MaxRounds caps the retries of the update-based baselines.
+	MaxRounds int `json:"max_rounds"`
+	// Obs, when non-nil, enables observability: labeled metrics (and
+	// optionally a Prometheus endpoint and a JSONL event journal).
+	Obs *ObsConfig `json:"-"`
 }
 
-// Adaptive is the JSON adaptive-parameter block.
-type Adaptive struct {
+// ObsConfig enables the observability layer of a network. The zero
+// value collects metrics in memory only.
+type ObsConfig struct {
+	// MetricsAddr, when non-empty, serves the Prometheus text
+	// exposition format over HTTP at this address (e.g. ":9090"; use
+	// ":0" for an ephemeral port).
+	MetricsAddr string
+	// Journal, when non-nil, receives one JSON object per protocol and
+	// lifecycle event (JSONL). The writer stays owned by the caller.
+	Journal io.Writer
+}
+
+// AdaptiveParams are the paper's tuning knobs (θ_l, θ_h, α, W).
+type AdaptiveParams struct {
 	ThetaLow    float64 `json:"theta_low"`
 	ThetaHigh   float64 `json:"theta_high"`
 	Alpha       int     `json:"alpha"`
 	WindowTicks int64   `json:"window_ticks"`
 }
 
-// Policy is the JSON form of one pluggable adaptive policy: a
-// registered name plus optional numeric parameters. Used by the
-// "predictor" and "lender" blocks:
-//
-//	"predictor": {"name": "ewma", "params": {"alpha": 0.2}},
-//	"lender": {"name": "interference-aware"}
-//
-// Names and parameters validate against internal/policy's registry, so
-// a typo fails the load with the accepted names instead of silently
-// running the default.
-type Policy struct {
-	Name   string             `json:"name"`
-	Params map[string]float64 `json:"params"`
+// PolicySpec selects a registered adaptive policy (an NFC predictor or
+// a lender-selection strategy) by name, with optional parameters, e.g.
+// {Name: "ewma", Params: map[string]float64{"alpha": 0.2}}.
+type PolicySpec = policy.Spec
+
+// WorkloadPhase is one timed hot spot: the cells within HotRadius of
+// HotCell offer HotErlang load from StartTicks (inclusive) to EndTicks
+// (exclusive). Sequencing several phases across the grid models commute
+// waves and flash crowds.
+type WorkloadPhase struct {
+	HotCell    int     `json:"-"`
+	HotRadius  int     `json:"radius"`
+	HotErlang  float64 `json:"erlang"`
+	StartTicks int64   `json:"start_ticks"`
+	EndTicks   int64   `json:"end_ticks"`
 }
 
-// Hotspot is the JSON hotspot block.
-type Hotspot struct {
-	// Erlang is the hot cells' offered load.
-	Erlang float64 `json:"erlang"`
-	// Radius extends the hot zone around the grid's interior cell.
-	Radius int `json:"radius"`
+// DiurnalCycle modulates all arrival rates sinusoidally:
+// 1 + Swing·sin(2π·t/PeriodTicks) — the day/night cycle.
+type DiurnalCycle struct {
+	Swing       float64 `json:"swing"`
+	PeriodTicks int64   `json:"period_ticks"`
 }
 
-// Fault is the JSON fault-model block for live-runtime scenarios: the
-// knobs of transport.FaultConfig plus the per-request deadline. All
-// probabilities are per message in [0, 1]; durations are microseconds
-// (wall time — the fault model degrades the live transport, not the
-// DES, whose delivery the engine owns).
+// Workload describes Poisson call traffic over a network. Its tags are
+// those of a file's "workload" block, as on Scenario.
+type Workload struct {
+	// ErlangPerCell is the offered load per cell (arrival rate times
+	// mean hold).
+	ErlangPerCell float64 `json:"erlang_per_cell"`
+	// HotCell and HotErlang optionally overlay a hot spot; HotRadius
+	// extends it to the cells within that hex distance of HotCell. A
+	// negative HotCell (here and in phases) selects the grid's interior
+	// cell.
+	HotCell   int     `json:"-"`
+	HotErlang float64 `json:"-"`
+	HotRadius int     `json:"-"`
+	// Phases optionally overlay timed hot spots (commute waves, flash
+	// crowds, stadium events).
+	Phases []WorkloadPhase `json:"-"`
+	// Diurnal optionally applies a day/night cycle to all rates.
+	Diurnal *DiurnalCycle `json:"diurnal"`
+	// MeanHoldTicks is the mean call duration (default 3000).
+	MeanHoldTicks float64 `json:"mean_hold_ticks"`
+	// HandoffRate is the per-call mobility rate (events per tick).
+	HandoffRate float64 `json:"handoff_rate"`
+	// DurationTicks bounds arrivals (default 120000); WarmupTicks
+	// excludes the initial transient from statistics.
+	DurationTicks int64 `json:"duration_ticks"`
+	WarmupTicks   int64 `json:"warmup_ticks"`
+	// Seed drives the workload randomness.
+	Seed uint64 `json:"-"`
+	// WarmStart seeds every cell's stationary Erlang occupancy as
+	// in-progress calls before tick 0 (O(cells) setup instead of
+	// simulating ≳ one mean hold of ramp-up). Seeded calls are not
+	// counted as offered.
+	WarmStart bool `json:"warm_start"`
+	// DrainHorizonTicks, when > 0, truncates the post-duration drain
+	// DurationTicks + DrainHorizonTicks into the run: later events are
+	// discarded and still-held calls force-released in canonical order,
+	// so stats over the measurement window match a full drain at a
+	// fraction of its wall-clock. 0 drains to natural quiescence.
+	DrainHorizonTicks int64 `json:"drain_horizon"`
+}
+
+// Fault is the fault model of a scenario file, for the wall-clock
+// runtime: the knobs of transport.FaultConfig plus the per-request
+// deadline. All probabilities are per message in [0, 1]; durations are
+// microseconds (wall time — the fault model degrades the live transport,
+// not the DES, whose delivery the engine owns).
 type Fault struct {
 	Seed             uint64  `json:"seed"`
 	Drop             float64 `json:"drop"`
@@ -94,163 +190,216 @@ type Fault struct {
 	RequestTimeoutMS int64   `json:"request_timeout_ms"`
 }
 
-// Phase is one timed hotspot episode: the cells within Radius of the
-// center run at Erlang offered load from StartTicks (inclusive) to
-// EndTicks (exclusive). A nil CenterCell selects the grid's interior
-// cell, like the stationary hotspot block.
-type Phase struct {
-	CenterCell *int    `json:"center_cell"`
-	Radius     int     `json:"radius"`
-	Erlang     float64 `json:"erlang"`
-	StartTicks int64   `json:"start_ticks"`
-	EndTicks   int64   `json:"end_ticks"`
+// File is what a scenario file describes: a network, the traffic over
+// it and, optionally, a fault model.
+type File struct {
+	Scenario Scenario
+	Workload Workload
+	Fault    *Fault
 }
 
-// Diurnal is the JSON day/night-cycle block: arrival rates are modulated
-// by 1 + swing·sin(2π·t/period).
-type Diurnal struct {
-	Swing       float64 `json:"swing"`
-	PeriodTicks int64   `json:"period_ticks"`
+// withDefaults fills the zero fields that select a default.
+func (sc Scenario) withDefaults() Scenario {
+	sc.Scheme = cmp.Or(sc.Scheme, "adaptive")
+	sc.GridWidth = cmp.Or(sc.GridWidth, 7)
+	sc.GridHeight = cmp.Or(sc.GridHeight, sc.GridWidth)
+	sc.ReuseDistance = cmp.Or(sc.ReuseDistance, 2)
+	sc.Channels = cmp.Or(sc.Channels, 70)
+	sc.LatencyTicks = cmp.Or(sc.LatencyTicks, 10)
+	return sc
 }
 
-// Workload is the JSON workload block.
-type Workload struct {
-	ErlangPerCell float64 `json:"erlang_per_cell"`
-	MeanHoldTicks float64 `json:"mean_hold_ticks"`
-	HandoffRate   float64 `json:"handoff_rate"`
-	DurationTicks int64   `json:"duration_ticks"`
-	WarmupTicks   int64   `json:"warmup_ticks"`
-	// WarmStart seeds every cell's stationary Erlang occupancy before
-	// tick 0 instead of simulating the ramp-up transient.
-	WarmStart bool `json:"warm_start"`
-	// DrainHorizonTicks, when > 0, truncates the post-duration drain at
-	// duration + horizon: pending events are discarded, held calls
-	// force-released in canonical order. 0 drains to quiescence.
-	DrainHorizonTicks int64    `json:"drain_horizon"`
-	Hotspot           *Hotspot `json:"hotspot"`
-	Phases            []Phase  `json:"phases"`
-	Diurnal           *Diurnal `json:"diurnal"`
-}
-
-// Scenario is the top-level JSON document.
-type Scenario struct {
-	Scheme       string    `json:"scheme"`
-	Grid         Grid      `json:"grid"`
-	Channels     int       `json:"channels"`
-	LatencyTicks int64     `json:"latency_ticks"`
-	JitterTicks  int64     `json:"jitter_ticks"`
-	Seed         uint64    `json:"seed"`
-	MaxRounds    int       `json:"max_rounds"`
-	Adaptive     *Adaptive `json:"adaptive"`
-	Predictor    *Policy   `json:"predictor"`
-	Lender       *Policy   `json:"lender"`
-	Workload     *Workload `json:"workload"`
-	Fault        *Fault    `json:"fault"`
-}
-
-// Load parses the JSON file at path. Unknown fields are rejected —
-// silently ignoring a typo like "chanels" would invalidate a whole
-// experiment.
-func Load(path string) (Scenario, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Scenario{}, fmt.Errorf("scenario: %w", err)
-	}
-	defer f.Close()
-	var sc Scenario
-	dec := json.NewDecoder(f)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sc); err != nil {
-		return Scenario{}, fmt.Errorf("scenario %s: %w", path, err)
-	}
-	if err := sc.Validate(); err != nil {
-		return Scenario{}, fmt.Errorf("scenario %s: %w", path, err)
-	}
-	return sc, nil
-}
-
-// Validate checks ranges that JSON typing cannot (structural validity;
-// deeper protocol-level validation happens when the network is built).
+// Validate rejects nonsense field values with descriptive errors before
+// they can surface as panics deep inside grid, histogram or predictor
+// construction. Zero values are fine (they select defaults); negatives,
+// inverted parameter bands, unknown names and grids the event kernel
+// cannot address are not.
 func (sc Scenario) Validate() error {
-	if sc.Channels < 0 {
-		return fmt.Errorf("channels must be >= 0, got %d", sc.Channels)
+	switch {
+	case sc.GridWidth < 0:
+		return fmt.Errorf("GridWidth must be >= 0, got %d", sc.GridWidth)
+	case sc.GridHeight < 0:
+		return fmt.Errorf("GridHeight must be >= 0, got %d", sc.GridHeight)
+	case sc.ReuseDistance < 0:
+		return fmt.Errorf("ReuseDistance must be >= 0, got %d", sc.ReuseDistance)
+	case sc.Channels < 0:
+		return fmt.Errorf("Channels must be >= 0, got %d", sc.Channels)
+	case sc.LatencyTicks < 0:
+		return fmt.Errorf("LatencyTicks must be >= 0, got %d", sc.LatencyTicks)
+	case sc.JitterTicks < 0:
+		return fmt.Errorf("JitterTicks must be >= 0, got %d", sc.JitterTicks)
+	case sc.MaxRounds < 0:
+		return fmt.Errorf("MaxRounds must be >= 0, got %d", sc.MaxRounds)
 	}
-	if sc.Grid.Width < 0 || sc.Grid.Height < 0 || sc.Grid.ReuseDistance < 0 {
-		return fmt.Errorf("grid dimensions must be >= 0: %+v", sc.Grid)
+	d := sc.withDefaults()
+	// Refuse a grid the event kernel cannot address before building it;
+	// bounding each side first keeps the product from wrapping.
+	if d.GridWidth > sim.MaxOrigins || d.GridHeight > sim.MaxOrigins {
+		return fmt.Errorf("grid %dx%d: a side exceeds the %d origins the event kernel can address", d.GridWidth, d.GridHeight, sim.MaxOrigins)
 	}
-	// A grid the event kernel's packed key cannot address would build
-	// (slowly) and then panic at its first event: refuse it here.
-	w, h := sc.Grid.Width, sc.Grid.Height
-	if h == 0 {
-		h = w // the runner's default
+	if err := sim.CheckOrigins(d.GridWidth * d.GridHeight); err != nil {
+		return fmt.Errorf("grid %dx%d: %w", d.GridWidth, d.GridHeight, err)
 	}
-	if err := sim.CheckOrigins(w * h); err != nil {
-		return fmt.Errorf("grid %dx%d: %w", w, h, err)
+	if !slices.Contains(registry.Names(), d.Scheme) {
+		return fmt.Errorf("unknown scheme %q (have %v)", d.Scheme, registry.Names())
 	}
-	if sc.LatencyTicks < 0 || sc.JitterTicks < 0 {
-		return fmt.Errorf("latency/jitter must be >= 0")
-	}
-	if w := sc.Workload; w != nil {
-		if w.HandoffRate < 0 {
-			return fmt.Errorf("workload handoff_rate must be >= 0 (0 disables mobility), got %v", w.HandoffRate)
-		}
-		if w.ErlangPerCell < 0 || w.MeanHoldTicks < 0 {
-			return fmt.Errorf("workload rates must be >= 0: %+v", *w)
-		}
-		if w.DurationTicks < 0 || w.WarmupTicks < 0 {
-			return fmt.Errorf("workload times must be >= 0: %+v", *w)
-		}
-		if w.WarmupTicks > 0 && w.DurationTicks > 0 && w.WarmupTicks >= w.DurationTicks {
-			return fmt.Errorf("warmup (%d) must end before duration (%d)", w.WarmupTicks, w.DurationTicks)
-		}
-		if w.DrainHorizonTicks < 0 {
-			return fmt.Errorf("workload drain_horizon must be >= 0 (0 drains to quiescence), got %d", w.DrainHorizonTicks)
-		}
-		if h := w.Hotspot; h != nil && (h.Erlang < 0 || h.Radius < 0) {
-			return fmt.Errorf("hotspot must be >= 0: %+v", *h)
-		}
-		for i, p := range w.Phases {
-			if p.Erlang < 0 || p.Radius < 0 {
-				return fmt.Errorf("phase %d must be >= 0: %+v", i, p)
-			}
-			if p.CenterCell != nil && *p.CenterCell < 0 {
-				return fmt.Errorf("phase %d center_cell must be >= 0, got %d", i, *p.CenterCell)
-			}
-			if p.StartTicks < 0 || p.EndTicks <= p.StartTicks {
-				return fmt.Errorf("phase %d window [%d, %d) is empty or negative", i, p.StartTicks, p.EndTicks)
-			}
-		}
-		if d := w.Diurnal; d != nil {
-			if d.Swing < 0 || d.Swing > 1 {
-				return fmt.Errorf("diurnal swing must be in [0, 1], got %v", d.Swing)
-			}
-			if d.PeriodTicks <= 0 {
-				return fmt.Errorf("diurnal period_ticks must be > 0, got %d", d.PeriodTicks)
-			}
+	if p := sc.Adaptive; p != nil {
+		switch {
+		case p.ThetaLow <= 0:
+			return fmt.Errorf("Adaptive.ThetaLow must be > 0, got %v", p.ThetaLow)
+		case p.ThetaHigh <= p.ThetaLow:
+			return fmt.Errorf("Adaptive.ThetaHigh (%v) must exceed ThetaLow (%v)", p.ThetaHigh, p.ThetaLow)
+		case p.Alpha < 0:
+			return fmt.Errorf("Adaptive.Alpha must be >= 0, got %d", p.Alpha)
+		case p.WindowTicks <= 0:
+			return fmt.Errorf("Adaptive.WindowTicks must be > 0, got %d", p.WindowTicks)
 		}
 	}
 	if p := sc.Predictor; p != nil {
-		if _, err := policy.BuildPredictor(policy.Spec{Name: p.Name, Params: p.Params}); err != nil {
-			return fmt.Errorf("predictor: %w", err)
+		if _, err := policy.BuildPredictor(*p); err != nil {
+			return fmt.Errorf("Predictor: %w", err)
 		}
 	}
 	if l := sc.Lender; l != nil {
-		if _, err := policy.BuildStrategy(policy.Spec{Name: l.Name, Params: l.Params}); err != nil {
-			return fmt.Errorf("lender: %w", err)
-		}
-	}
-	if f := sc.Fault; f != nil {
-		for _, p := range []struct {
-			name string
-			v    float64
-		}{{"drop", f.Drop}, {"duplicate", f.Duplicate}, {"reorder", f.Reorder}} {
-			if p.v < 0 || p.v > 1 {
-				return fmt.Errorf("fault %s probability %v outside [0,1]", p.name, p.v)
-			}
-		}
-		if f.JitterMaxMicros < 0 || f.RequestTimeoutMS < 0 {
-			return fmt.Errorf("fault durations must be >= 0: %+v", *f)
+		if _, err := policy.BuildStrategy(*l); err != nil {
+			return fmt.Errorf("Lender: %w", err)
 		}
 	}
 	return nil
+}
+
+// withDefaults fills the zero fields that select a default.
+func (w Workload) withDefaults() Workload {
+	w.MeanHoldTicks = cmp.Or(w.MeanHoldTicks, 3000)
+	w.DurationTicks = cmp.Or(w.DurationTicks, 120_000)
+	return w
+}
+
+// Validate checks the ranges of the workload. Whether its hot cells lie
+// inside the grid is checked when it is built against one (Spec).
+func (w Workload) Validate() error {
+	d := w.withDefaults()
+	switch {
+	case w.ErlangPerCell < 0:
+		return fmt.Errorf("workload ErlangPerCell must be >= 0, got %v", w.ErlangPerCell)
+	case w.MeanHoldTicks < 0:
+		return fmt.Errorf("workload MeanHoldTicks must be >= 0, got %v", w.MeanHoldTicks)
+	case w.HandoffRate < 0:
+		return fmt.Errorf("workload HandoffRate must be >= 0 (0 disables mobility), got %v", w.HandoffRate)
+	case w.DurationTicks < 0:
+		return fmt.Errorf("workload DurationTicks must be >= 0, got %d", w.DurationTicks)
+	case w.WarmupTicks < 0:
+		return fmt.Errorf("workload WarmupTicks must be >= 0, got %d", w.WarmupTicks)
+	case d.WarmupTicks >= d.DurationTicks:
+		return fmt.Errorf("workload WarmupTicks (%d) must end before DurationTicks (%d)", d.WarmupTicks, d.DurationTicks)
+	case w.DrainHorizonTicks < 0:
+		return fmt.Errorf("workload DrainHorizonTicks must be >= 0 (0 drains to quiescence), got %d", w.DrainHorizonTicks)
+	case w.HotErlang < 0 || w.HotRadius < 0:
+		return fmt.Errorf("workload HotErlang and HotRadius must be >= 0, got %v and %d", w.HotErlang, w.HotRadius)
+	}
+	for i, p := range w.Phases {
+		if p.HotErlang < 0 || p.HotRadius < 0 || p.StartTicks < 0 || p.EndTicks <= p.StartTicks {
+			return fmt.Errorf("workload phase %d needs HotErlang and HotRadius >= 0 and a window [StartTicks, EndTicks) that is neither empty nor negative: %+v", i, p)
+		}
+	}
+	if c := w.Diurnal; c != nil && (c.Swing < 0 || c.Swing > 1 || c.PeriodTicks <= 0) {
+		return fmt.Errorf("workload Diurnal needs Swing in [0, 1] and PeriodTicks > 0: %+v", *c)
+	}
+	return nil
+}
+
+// Load reads, decodes and validates the scenario file at path.
+func Load(path string) (File, error) {
+	r, err := os.Open(path)
+	if err != nil {
+		return File{}, fmt.Errorf("scenario: %w", err)
+	}
+	defer r.Close()
+	f, err := decode(r)
+	if err != nil {
+		return File{}, fmt.Errorf("scenario %s: %w", path, err)
+	}
+	return f, nil
+}
+
+// The JSON shape of a file, private to decode: the grid and the hot
+// spot as blocks, phase centres as optional pointers. The flat types'
+// tags name the rest.
+type (
+	fileJSON struct {
+		Scenario
+		Grid     gridJSON      `json:"grid"`
+		Workload *workloadJSON `json:"workload"`
+		Fault    *Fault        `json:"fault"`
+	}
+	gridJSON struct {
+		Width         int  `json:"width"`
+		Height        int  `json:"height"`
+		ReuseDistance int  `json:"reuse_distance"`
+		Wrap          bool `json:"wrap"`
+	}
+	workloadJSON struct {
+		Workload
+		Hotspot *struct {
+			Erlang float64 `json:"erlang"`
+			Radius int     `json:"radius"`
+		} `json:"hotspot"`
+		Phases []struct {
+			WorkloadPhase
+			CenterCell *int `json:"center_cell"`
+		} `json:"phases"`
+	}
+)
+
+// decode parses one JSON scenario and validates it. Unknown fields are
+// rejected — silently ignoring a typo like "chanels" would invalidate a
+// whole experiment. A file always describes a checked run: the
+// interference checker is on. The workload takes the top-level seed, the
+// hot spot the interior cell.
+func decode(r io.Reader) (File, error) {
+	var j fileJSON
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&j); err != nil {
+		return File{}, err
+	}
+	f := File{Scenario: j.Scenario, Fault: j.Fault}
+	sc, w := &f.Scenario, &f.Workload
+	sc.GridWidth, sc.GridHeight, sc.ReuseDistance, sc.Wrap = j.Grid.Width, j.Grid.Height, j.Grid.ReuseDistance, j.Grid.Wrap
+	sc.CheckInterference = true
+	if wl := j.Workload; wl != nil {
+		*w = wl.Workload
+		if h := wl.Hotspot; h != nil {
+			w.HotCell, w.HotErlang, w.HotRadius = -1, h.Erlang, h.Radius
+		}
+		for i, p := range wl.Phases {
+			p.HotCell = -1
+			if p.CenterCell != nil {
+				if p.HotCell = *p.CenterCell; p.HotCell < 0 {
+					return File{}, fmt.Errorf("phase %d center_cell must be >= 0, got %d", i, p.HotCell)
+				}
+			}
+			w.Phases = append(w.Phases, p.WorkloadPhase)
+		}
+	}
+	w.Seed = sc.Seed
+	if err := sc.Validate(); err != nil {
+		return File{}, err
+	}
+	if err := w.Validate(); err != nil {
+		return File{}, err
+	}
+	if fm := f.Fault; fm != nil {
+		if fm.RequestTimeoutMS < 0 {
+			return File{}, fmt.Errorf("fault request_timeout_ms must be >= 0, got %d", fm.RequestTimeoutMS)
+		}
+		fc := transport.FaultConfig{
+			Drop: fm.Drop, Duplicate: fm.Duplicate, Reorder: fm.Reorder,
+			JitterMax: time.Duration(fm.JitterMaxMicros) * time.Microsecond,
+		}
+		if err := fc.Validate(); err != nil {
+			return File{}, err
+		}
+	}
+	return f, nil
 }

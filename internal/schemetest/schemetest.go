@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/chanset"
-	"repro/internal/core"
 	"repro/internal/driver"
 	"repro/internal/hexgrid"
 	"repro/internal/registry"
@@ -26,8 +25,7 @@ type Scenario struct {
 	MeanGap  float64 // mean inter-arrival gap in ticks (whole grid)
 	MeanHold float64 // mean call duration in ticks
 	Seed     uint64
-	Latency  sim.Time
-	Adaptive *core.Params // optional override for the adaptive scheme
+	Latency  sim.Time // 0 selects the registry's and driver's T = 10
 	// SendOnly hides the driver's alloc.Multicaster capability from the
 	// scheme (see SendOnly).
 	SendOnly bool
@@ -69,9 +67,6 @@ func DefaultGrid() hexgrid.Config {
 // Build wires a driver.Sim for the named scheme.
 func Build(t *testing.T, scheme string, sc Scenario) *driver.Sim {
 	t.Helper()
-	if sc.Latency == 0 {
-		sc.Latency = 10
-	}
 	g, err := hexgrid.New(sc.Grid)
 	if err != nil {
 		t.Fatal(err)
@@ -80,12 +75,7 @@ func Build(t *testing.T, scheme string, sc Scenario) *driver.Sim {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := registry.Config{Latency: sc.Latency}
-	if sc.Adaptive != nil {
-		cfg.Adaptive = *sc.Adaptive
-	}
-	var f alloc.Factory
-	f, err = registry.Build(scheme, g, assign, cfg)
+	f, err := registry.Build(scheme, g, assign, registry.Config{Latency: sc.Latency})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,11 +37,7 @@ func TestGeneratorCallAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, h := range map[string]interface {
-		host
-		Drain(uint64) bool
-		Stats() driver.Stats
-	}{"serial": serial, "sharded": sharded} {
+	for name, h := range map[string]*driver.Sim{"serial": serial, "sharded": sharded} {
 		gen := newGenerator(h, spec)
 		cell := hexgrid.CellID(24)
 		call := func() {

@@ -1,27 +1,11 @@
 package traffic
 
 import (
-	"repro/internal/alloc"
 	"repro/internal/chanset"
 	"repro/internal/driver"
 	"repro/internal/hexgrid"
 	"repro/internal/sim"
 )
-
-// host is what the generator needs of the driver. Posting and requesting
-// follow the driver's context rule: from cell's own shard, or pre-run.
-type host interface {
-	Grid() *hexgrid.Grid
-	NumShards() int
-	ShardOf(cell hexgrid.CellID) int
-	Now(cell hexgrid.CellID) sim.Time
-	PostAt(cell hexgrid.CellID, at sim.Time, ev sim.Event)
-	PostAfter(cell hexgrid.CellID, delay sim.Time, ev sim.Event)
-	PostRelay(from, to hexgrid.CellID, ev sim.Event)
-	RequestCont(cell hexgrid.CellID, c driver.Continuation) alloc.RequestID
-	Release(cell hexgrid.CellID, ch chanset.Channel)
-	SetCallHandler(h driver.CallHandler)
-}
 
 // Continuation ops (driver.Continuation.Op) of the requests the
 // generator submits.
@@ -47,9 +31,11 @@ type tally struct {
 // generator is the workload as a driver.CallHandler: every step of a
 // call's life is a typed kernel event (HandleEvent) or a typed request
 // continuation (Complete) — no closure is built per call. All state a
-// step touches is per cell and touched only from the cell's own shard.
+// step touches is per cell and touched only from the cell's own shard,
+// and posting and requesting follow the driver's context rule: from the
+// cell's own shard, or pre-run.
 type generator struct {
-	h       host
+	h       *driver.Sim
 	spec    Spec
 	stats   Stats
 	tallies []tally
@@ -61,7 +47,7 @@ type generator struct {
 	mob []sim.Rand
 }
 
-func newGenerator(h host, spec Spec) *generator {
+func newGenerator(h *driver.Sim, spec Spec) *generator {
 	n := h.Grid().NumCells()
 	g := &generator{
 		h:    h,

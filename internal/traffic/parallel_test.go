@@ -174,30 +174,21 @@ func TestRunParallelMobilityDeterminism(t *testing.T) {
 // per-cell derivation), so traces are compared shape-wise via use sets
 // and counts rather than by Info fields.
 func TestRunParallelMobilityMatchesSerial(t *testing.T) {
-	sc, err := scenario.Load("../../scenarios/mobility.json")
+	f, err := scenario.Load("../../scenarios/mobility.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := hexgrid.MustNew(hexgrid.Config{
-		Shape: hexgrid.Rect, Width: sc.Grid.Width, Height: sc.Grid.Height,
-		ReuseDistance: sc.Grid.ReuseDistance, Wrap: sc.Grid.Wrap,
-	})
-	assign := chanset.MustAssign(g, sc.Channels)
-	lat := sim.Time(sc.LatencyTicks)
-	wl := sc.Workload
-	spec := traffic.Spec{
-		Profile:     traffic.Uniform{PerCell: wl.ErlangPerCell / wl.MeanHoldTicks},
-		MeanHold:    wl.MeanHoldTicks,
-		HandoffRate: wl.HandoffRate,
-		Duration:    sim.Time(wl.DurationTicks),
-		Warmup:      sim.Time(wl.WarmupTicks),
-		Seed:        sc.Seed,
-	}
-	factory, err := registry.Build(sc.Scheme, g, assign, registry.Config{Latency: lat})
+	parts, err := scenario.Build(f.Scenario)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := driver.New(g, assign, factory, driver.Options{Latency: lat, Seed: sc.Seed})
+	g, assign, factory := parts.Grid, parts.Assign, parts.Factory
+	lat, seed := sim.Time(parts.Scenario.LatencyTicks), f.Scenario.Seed
+	spec, err := f.Workload.Spec(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := driver.New(g, assign, factory, driver.Options{Latency: lat, Seed: seed})
 	serialTS, err := traffic.Run(s, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +196,7 @@ func TestRunParallelMobilityMatchesSerial(t *testing.T) {
 	serialST := s.Stats()
 	for _, shards := range []int{1, 7, 16} {
 		p, err := driver.NewParallel(g, assign, factory, driver.ParallelOptions{
-			Latency: lat, Seed: sc.Seed, Shards: shards,
+			Latency: lat, Seed: seed, Shards: shards,
 		})
 		if err != nil {
 			t.Fatal(err)
