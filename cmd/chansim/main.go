@@ -147,7 +147,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			fs.Set(name, v)
 		}
 		if f.Fault != nil {
-			// The DES has no loss model yet (ROADMAP item 5).
+			// The DES has no loss model yet (ROADMAP item 8(a)).
 			fmt.Fprintln(stderr, "chansim: fault block applies to the wall-clock runtime only; ignored")
 		}
 	}

@@ -29,6 +29,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -147,15 +149,15 @@ type Node struct {
 	wg    sync.WaitGroup
 }
 
-// peerConn is one outgoing TCP link. Senders enqueue decoded messages;
-// a dedicated writer goroutine (Node.writeLoop) encodes them with a
-// reused scratch buffer and flushes once per drained batch, so
-// concurrent senders never serialize on a connection mutex and a burst
-// of messages costs one syscall, not one per message.
+// peerConn is one outgoing TCP link. Senders append messages to its
+// queue; a dedicated writer goroutine (Node.writeLoop) takes them a batch
+// at a time, encodes them with a reused scratch buffer and flushes once
+// per batch, so concurrent senders never serialize on a connection mutex
+// and a burst of messages costs one syscall, not one per message.
 type peerConn struct {
 	conn net.Conn
-	q    chan message.Message
-	done chan struct{} // closed by close(); unblocks senders and the writer
+	q    *transport.Queue[message.Message] // closed when the link dies or shuts
+	done chan struct{}                     // closed by close(); stops the writer
 
 	closeOnce sync.Once
 }
@@ -165,14 +167,10 @@ type peerConn struct {
 func (p *peerConn) close() {
 	p.closeOnce.Do(func() {
 		close(p.done)
+		p.q.Close() // the node is closing: nothing waits on these
 		p.conn.Close()
 	})
 }
-
-// peerQueueDepth bounds each outgoing link's send queue; a full queue
-// applies backpressure to senders (blocking, like the old per-message
-// connection mutex, but only once the link is genuinely saturated).
-const peerQueueDepth = 1024
 
 // NewNode builds a node hosting cfg.Cells of grid, starts its stations,
 // and listens on addr ("127.0.0.1:0" for an ephemeral port, "" for no
@@ -207,7 +205,7 @@ func NewNode(grid *hexgrid.Grid, assign *chanset.Assignment, factory alloc.Facto
 		grid:    grid,
 		cfg:     cfg,
 		ln:      ln,
-		local:   transport.NewLive(cfg.Delay, 0),
+		local:   transport.NewLive(cfg.Delay),
 		hosted:  make(map[hexgrid.CellID]alloc.Allocator, len(cfg.Cells)),
 		routes:  make(map[hexgrid.CellID]string),
 		peers:   make(map[string]*peerConn),
@@ -370,7 +368,7 @@ func (n *Node) readLoop(conn net.Conn) {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !n.isClosed() {
 				// Connection torn down mid-message during shutdown is
 				// expected; anything else indicates a wire bug.
-				fmt.Printf("netrun: read error: %v\n", err)
+				fmt.Fprintf(os.Stderr, "netrun: read error: %v\n", err)
 			}
 			return
 		}
@@ -401,7 +399,7 @@ type nodeTransport struct {
 	bytes  atomic.Uint64
 	byKind [message.NumKinds]atomic.Uint64
 	// wirePending counts messages accepted for a peer queue but not yet
-	// written out, so Idle covers the writer pipelines.
+	// written out or dropped, so Idle covers the writer pipelines.
 	wirePending atomic.Int64
 	// sendErrors counts messages dropped because their link is dead —
 	// the peer could not be dialed (it is down or shutting down) or a
@@ -411,11 +409,13 @@ type nodeTransport struct {
 	sendErrors atomic.Uint64
 }
 
-// dropDead counts one dropped message and reports whether it is the
-// node's first, which callers log so a dead or misconfigured peer does
-// not flood the output.
-func (t *nodeTransport) dropDead() (first bool) {
-	return t.sendErrors.Add(1) == 1 && !t.n.isClosed()
+// dropDead counts k dropped messages and, when they are the node's
+// first, logs why to standard error — once, so a dead or misconfigured
+// peer does not flood it.
+func (t *nodeTransport) dropDead(k uint64, format string, args ...any) {
+	if t.sendErrors.Add(k) == k && !t.n.isClosed() {
+		fmt.Fprintf(os.Stderr, "netrun: "+format+" (counted in SendErrors)\n", args...)
+	}
 }
 
 // Attach implements transport.Transport: the hosted cell gets its
@@ -444,16 +444,13 @@ func (t *nodeTransport) Send(m message.Message) {
 	if err != nil {
 		// The peer is down or shutting down. No link was registered,
 		// so a later send dials again.
-		if t.dropDead() {
-			fmt.Printf("netrun: dial %s: %v; dropping traffic for dead links (counted in SendErrors)\n", addr, err)
-		}
+		t.dropDead(1, "dial %s: %v; dropping traffic for dead links", addr, err)
 		return
 	}
 	t.wirePending.Add(1)
-	select {
-	case p.q <- m:
-	case <-p.done:
-		t.wirePending.Add(-1) // shutdown race: message dropped
+	if !p.q.Put(m) {
+		t.wirePending.Add(-1)
+		t.dropDead(1, "link to %s is down; dropping traffic for dead links", addr)
 	}
 }
 
@@ -462,9 +459,7 @@ func (t *nodeTransport) Send(m message.Message) {
 // hostile peer and Live's panic on an unattached cell.
 func (t *nodeTransport) deliver(m message.Message) {
 	if _, ok := t.n.hosted[m.To]; !ok {
-		if t.dropDead() {
-			fmt.Printf("netrun: frame for cell %d, which is not hosted here; dropping such frames (counted in SendErrors)\n", m.To)
-		}
+		t.dropDead(1, "frame for cell %d, which is not hosted here; dropping such frames", m.To)
 		return
 	}
 	t.n.local.Send(m)
@@ -503,7 +498,7 @@ func (n *Node) peer(addr string) (*peerConn, error) {
 	}
 	p = &peerConn{
 		conn: conn,
-		q:    make(chan message.Message, peerQueueDepth),
+		q:    transport.NewQueue[message.Message](),
 		done: make(chan struct{}),
 	}
 	n.netMu.Lock()
@@ -529,64 +524,58 @@ func (n *Node) peer(addr string) (*peerConn, error) {
 	return p, nil
 }
 
-// writeLoop is the single writer for one peer link: it encodes queued
-// messages into a reused scratch buffer and flushes once per drained
-// batch. TCP ordering plus the single consumer preserve per-link FIFO.
+// writeLoop is the single writer for one peer link. It takes the queue a
+// batch at a time and encodes it into the buffered writer; before the
+// Flush it yields once and takes whatever the yield let senders add, so
+// one syscall carries both. TCP ordering plus the single consumer
+// preserve per-link FIFO. A failed write kills the link: the queue is
+// closed, and every message it loses — unwritten, queued, or put later —
+// is counted in SendErrors, which is the reliability layer's problem,
+// exactly like a loss on the wire.
 func (n *Node) writeLoop(p *peerConn) {
 	defer n.wg.Done()
 	defer p.conn.Close()
 	w := bufio.NewWriter(p.conn)
-	buf := make([]byte, 0, 512)
+	var buf []byte
+	var batch []message.Message
 	for {
-		var m message.Message
 		select {
-		case m = <-p.q:
+		case <-p.q.Wake():
 		case <-p.done:
 			w.Flush()
 			return
 		}
-		for {
-			buf = message.Encode(buf[:0], m)
-			if _, err := w.Write(buf); err != nil {
+		for yielded := false; ; yielded = true {
+			batch = p.q.Take(batch)
+			for i, m := range batch {
+				buf = message.Encode(buf[:0], m)
+				if _, err := w.Write(buf); err != nil {
+					n.linkDied(p, err, len(batch)-i)
+					return
+				}
+				n.fabric.bytes.Add(uint64(len(buf)))
 				n.fabric.wirePending.Add(-1)
-				n.deadLink(p, err)
-				return
 			}
-			n.fabric.bytes.Add(uint64(len(buf)))
-			n.fabric.wirePending.Add(-1)
-			// Coalesce: keep encoding whatever is already queued and
-			// pay for one Flush per batch instead of one per message.
-			select {
-			case m = <-p.q:
-				continue
-			default:
+			clear(batch)
+			if yielded {
+				break
 			}
-			break
+			runtime.Gosched()
 		}
 		if err := w.Flush(); err != nil {
-			n.deadLink(p, err)
+			n.linkDied(p, err, 0)
 			return
 		}
 	}
 }
 
-// deadLink handles a failed write: it counts the lost message, then
-// discards (and counts) queued traffic for the link until shutdown so
-// senders never block on a connection that stopped writing. Losses are
-// the reliability layer's problem, exactly like losses on the wire.
-func (n *Node) deadLink(p *peerConn, err error) {
-	if n.fabric.dropDead() {
-		fmt.Printf("netrun: write to %s: %v; dropping traffic for dead links (counted in SendErrors)\n", p.conn.RemoteAddr(), err)
-	}
-	for {
-		select {
-		case <-p.q:
-			n.fabric.wirePending.Add(-1)
-			n.fabric.sendErrors.Add(1)
-		case <-p.done:
-			return
-		}
-	}
+// linkDied closes p's queue after a failed write and counts what the
+// link lost: the unwritten rest of the batch and everything queued (a
+// failed Flush loses at least one message and counts as one).
+func (n *Node) linkDied(p *peerConn, err error, unwritten int) {
+	queued := p.q.Close()
+	n.fabric.wirePending.Add(-int64(unwritten + queued))
+	n.fabric.dropDead(uint64(max(unwritten, 1)+queued), "write to %s: %v; dropping traffic for dead links", p.conn.RemoteAddr(), err)
 }
 
 // MessagesSent returns the number of messages this node put on the

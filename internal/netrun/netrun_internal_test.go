@@ -1,7 +1,10 @@
 package netrun
 
 import (
+	"io"
 	"net"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -94,9 +97,10 @@ func TestPeerDialRace(t *testing.T) {
 }
 
 // TestLocalSendAllocBudget bounds caller-side allocations of the local
-// fast path (stats update + mailbox closure): the atomic-stats rewrite
-// must not reintroduce per-message lock-or-box allocations beyond the
-// two unavoidable delivery closures.
+// fast path (stats update + mailbox append): the atomic-stats rewrite
+// must not reintroduce per-message lock-or-box allocations. The bound is
+// loose so it holds under -race too; the exact zero is
+// transport.TestLiveSendAllocatesNothing.
 func TestLocalSendAllocBudget(t *testing.T) {
 	a, _, _ := twoNodes(t)
 	m := message.Message{Kind: message.Release, From: 2, To: 0, Ch: chanset.NoChannel}
@@ -334,5 +338,40 @@ func TestLateGrantIsReleasedBack(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDroppedFrameWritesNothingToStdout: a command's standard output is
+// its report (channet's contract), so the node's diagnostics — here the
+// line logged for the first frame for a cell it does not host — go to
+// standard error.
+func TestDroppedFrameWritesNothingToStdout(t *testing.T) {
+	a, _, _ := twoNodes(t)
+	capture := func(f **os.File) (restore func() string) {
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved := *f
+		*f = w
+		return func() string {
+			*f = saved
+			w.Close()
+			b, _ := io.ReadAll(r)
+			r.Close()
+			return string(b)
+		}
+	}
+	stdout, stderr := capture(&os.Stdout), capture(&os.Stderr)
+	a.fabric.deliver(message.Message{Kind: message.Release, From: 0, To: 1, Ch: chanset.NoChannel}) // cell 1 is b's
+	out, diag := stdout(), stderr()
+	if a.SendErrors() != 1 {
+		t.Fatalf("SendErrors = %d after one frame for a cell hosted elsewhere, want 1", a.SendErrors())
+	}
+	if out != "" {
+		t.Fatalf("a dropped frame wrote %q to standard output", out)
+	}
+	if !strings.Contains(diag, "not hosted here") {
+		t.Fatalf("standard error = %q, want the dropped-frame diagnostic", diag)
 	}
 }

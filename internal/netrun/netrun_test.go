@@ -8,6 +8,7 @@ import (
 	"repro/internal/chanset"
 	"repro/internal/hexgrid"
 	"repro/internal/netrun"
+	"repro/internal/raceflag"
 	"repro/internal/registry"
 	"repro/internal/transport"
 )
@@ -335,5 +336,61 @@ func TestDistributedFaultyLinksEveryRequestTerminates(t *testing.T) {
 		if err := n.Violation(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestBorrowRoundAllocationBudget: a warm borrow + release round between
+// two nodes over TCP — the tcp-borrow benchmark's round — allocates at
+// most 0.1 objects per fabric message. The mailboxes and peer writers
+// hand messages off without a closure, a channel box or a queue node
+// each; what is left is per round (the request's bookkeeping) or per
+// message that carries a used-channel set.
+func TestBorrowRoundAllocationBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	nodes, grid, hostOf := cluster(t, "adaptive", 21, 2, 5)
+	cell := grid.InteriorCell()
+	host := hostOf[cell]
+	done := make(chan netrun.Result, 1)
+	cb := func(r netrun.Result) { done <- r }
+	request := func() netrun.Result {
+		host.Request(cell, cb)
+		return <-done // no time.After here: its timer would count against the budget
+	}
+	primaries := 21 / 7 // 21 channels on a reuse-2 plan: 3 per cell
+	for i := 0; i < primaries; i++ {
+		if !request().Granted {
+			t.Fatalf("primary request %d denied", i)
+		}
+	}
+	round := func() {
+		r := request()
+		if !r.Granted {
+			t.Fatal("borrow denied")
+		}
+		host.Release(r.Cell, r.Ch)
+	}
+	for i := 0; i < 50; i++ {
+		round() // dial both links and warm every queue
+	}
+	sent := func() (total uint64) {
+		for _, n := range nodes {
+			total += n.FabricStats().Total
+		}
+		return total
+	}
+	const runs = 300
+	before := sent()
+	allocs := testing.AllocsPerRun(runs, round)
+	perRound := float64(sent()-before) / (runs + 1) // AllocsPerRun makes one warm-up call
+	if perRound < 10 {
+		t.Fatalf("%.1f fabric messages per round: the rounds are not borrowing", perRound)
+	}
+	perMsg := allocs / perRound
+	t.Logf("%.1f objects for %.1f fabric messages per round: %.3f per message", allocs, perRound, perMsg)
+	if perMsg > 0.1 {
+		t.Fatalf("a warm borrow round allocates %.1f objects for %.1f fabric messages (%.3f per message), want <= 0.1",
+			allocs, perRound, perMsg)
 	}
 }

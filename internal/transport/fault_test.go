@@ -37,7 +37,7 @@ func TestFaultConfigValidate(t *testing.T) {
 }
 
 func TestFaultyDropsAndCounts(t *testing.T) {
-	live := NewLive(0, 64)
+	live := NewLive(0)
 	f := NewFaulty(live, FaultConfig{Seed: 7, Drop: 1}) // drop everything
 	var got atomic.Int64
 	f.Attach(1, HandlerFunc(func(message.Message) { got.Add(1) }))
@@ -62,7 +62,7 @@ func TestFaultyDropsAndCounts(t *testing.T) {
 }
 
 func TestFaultyDuplicates(t *testing.T) {
-	live := NewLive(0, 256)
+	live := NewLive(0)
 	f := NewFaulty(live, FaultConfig{Seed: 3, Duplicate: 1}) // duplicate everything
 	var got atomic.Int64
 	f.Attach(1, HandlerFunc(func(message.Message) { got.Add(1) }))
@@ -84,7 +84,7 @@ func TestFaultyJitterReorders(t *testing.T) {
 	// With strong jitter, sender order must NOT survive (that is the
 	// fault being injected); the test only asserts delivery totals and
 	// that the pending counter drains.
-	live := NewLive(0, 1024)
+	live := NewLive(0)
 	f := NewFaulty(live, FaultConfig{
 		Seed: 11, JitterMin: 50 * time.Microsecond, JitterMax: 2 * time.Millisecond,
 	})
@@ -123,7 +123,7 @@ func TestFaultySeededDeterminism(t *testing.T) {
 	// The drop pattern for a fixed send order is a pure function of the
 	// seed.
 	pattern := func(seed uint64) []bool {
-		live := NewLive(0, 64)
+		live := NewLive(0)
 		f := NewFaulty(live, FaultConfig{Seed: seed, Drop: 0.3})
 		var mu sync.Mutex
 		seen := make(map[int]bool)

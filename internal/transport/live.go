@@ -11,9 +11,13 @@ import (
 )
 
 // Live is the concurrent transport: one goroutine per station drains a
-// mailbox of closures, so each station's handler runs strictly
-// serially while different stations run in parallel — one goroutine per
-// base station, exactly the system model of the paper.
+// mailbox, so each station's handler runs strictly serially while
+// different stations run in parallel — one goroutine per base station,
+// exactly the system model of the paper. A mailbox is a Queue of typed
+// items (a message, or a Do func): a send is an append, and the station
+// swaps out and runs a whole batch per wake-up. Mailboxes are unbounded,
+// so stations whose handlers send to each other never deadlock on full
+// boxes.
 //
 // Per-link FIFO: with zero Delay, senders enqueue directly into the
 // receiver's mailbox, so program order on the sender is delivery order.
@@ -23,28 +27,25 @@ import (
 // regardless of how many (from, to) pairs talk, and back-to-back sends
 // on one link overlap in flight instead of serializing one Delay apart.
 //
-// Shutdown: Stop closes a done channel instead of the mailboxes, so a
-// Send or Do racing (or arriving after) Stop is dropped cleanly rather
-// than panicking on a closed channel. Undelivered messages queued at
-// Stop time are discarded — callers that care drain with WaitIdle
-// first.
+// Shutdown: Stop closes a done channel, on which each station closes
+// its mailbox, so a Send or Do racing (or arriving after) Stop is
+// dropped cleanly rather than run. Undelivered work queued at Stop time
+// is discarded — callers that care drain with WaitIdle first.
 type Live struct {
-	delay    time.Duration
-	capacity int
+	delay time.Duration
 
 	// mu guards configuration (Attach/Start/Stop). The per-message hot
-	// paths never take it: boxes and handlers are frozen at Start (Attach
-	// afterwards panics), and the stop flag is atomic.
-	mu       sync.Mutex
-	boxes    map[hexgrid.CellID]chan func()
-	handlers map[hexgrid.CellID]Handler
-	started  bool
-	sched    *delaySched // delay scheduler; non-nil iff delay > 0
-	done     chan struct{}
-	wg       sync.WaitGroup
+	// paths never take it: boxes are frozen at Start (Attach afterwards
+	// panics), and the stop flag is atomic.
+	mu      sync.Mutex
+	boxes   map[hexgrid.CellID]*mailbox
+	started bool
+	sched   *delaySched // delay scheduler; non-nil iff delay > 0
+	done    chan struct{}
+	wg      sync.WaitGroup
 
 	stopped  atomic.Bool
-	inflight atomic.Int64 // enqueued-but-unprocessed closures + scheduled messages
+	inflight atomic.Int64 // enqueued-but-unprocessed items + scheduled messages
 
 	// idleMu guards the WaitIdle waiter list; doneWork closes every
 	// registered channel when inflight reaches zero.
@@ -58,19 +59,25 @@ type Live struct {
 	droppedOnStop atomic.Uint64
 }
 
+// mailbox is one station's queue and the handler its messages go to.
+type mailbox struct {
+	h Handler
+	q *Queue[work]
+}
+
+// work is one mailbox item: fn when non-nil (Do), else m for the handler.
+type work struct {
+	m  message.Message
+	fn func()
+}
+
 // NewLive creates a live transport. delay is the modeled one-way message
-// latency in wall time (0 = direct delivery); capacity sizes each
-// station's mailbox.
-func NewLive(delay time.Duration, capacity int) *Live {
-	if capacity <= 0 {
-		capacity = 1024
-	}
+// latency in wall time (0 = direct delivery).
+func NewLive(delay time.Duration) *Live {
 	l := &Live{
-		delay:    delay,
-		capacity: capacity,
-		boxes:    make(map[hexgrid.CellID]chan func()),
-		handlers: make(map[hexgrid.CellID]Handler),
-		done:     make(chan struct{}),
+		delay: delay,
+		boxes: make(map[hexgrid.CellID]*mailbox),
+		done:  make(chan struct{}),
 	}
 	if delay > 0 {
 		l.sched = newDelaySched(l)
@@ -85,8 +92,7 @@ func (l *Live) Attach(id hexgrid.CellID, h Handler) {
 	if l.started || l.stopped.Load() {
 		panic("transport: Attach after Start")
 	}
-	l.handlers[id] = h
-	l.boxes[id] = make(chan func(), l.capacity)
+	l.boxes[id] = &mailbox{h: h, q: NewQueue[work]()}
 }
 
 // Start launches one goroutine per attached station, plus the delay
@@ -105,30 +111,40 @@ func (l *Live) Start() {
 			l.sched.loop(l.done)
 		}()
 	}
-	for _, box := range l.boxes {
-		box := box
+	for _, b := range l.boxes {
 		l.wg.Add(1)
-		go func() {
-			defer l.wg.Done()
-			for {
-				select {
-				case fn := <-box:
-					fn()
-					l.doneWork(false)
-				case <-l.done:
-					// Drain whatever is already queued without
-					// executing it, so inflight stays balanced.
-					for {
-						select {
-						case <-box:
-							l.doneWork(true)
-						default:
-							return
-						}
-					}
-				}
+		go l.run(b)
+	}
+}
+
+// run is a station goroutine: it takes its mailbox a batch at a time and
+// runs each item, retiring one unit of in-flight work per item. Once
+// Stop has begun, the rest of a batch and whatever is still queued are
+// dropped, not run.
+func (l *Live) run(b *mailbox) {
+	defer l.wg.Done()
+	var batch []work
+	for {
+		select {
+		case <-b.q.Wake():
+		case <-l.done:
+			l.discard(b.q.Close())
+			return
+		}
+		batch = b.q.Take(batch)
+		for i := range batch {
+			switch w := &batch[i]; {
+			case l.stopped.Load():
+				l.doneWork(true)
+				continue
+			case w.fn != nil:
+				w.fn()
+			default:
+				b.h.Handle(w.m)
 			}
-		}()
+			l.doneWork(false)
+		}
+		clear(batch)
 	}
 }
 
@@ -150,20 +166,11 @@ func (l *Live) Stop() {
 // Do runs fn on the station goroutine of cell (serialized with its
 // message handling). After Stop, fn is silently discarded.
 func (l *Live) Do(cell hexgrid.CellID, fn func()) {
-	box, ok := l.boxes[cell]
+	b, ok := l.boxes[cell]
 	if !ok {
 		panic(fmt.Sprintf("transport: Do on unattached cell %d", cell))
 	}
-	if l.stopped.Load() {
-		l.droppedOnStop.Add(1)
-		return
-	}
-	l.inflight.Add(1)
-	select {
-	case box <- fn:
-	case <-l.done:
-		l.doneWork(true)
-	}
+	l.put(b, work{fn: fn})
 }
 
 // Send implements Transport. After Stop, messages are dropped cleanly.
@@ -187,20 +194,22 @@ func (l *Live) Send(m message.Message) {
 }
 
 func (l *Live) deliver(m message.Message) {
-	h, ok := l.handlers[m.To]
+	b, ok := l.boxes[m.To]
 	if !ok {
 		panic(fmt.Sprintf("transport: send to unattached cell %d: %v", m.To, m))
 	}
-	box := l.boxes[m.To]
+	l.put(b, work{m: m})
+}
+
+// put counts w in flight and queues it, or drops it once Stop has begun.
+func (l *Live) put(b *mailbox, w work) {
 	if l.stopped.Load() {
 		l.droppedOnStop.Add(1)
 		return
 	}
 	l.inflight.Add(1)
-	select {
-	case box <- func() { h.Handle(m) }:
-	case <-l.done:
-		l.doneWork(true)
+	if !b.q.Put(w) {
+		l.doneWork(true) // the station closed its mailbox on Stop
 	}
 }
 
@@ -220,6 +229,13 @@ func (l *Live) doneWork(dropped bool) {
 	l.idleMu.Unlock()
 	for _, w := range ws {
 		close(w)
+	}
+}
+
+// discard retires n units of work dropped by Stop.
+func (l *Live) discard(n int) {
+	for ; n > 0; n-- {
+		l.doneWork(true)
 	}
 }
 

@@ -10,10 +10,11 @@ import (
 	"repro/internal/chanset"
 	"repro/internal/hexgrid"
 	"repro/internal/message"
+	"repro/internal/raceflag"
 )
 
 func TestLiveDeliversAndCounts(t *testing.T) {
-	l := NewLive(0, 16)
+	l := NewLive(0)
 	var got atomic.Int64
 	l.Attach(1, HandlerFunc(func(m message.Message) { got.Add(1) }))
 	l.Start()
@@ -35,7 +36,7 @@ func TestLiveDeliversAndCounts(t *testing.T) {
 
 func TestLivePerStationSerialization(t *testing.T) {
 	// Handlers of ONE station must never run concurrently.
-	l := NewLive(0, 256)
+	l := NewLive(0)
 	var inside atomic.Int32
 	var maxSeen atomic.Int32
 	l.Attach(1, HandlerFunc(func(message.Message) {
@@ -68,7 +69,7 @@ func TestLivePerStationSerialization(t *testing.T) {
 }
 
 func TestLiveFIFOWithDelay(t *testing.T) {
-	l := NewLive(100*time.Microsecond, 256)
+	l := NewLive(100 * time.Microsecond)
 	var mu sync.Mutex
 	var order []int
 	l.Attach(1, HandlerFunc(func(m message.Message) {
@@ -94,7 +95,7 @@ func TestLiveFIFOWithDelay(t *testing.T) {
 }
 
 func TestLiveDoRunsOnStationGoroutine(t *testing.T) {
-	l := NewLive(0, 16)
+	l := NewLive(0)
 	l.Attach(2, HandlerFunc(func(message.Message) {}))
 	l.Start()
 	defer l.Stop()
@@ -111,7 +112,7 @@ func TestLiveDoRunsOnStationGoroutine(t *testing.T) {
 }
 
 func TestLiveMisusePanics(t *testing.T) {
-	l := NewLive(0, 4)
+	l := NewLive(0)
 	l.Attach(1, HandlerFunc(func(message.Message) {}))
 	l.Start()
 	defer l.Stop()
@@ -140,7 +141,7 @@ func TestLiveMisusePanics(t *testing.T) {
 func TestLiveSchedulerGoroutineCount(t *testing.T) {
 	overhead := func(stations int) int {
 		base := runtime.NumGoroutine()
-		l := NewLive(200*time.Microsecond, 256)
+		l := NewLive(200 * time.Microsecond)
 		var got atomic.Int64
 		for c := 0; c < stations; c++ {
 			l.Attach(hexgrid.CellID(c), HandlerFunc(func(message.Message) { got.Add(1) }))
@@ -180,7 +181,7 @@ func TestLiveSchedulerGoroutineCount(t *testing.T) {
 // pipelines gave for free).
 func TestLiveFIFOAcrossManyLinks(t *testing.T) {
 	const links, perLink = 8, 200
-	l := NewLive(100*time.Microsecond, 4096)
+	l := NewLive(100 * time.Microsecond)
 	var mu sync.Mutex
 	order := make(map[hexgrid.CellID][]int)
 	l.Attach(99, HandlerFunc(func(m message.Message) {
@@ -231,7 +232,7 @@ func TestLiveFIFOAcrossManyLinks(t *testing.T) {
 // message, capping each link at 1/Delay msgs/sec).
 func TestLiveDelayedSendsOverlap(t *testing.T) {
 	const delay, k = 20 * time.Millisecond, 20
-	l := NewLive(delay, 256)
+	l := NewLive(delay)
 	var got atomic.Int64
 	l.Attach(1, HandlerFunc(func(message.Message) { got.Add(1) }))
 	l.Start()
@@ -258,7 +259,7 @@ func TestLiveDelayedSendsOverlap(t *testing.T) {
 // a waiter blocked on a busy transport returns promptly once the last
 // queued handler finishes.
 func TestLiveWaitIdleWakesWithoutPolling(t *testing.T) {
-	l := NewLive(0, 16)
+	l := NewLive(0)
 	release := make(chan struct{})
 	l.Attach(1, HandlerFunc(func(message.Message) { <-release }))
 	l.Start()
@@ -283,7 +284,7 @@ func TestLiveWaitIdleWakesWithoutPolling(t *testing.T) {
 }
 
 func TestLiveStopIdempotent(t *testing.T) {
-	l := NewLive(0, 4)
+	l := NewLive(0)
 	l.Attach(1, HandlerFunc(func(message.Message) {}))
 	l.Start()
 	l.Stop()
@@ -293,7 +294,7 @@ func TestLiveStopIdempotent(t *testing.T) {
 func TestLiveSendAfterStopIsDropped(t *testing.T) {
 	// Regression: Send with delay > 0 after Stop used to write to a
 	// closed link channel and panic. It must drop cleanly instead.
-	l := NewLive(50*time.Microsecond, 16)
+	l := NewLive(50 * time.Microsecond)
 	l.Attach(1, HandlerFunc(func(message.Message) {}))
 	l.Start()
 	l.Send(message.Message{Kind: message.Request, From: 0, To: 1})
@@ -312,7 +313,7 @@ func TestLiveSendRacingStop(t *testing.T) {
 	// Regression (run under -race): senders hammering a delayed link
 	// while Stop tears it down must neither panic nor race.
 	for trial := 0; trial < 20; trial++ {
-		l := NewLive(20*time.Microsecond, 8)
+		l := NewLive(20 * time.Microsecond)
 		l.Attach(1, HandlerFunc(func(message.Message) {}))
 		l.Attach(2, HandlerFunc(func(message.Message) {}))
 		l.Start()
@@ -337,5 +338,64 @@ func TestLiveSendRacingStop(t *testing.T) {
 		l.Stop() // races with the senders by design
 		close(stop)
 		wg.Wait()
+	}
+}
+
+// TestLiveMutualFloodCompletes: two stations whose handlers send to
+// each other must not deadlock however far one runs ahead. Station 1
+// sends a burst to station 2 from its own goroutine, and station 2
+// echoes every message back. With bounded blocking mailboxes both boxes
+// filled and both stations blocked in Send forever; unbounded mailboxes
+// finish the exchange in milliseconds.
+func TestLiveMutualFloodCompletes(t *testing.T) {
+	const burst = 5000
+	l := NewLive(0)
+	var echoes atomic.Int64
+	l.Attach(1, HandlerFunc(func(message.Message) { echoes.Add(1) }))
+	l.Attach(2, HandlerFunc(func(m message.Message) {
+		l.Send(message.Message{Kind: message.Release, From: 2, To: 1, Ch: m.Ch})
+	}))
+	l.Start()
+	defer l.Stop()
+	l.Do(1, func() {
+		for i := 0; i < burst; i++ {
+			l.Send(message.Message{Kind: message.Release, From: 1, To: 2, Ch: chanset.Channel(i)})
+		}
+	})
+	deadline := time.Now().Add(5 * time.Second)
+	for echoes.Load() != burst {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d echoes came back within 5s: the stations deadlocked", echoes.Load(), burst)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if !l.WaitIdle(5 * time.Second) {
+		t.Fatal("not idle after the flood")
+	}
+}
+
+// TestLiveSendAllocatesNothing: a message through a warm mailbox — Send,
+// the station's wake-up and Handle — allocates nothing (the mailbox
+// holds typed items, not one closure per message, and recycles its
+// slices).
+func TestLiveSendAllocatesNothing(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	l := NewLive(0)
+	handled := make(chan struct{})
+	l.Attach(1, HandlerFunc(func(message.Message) { handled <- struct{}{} }))
+	l.Start()
+	defer l.Stop()
+	m := message.Message{Kind: message.Release, From: 0, To: 1, Ch: 3}
+	round := func() {
+		l.Send(m)
+		<-handled
+	}
+	for i := 0; i < 10; i++ {
+		round() // warm both of the mailbox's slices
+	}
+	if allocs := testing.AllocsPerRun(1000, round); allocs != 0 {
+		t.Fatalf("Send -> Handle through a warm mailbox allocates %.2f objects, want 0", allocs)
 	}
 }

@@ -13,7 +13,7 @@ import (
 
 // stack builds live → faulty → reliable and returns all three layers.
 func stack(fault FaultConfig, rel ReliableConfig) (*Live, *Faulty, *Reliable) {
-	live := NewLive(0, 4096)
+	live := NewLive(0)
 	f := NewFaulty(live, fault)
 	r := NewReliable(f, rel)
 	return live, f, r

@@ -1,7 +1,7 @@
 // Package transport delivers control messages between mobile service
 // stations.
 //
-//   - Live: one goroutine per station with channel mailboxes and real
+//   - Live: one goroutine per station with batched mailboxes and real
 //     (scaled) delays — the "goroutines are base stations" runtime used
 //     to shake out ordering assumptions under true concurrency — and the
 //     Faulty and Reliable decorators stacked on it.

@@ -15,7 +15,7 @@ import (
 // pending retransmits; now the reliability layer holds a work unit for
 // the whole ack-or-abandon lifetime.
 func TestWaitIdleCoversRetransmits(t *testing.T) {
-	live := NewLive(0, 64)
+	live := NewLive(0)
 	faulty := NewFaulty(live, FaultConfig{Seed: 1, Drop: 1}) // lose everything
 	rel := NewReliable(faulty, ReliableConfig{
 		Timeout:    20 * time.Millisecond,
@@ -47,7 +47,7 @@ func TestWaitIdleCoversRetransmits(t *testing.T) {
 // TestWaitIdleReleasedByAck checks the happy path: once the ack lands,
 // the work unit is released and the fabric drains to idle quickly.
 func TestWaitIdleReleasedByAck(t *testing.T) {
-	live := NewLive(0, 64)
+	live := NewLive(0)
 	rel := NewReliable(live, ReliableConfig{Timeout: time.Second})
 	got := make(chan message.Message, 1)
 	rel.Attach(0, HandlerFunc(func(message.Message) {}))
@@ -73,7 +73,7 @@ func TestWaitIdleReleasedByAck(t *testing.T) {
 // every outstanding obligation exactly once, and a late ack for a
 // closed-out entry releases nothing further.
 func TestWaitIdleReleasedByClose(t *testing.T) {
-	live := NewLive(0, 64)
+	live := NewLive(0)
 	faulty := NewFaulty(live, FaultConfig{Seed: 1, Drop: 1})
 	rel := NewReliable(faulty, ReliableConfig{Timeout: time.Minute, MaxRetries: 1})
 	rel.Attach(0, HandlerFunc(func(message.Message) {}))
@@ -103,7 +103,7 @@ func TestWaitIdleReleasedByClose(t *testing.T) {
 // TestRegistrarOfFindsLiveThroughStack pins the capability probe the
 // layers use to discover the in-flight counter.
 func TestRegistrarOfFindsLiveThroughStack(t *testing.T) {
-	live := NewLive(0, 4)
+	live := NewLive(0)
 	var tr Transport = NewFaulty(live, FaultConfig{})
 	if registrarOf(tr) != WorkRegistrar(live) {
 		t.Fatal("registrarOf did not find Live beneath Faulty")
