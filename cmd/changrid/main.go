@@ -1,7 +1,7 @@
-// Command changrid is a live demo of the "one goroutine per base
-// station" runtime: it drives a moving hot spot of calls over the
-// concurrent network and animates per-cell channel usage and mode as an
-// ASCII grid.
+// Command changrid is a live demo of the wall-clock runtime (every base
+// station on one event loop, fed by concurrent callers and timers): it
+// drives a moving hot spot of calls over the network and animates
+// per-cell channel usage and mode as an ASCII grid.
 //
 //	changrid -scheme adaptive -seconds 5
 package main

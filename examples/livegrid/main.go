@@ -1,8 +1,8 @@
-// Livegrid: the adaptive protocol on the live concurrent runtime — one
-// goroutine per base station, real channel-based message passing. A
-// burst of concurrent callers hammers an interference neighborhood from
-// separate goroutines; the committed-outcome checker proves no
-// co-channel interference ever occurred.
+// Livegrid: the adaptive protocol on the live concurrent runtime — every
+// base station on one event loop, real message passing in wall-clock
+// time. A burst of concurrent callers hammers an interference
+// neighborhood from separate goroutines; the committed-outcome checker
+// proves no co-channel interference ever occurred.
 package main
 
 import (

@@ -32,8 +32,8 @@ func (s Stamp) IsZero() bool { return s == Stamp{} }
 func (s Stamp) String() string { return fmt.Sprintf("%d.%d", s.Time, s.Node) }
 
 // Clock is a Lamport clock owned by one node. It is not safe for
-// concurrent use; in the live runtime each station goroutine owns its
-// clock exclusively.
+// concurrent use; in the live runtime each clock is touched only by its
+// station's handlers, which the node's loop runs one at a time.
 type Clock struct {
 	node int32
 	time int64

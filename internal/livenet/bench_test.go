@@ -11,8 +11,8 @@ import (
 )
 
 // BenchmarkLiveRequestRelease measures a full request+release round trip
-// on the goroutine-per-station runtime (local grant path: cross-goroutine
-// submission, station processing, callback, release).
+// on the in-process runtime (local grant path: submission onto the
+// node's loop, station processing, callback, release).
 func BenchmarkLiveRequestRelease(b *testing.B) {
 	g := hexgrid.MustNew(hexgrid.Config{Shape: hexgrid.Rect, Width: 7, Height: 7, ReuseDistance: 2, Wrap: true})
 	assign := chanset.MustAssign(g, 70)

@@ -1,8 +1,8 @@
 // Package livenet names the in-process form of the wall-clock runtime:
 // a netrun.Node that hosts every cell and listens nowhere. Everything
-// it does — goroutine per station, fault model, deadline watchdog,
-// committed-outcome checker — is documented on netrun.Node and
-// netrun.Config.
+// it does — every station on one event loop, fault model, deadline
+// watchdog, committed-outcome checker — is documented on netrun.Node
+// and netrun.Config.
 package livenet
 
 import (
@@ -32,7 +32,7 @@ func New(grid *hexgrid.Grid, assign *chanset.Assignment, factory alloc.Factory, 
 	return &Network{n}
 }
 
-// Stop terminates the station goroutines.
+// Stop terminates the network's loop and goroutines.
 func (n *Network) Stop() { n.Close() }
 
 // Messages returns transport traffic so far, measured at the top of the

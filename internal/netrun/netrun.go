@@ -1,6 +1,8 @@
-// Package netrun is the wall-clock runtime: one goroutine per hosted
-// station (transport.Live), wall-clock delays, real parallelism, the
-// same allocator code that runs on the DES. It exists to validate the
+// Package netrun is the wall-clock runtime: a node runs its hosted
+// stations on one event loop (transport.Live), beside the goroutines
+// that read and write its TCP links; wall-clock delays, real
+// parallelism between nodes and between a loop and its I/O, the same
+// allocator code that runs on the DES. It exists to validate the
 // protocol under true concurrency (race detector, nondeterministic
 // interleavings) and to power the demos; the measured experiments use
 // the deterministic DES driver instead.
@@ -8,8 +10,8 @@
 // The paper's stations share nothing and talk over reliable FIFO links
 // of bounded latency, so where two stations sit is a property of the
 // link, not of the runtime. A Node hosts a set of cells: a message for
-// a hosted cell goes to that cell's mailbox, one for any other cell
-// goes out as a wire message of internal/message over TCP. A node that
+// a hosted cell goes onto the node's loop, one for any other cell goes
+// out as a wire message of internal/message over TCP. A node that
 // hosts every cell and listens nowhere is the in-process network
 // (internal/livenet constructs exactly that); several listening nodes
 // are the distributed one. The routing table (cell → address) is
@@ -30,7 +32,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,7 +51,7 @@ type Config struct {
 	// Cells hosted by this node; nil hosts every cell of the grid.
 	Cells []hexgrid.CellID
 	// Delay is the modeled one-way latency, in wall time, of every
-	// delivery to a hosted cell (0 = straight into the mailbox). A
+	// delivery to a hosted cell (0 = straight onto the loop). A
 	// message that arrived over TCP waits it out on top of the wire's.
 	Delay time.Duration
 	// LatencyTicks is the T value reported to allocators (the adaptive
@@ -111,13 +112,13 @@ type pendingReq struct {
 	timer *time.Timer // nil when no RequestTimeout is configured
 }
 
-// Node hosts a set of stations and speaks TCP to the nodes hosting the
-// rest.
+// Node hosts a set of stations on one event loop and speaks TCP to the
+// nodes hosting the rest.
 type Node struct {
 	grid   *hexgrid.Grid
 	cfg    Config
 	ln     net.Listener    // nil when the node listens nowhere
-	local  *transport.Live // mailboxes for hosted cells
+	local  *transport.Live // the loop that runs every hosted cell
 	fabric *nodeTransport  // routing fabric as a transport.Transport
 	stack  layer           // top of the stack: what stations talk to
 	rel    *transport.Reliable
@@ -242,17 +243,13 @@ func NewNode(grid *hexgrid.Grid, assign *chanset.Assignment, factory alloc.Facto
 		n.stack.Attach(cell, a) // through the stack: reliability wraps the handler
 	}
 	n.local.Start()
-	// Start must run on each station's goroutine so allocator state is
-	// never touched cross-thread.
+	// Start must run on the loop so allocator state is never touched
+	// cross-thread.
 	var wg sync.WaitGroup
+	wg.Add(len(cfg.Cells))
 	for _, cell := range cfg.Cells {
-		cell := cell
 		env := &nodeEnv{node: n, cell: cell, rand: sim.Substream(cfg.Seed, uint64(cell)+1)}
-		wg.Add(1)
-		n.local.Do(cell, func() {
-			n.hosted[cell].Start(env)
-			wg.Done()
-		})
+		n.local.Do(cell, func() { n.hosted[cell].Start(env); wg.Done() })
 	}
 	wg.Wait()
 	if r := cfg.Obs; r != nil {
@@ -384,11 +381,11 @@ func (n *Node) isClosed() bool {
 	return n.closed
 }
 
-// nodeTransport adapts the node's routing fabric — local mailboxes plus
-// lazily-dialed TCP peers — to transport.Transport, so Faulty and
-// Reliable stack over it whatever the links are. Attach is called
-// through the stack top, which means the handlers the mailboxes hold
-// already carry the reliability layer's receive side.
+// nodeTransport adapts the node's routing fabric — the loop for hosted
+// cells plus lazily-dialed TCP peers — to transport.Transport, so Faulty
+// and Reliable stack over it whatever the links are. Attach is called
+// through the stack top, which means the handlers the loop runs already
+// carry the reliability layer's receive side.
 type nodeTransport struct {
 	n *Node
 
@@ -403,9 +400,10 @@ type nodeTransport struct {
 	wirePending atomic.Int64
 	// sendErrors counts messages dropped because their link is dead —
 	// the peer could not be dialed (it is down or shutting down) or a
-	// write to it failed — or because they arrived for a cell this node
-	// does not host. Like a loss on the wire, the drop is the
-	// reliability layer's problem — never a panic.
+	// write to it failed — because their cell has no route, or because
+	// they arrived for a cell this node does not host. Like a loss on
+	// the wire, the drop is the reliability layer's problem — never a
+	// panic.
 	sendErrors atomic.Uint64
 }
 
@@ -418,12 +416,13 @@ func (t *nodeTransport) dropDead(k uint64, format string, args ...any) {
 	}
 }
 
-// Attach implements transport.Transport: the hosted cell gets its
-// mailbox, with h behind it.
+// Attach implements transport.Transport: the loop runs h for the hosted
+// cell.
 func (t *nodeTransport) Attach(id hexgrid.CellID, h transport.Handler) { t.n.local.Attach(id, h) }
 
-// Send implements transport.Transport: local destinations go through the
-// hosted cell's mailbox, remote ones onto the peer writer's queue.
+// Send implements transport.Transport: local destinations go onto the
+// node's loop, remote ones onto the peer writer's queue. A message for a
+// cell with no route is a counted drop, like one for a dead link.
 func (t *nodeTransport) Send(m message.Message) {
 	t.total.Add(1)
 	if int(m.Kind) < len(t.byKind) {
@@ -438,7 +437,8 @@ func (t *nodeTransport) Send(m message.Message) {
 	addr, ok := n.routes[m.To]
 	n.netMu.RUnlock()
 	if !ok {
-		panic(fmt.Sprintf("netrun: no route to cell %d", m.To))
+		t.dropDead(1, "no route to cell %d; dropping traffic for unrouted cells", m.To)
+		return
 	}
 	p, err := n.peer(addr)
 	if err != nil {
@@ -454,7 +454,7 @@ func (t *nodeTransport) Send(m message.Message) {
 	}
 }
 
-// deliver hands a frame read off the wire to its cell's mailbox. The
+// deliver hands a frame read off the wire to the node's loop. The
 // hosted check is what stands between a stale routing table or a
 // hostile peer and Live's panic on an unattached cell.
 func (t *nodeTransport) deliver(m message.Message) {
@@ -476,7 +476,7 @@ func (t *nodeTransport) Stats() transport.Stats {
 	return s
 }
 
-// Idle implements transport.Idler: local mailboxes drained and no
+// Idle implements transport.Idler: the loop drained and no
 // message parked in a peer writer queue.
 func (t *nodeTransport) Idle() bool {
 	return t.wirePending.Load() == 0 && t.n.local.Idle()
@@ -524,14 +524,13 @@ func (n *Node) peer(addr string) (*peerConn, error) {
 	return p, nil
 }
 
-// writeLoop is the single writer for one peer link. It takes the queue a
-// batch at a time and encodes it into the buffered writer; before the
-// Flush it yields once and takes whatever the yield let senders add, so
-// one syscall carries both. TCP ordering plus the single consumer
-// preserve per-link FIFO. A failed write kills the link: the queue is
-// closed, and every message it loses — unwritten, queued, or put later —
-// is counted in SendErrors, which is the reliability layer's problem,
-// exactly like a loss on the wire.
+// writeLoop is the single writer for one peer link: it takes the queue a
+// batch at a time and flushes once per batch (the loop queues a whole
+// fan-out faster than the writer wakes, so one syscall usually carries
+// it). TCP ordering plus the single consumer preserve per-link FIFO. A
+// failed write kills the link: the queue is closed, and every message
+// it loses — unwritten, queued, or put later — is counted in
+// SendErrors, the reliability layer's problem like a loss on the wire.
 func (n *Node) writeLoop(p *peerConn) {
 	defer n.wg.Done()
 	defer p.conn.Close()
@@ -545,23 +544,17 @@ func (n *Node) writeLoop(p *peerConn) {
 			w.Flush()
 			return
 		}
-		for yielded := false; ; yielded = true {
-			batch = p.q.Take(batch)
-			for i, m := range batch {
-				buf = message.Encode(buf[:0], m)
-				if _, err := w.Write(buf); err != nil {
-					n.linkDied(p, err, len(batch)-i)
-					return
-				}
-				n.fabric.bytes.Add(uint64(len(buf)))
-				n.fabric.wirePending.Add(-1)
+		batch = p.q.Take(batch)
+		for i, m := range batch {
+			buf = message.Encode(buf[:0], m)
+			if _, err := w.Write(buf); err != nil {
+				n.linkDied(p, err, len(batch)-i)
+				return
 			}
-			clear(batch)
-			if yielded {
-				break
-			}
-			runtime.Gosched()
+			n.fabric.bytes.Add(uint64(len(buf)))
+			n.fabric.wirePending.Add(-1)
 		}
+		clear(batch)
 		if err := w.Flush(); err != nil {
 			n.linkDied(p, err, 0)
 			return
@@ -584,8 +577,8 @@ func (n *Node) linkDied(p *peerConn, err error, unwritten int) {
 func (n *Node) MessagesSent() uint64 { return n.fabric.Stats().Total }
 
 // SendErrors returns the number of messages dropped: the peer could not
-// be dialed, a write to it failed, or the frame was for a cell this
-// node does not host.
+// be dialed, a write to it failed, the cell had no route, or the frame
+// was for a cell this node does not host.
 func (n *Node) SendErrors() uint64 { return n.fabric.sendErrors.Load() }
 
 // FabricStats returns the raw fabric accounting (message and wire-byte
@@ -598,8 +591,13 @@ func (n *Node) FabricStats() transport.Stats { return n.fabric.Stats() }
 func (n *Node) Stats() transport.Stats { return n.stack.Stats() }
 
 // Request submits a channel request at a hosted cell; cb (may be nil) is
-// invoked when the request completes — on the station's goroutine for a
-// normal grant/denial, on a timer goroutine for a deadline denial.
+// invoked when the request completes — on the node's loop for a normal
+// grant/denial, on a timer goroutine for a deadline denial.
+//
+// cb must not block on the node: the loop runs every hosted cell, so a
+// callback that calls InUse or WaitSettled, or waits for another
+// request's callback, deadlocks the node. Hand the result off — send it
+// on a buffered channel, arm a timer — and return.
 func (n *Node) Request(cell hexgrid.CellID, cb func(Result)) {
 	if _, ok := n.hosted[cell]; !ok {
 		panic(fmt.Sprintf("netrun: cell %d not hosted here", cell))
@@ -707,7 +705,7 @@ func (n *Node) Release(cell hexgrid.CellID, ch chanset.Channel) {
 	n.local.Do(cell, func() { n.release(cell, ch) })
 }
 
-// release hands ch back to cell's allocator, on the station's goroutine.
+// release hands ch back to cell's allocator, on the loop.
 func (n *Node) release(cell hexgrid.CellID, ch chanset.Channel) {
 	if err := n.hosted[cell].Release(ch); err != nil {
 		n.mu.Lock()
@@ -723,7 +721,8 @@ func (n *Node) Outstanding() int {
 	return n.outst
 }
 
-// InUse snapshots a hosted cell's channels (runs on its goroutine).
+// InUse snapshots a hosted cell's channels, read on the loop (so never
+// from a Request callback).
 func (n *Node) InUse(cell hexgrid.CellID) chanset.Set {
 	done := make(chan chanset.Set, 1)
 	n.local.Do(cell, func() { done <- n.hosted[cell].InUse().Clone() })
@@ -753,14 +752,14 @@ func (n *Node) WaitSettled(timeout time.Duration) bool {
 }
 
 // complete records a finished request and runs its callback. It runs on
-// the granting cell's station goroutine (via env.Granted / env.Denied).
+// the loop (via env.Granted / env.Denied).
 func (n *Node) complete(cell hexgrid.CellID, id alloc.RequestID, granted bool, ch chanset.Channel) {
 	n.mu.Lock()
 	p := n.pending[id]
 	if p == nil {
 		// The deadline watchdog already completed this request as a
 		// denial. A late grant must hand its channel back — we are on
-		// the station's goroutine, so the release is a direct call.
+		// the loop, so the release is a direct call.
 		late := n.expired[id] && granted
 		delete(n.expired, id)
 		if late {
@@ -808,7 +807,7 @@ func (n *Node) complete(cell hexgrid.CellID, id alloc.RequestID, granted bool, c
 }
 
 // nodeEnv implements alloc.Env over the node. All methods are invoked
-// from the owning station's goroutine.
+// on the node's loop, from the owning station's handlers.
 type nodeEnv struct {
 	node *Node
 	cell hexgrid.CellID
@@ -823,9 +822,9 @@ func (e *nodeEnv) Now() sim.Time               { return sim.Time(e.node.nowTicks
 
 func (e *nodeEnv) Send(m message.Message) {
 	m.From = e.cell
-	// The message crosses goroutines (mailboxes, the peer writer, the
-	// retransmit queue): take the copy alloc.Env.Send owes a Use that is
-	// only a view.
+	// The message outlives this call (the loop's queue, the peer
+	// writer, the retransmit queue): take the copy alloc.Env.Send owes a
+	// Use that is only a view.
 	if len(m.Use.Words()) > 0 {
 		m.Use = m.Use.Clone()
 	}

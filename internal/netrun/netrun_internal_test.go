@@ -97,10 +97,10 @@ func TestPeerDialRace(t *testing.T) {
 }
 
 // TestLocalSendAllocBudget bounds caller-side allocations of the local
-// fast path (stats update + mailbox append): the atomic-stats rewrite
-// must not reintroduce per-message lock-or-box allocations. The bound is
-// loose so it holds under -race too; the exact zero is
-// transport.TestLiveSendAllocatesNothing.
+// fast path (stats update + append to the loop's queue): the
+// atomic-stats rewrite must not reintroduce per-message lock-or-box
+// allocations. The bound is loose so it holds under -race too; the
+// exact zero is transport.TestLiveSendAllocatesNothing.
 func TestLocalSendAllocBudget(t *testing.T) {
 	a, _, _ := twoNodes(t)
 	m := message.Message{Kind: message.Release, From: 2, To: 0, Ch: chanset.NoChannel}
@@ -211,7 +211,7 @@ func TestMalformedFrameIsACountedDrop(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Read the counter on the cell's own mailbox goroutine.
+	// Read the counter on the node's loop.
 	bad := func() uint64 {
 		got := make(chan uint64, 1)
 		a.local.Do(cell, func() {
@@ -347,22 +347,7 @@ func TestLateGrantIsReleasedBack(t *testing.T) {
 // standard error.
 func TestDroppedFrameWritesNothingToStdout(t *testing.T) {
 	a, _, _ := twoNodes(t)
-	capture := func(f **os.File) (restore func() string) {
-		r, w, err := os.Pipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		saved := *f
-		*f = w
-		return func() string {
-			*f = saved
-			w.Close()
-			b, _ := io.ReadAll(r)
-			r.Close()
-			return string(b)
-		}
-	}
-	stdout, stderr := capture(&os.Stdout), capture(&os.Stderr)
+	stdout, stderr := capture(t, &os.Stdout), capture(t, &os.Stderr)
 	a.fabric.deliver(message.Message{Kind: message.Release, From: 0, To: 1, Ch: chanset.NoChannel}) // cell 1 is b's
 	out, diag := stdout(), stderr()
 	if a.SendErrors() != 1 {
@@ -373,5 +358,68 @@ func TestDroppedFrameWritesNothingToStdout(t *testing.T) {
 	}
 	if !strings.Contains(diag, "not hosted here") {
 		t.Fatalf("standard error = %q, want the dropped-frame diagnostic", diag)
+	}
+}
+
+// capture points *f (os.Stdout or os.Stderr) at a pipe until the
+// returned restore is called, which hands back what was written.
+func capture(t *testing.T, f **os.File) (restore func() string) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := *f
+	*f = w
+	return func() string {
+		*f = saved
+		w.Close()
+		b, _ := io.ReadAll(r)
+		r.Close()
+		return string(b)
+	}
+}
+
+// TestUnroutedSendIsACountedDrop: a station's send to a cell its node
+// has no route for (a routing table missing an entry) runs on the
+// node's loop, where no caller could recover a panic. It is counted in
+// SendErrors with one line on standard error, as a dial failure is, and
+// the node goes on granting from its own primaries.
+func TestUnroutedSendIsACountedDrop(t *testing.T) {
+	a, _, _ := twoNodes(t)
+	const cell, unrouted = hexgrid.CellID(0), hexgrid.CellID(1) // 1 is b's
+	a.netMu.Lock()
+	delete(a.routes, unrouted)
+	a.netMu.Unlock()
+	stderr := capture(t, &os.Stderr)
+	sent := make(chan struct{})
+	a.local.Do(cell, func() {
+		for i := 0; i < 2; i++ {
+			a.stack.Send(message.Message{Kind: message.Release, From: cell, To: unrouted, Ch: chanset.NoChannel})
+		}
+		close(sent)
+	})
+	select {
+	case <-sent:
+	case <-time.After(5 * time.Second):
+		stderr()
+		t.Fatal("the loop never ran the sends")
+	}
+	diag := stderr()
+	if got := a.SendErrors(); got != 2 {
+		t.Fatalf("SendErrors = %d after two sends to an unrouted cell, want 2", got)
+	}
+	if strings.Count(diag, "\n") != 1 || !strings.Contains(diag, "no route to cell 1") {
+		t.Fatalf("standard error = %q, want one line naming the unrouted cell", diag)
+	}
+	done := make(chan Result, 1)
+	a.Request(cell, func(r Result) { done <- r })
+	select {
+	case r := <-done:
+		if !r.Granted {
+			t.Fatal("local request denied after the unrouted sends")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the node stopped serving after the unrouted sends")
 	}
 }

@@ -341,8 +341,8 @@ func TestDistributedFaultyLinksEveryRequestTerminates(t *testing.T) {
 
 // TestBorrowRoundAllocationBudget: a warm borrow + release round between
 // two nodes over TCP — the tcp-borrow benchmark's round — allocates at
-// most 0.1 objects per fabric message. The mailboxes and peer writers
-// hand messages off without a closure, a channel box or a queue node
+// most 0.1 objects per fabric message. The node's loop and its peer
+// writers hand messages off without a closure, a channel box or a queue node
 // each; what is left is per round (the request's bookkeeping) or per
 // message that carries a used-channel set.
 func TestBorrowRoundAllocationBudget(t *testing.T) {

@@ -10,39 +10,43 @@ import (
 	"repro/internal/message"
 )
 
-// Live is the concurrent transport: one goroutine per station drains a
-// mailbox, so each station's handler runs strictly serially while
-// different stations run in parallel — one goroutine per base station,
-// exactly the system model of the paper. A mailbox is a Queue of typed
-// items (a message, or a Do func): a send is an append, and the station
-// swaps out and runs a whole batch per wake-up. Mailboxes are unbounded,
-// so stations whose handlers send to each other never deadlock on full
-// boxes.
+// Live is the concurrent transport: one goroutine, the loop, drains one
+// Queue of typed items (a message with its station's handler, or a Do
+// func) for every attached station. A station of the paper is a serial
+// process that shares nothing, and nothing asks two stations on one
+// machine to run on two threads; parallelism is between transports and
+// between a loop and the goroutines that feed it. A send is an append,
+// and the loop runs a whole batch per wake-up. The queue is unbounded,
+// so stations whose handlers send to each other never deadlock.
 //
-// Per-link FIFO: with zero Delay, senders enqueue directly into the
-// receiver's mailbox, so program order on the sender is delivery order.
-// With a positive Delay, messages pass through a single FIFO scheduler
-// goroutine (see delaySched) that delivers each message Delay
-// after its send while preserving Send-call order — O(1) goroutines
-// regardless of how many (from, to) pairs talk, and back-to-back sends
-// on one link overlap in flight instead of serializing one Delay apart.
+// The blocking rule: a handler or Do func that waits for other work of
+// the same Live (a Do it queued, another station's reply) waits forever.
 //
-// Shutdown: Stop closes a done channel, on which each station closes
-// its mailbox, so a Send or Do racing (or arriving after) Stop is
-// dropped cleanly rather than run. Undelivered work queued at Stop time
-// is discarded — callers that care drain with WaitIdle first.
+// Per-link FIFO: with zero Delay, senders enqueue directly into the one
+// queue, so program order on the sender is delivery order (a Do after a
+// Send to one station runs after that message's handler). With a
+// positive Delay, messages pass through one FIFO scheduler goroutine
+// (see delaySched) that delivers each message Delay after its send, in
+// Send-call order, so back-to-back sends on one link overlap in flight
+// instead of serializing one Delay apart.
+//
+// Shutdown: Stop closes a done channel, on which the loop closes its
+// queue, so a Send or Do racing (or arriving after) Stop is dropped
+// cleanly rather than run. Undelivered work queued at Stop time is
+// discarded — callers that care drain with WaitIdle first.
 type Live struct {
 	delay time.Duration
 
 	// mu guards configuration (Attach/Start/Stop). The per-message hot
-	// paths never take it: boxes are frozen at Start (Attach afterwards
-	// panics), and the stop flag is atomic.
-	mu      sync.Mutex
-	boxes   map[hexgrid.CellID]*mailbox
-	started bool
-	sched   *delaySched // delay scheduler; non-nil iff delay > 0
-	done    chan struct{}
-	wg      sync.WaitGroup
+	// paths never take it: handlers is frozen at Start (Attach
+	// afterwards panics), and the stop flag is atomic.
+	mu       sync.Mutex
+	handlers map[hexgrid.CellID]Handler
+	q        *Queue[work]
+	started  bool
+	sched    *delaySched // delay scheduler; non-nil iff delay > 0
+	done     chan struct{}
+	wg       sync.WaitGroup
 
 	stopped  atomic.Bool
 	inflight atomic.Int64 // enqueued-but-unprocessed items + scheduled messages
@@ -59,14 +63,9 @@ type Live struct {
 	droppedOnStop atomic.Uint64
 }
 
-// mailbox is one station's queue and the handler its messages go to.
-type mailbox struct {
-	h Handler
-	q *Queue[work]
-}
-
-// work is one mailbox item: fn when non-nil (Do), else m for the handler.
+// work is one queue item: fn when non-nil (Do), else m for h.
 type work struct {
+	h  Handler
 	m  message.Message
 	fn func()
 }
@@ -75,9 +74,10 @@ type work struct {
 // latency in wall time (0 = direct delivery).
 func NewLive(delay time.Duration) *Live {
 	l := &Live{
-		delay: delay,
-		boxes: make(map[hexgrid.CellID]*mailbox),
-		done:  make(chan struct{}),
+		delay:    delay,
+		handlers: make(map[hexgrid.CellID]Handler),
+		q:        NewQueue[work](),
+		done:     make(chan struct{}),
 	}
 	if delay > 0 {
 		l.sched = newDelaySched(l)
@@ -92,11 +92,11 @@ func (l *Live) Attach(id hexgrid.CellID, h Handler) {
 	if l.started || l.stopped.Load() {
 		panic("transport: Attach after Start")
 	}
-	l.boxes[id] = &mailbox{h: h, q: NewQueue[work]()}
+	l.handlers[id] = h
 }
 
-// Start launches one goroutine per attached station, plus the delay
-// scheduler goroutine when a positive Delay is configured.
+// Start launches the loop, plus the delay scheduler goroutine when a
+// positive Delay is configured.
 func (l *Live) Start() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -111,27 +111,25 @@ func (l *Live) Start() {
 			l.sched.loop(l.done)
 		}()
 	}
-	for _, b := range l.boxes {
-		l.wg.Add(1)
-		go l.run(b)
-	}
+	l.wg.Add(1)
+	go l.run()
 }
 
-// run is a station goroutine: it takes its mailbox a batch at a time and
-// runs each item, retiring one unit of in-flight work per item. Once
-// Stop has begun, the rest of a batch and whatever is still queued are
-// dropped, not run.
-func (l *Live) run(b *mailbox) {
+// run is the loop: it takes the queue a batch at a time and runs each
+// item, retiring one unit of in-flight work per item. Once Stop has
+// begun, the rest of a batch and whatever is still queued are dropped,
+// not run.
+func (l *Live) run() {
 	defer l.wg.Done()
 	var batch []work
 	for {
 		select {
-		case <-b.q.Wake():
+		case <-l.q.Wake():
 		case <-l.done:
-			l.discard(b.q.Close())
+			l.discard(l.q.Close())
 			return
 		}
-		batch = b.q.Take(batch)
+		batch = l.q.Take(batch)
 		for i := range batch {
 			switch w := &batch[i]; {
 			case l.stopped.Load():
@@ -140,7 +138,7 @@ func (l *Live) run(b *mailbox) {
 			case w.fn != nil:
 				w.fn()
 			default:
-				b.h.Handle(w.m)
+				w.h.Handle(w.m)
 			}
 			l.doneWork(false)
 		}
@@ -148,7 +146,7 @@ func (l *Live) run(b *mailbox) {
 	}
 }
 
-// Stop terminates the station and scheduler goroutines. Safe to call
+// Stop terminates the loop and the scheduler goroutine. Safe to call
 // concurrently with Send and Do: late traffic is dropped, never
 // panicked on.
 func (l *Live) Stop() {
@@ -163,14 +161,14 @@ func (l *Live) Stop() {
 	l.wg.Wait()
 }
 
-// Do runs fn on the station goroutine of cell (serialized with its
-// message handling). After Stop, fn is silently discarded.
+// Do runs fn on the loop, after every message already queued for cell;
+// fn must not wait for other work of this Live (see Live). After Stop,
+// fn is silently discarded.
 func (l *Live) Do(cell hexgrid.CellID, fn func()) {
-	b, ok := l.boxes[cell]
-	if !ok {
+	if _, ok := l.handlers[cell]; !ok {
 		panic(fmt.Sprintf("transport: Do on unattached cell %d", cell))
 	}
-	l.put(b, work{fn: fn})
+	l.put(work{fn: fn})
 }
 
 // Send implements Transport. After Stop, messages are dropped cleanly.
@@ -194,22 +192,22 @@ func (l *Live) Send(m message.Message) {
 }
 
 func (l *Live) deliver(m message.Message) {
-	b, ok := l.boxes[m.To]
+	h, ok := l.handlers[m.To]
 	if !ok {
 		panic(fmt.Sprintf("transport: send to unattached cell %d: %v", m.To, m))
 	}
-	l.put(b, work{m: m})
+	l.put(work{h: h, m: m})
 }
 
 // put counts w in flight and queues it, or drops it once Stop has begun.
-func (l *Live) put(b *mailbox, w work) {
+func (l *Live) put(w work) {
 	if l.stopped.Load() {
 		l.droppedOnStop.Add(1)
 		return
 	}
 	l.inflight.Add(1)
-	if !b.q.Put(w) {
-		l.doneWork(true) // the station closed its mailbox on Stop
+	if !l.q.Put(w) {
+		l.doneWork(true) // the loop closed the queue on Stop
 	}
 }
 

@@ -133,11 +133,12 @@ func TestLiveMisusePanics(t *testing.T) {
 	}
 }
 
-// TestLiveSchedulerGoroutineCount pins the tentpole property of the
-// timer-wheel scheduler: delayed delivery costs O(1) goroutines no
-// matter how many (from, to) pairs exchange traffic. The old design
-// spawned one pipeline goroutine per ordered pair — all-pairs traffic
-// on n stations meant n·(n-1) extra goroutines (4032 for n=64).
+// TestLiveSchedulerGoroutineCount: a Live with a positive Delay runs on
+// at most two goroutines — its loop and its delay scheduler — however
+// many stations it hosts and however many (from, to) pairs exchange
+// traffic. Earlier designs spawned one goroutine per station and, before
+// that, one pipeline goroutine per ordered pair (n·(n-1) = 4032 for
+// n = 64).
 func TestLiveSchedulerGoroutineCount(t *testing.T) {
 	overhead := func(stations int) int {
 		base := runtime.NumGoroutine()
@@ -162,16 +163,71 @@ func TestLiveSchedulerGoroutineCount(t *testing.T) {
 		if want := int64(stations * (stations - 1)); got.Load() != want {
 			t.Fatalf("%d stations: delivered %d of %d", stations, got.Load(), want)
 		}
-		return runtime.NumGoroutine() - base - stations
+		return runtime.NumGoroutine() - base
 	}
-	small := overhead(8)
-	large := overhead(64)
-	if large > small+4 {
-		t.Fatalf("scheduler goroutine overhead grew with grid size: %d stations -> +%d, %d stations -> +%d",
-			8, small, 64, large)
+	for _, stations := range []int{8, 64} {
+		if added := overhead(stations); added > 2 {
+			t.Fatalf("%d stations with a delay added %d goroutines, want at most 2 (loop + scheduler)", stations, added)
+		}
 	}
-	if large > 8 {
-		t.Fatalf("delayed delivery is not O(1) goroutines: overhead %d", large)
+}
+
+// TestLiveStationsShareOneLoop pins the one-loop model: handlers of
+// different stations never overlap, however many goroutines send to
+// them, and a Do queued after a Send to the same station runs after
+// that message's handler.
+func TestLiveStationsShareOneLoop(t *testing.T) {
+	const stations, senders, perSender = 16, 8, 50
+	l := NewLive(0)
+	var inside, maxSeen atomic.Int32
+	handledFrom := make([]atomic.Int64, senders) // messages handled, by sender
+	for c := 0; c < stations; c++ {
+		l.Attach(hexgrid.CellID(c), HandlerFunc(func(m message.Message) {
+			if v := inside.Add(1); v > maxSeen.Load() {
+				maxSeen.Store(v)
+			}
+			time.Sleep(10 * time.Microsecond)
+			handledFrom[m.From].Add(1)
+			inside.Add(-1)
+		}))
+	}
+	l.Start()
+	defer l.Stop()
+	var wg sync.WaitGroup
+	var misordered atomic.Int64
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perSender; i++ {
+				to := hexgrid.CellID((g + i) % stations)
+				l.Send(message.Message{Kind: message.Release, From: hexgrid.CellID(g), To: to})
+				// The Do follows this goroutine's (i+1)-th message, so by
+				// the time it runs all i+1 have been handled.
+				l.Do(to, func() {
+					if handledFrom[g].Load() < int64(i+1) {
+						misordered.Add(1)
+					}
+				})
+			}
+		}()
+	}
+	wg.Wait()
+	if !l.WaitIdle(10 * time.Second) {
+		t.Fatal("not idle")
+	}
+	if maxSeen.Load() != 1 {
+		t.Fatalf("handlers of different stations overlapped: %d at once", maxSeen.Load())
+	}
+	if n := misordered.Load(); n != 0 {
+		t.Fatalf("%d Do funcs ran before the message sent ahead of them", n)
+	}
+	var total int64
+	for g := range handledFrom {
+		total += handledFrom[g].Load()
+	}
+	if total != senders*perSender {
+		t.Fatalf("handled %d of %d messages", total, senders*perSender)
 	}
 }
 
@@ -343,10 +399,10 @@ func TestLiveSendRacingStop(t *testing.T) {
 
 // TestLiveMutualFloodCompletes: two stations whose handlers send to
 // each other must not deadlock however far one runs ahead. Station 1
-// sends a burst to station 2 from its own goroutine, and station 2
-// echoes every message back. With bounded blocking mailboxes both boxes
-// filled and both stations blocked in Send forever; unbounded mailboxes
-// finish the exchange in milliseconds.
+// sends a burst to station 2 from a Do, and station 2 echoes every
+// message back. With bounded blocking queues a full queue blocked its
+// sender forever (on one loop, the sender is the queue's own consumer);
+// the unbounded queue finishes the exchange in milliseconds.
 func TestLiveMutualFloodCompletes(t *testing.T) {
 	const burst = 5000
 	l := NewLive(0)
@@ -374,10 +430,9 @@ func TestLiveMutualFloodCompletes(t *testing.T) {
 	}
 }
 
-// TestLiveSendAllocatesNothing: a message through a warm mailbox — Send,
-// the station's wake-up and Handle — allocates nothing (the mailbox
-// holds typed items, not one closure per message, and recycles its
-// slices).
+// TestLiveSendAllocatesNothing: a message through a warm loop — Send,
+// the loop's wake-up and Handle — allocates nothing (the queue holds
+// typed items, not one closure per message, and recycles its slices).
 func TestLiveSendAllocatesNothing(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation budgets are not meaningful under the race detector")
@@ -393,9 +448,9 @@ func TestLiveSendAllocatesNothing(t *testing.T) {
 		<-handled
 	}
 	for i := 0; i < 10; i++ {
-		round() // warm both of the mailbox's slices
+		round() // warm both of the queue's slices
 	}
 	if allocs := testing.AllocsPerRun(1000, round); allocs != 0 {
-		t.Fatalf("Send -> Handle through a warm mailbox allocates %.2f objects, want 0", allocs)
+		t.Fatalf("Send -> Handle through a warm loop allocates %.2f objects, want 0", allocs)
 	}
 }

@@ -212,9 +212,10 @@ func (r *Reliable) retransmit(key linkKey, seq uint64) {
 	r.inner.Send(m)
 }
 
-// receive runs on the destination station's goroutine (the inner layer
-// serializes per-station delivery, so per-link receive state has a
-// single writer — the lock only guards against senders and timers).
+// receive runs where the inner layer delivers to the destination
+// station. That layer serializes per-station delivery (Live runs every
+// station on its one loop), so per-link receive state has a single
+// writer; the lock only guards against senders and timers.
 func (r *Reliable) receive(h Handler, m message.Message) {
 	if m.Kind == message.Ack {
 		// The acked link is us→them: the ack's sender is the far end.

@@ -1,9 +1,10 @@
 // Package transport delivers control messages between mobile service
 // stations.
 //
-//   - Live: one goroutine per station with batched mailboxes and real
-//     (scaled) delays — the "goroutines are base stations" runtime used
-//     to shake out ordering assumptions under true concurrency — and the
+//   - Live: every attached station on one event loop (one goroutine
+//     draining one batched queue) with real (scaled) delays — the
+//     wall-clock runtime's stations, run under true concurrency with
+//     the I/O goroutines and other loops that feed them — and the
 //     Faulty and Reliable decorators stacked on it.
 //   - The deterministic DES transport — delivery on the discrete-event
 //     kernel after a fixed (optionally jittered) one-way latency T,
