@@ -102,8 +102,8 @@ type Options struct {
 	// Shards is the number of tiles (default min(16, cells)); New fixes
 	// it at 1. Per-cell results are shard-count-invariant.
 	Shards int
-	// Workers is the number of goroutines advancing shards (default
-	// NumCPU, capped at Shards). Never affects results.
+	// Workers is the number of goroutines advancing and seeding shards
+	// (default NumCPU, capped at Shards). Never affects results.
 	Workers int
 }
 

@@ -279,6 +279,17 @@ func (p *Parallel) ReserveShard(s, n int) error {
 	return p.kernel.Reserve(s, n)
 }
 
+// EachShard calls fn(s) for every shard s on the worker that runs its
+// windows (sim.Shards.Each), and fn(0) on the serial kernel; fn may do
+// for s's cells what an event of shard s may. Pre-run only.
+func (p *Parallel) EachShard(fn func(shard int)) {
+	if p.engine != nil {
+		fn(0)
+		return
+	}
+	p.kernel.Each(p.opts.Workers, fn)
+}
+
 // Run advances virtual time to until, executing all due events (the
 // shards in lockstep windows).
 func (p *Parallel) Run(until sim.Time) {

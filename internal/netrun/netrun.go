@@ -27,6 +27,7 @@ package netrun
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -151,26 +152,31 @@ type Node struct {
 }
 
 // peerConn is one outgoing TCP link. Senders append messages to its
-// queue; a dedicated writer goroutine (Node.writeLoop) takes them a batch
-// at a time, encodes them with a reused scratch buffer and flushes once
-// per batch, so concurrent senders never serialize on a connection mutex
-// and a burst of messages costs one syscall, not one per message.
+// queue; a dedicated writer goroutine (Node.writeLoop) dials the peer,
+// then takes them a batch at a time, encodes them with a reused scratch
+// buffer and flushes once per batch, so no sender waits on the network —
+// not on the dial, not on a connection mutex — and a burst of messages
+// costs one syscall, not one per message.
 type peerConn struct {
-	conn net.Conn
+	addr string
 	q    *transport.Queue[message.Message] // closed when the link dies or shuts
-	done chan struct{}                     // closed by close(); stops the writer
-
-	closeOnce sync.Once
+	// ctx is cancelled by close: it stops the writer, aborts its dial and
+	// closes its connection, which unblocks a write in progress.
+	ctx    context.Context
+	cancel context.CancelFunc
 }
 
-// close tears the link down exactly once (Node.Close and the dial/close
-// race in Node.peer can both reach it).
+// dial opens a peer writer's connection. Tests swap it for a peer that
+// never answers.
+var dial = func(ctx context.Context, addr string) (net.Conn, error) {
+	d := net.Dialer{Timeout: 5 * time.Second}
+	return d.DialContext(ctx, "tcp", addr)
+}
+
+// close tears the link down; calling it again does nothing.
 func (p *peerConn) close() {
-	p.closeOnce.Do(func() {
-		close(p.done)
-		p.q.Close() // the node is closing: nothing waits on these
-		p.conn.Close()
-	})
+	p.cancel()
+	p.q.Close() // the node is closing: nothing waits on these
 }
 
 // NewNode builds a node hosting cfg.Cells of grid, starts its stations,
@@ -440,13 +446,7 @@ func (t *nodeTransport) Send(m message.Message) {
 		t.dropDead(1, "no route to cell %d; dropping traffic for unrouted cells", m.To)
 		return
 	}
-	p, err := n.peer(addr)
-	if err != nil {
-		// The peer is down or shutting down. No link was registered,
-		// so a later send dials again.
-		t.dropDead(1, "dial %s: %v; dropping traffic for dead links", addr, err)
-		return
-	}
+	p := n.peer(addr)
 	t.wirePending.Add(1)
 	if !p.q.Put(m) {
 		t.wirePending.Add(-1)
@@ -482,31 +482,23 @@ func (t *nodeTransport) Idle() bool {
 	return t.wirePending.Load() == 0 && t.n.local.Idle()
 }
 
-// peer returns the connection to addr, dialing it on first use. Dials
-// run outside the lock, so concurrent first senders may race; the loser
-// closes its extra connection and adopts the winner's.
-func (n *Node) peer(addr string) (*peerConn, error) {
+// peer returns the link to addr, registering it and starting its writer
+// on first use. The writer dials, so the caller — the node's loop, as a
+// rule — never waits on the network.
+func (n *Node) peer(addr string) *peerConn {
 	n.netMu.RLock()
 	p, ok := n.peers[addr]
 	n.netMu.RUnlock()
 	if ok {
-		return p, nil
-	}
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	p = &peerConn{
-		conn: conn,
-		q:    transport.NewQueue[message.Message](),
-		done: make(chan struct{}),
+		return p
 	}
 	n.netMu.Lock()
-	if existing, ok := n.peers[addr]; ok {
+	if p, ok = n.peers[addr]; ok {
 		n.netMu.Unlock()
-		conn.Close() // lost the dial race
-		return existing, nil
+		return p
 	}
+	p = &peerConn{addr: addr, q: transport.NewQueue[message.Message]()}
+	p.ctx, p.cancel = context.WithCancel(context.Background())
 	n.peers[addr] = p
 	n.netMu.Unlock()
 	// The closed check and wg.Add must be atomic with respect to Close
@@ -516,59 +508,73 @@ func (n *Node) peer(addr string) (*peerConn, error) {
 	if n.closed {
 		n.mu.Unlock()
 		p.close() // raced with Close after registration
-		return p, nil
+		return p
 	}
 	n.wg.Add(1)
 	n.mu.Unlock()
 	go n.writeLoop(p)
-	return p, nil
+	return p
 }
 
-// writeLoop is the single writer for one peer link: it takes the queue a
-// batch at a time and flushes once per batch (the loop queues a whole
-// fan-out faster than the writer wakes, so one syscall usually carries
-// it). TCP ordering plus the single consumer preserve per-link FIFO. A
-// failed write kills the link: the queue is closed, and every message
-// it loses — unwritten, queued, or put later — is counted in
-// SendErrors, the reliability layer's problem like a loss on the wire.
+// writeLoop is the single writer for one peer link: it dials the peer,
+// then takes the queue a batch at a time and flushes once per batch (the
+// loop queues a whole fan-out faster than the writer wakes, so one
+// syscall usually carries it). TCP ordering plus the single consumer
+// preserve per-link FIFO. A failed dial or write kills the link: the
+// queue is closed, and every message it loses — in the batch being
+// written, queued, or put later — is counted in SendErrors, the
+// reliability layer's problem like a loss on the wire. A link that was
+// never dialed also leaves the peer table, so a later send dials again.
 func (n *Node) writeLoop(p *peerConn) {
 	defer n.wg.Done()
-	defer p.conn.Close()
-	w := bufio.NewWriter(p.conn)
+	defer p.cancel()
+	conn, err := dial(p.ctx, p.addr)
+	if err != nil {
+		n.linkDied(p, err, 0)
+		n.netMu.Lock()
+		delete(n.peers, p.addr) // after the count: a link gone from the table has counted all it lost
+		n.netMu.Unlock()
+		return
+	}
+	defer conn.Close()
+	defer context.AfterFunc(p.ctx, func() { conn.Close() })()
+	w := bufio.NewWriter(conn)
 	var buf []byte
 	var batch []message.Message
 	for {
 		select {
 		case <-p.q.Wake():
-		case <-p.done:
+		case <-p.ctx.Done():
 			w.Flush()
 			return
 		}
 		batch = p.q.Take(batch)
-		for i, m := range batch {
+		for _, m := range batch {
 			buf = message.Encode(buf[:0], m)
 			if _, err := w.Write(buf); err != nil {
-				n.linkDied(p, err, len(batch)-i)
+				n.linkDied(p, err, len(batch))
 				return
 			}
 			n.fabric.bytes.Add(uint64(len(buf)))
-			n.fabric.wirePending.Add(-1)
 		}
-		clear(batch)
 		if err := w.Flush(); err != nil {
-			n.linkDied(p, err, 0)
+			n.linkDied(p, err, len(batch))
 			return
 		}
+		n.fabric.wirePending.Add(-int64(len(batch)))
+		clear(batch)
 	}
 }
 
-// linkDied closes p's queue after a failed write and counts what the
-// link lost: the unwritten rest of the batch and everything queued (a
-// failed Flush loses at least one message and counts as one).
+// linkDied closes p's queue after a failed dial or write and counts what
+// the link lost: the batch it was writing (unwritten messages, none for a
+// dial) and everything queued.
 func (n *Node) linkDied(p *peerConn, err error, unwritten int) {
-	queued := p.q.Close()
-	n.fabric.wirePending.Add(-int64(unwritten + queued))
-	n.fabric.dropDead(uint64(max(unwritten, 1)+queued), "write to %s: %v; dropping traffic for dead links", p.conn.RemoteAddr(), err)
+	lost := unwritten + p.q.Close()
+	n.fabric.wirePending.Add(-int64(lost))
+	if lost > 0 {
+		n.fabric.dropDead(uint64(lost), "link to %s: %v; dropping traffic for dead links", p.addr, err)
+	}
 }
 
 // MessagesSent returns the number of messages this node put on the

@@ -1,6 +1,7 @@
 package netrun
 
 import (
+	"context"
 	"io"
 	"net"
 	"os"
@@ -55,8 +56,8 @@ func twoNodes(t testing.TB) (a, b *Node, grid *hexgrid.Grid) {
 
 // TestPeerDialRace hammers Node.peer for a not-yet-dialed address from
 // many goroutines (run under -race): every caller must get the same
-// peerConn, the peer table must hold exactly one entry, and the losers'
-// extra connections must be closed rather than leaked as writers.
+// peerConn and the peer table must hold exactly one entry, so exactly
+// one writer dials the peer.
 func TestPeerDialRace(t *testing.T) {
 	a, b, _ := twoNodes(t)
 	addr := b.Addr()
@@ -68,12 +69,7 @@ func TestPeerDialRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p, err := a.peer(addr)
-			if err != nil {
-				t.Errorf("peer: %v", err)
-				return
-			}
-			conns[i] = p
+			conns[i] = a.peer(addr)
 		}()
 	}
 	wg.Wait()
@@ -138,6 +134,8 @@ func TestDialFailureIsACountedDrop(t *testing.T) {
 	// b is gone for good now: a send to it is refused at the dial (or, if
 	// a link was registered before the listener closed, fails at the
 	// write) — counted either way, and the peer table holds no dead dial.
+	// The writer dials, so the count lands when the dial has failed, not
+	// when Send returns.
 	before := a.SendErrors()
 	a.netMu.RLock()
 	_, linked := a.peers[b.Addr()]
@@ -146,6 +144,9 @@ func TestDialFailureIsACountedDrop(t *testing.T) {
 		a.fabric.Send(m)
 	}
 	if !linked {
+		for deadline := time.Now().Add(10 * time.Second); a.SendErrors() < before+3 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
 		if got := a.SendErrors(); got != before+3 {
 			t.Fatalf("SendErrors = %d after 3 sends to a closed, never-linked peer, want %d", got, before+3)
 		}
@@ -168,6 +169,47 @@ func TestDialFailureIsACountedDrop(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("local request hung after the peer went away")
+	}
+}
+
+// TestSilentPeerDoesNotStallTheLoop: a peer that silently drops
+// connection attempts holds the first send's dial for the whole dial
+// timeout. The link's writer dials, not the sender, so while that dial
+// hangs the node's loop — which made the send — goes on granting its
+// own cells' requests.
+func TestSilentPeerDoesNotStallTheLoop(t *testing.T) {
+	dialing := make(chan struct{})
+	var once sync.Once
+	saved := dial
+	dial = func(ctx context.Context, addr string) (net.Conn, error) {
+		once.Do(func() { close(dialing) })
+		<-ctx.Done() // until the node closes
+		return nil, ctx.Err()
+	}
+	t.Cleanup(func() { dial = saved }) // runs after the nodes' Close
+	a, _, grid := twoNodes(t)
+	cell := hexgrid.CellID(0)
+	if int(grid.InteriorCell())%2 == 0 {
+		cell = grid.InteriorCell()
+	}
+	// The loop sends to cell 1, which b hosts: the first send to b.
+	a.local.Do(cell, func() {
+		a.fabric.Send(message.Message{Kind: message.Release, From: cell, To: 1, Ch: chanset.NoChannel})
+	})
+	select {
+	case <-dialing:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the send to b never dialed it")
+	}
+	done := make(chan Result, 1)
+	a.Request(cell, func(r Result) { done <- r })
+	select {
+	case r := <-done:
+		if !r.Granted {
+			t.Fatal("local request denied while a peer dial hangs")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("local request waited behind the dial of a silent peer")
 	}
 }
 

@@ -188,6 +188,10 @@ type Shards struct {
 	// byte-for-byte. Rebuilt lazily when any shard grows a new route.
 	inbound    [][]int32
 	routeCount []int
+	// runShard runs the window ending before horizon on one shard; it is
+	// made once, so that handing it to Each allocates nothing.
+	horizon  Time
+	runShard func(shard int)
 }
 
 // attMemo is what the kernel remembers per origin so that a snapshot
@@ -236,6 +240,7 @@ func NewShards(n int, lookahead Time, numOrigins int) *Shards {
 	for i := range k.shards {
 		k.shards[i].q.pool = &k.pool
 	}
+	k.runShard = func(s int) { k.shards[s].runWindow(&k.handlers, k.horizon) }
 	return k
 }
 
@@ -579,32 +584,14 @@ func (k *Shards) flushParallel(workers int) {
 			}
 		}
 	}
-	n := len(k.shards)
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for d := w; d < n; d += workers {
-				srcs := k.inbound[d]
-				if len(srcs) == 0 {
-					continue
-				}
-				dst := &k.shards[d]
-				for _, si := range srcs {
-					rt := k.shards[si].findRoute(int32(d))
-					if rt == nil || rt.n == 0 {
-						continue
-					}
-					rt.merge(&dst.q)
-				}
+	k.Each(workers, func(d int) {
+		dst := &k.shards[d]
+		for _, si := range k.inbound[d] {
+			if rt := k.shards[si].findRoute(int32(d)); rt != nil && rt.n > 0 {
+				rt.merge(&dst.q)
 			}
-		}(w)
-	}
-	wg.Wait()
+		}
+	})
 }
 
 // minDue returns the earliest queued event time across all shards, or
@@ -624,19 +611,21 @@ func (k *Shards) minDue() (Time, bool) {
 	return lo, ok
 }
 
-// runWindowAll executes one window on all shards using the given worker
-// count. Shard i is handled by worker i%workers — a static assignment,
-// so which goroutine runs a shard never depends on timing. workers<=1
-// runs inline with zero synchronization.
-func (k *Shards) runWindowAll(workers int, horizon Time) {
+// Each calls fn(s) for every shard s on worker s%workers — a static
+// assignment, so which goroutine runs a shard never depends on timing —
+// and returns when every call has; workers <= 1 runs inline in shard
+// order with zero synchronization. Windows, the parallel flush and the
+// warm start (driver.Parallel.EachShard) all run through it; fn may
+// touch only what shard s owns.
+func (k *Shards) Each(workers int, fn func(shard int)) {
 	// The clamped count is a fresh variable: reassigning the parameter
 	// would make the worker closure capture it by reference and
 	// heap-allocate it on every call, the inline path included.
 	n := len(k.shards)
 	nw := min(workers, n)
 	if nw <= 1 {
-		for i := range k.shards {
-			k.shards[i].runWindow(&k.handlers, horizon)
+		for i := range n {
+			fn(i)
 		}
 		return
 	}
@@ -646,11 +635,18 @@ func (k *Shards) runWindowAll(workers int, horizon Time) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < n; i += nw {
-				k.shards[i].runWindow(&k.handlers, horizon)
+				fn(i)
 			}
 		}(w)
 	}
 	wg.Wait()
+}
+
+// runWindowAll executes one window, up to the exclusive horizon, on all
+// shards.
+func (k *Shards) runWindowAll(workers int, horizon Time) {
+	k.horizon = horizon
+	k.Each(workers, k.runShard)
 }
 
 // Run advances all shards in lockstep windows until every queued event

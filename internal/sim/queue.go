@@ -529,6 +529,19 @@ func less(a, b *Event) bool {
 	return a.key < b.key
 }
 
+// lessBit is less(a, b) as 1 or 0, computed without a branch.
+func lessBit(a, b *Event) int {
+	return b2i(a.At < b.At) | b2i(a.At == b.At)&b2i(a.key < b.key)
+}
+
+// b2i is 1 for true and 0 for false; the compiler makes it a SETcc.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // top is the earliest record; the heap must not be empty.
 func (q *queue) top() *Event { return &q.heap.tab[0][heapRoot] }
 
@@ -587,11 +600,21 @@ func (q *queue) pop() Event {
 	}
 	for first := 4 * (heapRoot - 2); first < end; {
 		group := tab[first>>pageShift][first&pageMask:]
-		group = group[:min(4, end-first)]
 		m := 0
-		for c := 1; c < len(group); c++ {
-			if less(&group[c], &group[m]) {
-				m = c
+		if end-first >= 4 {
+			// A whole group, as every one is but the last: pick its least
+			// child in a two-round tournament that never branches on a
+			// key — a branch on which child wins mispredicts about every
+			// other level.
+			g := (*[4]Event)(group)
+			m = lessBit(&g[1], &g[0])
+			r := 2 + lessBit(&g[3], &g[2])
+			m += (r - m) * lessBit(&g[r], &g[m])
+		} else {
+			for c := 1; c < end-first; c++ {
+				if less(&group[c], &group[m]) {
+					m = c
+				}
 			}
 		}
 		if !less(&group[m], &x) {

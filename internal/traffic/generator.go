@@ -72,12 +72,16 @@ func newGenerator(h *driver.Sim, spec Spec) *generator {
 	return g
 }
 
-// prime seeds the run before any simulation time passes: warm-start
+// prime seeds shard si before any simulation time passes: warm-start
 // occupancy (Spec.WarmStart) and every cell's first candidate arrival,
-// in ascending cell order.
-func (g *generator) prime() {
-	for i := range g.arr {
-		cell := hexgrid.CellID(i)
+// in ascending cell order over its tile. A seeded request touches only
+// what its shard owns — the book, the cell's counters, the shard's heap
+// and outgoing mailboxes — as an event in a window does, so the shards
+// are seeded at once on their workers (driver.Parallel.EachShard) with
+// results bit-identical at any worker count.
+func (g *generator) prime(si int) {
+	t := g.h.Partition().Tile(si)
+	for cell := t.Lo; cell < t.Hi; cell++ {
 		if g.spec.WarmStart {
 			g.warmStart(cell)
 		}

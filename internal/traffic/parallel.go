@@ -44,9 +44,11 @@ type PrimedParallel struct {
 }
 
 // PrimeParallel validates spec and seeds the workload over p without
-// running it. The split from RunParallel exists so the repository
-// benchmark can time the O(cells) warm-start seeding (setup_s) apart
-// from the simulation (run_s); RunParallel is PrimeParallel + Finish.
+// running it: the reserves on the calling goroutine, then each shard's
+// tile on the worker that runs its windows (generator.prime). The split
+// from RunParallel exists so the repository benchmark can time the
+// O(cells) warm-start seeding (setup_s) apart from the simulation
+// (run_s); RunParallel is PrimeParallel + Finish.
 func PrimeParallel(p *driver.Parallel, spec Spec) (*PrimedParallel, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
@@ -74,7 +76,7 @@ func PrimeParallel(p *driver.Parallel, spec Spec) (*PrimedParallel, error) {
 		}
 	}
 	g := newGenerator(p, spec)
-	g.prime()
+	p.EachShard(g.prime)
 	return &PrimedParallel{p: p, g: g}, nil
 }
 

@@ -30,9 +30,20 @@ func warmSpec(g *hexgrid.Grid) traffic.Spec {
 	}
 }
 
-func runWarmParallel(t *testing.T, g *hexgrid.Grid, assign *chanset.Assignment, shards, workers int) mobileOutcome {
+// primedState is what PrimeParallel leaves behind before any window
+// runs: what the kernel queues and has parked, the events pending and
+// the requests in flight per shard. Seeding on the shard workers must
+// leave the same at any worker count.
+type primedState struct {
+	records, events, poolOut int
+	attParked, attShared     uint64
+	pending                  int
+	outstanding              []int
+}
+
+func runWarmParallel(t *testing.T, scheme string, g *hexgrid.Grid, assign *chanset.Assignment, shards, workers int) (mobileOutcome, primedState) {
 	t.Helper()
-	factory, err := registry.Build("adaptive", g, assign, registry.Config{Latency: 10})
+	factory, err := registry.Build(scheme, g, assign, registry.Config{Latency: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +53,17 @@ func runWarmParallel(t *testing.T, g *hexgrid.Grid, assign *chanset.Assignment, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := traffic.RunParallel(p, warmSpec(g))
+	r, err := traffic.PrimeParallel(p, warmSpec(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := p.Kernel().Footprint()
+	primed := primedState{
+		records: f.Records, events: f.Events, poolOut: f.PoolOut,
+		attParked: f.AttParked, attShared: f.AttShared,
+		pending: p.Pending(), outstanding: p.ShardOutstanding(),
+	}
+	ts, err := r.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,45 +74,54 @@ func runWarmParallel(t *testing.T, g *hexgrid.Grid, assign *chanset.Assignment, 
 	for c := range use {
 		use[c] = p.Allocator(hexgrid.CellID(c)).InUse()
 	}
-	return mobileOutcome{stats: p.Stats(), traffic: ts, trace: p.Trace(), use: use}
+	return mobileOutcome{stats: p.Stats(), traffic: ts, trace: p.Trace(), use: use}, primed
 }
 
 // TestRunParallelWarmStartDeterminism is the acceptance gate for
-// warm-start seeding on the sharded kernel: the seeded trajectory —
-// driver stats, workload stats, merged trace and final channel-use
-// sets — must be bit-identical across worker counts 1/2/4/NumCPU and
-// shard counts 1/2/7/16. Seeding draws come from per-cell substreams in
-// cell order and pre-run grant resolution follows the kernel's
-// canonical (time, origin, counter) order, so neither the partition nor
-// worker scheduling can perturb it.
+// warm-start seeding on the sharded kernel, for every registered scheme:
+// the seeded trajectory — telephony stats, driver stats, merged trace
+// and final channel-use sets — must be bit-identical across worker
+// counts 1/2/4/NumCPU and shard counts 1/2/7/16. Seeding draws come from
+// per-cell substreams, each shard's tile is seeded in cell order on the
+// worker that runs its windows, and pre-run grant resolution follows the
+// kernel's canonical (time, origin, counter) order, so neither the
+// partition nor worker scheduling can perturb it. The state seeding
+// leaves before the first window — the kernel's footprint, the events
+// pending, the requests in flight per shard — must be the same at every
+// worker count too.
 func TestRunParallelWarmStartDeterminism(t *testing.T) {
 	g := hexgrid.MustNew(hexgrid.Config{Shape: hexgrid.Rect, Width: 7, Height: 7, ReuseDistance: 2, Wrap: true})
 	assign := chanset.MustAssign(g, 70)
-	base := runWarmParallel(t, g, assign, 7, 1)
-	if base.stats.Counters.UpdateAttempts == 0 && base.stats.Counters.GrantsSearch == 0 {
-		t.Fatalf("warm-started workload never borrowed — too tame to gate: %+v", base.stats.Counters)
-	}
-	workers := []int{1, 2, 4, runtime.NumCPU()}
-	shards := []int{1, 2, 7, 16}
-	for _, sh := range shards {
-		for _, wk := range workers {
-			if sh == 7 && wk == 1 {
-				continue // the baseline itself
+	for _, scheme := range registry.Names() {
+		t.Run(scheme, func(t *testing.T) {
+			base, _ := runWarmParallel(t, scheme, g, assign, 7, 1)
+			if scheme == "adaptive" && base.stats.Counters.UpdateAttempts == 0 && base.stats.Counters.GrantsSearch == 0 {
+				t.Fatalf("warm-started workload never borrowed — too tame to gate: %+v", base.stats.Counters)
 			}
-			got := runWarmParallel(t, g, assign, sh, wk)
-			if !reflect.DeepEqual(got.traffic, base.traffic) {
-				t.Errorf("shards=%d workers=%d traffic stats diverged:\n got %+v\nwant %+v", sh, wk, got.traffic, base.traffic)
+			for _, sh := range []int{1, 2, 7, 16} {
+				var primed1 primedState
+				for _, wk := range []int{1, 2, 4, runtime.NumCPU()} {
+					got, primed := runWarmParallel(t, scheme, g, assign, sh, wk)
+					if wk == 1 {
+						primed1 = primed
+					} else if !reflect.DeepEqual(primed, primed1) {
+						t.Errorf("shards=%d workers=%d primed state diverged from workers=1:\n got %+v\nwant %+v", sh, wk, primed, primed1)
+					}
+					if !reflect.DeepEqual(got.traffic, base.traffic) {
+						t.Errorf("shards=%d workers=%d traffic stats diverged:\n got %+v\nwant %+v", sh, wk, got.traffic, base.traffic)
+					}
+					if !reflect.DeepEqual(got.stats, base.stats) {
+						t.Errorf("shards=%d workers=%d driver stats diverged", sh, wk)
+					}
+					if !reflect.DeepEqual(got.trace, base.trace) {
+						t.Errorf("shards=%d workers=%d traces diverged (%d vs %d events)", sh, wk, len(got.trace), len(base.trace))
+					}
+					if !reflect.DeepEqual(got.use, base.use) {
+						t.Errorf("shards=%d workers=%d channel-use sets diverged", sh, wk)
+					}
+				}
 			}
-			if !reflect.DeepEqual(got.stats, base.stats) {
-				t.Errorf("shards=%d workers=%d driver stats diverged", sh, wk)
-			}
-			if !reflect.DeepEqual(got.trace, base.trace) {
-				t.Errorf("shards=%d workers=%d traces diverged (%d vs %d events)", sh, wk, len(got.trace), len(base.trace))
-			}
-			if !reflect.DeepEqual(got.use, base.use) {
-				t.Errorf("shards=%d workers=%d channel-use sets diverged", sh, wk)
-			}
-		}
+		})
 	}
 }
 
