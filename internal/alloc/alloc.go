@@ -160,12 +160,20 @@ type Factory interface {
 	New(cell hexgrid.CellID) Allocator
 }
 
+// Starter is the station behind a Serial: StartRequest begins protocol
+// work for one request. Only the station's Serial calls it.
+type Starter interface {
+	StartRequest(id RequestID)
+}
+
 // Serial serializes channel requests at one station: the control channel
 // between mobile hosts and their MSS handles one transaction at a time
-// (DESIGN.md D3). Schemes embed Serial, set the start function once, and
-// call Finish when the in-flight request concludes.
+// (DESIGN.md D3). A scheme keeps a Serial made by NewSerial with itself
+// as the Starter — an interface holding the station's pointer, so it
+// costs no allocation — and calls Finish when the in-flight request
+// concludes.
 type Serial struct {
-	start func(RequestID)
+	station Starter
 	// queue[head:] are the waiting requests. Popping advances head and
 	// an emptied queue rewinds to its base, so the common one-at-a-time
 	// station reuses one slot forever instead of allocating per request
@@ -176,9 +184,8 @@ type Serial struct {
 	draining bool
 }
 
-// SetStart installs the function that begins protocol work for one
-// request. Must be called before Submit.
-func (s *Serial) SetStart(fn func(RequestID)) { s.start = fn }
+// NewSerial returns an idle Serial that starts requests on station.
+func NewSerial(station Starter) Serial { return Serial{station: station} }
 
 // Submit enqueues a request and starts it immediately if the station is
 // idle.
@@ -194,7 +201,8 @@ func (s *Serial) Submit(id RequestID) {
 }
 
 // Finish marks the in-flight request complete and starts the next queued
-// one, if any. Safe to call from inside start (synchronous completion).
+// one, if any. Safe to call from inside StartRequest (synchronous
+// completion).
 func (s *Serial) Finish() {
 	s.busy = false
 	s.drain()
@@ -218,7 +226,7 @@ func (s *Serial) drain() {
 			s.queue, s.head = s.queue[:0], 0
 		}
 		s.busy = true
-		s.start(id)
+		s.station.StartRequest(id)
 	}
 	s.draining = false
 }

@@ -10,7 +10,7 @@ import (
 func TestSerialRunsImmediatelyWhenIdle(t *testing.T) {
 	var s Serial
 	var started []RequestID
-	s.SetStart(func(id RequestID) { started = append(started, id) })
+	s = NewSerial(startFunc(func(id RequestID) { started = append(started, id) }))
 	s.Submit(1)
 	if len(started) != 1 || started[0] != 1 {
 		t.Fatalf("started = %v", started)
@@ -23,7 +23,7 @@ func TestSerialRunsImmediatelyWhenIdle(t *testing.T) {
 func TestSerialQueuesWhileBusy(t *testing.T) {
 	var s Serial
 	var started []RequestID
-	s.SetStart(func(id RequestID) { started = append(started, id) })
+	s = NewSerial(startFunc(func(id RequestID) { started = append(started, id) }))
 	s.Submit(1)
 	s.Submit(2)
 	s.Submit(3)
@@ -49,10 +49,10 @@ func TestSerialSynchronousCompletion(t *testing.T) {
 	// order, without recursion blowing the logic up.
 	var s Serial
 	var started []RequestID
-	s.SetStart(func(id RequestID) {
+	s = NewSerial(startFunc(func(id RequestID) {
 		started = append(started, id)
 		s.Finish()
-	})
+	}))
 	for i := 1; i <= 100; i++ {
 		s.Submit(RequestID(i))
 	}
@@ -73,12 +73,12 @@ func TestSerialMixedCompletion(t *testing.T) {
 	// Alternate synchronous and asynchronous completions.
 	var s Serial
 	var started []RequestID
-	s.SetStart(func(id RequestID) {
+	s = NewSerial(startFunc(func(id RequestID) {
 		started = append(started, id)
 		if id%2 == 0 {
 			s.Finish() // even ids complete synchronously
 		}
-	})
+	}))
 	s.Submit(1)
 	s.Submit(2)
 	s.Submit(3)
@@ -176,12 +176,12 @@ func TestMulticast(t *testing.T) {
 func TestSerialQueueMemoryIsBounded(t *testing.T) {
 	var s Serial
 	var last RequestID
-	s.SetStart(func(id RequestID) {
+	s = NewSerial(startFunc(func(id RequestID) {
 		if id != last+1 {
 			t.Fatalf("started %d after %d: FIFO order broken", id, last)
 		}
 		last = id
-	})
+	}))
 	next := RequestID(0)
 	submit := func() { next++; s.Submit(next) }
 	submit()
@@ -209,3 +209,8 @@ func TestSerialQueueMemoryIsBounded(t *testing.T) {
 		t.Fatalf("drained to request %d of %d", last, next)
 	}
 }
+
+// startFunc is a Starter made of a func, for tests.
+type startFunc func(RequestID)
+
+func (f startFunc) StartRequest(id RequestID) { f(id) }

@@ -117,7 +117,7 @@ func (v *AdvUpdate) Start(env alloc.Env) {
 			}
 		}
 	}
-	v.serial.SetStart(v.begin)
+	v.serial = alloc.NewSerial(v)
 }
 
 func (v *AdvUpdate) addU(j hexgrid.CellID, ch chanset.Channel) {
@@ -153,7 +153,8 @@ func (v *AdvUpdate) outGranted(ch chanset.Channel) bool {
 	return ok && b != hexgrid.None
 }
 
-func (v *AdvUpdate) begin(id alloc.RequestID) {
+// StartRequest implements alloc.Starter.
+func (v *AdvUpdate) StartRequest(id alloc.RequestID) {
 	v.env.Began(id)
 	v.reqID = id
 	v.rounds = 0

@@ -45,10 +45,11 @@ type Fixed struct {
 func (x *Fixed) Start(env alloc.Env) {
 	x.env = env
 	x.use = chanset.NewSet(int(x.pr.Last()) + 1)
-	x.serial.SetStart(x.start)
+	x.serial = alloc.NewSerial(x)
 }
 
-func (x *Fixed) start(id alloc.RequestID) {
+// StartRequest implements alloc.Starter.
+func (x *Fixed) StartRequest(id alloc.RequestID) {
 	x.env.Began(id)
 	free := chanset.Subtract(x.pr, x.use)
 	if ch := free.First(); ch.Valid() {

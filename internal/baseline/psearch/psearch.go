@@ -105,13 +105,14 @@ func (p *PSearch) Start(env alloc.Env) {
 	p.allocated = chanset.NewSet(p.nchan)
 	p.busy = chanset.NewSet(p.nchan)
 	p.transferPending = make(map[chanset.Channel]hexgrid.CellID)
-	p.serial.SetStart(p.begin)
+	p.serial = alloc.NewSerial(p)
 }
 
 // Allocated exposes the allocated set (tests, introspection).
 func (p *PSearch) Allocated() chanset.Set { return p.allocated.Clone() }
 
-func (p *PSearch) begin(id alloc.RequestID) {
+// StartRequest implements alloc.Starter.
+func (p *PSearch) StartRequest(id alloc.RequestID) {
 	p.env.Began(id)
 	p.reqID = id
 	// Free allocated channel? Serve locally at zero cost.

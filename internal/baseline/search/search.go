@@ -68,10 +68,11 @@ func (s *Search) Start(env alloc.Env) {
 	s.neighbors = env.Neighbors()
 	s.clock = lamport.NewClock(int32(s.cell))
 	s.use = chanset.NewSet(s.nchan)
-	s.serial.SetStart(s.begin)
+	s.serial = alloc.NewSerial(s)
 }
 
-func (s *Search) begin(id alloc.RequestID) {
+// StartRequest implements alloc.Starter.
+func (s *Search) StartRequest(id alloc.RequestID) {
 	s.env.Began(id)
 	s.reqID = id
 	s.reqTS = s.clock.Tick()

@@ -84,7 +84,7 @@ func (u *Update) Start(env alloc.Env) {
 	}
 	u.iCnt = make([]int16, n)
 	u.inter = chanset.NewSet(n)
-	u.serial.SetStart(u.begin)
+	u.serial = alloc.NewSerial(u)
 }
 
 func (u *Update) addU(j hexgrid.CellID, ch chanset.Channel) {
@@ -113,7 +113,8 @@ func (u *Update) removeU(j hexgrid.CellID, ch chanset.Channel) {
 	}
 }
 
-func (u *Update) begin(id alloc.RequestID) {
+// StartRequest implements alloc.Starter.
+func (u *Update) StartRequest(id alloc.RequestID) {
 	u.env.Began(id)
 	u.reqID = id
 	u.rounds = 0

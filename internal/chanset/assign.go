@@ -22,7 +22,10 @@ type Assignment struct {
 	NumColors int
 	// Color[i] is the reuse group of cell i.
 	Color []int
-	// Primary[i] is PR_i.
+	// Primary[i] is PR_i: a capped view of cell i's own run of words in
+	// one table that holds every cell's set, so the plan is a handful of
+	// allocations at any grid size. Writing one cell's set never touches
+	// another's (a write past the view reallocates that cell's set).
 	Primary []Set
 }
 
@@ -76,8 +79,12 @@ func Assign(g *hexgrid.Grid, n int) (*Assignment, error) {
 		Color:       color,
 		Primary:     make([]Set, numCells),
 	}
-	for i := 0; i < numCells; i++ {
-		a.Primary[i] = groups[color[i]].Clone()
+	w := len(groups[0].words)
+	table := make([]uint64, numCells*w)
+	for i := range a.Primary {
+		own := table[i*w : (i+1)*w : (i+1)*w]
+		copy(own, groups[color[i]].words)
+		a.Primary[i] = FromWords(own)
 	}
 	return a, nil
 }
@@ -128,7 +135,8 @@ func greedyColor(g *hexgrid.Grid) ([]int, int) {
 	}
 	sortByDegree(g, order)
 	numColors := 0
-	var used []bool
+	// A cell's color is at most its degree, so used never grows.
+	used := make([]bool, 0, g.MaxInterferenceDegree()+1)
 	for _, i := range order {
 		used = used[:0]
 		for len(used) < numColors {

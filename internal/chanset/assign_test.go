@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/hexgrid"
+	"repro/internal/raceflag"
 )
 
 func testGrid(t *testing.T, cfg hexgrid.Config) *hexgrid.Grid {
@@ -172,4 +173,44 @@ func TestMustAssignPanics(t *testing.T) {
 	}()
 	g := testGrid(t, hexgrid.Config{Shape: hexgrid.Rect, Width: 6, Height: 6, ReuseDistance: 2})
 	MustAssign(g, 1)
+}
+
+// TestPrimaryViewsAreIndependent: every PR_i is a view into one table,
+// yet a write to one cell's set — inside its words or past them — leaves
+// every other cell's set as it was.
+func TestPrimaryViewsAreIndependent(t *testing.T) {
+	g := testGrid(t, hexgrid.Config{Shape: hexgrid.Rect, Width: 6, Height: 6, ReuseDistance: 2})
+	a := MustAssign(g, 70)
+	before := make([]Set, len(a.Primary))
+	for i, p := range a.Primary {
+		before[i] = p.Clone()
+	}
+	a.Primary[5].Add(69)
+	a.Primary[5].Add(0)
+	a.Primary[5].Add(200) // past its words: grows into a set of its own
+	for i, p := range a.Primary {
+		if i != 5 && !p.Equal(before[i]) {
+			t.Fatalf("writing PR_5 changed PR_%d: %v, was %v", i, p, before[i])
+		}
+	}
+	if !a.Primary[5].Contains(200) || !a.Primary[5].Contains(0) {
+		t.Fatalf("PR_5 lost a write: %v", a.Primary[5])
+	}
+}
+
+// TestConstructionAllocationBudget: Assign allocates the same number of
+// objects at any size — one word table holds every PR_i.
+func TestConstructionAllocationBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	count := func(side int) float64 {
+		g := testGrid(t, hexgrid.Config{Shape: hexgrid.Rect, Width: side, Height: side, ReuseDistance: 2, Wrap: true})
+		return testing.AllocsPerRun(20, func() { MustAssign(g, 70) })
+	}
+	small, large := count(24), count(120)
+	t.Logf("chanset.Assign: %.0f objects at 24x24, %.0f at 120x120", small, large)
+	if small != large {
+		t.Errorf("chanset.Assign allocates %.0f objects at 24x24 but %.0f at 120x120", small, large)
+	}
 }

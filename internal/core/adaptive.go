@@ -178,6 +178,36 @@ type Factory struct {
 	// which a wrapped grid has a few dozen, so its cells share them.
 	masksMu sync.Mutex
 	masks   map[[64]uint64]*[64]uint64
+	// slabs hands out the stations' slabs.
+	slabs wordArena
+}
+
+// wordArena carves word slabs out of shared pointer-free chunks, so a
+// station's slab is not an object of its own: one allocation serves
+// arenaChunk words' worth of stations, and the collector never scans
+// them. Chunks stay small: the last one's unused tail is heap that no
+// station uses.
+// Cells of one factory may start on different goroutines (a netrun node
+// starts its cells on its own loop), so take locks.
+type wordArena struct {
+	mu   sync.Mutex
+	free []uint64
+}
+
+// arenaChunk is the size of one arena chunk in words (4 KiB).
+const arenaChunk = 512
+
+// take returns n zeroed words as a capped view, so a stray append can
+// never run into the next slab.
+func (ar *wordArena) take(n int) []uint64 {
+	ar.mu.Lock()
+	defer ar.mu.Unlock()
+	if len(ar.free) < n {
+		ar.free = make([]uint64, max(n, arenaChunk))
+	}
+	s := ar.free[:n:n]
+	ar.free = ar.free[n:]
+	return s
 }
 
 // NewFactory validates params and returns a Factory.
@@ -276,7 +306,8 @@ type Adaptive struct {
 	// slab holds, in order: the numMasks neighbor masks (bit k stands for
 	// neighbors()[k]; (n+63)/64 words each, so neighborhoods past 64
 	// cells just take more words), then Use_i, I_i and the free-set
-	// scratch, w words each.
+	// scratch, w words each. It is a capped view of the factory's word
+	// arena (Factory.slabs), not an object of its own.
 	slab []uint64
 	// blk is the borrowing block, nil while the station is cold.
 	blk *borrowing
@@ -345,10 +376,10 @@ func (a *Adaptive) Start(env alloc.Env) {
 	a.clock = *lamport.NewClock(int32(a.cell))
 	a.w = int32((assign.NumChannels + 63) / 64)
 	a.setOff = int32(numMasks * ((len(a.neighbors()) + 63) / 64))
-	a.slab = make([]uint64, int(a.setOff)+numSets*int(a.w))
+	a.slab = a.factory.slabs.take(int(a.setOff) + numSets*int(a.w))
 	a.pred = a.factory.params.predictorBuilder().New(a.factory.params.Window)
 	a.pred.Init(env.Now(), a.primary().Len())
-	a.serial.SetStart(a.startRequest)
+	a.serial = alloc.NewSerial(a)
 }
 
 // neighbors is the cell's sorted interference list, IN_i.

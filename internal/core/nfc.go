@@ -27,12 +27,16 @@ import (
 // 16 — in a power-of-two ring that doubles when full. Sample times are
 // distinct ticks inside a window of W, so the ring never holds more than
 // W+2 samples and add stops allocating once the ring has seen the cell's
-// busiest window.
+// busiest window. The first ring is the window's own inline array, so a
+// cell whose window never holds more than nfcRingMin samples stores its
+// history in the predictor object itself. The ring may point into the
+// window, so a window must not be copied after init.
 type nfcWindow struct {
 	window sim.Time
 	ring   []uint64
 	head   uint32 // index of the oldest retained sample
 	n      uint32 // retained samples, >= 1 after init
+	inline [nfcRingMin]uint64
 }
 
 const (
@@ -69,7 +73,7 @@ func (w *nfcWindow) init(t0 sim.Time, count int, window sim.Time) {
 	}
 	w.window = window
 	if w.ring == nil {
-		w.ring = make([]uint64, nfcRingMin)
+		w.ring = w.inline[:]
 	}
 	w.head, w.n = 0, 1
 	w.ring[0] = packSample(t0, count)

@@ -55,10 +55,10 @@ const (
 	pathSearch
 )
 
-// startRequest is the Serial's start hook: a fresh request begins. The
+// StartRequest implements alloc.Starter: a fresh request begins. The
 // FSM state lives in a.reqBuf — one request is in flight per station at
 // a time, so the struct is recycled instead of allocated per request.
-func (a *Adaptive) startRequest(id alloc.RequestID) {
+func (a *Adaptive) StartRequest(id alloc.RequestID) {
 	a.env.Began(id)
 	r := &a.reqBuf
 	*r = request{id: id, ts: a.clock.Tick(), ch: chanset.NoChannel}

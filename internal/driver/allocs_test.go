@@ -338,3 +338,32 @@ func skipUnderRace(t *testing.T) {
 		t.Skip("allocation budgets are not meaningful under the race detector")
 	}
 }
+
+// TestConstructionAllocationBudget: driver.New with the adaptive factory
+// allocates at most two objects per cell — the station and its NFC
+// predictor. The station's slab comes from the factory's word arena,
+// the predictor keeps its first samples inline, and Serial holds the
+// station itself rather than a method-value closure (five per cell
+// before). The per-cell figure is the difference between two grid
+// sizes, so what is allocated once per driver drops out.
+func TestConstructionAllocationBudget(t *testing.T) {
+	skipUnderRace(t)
+	const budget = 2.05 // objects per cell: 2, plus a 512-word arena chunk per 64 slabs
+	build := func(side int) float64 {
+		g := hexgrid.MustNew(hexgrid.Config{Shape: hexgrid.Rect, Width: side, Height: side, ReuseDistance: 2, Wrap: true})
+		assign := chanset.MustAssign(g, 70)
+		return testing.AllocsPerRun(5, func() {
+			f, err := registry.Build("adaptive", g, assign, registry.Config{Latency: 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			driver.New(g, assign, f, driver.Options{Latency: 10, Seed: 1})
+		})
+	}
+	small, large := build(24), build(48)
+	perCell := (large - small) / float64(48*48-24*24)
+	t.Logf("driver.New: %.0f objects at 24x24, %.0f at 48x48: %.3f per cell (budget %.2f)", small, large, perCell, budget)
+	if perCell > budget {
+		t.Errorf("driver.New allocates %.3f objects per cell, budget %.2f", perCell, budget)
+	}
+}

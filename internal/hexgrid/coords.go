@@ -71,14 +71,12 @@ func Ring(center Axial, k int) []Axial {
 	if k == 0 {
 		return []Axial{center}
 	}
-	return AppendRing(make([]Axial, 0, 6*k), center, k)
+	return appendRing(make([]Axial, 0, 6*k), center, k)
 }
 
-// AppendRing appends the cells of Ring(center, k) for k >= 1 to dst and
-// returns the extended slice. It lets hot callers (neighborhood
-// construction over 10^6 cells) reuse one scratch buffer instead of
-// allocating per ring.
-func AppendRing(dst []Axial, center Axial, k int) []Axial {
+// appendRing appends the cells of Ring(center, k) for k >= 1 to dst and
+// returns the extended slice.
+func appendRing(dst []Axial, center Axial, k int) []Axial {
 	cur := center.Add(directions[0].Scale(k))
 	for side := 0; side < 6; side++ {
 		// Walk k steps along side. The direction for side i is
@@ -98,7 +96,7 @@ func Spiral(center Axial, k int) []Axial {
 	out := make([]Axial, 0, 1+3*k*(k+1))
 	out = append(out, center)
 	for i := 1; i <= k; i++ {
-		out = append(out, Ring(center, i)...)
+		out = appendRing(out, center, i)
 	}
 	return out
 }

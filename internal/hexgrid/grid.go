@@ -1,6 +1,9 @@
 package hexgrid
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // CellID identifies a cell (equivalently its mobile service station, MSS)
 // inside one Grid. IDs are dense, starting at 0. The paper numbers cells
@@ -55,47 +58,56 @@ type Config struct {
 // Grid is an immutable hexagonal cell layout plus its interference
 // structure. All slices returned by accessor methods alias internal
 // storage and must not be modified.
+//
+// Every cell's interference region has the same shape, moved to the
+// cell's position, so New computes that shape once — the stencil of
+// lattice offsets at distance 1..D, in row-major order — and builds each
+// cell's lists by adding it to the cell's position. The lists live in
+// two CSR tables: one flat backing per list kind plus an offset table,
+// four allocations for the whole grid instead of a slice header per cell.
 type Grid struct {
 	cfg   Config
 	cells []Axial // position of each cell, indexed by CellID
-	// index is the inverse of cells (pre-wrap canonical coords). Rect
-	// grids resolve positions arithmetically instead — at 10^6 cells the
-	// map alone costs tens of MB and dominates construction time — so it
-	// is only populated for Hexagon grids.
-	index    map[Axial]CellID
-	neighbor [][]CellID // interference neighborhood IN(i), sorted, excluding i
-	adjacent [][]CellID // hex-distance-1 neighbors, sorted
-	// nbrFlat and adjFlat are the shared backing arrays of neighbor and
-	// adjacent: two allocations for the whole grid instead of two per
-	// cell, which matters at giant-grid scale (10^6 cells).
-	nbrFlat []CellID
-	adjFlat []CellID
+	// box is the inverse of cells for Hexagon grids: the id at each
+	// position of the (2R+1)² square around the origin, None where the
+	// patch has no cell. Rect grids resolve positions arithmetically.
+	box []CellID
+	// Cell id's interference neighborhood IN(id), sorted and excluding
+	// id, is nbrFlat[nbrOff[id]:nbrOff[id+1]]; its hex-distance-1
+	// neighbors are adjFlat[adjOff[id]:adjOff[id+1]], sorted.
+	nbrOff, adjOff   []uint32
+	nbrFlat, adjFlat []CellID
 }
+
+// span is one row of a stencil: the lattice offsets (dq, dr) for dq in
+// [lo, hi].
+type span struct{ dr, lo, hi int }
+
+// adjacency is the stencil of hex distance 1, in row-major order.
+var adjacency = []span{{-1, 0, 1}, {0, -1, -1}, {0, 1, 1}, {1, -1, 0}}
 
 // New builds a grid from cfg. It returns an error for degenerate
 // configurations rather than panicking, so callers can surface bad
-// scenario files cleanly.
+// scenario files cleanly; a grid too large for CellID or for the
+// neighborhood table is refused before anything is allocated.
 func New(cfg Config) (*Grid, error) {
 	if cfg.ReuseDistance < 1 {
 		return nil, fmt.Errorf("hexgrid: reuse distance must be >= 1, got %d", cfg.ReuseDistance)
 	}
-	g := &Grid{cfg: cfg}
-	if cfg.Shape == Hexagon {
-		g.index = make(map[Axial]CellID)
-	}
+	var n int // number of cells
 	switch cfg.Shape {
 	case Rect:
 		if cfg.Width < 1 || cfg.Height < 1 {
 			return nil, fmt.Errorf("hexgrid: rect grid needs positive dimensions, got %dx%d", cfg.Width, cfg.Height)
 		}
-		if cfg.Wrap && (cfg.Width <= 2*cfg.ReuseDistance || cfg.Height <= 2*cfg.ReuseDistance) {
+		// Width <= 2D, written so that a huge D cannot overflow.
+		if d := cfg.ReuseDistance; cfg.Wrap && ((cfg.Width+1)/2 <= d || (cfg.Height+1)/2 <= d) {
 			return nil, fmt.Errorf("hexgrid: wrapped %dx%d grid too small for reuse distance %d", cfg.Width, cfg.Height, cfg.ReuseDistance)
 		}
-		for r := 0; r < cfg.Height; r++ {
-			for q := 0; q < cfg.Width; q++ {
-				g.addCell(Axial{q, r})
-			}
+		if cfg.Width > maxCells/cfg.Height {
+			return nil, fmt.Errorf("hexgrid: %dx%d grid has more cells than a CellID can index (%d)", cfg.Width, cfg.Height, maxCells)
 		}
+		n = cfg.Width * cfg.Height
 	case Hexagon:
 		if cfg.Radius < 0 {
 			return nil, fmt.Errorf("hexgrid: hexagon radius must be >= 0, got %d", cfg.Radius)
@@ -103,15 +115,46 @@ func New(cfg Config) (*Grid, error) {
 		if cfg.Wrap {
 			return nil, fmt.Errorf("hexgrid: wrap is only supported for rect grids")
 		}
-		for _, a := range Spiral(Axial{0, 0}, cfg.Radius) {
-			g.addCell(a)
+		// 1 + 3k(k+1) <= maxCells needs k < 26 755; the first test keeps
+		// the product from overflowing.
+		if k := cfg.Radius; k > 1<<16 || 1+3*k*(k+1) > maxCells {
+			return nil, fmt.Errorf("hexgrid: hexagon of radius %d has more cells than a CellID can index (%d)", k, maxCells)
 		}
+		n = 1 + 3*cfg.Radius*(cfg.Radius+1)
 	default:
 		return nil, fmt.Errorf("hexgrid: unknown shape %v", cfg.Shape)
 	}
-	g.buildNeighborhoods()
+	g := &Grid{cfg: cfg}
+	stencil, size := g.stencil()
+	if uint64(n)*uint64(size) > math.MaxUint32 {
+		return nil, fmt.Errorf("hexgrid: %d cells with up to %d interference neighbors each exceed the %d entries a neighborhood table can index",
+			n, size, uint64(math.MaxUint32))
+	}
+	if cfg.Shape == Rect {
+		g.cells = make([]Axial, 0, n)
+		for r := 0; r < cfg.Height; r++ {
+			for q := 0; q < cfg.Width; q++ {
+				g.cells = append(g.cells, Axial{q, r})
+			}
+		}
+	} else {
+		k := cfg.Radius
+		g.cells = Spiral(Axial{0, 0}, k)
+		g.box = make([]CellID, (2*k+1)*(2*k+1))
+		for i := range g.box {
+			g.box[i] = None
+		}
+		for id, a := range g.cells {
+			g.box[(a.R+k)*(2*k+1)+a.Q+k] = CellID(id)
+		}
+	}
+	g.buildNeighborhoods(stencil, size)
 	return g, nil
 }
+
+// maxCells is the most cells a grid may have: ids 0..maxCells-1, and
+// maxCells itself (a tile's exclusive bound), fit a CellID.
+const maxCells = math.MaxInt32
 
 // MustNew is New but panics on error; for tests and examples with
 // known-good configurations.
@@ -123,80 +166,132 @@ func MustNew(cfg Config) *Grid {
 	return g
 }
 
-func (g *Grid) addCell(a Axial) {
-	id := CellID(len(g.cells))
-	g.cells = append(g.cells, a)
-	if g.index != nil {
-		g.index[a] = id
+// stencil returns the offsets at hex distance 1..D in row-major order
+// (by row dr, then column dq), which is ascending id order for a Rect
+// cell away from the grid's edges, and how many there are. Row 0 is two
+// spans, either side of the origin. On an unwrapped grid, offsets that
+// cannot land on a cell from any cell — a row or column shift as large
+// as the grid itself — are left out, so a reuse distance far beyond the
+// grid costs nothing.
+func (g *Grid) stencil() ([]span, int) {
+	d, c := g.cfg.ReuseDistance, g.cfg
+	maxQ, maxR := d, d
+	switch {
+	case c.Shape == Hexagon:
+		maxQ, maxR = min(d, 2*c.Radius), min(d, 2*c.Radius)
+	case !c.Wrap:
+		maxQ, maxR = min(d, c.Width-1), min(d, c.Height-1)
 	}
+	// Past maxQ+maxR the bound on |dq+dr| below cuts nothing; clamping
+	// keeps -d-dr from overflowing for a huge D.
+	d = min(d, maxQ+maxR)
+	rows := make([]span, 0, 2*maxR+2)
+	size := 0
+	for dr := -maxR; dr <= maxR; dr++ {
+		// Row dr holds the dq with max(|dq|, |dr|, |dq+dr|) <= d.
+		lo, hi := max(-d, -d-dr, -maxQ), min(d, d-dr, maxQ)
+		if dr == 0 {
+			rows = append(rows, span{0, lo, -1}, span{0, 1, hi})
+		} else {
+			rows = append(rows, span{dr, lo, hi})
+		}
+		size += hi - lo + 1
+	}
+	return rows, size - 1
 }
 
 // buildNeighborhoods computes, for every cell, the set of cells within
 // the reuse distance (interference neighborhood) and within distance 1
-// (physical adjacency, used for handoff).
+// (physical adjacency, used for handoff): the stencils added to the
+// cell's position, positions off an unwrapped grid dropped, and the
+// result insertion-sorted — one pass with no moves for a Rect cell
+// more than D from a wrap seam or an edge.
+func (g *Grid) buildNeighborhoods(stencil []span, size int) {
+	n := len(g.cells)
+	g.nbrOff = make([]uint32, n+1)
+	g.adjOff = make([]uint32, n+1)
+	// Exact upper-bound capacities: the backings never reallocate.
+	nbr := make([]CellID, 0, n*size)
+	adj := make([]CellID, 0, n*6)
+	for id, pos := range g.cells {
+		nbrStart, adjStart := len(nbr), len(adj)
+		nbr = g.appendCells(nbr, pos, stencil)
+		adj = g.appendCells(adj, pos, adjacency)
+		sortIDs(nbr[nbrStart:])
+		sortIDs(adj[adjStart:])
+		g.nbrOff[id+1] = uint32(len(nbr))
+		g.adjOff[id+1] = uint32(len(adj))
+	}
+	g.nbrFlat, g.adjFlat = nbr, adj
+}
+
+// appendCells appends the cells at the stencil's offsets from pos.
 //
 // No dedup pass is needed: distinct lattice positions within distance D
 // of a cell always resolve to distinct cells. For unwrapped grids that
 // is immediate; for wrapped Rect grids two positions collide only when
 // their coordinate deltas are multiples of (Width, Height), impossible
 // while both dimensions exceed 2*ReuseDistance (enforced in New). The
-// same argument shows a ring position never wraps back onto the center.
-func (g *Grid) buildNeighborhoods() {
-	n := len(g.cells)
-	d := g.cfg.ReuseDistance
-	maxIN := 3 * d * (d + 1) // interior interference-neighborhood size
-	g.neighbor = make([][]CellID, n)
-	g.adjacent = make([][]CellID, n)
-	// Exact upper-bound capacities: the backings never reallocate, so
-	// per-cell views can be taken as the flat slices grow.
-	g.nbrFlat = make([]CellID, 0, n*maxIN)
-	g.adjFlat = make([]CellID, 0, n*6)
-	scratch := make([]Axial, 0, 6*d)
-	for id, pos := range g.cells {
-		nbrStart, adjStart := len(g.nbrFlat), len(g.adjFlat)
-		for k := 1; k <= d; k++ {
-			scratch = AppendRing(scratch[:0], pos, k)
-			for _, p := range scratch {
-				if other, ok := g.lookup(p); ok && other != CellID(id) {
-					g.nbrFlat = append(g.nbrFlat, other)
-					if k == 1 {
-						g.adjFlat = append(g.adjFlat, other)
-					}
+// same argument shows a stencil position never wraps back onto the
+// center, and lets a wrap be one add or subtract per axis.
+func (g *Grid) appendCells(dst []CellID, pos Axial, stencil []span) []CellID {
+	w, h := g.cfg.Width, g.cfg.Height
+	for _, s := range stencil {
+		r := pos.R + s.dr
+		if g.box != nil { // Hexagon: small, so one lookup per position
+			for q := pos.Q + s.lo; q <= pos.Q+s.hi; q++ {
+				if id, ok := g.place(q, r); ok {
+					dst = append(dst, id)
 				}
 			}
+			continue
 		}
-		nbr := g.nbrFlat[nbrStart:len(g.nbrFlat):len(g.nbrFlat)]
-		adj := g.adjFlat[adjStart:len(g.adjFlat):len(g.adjFlat)]
-		sortIDs(nbr)
-		sortIDs(adj)
-		g.neighbor[id] = nbr
-		g.adjacent[id] = adj
+		if uint(r) >= uint(h) {
+			if !g.cfg.Wrap {
+				continue
+			}
+			if r < 0 {
+				r += h
+			} else {
+				r -= h
+			}
+		}
+		base := r * w
+		for q := pos.Q + s.lo; q <= pos.Q+s.hi; q++ {
+			c := q
+			if uint(c) >= uint(w) {
+				if !g.cfg.Wrap {
+					continue
+				}
+				if c < 0 {
+					c += w
+				} else {
+					c -= w
+				}
+			}
+			dst = append(dst, CellID(base+c))
+		}
 	}
+	return dst
 }
 
-// lookup resolves an axial position to a cell id, applying toroidal
-// wrapping when configured. Rect grids are resolved arithmetically from
-// the row-major layout; only Hexagon grids consult the position index.
-func (g *Grid) lookup(a Axial) (CellID, bool) {
-	if g.cfg.Shape == Rect {
-		q, r := a.Q, a.R
-		if g.cfg.Wrap {
-			q, r = mod(q, g.cfg.Width), mod(r, g.cfg.Height)
-		} else if q < 0 || q >= g.cfg.Width || r < 0 || r >= g.cfg.Height {
-			return 0, false
+// place resolves a position on the grid — Rect: inside the
+// parallelogram; Hexagon: inside the patch — to its cell id.
+func (g *Grid) place(q, r int) (CellID, bool) {
+	if g.box != nil {
+		k := g.cfg.Radius
+		side := 2*k + 1
+		q, r = q+k, r+k
+		if uint(q) >= uint(side) || uint(r) >= uint(side) {
+			return None, false
 		}
-		return CellID(r*g.cfg.Width + q), true
+		id := g.box[r*side+q]
+		return id, id != None
 	}
-	id, ok := g.index[a]
-	return id, ok
-}
-
-func mod(v, m int) int {
-	v %= m
-	if v < 0 {
-		v += m
+	if uint(q) >= uint(g.cfg.Width) || uint(r) >= uint(g.cfg.Height) {
+		return None, false
 	}
-	return v
+	return CellID(r*g.cfg.Width + q), true
 }
 
 // sortIDs sorts tiny id lists (neighborhoods are <= 3D(D+1) entries) by
@@ -225,16 +320,37 @@ func (g *Grid) Pos(id CellID) Axial { return g.cells[id] }
 
 // At returns the cell at position a, applying wrapping if configured.
 // The second result is false if no cell exists there.
-func (g *Grid) At(a Axial) (CellID, bool) { return g.lookup(a) }
+func (g *Grid) At(a Axial) (CellID, bool) {
+	if g.cfg.Wrap {
+		// Any position, however far off: reduce it onto the grid.
+		a = Axial{mod(a.Q, g.cfg.Width), mod(a.R, g.cfg.Height)}
+	}
+	return g.place(a.Q, a.R)
+}
+
+func mod(v, m int) int {
+	v %= m
+	if v < 0 {
+		v += m
+	}
+	return v
+}
 
 // Interference returns the interference neighborhood IN(id): every cell
 // within the reuse distance of id, excluding id itself, sorted by id.
-// The returned slice aliases internal storage.
-func (g *Grid) Interference(id CellID) []CellID { return g.neighbor[id] }
+// The returned slice is a capped view of the grid's neighborhood table.
+func (g *Grid) Interference(id CellID) []CellID {
+	lo, hi := g.nbrOff[id], g.nbrOff[id+1]
+	return g.nbrFlat[lo:hi:hi]
+}
 
 // Adjacent returns the hex-distance-1 neighbors of id (up to six), used
-// for mobility/handoff. The returned slice aliases internal storage.
-func (g *Grid) Adjacent(id CellID) []CellID { return g.adjacent[id] }
+// for mobility/handoff. The returned slice is a capped view of the
+// grid's adjacency table.
+func (g *Grid) Adjacent(id CellID) []CellID {
+	lo, hi := g.adjOff[id], g.adjOff[id+1]
+	return g.adjFlat[lo:hi:hi]
+}
 
 // Interferes reports whether cells a and b are within the reuse
 // distance of each other (a != b).
@@ -243,7 +359,7 @@ func (g *Grid) Interferes(a, b CellID) bool {
 		return false
 	}
 	// Neighborhoods are symmetric by construction; binary-search a's.
-	in := g.neighbor[a]
+	in := g.Interference(a)
 	lo, hi := 0, len(in)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -259,13 +375,11 @@ func (g *Grid) Interferes(a, b CellID) bool {
 // MaxInterferenceDegree returns the size of the largest interference
 // neighborhood in the grid (the paper's parameter N for interior cells).
 func (g *Grid) MaxInterferenceDegree() int {
-	max := 0
-	for _, in := range g.neighbor {
-		if len(in) > max {
-			max = len(in)
-		}
+	most := 0
+	for id := range g.cells {
+		most = max(most, int(g.nbrOff[id+1]-g.nbrOff[id]))
 	}
-	return max
+	return most
 }
 
 // InteriorCell returns the id of a cell with a full-size interference
@@ -282,7 +396,7 @@ func (g *Grid) InteriorCell() CellID {
 	center = Axial{center.Q / n, center.R / n}
 	best, bestDist := CellID(0), int(^uint(0)>>1)
 	for id, p := range g.cells {
-		if len(g.neighbor[id]) != want {
+		if len(g.Interference(CellID(id))) != want {
 			continue
 		}
 		if d := Distance(p, center); d < bestDist {

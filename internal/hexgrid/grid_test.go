@@ -1,8 +1,15 @@
 package hexgrid
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/raceflag"
 )
 
 func TestNewRejectsBadConfigs(t *testing.T) {
@@ -205,5 +212,162 @@ func TestShapeString(t *testing.T) {
 	}
 	if Shape(42).String() == "" {
 		t.Error("unknown shape should still format")
+	}
+}
+
+// TestNeighbourhoodsMatchReference checks every list against a
+// brute-force reference: IN(id) is the sorted set of cells at hex
+// distance 1..D — on a wrapped grid, at that distance through the seam —
+// and Adjacent(id) those at distance 1; Interferes is symmetric.
+func TestNeighbourhoodsMatchReference(t *testing.T) {
+	var cases []Config
+	for d := 1; d <= 3; d++ {
+		for _, wh := range [][2]int{{2*d + 1, 2*d + 1}, {2*d + 1, 2*d + 4}, {2*d + 6, 2*d + 2}, {12, 9}} {
+			for _, wrap := range []bool{false, true} {
+				cases = append(cases, Config{Shape: Rect, Width: wh[0], Height: wh[1], ReuseDistance: d, Wrap: wrap})
+			}
+		}
+		cases = append(cases, Config{Shape: Rect, Width: 1, Height: 5, ReuseDistance: d}, Config{Shape: Rect, Width: 3, Height: 1, ReuseDistance: d})
+		for k := 0; k <= 4; k++ {
+			cases = append(cases, Config{Shape: Hexagon, Radius: k, ReuseDistance: d})
+		}
+	}
+	for _, cfg := range cases {
+		g := MustNew(cfg)
+		n := g.NumCells()
+		for i := 0; i < n; i++ {
+			var wantIN, wantAdj []CellID
+			for j := 0; j < n; j++ {
+				d := refDistance(cfg, g.Pos(CellID(i)), g.Pos(CellID(j)))
+				if d >= 1 && d <= cfg.ReuseDistance {
+					wantIN = append(wantIN, CellID(j))
+				}
+				if d == 1 {
+					wantAdj = append(wantAdj, CellID(j))
+				}
+			}
+			if got := g.Interference(CellID(i)); !slices.Equal(got, wantIN) {
+				t.Fatalf("%+v: IN(%d) = %v, want %v", cfg, i, got, wantIN)
+			}
+			if got := g.Adjacent(CellID(i)); !slices.Equal(got, wantAdj) {
+				t.Fatalf("%+v: Adjacent(%d) = %v, want %v", cfg, i, got, wantAdj)
+			}
+			for j := 0; j < n; j++ {
+				if g.Interferes(CellID(i), CellID(j)) != g.Interferes(CellID(j), CellID(i)) {
+					t.Fatalf("%+v: Interferes(%d, %d) is not symmetric", cfg, i, j)
+				}
+			}
+		}
+	}
+}
+
+// refDistance is the hex distance from a to b, the least over every
+// image of b through the seams of a wrapped grid.
+func refDistance(cfg Config, a, b Axial) int {
+	if !cfg.Wrap {
+		return Distance(a, b)
+	}
+	best := Distance(a, b)
+	for dq := -1; dq <= 1; dq++ {
+		for dr := -1; dr <= 1; dr++ {
+			best = min(best, Distance(a, Axial{b.Q + dq*cfg.Width, b.R + dr*cfg.Height}))
+		}
+	}
+	return best
+}
+
+// TestBenchmarkGridsUnchanged pins the lists of the four grids the
+// benchmark builds (wrapped, reuse distance 2, sides 300, 60, 120 and 7)
+// by an FNV-64a hash of every cell's IN and Adjacent lists, each as its
+// length then its ids, little-endian int32: the values the ring walk
+// that built them before the stencil produced.
+func TestBenchmarkGridsUnchanged(t *testing.T) {
+	for _, c := range []struct {
+		side int
+		want uint64
+	}{{300, 0x8ef627a1830d626d}, {60, 0xffbaf9d264e81e45}, {120, 0x2b9960323843959d}, {7, 0xf310fde051079491}} {
+		g := MustNew(Config{Shape: Rect, Width: c.side, Height: c.side, ReuseDistance: 2, Wrap: true})
+		h := fnv.New64a()
+		var b []byte
+		put := func(ids []CellID) {
+			b = binary.LittleEndian.AppendUint32(b[:0], uint32(len(ids)))
+			for _, id := range ids {
+				b = binary.LittleEndian.AppendUint32(b, uint32(id))
+			}
+			h.Write(b)
+		}
+		for id := 0; id < g.NumCells(); id++ {
+			put(g.Interference(CellID(id)))
+			put(g.Adjacent(CellID(id)))
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("%dx%d: neighborhood hash %#x, want %#x", c.side, c.side, got, c.want)
+		}
+	}
+}
+
+// TestOversizedGridsRefused: a grid with more cells than a CellID can
+// index, or a neighborhood table larger than its offsets can index, is a
+// descriptive error, returned before anything is allocated.
+func TestOversizedGridsRefused(t *testing.T) {
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Shape: Rect, Width: 1 << 16, Height: 1 << 16, ReuseDistance: 1}, "more cells than a CellID"},
+		{Config{Shape: Rect, Width: 1 << 40, Height: 1 << 40, ReuseDistance: 1, Wrap: true}, "more cells than a CellID"},
+		{Config{Shape: Hexagon, Radius: 1 << 15, ReuseDistance: 1}, "more cells than a CellID"},
+		{Config{Shape: Hexagon, Radius: 1 << 40, ReuseDistance: 1}, "more cells than a CellID"},
+		{Config{Shape: Rect, Width: 1 << 15, Height: 1 << 15, ReuseDistance: 2, Wrap: true}, "neighborhood table"},
+		{Config{Shape: Hexagon, Radius: 20000, ReuseDistance: 3}, "neighborhood table"},
+	} {
+		allocs := testing.AllocsPerRun(1, func() {
+			_, err := New(c.cfg)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%+v: error %v, want one saying %q", c.cfg, err, c.want)
+			}
+		})
+		if allocs > 8 && !raceflag.Enabled {
+			t.Errorf("%+v: refused after %.0f allocations", c.cfg, allocs)
+		}
+	}
+}
+
+// TestConstructionAllocationBudget: New allocates the same number of
+// objects at any size — the CSR tables, the cell positions and the
+// stencil, none of them per cell.
+func TestConstructionAllocationBudget(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	count := func(side int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			MustNew(Config{Shape: Rect, Width: side, Height: side, ReuseDistance: 2, Wrap: true})
+		})
+	}
+	small, large := count(24), count(120)
+	t.Logf("hexgrid.New: %.0f objects at 24x24, %.0f at 120x120", small, large)
+	if small != large {
+		t.Errorf("hexgrid.New allocates %.0f objects at 24x24 but %.0f at 120x120", small, large)
+	}
+}
+
+// TestHugeReuseDistance: on an unwrapped grid a reuse distance beyond
+// the grid makes every other cell a neighbor, at no cost past the grid's
+// own size; a wrapped grid refuses it without overflowing.
+func TestHugeReuseDistance(t *testing.T) {
+	for _, cfg := range []Config{
+		{Shape: Rect, Width: 5, Height: 4, ReuseDistance: math.MaxInt},
+		{Shape: Hexagon, Radius: 2, ReuseDistance: math.MaxInt},
+	} {
+		g := MustNew(cfg)
+		for id := 0; id < g.NumCells(); id++ {
+			if got := len(g.Interference(CellID(id))); got != g.NumCells()-1 {
+				t.Fatalf("%+v: cell %d has %d neighbors, want %d", cfg, id, got, g.NumCells()-1)
+			}
+		}
+	}
+	if _, err := New(Config{Shape: Rect, Width: 9, Height: 9, ReuseDistance: math.MaxInt/2 + 1, Wrap: true}); err == nil {
+		t.Fatal("a wrapped grid accepted a reuse distance past its sides")
 	}
 }
