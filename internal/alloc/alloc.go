@@ -67,11 +67,11 @@ type Allocator interface {
 	// before any other method.
 	Start(env Env)
 	// Request asks for one channel for request id. The allocator
-	// eventually answers with env.Granted or env.Denied. Concurrent
-	// requests may be queued internally (see Serial), but a cell's
-	// requests complete in submission order: the answer for id comes
-	// after those for every request submitted before it. The DES driver's
-	// request book relies on this.
+	// answers with env.Granted or env.Denied, now or later. Its host
+	// hands it one request at a time (internal/reqbook): the next only
+	// after the answer for id and that answer's completion, so a station
+	// serves one request at a time (DESIGN.md D3) with no queue of its
+	// own, and a cell's requests complete in submission order.
 	Request(id RequestID)
 	// Release returns channel ch (previously granted) to the system.
 	// Releasing a channel the cell does not hold returns an error and
@@ -158,77 +158,6 @@ type Factory interface {
 	Name() string
 	// New creates the allocator for the given cell.
 	New(cell hexgrid.CellID) Allocator
-}
-
-// Starter is the station behind a Serial: StartRequest begins protocol
-// work for one request. Only the station's Serial calls it.
-type Starter interface {
-	StartRequest(id RequestID)
-}
-
-// Serial serializes channel requests at one station: the control channel
-// between mobile hosts and their MSS handles one transaction at a time
-// (DESIGN.md D3). A scheme keeps a Serial made by NewSerial with itself
-// as the Starter — an interface holding the station's pointer, so it
-// costs no allocation — and calls Finish when the in-flight request
-// concludes.
-type Serial struct {
-	station Starter
-	// queue[head:] are the waiting requests. Popping advances head and
-	// an emptied queue rewinds to its base, so the common one-at-a-time
-	// station reuses one slot forever instead of allocating per request
-	// (re-slicing queue[1:] gave the capacity away).
-	queue    []RequestID
-	head     int
-	busy     bool
-	draining bool
-}
-
-// NewSerial returns an idle Serial that starts requests on station.
-func NewSerial(station Starter) Serial { return Serial{station: station} }
-
-// Submit enqueues a request and starts it immediately if the station is
-// idle.
-func (s *Serial) Submit(id RequestID) {
-	if len(s.queue) == cap(s.queue) && s.head > len(s.queue)/2 {
-		// A standing backlog never empties: reclaim the popped prefix
-		// before growing.
-		s.queue = s.queue[:copy(s.queue, s.queue[s.head:])]
-		s.head = 0
-	}
-	s.queue = append(s.queue, id)
-	s.drain()
-}
-
-// Finish marks the in-flight request complete and starts the next queued
-// one, if any. Safe to call from inside StartRequest (synchronous
-// completion).
-func (s *Serial) Finish() {
-	s.busy = false
-	s.drain()
-}
-
-// Busy reports whether a request is currently being served.
-func (s *Serial) Busy() bool { return s.busy }
-
-// QueueLen reports the number of requests waiting behind the active one.
-func (s *Serial) QueueLen() int { return len(s.queue) - s.head }
-
-func (s *Serial) drain() {
-	if s.draining {
-		return
-	}
-	s.draining = true
-	for !s.busy && s.head < len(s.queue) {
-		id := s.queue[s.head]
-		s.head++
-		if s.head == len(s.queue) {
-			s.queue, s.head = s.queue[:0], 0
-		}
-		s.busy = true
-		s.station.StartRequest(id)
-	}
-	s.draining = false
 }
 
 // Multicaster is an optional capability of an Env (discovered by type

@@ -7,93 +7,6 @@ import (
 	"repro/internal/message"
 )
 
-func TestSerialRunsImmediatelyWhenIdle(t *testing.T) {
-	var s Serial
-	var started []RequestID
-	s = NewSerial(startFunc(func(id RequestID) { started = append(started, id) }))
-	s.Submit(1)
-	if len(started) != 1 || started[0] != 1 {
-		t.Fatalf("started = %v", started)
-	}
-	if !s.Busy() {
-		t.Fatal("should be busy until Finish")
-	}
-}
-
-func TestSerialQueuesWhileBusy(t *testing.T) {
-	var s Serial
-	var started []RequestID
-	s = NewSerial(startFunc(func(id RequestID) { started = append(started, id) }))
-	s.Submit(1)
-	s.Submit(2)
-	s.Submit(3)
-	if len(started) != 1 {
-		t.Fatalf("started %d requests while busy, want 1", len(started))
-	}
-	if s.QueueLen() != 2 {
-		t.Fatalf("QueueLen = %d, want 2", s.QueueLen())
-	}
-	s.Finish()
-	if len(started) != 2 || started[1] != 2 {
-		t.Fatalf("after Finish: %v", started)
-	}
-	s.Finish()
-	s.Finish()
-	if len(started) != 3 || s.Busy() || s.QueueLen() != 0 {
-		t.Fatalf("drain incomplete: %v busy=%v q=%d", started, s.Busy(), s.QueueLen())
-	}
-}
-
-func TestSerialSynchronousCompletion(t *testing.T) {
-	// start finishes synchronously: all queued requests must run, in
-	// order, without recursion blowing the logic up.
-	var s Serial
-	var started []RequestID
-	s = NewSerial(startFunc(func(id RequestID) {
-		started = append(started, id)
-		s.Finish()
-	}))
-	for i := 1; i <= 100; i++ {
-		s.Submit(RequestID(i))
-	}
-	if len(started) != 100 {
-		t.Fatalf("ran %d, want 100", len(started))
-	}
-	for i, id := range started {
-		if id != RequestID(i+1) {
-			t.Fatalf("order broken at %d: %v", i, started[:i+1])
-		}
-	}
-	if s.Busy() {
-		t.Fatal("should be idle")
-	}
-}
-
-func TestSerialMixedCompletion(t *testing.T) {
-	// Alternate synchronous and asynchronous completions.
-	var s Serial
-	var started []RequestID
-	s = NewSerial(startFunc(func(id RequestID) {
-		started = append(started, id)
-		if id%2 == 0 {
-			s.Finish() // even ids complete synchronously
-		}
-	}))
-	s.Submit(1)
-	s.Submit(2)
-	s.Submit(3)
-	if len(started) != 1 {
-		t.Fatalf("1 should be in flight: %v", started)
-	}
-	s.Finish() // completes 1 → starts 2 (sync) → starts 3
-	if len(started) != 3 {
-		t.Fatalf("after finishing 1: %v", started)
-	}
-	if !s.Busy() {
-		t.Fatal("3 should be in flight")
-	}
-}
-
 type envStub struct {
 	Env
 	neighbors []hexgrid.CellID
@@ -167,50 +80,3 @@ func TestMulticast(t *testing.T) {
 		t.Fatalf("broadcast reached %d neighbors, want %d", len(multi.sent)-len(want), len(neighbors))
 	}
 }
-
-// TestSerialQueueMemoryIsBounded: the queue is a head-indexed slice.
-// A one-at-a-time station must reuse its slot (no allocation per
-// request), and a station with a standing backlog — one that never
-// empties, as under overload — must stay FIFO and reclaim the popped
-// prefix instead of growing with every request ever submitted.
-func TestSerialQueueMemoryIsBounded(t *testing.T) {
-	var s Serial
-	var last RequestID
-	s = NewSerial(startFunc(func(id RequestID) {
-		if id != last+1 {
-			t.Fatalf("started %d after %d: FIFO order broken", id, last)
-		}
-		last = id
-	}))
-	next := RequestID(0)
-	submit := func() { next++; s.Submit(next) }
-	submit()
-	if allocs := testing.AllocsPerRun(1000, func() { s.Finish(); submit() }); allocs != 0 {
-		t.Errorf("idle station: %.1f allocations per request, want 0", allocs)
-	}
-	const backlog = 5
-	for i := 0; i < backlog; i++ {
-		submit()
-	}
-	for i := 0; i < 100_000; i++ {
-		s.Finish()
-		submit()
-	}
-	if s.QueueLen() != backlog {
-		t.Fatalf("QueueLen = %d, want %d", s.QueueLen(), backlog)
-	}
-	if c := cap(s.queue); c > 8*backlog {
-		t.Fatalf("queue capacity grew to %d under a standing backlog of %d", c, backlog)
-	}
-	for s.Busy() {
-		s.Finish()
-	}
-	if last != next {
-		t.Fatalf("drained to request %d of %d", last, next)
-	}
-}
-
-// startFunc is a Starter made of a func, for tests.
-type startFunc func(RequestID)
-
-func (f startFunc) StartRequest(id RequestID) { f(id) }

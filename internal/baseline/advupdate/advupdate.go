@@ -77,7 +77,6 @@ type AdvUpdate struct {
 	// primary channel r (None when free). It resolves on ACQUISITION or
 	// RELEASE from that borrower.
 	grantedTo map[chanset.Channel]hexgrid.CellID
-	serial    alloc.Serial
 	counters  alloc.Counters
 
 	// Active borrow state.
@@ -117,7 +116,6 @@ func (v *AdvUpdate) Start(env alloc.Env) {
 			}
 		}
 	}
-	v.serial = alloc.NewSerial(v)
 }
 
 func (v *AdvUpdate) addU(j hexgrid.CellID, ch chanset.Channel) {
@@ -153,8 +151,8 @@ func (v *AdvUpdate) outGranted(ch chanset.Channel) bool {
 	return ok && b != hexgrid.None
 }
 
-// StartRequest implements alloc.Starter.
-func (v *AdvUpdate) StartRequest(id alloc.RequestID) {
+// Request implements alloc.Allocator.
+func (v *AdvUpdate) Request(id alloc.RequestID) {
 	v.env.Began(id)
 	v.reqID = id
 	v.rounds = 0
@@ -244,11 +242,7 @@ func (v *AdvUpdate) finish(granted bool, ch chanset.Channel, local bool) {
 		v.counters.Drops++
 		v.env.Denied(id)
 	}
-	v.serial.Finish()
 }
-
-// Request implements alloc.Allocator.
-func (v *AdvUpdate) Request(id alloc.RequestID) { v.serial.Submit(id) }
 
 // Release implements alloc.Allocator.
 func (v *AdvUpdate) Release(ch chanset.Channel) error {

@@ -37,7 +37,6 @@ type Fixed struct {
 	env      alloc.Env
 	pr       chanset.Set
 	use      chanset.Set
-	serial   alloc.Serial
 	counters alloc.Counters
 }
 
@@ -45,11 +44,10 @@ type Fixed struct {
 func (x *Fixed) Start(env alloc.Env) {
 	x.env = env
 	x.use = chanset.NewSet(int(x.pr.Last()) + 1)
-	x.serial = alloc.NewSerial(x)
 }
 
-// StartRequest implements alloc.Starter.
-func (x *Fixed) StartRequest(id alloc.RequestID) {
+// Request implements alloc.Allocator.
+func (x *Fixed) Request(id alloc.RequestID) {
 	x.env.Began(id)
 	free := chanset.Subtract(x.pr, x.use)
 	if ch := free.First(); ch.Valid() {
@@ -60,11 +58,7 @@ func (x *Fixed) StartRequest(id alloc.RequestID) {
 		x.counters.Drops++
 		x.env.Denied(id)
 	}
-	x.serial.Finish()
 }
-
-// Request implements alloc.Allocator.
-func (x *Fixed) Request(id alloc.RequestID) { x.serial.Submit(id) }
 
 // Release implements alloc.Allocator.
 func (x *Fixed) Release(ch chanset.Channel) error {

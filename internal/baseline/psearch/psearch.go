@@ -73,7 +73,6 @@ type PSearch struct {
 	nchan     int
 	neighbors []hexgrid.CellID
 	clock     *lamport.Clock
-	serial    alloc.Serial
 	counters  alloc.Counters
 
 	// allocated ⊇ busy: channels this cell owns / is using.
@@ -105,14 +104,13 @@ func (p *PSearch) Start(env alloc.Env) {
 	p.allocated = chanset.NewSet(p.nchan)
 	p.busy = chanset.NewSet(p.nchan)
 	p.transferPending = make(map[chanset.Channel]hexgrid.CellID)
-	p.serial = alloc.NewSerial(p)
 }
 
 // Allocated exposes the allocated set (tests, introspection).
 func (p *PSearch) Allocated() chanset.Set { return p.allocated.Clone() }
 
-// StartRequest implements alloc.Starter.
-func (p *PSearch) StartRequest(id alloc.RequestID) {
+// Request implements alloc.Allocator.
+func (p *PSearch) Request(id alloc.RequestID) {
 	p.env.Began(id)
 	p.reqID = id
 	// Free allocated channel? Serve locally at zero cost.
@@ -122,7 +120,6 @@ func (p *PSearch) StartRequest(id alloc.RequestID) {
 			p.busy.Add(ch)
 			p.counters.GrantsLocal++
 			p.env.Granted(id, ch)
-			p.serial.Finish()
 			return
 		}
 		free.Remove(ch)
@@ -216,7 +213,6 @@ func (p *PSearch) finish(granted bool, ch chanset.Channel) {
 	} else {
 		p.env.Denied(id)
 	}
-	p.serial.Finish()
 }
 
 // visibleAllocated is the allocated set as reported to others: channels
@@ -241,9 +237,6 @@ func (p *PSearch) respondSearch(to hexgrid.CellID, ts lamport.Stamp) {
 		From: p.cell, To: to, TS: ts, Use: p.busy.Clone(),
 	})
 }
-
-// Request implements alloc.Allocator.
-func (p *PSearch) Request(id alloc.RequestID) { p.serial.Submit(id) }
 
 // Release implements alloc.Allocator. The channel stays allocated — that
 // is the scheme's retention policy.

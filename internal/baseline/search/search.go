@@ -50,7 +50,6 @@ type Search struct {
 	neighbors []hexgrid.CellID
 	clock     *lamport.Clock
 	use       chanset.Set
-	serial    alloc.Serial
 	counters  alloc.Counters
 
 	// Active search state.
@@ -68,11 +67,10 @@ func (s *Search) Start(env alloc.Env) {
 	s.neighbors = env.Neighbors()
 	s.clock = lamport.NewClock(int32(s.cell))
 	s.use = chanset.NewSet(s.nchan)
-	s.serial = alloc.NewSerial(s)
 }
 
-// StartRequest implements alloc.Starter.
-func (s *Search) StartRequest(id alloc.RequestID) {
+// Request implements alloc.Allocator.
+func (s *Search) Request(id alloc.RequestID) {
 	s.env.Began(id)
 	s.reqID = id
 	s.reqTS = s.clock.Tick()
@@ -121,11 +119,7 @@ func (s *Search) complete() {
 	} else {
 		s.env.Denied(id)
 	}
-	s.serial.Finish()
 }
-
-// Request implements alloc.Allocator.
-func (s *Search) Request(id alloc.RequestID) { s.serial.Submit(id) }
 
 // Release implements alloc.Allocator. Releases are purely local in the
 // basic search scheme: the next search collects fresh Use sets anyway.

@@ -57,7 +57,6 @@ type Update struct {
 	u         map[hexgrid.CellID]chanset.Set
 	iCnt      []int16
 	inter     chanset.Set
-	serial    alloc.Serial
 	counters  alloc.Counters
 
 	// Active request state.
@@ -84,7 +83,6 @@ func (u *Update) Start(env alloc.Env) {
 	}
 	u.iCnt = make([]int16, n)
 	u.inter = chanset.NewSet(n)
-	u.serial = alloc.NewSerial(u)
 }
 
 func (u *Update) addU(j hexgrid.CellID, ch chanset.Channel) {
@@ -113,8 +111,8 @@ func (u *Update) removeU(j hexgrid.CellID, ch chanset.Channel) {
 	}
 }
 
-// StartRequest implements alloc.Starter.
-func (u *Update) StartRequest(id alloc.RequestID) {
+// Request implements alloc.Allocator.
+func (u *Update) Request(id alloc.RequestID) {
 	u.env.Began(id)
 	u.reqID = id
 	u.rounds = 0
@@ -180,11 +178,7 @@ func (u *Update) finish(granted bool, ch chanset.Channel) {
 		u.counters.Drops++
 		u.env.Denied(id)
 	}
-	u.serial.Finish()
 }
-
-// Request implements alloc.Allocator.
-func (u *Update) Request(id alloc.RequestID) { u.serial.Submit(id) }
 
 // Release implements alloc.Allocator.
 func (u *Update) Release(ch chanset.Channel) error {

@@ -316,8 +316,7 @@ type Adaptive struct {
 	// fixed at Start. The lender strategy is the factory's.
 	pred Predictor
 
-	serial alloc.Serial
-	req    *request // active request FSM, nil when idle
+	req *request // active request FSM, nil when idle
 	// reqBuf backs req: one request is in flight at a time, so the FSM
 	// state is reused across requests instead of allocated per request.
 	reqBuf request
@@ -379,7 +378,6 @@ func (a *Adaptive) Start(env alloc.Env) {
 	a.slab = a.factory.slabs.take(int(a.setOff) + numSets*int(a.w))
 	a.pred = a.factory.params.predictorBuilder().New(a.factory.params.Window)
 	a.pred.Init(env.Now(), a.primary().Len())
-	a.serial = alloc.NewSerial(a)
 }
 
 // neighbors is the cell's sorted interference list, IN_i.
@@ -476,9 +474,6 @@ func (a *Adaptive) nbrIdx(j hexgrid.CellID) int {
 	}
 	return -1
 }
-
-// Request implements alloc.Allocator.
-func (a *Adaptive) Request(id alloc.RequestID) { a.serial.Submit(id) }
 
 // InUse implements alloc.Allocator.
 func (a *Adaptive) InUse() chanset.Set { return a.view(setUse) }

@@ -32,8 +32,8 @@ const (
 	phaseSearch
 )
 
-// request is the in-flight channel request (at most one per station;
-// additional arrivals queue in the Serial). The set of neighbors the
+// request is the in-flight channel request (at most one per station:
+// its host hands it the next only after this one concludes). The set of neighbors the
 // active phase is still awaiting lives on the Adaptive (the slab's await
 // mask and awaitN): only one phase collects responses at a time.
 type request struct {
@@ -55,10 +55,10 @@ const (
 	pathSearch
 )
 
-// StartRequest implements alloc.Starter: a fresh request begins. The
+// Request implements alloc.Allocator: a fresh request begins. The
 // FSM state lives in a.reqBuf — one request is in flight per station at
 // a time, so the struct is recycled instead of allocated per request.
-func (a *Adaptive) StartRequest(id alloc.RequestID) {
+func (a *Adaptive) Request(id alloc.RequestID) {
 	a.env.Began(id)
 	r := &a.reqBuf
 	*r = request{id: id, ts: a.clock.Tick(), ch: chanset.NoChannel}
@@ -238,7 +238,6 @@ func (a *Adaptive) completeSearch() {
 	id := r.id
 	a.req = nil
 	a.env.Denied(id)
-	a.serial.Finish()
 }
 
 // finishGrant acquires ch, reports success and releases the station for
@@ -269,7 +268,6 @@ func (a *Adaptive) finishGrant(ch chanset.Channel, path int) {
 	id := r.id
 	a.req = nil
 	a.env.Granted(id, ch)
-	a.serial.Finish()
 }
 
 // acquire is Figure 3: record the channel, announce the acquisition

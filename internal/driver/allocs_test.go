@@ -342,9 +342,8 @@ func skipUnderRace(t *testing.T) {
 // TestConstructionAllocationBudget: driver.New with the adaptive factory
 // allocates at most two objects per cell — the station and its NFC
 // predictor. The station's slab comes from the factory's word arena,
-// the predictor keeps its first samples inline, and Serial holds the
-// station itself rather than a method-value closure (five per cell
-// before). The per-cell figure is the difference between two grid
+// the predictor keeps its first samples inline, and the station keeps
+// no request queue (five objects per cell before). The per-cell figure is the difference between two grid
 // sizes, so what is allocated once per driver drops out.
 func TestConstructionAllocationBudget(t *testing.T) {
 	skipUnderRace(t)

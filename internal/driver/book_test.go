@@ -4,75 +4,16 @@ import (
 	"testing"
 	"unsafe"
 
-	"repro/internal/alloc"
-	"repro/internal/sim"
+	"repro/internal/reqbook"
 )
 
 // TestRequestRecordSize pins what a request in flight costs the book, a
 // 40-byte record, and what a cell's chain adds to its cellStat.
 func TestRequestRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(reqRec{}); got > 40 {
-		t.Fatalf("unsafe.Sizeof(reqRec{}) = %d, budget 40", got)
+	if got := unsafe.Sizeof(reqbook.Rec{}); got > 40 {
+		t.Fatalf("unsafe.Sizeof(reqbook.Rec{}) = %d, budget 40", got)
 	}
 	if got := unsafe.Sizeof(cellStat{}); got > 24 {
 		t.Fatalf("unsafe.Sizeof(cellStat{}) = %d, budget 24", got)
-	}
-}
-
-// TestBookMatchesPerCellQueues drives one book over a few cells with a
-// random mix of bookings and conclusions, against a FIFO per cell, over
-// more than two pages of records in flight. Each cell's oldest is always
-// its earliest booking, began resets to the submission time of a new
-// oldest, and concluded records are reused: the book never hands out more
-// records than were ever in flight at once.
-func TestBookMatchesPerCellQueues(t *testing.T) {
-	const cells = 5
-	var b book
-	chains := make([]cellStat, cells)
-	model := make([][]reqRec, cells)
-	rng := sim.NewRand(7)
-	live, peak := 0, 0
-	next := alloc.RequestID(0)
-	for step := 0; step < 40_000; step++ {
-		c := rng.Intn(cells)
-		// Grow for half the drive (to about ten pages), then shrink.
-		grow := step < 20_000
-		if len(model[c]) == 0 || (grow && rng.Intn(4) != 0) || (!grow && rng.Intn(4) == 0) {
-			if !grow && live == 0 {
-				break
-			}
-			next++
-			r := reqRec{id: next, submitted: sim.Time(step), hold: sim.Time(-step), op: uint8(step)}
-			b.push(&chains[c], r, nil)
-			model[c] = append(model[c], r)
-			live++
-			peak = max(peak, live)
-			continue
-		}
-		want := model[c][0]
-		if got := b.at(chains[c].head); chains[c].head == 0 || got.id != want.id {
-			t.Fatalf("step %d: cell %d's oldest is %v, want request %d", step, c, got, want.id)
-		}
-		if chains[c].began != want.submitted {
-			t.Fatalf("step %d: cell %d's oldest began at %d, want its submission %d", step, c, chains[c].began, want.submitted)
-		}
-		got, _ := b.pop(&chains[c])
-		got.next = 0
-		if got != want {
-			t.Fatalf("step %d: popped %+v, want %+v", step, got, want)
-		}
-		model[c] = model[c][1:]
-		live--
-	}
-	if peak <= 2*1024 {
-		t.Fatalf("the drive peaked at %d records, want more than two 1 024-record pages", peak)
-	}
-	if int(b.used)-1 != peak {
-		t.Fatalf("the book handed out %d records for a peak of %d in flight", b.used-1, peak)
-	}
-	for c := range chains {
-		if len(model[c]) == 0 && (chains[c].head != 0 || chains[c].tail != 0) {
-			t.Fatalf("cell %d has no request in flight, but its chain is %d..%d", c, chains[c].head, chains[c].tail)
-		}
 	}
 }

@@ -58,6 +58,7 @@ import (
 	"repro/internal/hexgrid"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/reqbook"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -159,7 +160,7 @@ func (r Result) TotalDelay() sim.Time { return r.Done - r.Submitted }
 // (or the coordinator between windows) touches it.
 type parShard struct {
 	// book holds the shard's requests in flight, chained per cell.
-	book book
+	book reqbook.Book[Result]
 	// moved[cell][old] queues repacking moves (Env.Moved) so a caller
 	// releasing the channel it was granted reaches a channel its cell
 	// actually holds. A queue (not a single alias): the same channel id
@@ -189,10 +190,10 @@ type parLink struct {
 // is far beyond any run length) and its chain in the shard's book.
 type cellStat struct {
 	grants, denies uint32
-	// head and tail are its oldest and newest records (0: none); began
-	// is when work on head began: its submission until Env.Began.
-	head, tail int32
-	began      sim.Time
+	chain          reqbook.Chain
+	// began is when its station began work on the oldest request
+	// (Env.Began), 0 until it does.
+	began sim.Time
 }
 
 // shareStat packs a request counter and the three delay accumulators
@@ -572,16 +573,15 @@ func (p *Parallel) request(cell hexgrid.CellID, cb func(Result), cont Continuati
 	id := alloc.RequestID(int64(p.shared[counter].reqCount)*p.stride + int64(counter) + 1)
 	p.shared[counter].reqCount++
 	now := p.now(si)
-	sh.book.push(&p.cells[cell], reqRec{id: id, submitted: now, hold: cont.Hold, peer: cont.Cell, ch: cont.Ch, op: cont.Op, flag: cont.Flag}, cb)
+	chain := &p.cells[cell].chain
+	sh.book.Push(chain, reqbook.Rec{ID: id, Submitted: now, Hold: cont.Hold, Peer: cont.Cell, Ch: cont.Ch, Op: cont.Op, Flag: cont.Flag}, cb)
 	sh.dog.Submitted(now)
 	p.obs.outstanding.Add(1)
 	if p.obs.journal != nil {
 		p.obs.journal.Emit(int64(now), "request", int(cell), obs.FI("req", int64(id)))
 	}
 	sh.traceEvent(trace.Event{At: now, Kind: trace.EvRequest, Cell: cell, Ch: chanset.NoChannel, Info: int64(id)})
-	if c := p.cells[cell]; c.head == c.tail { // else cellEnv.complete hands it over
-		p.allocs[cell].Request(id)
-	}
+	sh.book.HandOver(chain, p.allocs[cell])
 	return id
 }
 
@@ -664,15 +664,14 @@ func (p *Parallel) ForceQuiesce() (released, cancelled int) {
 	for i := range p.shards {
 		sh := &p.shards[i]
 		n := sh.dog.Outstanding()
-		sh.book.free, sh.book.used = 0, 0 // keep the pages
-		clear(sh.book.fns)
+		sh.book.Reset()
 		sh.dog.Cancelled(n)
 		p.obs.outstanding.Add(-float64(n))
 		cancelled += n
 		clear(sh.moved)
 	}
 	for c := range p.cells {
-		p.cells[c].head, p.cells[c].tail = 0, 0
+		p.cells[c].chain, p.cells[c].began = reqbook.Chain{}, 0
 	}
 	return released, cancelled
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/hexgrid"
 	"repro/internal/message"
 	"repro/internal/obs"
+	"repro/internal/reqbook"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -114,29 +115,21 @@ func (e *cellEnv) Multicast(m message.Message, mask []uint64) {
 }
 
 func (e *cellEnv) Began(id alloc.RequestID) {
-	e.oldest("start", id)
-	e.p.cells[e.cell].began = e.p.now(e.shard)
-}
-
-// oldest checks that a station's report (what) on request id names its
-// cell's head, the one request it was handed (alloc.Allocator.Request).
-func (e *cellEnv) oldest(what string, id alloc.RequestID) {
-	switch c := &e.p.cells[e.cell]; {
-	case c.head == 0:
-		panic(fmt.Sprintf("driver: %s for request %d at cell %d, which has no request in flight", what, id, e.cell))
-	case e.p.shards[e.shard].book.at(c.head).id != id:
-		panic(fmt.Sprintf("driver: %s for request %d at cell %d, whose oldest request in flight is %d", what, id, e.cell, e.p.shards[e.shard].book.at(c.head).id))
-	}
-}
-
-// conclude pops request id, the cell's head, returning its record, its
-// closure and its Result so far.
-func (e *cellEnv) conclude(id alloc.RequestID, what string, granted bool, ch chanset.Channel) (reqRec, func(Result), Result) {
-	e.oldest(what, id)
 	c := &e.p.cells[e.cell]
-	began := c.began
-	q, fn := e.p.shards[e.shard].book.pop(c)
-	return q, fn, Result{ID: id, Cell: e.cell, Granted: granted, Ch: ch, Submitted: q.submitted, Began: began, Done: e.p.now(e.shard)}
+	e.p.shards[e.shard].book.Check(&c.chain, e.cell, "start", id)
+	c.began = e.p.now(e.shard)
+}
+
+// conclude marks request id, the cell's oldest, concluded (what names
+// the station's report), returning its record, its closure and its
+// Result so far. Work on it began at Env.Began, or at its submission for
+// a station that never said.
+func (e *cellEnv) conclude(id alloc.RequestID, what string, granted bool, ch chanset.Channel) (reqbook.Rec, func(Result), Result) {
+	c := &e.p.cells[e.cell]
+	q, fn := e.p.shards[e.shard].book.Conclude(&c.chain, e.cell, what, id)
+	began := max(c.began, q.Submitted)
+	c.began = 0
+	return q, fn, Result{ID: id, Cell: e.cell, Granted: granted, Ch: ch, Submitted: q.Submitted, Began: began, Done: e.p.now(e.shard)}
 }
 
 func (e *cellEnv) Moved(from, to chanset.Channel) {
@@ -201,21 +194,18 @@ func (e *cellEnv) Denied(id alloc.RequestID) {
 	e.complete(q, fn, res)
 }
 
-// complete hands res to q's closure fn or typed continuation, if any, then
-// the request behind q, if any, to the station: the scheme's Finish right
-// after its report on q starts it the tick it always did. After, not
-// before, the callback: a station answering on the spot must not conclude
-// the next request before q's completion has run.
-func (e *cellEnv) complete(q reqRec, fn func(Result), res Result) {
+// complete hands res to q's closure fn or typed continuation, if any,
+// then lets the book hand the station the request behind q. After, not
+// before, the callback: a station answering on the spot must not
+// conclude the next request before q's completion has run.
+func (e *cellEnv) complete(q reqbook.Rec, fn func(Result), res Result) {
 	switch {
 	case fn != nil:
 		fn(res)
-	case q.op != 0:
-		e.p.calls.Complete(res, Continuation{Op: q.op, Flag: q.flag, Cell: q.peer, Ch: q.ch, Hold: q.hold})
+	case q.Op != 0:
+		e.p.calls.Complete(res, Continuation{Op: q.Op, Flag: q.Flag, Cell: q.Peer, Ch: q.Ch, Hold: q.Hold})
 	}
-	if q.next != 0 {
-		e.p.allocs[e.cell].Request(e.p.shards[e.shard].book.at(q.next).id)
-	}
+	e.p.shards[e.shard].book.Finish(&e.p.cells[e.cell].chain, e.p.allocs[e.cell])
 }
 
 // Kernel access. eventKernel is what sim.Engine and sim.Shards spell

@@ -245,7 +245,7 @@ func TestOutOfOrderStationPanics(t *testing.T) {
 }
 
 // eager holds its cell's first request until a release, and grants every
-// later one the moment it is handed over, without a Serial of its own.
+// later one the moment it is handed over.
 type eager struct {
 	env  alloc.Env
 	held alloc.RequestID
@@ -292,6 +292,49 @@ func TestNextRequestHandedAfterCompletion(t *testing.T) {
 		d.Release(cell, 0)
 		if fmt.Sprint(done) != fmt.Sprint(ids) {
 			t.Errorf("%s: completions ran for %v, want submission order %v", driverName(d), done, ids)
+		}
+	}
+}
+
+// stackDepth is the number of frames above its caller.
+func stackDepth() int {
+	var pcs [4096]uintptr
+	return runtime.Callers(2, pcs[:])
+}
+
+// TestBacklogConcludesAtOneStackDepth: a backlog of requests behind one
+// the station holds, each granted on the spot once handed over,
+// concludes in submission order when the held one is answered — the
+// book hands them over in a loop, so every completion runs at the same
+// stack depth, however far back in the backlog its request was.
+func TestBacklogConcludesAtOneStackDepth(t *testing.T) {
+	const backlog = 1000
+	g, assign, _ := adaptiveTap(t)
+	cell := g.InteriorCell()
+	sharded, err := driver.NewParallel(g, assign, eagerFactory{}, driver.ParallelOptions{Latency: 10, Seed: 1, Shards: 7, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*driver.Sim{driver.New(g, assign, eagerFactory{}, driver.Options{Latency: 10, Seed: 1}), sharded} {
+		var ids, done []alloc.RequestID
+		var depths []int
+		for i := 0; i <= backlog; i++ {
+			ids = append(ids, d.Request(cell, func(r driver.Result) {
+				done = append(done, r.ID)
+				depths = append(depths, stackDepth())
+			}))
+		}
+		if len(done) != 0 {
+			t.Fatalf("%s: %d requests concluded while the first was held", driverName(d), len(done))
+		}
+		d.Release(cell, 0) // the station grants the held request
+		if fmt.Sprint(done) != fmt.Sprint(ids) {
+			t.Fatalf("%s: %d of %d requests concluded, or out of submission order", driverName(d), len(done), len(ids))
+		}
+		for k, depth := range depths[1:] {
+			if depth != depths[1] {
+				t.Fatalf("%s: backlog request %d concluded %d frames deep, the first %d", driverName(d), k+1, depth, depths[1])
+			}
 		}
 	}
 }

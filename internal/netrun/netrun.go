@@ -33,6 +33,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,6 +43,7 @@ import (
 	"repro/internal/hexgrid"
 	"repro/internal/message"
 	"repro/internal/obs"
+	"repro/internal/reqbook"
 	"repro/internal/sim"
 	"repro/internal/transport"
 )
@@ -106,13 +108,6 @@ type layer interface {
 	transport.Idler
 }
 
-// pendingReq tracks one in-flight request.
-type pendingReq struct {
-	cell  hexgrid.CellID
-	cb    func(Result)
-	timer *time.Timer // nil when no RequestTimeout is configured
-}
-
 // Node hosts a set of stations on one event loop and speaks TCP to the
 // nodes hosting the rest.
 type Node struct {
@@ -125,10 +120,17 @@ type Node struct {
 	rel    *transport.Reliable
 	hosted map[hexgrid.CellID]alloc.Allocator
 
+	// The loop's own: the request book (each hosted cell's requests in
+	// submission order, a station handed only its cell's oldest) and,
+	// with a RequestTimeout, the requests' deadlines, earliest first;
+	// while there are any, timer is set for the earliest.
+	book   reqbook.Book[Result]
+	chains []reqbook.Chain // by cell
+	due    []deadline
+	timer  *time.Timer
+
 	mu              sync.Mutex
 	accepted        []net.Conn
-	pending         map[alloc.RequestID]*pendingReq
-	expired         map[alloc.RequestID]bool // deadline fired, outcome pending
 	nextID          alloc.RequestID
 	outst           int
 	grants          uint64
@@ -149,6 +151,14 @@ type Node struct {
 
 	start time.Time
 	wg    sync.WaitGroup
+}
+
+// deadline is when request id, record rec of cell's chain, expires.
+type deadline struct {
+	at   time.Duration // since Node.start
+	id   alloc.RequestID
+	rec  int32
+	cell hexgrid.CellID
 }
 
 // peerConn is one outgoing TCP link. Senders append messages to its
@@ -214,13 +224,14 @@ func NewNode(grid *hexgrid.Grid, assign *chanset.Assignment, factory alloc.Facto
 		ln:      ln,
 		local:   transport.NewLive(cfg.Delay),
 		hosted:  make(map[hexgrid.CellID]alloc.Allocator, len(cfg.Cells)),
+		chains:  make([]reqbook.Chain, grid.NumCells()),
 		routes:  make(map[hexgrid.CellID]string),
 		peers:   make(map[string]*peerConn),
-		pending: make(map[alloc.RequestID]*pendingReq),
-		expired: make(map[alloc.RequestID]bool),
 		holding: make([]chanset.Set, grid.NumCells()),
 		start:   time.Now(),
 	}
+	n.timer = time.AfterFunc(time.Hour, func() { n.local.Do(n.cfg.Cells[0], n.expire) })
+	n.timer.Stop()
 	n.fabric = &nodeTransport{n: n}
 	var top layer = n.fabric
 	if cfg.Fault != nil {
@@ -320,6 +331,7 @@ func (n *Node) Close() {
 	}
 	n.closed = true
 	n.mu.Unlock()
+	n.timer.Stop()
 	if n.rel != nil {
 		n.rel.Close()
 	}
@@ -596,9 +608,9 @@ func (n *Node) FabricStats() transport.Stats { return n.fabric.Stats() }
 // counters.
 func (n *Node) Stats() transport.Stats { return n.stack.Stats() }
 
-// Request submits a channel request at a hosted cell; cb (may be nil) is
-// invoked when the request completes — on the node's loop for a normal
-// grant/denial, on a timer goroutine for a deadline denial.
+// Request submits a channel request at a hosted cell; cb (may be nil)
+// runs on the node's loop when the request completes, whether by a
+// grant, a denial or its deadline.
 //
 // cb must not block on the node: the loop runs every hosted cell, so a
 // callback that calls InUse or WaitSettled, or waits for another
@@ -611,41 +623,67 @@ func (n *Node) Request(cell hexgrid.CellID, cb func(Result)) {
 	n.mu.Lock()
 	n.nextID++
 	id := n.nextID
-	p := &pendingReq{cell: cell, cb: cb}
-	n.pending[id] = p
 	n.outst++
+	due := deadline{id: id, cell: cell}
 	if n.cfg.RequestTimeout > 0 {
-		p.timer = time.AfterFunc(n.cfg.RequestTimeout, func() { n.expire(id) })
+		due.at = time.Since(n.start) + n.cfg.RequestTimeout
 	}
 	n.mu.Unlock()
 	if j := n.cfg.Journal; j != nil {
 		j.Emit(n.nowTicks(), "request", int(cell), obs.FI("req", int64(id)))
 	}
-	n.local.Do(cell, func() { n.hosted[cell].Request(id) })
+	n.local.Do(cell, func() { n.submit(due, cb) })
 }
 
-// expire fires when a request overstays RequestTimeout: it completes as
-// a counted denial so the caller (and WaitSettled) never hang on a
-// wedged link. The protocol may still conclude later; a late grant is
-// released back in complete.
-func (n *Node) expire(id alloc.RequestID) {
-	n.mu.Lock()
-	p := n.pending[id]
-	if p == nil {
-		n.mu.Unlock()
-		return // completed normally just before the timer fired
+// submit books a request on the loop and hands it to its station if it
+// is the cell's oldest. A deadline joins the queue in order: from the
+// back, where a fixed RequestTimeout puts every one.
+func (n *Node) submit(due deadline, cb func(Result)) {
+	c := &n.chains[due.cell]
+	due.rec = n.book.Push(c, reqbook.Rec{ID: due.id}, cb)
+	if due.at > 0 {
+		i := len(n.due)
+		for i > 0 && n.due[i-1].at > due.at {
+			i--
+		}
+		if n.due = slices.Insert(n.due, i, due); i == 0 {
+			n.arm(due.at)
+		}
 	}
-	delete(n.pending, id)
-	n.expired[id] = true
-	n.outst--
-	n.denies++
-	n.deadlineDenials++
-	n.mu.Unlock()
-	if j := n.cfg.Journal; j != nil {
-		j.Emit(n.nowTicks(), "deadline_deny", int(p.cell), obs.FI("req", int64(id)))
-	}
-	if p.cb != nil {
-		p.cb(Result{Cell: p.cell, Granted: false, Ch: chanset.NoChannel})
+	n.book.HandOver(c, n.hosted[due.cell])
+}
+
+// arm sets the node's timer for at.
+func (n *Node) arm(at time.Duration) { n.timer.Reset(at - time.Since(n.start)) }
+
+// expire runs on the loop when the timer fires: every request past its
+// deadline and still unanswered completes as a counted denial, so the
+// caller (and WaitSettled) never hang on a wedged link. One that has
+// not reached its station never will; the station's late answer to one
+// it holds is absorbed in complete (a late grant is released back).
+func (n *Node) expire() {
+	now := time.Since(n.start)
+	for len(n.due) > 0 {
+		d := n.due[0]
+		if r := n.book.At(d.rec); r.ID == d.id { // else concluded already
+			if d.at > now {
+				n.arm(d.at)
+				return
+			}
+			fn := n.book.Answer(d.rec)
+			n.mu.Lock()
+			n.outst--
+			n.denies++
+			n.deadlineDenials++
+			n.mu.Unlock()
+			if j := n.cfg.Journal; j != nil {
+				j.Emit(n.nowTicks(), "deadline_deny", int(d.cell), obs.FI("req", int64(d.id)))
+			}
+			if fn != nil {
+				fn(Result{Cell: d.cell, Granted: false, Ch: chanset.NoChannel})
+			}
+		}
+		n.due = n.due[1:]
 	}
 }
 
@@ -757,59 +795,53 @@ func (n *Node) WaitSettled(timeout time.Duration) bool {
 	return false
 }
 
-// complete records a finished request and runs its callback. It runs on
-// the loop (via env.Granted / env.Denied).
-func (n *Node) complete(cell hexgrid.CellID, id alloc.RequestID, granted bool, ch chanset.Channel) {
-	n.mu.Lock()
-	p := n.pending[id]
-	if p == nil {
-		// The deadline watchdog already completed this request as a
-		// denial. A late grant must hand its channel back — we are on
-		// the loop, so the release is a direct call.
-		late := n.expired[id] && granted
-		delete(n.expired, id)
-		if late {
+// complete records the station's answer (what) to request id and runs
+// its callback, on the loop (via env.Granted / env.Denied), then hands
+// the station the cell's next request. An answer to a request already
+// denied by its deadline runs nothing; a late grant hands its channel
+// back — we are on the loop, so the release is a direct call.
+func (n *Node) complete(cell hexgrid.CellID, what string, id alloc.RequestID, granted bool, ch chanset.Channel) {
+	c := &n.chains[cell]
+	if q, fn := n.book.Conclude(c, cell, what, id); q.Answered {
+		if granted {
+			n.mu.Lock()
 			n.lateGrants++
-		}
-		n.mu.Unlock()
-		if late {
+			n.mu.Unlock()
 			n.release(cell, ch)
 		}
-		return
-	}
-	if p.timer != nil {
-		p.timer.Stop()
-	}
-	delete(n.pending, id)
-	n.outst--
-	if granted {
-		n.grants++
-		n.holding[cell].Add(ch)
-		// Committed-outcome interference check (Theorem 1 over the
-		// node's book of record).
-		if n.violation == nil {
-			for _, j := range n.grid.Interference(cell) {
-				if n.holding[j].Contains(ch) {
-					n.violation = fmt.Errorf("netrun: cells %d and %d both hold channel %d", cell, j, ch)
-					break
+	} else {
+		n.mu.Lock()
+		n.outst--
+		if granted {
+			n.grants++
+			n.holding[cell].Add(ch)
+			// Committed-outcome interference check (Theorem 1 over the
+			// node's book of record).
+			if n.violation == nil {
+				for _, j := range n.grid.Interference(cell) {
+					if n.holding[j].Contains(ch) {
+						n.violation = fmt.Errorf("netrun: cells %d and %d both hold channel %d", cell, j, ch)
+						break
+					}
 				}
 			}
+		} else {
+			n.denies++
 		}
-	} else {
-		n.denies++
-	}
-	n.mu.Unlock()
-	if j := n.cfg.Journal; j != nil {
-		g := int64(0)
-		if granted {
-			g = 1
+		n.mu.Unlock()
+		if j := n.cfg.Journal; j != nil {
+			g := int64(0)
+			if granted {
+				g = 1
+			}
+			j.Emit(n.nowTicks(), "result", int(cell),
+				obs.FI("req", int64(id)), obs.FI("granted", g), obs.FI("ch", int64(ch)))
 		}
-		j.Emit(n.nowTicks(), "result", int(cell),
-			obs.FI("req", int64(id)), obs.FI("granted", g), obs.FI("ch", int64(ch)))
+		if fn != nil {
+			fn(Result{Cell: cell, Granted: granted, Ch: ch})
+		}
 	}
-	if p.cb != nil {
-		p.cb(Result{Cell: cell, Granted: granted, Ch: ch})
-	}
+	n.book.Finish(c, n.hosted[cell])
 }
 
 // nodeEnv implements alloc.Env over the node. All methods are invoked
@@ -837,14 +869,16 @@ func (e *nodeEnv) Send(m message.Message) {
 	e.node.stack.Send(m)
 }
 
-func (e *nodeEnv) Began(alloc.RequestID) {}
+func (e *nodeEnv) Began(id alloc.RequestID) {
+	e.node.book.Check(&e.node.chains[e.cell], e.cell, "start", id)
+}
 
 func (e *nodeEnv) Granted(id alloc.RequestID, ch chanset.Channel) {
-	e.node.complete(e.cell, id, true, ch)
+	e.node.complete(e.cell, "grant", id, true, ch)
 }
 
 func (e *nodeEnv) Denied(id alloc.RequestID) {
-	e.node.complete(e.cell, id, false, chanset.NoChannel)
+	e.node.complete(e.cell, "denial", id, false, chanset.NoChannel)
 }
 
 // Moved implements alloc.Env. Channel repacking needs runtime-side

@@ -61,11 +61,6 @@ func (c FaultConfig) Validate() error {
 type Faulty struct {
 	inner Transport
 	cfg   FaultConfig
-	// reg is the in-flight registrar beneath this layer (nil when the
-	// stack has none):
-	// jittered sends waiting in time.AfterFunc register as external work
-	// so Live.WaitIdle cannot report idle under them.
-	reg WorkRegistrar
 
 	mu   sync.Mutex
 	rand *sim.Rand
@@ -85,15 +80,11 @@ func NewFaulty(inner Transport, cfg FaultConfig) *Faulty {
 	if cfg.ReorderDelay <= 0 {
 		cfg.ReorderDelay = 500 * time.Microsecond
 	}
-	return &Faulty{inner: inner, cfg: cfg, rand: sim.NewRand(cfg.Seed), reg: registrarOf(inner)}
+	return &Faulty{inner: inner, cfg: cfg, rand: sim.NewRand(cfg.Seed)}
 }
 
 // Attach implements Transport.
 func (f *Faulty) Attach(id hexgrid.CellID, h Handler) { f.inner.Attach(id, h) }
-
-// Inner implements Unwrapper, exposing the wrapped transport to
-// capability probes.
-func (f *Faulty) Inner() Transport { return f.inner }
 
 // Send implements Transport, applying the fault model to m.
 func (f *Faulty) Send(m message.Message) {
@@ -137,17 +128,10 @@ func (f *Faulty) sendAfter(m message.Message, d time.Duration) {
 		return
 	}
 	f.pending.Add(1)
-	if f.reg != nil {
-		f.reg.AddExternalWork()
-	}
 	time.AfterFunc(d, func() {
 		f.inner.Send(m)
-		if f.reg != nil {
-			// Retire after the send: the message is already counted
-			// in-flight beneath us, so idleness never dips to zero while
-			// the delivery is still pending.
-			f.reg.ExternalWorkDone()
-		}
+		// Retire after the send: the message is already counted beneath
+		// us, so Idle never dips to true while the delivery is pending.
 		f.pending.Add(-1)
 	})
 }

@@ -46,7 +46,7 @@ func TestFaultyDropsAndCounts(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		f.Send(message.Message{Kind: message.Request, From: 0, To: 1})
 	}
-	if !live.WaitIdle(2 * time.Second) {
+	if !waitIdle(f, 2*time.Second) {
 		t.Fatal("not idle")
 	}
 	if got.Load() != 0 {
@@ -137,7 +137,7 @@ func TestFaultySeededDeterminism(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			f.Send(message.Message{Kind: message.Request, From: 0, To: 1, Ch: chanset.Channel(i)})
 		}
-		if !live.WaitIdle(2 * time.Second) {
+		if !waitIdle(f, 2*time.Second) {
 			t.Fatal("not idle")
 		}
 		out := make([]bool, 100)

@@ -33,7 +33,7 @@ import (
 // Shutdown: Stop closes a done channel, on which the loop closes its
 // queue, so a Send or Do racing (or arriving after) Stop is dropped
 // cleanly rather than run. Undelivered work queued at Stop time is
-// discarded — callers that care drain with WaitIdle first.
+// discarded — callers that care wait for Idle first.
 type Live struct {
 	delay time.Duration
 
@@ -50,11 +50,6 @@ type Live struct {
 
 	stopped  atomic.Bool
 	inflight atomic.Int64 // enqueued-but-unprocessed items + scheduled messages
-
-	// idleMu guards the WaitIdle waiter list; doneWork closes every
-	// registered channel when inflight reaches zero.
-	idleMu      sync.Mutex
-	idleWaiters []chan struct{}
 
 	total  atomic.Uint64
 	byKind [message.NumKinds]atomic.Uint64
@@ -211,23 +206,13 @@ func (l *Live) put(w work) {
 	}
 }
 
-// doneWork retires one unit of in-flight work; the transition to zero
-// wakes every WaitIdle waiter. dropped marks work discarded by a
-// shutdown race rather than executed.
+// doneWork retires one unit of in-flight work. dropped marks work
+// discarded by a shutdown race rather than executed.
 func (l *Live) doneWork(dropped bool) {
 	if dropped {
 		l.droppedOnStop.Add(1)
 	}
-	if l.inflight.Add(-1) != 0 {
-		return
-	}
-	l.idleMu.Lock()
-	ws := l.idleWaiters
-	l.idleWaiters = nil
-	l.idleMu.Unlock()
-	for _, w := range ws {
-		close(w)
-	}
+	l.inflight.Add(-1)
 }
 
 // discard retires n units of work dropped by Stop.
@@ -237,73 +222,16 @@ func (l *Live) discard(n int) {
 	}
 }
 
-// Idle reports whether no message or closure is queued or in flight.
+// Idle reports whether no message or closure is queued or in flight. A
+// handler's own item stays counted until it returns, so anything it
+// queues is counted before Idle can turn true. Work outside the
+// transport — a caller about to Send — is invisible here: Idle means
+// "the fabric has drained", nothing stronger.
 func (l *Live) Idle() bool { return l.inflight.Load() == 0 }
-
-// AddExternalWork implements WorkRegistrar: it counts one externally
-// owned obligation (e.g. a reliability-layer retransmit timer) into the
-// in-flight accounting so WaitIdle blocks on it.
-func (l *Live) AddExternalWork() { l.inflight.Add(1) }
-
-// ExternalWorkDone retires one unit registered with AddExternalWork.
-func (l *Live) ExternalWorkDone() { l.doneWork(false) }
 
 // DroppedOnStop reports how many sends and closures were discarded
 // because they raced with or followed Stop.
 func (l *Live) DroppedOnStop() uint64 { return l.droppedOnStop.Load() }
-
-// WaitIdle blocks until the transport is idle or the timeout elapses;
-// it reports whether idleness was reached. Waiters are woken by the
-// idle transition itself (no polling): a handler's own work item stays
-// counted until after it returns, so anything it enqueues is visible
-// before inflight can reach zero.
-//
-// Layers above the transport can fold their own pending work into this
-// wait via the WorkRegistrar interface: Reliable registers one unit per
-// unacked message, so WaitIdle does not report idle while a retransmit
-// timer is armed — the message is either acked, retried, or abandoned
-// before the fabric counts as drained.
-//
-// Caveat: "no queued work" is still not "no outstanding requests". Work
-// scheduled outside the transport and its registered layers — a caller
-// about to Send — is invisible here, so the transport can be
-// momentarily idle while the protocol still owes answers. Callers must
-// track application-level completion (e.g. outstanding-request counts)
-// separately and treat WaitIdle as "the fabric has drained", nothing
-// stronger.
-func (l *Live) WaitIdle(timeout time.Duration) bool {
-	if l.Idle() {
-		return true
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		w := make(chan struct{})
-		l.idleMu.Lock()
-		l.idleWaiters = append(l.idleWaiters, w)
-		l.idleMu.Unlock()
-		// Re-check after registering: the idle transition may have fired
-		// between the check and the append, leaving no one to wake w (a
-		// stale waiter is closed harmlessly on a later transition).
-		if l.Idle() {
-			return true
-		}
-		d := time.Until(deadline)
-		if d <= 0 {
-			return l.Idle()
-		}
-		t := time.NewTimer(d)
-		select {
-		case <-w:
-			t.Stop()
-			if l.Idle() {
-				return true
-			}
-			// Transient idle already over; re-arm and keep waiting.
-		case <-t.C:
-			return l.Idle()
-		}
-	}
-}
 
 // Stats implements Transport.
 func (l *Live) Stats() Stats {

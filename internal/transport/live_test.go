@@ -22,7 +22,7 @@ func TestLiveDeliversAndCounts(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		l.Send(message.Message{Kind: message.Request, From: 0, To: 1})
 	}
-	if !l.WaitIdle(5 * time.Second) {
+	if !waitIdle(l, 5*time.Second) {
 		t.Fatal("not idle")
 	}
 	if got.Load() != 20 {
@@ -60,7 +60,7 @@ func TestLivePerStationSerialization(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if !l.WaitIdle(10 * time.Second) {
+	if !waitIdle(l, 10*time.Second) {
 		t.Fatal("not idle")
 	}
 	if maxSeen.Load() != 1 {
@@ -82,7 +82,7 @@ func TestLiveFIFOWithDelay(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		l.Send(message.Message{Kind: message.Request, From: 0, To: 1, Ch: chanset.Channel(i)})
 	}
-	if !l.WaitIdle(10 * time.Second) {
+	if !waitIdle(l, 10*time.Second) {
 		t.Fatal("not idle")
 	}
 	mu.Lock()
@@ -157,7 +157,7 @@ func TestLiveSchedulerGoroutineCount(t *testing.T) {
 				}
 			}
 		}
-		if !l.WaitIdle(30 * time.Second) {
+		if !waitIdle(l, 30*time.Second) {
 			t.Fatalf("%d stations: not idle", stations)
 		}
 		if want := int64(stations * (stations - 1)); got.Load() != want {
@@ -213,7 +213,7 @@ func TestLiveStationsShareOneLoop(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if !l.WaitIdle(10 * time.Second) {
+	if !waitIdle(l, 10*time.Second) {
 		t.Fatal("not idle")
 	}
 	if maxSeen.Load() != 1 {
@@ -264,7 +264,7 @@ func TestLiveFIFOAcrossManyLinks(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if !l.WaitIdle(30 * time.Second) {
+	if !waitIdle(l, 30*time.Second) {
 		t.Fatal("not idle")
 	}
 	mu.Lock()
@@ -297,7 +297,7 @@ func TestLiveDelayedSendsOverlap(t *testing.T) {
 	for i := 0; i < k; i++ {
 		l.Send(message.Message{Kind: message.Request, From: 0, To: 1, Ch: chanset.Channel(i)})
 	}
-	if !l.WaitIdle(30 * time.Second) {
+	if !waitIdle(l, 30*time.Second) {
 		t.Fatal("not idle")
 	}
 	elapsed := time.Since(t0)
@@ -311,31 +311,23 @@ func TestLiveDelayedSendsOverlap(t *testing.T) {
 	}
 }
 
-// TestLiveWaitIdleWakesWithoutPolling checks the event-driven wake-up:
-// a waiter blocked on a busy transport returns promptly once the last
-// queued handler finishes.
-func TestLiveWaitIdleWakesWithoutPolling(t *testing.T) {
+// TestLiveBusyWhileHandlerRuns: a message counts as in flight until its
+// handler returns, so Live is not Idle while a handler runs, and is once
+// the last one has returned.
+func TestLiveBusyWhileHandlerRuns(t *testing.T) {
 	l := NewLive(0)
-	release := make(chan struct{})
-	l.Attach(1, HandlerFunc(func(message.Message) { <-release }))
+	entered, release := make(chan struct{}), make(chan struct{})
+	l.Attach(1, HandlerFunc(func(message.Message) { close(entered); <-release }))
 	l.Start()
 	defer l.Stop()
 	l.Send(message.Message{Kind: message.Request, From: 0, To: 1})
-	idle := make(chan bool, 1)
-	go func() { idle <- l.WaitIdle(10 * time.Second) }()
-	select {
-	case <-idle:
-		t.Fatal("WaitIdle returned while a handler was still running")
-	case <-time.After(20 * time.Millisecond):
+	<-entered
+	if l.Idle() {
+		t.Fatal("Idle while a handler was still running")
 	}
 	close(release)
-	select {
-	case ok := <-idle:
-		if !ok {
-			t.Fatal("WaitIdle timed out")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("WaitIdle never woke after the transport went idle")
+	if !waitIdle(l, 5*time.Second) {
+		t.Fatal("never Idle after the handler returned")
 	}
 }
 
@@ -354,7 +346,7 @@ func TestLiveSendAfterStopIsDropped(t *testing.T) {
 	l.Attach(1, HandlerFunc(func(message.Message) {}))
 	l.Start()
 	l.Send(message.Message{Kind: message.Request, From: 0, To: 1})
-	l.WaitIdle(5 * time.Second)
+	waitIdle(l, 5*time.Second)
 	l.Stop()
 	for i := 0; i < 10; i++ {
 		l.Send(message.Message{Kind: message.Request, From: 0, To: 1}) // must not panic
@@ -425,7 +417,7 @@ func TestLiveMutualFloodCompletes(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if !l.WaitIdle(5 * time.Second) {
+	if !waitIdle(l, 5*time.Second) {
 		t.Fatal("not idle after the flood")
 	}
 }

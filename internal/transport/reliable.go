@@ -61,12 +61,6 @@ type linkKey struct {
 type Reliable struct {
 	inner Transport
 	cfg   ReliableConfig
-	// reg is the in-flight registrar beneath this layer (nil when the
-	// stack has none).
-	// Every outstanding unacked message holds exactly one work unit from
-	// Send until ack, retry exhaustion, or Close — so Live.WaitIdle
-	// blocks on armed retransmit timers instead of racing them.
-	reg WorkRegistrar
 
 	// OnAbandon, when set, is invoked (outside the layer's lock) for
 	// every message whose retransmit budget is exhausted. Runtimes use
@@ -114,29 +108,9 @@ func NewReliable(inner Transport, cfg ReliableConfig) *Reliable {
 	return &Reliable{
 		inner:       inner,
 		cfg:         cfg,
-		reg:         registrarOf(inner),
 		sendSeq:     make(map[linkKey]uint64),
 		outstanding: make(map[linkKey]map[uint64]*unacked),
 		recv:        make(map[linkKey]*rcvState),
-	}
-}
-
-// Inner implements Unwrapper, exposing the wrapped transport to
-// capability probes.
-func (r *Reliable) Inner() Transport { return r.inner }
-
-// addWork/workDone bracket one unacked message's lifetime in the
-// underlying transport's idleness accounting; no-ops without a
-// registrar.
-func (r *Reliable) addWork() {
-	if r.reg != nil {
-		r.reg.AddExternalWork()
-	}
-}
-
-func (r *Reliable) workDone() {
-	if r.reg != nil {
-		r.reg.ExternalWorkDone()
 	}
 }
 
@@ -168,11 +142,9 @@ func (r *Reliable) Send(m message.Message) {
 		r.outstanding[key] = om
 	}
 	om[m.Seq] = u
-	r.unackedN++
-	// The work unit is taken before the timer can fire (we hold r.mu)
-	// and before the message enters the fabric, so WaitIdle sees the
+	// Counted before the message enters the fabric, so Idle sees the
 	// obligation from the very first moment.
-	r.addWork()
+	r.unackedN++
 	seq := m.Seq
 	u.timer = time.AfterFunc(u.backoff, func() { r.retransmit(key, seq) })
 	r.mu.Unlock()
@@ -198,7 +170,6 @@ func (r *Reliable) retransmit(key linkKey, seq uint64) {
 		if cb != nil {
 			cb(m)
 		}
-		r.workDone()
 		return
 	}
 	r.retransmits.Add(1)
@@ -221,19 +192,14 @@ func (r *Reliable) receive(h Handler, m message.Message) {
 		// The acked link is us→them: the ack's sender is the far end.
 		key := linkKey{m.To, m.From}
 		r.mu.Lock()
-		acked := false
+		// Exactly one release per outstanding entry: duplicate acks
+		// find the entry already gone and release nothing.
 		if u := r.outstanding[key][m.Seq]; u != nil {
 			u.timer.Stop()
 			delete(r.outstanding[key], m.Seq)
 			r.unackedN--
-			acked = true
 		}
 		r.mu.Unlock()
-		if acked {
-			// Exactly one release per outstanding entry: duplicate acks
-			// find the entry already gone and release nothing.
-			r.workDone()
-		}
 		return
 	}
 	if m.Seq == 0 {
@@ -289,28 +255,22 @@ func (r *Reliable) receive(h Handler, m message.Message) {
 
 // Close stops all retransmit timers and rejects further sends. Call
 // before stopping the transport beneath. Outstanding entries are
-// removed (not just silenced) so their work units release exactly once
-// here and a late ack cannot release a second time.
+// removed (not just silenced) so each is released exactly once, here,
+// and a late ack cannot release it a second time.
 func (r *Reliable) Close() {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed {
-		r.mu.Unlock()
 		return
 	}
 	r.closed = true
-	released := 0
 	for _, om := range r.outstanding {
 		for _, u := range om {
 			u.timer.Stop()
-			released++
 		}
 	}
 	r.outstanding = make(map[linkKey]map[uint64]*unacked)
 	r.unackedN = 0
-	r.mu.Unlock()
-	for i := 0; i < released; i++ {
-		r.workDone()
-	}
 }
 
 // Idle implements Idler: nothing unacked, nothing buffered out of

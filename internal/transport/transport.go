@@ -125,35 +125,3 @@ func innerIdle(t Transport) bool {
 	}
 	return true
 }
-
-// WorkRegistrar is implemented by transports whose idleness accounting
-// can adopt externally owned work units. Live implements it: a layer
-// that arms its own timers (Reliable's retransmits) registers one unit
-// per pending obligation so Live.WaitIdle cannot report idle while the
-// obligation is live. Calls must balance exactly.
-type WorkRegistrar interface {
-	AddExternalWork()
-	ExternalWorkDone()
-}
-
-// Unwrapper is implemented by decorators that expose the transport they
-// wrap, letting capability probes (registrarOf) search the stack.
-type Unwrapper interface {
-	Inner() Transport
-}
-
-// registrarOf returns the nearest WorkRegistrar at or beneath t, or nil
-// when the stack bottoms out without one.
-func registrarOf(t Transport) WorkRegistrar {
-	for t != nil {
-		if r, ok := t.(WorkRegistrar); ok {
-			return r
-		}
-		u, ok := t.(Unwrapper)
-		if !ok {
-			return nil
-		}
-		t = u.Inner()
-	}
-	return nil
-}
