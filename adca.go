@@ -97,11 +97,10 @@ type Network struct {
 }
 
 // New builds a Network from the scenario on the serial event kernel.
-// Options apply on top of the scenario (WithPredictor, WithLender,
-// WithObs, ...); a bare New(Scenario{...}) keeps its pre-option behavior
-// exactly.
+// The scenario's fields select everything but the kernel's sizing, which
+// only NewParallel reads (WithShards, WithWorkers).
 func New(sc Scenario, opts ...Option) (*Network, error) {
-	return build(applyOptions(sc, opts), false)
+	return build(sc, false, opts)
 }
 
 // NewParallel builds the same Network on the sharded event kernel:
@@ -110,16 +109,20 @@ func New(sc Scenario, opts ...Option) (*Network, error) {
 // from shards running concurrently would interleave by schedule — and is
 // a descriptive error with more.
 func NewParallel(sc Scenario, opts ...Option) (*Network, error) {
-	return build(applyOptions(sc, opts), true)
+	return build(sc, true, opts)
 }
 
-func build(c runConfig, sharded bool) (*Network, error) {
-	p, err := scenario.Build(c.sc)
+func build(sc Scenario, sharded bool, opts []Option) (*Network, error) {
+	var size sizing
+	for _, o := range opts {
+		o(&size)
+	}
+	p, err := scenario.Build(sc)
 	if err != nil {
 		return nil, fmt.Errorf("adca: %w", err)
 	}
 	n := &Network{parts: p}
-	if n.sim, err = p.Driver(sharded, c.shards, c.workers); err != nil {
+	if n.sim, err = p.Driver(sharded, size.shards, size.workers); err != nil {
 		return nil, fmt.Errorf("adca: %w", err)
 	}
 	if o := p.Scenario.Obs; o != nil && o.MetricsAddr != "" {
@@ -296,23 +299,6 @@ type Stats struct {
 	// borrowing block (U_j, the grant ledger, DeferQ_i), which a station
 	// allocates only when it first stores into it; 0 for other schemes.
 	WarmStations int
-	// Transport is the transport-layer accounting.
-	Transport TransportStats
-}
-
-// TransportStats is the transport-layer slice of Stats. The fault
-// injection and reliability counters stay zero on the deterministic DES
-// runtime (which models a reliable fabric) and become meaningful on the
-// live and distributed runtimes.
-type TransportStats struct {
-	// Messages and WireBytes count transport traffic (bytes only when
-	// the wire codec is engaged).
-	Messages, WireBytes uint64
-	// DropsInjected/DupsInjected/ReordersInjected count injected faults.
-	DropsInjected, DupsInjected, ReordersInjected uint64
-	// Retransmits/DupsSuppressed/AcksSent/RetryExhausted count
-	// reliability-layer work.
-	Retransmits, DupsSuppressed, AcksSent, RetryExhausted uint64
 }
 
 // Stats returns the current statistics snapshot.
@@ -336,17 +322,6 @@ func (n *Network) Stats() Stats {
 		BadReleases:         st.Counters.BadReleases,
 		BadMessages:         st.Counters.BadMessages,
 		WarmStations:        n.sim.WarmStations(),
-		Transport: TransportStats{
-			Messages:         st.Messages.Total,
-			WireBytes:        st.Messages.Bytes,
-			DropsInjected:    st.Messages.DropsInjected,
-			DupsInjected:     st.Messages.DupsInjected,
-			ReordersInjected: st.Messages.ReordersInjected,
-			Retransmits:      st.Messages.Retransmits,
-			DupsSuppressed:   st.Messages.DupsSuppressed,
-			AcksSent:         st.Messages.AcksSent,
-			RetryExhausted:   st.Messages.RetryExhausted,
-		},
 	}
 }
 
@@ -404,13 +379,10 @@ type DiurnalCycle = scenario.DiurnalCycle
 // Workload describes Poisson call traffic for RunWorkload.
 type Workload = scenario.Workload
 
-// WorkloadStats reports a workload run.
-type WorkloadStats struct {
-	Offered, Blocked              uint64
-	HandoffAttempts, HandoffDrops uint64
-	BlockingProbability           float64
-	HandoffDropProbability        float64
-}
+// WorkloadStats reports a workload run: offered and blocked calls,
+// handoff attempts and drops, in total and per cell, with the
+// BlockingProbability and HandoffDropProbability they give.
+type WorkloadStats = traffic.Stats
 
 // RunWorkload drives Poisson traffic over the network to completion and
 // verifies the interference invariant over the final state.
@@ -426,14 +398,7 @@ func (n *Network) RunWorkload(w Workload) (WorkloadStats, error) {
 	if err := n.sim.CheckInvariant(); err != nil {
 		return WorkloadStats{}, err
 	}
-	return WorkloadStats{
-		Offered:                ts.Offered,
-		Blocked:                ts.Blocked,
-		HandoffAttempts:        ts.HandoffAttempts,
-		HandoffDrops:           ts.HandoffDrops,
-		BlockingProbability:    ts.BlockingProbability(),
-		HandoffDropProbability: ts.HandoffDropProbability(),
-	}, nil
+	return ts, nil
 }
 
 // RunParallel builds the scenario on the sharded kernel (NewParallel)

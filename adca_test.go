@@ -1,6 +1,7 @@
 package adca_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro"
@@ -114,8 +115,8 @@ func TestRunWorkloadUniformAndHotspot(t *testing.T) {
 	if ws.Offered == 0 {
 		t.Fatal("no calls offered")
 	}
-	if ws.BlockingProbability > 0.02 {
-		t.Fatalf("3 Erlang over ~10 primaries should rarely block: %v", ws.BlockingProbability)
+	if ws.BlockingProbability() > 0.02 {
+		t.Fatalf("3 Erlang over ~10 primaries should rarely block: %v", ws.BlockingProbability())
 	}
 
 	hot := adca.MustNew(adca.Scenario{Scheme: "fixed", Wrap: true, Seed: 5})
@@ -129,7 +130,7 @@ func TestRunWorkloadUniformAndHotspot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hs.BlockingProbability == 0 {
+	if hs.BlockingProbability() == 0 {
 		t.Fatal("a 25-Erlang hotspot over ~10 fixed channels must block")
 	}
 }
@@ -189,7 +190,7 @@ func TestRunParallelWorkloadMatchesSerial(t *testing.T) {
 		// serial and sharded runs must agree exactly. Driver floats
 		// (acquisition-delay aggregates) merge in different orders, so
 		// only the integer tallies are pinned there.
-		if par != serial {
+		if !reflect.DeepEqual(par, serial) {
 			t.Errorf("shards=%d workload stats diverged:\n par    %+v\n serial %+v", shards, par, serial)
 		}
 		if st.Grants != serialStats.Grants || st.Denies != serialStats.Denies ||

@@ -195,22 +195,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var agg transport.Stats
-	var tally metrics.Tally
+	var deadline, abandoned, badReleases uint64
 	for _, n := range nodes {
 		agg.Add(n.Stats())
-		tally.Add("deadline denials", n.DeadlineDenials())
-		tally.Add("messages abandoned", n.Abandoned())
-		tally.Add("bad releases", n.BadReleases())
+		deadline += n.DeadlineDenials()
+		abandoned += n.Abandoned()
+		badReleases += n.BadReleases()
 	}
-	tally.Add("messages sent", agg.Total)
-	tally.Add("wire bytes", agg.Bytes)
-	tally.Add("drops injected", agg.DropsInjected)
-	tally.Add("dups injected", agg.DupsInjected)
-	tally.Add("reorders injected", agg.ReordersInjected)
-	tally.Add("retransmits", agg.Retransmits)
-	tally.Add("dups suppressed", agg.DupsSuppressed)
-	tally.Add("acks sent", agg.AcksSent)
-	tally.Add("retry budget exhausted", agg.RetryExhausted)
+	var tally metrics.Dump
+	tally.Put("deadline denials", deadline)
+	tally.Put("messages abandoned", abandoned)
+	tally.Put("bad releases", badReleases)
+	tally.Put("messages sent", agg.Total)
+	tally.Put("wire bytes", agg.Bytes)
+	tally.Put("drops injected", agg.DropsInjected)
+	tally.Put("dups injected", agg.DupsInjected)
+	tally.Put("reorders injected", agg.ReordersInjected)
+	tally.Put("retransmits", agg.Retransmits)
+	tally.Put("dups suppressed", agg.DupsSuppressed)
+	tally.Put("acks sent", agg.AcksSent)
+	tally.Put("retry budget exhausted", agg.RetryExhausted)
 
 	fmt.Fprintf(stdout, "granted %d, denied %d\n\n%s\n", granted, denied, tally.String())
 	// Committed-outcome interference check: each node's own, among the

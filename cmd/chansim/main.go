@@ -236,9 +236,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 func printReport(w io.Writer, scheme string, ws adca.WorkloadStats, st adca.Stats, latencyTicks int64) {
 	fmt.Fprintf(w, "scheme            %s\n", scheme)
 	fmt.Fprintf(w, "offered calls     %d\n", ws.Offered)
-	fmt.Fprintf(w, "blocking          %.4f\n", ws.BlockingProbability)
+	fmt.Fprintf(w, "blocking          %.4f\n", ws.BlockingProbability())
 	if ws.HandoffAttempts > 0 {
-		fmt.Fprintf(w, "handoff drops     %.4f (%d attempts)\n", ws.HandoffDropProbability, ws.HandoffAttempts)
+		fmt.Fprintf(w, "handoff drops     %.4f (%d attempts)\n", ws.HandoffDropProbability(), ws.HandoffAttempts)
 	}
 	tUnit := float64(latencyTicks)
 	if tUnit == 0 {

@@ -40,7 +40,7 @@ func main() {
 				xi1 = float64(st.LocalGrants) / float64(g)
 			}
 			fmt.Printf("%-16s %10.4f %12.2f %12.2f %8.3f\n",
-				scheme, ws.BlockingProbability, st.MessagesPerRequest,
+				scheme, ws.BlockingProbability(), st.MessagesPerRequest,
 				st.MeanAcquireTicks/10, xi1)
 		}
 		fmt.Println()

@@ -38,7 +38,7 @@ func main() {
 		}
 		st := net.Stats()
 		fmt.Printf("%-16s %10.4f %12.2f %12.2f\n",
-			scheme, ws.BlockingProbability, st.MessagesPerRequest, st.MeanAcquireTicks/10)
+			scheme, ws.BlockingProbability(), st.MessagesPerRequest, st.MeanAcquireTicks/10)
 	}
 	fmt.Println()
 	fmt.Println("fixed drops a large fraction of hot-cell calls; the dynamic schemes")

@@ -39,7 +39,7 @@ func main() {
 			}
 			fmt.Printf("%-22s %-10s %12.4f %12d %12.4f\n",
 				fmt.Sprintf("%.1f handoffs/call", handoffsPerCall), scheme,
-				ws.BlockingProbability, ws.HandoffAttempts, ws.HandoffDropProbability)
+				ws.BlockingProbability(), ws.HandoffAttempts, ws.HandoffDropProbability())
 		}
 	}
 	fmt.Println()

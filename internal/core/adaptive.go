@@ -25,36 +25,6 @@ import (
 	"repro/internal/sim"
 )
 
-// LenderPolicy selects how a borrowing cell picks the neighbor to
-// borrow from. The paper's Best() heuristic (Figure 10) minimizes the
-// number of borrowing neighbors shared with the lender to reduce
-// collision probability; the alternatives exist for the ablation that
-// quantifies that claim.
-type LenderPolicy int
-
-const (
-	// LenderBest is the paper's Figure 10 heuristic (default).
-	LenderBest LenderPolicy = iota
-	// LenderFirst picks the lowest-id eligible lender.
-	LenderFirst
-	// LenderRandom picks a uniformly random eligible lender.
-	LenderRandom
-)
-
-// String implements fmt.Stringer.
-func (p LenderPolicy) String() string {
-	switch p {
-	case LenderBest:
-		return "best"
-	case LenderFirst:
-		return "first"
-	case LenderRandom:
-		return "random"
-	default:
-		return fmt.Sprintf("LenderPolicy(%d)", int(p))
-	}
-}
-
 // Params are the tuning knobs of the adaptive scheme.
 type Params struct {
 	// ThetaLow is θ_l: a station predicted to have fewer than θ_l free
@@ -71,9 +41,6 @@ type Params struct {
 	Alpha int
 	// Window is W: how far back the NFC predictor looks. Must be > 0.
 	Window sim.Time
-	// Lender selects the lender-choice heuristic (default: the paper's
-	// Best() of Figure 10).
-	Lender LenderPolicy
 	// Repack enables channel repacking (an extension beyond the paper):
 	// when a primary channel is freed while the cell holds borrowed
 	// channels, one borrowed call is switched onto the freed primary
@@ -85,41 +52,22 @@ type Params struct {
 	// the paper's windowed linear extrapolation, LinearPredictor).
 	// Named construction lives in internal/policy.
 	Predictor PredictorBuilder
-	// Strategy overrides lender selection on the borrow path (nil: the
-	// policy named by Lender — the paper's Best() by default).
+	// Strategy selects the lender on the borrow path (nil: the paper's
+	// Best() of Figure 10, BestLender).
 	Strategy LenderStrategy
 }
 
-// Tuning returns p with the policy objects cleared: the scalar
-// parameter subset. Callers use it to detect "no tuning set" without
-// being confused by a policy-only override.
-func (p Params) Tuning() Params {
-	p.Predictor, p.Strategy = nil, nil
-	return p
-}
-
-// predictorBuilder resolves the NFC predictor in effect.
-func (p Params) predictorBuilder() PredictorBuilder {
-	if p.Predictor != nil {
-		return p.Predictor
+// OrDefaults returns p, or DefaultParams(latency) with p's policies
+// when p sets no scalar tuning (a policy-only override, or nothing).
+func (p Params) OrDefaults(latency sim.Time) Params {
+	d := p
+	d.Predictor, d.Strategy = nil, nil
+	if d != (Params{}) {
+		return p
 	}
-	return LinearPredictor()
-}
-
-// lenderStrategy resolves the lender strategy in effect: the Strategy
-// override if set, else the legacy LenderPolicy enum.
-func (p Params) lenderStrategy() LenderStrategy {
-	if p.Strategy != nil {
-		return p.Strategy
-	}
-	switch p.Lender {
-	case LenderFirst:
-		return FirstLender()
-	case LenderRandom:
-		return RandomLender()
-	default:
-		return BestLender()
-	}
+	d = DefaultParams(latency)
+	d.Predictor, d.Strategy = p.Predictor, p.Strategy
+	return d
 }
 
 // DefaultParams returns the parameter set used throughout the
@@ -152,9 +100,6 @@ func (p Params) Validate() error {
 	}
 	if p.Window <= 0 {
 		return fmt.Errorf("core: Window must be > 0, got %d", p.Window)
-	}
-	if p.Lender < LenderBest || p.Lender > LenderRandom {
-		return fmt.Errorf("core: unknown lender policy %d", p.Lender)
 	}
 	return nil
 }
@@ -218,9 +163,10 @@ func NewFactory(grid *hexgrid.Grid, assign *chanset.Assignment, params Params) (
 	if assign.NumChannels > maxNFCCount {
 		return nil, fmt.Errorf("core: %d channels exceed the %d a free-primary sample can count", assign.NumChannels, maxNFCCount)
 	}
+	params.Predictor = cmp.Or(params.Predictor, LinearPredictor())
 	return &Factory{
 		grid: grid, assign: assign, params: params,
-		strategy: params.lenderStrategy(),
+		strategy: cmp.Or(params.Strategy, BestLender()),
 		obs:      &noObs,
 		scratch:  sync.Pool{New: func() any { return new(lenderScratch) }},
 	}, nil
@@ -376,7 +322,7 @@ func (a *Adaptive) Start(env alloc.Env) {
 	a.w = int32((assign.NumChannels + 63) / 64)
 	a.setOff = int32(numMasks * ((len(a.neighbors()) + 63) / 64))
 	a.slab = a.factory.slabs.take(int(a.setOff) + numSets*int(a.w))
-	a.pred = a.factory.params.predictorBuilder().New(a.factory.params.Window)
+	a.pred = a.factory.params.Predictor.New(a.factory.params.Window)
 	a.pred.Init(env.Now(), a.primary().Len())
 }
 

@@ -304,7 +304,6 @@ func TestParamsValidate(t *testing.T) {
 		{ThetaLow: 1, ThetaHigh: 3, Alpha: -1, Window: 10},
 		{ThetaLow: 1, ThetaHigh: 3, Alpha: 1, Window: 0},
 		{ThetaLow: 1, ThetaHigh: 3, Alpha: 1, Window: -10},
-		{ThetaLow: 1, ThetaHigh: 3, Alpha: 1, Window: 10, Lender: 99},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

@@ -272,20 +272,3 @@ func TestHandlerModeQueryAccessors(t *testing.T) {
 		t.Fatalf("counters: %+v", c)
 	}
 }
-
-func TestLenderPolicyString(t *testing.T) {
-	if LenderBest.String() != "best" || LenderFirst.String() != "first" || LenderRandom.String() != "random" {
-		t.Error("policy strings")
-	}
-	if LenderPolicy(9).String() == "" {
-		t.Error("unknown policy should format")
-	}
-}
-
-func TestParamsRejectBadLender(t *testing.T) {
-	p := DefaultParams(10)
-	p.Lender = LenderPolicy(42)
-	if err := p.Validate(); err == nil {
-		t.Fatal("unknown lender policy must be rejected")
-	}
-}

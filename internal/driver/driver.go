@@ -52,10 +52,12 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 
 	"repro/internal/alloc"
 	"repro/internal/chanset"
 	"repro/internal/hexgrid"
+	"repro/internal/message"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/reqbook"
@@ -86,9 +88,6 @@ type Options struct {
 	// send, decode on delivery), validating serialization against live
 	// traffic and accounting wire bytes in Stats.Messages.Bytes.
 	Wire bool
-	// DelayBuckets sizes the acquisition-delay histogram in units of
-	// Latency (default 64 buckets of T/2).
-	DelayBuckets int
 	// Obs, when non-nil, binds driver-level instruments into the
 	// registry: request outcomes, the outstanding-request gauge, the
 	// acquisition-delay histogram, the transport message counter and the
@@ -112,13 +111,13 @@ type Options struct {
 // overrides them.
 type ParallelOptions = Options
 
+// delayBuckets sizes the acquisition-delay histogram: 64 buckets of T/2.
+const delayBuckets = 64
+
 // check applies the defaults and rejects what no kernel can run.
 func (o *Options) check(cells int) error {
 	if o.Latency == 0 {
 		o.Latency = 10
-	}
-	if o.DelayBuckets == 0 {
-		o.DelayBuckets = 64
 	}
 	if o.Shards == 0 {
 		o.Shards = min(16, cells)
@@ -419,7 +418,7 @@ func prepare(grid *hexgrid.Grid, assign *chanset.Assignment, opts Options) (*Par
 	}
 	for i := range p.shards {
 		sh := &p.shards[i]
-		sh.delayHist = metrics.NewHistogram(float64(opts.Latency)/2, opts.DelayBuckets)
+		sh.delayHist = metrics.NewHistogram(float64(opts.Latency)/2, delayBuckets)
 		if opts.TraceSize > 0 {
 			sh.ring = trace.NewRing(opts.TraceSize)
 		}
@@ -820,6 +819,46 @@ func (st Stats) MessagesPerRequest() float64 {
 	return float64(st.Messages.Total) / float64(total)
 }
 
+// Dump lists the report as exact integers (metrics.Dump): the counts,
+// the transport's tallies by kind and fault, each delay accumulator, the
+// p95, the protocol counters and the per-cell tallies.
+func (st Stats) Dump() metrics.Dump {
+	d := make(metrics.Dump, 0, 48+2*len(st.CellGrants))
+	d.Put("grants", st.Grants)
+	d.Put("denies", st.Denies)
+	m := st.Messages
+	d.Put("messages", m.Total)
+	d.Put("messages.bytes", m.Bytes)
+	for k, n := range m.ByKind {
+		d.Put("messages."+strings.ToLower(message.Kind(k).String()), n)
+	}
+	d.Put("messages.drops_injected", m.DropsInjected)
+	d.Put("messages.dups_injected", m.DupsInjected)
+	d.Put("messages.reorders_injected", m.ReordersInjected)
+	d.Put("messages.retransmits", m.Retransmits)
+	d.Put("messages.dups_suppressed", m.DupsSuppressed)
+	d.Put("messages.acks_sent", m.AcksSent)
+	d.Put("messages.retry_exhausted", m.RetryExhausted)
+	d.PutWelford("acq_delay", st.AcqDelay)
+	d.PutWelford("total_delay", st.TotalDelay)
+	d.PutWelford("queue_delay", st.QueueDelay)
+	d.PutFloat("delay_p95", st.DelayP95)
+	c := st.Counters
+	d.Put("grants_local", c.GrantsLocal)
+	d.Put("grants_update", c.GrantsUpdate)
+	d.Put("grants_search", c.GrantsSearch)
+	d.Put("drops", c.Drops)
+	d.Put("update_attempts", c.UpdateAttempts)
+	d.Put("mode_changes", c.ModeChanges)
+	d.Put("bad_releases", c.BadReleases)
+	d.Put("deferred", c.Deferred)
+	d.Put("bad_messages", c.BadMessages)
+	d.Put("cells", uint64(len(st.CellGrants)))
+	d.PutSeries("cell_grants", st.CellGrants)
+	d.PutSeries("cell_denies", st.CellDenies)
+	return d
+}
+
 // Stats snapshots the aggregates, merging shard- and cell-local state
 // in canonical order (ascending shard, ascending cell) so the result is
 // bit-identical regardless of how the run was scheduled.
@@ -828,7 +867,7 @@ func (p *Parallel) Stats() Stats {
 		CellGrants: make([]uint64, len(p.cells)),
 		CellDenies: make([]uint64, len(p.cells)),
 	}
-	merged := metrics.NewHistogram(float64(p.opts.Latency)/2, p.opts.DelayBuckets)
+	merged := metrics.NewHistogram(float64(p.opts.Latency)/2, delayBuckets)
 	for i := range p.shards {
 		sh := &p.shards[i]
 		st.Grants += sh.grants

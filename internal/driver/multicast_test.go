@@ -1,9 +1,8 @@
 package driver_test
 
 import (
-	"crypto/sha256"
-	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/alloc"
@@ -11,6 +10,7 @@ import (
 	"repro/internal/driver"
 	"repro/internal/hexgrid"
 	"repro/internal/message"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/schemetest"
@@ -35,9 +35,9 @@ type mcScenario struct {
 	jitter   sim.Time
 	wire     bool
 	horizon  sim.Time // DrainHorizon; 0 drains to quiescence
-	// golden pins the outcome's hashes as computed at the commit before
-	// fan records existed.
-	golden string
+	// serial and sharded pin the outcomes' hashes (mcOutcome.keys): the
+	// outcomes of the commit before fan records existed.
+	serial, sharded string
 }
 
 func (sc mcScenario) spec() traffic.Spec {
@@ -52,12 +52,54 @@ type mcOutcome struct {
 	Stats   driver.Stats
 	Traffic traffic.Stats
 	Trace   []trace.Event
-	Use     []string
+	// Use is every cell's InUse words, padded to the spectrum's.
+	Use [][]uint64
 }
 
-func (o mcOutcome) hash() string {
-	return fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%+v", o))))[:16]
+// dump lists the outcome as exact integers: the driver's and the
+// workload's dumps, then each trace event's fields and the InUse words.
+func (o mcOutcome) dump() metrics.Dump {
+	d := append(o.Stats.Dump(), o.Traffic.Dump()...)
+	fields := make([][]uint64, 5)
+	for _, e := range o.Trace {
+		for i, v := range []int64{int64(e.At), int64(e.Kind), int64(e.Cell), int64(e.Ch), e.Info} {
+			fields[i] = append(fields[i], uint64(v))
+		}
+	}
+	for i, name := range traceFields {
+		d.PutSeries(name, fields[i])
+	}
+	d.PutSeries("in_use", slices.Concat(o.Use...))
+	return d
 }
+
+var traceFields = []string{"trace.at", "trace.kind", "trace.cell", "trace.ch", "trace.info"}
+
+// keys is the pinned list an outcome hash digests: every entry of
+// the driver's and the workload's dumps, the trace and the InUse words.
+func (o mcOutcome) keys() []metrics.Key {
+	cells := len(o.Stats.CellGrants)
+	keys := metrics.Names("grants", "denies", "messages", "messages.bytes",
+		"messages.request", "messages.response", "messages.change_mode",
+		"messages.acquisition", "messages.release", "messages.ack",
+		"messages.drops_injected", "messages.dups_injected", "messages.reorders_injected",
+		"messages.retransmits", "messages.dups_suppressed", "messages.acks_sent", "messages.retry_exhausted")
+	for _, acc := range []string{"acq_delay", "total_delay", "queue_delay"} {
+		keys = append(keys, metrics.Names(acc+".n", acc+".mean", acc+".var", acc+".min", acc+".max")...)
+	}
+	keys = append(keys, metrics.Names("delay_p95", "grants_local", "grants_update", "grants_search", "drops",
+		"update_attempts", "mode_changes", "bad_releases", "deferred", "bad_messages", "cells")...)
+	keys = append(keys, metrics.Indexed(cells, "cell_grants")...)
+	keys = append(keys, metrics.Indexed(cells, "cell_denies")...)
+	keys = append(keys, metrics.Names("offered", "blocked", "handoff_attempts", "handoff_drops")...)
+	keys = append(keys, metrics.Indexed(cells, "cell_offered")...)
+	keys = append(keys, metrics.Indexed(cells, "cell_blocked")...)
+	keys = append(keys, metrics.Indexed(len(o.Trace), traceFields...)...)
+	return append(keys, metrics.Indexed(cells*len(o.Use[0]), "in_use")...)
+}
+
+// check compares the outcome with a pinned hash.
+func (o mcOutcome) check(hash string) error { return o.dump().Check(o.keys(), hash) }
 
 type mcDriver interface {
 	Stats() driver.Stats
@@ -66,7 +108,7 @@ type mcDriver interface {
 	CheckInvariant() error
 }
 
-func mcCollect(t *testing.T, g *hexgrid.Grid, d mcDriver, ts traffic.Stats, err error) mcOutcome {
+func mcCollect(t *testing.T, g *hexgrid.Grid, assign *chanset.Assignment, d mcDriver, ts traffic.Stats, err error) mcOutcome {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +118,9 @@ func mcCollect(t *testing.T, g *hexgrid.Grid, d mcDriver, ts traffic.Stats, err 
 	}
 	o := mcOutcome{Stats: d.Stats(), Traffic: ts, Trace: d.Trace()}
 	for c := 0; c < g.NumCells(); c++ {
-		o.Use = append(o.Use, d.Allocator(hexgrid.CellID(c)).InUse().String())
+		w := make([]uint64, len(assign.Spectrum.Words()))
+		copy(w, d.Allocator(hexgrid.CellID(c)).InUse().Words())
+		o.Use = append(o.Use, w)
 	}
 	return o
 }
@@ -98,7 +142,7 @@ func (sc mcScenario) run(t *testing.T, shards int, multicast bool) mcOutcome {
 	if shards == 0 {
 		s := driver.New(g, assign, f, driver.Options{Latency: 10, Jitter: sc.jitter, Wire: sc.wire, Seed: 11, Check: true, TraceSize: 1 << 16})
 		ts, err := traffic.Run(s, sc.spec())
-		return mcCollect(t, g, s, ts, err)
+		return mcCollect(t, g, assign, s, ts, err)
 	}
 	p, err := driver.NewParallel(g, assign, f, driver.ParallelOptions{
 		Latency: 10, Jitter: sc.jitter, Wire: sc.wire, Seed: 11, Check: true, TraceSize: 1 << 16, Shards: shards, Workers: 2,
@@ -106,29 +150,29 @@ func (sc mcScenario) run(t *testing.T, shards int, multicast bool) mcOutcome {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := traffic.RunParallel(p, sc.spec())
-	return mcCollect(t, g, p, ts, err)
+	ts, err := traffic.Run(p, sc.spec())
+	return mcCollect(t, g, assign, p, ts, err)
 }
 
 // TestMulticastMatchesSends: Stats (message counts by kind included),
-// traffic tallies, Trace() and every cell's InUse are DeepEqual with
+// traffic tallies, Trace() and every cell's InUse are equal with
 // the capability on and hidden — on the serial driver and sharded, for a
 // borrow-heavy adaptive run drained to quiescence and truncated (fan
 // records queued and boxed when ForceQuiesce discards them), for a
 // baseline scheme that only broadcasts, and on a reuse-distance-5 grid
 // whose 90-cell neighbourhoods need two mask words, and with jitter or
 // the codec on, when a multicast goes out by Send. Every outcome also
-// still hashes to what it did before fan records existed.
+// is the one it was before fan records existed (its pinned hash).
 func TestMulticastMatchesSends(t *testing.T) {
 	toy := hexgrid.Config{Shape: hexgrid.Rect, Width: 12, Height: 12, ReuseDistance: 2, Wrap: true}
 	wide := hexgrid.Config{Shape: hexgrid.Rect, Width: 12, Height: 12, ReuseDistance: 5, Wrap: true}
 	scenarios := []mcScenario{
-		{name: "borrow-heavy", scheme: "adaptive", grid: toy, channels: 70, erlang: 9.5, golden: "serial 793c6ca00e0d61b1 sharded 756ae1a4573e1ea6"},
-		{name: "truncated", scheme: "adaptive", grid: toy, channels: 70, erlang: 9.5, horizon: 200, golden: "serial f041172cd6e8bd00 sharded 0913d37c3360d3d3"},
-		{name: "basic-update", scheme: "basic-update", grid: toy, channels: 70, erlang: 8, golden: "serial 18c8eb41f5ddaee6 sharded 29e7a0076d4fdca2"},
-		{name: "reuse-5", scheme: "adaptive", grid: wide, channels: 300, erlang: 8.5, golden: "serial d30ff6542cb509c8 sharded fe1eeaeff259bbaa"},
-		{name: "jitter", scheme: "adaptive", grid: toy, channels: 70, erlang: 9.5, jitter: 4, golden: "serial 7fa05e19d02f41ad sharded 2661d4bafac22c5b"},
-		{name: "wire", scheme: "adaptive", grid: toy, channels: 70, erlang: 9.5, wire: true, golden: "serial ffe082e734f0529e sharded de1ebb0585b9ac0a"},
+		{name: "borrow-heavy", scheme: "adaptive", grid: toy, channels: 70, erlang: 9.5, serial: "85c9fb8dbcd7b0ed", sharded: "4a91ca79031a642d"},
+		{name: "truncated", scheme: "adaptive", grid: toy, channels: 70, erlang: 9.5, horizon: 200, serial: "55225a8725a72db9", sharded: "de6a56df7afb3457"},
+		{name: "basic-update", scheme: "basic-update", grid: toy, channels: 70, erlang: 8, serial: "f1a93f8af1f14418", sharded: "9a6caa1060b017cc"},
+		{name: "reuse-5", scheme: "adaptive", grid: wide, channels: 300, erlang: 8.5, serial: "b4062fb44fed7e1e", sharded: "7ac8c73a7fa249f4"},
+		{name: "jitter", scheme: "adaptive", grid: toy, channels: 70, erlang: 9.5, jitter: 4, serial: "5be62d2214422ac5", sharded: "f66d82c74c967d8d"},
+		{name: "wire", scheme: "adaptive", grid: toy, channels: 70, erlang: 9.5, wire: true, serial: "dde00d5b8e220bba", sharded: "e2a847b00b032335"},
 	}
 	for _, sc := range scenarios {
 		sc := sc
@@ -155,8 +199,11 @@ func TestMulticastMatchesSends(t *testing.T) {
 					t.Errorf("sharded run diverged from the serial one")
 				}
 			}
-			if got := "serial " + serial.hash() + " sharded " + sharded.hash(); got != sc.golden {
-				t.Errorf("outcome hashes %q, want %q as before fan records", got, sc.golden)
+			if err := serial.check(sc.serial); err != nil {
+				t.Errorf("serial outcome: %v", err)
+			}
+			if err := sharded.check(sc.sharded); err != nil {
+				t.Errorf("sharded outcome: %v", err)
 			}
 		})
 	}
@@ -216,7 +263,7 @@ func TestKernelFootprintGauges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := traffic.RunParallel(p, sc.spec()); err != nil {
+	if _, err := traffic.Run(p, sc.spec()); err != nil {
 		t.Fatal(err)
 	}
 	fp := p.Kernel().Footprint()

@@ -77,7 +77,7 @@ func runParScenario(t *testing.T, sc parScenario, shards, workers int) (parOutco
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := traffic.RunParallel(p, traffic.Spec{
+	ts, err := traffic.Run(p, traffic.Spec{
 		Profile:  traffic.Uniform{PerCell: sc.erlang / 3000},
 		MeanHold: 3000,
 		Duration: sc.duration,
@@ -239,7 +239,7 @@ func TestParallelRaceStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := traffic.RunParallel(p, traffic.Spec{
+	ts, err := traffic.Run(p, traffic.Spec{
 		Profile:  traffic.Uniform{PerCell: 9.0 / 3000},
 		MeanHold: 3000,
 		Duration: 4_000,

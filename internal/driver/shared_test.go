@@ -40,9 +40,9 @@ func warmToy(t *testing.T) (*hexgrid.Grid, *chanset.Assignment, traffic.Spec) {
 
 // TestSharedSnapshotsWarmStart: storing a repeated Use snapshot once
 // changes nothing a run leaves behind — Stats, traffic.Stats, Trace() and
-// every cell's InUse hash to what they did at the commit before
-// attachments were shared, on the serial driver and sharded at 1 and 4
-// shards — while the attachment tables stay within one slot per (cell,
+// every cell's InUse are what they were at the commit before
+// attachments were shared (pinned hashes), on the serial driver and
+// sharded at 1 and 4 shards — while the attachment tables stay within one slot per (cell,
 // destination shard), which they exceed several times over the moment
 // sharing stops matching. The run ends in a forced quiesce that cancels
 // requests: as many on every driver, and none left in the gauge.
@@ -99,13 +99,13 @@ func TestSharedSnapshotsWarmStart(t *testing.T) {
 	reg := obs.New()
 	s := driver.New(g, assign, f, driver.Options{Latency: 10, Seed: 101, Check: true, TraceSize: 1 << 16, Obs: reg})
 	ts, err := traffic.Run(s, spec)
-	serial := mcCollect(t, g, s, ts, err)
+	serial := mcCollect(t, g, assign, s, ts, err)
 	want := cancelled("serial", serial, reg)
 	if c := serial.Stats.Counters; c.ModeChanges < uint64(g.NumCells())/2 || c.GrantsUpdate+c.GrantsSearch == 0 {
 		t.Fatalf("the scenario has no mode-change burst or no borrowing: %+v", c)
 	}
-	if got, want := serial.hash(), "e0859e29ef845b5b"; got != want {
-		t.Errorf("serial outcome hashes %q, want %q as before attachments were shared", got, want)
+	if err := serial.check("f46eb2fac174103a"); err != nil {
+		t.Errorf("serial outcome, as before attachments were shared: %v", err)
 	}
 	check("serial", s.Engine().Footprint(), budget(func(hexgrid.CellID) int { return 0 }))
 
@@ -115,13 +115,13 @@ func TestSharedSnapshotsWarmStart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts, err := traffic.RunParallel(p, spec)
-		sharded := mcCollect(t, g, p, ts, err)
+		ts, err := traffic.Run(p, spec)
+		sharded := mcCollect(t, g, assign, p, ts, err)
 		if got := cancelled(fmt.Sprintf("%d shards", shards), sharded, reg); got != want {
 			t.Errorf("%d shards: %d requests cancelled at the cutoff, %d serially", shards, got, want)
 		}
-		if got, want := sharded.hash(), "ac4a909f3931a87a"; got != want {
-			t.Errorf("%d shards: outcome hashes %q, want %q as before attachments were shared", shards, got, want)
+		if err := sharded.check("677d821663d6d722"); err != nil {
+			t.Errorf("%d shards outcome, as before attachments were shared: %v", shards, err)
 		}
 		check(fmt.Sprintf("%d shards", shards), p.Kernel().Footprint(), budget(p.ShardOf))
 	}

@@ -212,14 +212,7 @@ func (e Env) InterferenceDegree() float64 {
 
 // AdaptiveParams resolves the adaptive parameter set in effect,
 // preserving any policy overrides when the scalar tuning is defaulted.
-func (e Env) AdaptiveParams() core.Params {
-	if e.Adaptive.Tuning() == (core.Params{}) {
-		p := core.DefaultParams(e.Latency)
-		p.Predictor, p.Strategy = e.Adaptive.Predictor, e.Adaptive.Strategy
-		return p
-	}
-	return e.Adaptive
-}
+func (e Env) AdaptiveParams() core.Params { return e.Adaptive.OrDefaults(e.Latency) }
 
 // Schemes lists the scheme names compared throughout the evaluation.
 func Schemes() []string { return registry.Names() }

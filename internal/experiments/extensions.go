@@ -46,12 +46,12 @@ func AblationLender(env Env) (LenderResult, error) {
 	prim := env.PrimariesPerCell()
 	profile := traffic.NewHotspot(g, g.InteriorCell(), 1,
 		env.RatePerCell(0.35*prim), env.RatePerCell(1.1*prim))
-	policies := []core.LenderPolicy{core.LenderBest, core.LenderFirst, core.LenderRandom}
+	policies := []core.LenderStrategy{core.BestLender(), core.FirstLender(), core.RandomLender()}
 	specs := make([]spec, len(policies))
 	for i, pol := range policies {
 		e := env
 		p := env.AdaptiveParams()
-		p.Lender = pol
+		p.Strategy = pol
 		e.Adaptive = p
 		specs[i] = spec{env: e, scheme: "adaptive", profile: profile}
 	}
@@ -60,7 +60,7 @@ func AblationLender(env Env) (LenderResult, error) {
 		return LenderResult{}, err
 	}
 	for i, pol := range policies {
-		res.Policies = append(res.Policies, pol.String())
+		res.Policies = append(res.Policies, pol.Name())
 		res.AttemptsPerBorrow = append(res.AttemptsPerBorrow, ms[i].M)
 		res.Msgs = append(res.Msgs, ms[i].MsgsPerCall)
 		res.Blocking = append(res.Blocking, ms[i].Blocking)

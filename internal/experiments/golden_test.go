@@ -1,12 +1,6 @@
 package experiments
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"fmt"
-	"hash"
-	"math"
 	"testing"
 
 	"repro/internal/chanset"
@@ -21,57 +15,23 @@ import (
 	"repro/internal/traffic"
 )
 
-// hashU64s feeds a fixed-order sequence of uint64s into h.
-func hashU64s(h hash.Hash, vs ...uint64) {
-	var buf [8]byte
-	for _, v := range vs {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+// trajectoryKeys is the pinned list a golden hash digests: the driver's
+// counts, message tallies by kind, delay accumulators, p95, protocol
+// counters and per-cell tallies, then the workload's, in the order the
+// hashes were first computed in. Two runs hash equal iff every one of
+// those numbers is identical.
+func trajectoryKeys(cells int) []metrics.Key {
+	keys := metrics.Names("grants", "denies", "messages", "messages.bytes",
+		"messages.request", "messages.response", "messages.change_mode",
+		"messages.acquisition", "messages.release", "messages.ack")
+	for _, acc := range []string{"acq_delay", "total_delay", "queue_delay"} {
+		keys = append(keys, metrics.Names(acc+".n", acc+".mean", acc+".var", acc+".min", acc+".max")...)
 	}
-}
-
-func hashWelford(h hash.Hash, w metrics.Welford) {
-	hashU64s(h, w.N())
-	if w.N() > 0 {
-		hashU64s(h, floatBits(w.Mean()), floatBits(w.Var()), floatBits(w.Min()), floatBits(w.Max()))
-	}
-}
-
-func floatBits(f float64) uint64 {
-	// Normalize the two zero encodings so -0.0 and +0.0 hash alike.
-	if f == 0 {
-		return 0
-	}
-	return math.Float64bits(f)
-}
-
-// trajectoryHash digests the observable outcome of a run: the driver's
-// aggregate stats (including per-cell tallies and the protocol
-// counters) and the workload's telephony stats. Two runs hash equal iff
-// every one of those numbers is identical.
-func trajectoryHash(st driver.Stats, ts traffic.Stats) string {
-	h := sha256.New()
-	hashU64s(h, st.Grants, st.Denies, st.Messages.Total, st.Messages.Bytes)
-	for _, k := range st.Messages.ByKind {
-		hashU64s(h, k)
-	}
-	hashWelford(h, st.AcqDelay)
-	hashWelford(h, st.TotalDelay)
-	hashWelford(h, st.QueueDelay)
-	hashU64s(h, floatBits(st.DelayP95))
-	c := st.Counters
-	hashU64s(h,
-		c.GrantsLocal, c.GrantsUpdate, c.GrantsSearch, c.Drops,
-		c.UpdateAttempts, c.ModeChanges, c.Deferred, c.BadReleases)
-	hashU64s(h, uint64(len(st.CellGrants)))
-	for i := range st.CellGrants {
-		hashU64s(h, st.CellGrants[i], st.CellDenies[i])
-	}
-	hashU64s(h, ts.Offered, ts.Blocked, ts.HandoffAttempts, ts.HandoffDrops)
-	for i := range ts.PerCellOffered {
-		hashU64s(h, ts.PerCellOffered[i], ts.PerCellBlocked[i])
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	keys = append(keys, metrics.Names("delay_p95", "grants_local", "grants_update", "grants_search", "drops",
+		"update_attempts", "mode_changes", "deferred", "bad_releases", "cells")...)
+	keys = append(keys, metrics.Indexed(cells, "cell_grants", "cell_denies")...)
+	keys = append(keys, metrics.Names("offered", "blocked", "handoff_attempts", "handoff_drops")...)
+	return append(keys, metrics.Indexed(cells, "cell_offered", "cell_blocked")...)
 }
 
 // goldenRun is one pinned trajectory: the adaptive scheme on a wrapped
@@ -91,7 +51,7 @@ type goldenRun struct {
 	// predictor and lender name a registered policy pair; empty runs
 	// the zero-value core.Params (policy seam fully defaulted).
 	predictor, lender string
-	// shards > 0 runs driver.NewParallel + traffic.RunParallel at that
+	// shards > 0 runs driver.NewParallel + traffic.Run at that
 	// (shards, workers) corner; 0 runs driver.New + traffic.Run.
 	shards, workers int
 	// steady replaces the uniform profile with steadyProfile,
@@ -190,19 +150,10 @@ func (o goldenOutcome) borrowAttempts() uint64 {
 	return c.UpdateAttempts + c.GrantsSearch + c.Drops
 }
 
-// String lists the scalars the hash digests, so a mismatch reads as
-// "float order" (only a mean moved) or "a different trajectory".
-func (o goldenOutcome) String() string {
-	st, ts, c := o.st, o.ts, o.st.Counters
-	w := func(w metrics.Welford) string { return fmt.Sprintf("n=%d mean=%.17g", w.N(), w.Mean()) }
-	return fmt.Sprintf("executed %d; grants %d denies %d; messages %d by kind %v;\n"+
-		"  counters local %d update %d search %d drops %d attempts %d modes %d deferred %d bad-releases %d;\n"+
-		"  acq %s; total %s; queue %s; p95 %.17g;\n"+
-		"  offered %d blocked %d handoffs %d handoff-drops %d",
-		o.events, st.Grants, st.Denies, st.Messages.Total, st.Messages.ByKind,
-		c.GrantsLocal, c.GrantsUpdate, c.GrantsSearch, c.Drops, c.UpdateAttempts, c.ModeChanges, c.Deferred, c.BadReleases,
-		w(st.AcqDelay), w(st.TotalDelay), w(st.QueueDelay), st.DelayP95,
-		ts.Offered, ts.Blocked, ts.HandoffAttempts, ts.HandoffDrops)
+// check compares the outcome's dump with a golden hash.
+func (o goldenOutcome) check(hash string) error {
+	d := append(o.st.Dump(), o.ts.Dump()...)
+	return d.Check(trajectoryKeys(len(o.st.CellGrants)), hash)
 }
 
 // params is the adaptive tuning the row runs under.
@@ -260,7 +211,7 @@ func runGolden(t *testing.T, c goldenRun, params core.Params) goldenOutcome {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := traffic.RunParallel(p, spec)
+	ts, err := traffic.Run(p, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,8 +235,8 @@ func TestTrajectoryGoldens(t *testing.T) {
 				t.Skip("250k-cell row: skipped with -short and under the race detector")
 			}
 			o := runGolden(t, c, c.params(t))
-			if h := trajectoryHash(o.st, o.ts); h != c.hash {
-				t.Errorf("trajectory hash %s != golden %s\n  %v", h, c.hash, o)
+			if err := o.check(c.hash); err != nil {
+				t.Errorf("executed %d events; trajectory %v", o.events, err)
 			}
 			if c.events != 0 && o.events != c.events {
 				t.Errorf("executed %d events, want %d", o.events, c.events)
@@ -312,9 +263,8 @@ func TestExplicitDefaultPoliciesBitIdentical(t *testing.T) {
 	params := core.DefaultParams(10)
 	params.Predictor, params.Strategy = byName.Predictor, byName.Strategy
 	for _, c := range goldenRuns[:2] {
-		o := runGolden(t, c, params)
-		if h := trajectoryHash(o.st, o.ts); h != c.hash {
-			t.Errorf("%s: explicit linear/best trajectory hash %s != golden %s", c.name, h, c.hash)
+		if err := runGolden(t, c, params).check(c.hash); err != nil {
+			t.Errorf("%s: explicit linear/best trajectory %v", c.name, err)
 		}
 	}
 }

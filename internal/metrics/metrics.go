@@ -1,7 +1,8 @@
 // Package metrics provides the statistical accumulators every experiment
 // reports: streaming mean/variance (Welford), fixed-bucket histograms
 // with quantile estimates, per-cell tallies, and the Jain fairness index
-// used for the paper's fairness claims.
+// used for the paper's fairness claims; and Dump, a report's values as
+// exact integers, which hash gates check by name.
 package metrics
 
 import (
@@ -296,44 +297,6 @@ func csvCell(vals []float64, i int) string {
 	default:
 		return strconv.FormatFloat(v, 'g', -1, 64)
 	}
-}
-
-// Tally is an insertion-ordered list of named integer counters for
-// human-readable runtime reports (cmd/channet prints one). Unlike a
-// map it renders in the order counters were first added.
-type Tally struct {
-	names []string
-	vals  map[string]uint64
-}
-
-// Add increments (creating on first use) the named counter by v.
-func (t *Tally) Add(name string, v uint64) {
-	if t.vals == nil {
-		t.vals = make(map[string]uint64)
-	}
-	if _, ok := t.vals[name]; !ok {
-		t.names = append(t.names, name)
-	}
-	t.vals[name] += v
-}
-
-// Get returns the named counter's value (0 if never added).
-func (t *Tally) Get(name string) uint64 { return t.vals[name] }
-
-// String renders one aligned "name  value" line per counter, in
-// insertion order.
-func (t *Tally) String() string {
-	w := 0
-	for _, n := range t.names {
-		if len(n) > w {
-			w = len(n)
-		}
-	}
-	var b strings.Builder
-	for _, n := range t.names {
-		fmt.Fprintf(&b, "%-*s  %d\n", w, n, t.vals[n])
-	}
-	return b.String()
 }
 
 // SortedKeys returns the sorted keys of a string-keyed map of float64,

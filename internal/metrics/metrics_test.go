@@ -310,17 +310,3 @@ func TestHistogramObserveExtremeValues(t *testing.T) {
 		t.Fatalf("q99 = %v, want the overflow stand-in 10", q)
 	}
 }
-
-func TestTallyOrderAndValues(t *testing.T) {
-	var tl Tally
-	tl.Add("grants", 3)
-	tl.Add("denials", 1)
-	tl.Add("grants", 2)
-	if tl.Get("grants") != 5 || tl.Get("denials") != 1 || tl.Get("absent") != 0 {
-		t.Fatalf("values wrong: %q", tl.String())
-	}
-	want := "grants   5\ndenials  1\n"
-	if tl.String() != want {
-		t.Fatalf("String() = %q, want %q", tl.String(), want)
-	}
-}

@@ -53,15 +53,7 @@ func Build(name string, grid *hexgrid.Grid, assign *chanset.Assignment, cfg Conf
 	}
 	switch name {
 	case "adaptive":
-		p := cfg.Adaptive
-		if p.Tuning() == (core.Params{}) {
-			// No scalar tuning set: derive the defaults for this latency,
-			// keeping any predictor/strategy policy overrides in place.
-			d := core.DefaultParams(cfg.Latency)
-			d.Predictor, d.Strategy = p.Predictor, p.Strategy
-			p = d
-		}
-		fac, err := core.NewFactory(grid, assign, p)
+		fac, err := core.NewFactory(grid, assign, cfg.Adaptive.OrDefaults(cfg.Latency))
 		if err != nil {
 			return nil, err
 		}

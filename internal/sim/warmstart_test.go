@@ -31,7 +31,7 @@ func TestWarmStartOnPoisonedPages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts, err := traffic.RunParallel(p, traffic.Spec{
+		ts, err := traffic.Run(p, traffic.Spec{
 			Profile:  traffic.NewHotspot(g, g.InteriorCell(), 2, 9.0/3000, 13.5/3000),
 			MeanHold: 3000, Duration: 1500, Warmup: 200, Seed: 5,
 			WarmStart: true, DrainHorizon: 100,

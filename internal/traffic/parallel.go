@@ -7,12 +7,8 @@ import (
 	"repro/internal/driver"
 )
 
-// Run drives the workload over s to completion (arrivals stop at
-// Duration, held calls drain afterwards) and returns the stats: it is
-// RunParallel, and *driver.Sim is *driver.Parallel.
-func Run(s *driver.Sim, spec Spec) (Stats, error) { return RunParallel(s, spec) }
-
-// RunParallel drives the workload over the driver to completion. Every
+// Run drives the workload over the driver to completion (arrivals stop
+// at Duration, held calls drain afterwards) and returns the stats. Every
 // random stream the workload consumes is per cell — arrivals/holding
 // (Substream(seed, arrivalLabel+cell)) and mobility
 // (Substream(seed, mobilityLabel+cell)) — so each stream is consumed
@@ -26,7 +22,7 @@ func Run(s *driver.Sim, spec Spec) (Stats, error) { return RunParallel(s, spec) 
 // exactly the kernel's lookahead bound, so the hop is always a legal
 // cross-shard event. Handoff tallies are per shard and merged in shard
 // order, like Offered/Blocked.
-func RunParallel(p *driver.Parallel, spec Spec) (Stats, error) {
+func Run(p *driver.Parallel, spec Spec) (Stats, error) {
 	r, err := PrimeParallel(p, spec)
 	if err != nil {
 		return Stats{}, err
@@ -46,9 +42,9 @@ type PrimedParallel struct {
 // PrimeParallel validates spec and seeds the workload over p without
 // running it: the reserves on the calling goroutine, then each shard's
 // tile on the worker that runs its windows (generator.prime). The split
-// from RunParallel exists so the repository benchmark can time the
-// O(cells) warm-start seeding (setup_s) apart from the simulation
-// (run_s); RunParallel is PrimeParallel + Finish.
+// from Run exists so the repository benchmark can time the O(cells)
+// warm-start seeding (setup_s) apart from the simulation (run_s); Run is
+// PrimeParallel + Finish.
 func PrimeParallel(p *driver.Parallel, spec Spec) (*PrimedParallel, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err

@@ -54,7 +54,7 @@ func TestRunParallelMatchesSerialArrivals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := traffic.RunParallel(newPar(), spec)
+	par, err := traffic.Run(newPar(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func runMobileParallel(t *testing.T, g *hexgrid.Grid, assign *chanset.Assignment
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := traffic.RunParallel(p, mobileSpec())
+	ts, err := traffic.Run(p, mobileSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestRunParallelMobilityMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parTS, err := traffic.RunParallel(p, spec)
+		parTS, err := traffic.Run(p, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func TestRunParallelMobilityMatchesSerial(t *testing.T) {
 // a negative rate is a spec bug, not "mobility off".
 func TestRunParallelRejectsNegativeHandoff(t *testing.T) {
 	_, _, newPar, _ := parFixture(t)
-	_, err := traffic.RunParallel(newPar(), traffic.Spec{
+	_, err := traffic.Run(newPar(), traffic.Spec{
 		Profile:     traffic.Uniform{PerCell: 0.001},
 		MeanHold:    3000,
 		Duration:    1000,
@@ -243,10 +243,11 @@ func TestRunParallelRejectsNegativeHandoff(t *testing.T) {
 	}
 }
 
-// TestRunParallelValidatesSpec mirrors Run's spec validation.
+// TestRunParallelValidatesSpec: Run refuses an empty spec on a sharded
+// driver.
 func TestRunParallelValidatesSpec(t *testing.T) {
 	_, _, newPar, _ := parFixture(t)
-	if _, err := traffic.RunParallel(newPar(), traffic.Spec{}); err == nil {
-		t.Fatal("RunParallel accepted an empty spec")
+	if _, err := traffic.Run(newPar(), traffic.Spec{}); err == nil {
+		t.Fatal("Run accepted an empty spec on a sharded driver")
 	}
 }

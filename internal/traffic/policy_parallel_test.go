@@ -77,7 +77,7 @@ func TestPolicyPairsParallelDeterminism(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					pts, err := traffic.RunParallel(p, spec)
+					pts, err := traffic.Run(p, spec)
 					if err != nil {
 						t.Fatal(err)
 					}

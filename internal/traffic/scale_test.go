@@ -65,7 +65,7 @@ func TestRunParallelScaleDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ts, err := traffic.RunParallel(p, spec)
+			ts, err := traffic.Run(p, spec)
 			if err != nil {
 				t.Fatal(err)
 			}

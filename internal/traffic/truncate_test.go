@@ -86,7 +86,7 @@ func runTruncParallel(t *testing.T, g *hexgrid.Grid, assign *chanset.Assignment,
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := traffic.RunParallel(p, spec)
+	ts, err := traffic.Run(p, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestRunParallelRejectsNegativeDrainHorizon(t *testing.T) {
 		Profile: traffic.Uniform{PerCell: 0.001}, MeanHold: 3000,
 		Duration: 1000, Seed: 1, DrainHorizon: -1,
 	}
-	if _, err := traffic.RunParallel(newPar(), spec); err == nil || !strings.Contains(err.Error(), "DrainHorizon") {
+	if _, err := traffic.Run(newPar(), spec); err == nil || !strings.Contains(err.Error(), "DrainHorizon") {
 		t.Errorf("parallel: want descriptive DrainHorizon error, got %v", err)
 	}
 	if _, err := traffic.Run(s, spec); err == nil || !strings.Contains(err.Error(), "DrainHorizon") {

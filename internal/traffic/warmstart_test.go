@@ -151,7 +151,7 @@ func TestRunParallelWarmStartMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parTS, err := traffic.RunParallel(p, spec)
+		parTS, err := traffic.Run(p, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func TestRunParallelRejectsBadWarmup(t *testing.T) {
 		Duration: 1000, Warmup: 1000, Seed: 1,
 	}
 	for name, spec := range map[string]traffic.Spec{"negative": neg, "late": late} {
-		if _, err := traffic.RunParallel(newPar(), spec); err == nil || !strings.Contains(err.Error(), "Warmup") {
+		if _, err := traffic.Run(newPar(), spec); err == nil || !strings.Contains(err.Error(), "Warmup") {
 			t.Errorf("parallel %s warmup: want descriptive Warmup error, got %v", name, err)
 		}
 		if _, err := traffic.Run(s, spec); err == nil || !strings.Contains(err.Error(), "Warmup") {

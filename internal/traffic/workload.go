@@ -3,6 +3,7 @@ package traffic
 import (
 	"fmt"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -32,7 +33,7 @@ type Spec struct {
 	// not counted in Offered/Blocked; their draws come from the cell's
 	// arrival substream ahead of the first arrival gap, keeping the
 	// schedule a pure per-cell function of (spec, seed) — bit-identical
-	// between Run and RunParallel at any shard or worker count.
+	// at any shard or worker count.
 	WarmStart bool
 	// DrainHorizon bounds the post-Duration drain. 0 (the default)
 	// drains to natural quiescence: every held call runs to its
@@ -51,7 +52,7 @@ type Spec struct {
 	DrainHorizon sim.Time
 }
 
-// validate checks the spec fields shared by Run and RunParallel.
+// validate checks the spec fields Run needs.
 func (s Spec) validate() error {
 	if s.Profile == nil || s.MeanHold <= 0 || s.Duration <= 0 {
 		return fmt.Errorf("traffic: spec needs Profile, MeanHold and Duration: %+v", s)
@@ -139,6 +140,19 @@ func (st Stats) HandoffDropProbability() float64 {
 		return 0
 	}
 	return float64(st.HandoffDrops) / float64(st.HandoffAttempts)
+}
+
+// Dump lists the report as exact integers (metrics.Dump): the call and
+// handoff counts, then the per-cell tallies.
+func (st Stats) Dump() metrics.Dump {
+	d := make(metrics.Dump, 0, 4+2*len(st.PerCellOffered))
+	d.Put("offered", st.Offered)
+	d.Put("blocked", st.Blocked)
+	d.Put("handoff_attempts", st.HandoffAttempts)
+	d.Put("handoff_drops", st.HandoffDrops)
+	d.PutSeries("cell_offered", st.PerCellOffered)
+	d.PutSeries("cell_blocked", st.PerCellBlocked)
+	return d
 }
 
 // GrantRatios returns the per-cell fraction of offered calls served

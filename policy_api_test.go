@@ -1,21 +1,28 @@
 package adca_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro"
 )
 
-// The facade's policy surface: option composition, name validation, and
-// the deprecated-wrapper equivalence.
+// The facade's policy surface: the Scenario's policy fields, name
+// validation, and the explicit-default equivalence.
+
+// policies sets the scenario's predictor and lender by registered name.
+func policies(sc adca.Scenario, predictor, lender string) adca.Scenario {
+	sc.Predictor = &adca.PolicySpec{Name: predictor}
+	sc.Lender = &adca.PolicySpec{Name: lender}
+	return sc
+}
 
 func TestPolicyOptionCompose(t *testing.T) {
-	sc := adca.Scenario{Wrap: true, Seed: 3}
-	net, err := adca.New(sc,
-		adca.WithPredictor("ewma", map[string]float64{"alpha": 0.2}),
-		adca.WithLender("interference-aware", nil),
-		adca.WithObs(adca.ObsConfig{}))
+	sc := adca.Scenario{Wrap: true, Seed: 3, Obs: &adca.ObsConfig{}}
+	sc.Predictor = &adca.PolicySpec{Name: "ewma", Params: map[string]float64{"alpha": 0.2}}
+	sc.Lender = &adca.PolicySpec{Name: "interference-aware"}
+	net, err := adca.New(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,13 +35,13 @@ func TestPolicyOptionCompose(t *testing.T) {
 		t.Fatal("no traffic offered")
 	}
 	if net.Metrics() == nil {
-		t.Fatal("WithObs did not enable metrics")
+		t.Fatal("Scenario.Obs did not enable metrics")
 	}
 }
 
 func TestPolicyOptionsChangeTrajectory(t *testing.T) {
-	run := func(opts ...adca.Option) adca.Stats {
-		net, err := adca.New(adca.Scenario{Wrap: true, Seed: 3}, opts...)
+	run := func(sc adca.Scenario) adca.Stats {
+		net, err := adca.New(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,24 +52,25 @@ func TestPolicyOptionsChangeTrajectory(t *testing.T) {
 		}
 		return net.Stats()
 	}
-	def := run()
-	same := run(adca.WithPredictor("linear", nil), adca.WithLender("best", nil))
+	sc := adca.Scenario{Wrap: true, Seed: 3}
+	def := run(sc)
+	same := run(policies(sc, "linear", "best"))
 	if def != same {
 		t.Errorf("explicit default policies changed the trajectory:\n def  %+v\n same %+v", def, same)
 	}
-	other := run(adca.WithPredictor("last-value", nil), adca.WithLender("reused-frequency", nil))
+	other := run(policies(sc, "last-value", "reused-frequency"))
 	if def == other {
 		t.Error("non-default policies produced the default trajectory (seam not plumbed?)")
 	}
 }
 
 func TestUnknownPolicyNamesError(t *testing.T) {
-	if _, err := adca.New(adca.Scenario{}, adca.WithPredictor("oracle", nil)); err == nil {
+	if _, err := adca.New(adca.Scenario{Predictor: &adca.PolicySpec{Name: "oracle"}}); err == nil {
 		t.Fatal("unknown predictor accepted")
 	} else if !strings.Contains(err.Error(), "oracle") || !strings.Contains(err.Error(), "linear") {
 		t.Fatalf("predictor error unhelpful: %v", err)
 	}
-	if _, err := adca.New(adca.Scenario{}, adca.WithLender("greedy", nil)); err == nil {
+	if _, err := adca.New(adca.Scenario{Lender: &adca.PolicySpec{Name: "greedy"}}); err == nil {
 		t.Fatal("unknown lender accepted")
 	} else if !strings.Contains(err.Error(), "greedy") || !strings.Contains(err.Error(), "best") {
 		t.Fatalf("lender error unhelpful: %v", err)
@@ -87,13 +95,9 @@ func TestPolicyRegistriesExported(t *testing.T) {
 // sharded runner and checks serial equality — the seam must stay
 // deterministic under the parallel kernel through the facade too.
 func TestRunParallelPolicyOptions(t *testing.T) {
-	sc := adca.Scenario{Wrap: true, Seed: 4}
+	sc := policies(adca.Scenario{Wrap: true, Seed: 4}, "damped-trend", "reused-frequency")
 	w := adca.Workload{ErlangPerCell: 8, DurationTicks: 15_000, WarmupTicks: 1_500, Seed: 4}
-	opts := []adca.Option{
-		adca.WithPredictor("damped-trend", nil),
-		adca.WithLender("reused-frequency", nil),
-	}
-	net, err := adca.New(sc, opts...)
+	net, err := adca.New(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +106,11 @@ func TestRunParallelPolicyOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	serialStats := net.Stats()
-	par, st, err := adca.RunParallel(sc, w, append(opts, adca.WithShards(7))...)
+	par, st, err := adca.RunParallel(sc, w, adca.WithShards(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if par != serial {
+	if !reflect.DeepEqual(par, serial) {
 		t.Errorf("parallel workload stats diverged:\n par    %+v\n serial %+v", par, serial)
 	}
 	if st.Grants != serialStats.Grants || st.Denies != serialStats.Denies ||
