@@ -54,12 +54,8 @@ func BenchmarkTable1General(b *testing.B) {
 			b.Fatal(err)
 		}
 		emit("table1", res.Render())
-		for _, row := range res.Rows {
-			if row.Scheme == "adaptive" {
-				b.ReportMetric(row.MeasuredMsgs, "msgs/call")
-				b.ReportMetric(row.MeasuredTime, "acqT")
-			}
-		}
+		b.ReportMetric(res.Value("adaptive", "msgs/call"), "msgs/call")
+		b.ReportMetric(res.Value("adaptive", "acq time (T)"), "acqT")
 	}
 }
 
@@ -71,11 +67,7 @@ func BenchmarkTable2LowLoad(b *testing.B) {
 			b.Fatal(err)
 		}
 		emit("table2", res.Render())
-		for _, row := range res.Rows {
-			if row.Scheme == "adaptive" {
-				b.ReportMetric(row.MeasuredMsgs, "msgs/call")
-			}
-		}
+		b.ReportMetric(res.Value("adaptive", "msgs/call"), "msgs/call")
 	}
 }
 
@@ -87,12 +79,8 @@ func BenchmarkTable3Bounds(b *testing.B) {
 			b.Fatal(err)
 		}
 		emit("table3", res.Render())
-		for _, row := range res.Rows {
-			if row.Scheme == "adaptive" {
-				b.ReportMetric(row.MaxMsgs, "max-msgs")
-				b.ReportMetric(row.MaxTime, "max-acqT")
-			}
-		}
+		b.ReportMetric(res.Value("adaptive", "max msgs"), "max-msgs")
+		b.ReportMetric(res.Value("adaptive", "max time"), "max-acqT")
 	}
 }
 
@@ -118,9 +106,9 @@ func BenchmarkFigDropVsLoad(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res := loadSweep(b)
-		emit("f1", res.RenderBlocking()+"\n"+res.RenderTable())
-		last := len(res.Loads) - 1
-		b.ReportMetric(res.PerScheme["adaptive"][last].Blocking, "block@max")
+		emit("f1", res.Blocking.Render()+"\n"+res.Table())
+		c := res.Blocking.Values("adaptive")
+		b.ReportMetric(c[len(c)-1], "block@max")
 	}
 }
 
@@ -128,9 +116,9 @@ func BenchmarkFigDelayVsLoad(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res := loadSweep(b)
-		emit("f2", res.RenderDelay())
-		last := len(res.Loads) - 1
-		b.ReportMetric(res.PerScheme["adaptive"][last].AcqTime, "acqT@max")
+		emit("f2", res.Delay.Render())
+		c := res.Delay.Values("adaptive")
+		b.ReportMetric(c[len(c)-1], "acqT@max")
 	}
 }
 
@@ -138,8 +126,8 @@ func BenchmarkFigMessagesVsLoad(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res := loadSweep(b)
-		emit("f3", res.RenderMessages())
-		b.ReportMetric(res.PerScheme["adaptive"][0].MsgsPerCall, "msgs@min")
+		emit("f3", res.Messages.Render())
+		b.ReportMetric(res.Messages.Values("adaptive")[0], "msgs@min")
 	}
 }
 
@@ -147,9 +135,9 @@ func BenchmarkFigModeOccupancy(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res := loadSweep(b)
-		emit("f7", res.RenderModeOccupancy())
-		last := len(res.Loads) - 1
-		b.ReportMetric(res.PerScheme["adaptive"][last].Xi3, "xi3@max")
+		emit("f7", res.Modes.Render())
+		c := res.Modes.Values("ξ3 search")
+		b.ReportMetric(c[len(c)-1], "xi3@max")
 	}
 }
 
@@ -161,15 +149,15 @@ func BenchmarkFigHotspot(b *testing.B) {
 			b.Fatal(err)
 		}
 		emit("f4", res.Render())
-		last := len(res.Intensities) - 1
-		b.ReportMetric(res.PerScheme["fixed"][last]-res.PerScheme["adaptive"][last], "fix-adp@max")
+		last := len(res.X) - 1
+		b.ReportMetric(res.Values("fixed")[last]-res.Values("adaptive")[last], "fix-adp@max")
 	}
 }
 
 func BenchmarkFigAblationAlpha(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationAlpha(benchEnv(), nil)
+		res, err := experiments.Ablation(benchEnv(), "alpha", nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -180,7 +168,7 @@ func BenchmarkFigAblationAlpha(b *testing.B) {
 func BenchmarkFigAblationTheta(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationTheta(benchEnv(), nil)
+		res, err := experiments.Ablation(benchEnv(), "theta", nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -191,7 +179,7 @@ func BenchmarkFigAblationTheta(b *testing.B) {
 func BenchmarkFigAblationWindow(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationWindow(benchEnv(), nil)
+		res, err := experiments.Ablation(benchEnv(), "window", nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -210,7 +198,7 @@ func BenchmarkFigScalability(b *testing.B) {
 			b.Fatal(err)
 		}
 		emit("f6", res.Render())
-		curve := res.PerScheme["adaptive"]
+		curve := res.Values("adaptive")
 		b.ReportMetric(curve[len(curve)-1], "msgs@961cells")
 	}
 }
@@ -223,7 +211,7 @@ func BenchmarkFigAblationLender(b *testing.B) {
 			b.Fatal(err)
 		}
 		emit("f5d", res.Render())
-		b.ReportMetric(res.AttemptsPerBorrow[0], "best-attempts")
+		b.ReportMetric(res.Value("best", "attempts/borrow"), "best-attempts")
 	}
 }
 
@@ -235,7 +223,7 @@ func BenchmarkFigMobility(b *testing.B) {
 			b.Fatal(err)
 		}
 		emit("f9", res.Render())
-		c := res.PerScheme["adaptive"]
+		c := res.Values("adaptive")
 		b.ReportMetric(c[len(c)-1], "hdrop@max")
 	}
 }
@@ -248,7 +236,7 @@ func BenchmarkFigTransientHotspot(b *testing.B) {
 			b.Fatal(err)
 		}
 		emit("f10", res.Render())
-		b.ReportMetric(res.HotBlocking[0], "adaptive-hotblock")
+		b.ReportMetric(res.Value("adaptive", "hot blocking"), "adaptive-hotblock")
 	}
 }
 
@@ -260,7 +248,7 @@ func BenchmarkFigLatencySensitivity(b *testing.B) {
 			b.Fatal(err)
 		}
 		emit("f11", res.Render())
-		c := res.DelayTicks["adaptive"]
+		c := res.Values("adaptive")
 		b.ReportMetric(c[len(c)-1], "adp-delay@maxT")
 	}
 }
@@ -273,8 +261,8 @@ func BenchmarkFigRepacking(b *testing.B) {
 			b.Fatal(err)
 		}
 		emit("f12", res.Render())
-		last := len(res.Loads) - 1
-		b.ReportMetric(res.Blocking["plain"][last]-res.Blocking["repack"][last], "block-saved")
+		last := len(res.X) - 1
+		b.ReportMetric(res.Values("plain")[last]-res.Values("repack")[last], "block-saved")
 	}
 }
 
@@ -286,7 +274,7 @@ func BenchmarkFigFairness(b *testing.B) {
 			b.Fatal(err)
 		}
 		emit("f8", res.Render())
-		c := res.PerScheme["adaptive"]
+		c := res.Values("adaptive")
 		b.ReportMetric(c[len(c)-1], "jain@max")
 	}
 }
@@ -299,6 +287,6 @@ func BenchmarkTableA1Breakdown(b *testing.B) {
 			b.Fatal(err)
 		}
 		emit("a1", res.Render())
-		b.ReportMetric(res.BytesPerCall[0], "bytes/call")
+		b.ReportMetric(res.Value("adaptive", "bytes/call"), "bytes/call")
 	}
 }

@@ -206,15 +206,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tally.Put("deadline denials", deadline)
 	tally.Put("messages abandoned", abandoned)
 	tally.Put("bad releases", badReleases)
-	tally.Put("messages sent", agg.Total)
-	tally.Put("wire bytes", agg.Bytes)
-	tally.Put("drops injected", agg.DropsInjected)
-	tally.Put("dups injected", agg.DupsInjected)
-	tally.Put("reorders injected", agg.ReordersInjected)
-	tally.Put("retransmits", agg.Retransmits)
-	tally.Put("dups suppressed", agg.DupsSuppressed)
-	tally.Put("acks sent", agg.AcksSent)
-	tally.Put("retry budget exhausted", agg.RetryExhausted)
+	tally = append(tally, agg.Dump("messages")...)
 
 	fmt.Fprintf(stdout, "granted %d, denied %d\n\n%s\n", granted, denied, tally.String())
 	// Committed-outcome interference check: each node's own, among the

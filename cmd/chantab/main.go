@@ -25,19 +25,8 @@ type artifact struct {
 	render func() (string, error)
 }
 
-// figure is an experiment result that can also be drawn.
-type figure interface {
-	Render() string
-	SVG() string
-}
-
-// rendered renders an experiment's result, or passes its error on.
-func rendered(r interface{ Render() string }, err error) (string, error) {
-	if err != nil {
-		return "", err
-	}
-	return r.Render(), nil
-}
+// part is an experiment's table or figure.
+type part interface{ Render() string }
 
 // run is main without the process: it parses args, renders the selected
 // artifacts to stdout (or -out) with progress and diagnostics on stderr,
@@ -59,27 +48,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	// writeSVG and writeCSV write a side file when its flag asks for one.
-	writeSVG := func(name, content string) error {
-		if *svg == "" {
-			return nil
-		}
-		return os.WriteFile(filepath.Join(*svg, name+".svg"), []byte(content), 0o644)
-	}
+	// writeCSV writes the -csv file when the flag asks for one.
 	writeCSV := func(content string) error {
 		if *csv == "" {
 			return nil
 		}
 		return os.WriteFile(*csv, []byte(content), 0o644)
 	}
-	// withSVG is rendered for a figure, whose SVG goes to -svgdir as name.
-	withSVG := func(name string) func(figure, error) (string, error) {
-		return func(r figure, err error) (string, error) {
-			if err != nil {
-				return "", err
+	// show renders parts one after another and writes each named
+	// figure's SVG into -svgdir when the flag asks for them.
+	show := func(parts ...part) (string, error) {
+		text := make([]string, len(parts))
+		for i, p := range parts {
+			text[i] = p.Render()
+			if c, ok := p.(experiments.Curve); ok && c.Name != "" && *svg != "" {
+				if err := os.WriteFile(filepath.Join(*svg, c.Name+".svg"), []byte(c.SVG()), 0o644); err != nil {
+					return "", err
+				}
 			}
-			return r.Render(), writeSVG(name, r.SVG())
 		}
+		return strings.Join(text, "\n"), nil
+	}
+	// one is show for an experiment's one part, or its error.
+	one := func(p part, err error) (string, error) {
+		if err != nil {
+			return "", err
+		}
+		return show(p)
 	}
 
 	env := experiments.DefaultEnv()
@@ -91,64 +86,59 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	artifacts := []artifact{
-		{"table1", func() (string, error) { return rendered(experiments.Table1(env)) }},
-		{"table2", func() (string, error) { return rendered(experiments.Table2(env)) }},
-		{"table3", func() (string, error) { return rendered(experiments.Table3(env, nil)) }},
+		{"table1", func() (string, error) { return one(experiments.Table1(env)) }},
+		{"table2", func() (string, error) { return one(experiments.Table2(env)) }},
+		{"table3", func() (string, error) { return one(experiments.Table3(env, nil)) }},
 		{"f1", func() (string, error) {
 			r, err := experiments.LoadSweep(env, nil, nil)
 			if err != nil {
 				return "", err
 			}
-			if err := writeCSV(r.RenderCSV()); err != nil {
+			if err := writeCSV(r.CSV()); err != nil {
 				return "", err
 			}
-			for name, content := range r.SVGs() {
-				if err := writeSVG(name, content); err != nil {
+			var parts []part
+			for _, c := range r.Curves() {
+				parts = append(parts, c)
+			}
+			text, err := show(parts...)
+			return text + "\n" + r.Table(), err
+		}},
+		{"f4", func() (string, error) { return one(experiments.Hotspot(env, nil, nil)) }},
+		{"f5", func() (string, error) {
+			var parts []part
+			for _, name := range []string{"alpha", "theta", "window"} {
+				c, err := experiments.Ablation(env, name, nil)
+				if err != nil {
 					return "", err
 				}
+				parts = append(parts, c)
 			}
-			return r.RenderBlocking() + "\n" + r.RenderDelay() + "\n" +
-				r.RenderMessages() + "\n" + r.RenderModeOccupancy() + "\n" + r.RenderTable(), nil
-		}},
-		{"f4", func() (string, error) { return withSVG("f4-hotspot")(experiments.Hotspot(env, nil, nil)) }},
-		{"f5", func() (string, error) {
-			a, err := experiments.AblationAlpha(env, nil)
-			if err != nil {
-				return "", err
-			}
-			th, err := experiments.AblationTheta(env, nil)
-			if err != nil {
-				return "", err
-			}
-			wd, err := experiments.AblationWindow(env, nil)
-			if err != nil {
-				return "", err
-			}
-			return a.Render() + "\n" + th.Render() + "\n" + wd.Render(), nil
+			return show(parts...)
 		}},
 		{"f6", func() (string, error) {
 			e := env
 			e.Seeds = env.Seeds[:1]
-			return rendered(experiments.Scalability(e, nil, nil))
+			return one(experiments.Scalability(e, nil, nil))
 		}},
-		{"f8", func() (string, error) { return rendered(experiments.Fairness(env, nil, nil)) }},
-		{"f5d", func() (string, error) { return rendered(experiments.AblationLender(env)) }},
-		{"f9", func() (string, error) { return withSVG("f9-mobility")(experiments.Mobility(env, nil, nil)) }},
-		{"f10", func() (string, error) { return rendered(experiments.Transient(env, nil)) }},
-		{"f11", func() (string, error) { return withSVG("f11-latency")(experiments.Latency(env, nil, nil)) }},
-		{"f12", func() (string, error) { return withSVG("f12-repacking")(experiments.Repacking(env, nil)) }},
-		{"a1", func() (string, error) { return rendered(experiments.Breakdown(env, nil)) }},
+		{"f8", func() (string, error) { return one(experiments.Fairness(env, nil, nil)) }},
+		{"f5d", func() (string, error) { return one(experiments.AblationLender(env)) }},
+		{"f9", func() (string, error) { return one(experiments.Mobility(env, nil, nil)) }},
+		{"f10", func() (string, error) { return one(experiments.Transient(env, nil)) }},
+		{"f11", func() (string, error) { return one(experiments.Latency(env, nil, nil)) }},
+		{"f12", func() (string, error) { return one(experiments.Repacking(env, nil)) }},
+		{"a1", func() (string, error) { return one(experiments.Breakdown(env, nil)) }},
 		{"policies", func() (string, error) {
-			r, err := experiments.PolicySweep(env, nil, nil, nil)
+			t, data, err := experiments.PolicySweep(env, nil, nil, nil)
 			if err != nil {
 				return "", err
 			}
 			// -csv belongs to f1 in a full run; claim it only when this
 			// artifact was selected explicitly.
 			if *only == "policies" {
-				err = writeCSV(r.RenderCSV())
+				err = writeCSV(data)
 			}
-			return r.Render(), err
+			return t.Render(), err
 		}},
 	}
 	if *only != "" {

@@ -3,6 +3,7 @@ package adca_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 
 	"repro"
 )
@@ -42,6 +43,29 @@ func ExampleNetwork_Metrics() {
 	// Output:
 	// local grants: 1
 	// journaled events: true
+}
+
+// WriteMetrics renders the same metrics in the Prometheus text
+// exposition format; here, the one family that splits grants by path.
+func ExampleNetwork_WriteMetrics() {
+	net := adca.MustNew(adca.Scenario{Wrap: true, Seed: 1, Obs: &adca.ObsConfig{}})
+	net.Request(0, nil)
+	net.RunUntilIdle()
+	var text bytes.Buffer
+	if err := net.WriteMetrics(&text); err != nil {
+		panic(err)
+	}
+	for _, line := range strings.Split(text.String(), "\n") {
+		if strings.Contains(line, "adca_grants_total") {
+			fmt.Println(line)
+		}
+	}
+	// Output:
+	// # HELP adca_grants_total Successful channel acquisitions by path (local/update/search; the paper's xi1/xi2/xi3).
+	// # TYPE adca_grants_total counter
+	// adca_grants_total{path="local"} 1
+	// adca_grants_total{path="search"} 0
+	// adca_grants_total{path="update"} 0
 }
 
 // Schemes lists every allocation scheme this library implements: the

@@ -52,12 +52,10 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"strings"
 
 	"repro/internal/alloc"
 	"repro/internal/chanset"
 	"repro/internal/hexgrid"
-	"repro/internal/message"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/reqbook"
@@ -826,19 +824,7 @@ func (st Stats) Dump() metrics.Dump {
 	d := make(metrics.Dump, 0, 48+2*len(st.CellGrants))
 	d.Put("grants", st.Grants)
 	d.Put("denies", st.Denies)
-	m := st.Messages
-	d.Put("messages", m.Total)
-	d.Put("messages.bytes", m.Bytes)
-	for k, n := range m.ByKind {
-		d.Put("messages."+strings.ToLower(message.Kind(k).String()), n)
-	}
-	d.Put("messages.drops_injected", m.DropsInjected)
-	d.Put("messages.dups_injected", m.DupsInjected)
-	d.Put("messages.reorders_injected", m.ReordersInjected)
-	d.Put("messages.retransmits", m.Retransmits)
-	d.Put("messages.dups_suppressed", m.DupsSuppressed)
-	d.Put("messages.acks_sent", m.AcksSent)
-	d.Put("messages.retry_exhausted", m.RetryExhausted)
+	d = append(d, st.Messages.Dump("messages")...)
 	d.PutWelford("acq_delay", st.AcqDelay)
 	d.PutWelford("total_delay", st.TotalDelay)
 	d.PutWelford("queue_delay", st.QueueDelay)

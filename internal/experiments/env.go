@@ -1,9 +1,13 @@
 // Package experiments reproduces the paper's evaluation: Tables 1-3
-// (message complexity and channel acquisition time across schemes) and
-// the empirical figures cataloged in DESIGN.md §4 (blocking, latency and
+// (message complexity and channel acquisition time across schemes), the
+// empirical figures cataloged in DESIGN.md §4 (blocking, latency and
 // overhead vs load; hot spots; parameter ablations; scalability;
-// fairness). Each experiment returns a typed result with a Render()
-// method; the root bench harness and cmd/chantab both drive this
+// fairness), appendix table A1 and the policy lab. Every artifact is a
+// list of specs run through one sweep (pool.go) on one leaf, runOnce,
+// which assembles its run through scenario.Assemble like every other
+// run in the tree; each spec's value is read from its seed runs. A
+// figure comes back as a Curve and a table as a Table, each with one
+// Render; the root bench harness and cmd/chantab both drive this
 // package, so `go test -bench` and the CLI emit identical artifacts.
 package experiments
 
@@ -14,6 +18,7 @@ import (
 	"repro/internal/hexgrid"
 	"repro/internal/metrics"
 	"repro/internal/registry"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/traffic"
 )
@@ -107,34 +112,30 @@ type Measured struct {
 
 // RunScheme drives the workload through the named scheme once per seed
 // and averages the outcomes. Replications are independent simulations
-// scheduled on the shared bounded worker pool (see pool.go); aggregation
-// order is fixed by seed order, keeping results deterministic at any
-// pool width.
+// scheduled on the shared bounded worker pool (see pool.go);
+// aggregation order is fixed by seed order, keeping results
+// deterministic at any pool width.
 func RunScheme(env Env, scheme string, profile traffic.Profile, handoffRate float64) (Measured, error) {
-	ms, err := runSpecs(env.workers(), []spec{{env: env, scheme: scheme, profile: profile, handoff: handoffRate}})
+	rs, err := sweep(env, []spec{{env: env, scheme: scheme, profile: profile, handoff: handoffRate}})
 	if err != nil {
 		return Measured{}, err
 	}
-	return ms[0], nil
+	return rs[0].Measured, nil
 }
 
-func runOnceFull(env Env, scheme string, profile traffic.Profile, handoffRate float64, seed uint64) (Measured, traffic.Stats, error) {
-	g, err := hexgrid.New(env.Grid)
-	if err != nil {
-		return Measured{}, traffic.Stats{}, err
-	}
-	assign, err := chanset.Assign(g, env.Channels)
-	if err != nil {
-		return Measured{}, traffic.Stats{}, err
-	}
-	factory, err := registry.Build(scheme, g, assign, registry.Config{
+// runOnce is the leaf every artifact runs: one replication of sp at
+// seed, checked against Theorem 1 at the end. It samples mode occupancy
+// every 20T of the measured window, and with sp.wire routes every
+// message through the binary codec.
+func runOnce(sp *spec, seed uint64) seedRun {
+	env := sp.env
+	g, assign, factory, err := scenario.Assemble(env.Grid, env.Channels, sp.scheme, registry.Config{
 		Latency: env.Latency, Adaptive: env.Adaptive, MaxRounds: env.MaxRounds,
 	})
 	if err != nil {
-		return Measured{}, traffic.Stats{}, err
+		return seedRun{err: err}
 	}
-	s := driver.New(g, assign, factory, driver.Options{Latency: env.Latency, Seed: seed})
-	// Sample mode occupancy every 20T during the measured window.
+	s := driver.New(g, assign, factory, driver.Options{Latency: env.Latency, Seed: seed, Wire: sp.wire})
 	var borrowSum, searchSum float64
 	samples := 0
 	var sample func()
@@ -149,22 +150,22 @@ func runOnceFull(env Env, scheme string, profile traffic.Profile, handoffRate fl
 	}
 	s.Engine().At(env.Warmup, sample)
 	ts, err := traffic.Run(s, traffic.Spec{
-		Profile:     profile,
+		Profile:     sp.profile,
 		MeanHold:    env.MeanHold,
-		HandoffRate: handoffRate,
+		HandoffRate: sp.handoff,
 		Duration:    env.Duration,
 		Warmup:      env.Warmup,
 		Seed:        seed,
 	})
 	if err != nil {
-		return Measured{}, traffic.Stats{}, err
+		return seedRun{err: err}
 	}
 	if err := s.CheckInvariant(); err != nil {
-		return Measured{}, traffic.Stats{}, err
+		return seedRun{err: err}
 	}
 	st := s.Stats()
 	m := Measured{
-		Scheme:      scheme,
+		Scheme:      sp.scheme,
 		Blocking:    ts.BlockingProbability(),
 		HandoffDrop: ts.HandoffDropProbability(),
 		Offered:     ts.Offered,
@@ -186,7 +187,7 @@ func runOnceFull(env Env, scheme string, profile traffic.Profile, handoffRate fl
 		m.Xi3 = float64(st.Counters.GrantsSearch) / g
 	}
 	borrowCompletions := st.Counters.GrantsUpdate + st.Counters.GrantsSearch + st.Counters.Drops
-	switch scheme {
+	switch sp.scheme {
 	case "basic-update", "advanced-update":
 		if completed > 0 {
 			m.M = float64(st.Counters.UpdateAttempts) / completed
@@ -201,7 +202,7 @@ func runOnceFull(env Env, scheme string, profile traffic.Profile, handoffRate fl
 		m.ModeSearchFrac = searchSum / float64(samples)
 	}
 	m.Fairness = metrics.JainIndex(ts.GrantRatios())
-	return m, ts, nil
+	return seedRun{m: m, st: st, ts: ts}
 }
 
 // InterferenceDegree returns N for the environment's grid (interior

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/traffic"
 )
 
 // fastEnv shrinks the default environment so the full experiment suite
@@ -47,41 +49,44 @@ func TestTable2LowLoadShape(t *testing.T) {
 	if len(res.Rows) != 4 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	byScheme := map[string]TableRow{}
-	for _, r := range res.Rows {
-		byScheme[r.Scheme] = r
-	}
-	ad := byScheme["adaptive"]
+	msgs := func(scheme string) float64 { return res.Value(scheme, "msgs/call") }
+	acq := func(scheme string) float64 { return res.Value(scheme, "acq time (T)") }
 	// Headline claim (Table 2): adaptive is (near) free at low load.
-	if ad.MeasuredMsgs > 1 {
-		t.Errorf("adaptive low-load msgs/call = %v, want ~0", ad.MeasuredMsgs)
+	if v := msgs("adaptive"); v > 1 {
+		t.Errorf("adaptive low-load msgs/call = %v, want ~0", v)
 	}
-	if ad.MeasuredTime > 0.1 {
-		t.Errorf("adaptive low-load acq time = %v T, want ~0", ad.MeasuredTime)
+	if v := acq("adaptive"); v > 0.1 {
+		t.Errorf("adaptive low-load acq time = %v T, want ~0", v)
+	}
+	// The table shows no ξ1: read it off the same run.
+	e := fastEnv()
+	ad, err := RunScheme(e, "adaptive", traffic.Uniform{PerCell: e.RatePerCell(0.08 * e.PrimariesPerCell())}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ad.MsgsPerCall != msgs("adaptive") {
+		t.Fatalf("RunScheme msgs/call %v, Table 2 %v: not the same run", ad.MsgsPerCall, msgs("adaptive"))
 	}
 	if ad.Xi1 < 0.98 {
 		t.Errorf("adaptive low-load ξ1 = %v, want ~1", ad.Xi1)
 	}
 	// Search pays 2N always.
-	bs := byScheme["basic-search"]
-	if math.Abs(bs.MeasuredMsgs-36) > 1 {
-		t.Errorf("basic-search msgs/call = %v, want ~2N=36", bs.MeasuredMsgs)
+	if v := msgs("basic-search"); math.Abs(v-36) > 1 {
+		t.Errorf("basic-search msgs/call = %v, want ~2N=36", v)
 	}
-	if math.Abs(bs.MeasuredTime-2) > 0.3 {
-		t.Errorf("basic-search acq time = %v, want ~2T", bs.MeasuredTime)
+	if v := acq("basic-search"); math.Abs(v-2) > 0.3 {
+		t.Errorf("basic-search acq time = %v, want ~2T", v)
 	}
 	// Update pays 4N and 2T.
-	bu := byScheme["basic-update"]
-	if math.Abs(bu.MeasuredMsgs-72) > 2 {
-		t.Errorf("basic-update msgs/call = %v, want ~4N=72", bu.MeasuredMsgs)
+	if v := msgs("basic-update"); math.Abs(v-72) > 2 {
+		t.Errorf("basic-update msgs/call = %v, want ~4N=72", v)
 	}
 	// Advanced update pays ~2N with zero delay.
-	av := byScheme["advanced-update"]
-	if math.Abs(av.MeasuredMsgs-36) > 2 {
-		t.Errorf("advanced-update msgs/call = %v, want ~2N=36", av.MeasuredMsgs)
+	if v := msgs("advanced-update"); math.Abs(v-36) > 2 {
+		t.Errorf("advanced-update msgs/call = %v, want ~2N=36", v)
 	}
-	if av.MeasuredTime > 0.1 {
-		t.Errorf("advanced-update acq time = %v, want ~0", av.MeasuredTime)
+	if v := acq("advanced-update"); v > 0.1 {
+		t.Errorf("advanced-update acq time = %v, want ~0", v)
 	}
 	out := res.Render()
 	if !strings.Contains(out, "adaptive") || !strings.Contains(out, "Table 2") {
@@ -94,15 +99,17 @@ func TestTable1PredictionsTrackMeasurements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range res.Rows {
-		if r.Scheme == "basic-search" {
+	// Columns: msgs/call, predicted, acq time (T), predicted, blocking.
+	measMsgs, predMsgs, measTime := res.Cols[0].Values, res.Cols[1].Values, res.Cols[2].Values
+	for i, scheme := range res.Rows {
+		if scheme == "basic-search" {
 			// Exact law: 2N messages.
-			if math.Abs(r.MeasuredMsgs-r.PredMsgs) > 1 {
-				t.Errorf("search: measured %v vs predicted %v msgs", r.MeasuredMsgs, r.PredMsgs)
+			if math.Abs(measMsgs[i]-predMsgs[i]) > 1 {
+				t.Errorf("search: measured %v vs predicted %v msgs", measMsgs[i], predMsgs[i])
 			}
 		}
-		if r.MeasuredMsgs < 0 || r.MeasuredTime < 0 {
-			t.Errorf("%s: negative metrics", r.Scheme)
+		if measMsgs[i] < 0 || measTime[i] < 0 {
+			t.Errorf("%s: negative metrics", scheme)
 		}
 	}
 	if !strings.Contains(res.Render(), "Table 1") {
@@ -116,15 +123,18 @@ func TestTable3BoundsRespected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range res.Rows {
-		if r.MinMsgs > r.MaxMsgs || r.MinTime > r.MaxTime {
-			t.Errorf("%s: min > max", r.Scheme)
+	// Columns: min msgs, max msgs, bound, min time, max time, bound.
+	for i, scheme := range res.Rows {
+		v := func(c int) float64 { return res.Cols[c].Values[i] }
+		minMsgs, maxMsgs, boundMsgs, minTime, maxTime, boundTime := v(0), v(1), v(2), v(3), v(4), v(5)
+		if minMsgs > maxMsgs || minTime > maxTime {
+			t.Errorf("%s: min > max", scheme)
 		}
-		if !math.IsInf(r.BoundMsgs, 1) && r.MaxMsgs > r.BoundMsgs*1.05 {
-			t.Errorf("%s: measured max msgs %v exceed paper bound %v", r.Scheme, r.MaxMsgs, r.BoundMsgs)
+		if !math.IsInf(boundMsgs, 1) && maxMsgs > boundMsgs*1.05 {
+			t.Errorf("%s: measured max msgs %v exceed paper bound %v", scheme, maxMsgs, boundMsgs)
 		}
-		if !math.IsInf(r.BoundTime, 1) && r.MaxTime > r.BoundTime*1.05 {
-			t.Errorf("%s: measured max time %v exceeds paper bound %v", r.Scheme, r.MaxTime, r.BoundTime)
+		if !math.IsInf(boundTime, 1) && maxTime > boundTime*1.05 {
+			t.Errorf("%s: measured max time %v exceeds paper bound %v", scheme, maxTime, boundTime)
 		}
 	}
 	if !strings.Contains(res.Render(), "inf") {
@@ -138,32 +148,37 @@ func TestLoadSweepShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ad := res.PerScheme["adaptive"]
-	fx := res.PerScheme["fixed"]
+	ad := res.Blocking.Values("adaptive")
+	fx := res.Blocking.Values("fixed")
 	if len(ad) != 2 || len(fx) != 2 {
 		t.Fatalf("curve lengths: %d/%d", len(ad), len(fx))
 	}
 	// Blocking grows with load for fixed.
-	if fx[1].Blocking <= fx[0].Blocking {
-		t.Errorf("fixed blocking should grow with load: %v -> %v", fx[0].Blocking, fx[1].Blocking)
+	if fx[1] <= fx[0] {
+		t.Errorf("fixed blocking should grow with load: %v -> %v", fx[0], fx[1])
 	}
 	// The classic DCA/FCA crossover: dynamic borrowing wins at moderate
 	// load; at uniform saturation fixed packs the spectrum better (the
 	// paper: "fixed channel allocation schemes work well at uniform
 	// loads", dynamic shines at moderate load and hot spots).
-	if ad[0].Blocking >= fx[0].Blocking {
+	if ad[0] >= fx[0] {
 		t.Errorf("adaptive (%v) should block less than fixed (%v) at moderate load",
-			ad[0].Blocking, fx[0].Blocking)
+			ad[0], fx[0])
 	}
-	if ad[1].Blocking < fx[1].Blocking*0.5 {
+	if ad[1] < fx[1]*0.5 {
 		t.Errorf("at uniform saturation fixed should be competitive: adaptive %v vs fixed %v",
-			ad[1].Blocking, fx[1].Blocking)
+			ad[1], fx[1])
 	}
-	for _, fn := range []func() string{
-		res.RenderBlocking, res.RenderDelay, res.RenderMessages,
-		res.RenderModeOccupancy, res.RenderTable,
-	} {
-		if out := fn(); len(out) < 40 {
+	curves := res.Curves()
+	if len(curves) != 4 {
+		t.Fatalf("%d figures, want F1, F2, F3 and F7", len(curves))
+	}
+	outs := []string{res.Table()}
+	for _, c := range curves {
+		outs = append(outs, c.Render())
+	}
+	for _, out := range outs {
+		if len(out) < 40 {
 			t.Errorf("render too short:\n%s", out)
 		}
 	}
@@ -175,8 +190,8 @@ func TestHotspotFixedWorstAdaptiveBest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx := res.PerScheme["fixed"][0]
-	ad := res.PerScheme["adaptive"][0]
+	fx := res.Values("fixed")[0]
+	ad := res.Values("adaptive")[0]
 	if ad >= fx {
 		t.Errorf("hot-cell blocking: adaptive %v should beat fixed %v", ad, fx)
 	}
@@ -187,31 +202,34 @@ func TestHotspotFixedWorstAdaptiveBest(t *testing.T) {
 
 func TestAblations(t *testing.T) {
 	e := fastEnv()
-	a, err := AblationAlpha(e, []int{0, 3})
+	a, err := Ablation(e, "alpha", []float64{0, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Values) != 2 || len(a.Blocking) != 2 {
+	if len(a.X) != 2 || len(a.Values("blocking")) != 2 {
 		t.Fatalf("alpha ablation shape: %+v", a)
 	}
-	th, err := AblationTheta(e, []float64{1, 3})
+	th, err := Ablation(e, "theta", []float64{1, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(th.Delay) != 2 {
+	if len(th.Values("delay (T)")) != 2 {
 		t.Fatalf("theta ablation shape: %+v", th)
 	}
-	w, err := AblationWindow(e, []int{10, 100})
+	w, err := Ablation(e, "window", []float64{10, 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(w.Msgs) != 2 {
+	if len(w.Values("msgs/call /10")) != 2 {
 		t.Fatalf("window ablation shape: %+v", w)
 	}
-	for _, r := range []AblationResult{a, th, w} {
+	for _, r := range []Curve{a, th, w} {
 		if !strings.Contains(r.Render(), "F5") {
 			t.Errorf("render: %q", r.Title)
 		}
+	}
+	if _, err := Ablation(e, "beta", nil); err == nil {
+		t.Error("an unknown ablation must error")
 	}
 }
 
@@ -222,7 +240,7 @@ func TestScalabilityFlatPerCallCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := res.PerScheme["adaptive"]
+	c := res.Values("adaptive")
 	if len(c) != 2 {
 		t.Fatalf("curve length %d", len(c))
 	}
@@ -242,9 +260,9 @@ func TestFairnessHighLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for sc, vals := range res.PerScheme {
-		if len(vals) != 1 || vals[0] <= 0 || vals[0] > 1+1e-9 {
-			t.Errorf("%s fairness out of range: %v", sc, vals)
+	for _, s := range res.Series {
+		if vals := s.Values; len(vals) != 1 || vals[0] <= 0 || vals[0] > 1+1e-9 {
+			t.Errorf("%s fairness out of range: %v", s.Label, vals)
 		}
 	}
 	if !strings.Contains(res.Render(), "F8") {

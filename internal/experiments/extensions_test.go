@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/message"
 )
 
 func TestAblationLenderShape(t *testing.T) {
@@ -10,12 +12,12 @@ func TestAblationLenderShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Policies) != 3 {
-		t.Fatalf("policies: %v", res.Policies)
+	if len(res.Rows) != 3 {
+		t.Fatalf("policies: %v", res.Rows)
 	}
-	for i, a := range res.AttemptsPerBorrow {
-		if a < 0 {
-			t.Errorf("policy %s: negative attempts", res.Policies[i])
+	for _, policy := range res.Rows {
+		if a := res.Value(policy, "attempts/borrow"); !(a >= 0) {
+			t.Errorf("policy %s: attempts %v", policy, a)
 		}
 	}
 	out := res.Render()
@@ -32,17 +34,17 @@ func TestMobilityHandoffDropsGrowForFixed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fx := res.PerScheme["fixed"]
-	ad := res.PerScheme["adaptive"]
+	fx := res.Values("fixed")
+	ad := res.Values("adaptive")
 	if len(fx) != 2 || len(ad) != 2 {
-		t.Fatalf("curves: %v", res.PerScheme)
+		t.Fatalf("curves: %v", res.Series)
 	}
 	// Handoff drops must be a probability and the adaptive scheme must
 	// not be (meaningfully) worse than fixed at high mobility.
-	for sc, c := range res.PerScheme {
-		for _, v := range c {
+	for _, s := range res.Series {
+		for _, v := range s.Values {
 			if v < 0 || v > 1 {
-				t.Fatalf("%s: drop prob %v out of range", sc, v)
+				t.Fatalf("%s: drop prob %v out of range", s.Label, v)
 			}
 		}
 	}
@@ -60,14 +62,14 @@ func TestLatencySensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs := res.DelayTicks["basic-search"]
-	ad := res.DelayTicks["adaptive"]
+	bs := res.Values("basic-search")
+	ad := res.Values("adaptive")
 	if len(bs) != 4 || len(ad) != 4 {
-		t.Fatalf("curves: %v", res.DelayTicks)
+		t.Fatalf("curves: %v", res.Series)
 	}
 	// Basic search's absolute delay must grow ~linearly with T (>= 2T);
 	// the adaptive scheme's must stay well below it at every T.
-	for i, T := range res.Latencies {
+	for i, T := range res.X {
 		if bs[i] < 2*T*0.9 {
 			t.Errorf("T=%v: search delay %v below 2T", T, bs[i])
 		}
@@ -86,8 +88,8 @@ func TestRepackingReducesOrMatchesBlocking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := res.Blocking["plain"][0]
-	repack := res.Blocking["repack"][0]
+	plain := res.Values("plain")[0]
+	repack := res.Values("repack")[0]
 	// Repacking can only help (frees sharable channels earlier); allow
 	// small statistical noise in the other direction.
 	if repack > plain+0.03 {
@@ -103,26 +105,21 @@ func TestTransientComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Schemes) != 3 {
-		t.Fatalf("schemes: %v", res.Schemes)
+	if len(res.Rows) != 3 {
+		t.Fatalf("schemes: %v", res.Rows)
 	}
-	byScheme := map[string]int{}
-	for i, s := range res.Schemes {
-		byScheme[s] = i
-	}
-	ad := byScheme["adaptive"]
-	ps := byScheme["allocated-search"]
+	hot := func(scheme string) float64 { return res.Value(scheme, "hot blocking") }
+	msgs := func(scheme string) float64 { return res.Value(scheme, "msgs/call") }
 	// Both absorb the transient; adaptive must not block meaningfully
 	// more at the hot cell, and must spend fewer messages per call than
 	// pure search baselines at the mixed load.
-	if res.HotBlocking[ad] > res.HotBlocking[ps]+0.05 {
+	if !(hot("adaptive") <= hot("allocated-search")+0.05) {
 		t.Errorf("adaptive hot blocking %v much worse than allocated-search %v",
-			res.HotBlocking[ad], res.HotBlocking[ps])
+			hot("adaptive"), hot("allocated-search"))
 	}
-	bs := byScheme["basic-search"]
-	if res.Msgs[ad] >= res.Msgs[bs] {
+	if !(msgs("adaptive") < msgs("basic-search")) {
 		t.Errorf("adaptive msgs/call (%v) should undercut basic search (%v) at mixed load",
-			res.Msgs[ad], res.Msgs[bs])
+			msgs("adaptive"), msgs("basic-search"))
 	}
 	if !strings.Contains(res.Render(), "F10") {
 		t.Error("render")
@@ -135,20 +132,23 @@ func TestBreakdownShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Schemes) != 2 || len(res.PerKind) != 2 {
+	if len(res.Rows) != 2 || len(res.Cols) != message.NumKinds+1 {
 		t.Fatalf("shape: %+v", res)
 	}
 	// Basic search: per call exactly N requests and N responses, no
 	// change-mode/acquisition/release traffic.
-	bs := res.PerKind[1]
+	bs := make([]float64, message.NumKinds)
+	for k := range bs {
+		bs[k] = res.Value("basic-search", message.Kind(k).String())
+	}
 	if bs[0] < 17 || bs[0] > 19 || bs[1] < 17 || bs[1] > 19 {
 		t.Errorf("search request/response per call = %v/%v, want ~18", bs[0], bs[1])
 	}
 	if bs[2] != 0 || bs[3] != 0 || bs[4] != 0 {
 		t.Errorf("search must have no change-mode/acq/release traffic: %v", bs)
 	}
-	if res.BytesPerCall[1] < 32*36 {
-		t.Errorf("search bytes/call = %v, below 36 messages x 32-byte header", res.BytesPerCall[1])
+	if b := res.Value("basic-search", "bytes/call"); !(b >= 32*36) {
+		t.Errorf("search bytes/call = %v, below 36 messages x 32-byte header", b)
 	}
 	if !strings.Contains(res.Render(), "A1") {
 		t.Error("render")

@@ -2,473 +2,330 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/plot"
 	"repro/internal/sim"
 	"repro/internal/traffic"
 )
 
-// SweepResult holds per-scheme curves over an offered-load sweep: the
-// data behind figures F1 (blocking), F2 (acquisition delay), F3
-// (messages per call) and F7 (adaptive mode occupancy).
+// SweepResult is the offered-load sweep behind figures F1 (blocking), F2
+// (acquisition delay), F3 (messages per call) and F7 (adaptive mode
+// occupancy); F1–F3 have one series per scheme.
 type SweepResult struct {
-	Title string
-	// Loads is the x-axis: offered Erlangs per primary channel.
-	Loads []float64
-	// PerScheme maps scheme name to its Measured value at each load.
-	PerScheme map[string][]Measured
+	Blocking, Delay, Messages Curve
+	// Modes is F7, the adaptive scheme's acquisition-path fractions
+	// ξ1/ξ2/ξ3; it has no series when adaptive was not swept.
+	Modes Curve
 }
 
-// curve extracts one metric as a plot series.
-func (r SweepResult) curve(scheme string, f func(Measured) float64) plot.Series {
-	s := plot.Series{Label: scheme}
-	for _, m := range r.PerScheme[scheme] {
-		s.Values = append(s.Values, f(m))
+// Curves lists the sweep's figures in order: F1, F2, F3 and F7 when
+// it has data.
+func (r SweepResult) Curves() []Curve {
+	cs := []Curve{r.Blocking, r.Delay, r.Messages}
+	if len(r.Modes.Series) > 0 {
+		cs = append(cs, r.Modes)
 	}
-	return s
+	return cs
 }
 
-func (r SweepResult) chart(title, ylabel string, f func(Measured) float64, schemes []string) string {
-	var series []plot.Series
-	for _, sc := range schemes {
-		series = append(series, r.curve(sc, f))
+// byLoad formats the sweep's loads as row labels.
+func (r SweepResult) byLoad(format string) []string {
+	rows := make([]string, len(r.Blocking.X))
+	for i, l := range r.Blocking.X {
+		rows[i] = fmt.Sprintf(format, l)
 	}
-	return plot.Chart(title, "Erlang/primary", ylabel, r.Loads, series, 61, 14)
+	return rows
 }
 
-// RenderBlocking is figure F1: call blocking probability vs load.
-func (r SweepResult) RenderBlocking() string {
-	return r.chart("F1 — blocking probability vs offered load", "P(block)",
-		func(m Measured) float64 { return m.Blocking }, sortedSchemes(r.PerScheme))
-}
-
-// RenderDelay is figure F2: mean acquisition delay (T-units) vs load.
-func (r SweepResult) RenderDelay() string {
-	return r.chart("F2 — mean acquisition delay vs offered load", "delay (T)",
-		func(m Measured) float64 { return m.AcqTime }, sortedSchemes(r.PerScheme))
-}
-
-// RenderMessages is figure F3: control messages per call vs load.
-func (r SweepResult) RenderMessages() string {
-	return r.chart("F3 — control messages per call vs offered load", "msgs/call",
-		func(m Measured) float64 { return m.MsgsPerCall }, sortedSchemes(r.PerScheme))
-}
-
-// RenderModeOccupancy is figure F7: the adaptive scheme's acquisition
-// path fractions ξ1/ξ2/ξ3 vs load.
-func (r SweepResult) RenderModeOccupancy() string {
-	ms := r.PerScheme["adaptive"]
-	if ms == nil {
-		return "F7 — (no adaptive data)\n"
-	}
-	series := []plot.Series{{Label: "ξ1 local"}, {Label: "ξ2 update"}, {Label: "ξ3 search"}}
-	for _, m := range ms {
-		series[0].Values = append(series[0].Values, m.Xi1)
-		series[1].Values = append(series[1].Values, m.Xi2)
-		series[2].Values = append(series[2].Values, m.Xi3)
-	}
-	return plot.Chart("F7 — adaptive acquisition-path fractions vs offered load",
-		"Erlang/primary", "fraction", r.Loads, series, 61, 14)
-}
-
-// RenderTable dumps the sweep numerically (one block per metric).
-func (r SweepResult) RenderTable() string {
+// Table dumps F1–F3 numerically, one block per metric.
+func (r SweepResult) Table() string {
 	var b strings.Builder
-	rows := make([]string, len(r.Loads))
-	for i, l := range r.Loads {
-		rows[i] = fmt.Sprintf("%.2f", l)
-	}
-	for _, metric := range []struct {
+	for _, m := range []struct {
 		name string
-		f    func(Measured) float64
-	}{
-		{"blocking", func(m Measured) float64 { return m.Blocking }},
-		{"acq delay (T)", func(m Measured) float64 { return m.AcqTime }},
-		{"msgs/call", func(m Measured) float64 { return m.MsgsPerCall }},
-	} {
-		fmt.Fprintf(&b, "%s by load:\n", metric.name)
-		var cols []metrics.Series
-		for _, sc := range sortedSchemes(r.PerScheme) {
-			s := metrics.Series{Label: sc}
-			for _, m := range r.PerScheme[sc] {
-				s.Values = append(s.Values, metric.f(m))
-			}
-			cols = append(cols, s)
+		c    Curve
+	}{{"blocking", r.Blocking}, {"acq delay (T)", r.Delay}, {"msgs/call", r.Messages}} {
+		t := Table{Title: m.name + " by load:", RowHeader: "load", Rows: r.byLoad("%.2f")}
+		for _, s := range m.c.Series {
+			t.Cols = append(t.Cols, metrics.Series(s))
 		}
-		b.WriteString(metrics.Table("load", rows, cols))
+		b.WriteString(t.Render())
 		b.WriteByte('\n')
 	}
 	return b.String()
 }
 
-// RenderCSV emits the sweep as CSV (columns: per-scheme blocking, delay
-// and msgs side by side), for downstream plotting.
-func (r SweepResult) RenderCSV() string {
-	rows := make([]string, len(r.Loads))
-	for i, l := range r.Loads {
-		rows[i] = fmt.Sprintf("%g", l)
-	}
+// CSV emits F1–F3 as CSV (columns: each scheme's blocking, delay and
+// msgs side by side), for downstream plotting.
+func (r SweepResult) CSV() string {
 	var cols []metrics.Series
-	for _, sc := range sortedSchemes(r.PerScheme) {
-		block := metrics.Series{Label: sc + "_blocking"}
-		delay := metrics.Series{Label: sc + "_delayT"}
-		msgs := metrics.Series{Label: sc + "_msgs"}
-		for _, m := range r.PerScheme[sc] {
-			block.Values = append(block.Values, m.Blocking)
-			delay.Values = append(delay.Values, m.AcqTime)
-			msgs.Values = append(msgs.Values, m.MsgsPerCall)
-		}
-		cols = append(cols, block, delay, msgs)
+	for i, s := range r.Blocking.Series {
+		cols = append(cols,
+			metrics.Series{Label: s.Label + "_blocking", Values: s.Values},
+			metrics.Series{Label: s.Label + "_delayT", Values: r.Delay.Series[i].Values},
+			metrics.Series{Label: s.Label + "_msgs", Values: r.Messages.Series[i].Values})
 	}
-	return metrics.CSV("erlang_per_primary", rows, cols)
-}
-
-func sortedSchemes(m map[string][]Measured) []string {
-	tmp := map[string]float64{}
-	for k := range m {
-		tmp[k] = 0
-	}
-	return metrics.SortedKeys(tmp)
+	return metrics.CSV("erlang_per_primary", r.byLoad("%g"), cols)
 }
 
 // LoadSweep runs every scheme across the offered-load sweep (uniform
-// traffic), producing the data for F1/F2/F3/F7.
+// traffic), producing F1/F2/F3/F7.
 func LoadSweep(env Env, loads []float64, schemes []string) (SweepResult, error) {
 	if len(loads) == 0 {
 		loads = []float64{0.05, 0.15, 0.3, 0.5, 0.7, 0.9, 1.1}
 	}
-	if len(schemes) == 0 {
-		schemes = Schemes()
-	}
+	schemes = sortedOr(schemes, Schemes())
 	prim := env.PrimariesPerCell()
-	res := SweepResult{
-		Title:     "load sweep",
-		Loads:     loads,
-		PerScheme: map[string][]Measured{},
-	}
-	var specs []spec
-	for _, scheme := range schemes {
-		for _, load := range loads {
-			specs = append(specs, spec{
-				env: env, scheme: scheme,
-				profile: traffic.Uniform{PerCell: env.RatePerCell(load * prim)},
-			})
-		}
-	}
-	ms, err := runSpecs(env.workers(), specs)
+	rs, err := sweep(env, across(len(schemes), len(loads), func(i, j int) spec {
+		return spec{env: env, scheme: schemes[i], profile: traffic.Uniform{PerCell: env.RatePerCell(loads[j] * prim)}}
+	}))
 	if err != nil {
 		return SweepResult{}, err
 	}
-	i := 0
-	for _, scheme := range schemes {
-		res.PerScheme[scheme] = append(res.PerScheme[scheme], ms[i:i+len(loads)]...)
-		i += len(loads)
+	fig := func(name, title, ylabel string, series []plot.Series) Curve {
+		return Curve{Name: name, Title: title, XLabel: "Erlang/primary", YLabel: ylabel, X: loads, Series: series, Height: 14}
 	}
-	return res, nil
+	r := SweepResult{
+		Blocking: fig("f1-blocking", "F1 — blocking probability vs offered load", "P(block)", series(schemes, rs, blocking)),
+		Delay:    fig("f2-delay", "F2 — mean acquisition delay vs offered load", "delay (T)", series(schemes, rs, acqTime)),
+		Messages: fig("f3-messages", "F3 — control messages per call vs offered load", "msgs/call", series(schemes, rs, msgsPerCall)),
+	}
+	if i := slices.Index(schemes, "adaptive"); i >= 0 {
+		ad := rs[i*len(loads) : (i+1)*len(loads)]
+		r.Modes = fig("f7-modes", "F7 — adaptive acquisition-path fractions vs offered load", "fraction", []plot.Series{
+			{Label: "ξ1 local", Values: points(ad, func(r result) float64 { return r.Xi1 })},
+			{Label: "ξ2 update", Values: points(ad, func(r result) float64 { return r.Xi2 })},
+			{Label: "ξ3 search", Values: points(ad, func(r result) float64 { return r.Xi3 })},
+		})
+		r.Modes.SVGTitle = "F7 — adaptive acquisition-path fractions vs load"
+	}
+	return r, nil
 }
 
-// HotspotResult is figure F4: hot-cell blocking vs hotspot intensity.
-type HotspotResult struct {
-	Title       string
-	Intensities []float64 // hot-cell Erlang per primary
-	PerScheme   map[string][]float64
-	Background  float64
-}
-
-// Render draws the figure.
-func (r HotspotResult) Render() string {
-	var series []plot.Series
-	for _, sc := range metrics.SortedKeys(toF64Map(r.PerScheme)) {
-		series = append(series, plot.Series{Label: sc, Values: r.PerScheme[sc]})
+// hotBlocking is the blocking probability of the hot cells of a spec's
+// traffic.Hotspot profile, averaged over its seeds.
+func hotBlocking(r result) float64 {
+	cells := r.profile.(traffic.Hotspot).Cells
+	var sum float64
+	for _, run := range r.runs {
+		var off, blk uint64
+		for c := range cells {
+			off += run.ts.PerCellOffered[c]
+			blk += run.ts.PerCellBlocked[c]
+		}
+		if off > 0 {
+			sum += float64(blk) / float64(off)
+		}
 	}
-	return plot.Chart(
-		fmt.Sprintf("F4 — hot-cell blocking vs hotspot intensity (background %.2f Erlang/primary)", r.Background),
-		"hot Erlang/primary", "P(block) hot cells", r.Intensities, series, 61, 14)
-}
-
-func toF64Map(m map[string][]float64) map[string]float64 {
-	out := map[string]float64{}
-	for k := range m {
-		out[k] = 0
-	}
-	return out
+	return sum / float64(len(r.runs))
 }
 
 // Hotspot runs figure F4: a standing radius-1 hotspot over a light
 // background; reported is the blocking probability of the hot cells.
-func Hotspot(env Env, intensities []float64, schemes []string) (HotspotResult, error) {
+func Hotspot(env Env, intensities []float64, schemes []string) (Curve, error) {
 	if len(intensities) == 0 {
 		intensities = []float64{0.4, 0.8, 1.2, 1.6, 2.0}
 	}
-	if len(schemes) == 0 {
-		schemes = []string{"fixed", "adaptive", "basic-search"}
-	}
+	schemes = sortedOr(schemes, []string{"fixed", "adaptive", "basic-search"})
 	const background = 0.15
 	prim := env.PrimariesPerCell()
-	res := HotspotResult{
-		Title:       "hotspot",
-		Intensities: intensities,
-		PerScheme:   map[string][]float64{},
-		Background:  background,
-	}
 	g := gridOf(env)
-	center := g.InteriorCell()
-	var specs []spec
-	for _, scheme := range schemes {
-		for _, hot := range intensities {
-			specs = append(specs, spec{
-				env: env, scheme: scheme,
-				profile: traffic.NewHotspot(g, center, 1,
-					env.RatePerCell(background*prim), env.RatePerCell(hot*prim)),
-			})
-		}
-	}
-	runs, err := runGrid(env.workers(), specs)
+	rs, err := sweep(env, across(len(schemes), len(intensities), func(i, j int) spec {
+		return spec{env: env, scheme: schemes[i], profile: traffic.NewHotspot(g, g.InteriorCell(), 1,
+			env.RatePerCell(background*prim), env.RatePerCell(intensities[j]*prim))}
+	}))
 	if err != nil {
-		return HotspotResult{}, err
+		return Curve{}, err
 	}
-	for i := range specs {
-		cells := specs[i].profile.(traffic.Hotspot).Cells
-		var blockSum float64
-		for _, r := range runs[i] {
-			var off, blk uint64
-			for c := range cells {
-				off += r.ts.PerCellOffered[c]
-				blk += r.ts.PerCellBlocked[c]
-			}
-			if off > 0 {
-				blockSum += float64(blk) / float64(off)
-			}
-		}
-		scheme := specs[i].scheme
-		res.PerScheme[scheme] = append(res.PerScheme[scheme], blockSum/float64(len(env.Seeds)))
-	}
-	return res, nil
+	return Curve{
+		Name:     "f4-hotspot",
+		Title:    fmt.Sprintf("F4 — hot-cell blocking vs hotspot intensity (background %.2f Erlang/primary)", background),
+		SVGTitle: "F4 — hot-cell blocking vs hotspot intensity",
+		XLabel:   "hot Erlang/primary", YLabel: "P(block) hot cells",
+		X: intensities, Series: series(schemes, rs, hotBlocking), Height: 14,
+	}, nil
 }
 
-// AblationResult sweeps one adaptive parameter.
-type AblationResult struct {
-	Title  string
-	Param  string
-	Values []float64
-	// Blocking/Delay/Msgs per parameter value.
-	Blocking, Delay, Msgs []float64
+// ablations are the panels of figure F5: the adaptive parameter each
+// sweeps, its default values, the uniform load (Erlang per primary) it
+// runs at, and how a value sets the parameter under latency T.
+var ablations = map[string]struct {
+	title, param string
+	values       []float64
+	load         float64
+	set          func(p *core.Params, v float64, T sim.Time)
+}{
+	"alpha": {"F5a — adaptive ablation: α", "alpha", []float64{0, 1, 2, 3, 5, 8}, 0.8,
+		func(p *core.Params, v float64, _ sim.Time) { p.Alpha = int(v) }},
+	"theta": {"F5b — adaptive ablation: θ_l (θ_h = θ_l + 2)", "theta_l", []float64{0.5, 1, 2, 3, 5}, 0.7,
+		func(p *core.Params, v float64, _ sim.Time) { p.ThetaLow, p.ThetaHigh = v, v+2 }},
+	"window": {"F5c — adaptive ablation: NFC window W", "W (in T)", []float64{5, 20, 50, 150, 400}, 0.7,
+		func(p *core.Params, v float64, T sim.Time) { p.Window = sim.Time(v) * T }},
 }
 
-// Render draws the three metric curves against the parameter.
-func (r AblationResult) Render() string {
-	series := []plot.Series{
-		{Label: "blocking", Values: r.Blocking},
-		{Label: "delay (T)", Values: r.Delay},
-		{Label: "msgs/call /10", Values: scale(r.Msgs, 0.1)},
+// Ablation runs one panel of figure F5 — "alpha" (F5a: update attempts
+// before search), "theta" (F5b: the θ_l/θ_h hysteresis band) or
+// "window" (F5c: the NFC prediction window W, in units of T) — over
+// values (nil: the defaults), drawing blocking, delay and messages
+// against the parameter.
+func Ablation(env Env, name string, values []float64) (Curve, error) {
+	a, ok := ablations[name]
+	if !ok {
+		return Curve{}, fmt.Errorf("experiments: no ablation %q", name)
 	}
-	return plot.Chart(r.Title, r.Param, "metric", r.Values, series, 61, 12)
-}
-
-func scale(xs []float64, k float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = x * k
+	if len(values) == 0 {
+		values = a.values
 	}
-	return out
-}
-
-// AblationAlpha is figure F5a: sweep α (update attempts before search)
-// at a fixed moderate-high load.
-func AblationAlpha(env Env, alphas []int) (AblationResult, error) {
-	if len(alphas) == 0 {
-		alphas = []int{0, 1, 2, 3, 5, 8}
-	}
-	res := AblationResult{Title: "F5a — adaptive ablation: α", Param: "alpha"}
-	prim := env.PrimariesPerCell()
-	profile := traffic.Uniform{PerCell: env.RatePerCell(0.8 * prim)}
-	specs := make([]spec, len(alphas))
-	for i, a := range alphas {
+	profile := traffic.Uniform{PerCell: env.RatePerCell(a.load * env.PrimariesPerCell())}
+	specs := make([]spec, len(values))
+	for i, v := range values {
 		e := env
-		p := env.AdaptiveParams()
-		p.Alpha = a
-		e.Adaptive = p
+		e.Adaptive = env.AdaptiveParams()
+		a.set(&e.Adaptive, v, env.Latency)
 		specs[i] = spec{env: e, scheme: "adaptive", profile: profile}
 	}
-	ms, err := runSpecs(env.workers(), specs)
+	rs, err := sweep(env, specs)
 	if err != nil {
-		return AblationResult{}, err
+		return Curve{}, err
 	}
-	for i, a := range alphas {
-		res.Values = append(res.Values, float64(a))
-		res.Blocking = append(res.Blocking, ms[i].Blocking)
-		res.Delay = append(res.Delay, ms[i].AcqTime)
-		res.Msgs = append(res.Msgs, ms[i].MsgsPerCall)
-	}
-	return res, nil
-}
-
-// AblationTheta is figure F5b: sweep the θ_l/θ_h hysteresis band.
-func AblationTheta(env Env, lows []float64) (AblationResult, error) {
-	if len(lows) == 0 {
-		lows = []float64{0.5, 1, 2, 3, 5}
-	}
-	res := AblationResult{Title: "F5b — adaptive ablation: θ_l (θ_h = θ_l + 2)", Param: "theta_l"}
-	prim := env.PrimariesPerCell()
-	profile := traffic.Uniform{PerCell: env.RatePerCell(0.7 * prim)}
-	specs := make([]spec, len(lows))
-	for i, lo := range lows {
-		e := env
-		p := env.AdaptiveParams()
-		p.ThetaLow = lo
-		p.ThetaHigh = lo + 2
-		e.Adaptive = p
-		specs[i] = spec{env: e, scheme: "adaptive", profile: profile}
-	}
-	ms, err := runSpecs(env.workers(), specs)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	for i, lo := range lows {
-		res.Values = append(res.Values, lo)
-		res.Blocking = append(res.Blocking, ms[i].Blocking)
-		res.Delay = append(res.Delay, ms[i].AcqTime)
-		res.Msgs = append(res.Msgs, ms[i].MsgsPerCall)
-	}
-	return res, nil
-}
-
-// AblationWindow is figure F5c: sweep the NFC prediction window W (in
-// units of T).
-func AblationWindow(env Env, windows []int) (AblationResult, error) {
-	if len(windows) == 0 {
-		windows = []int{5, 20, 50, 150, 400}
-	}
-	res := AblationResult{Title: "F5c — adaptive ablation: NFC window W", Param: "W (in T)"}
-	prim := env.PrimariesPerCell()
-	profile := traffic.Uniform{PerCell: env.RatePerCell(0.7 * prim)}
-	specs := make([]spec, len(windows))
-	for i, w := range windows {
-		e := env
-		p := env.AdaptiveParams()
-		p.Window = sim.Time(w) * env.Latency
-		e.Adaptive = p
-		specs[i] = spec{env: e, scheme: "adaptive", profile: profile}
-	}
-	ms, err := runSpecs(env.workers(), specs)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	for i, w := range windows {
-		res.Values = append(res.Values, float64(w))
-		res.Blocking = append(res.Blocking, ms[i].Blocking)
-		res.Delay = append(res.Delay, ms[i].AcqTime)
-		res.Msgs = append(res.Msgs, ms[i].MsgsPerCall)
-	}
-	return res, nil
-}
-
-// ScalabilityResult is figure F6: per-call message cost vs grid size.
-type ScalabilityResult struct {
-	Title     string
-	Cells     []float64
-	PerScheme map[string][]float64 // msgs per call
-	Blocking  map[string][]float64
-}
-
-// Render draws message cost against system size.
-func (r ScalabilityResult) Render() string {
-	var series []plot.Series
-	for _, sc := range metrics.SortedKeys(toF64Map(r.PerScheme)) {
-		series = append(series, plot.Series{Label: sc, Values: r.PerScheme[sc]})
-	}
-	return plot.Chart("F6 — messages per call vs system size (uniform 0.6 Erlang/primary)",
-		"cells", "msgs/call", r.Cells, series, 61, 12)
+	return Curve{Title: a.title, XLabel: a.param, YLabel: "metric", X: values, Height: 12, Series: []plot.Series{
+		{Label: "blocking", Values: points(rs, blocking)},
+		{Label: "delay (T)", Values: points(rs, acqTime)},
+		{Label: "msgs/call /10", Values: points(rs, func(r result) float64 { return r.MsgsPerCall * 0.1 })},
+	}}, nil
 }
 
 // Scalability runs figure F6 over growing wrapped grids at constant
 // per-cell load. Per-call cost should stay flat (the protocols are
 // neighborhood-local) — the paper's scalability claim.
-func Scalability(env Env, widths []int, schemes []string) (ScalabilityResult, error) {
+func Scalability(env Env, widths []int, schemes []string) (Curve, error) {
 	if len(widths) == 0 {
 		widths = []int{7, 14, 21, 28}
 	}
-	if len(schemes) == 0 {
-		schemes = []string{"adaptive", "basic-search", "basic-update"}
+	schemes = sortedOr(schemes, []string{"adaptive", "basic-search", "basic-update"})
+	cells := make([]float64, len(widths))
+	for j, w := range widths {
+		cells[j] = float64(w * w)
 	}
-	res := ScalabilityResult{
-		Title:     "scalability",
-		PerScheme: map[string][]float64{},
-		Blocking:  map[string][]float64{},
-	}
-	for _, w := range widths {
-		res.Cells = append(res.Cells, float64(w*w))
-	}
-	var specs []spec
-	for _, scheme := range schemes {
-		for _, w := range widths {
-			e := env
-			e.Grid.Width, e.Grid.Height = w, w
-			// Scale the spectrum so primaries per cell stay constant.
-			prim := e.PrimariesPerCell()
-			specs = append(specs, spec{
-				env: e, scheme: scheme,
-				profile: traffic.Uniform{PerCell: e.RatePerCell(0.6 * prim)},
-			})
-		}
-	}
-	ms, err := runSpecs(env.workers(), specs)
+	rs, err := sweep(env, across(len(schemes), len(widths), func(i, j int) spec {
+		e := env
+		e.Grid.Width, e.Grid.Height = widths[j], widths[j]
+		// Scale the spectrum so primaries per cell stay constant.
+		return spec{env: e, scheme: schemes[i], profile: traffic.Uniform{PerCell: e.RatePerCell(0.6 * e.PrimariesPerCell())}}
+	}))
 	if err != nil {
-		return ScalabilityResult{}, err
+		return Curve{}, err
 	}
-	for i := range specs {
-		scheme := specs[i].scheme
-		res.PerScheme[scheme] = append(res.PerScheme[scheme], ms[i].MsgsPerCall)
-		res.Blocking[scheme] = append(res.Blocking[scheme], ms[i].Blocking)
-	}
-	return res, nil
+	return Curve{Title: "F6 — messages per call vs system size (uniform 0.6 Erlang/primary)",
+		XLabel: "cells", YLabel: "msgs/call", X: cells, Series: series(schemes, rs, msgsPerCall), Height: 12}, nil
 }
 
-// FairnessResult is figure F8: Jain index of per-cell service ratios at
-// high load.
-type FairnessResult struct {
-	Title     string
-	Loads     []float64
-	PerScheme map[string][]float64
-}
-
-// Render draws fairness against load.
-func (r FairnessResult) Render() string {
-	var series []plot.Series
-	for _, sc := range metrics.SortedKeys(toF64Map(r.PerScheme)) {
-		series = append(series, plot.Series{Label: sc, Values: r.PerScheme[sc]})
-	}
-	return plot.Chart("F8 — Jain fairness of per-cell grant ratios vs load",
-		"Erlang/primary", "Jain index", r.Loads, series, 61, 12)
-}
-
-// Fairness runs figure F8.
-func Fairness(env Env, loads []float64, schemes []string) (FairnessResult, error) {
+// Fairness runs figure F8: the Jain index of per-cell service ratios
+// against load.
+func Fairness(env Env, loads []float64, schemes []string) (Curve, error) {
 	if len(loads) == 0 {
 		loads = []float64{0.6, 0.9, 1.2, 1.5}
 	}
-	if len(schemes) == 0 {
-		schemes = []string{"adaptive", "basic-update", "fixed"}
-	}
+	schemes = sortedOr(schemes, []string{"adaptive", "basic-update", "fixed"})
 	prim := env.PrimariesPerCell()
-	res := FairnessResult{Title: "fairness", Loads: loads, PerScheme: map[string][]float64{}}
-	var specs []spec
-	for _, scheme := range schemes {
-		for _, load := range loads {
-			specs = append(specs, spec{
-				env: env, scheme: scheme,
-				profile: traffic.Uniform{PerCell: env.RatePerCell(load * prim)},
-			})
-		}
-	}
-	ms, err := runSpecs(env.workers(), specs)
+	rs, err := sweep(env, across(len(schemes), len(loads), func(i, j int) spec {
+		return spec{env: env, scheme: schemes[i], profile: traffic.Uniform{PerCell: env.RatePerCell(loads[j] * prim)}}
+	}))
 	if err != nil {
-		return FairnessResult{}, err
+		return Curve{}, err
 	}
-	for i := range specs {
-		res.PerScheme[specs[i].scheme] = append(res.PerScheme[specs[i].scheme], ms[i].Fairness)
+	return Curve{Title: "F8 — Jain fairness of per-cell grant ratios vs load",
+		XLabel: "Erlang/primary", YLabel: "Jain index", X: loads, Height: 12,
+		Series: series(schemes, rs, func(r result) float64 { return r.Fairness })}, nil
+}
+
+// Mobility runs F9: calls move between cells at increasing rates
+// (handoffs per mean hold time); a handoff drops when the new cell
+// cannot allocate a channel. Dynamic borrowing should absorb the
+// induced load imbalance better than fixed allocation.
+func Mobility(env Env, handoffsPerCall []float64, schemes []string) (Curve, error) {
+	if len(handoffsPerCall) == 0 {
+		handoffsPerCall = []float64{0.5, 1, 2, 4}
 	}
-	return res, nil
+	schemes = sortedOr(schemes, []string{"fixed", "adaptive"})
+	profile := traffic.Uniform{PerCell: env.RatePerCell(0.6 * env.PrimariesPerCell())}
+	rs, err := sweep(env, across(len(schemes), len(handoffsPerCall), func(i, j int) spec {
+		return spec{env: env, scheme: schemes[i], profile: profile, handoff: handoffsPerCall[j] / env.MeanHold}
+	}))
+	if err != nil {
+		return Curve{}, err
+	}
+	return Curve{
+		Name:     "f9-mobility",
+		Title:    "F9 — handoff drop probability vs mobility (0.6 Erlang/primary)",
+		SVGTitle: "F9 — handoff drop probability vs mobility",
+		XLabel:   "handoffs per call", YLabel: "P(handoff drop)", X: handoffsPerCall, Height: 12,
+		Series: series(schemes, rs, func(r result) float64 { return r.HandoffDrop }),
+	}, nil
+}
+
+// Latency runs F11: the same moderate workload at increasing message
+// latencies T, plotting the mean acquisition delay in ticks (not
+// T-units: the point is absolute latency sensitivity). The adaptive
+// scheme's advantage grows with T: its ξ1 path never pays latency,
+// while search/update pay per call.
+func Latency(env Env, latencies []sim.Time, schemes []string) (Curve, error) {
+	if len(latencies) == 0 {
+		latencies = []sim.Time{5, 10, 20, 40}
+	}
+	schemes = sortedOr(schemes, []string{"adaptive", "basic-search", "basic-update"})
+	ts := make([]float64, len(latencies))
+	for j, l := range latencies {
+		ts[j] = float64(l)
+	}
+	profile := traffic.Uniform{PerCell: env.RatePerCell(0.6 * env.PrimariesPerCell())}
+	rs, err := sweep(env, across(len(schemes), len(latencies), func(i, j int) spec {
+		e := env
+		e.Latency = latencies[j]
+		e.Adaptive = core.Params{} // re-derive defaults for the new T
+		return spec{env: e, scheme: schemes[i], profile: profile}
+	}))
+	if err != nil {
+		return Curve{}, err
+	}
+	return Curve{
+		Name:     "f11-latency",
+		Title:    "F11 — mean acquisition delay (ticks) vs message latency T (0.6 Erlang/primary)",
+		SVGTitle: "F11 — mean acquisition delay (ticks) vs message latency T",
+		XLabel:   "T (ticks)", YLabel: "delay (ticks)", X: ts, Height: 12,
+		Series: series(schemes, rs, func(r result) float64 { return r.AcqTime * float64(r.env.Latency) }),
+	}, nil
+}
+
+// Repacking runs F12, the channel-repacking extension (beyond the
+// paper: moving borrowed calls onto freed primaries) against the
+// paper's plain protocol, under a standing hotspot (where borrowing is
+// common enough for repacking to matter).
+func Repacking(env Env, loads []float64) (Curve, error) {
+	if len(loads) == 0 {
+		loads = []float64{0.8, 1.2, 1.6, 2.0}
+	}
+	g := gridOf(env)
+	prim := env.PrimariesPerCell()
+	variants := []string{"plain", "repack"}
+	rs, err := sweep(env, across(len(variants), len(loads), func(i, j int) spec {
+		e := env
+		e.Adaptive = env.AdaptiveParams()
+		e.Adaptive.Repack = variants[i] == "repack"
+		return spec{env: e, scheme: "adaptive", profile: traffic.NewHotspot(g, g.InteriorCell(), 1,
+			env.RatePerCell(0.3*prim), env.RatePerCell(loads[j]*prim))}
+	}))
+	if err != nil {
+		return Curve{}, err
+	}
+	return Curve{
+		Name:     "f12-repacking",
+		Title:    "F12 — repacking extension: blocking vs load (adaptive, hotspot background)",
+		SVGTitle: "F12 — repacking extension: blocking vs hotspot load",
+		XLabel:   "Erlang/primary (hot cells)", YLabel: "P(block)", X: loads, Height: 12,
+		Series: series(variants, rs, blocking),
+	}, nil
 }

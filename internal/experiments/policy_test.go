@@ -18,7 +18,7 @@ func TestPolicySweepDeterministicAcrossWidths(t *testing.T) {
 	render := func(workers int) string {
 		e := env
 		e.Workers = workers
-		r, err := PolicySweep(e, nil, nil, nil)
+		r, _, err := PolicySweep(e, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,17 +40,20 @@ func TestPolicySweepCoverage(t *testing.T) {
 	env.Duration = 12_000
 	env.Warmup = 2_000
 	env.Seeds = []uint64{7}
-	r, err := PolicySweep(env, nil, nil, nil)
+	r, csv, err := PolicySweep(env, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Predictors) < 3 || len(r.Lenders) < 3 {
-		t.Fatalf("sweep must cover >= 3 predictors and >= 3 lender strategies, got %d x %d",
-			len(r.Predictors), len(r.Lenders))
+	preds, lends := len(policy.Predictors()), len(policy.Strategies())
+	if preds < 3 || lends < 3 {
+		t.Fatalf("sweep must cover >= 3 predictors and >= 3 lender strategies, got %d x %d", preds, lends)
 	}
-	want := len(r.Predictors)*len(r.Lenders) + len(r.Schemes)
+	want := preds*lends + len(Schemes()) - 1
 	if len(r.Rows) != want {
 		t.Fatalf("sweep rows = %d, want %d (predictors x lenders + baseline schemes)", len(r.Rows), want)
+	}
+	if lines := strings.Count(csv, "\n"); lines != want+1 {
+		t.Fatalf("CSV has %d lines, want a header and %d rows", lines, want)
 	}
 	art := r.Render()
 	for _, name := range policy.Predictors() {

@@ -17,74 +17,6 @@ import (
 	"repro/internal/traffic"
 )
 
-// PolicyRow is one sweep outcome: a (scheme, predictor, lender) cell of
-// the comparison matrix. Predictor/Lender are empty for the baseline
-// schemes, which have no policy seam.
-type PolicyRow struct {
-	Scheme    string
-	Predictor string
-	Lender    string
-	Measured
-}
-
-// Label renders the row's identity ("adaptive ewma/best", "fixed").
-func (r PolicyRow) Label() string {
-	if r.Predictor == "" && r.Lender == "" {
-		return r.Scheme
-	}
-	return fmt.Sprintf("%s %s/%s", r.Scheme, r.Predictor, r.Lender)
-}
-
-// PolicySweepResult is the comparison artifact of the policy lab.
-type PolicySweepResult struct {
-	Title string
-	// Predictors and Lenders are the matrix axes actually swept (spec
-	// strings, e.g. "ewma,alpha=0.3").
-	Predictors, Lenders []string
-	// Schemes are the policy-independent baselines appended for scale.
-	Schemes []string
-	// Rows hold every outcome: the adaptive matrix in predictor-major
-	// order, then one row per baseline scheme.
-	Rows []PolicyRow
-}
-
-// Render formats the sweep as the comparison table artifact.
-func (r PolicySweepResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", r.Title)
-	labels := make([]string, len(r.Rows))
-	blocking := make([]float64, len(r.Rows))
-	msgs := make([]float64, len(r.Rows))
-	acq := make([]float64, len(r.Rows))
-	attempts := make([]float64, len(r.Rows))
-	for i, row := range r.Rows {
-		labels[i] = row.Label()
-		blocking[i] = row.Blocking
-		msgs[i] = row.MsgsPerCall
-		acq[i] = row.AcqTime
-		attempts[i] = row.M
-	}
-	b.WriteString(metrics.Table("scheme predictor/lender", labels, []metrics.Series{
-		{Label: "blocking", Values: blocking},
-		{Label: "msgs/call", Values: msgs},
-		{Label: "acq time (T)", Values: acq},
-		{Label: "attempts/borrow", Values: attempts},
-	}))
-	return b.String()
-}
-
-// RenderCSV emits the sweep as CSV for downstream analysis.
-func (r PolicySweepResult) RenderCSV() string {
-	var b strings.Builder
-	b.WriteString("scheme,predictor,lender,blocking,msgs_per_call,acq_time_T,attempts_per_borrow,fairness\n")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%s,%s,%s,%.6f,%.4f,%.4f,%.4f,%.4f\n",
-			row.Scheme, row.Predictor, row.Lender,
-			row.Blocking, row.MsgsPerCall, row.AcqTime, row.M, row.Fairness)
-	}
-	return b.String()
-}
-
 // defaultPolicyAxes returns every registered policy as a spec list.
 func defaultPolicyAxes() (preds, lends []policy.Spec) {
 	for _, name := range policy.Predictors() {
@@ -101,7 +33,10 @@ func defaultPolicyAxes() (preds, lends []policy.Spec) {
 // both seams actually matter (the predictor governs mode flapping, the
 // lender choice the borrow collision rate). Nil axes select every
 // registered policy; nil schemes select the non-adaptive baselines.
-func PolicySweep(env Env, preds, lends []policy.Spec, schemes []string) (PolicySweepResult, error) {
+// Rows hold the adaptive matrix in predictor-major order ("adaptive
+// ewma/best"), then one row per baseline scheme. The sweep comes back
+// as the comparison table and as CSV for downstream analysis.
+func PolicySweep(env Env, preds, lends []policy.Spec, schemes []string) (Table, string, error) {
 	if preds == nil && lends == nil {
 		preds, lends = defaultPolicyAxes()
 	}
@@ -123,46 +58,56 @@ func PolicySweep(env Env, preds, lends []policy.Spec, schemes []string) (PolicyS
 	profile := traffic.NewHotspot(g, g.InteriorCell(), 1,
 		env.RatePerCell(0.35*prim), env.RatePerCell(1.1*prim))
 
-	res := PolicySweepResult{
-		Title: "policy lab — predictor x lender-strategy x scheme (clustered hot spot)",
-	}
+	// ids holds each row's scheme, predictor and lender; the baselines
+	// have no policy seam.
 	var specs []spec
-	var rows []PolicyRow
+	var ids [][3]string
 	for _, ps := range preds {
 		pb, err := policy.BuildPredictor(ps)
 		if err != nil {
-			return PolicySweepResult{}, err
+			return Table{}, "", err
 		}
-		res.Predictors = append(res.Predictors, ps.String())
 		for _, ls := range lends {
 			st, err := policy.BuildStrategy(ls)
 			if err != nil {
-				return PolicySweepResult{}, err
+				return Table{}, "", err
 			}
 			e := env
-			p := env.AdaptiveParams()
-			p.Predictor = pb
-			p.Strategy = st
-			e.Adaptive = p
+			e.Adaptive = env.AdaptiveParams()
+			e.Adaptive.Predictor = pb
+			e.Adaptive.Strategy = st
 			specs = append(specs, spec{env: e, scheme: "adaptive", profile: profile})
-			rows = append(rows, PolicyRow{Scheme: "adaptive", Predictor: pb.Name(), Lender: st.Name()})
+			ids = append(ids, [3]string{"adaptive", pb.Name(), st.Name()})
 		}
 	}
-	for _, ls := range lends {
-		res.Lenders = append(res.Lenders, ls.String())
-	}
 	for _, scheme := range schemes {
-		specs = append(specs, spec{env: env, scheme: scheme, profile: profile})
-		rows = append(rows, PolicyRow{Scheme: scheme})
+		ids = append(ids, [3]string{scheme})
 	}
-	res.Schemes = schemes
-	ms, err := runSpecs(env.workers(), specs)
+	rs, err := sweep(env, append(specs, eachScheme(env, schemes, profile)...))
 	if err != nil {
-		return PolicySweepResult{}, err
+		return Table{}, "", err
 	}
-	for i := range rows {
-		rows[i].Measured = ms[i]
+	t := Table{
+		Title:     "policy lab — predictor x lender-strategy x scheme (clustered hot spot)",
+		RowHeader: "scheme predictor/lender",
+		Cols: []metrics.Series{
+			{Label: "blocking", Values: points(rs, blocking)},
+			{Label: "msgs/call", Values: points(rs, msgsPerCall)},
+			{Label: "acq time (T)", Values: points(rs, acqTime)},
+			{Label: "attempts/borrow", Values: points(rs, attempts)},
+		},
 	}
-	res.Rows = rows
-	return res, nil
+	var csv strings.Builder
+	csv.WriteString("scheme,predictor,lender,blocking,msgs_per_call,acq_time_T,attempts_per_borrow,fairness\n")
+	for i, id := range ids {
+		label := id[0]
+		if id[1] != "" {
+			label = fmt.Sprintf("%s %s/%s", id[0], id[1], id[2])
+		}
+		t.Rows = append(t.Rows, label)
+		r := rs[i]
+		fmt.Fprintf(&csv, "%s,%s,%s,%.6f,%.4f,%.4f,%.4f,%.4f\n",
+			id[0], id[1], id[2], r.Blocking, r.MsgsPerCall, r.AcqTime, r.M, r.Fairness)
+	}
+	return t, csv.String(), nil
 }

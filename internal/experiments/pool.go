@@ -4,9 +4,7 @@ package experiments
 // grid of independent leaf simulations — one (scheme, profile, handoff
 // rate, parameter point, seed) replication each — and a leaf never
 // spawns further leaves. The functions here flatten that grid into a
-// single job list and drain it on a bounded worker pool, replacing both
-// the old sequential scheme×load loops and the unbounded
-// goroutine-per-seed fan-out that RunScheme used to do.
+// single job list and drain it on a bounded worker pool.
 //
 // Determinism: each job writes its result into a slot fixed by its grid
 // index, and aggregation walks the slots in that fixed order on the
@@ -22,6 +20,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/driver"
 	"repro/internal/traffic"
 )
 
@@ -85,44 +84,17 @@ type spec struct {
 	scheme  string
 	profile traffic.Profile
 	handoff float64
+	// wire routes every message through the binary codec (A1's byte
+	// counts).
+	wire bool
 }
 
 // seedRun is one replication's raw outcome.
 type seedRun struct {
 	m   Measured
+	st  driver.Stats
 	ts  traffic.Stats
 	err error
-}
-
-// runGrid flattens specs × seeds into independent jobs, drains them on
-// a width-bounded pool and returns the outcomes as runs[specIdx][seedIdx].
-// Errors are reported in fixed grid order (first failing spec, first
-// failing seed within it), so the error surfaced does not depend on
-// scheduling.
-func runGrid(width int, specs []spec) ([][]seedRun, error) {
-	runs := make([][]seedRun, len(specs))
-	type jobID struct{ si, ri int }
-	var jobs []jobID
-	for si := range specs {
-		runs[si] = make([]seedRun, len(specs[si].env.Seeds))
-		for ri := range specs[si].env.Seeds {
-			jobs = append(jobs, jobID{si, ri})
-		}
-	}
-	forEachJob(len(jobs), width, func(i int) {
-		j := jobs[i]
-		sp := &specs[j.si]
-		m, ts, err := runOnceFull(sp.env, sp.scheme, sp.profile, sp.handoff, sp.env.Seeds[j.ri])
-		runs[j.si][j.ri] = seedRun{m: m, ts: ts, err: err}
-	})
-	for si := range specs {
-		for ri := range runs[si] {
-			if err := runs[si][ri].err; err != nil {
-				return nil, fmt.Errorf("%s (seed %d): %w", specs[si].scheme, specs[si].env.Seeds[ri], err)
-			}
-		}
-	}
-	return runs, nil
 }
 
 // aggregate averages one spec's replications in seed order — the exact
@@ -170,16 +142,60 @@ func aggregate(scheme string, runs []seedRun) Measured {
 	return agg
 }
 
-// runSpecs runs the whole grid and collapses each spec's replications
-// into one Measured, in spec order.
-func runSpecs(width int, specs []spec) ([]Measured, error) {
-	runs, err := runGrid(width, specs)
-	if err != nil {
-		return nil, err
+// result is one spec's outcome: the spec, its seed runs and their
+// average.
+type result struct {
+	spec
+	runs []seedRun
+	Measured
+}
+
+// sweep is the one loop every artifact runs: it flattens specs × seeds
+// into independent jobs, drains them on env's pool and returns one
+// result per spec, in spec order. Errors are reported in fixed grid
+// order (first failing spec, first failing seed within it), so the
+// error surfaced does not depend on scheduling.
+func sweep(env Env, specs []spec) ([]result, error) {
+	out := make([]result, len(specs))
+	type jobID struct{ si, ri int }
+	var jobs []jobID
+	for si := range specs {
+		out[si] = result{spec: specs[si], runs: make([]seedRun, len(specs[si].env.Seeds))}
+		for ri := range specs[si].env.Seeds {
+			jobs = append(jobs, jobID{si, ri})
+		}
 	}
-	out := make([]Measured, len(specs))
-	for i := range specs {
-		out[i] = aggregate(specs[i].scheme, runs[i])
+	forEachJob(len(jobs), env.workers(), func(i int) {
+		r := &out[jobs[i].si]
+		r.runs[jobs[i].ri] = runOnce(&r.spec, r.env.Seeds[jobs[i].ri])
+	})
+	for i := range out {
+		r := &out[i]
+		for ri, run := range r.runs {
+			if run.err != nil {
+				return nil, fmt.Errorf("%s (seed %d): %w", r.scheme, r.env.Seeds[ri], run.err)
+			}
+		}
+		r.Measured = aggregate(r.scheme, r.runs)
 	}
 	return out, nil
+}
+
+// across lays out one spec per (series, x) pair, series-major: the
+// shape of every figure.
+func across(series, xs int, at func(i, j int) spec) []spec {
+	specs := make([]spec, 0, series*xs)
+	for i := 0; i < series; i++ {
+		for j := 0; j < xs; j++ {
+			specs = append(specs, at(i, j))
+		}
+	}
+	return specs
+}
+
+// eachScheme lays out one spec per scheme under profile: a table's rows.
+func eachScheme(env Env, schemes []string, profile traffic.Profile) []spec {
+	return across(len(schemes), 1, func(i, _ int) spec {
+		return spec{env: env, scheme: schemes[i], profile: profile}
+	})
 }

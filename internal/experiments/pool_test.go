@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"repro/internal/traffic"
 )
 
 func TestForEachJobCoversEveryIndexOnce(t *testing.T) {
@@ -67,6 +69,7 @@ func TestSweepDeterminismAcrossWidths(t *testing.T) {
 	widths := []int{1, 4, runtime.NumCPU()}
 
 	var refRes SweepResult
+	var refMeasured []Measured
 	var refF1, refCSV string
 	for i, w := range widths {
 		env := detTestEnv()
@@ -75,11 +78,27 @@ func TestSweepDeterminismAcrossWidths(t *testing.T) {
 		if err != nil {
 			t.Fatalf("width %d: %v", w, err)
 		}
-		f1 := res.RenderBlocking()
-		csv := res.RenderCSV()
+		// The same grid through the sweep itself, for every Measured
+		// field, not only those the figures draw.
+		schemes := Schemes()
+		rs, err := sweep(env, across(len(schemes), len(loads), func(i, j int) spec {
+			return spec{env: env, scheme: schemes[i], profile: traffic.Uniform{PerCell: env.RatePerCell(loads[j] * env.PrimariesPerCell())}}
+		}))
+		if err != nil {
+			t.Fatalf("width %d: %v", w, err)
+		}
+		measured := make([]Measured, len(rs))
+		for j, r := range rs {
+			measured[j] = r.Measured
+		}
+		f1 := res.Blocking.Render()
+		csv := res.CSV()
 		if i == 0 {
-			refRes, refF1, refCSV = res, f1, csv
+			refRes, refMeasured, refF1, refCSV = res, measured, f1, csv
 			continue
+		}
+		if !reflect.DeepEqual(measured, refMeasured) {
+			t.Errorf("width %d: Measured values differ from width-1 run", w)
 		}
 		if f1 != refF1 {
 			t.Errorf("width %d: F1 artifact differs from width-1 run:\n%s\n----\n%s", w, refF1, f1)
@@ -87,8 +106,8 @@ func TestSweepDeterminismAcrossWidths(t *testing.T) {
 		if csv != refCSV {
 			t.Errorf("width %d: CSV artifact differs from width-1 run", w)
 		}
-		if !reflect.DeepEqual(res.PerScheme, refRes.PerScheme) {
-			t.Errorf("width %d: Measured values differ from width-1 run", w)
+		if !reflect.DeepEqual(res, refRes) {
+			t.Errorf("width %d: figure values differ from width-1 run", w)
 		}
 	}
 }

@@ -3,53 +3,14 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"repro/internal/analytic"
+	"repro/internal/core"
+	"repro/internal/hexgrid"
+	"repro/internal/message"
 	"repro/internal/metrics"
 	"repro/internal/traffic"
 )
-
-// TableRow is one scheme's measured-vs-predicted comparison.
-type TableRow struct {
-	Scheme                 string
-	MeasuredMsgs, PredMsgs float64
-	MeasuredTime, PredTime float64
-	Xi1, Xi2, Xi3, M       float64
-	Blocking               float64
-}
-
-// TableResult is a rendered table experiment.
-type TableResult struct {
-	Title string
-	Notes []string
-	Rows  []TableRow
-}
-
-// Render formats the result as an aligned text table.
-func (r TableResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", r.Title)
-	rows := make([]string, len(r.Rows))
-	meas := metrics.Series{Label: "msgs/call"}
-	pred := metrics.Series{Label: "predicted"}
-	mt := metrics.Series{Label: "acq time (T)"}
-	pt := metrics.Series{Label: "predicted"}
-	bl := metrics.Series{Label: "blocking"}
-	for i, row := range r.Rows {
-		rows[i] = row.Scheme
-		meas.Values = append(meas.Values, row.MeasuredMsgs)
-		pred.Values = append(pred.Values, row.PredMsgs)
-		mt.Values = append(mt.Values, row.MeasuredTime)
-		pt.Values = append(pt.Values, row.PredTime)
-		bl.Values = append(bl.Values, row.Blocking)
-	}
-	b.WriteString(metrics.Table("scheme", rows, []metrics.Series{meas, pred, mt, pt, bl}))
-	for _, n := range r.Notes {
-		fmt.Fprintf(&b, "  note: %s\n", n)
-	}
-	return b.String()
-}
 
 // predict plugs one scheme's measured workload parameters into the
 // paper's closed forms (Table 1).
@@ -91,166 +52,216 @@ func dynamicSchemes() []string {
 // acquisition time per scheme under a moderate mixed load, against the
 // paper's closed forms evaluated at the measured ξ, m, N_search and
 // N_borrow.
-func Table1(env Env) (TableResult, error) {
+func Table1(env Env) (Table, error) {
 	g := gridOf(env)
 	// Moderate non-uniform load: background 0.55 Erlang per primary
 	// with a standing radius-1 hotspot at 1.5x.
 	prim := env.PrimariesPerCell()
-	base := env.RatePerCell(0.55 * prim)
-	hot := env.RatePerCell(0.85 * prim)
-	profile := traffic.NewHotspot(g, g.InteriorCell(), 1, base, hot)
-	res := TableResult{
-		Title: "Table 1 — general-load comparison (measured vs closed form)",
+	rs, err := sweep(env, eachScheme(env, dynamicSchemes(), traffic.NewHotspot(g, g.InteriorCell(), 1,
+		env.RatePerCell(0.55*prim), env.RatePerCell(0.85*prim))))
+	if err != nil {
+		return Table{}, err
+	}
+	return Table{
+		Title:     "Table 1 — general-load comparison (measured vs closed form)",
+		RowHeader: "scheme",
+		Rows:      dynamicSchemes(),
+		Cols: []metrics.Series{
+			{Label: "msgs/call", Values: points(rs, msgsPerCall)},
+			{Label: "predicted", Values: points(rs, func(r result) float64 { m, _ := predict(env, r.Measured); return m })},
+			{Label: "acq time (T)", Values: points(rs, acqTime)},
+			{Label: "predicted", Values: points(rs, func(r result) float64 { _, t := predict(env, r.Measured); return t })},
+			{Label: "blocking", Values: points(rs, blocking)},
+		},
 		Notes: []string{
 			"predictions use the body-text formulas of §5 with measured ξ1/ξ2/ξ3, m, N_search, N_borrow",
 			fmt.Sprintf("N=%v interior interference neighbors, α=%d", env.InterferenceDegree(), env.AdaptiveParams().Alpha),
 		},
-	}
-	specs := make([]spec, 0, len(dynamicSchemes()))
-	for _, scheme := range dynamicSchemes() {
-		specs = append(specs, spec{env: env, scheme: scheme, profile: profile})
-	}
-	ms, err := runSpecs(env.workers(), specs)
-	if err != nil {
-		return TableResult{}, err
-	}
-	for i, scheme := range dynamicSchemes() {
-		m := ms[i]
-		pm, pt := predict(env, m)
-		res.Rows = append(res.Rows, TableRow{
-			Scheme:       scheme,
-			MeasuredMsgs: m.MsgsPerCall, PredMsgs: pm,
-			MeasuredTime: m.AcqTime, PredTime: pt,
-			Xi1: m.Xi1, Xi2: m.Xi2, Xi3: m.Xi3, M: m.M,
-			Blocking: m.Blocking,
-		})
-	}
-	return res, nil
+	}, nil
 }
 
 // Table2 reproduces Table 2: the low-load comparison (ξ1 → 1). The
 // paper's reference costs are emitted as the prediction columns.
-func Table2(env Env) (TableResult, error) {
-	prim := env.PrimariesPerCell()
-	profile := traffic.Uniform{PerCell: env.RatePerCell(0.08 * prim)}
-	n := env.InterferenceDegree()
-	ref := analytic.Table2LowLoad(n, 1)
-	res := TableResult{
-		Title: "Table 2 — low-load comparison (0.08 Erlang per primary channel)",
-		Notes: []string{"prediction columns are the paper's Table 2 entries (T-units)"},
-	}
-	specs := make([]spec, 0, len(dynamicSchemes()))
-	for _, scheme := range dynamicSchemes() {
-		specs = append(specs, spec{env: env, scheme: scheme, profile: profile})
-	}
-	ms, err := runSpecs(env.workers(), specs)
+func Table2(env Env) (Table, error) {
+	rs, err := sweep(env, eachScheme(env, dynamicSchemes(), traffic.Uniform{PerCell: env.RatePerCell(0.08 * env.PrimariesPerCell())}))
 	if err != nil {
-		return TableResult{}, err
+		return Table{}, err
 	}
-	for i, scheme := range dynamicSchemes() {
-		m := ms[i]
-		res.Rows = append(res.Rows, TableRow{
-			Scheme:       scheme,
-			MeasuredMsgs: m.MsgsPerCall, PredMsgs: ref[scheme][0],
-			MeasuredTime: m.AcqTime, PredTime: ref[scheme][1],
-			Xi1: m.Xi1, Xi2: m.Xi2, Xi3: m.Xi3, M: m.M,
-			Blocking: m.Blocking,
-		})
+	ref := analytic.Table2LowLoad(env.InterferenceDegree(), 1)
+	return Table{
+		Title:     "Table 2 — low-load comparison (0.08 Erlang per primary channel)",
+		RowHeader: "scheme",
+		Rows:      dynamicSchemes(),
+		Cols: []metrics.Series{
+			{Label: "msgs/call", Values: points(rs, msgsPerCall)},
+			{Label: "predicted", Values: points(rs, func(r result) float64 { return ref[r.scheme][0] })},
+			{Label: "acq time (T)", Values: points(rs, acqTime)},
+			{Label: "predicted", Values: points(rs, func(r result) float64 { return ref[r.scheme][1] })},
+			{Label: "blocking", Values: points(rs, blocking)},
+		},
+		Notes: []string{"prediction columns are the paper's Table 2 entries (T-units)"},
+	}, nil
+}
+
+// Table3 reproduces Table 3: the minimum/maximum message complexity and
+// acquisition time observed across a load sweep (Erlang per primary),
+// checked against the paper's bound expressions.
+func Table3(env Env, loads []float64) (Table, error) {
+	if len(loads) == 0 {
+		loads = []float64{0.05, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2}
 	}
-	return res, nil
-}
-
-// BoundRow is one scheme's observed extremes across the load sweep.
-type BoundRow struct {
-	Scheme               string
-	MinMsgs, MaxMsgs     float64
-	MinTime, MaxTime     float64
-	BoundMsgs, BoundTime float64 // paper's maxima (Inf = unbounded)
-}
-
-// Table3Result is the bounds experiment outcome.
-type Table3Result struct {
-	Title string
-	Loads []float64
-	Rows  []BoundRow
-	Notes []string
-}
-
-// Render formats the bounds table.
-func (r Table3Result) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", r.Title)
-	rows := make([]string, len(r.Rows))
+	schemes := dynamicSchemes()
+	prim := env.PrimariesPerCell()
+	rs, err := sweep(env, across(len(schemes), len(loads), func(i, j int) spec {
+		return spec{env: env, scheme: schemes[i], profile: traffic.Uniform{PerCell: env.RatePerCell(loads[j] * prim)}}
+	}))
+	if err != nil {
+		return Table{}, err
+	}
+	bounds := analytic.Table3Bounds(env.InterferenceDegree(), float64(env.AdaptiveParams().Alpha), 1)
 	cols := []metrics.Series{
 		{Label: "min msgs"}, {Label: "max msgs"}, {Label: "bound"},
 		{Label: "min time"}, {Label: "max time"}, {Label: "bound"},
 	}
-	for i, row := range r.Rows {
-		rows[i] = row.Scheme
-		cols[0].Values = append(cols[0].Values, row.MinMsgs)
-		cols[1].Values = append(cols[1].Values, row.MaxMsgs)
-		cols[2].Values = append(cols[2].Values, row.BoundMsgs)
-		cols[3].Values = append(cols[3].Values, row.MinTime)
-		cols[4].Values = append(cols[4].Values, row.MaxTime)
-		cols[5].Values = append(cols[5].Values, row.BoundTime)
+	for i, scheme := range schemes {
+		minMsgs, minTime := math.Inf(1), math.Inf(1)
+		maxMsgs, maxTime := math.Inf(-1), math.Inf(-1)
+		for _, r := range rs[i*len(loads) : (i+1)*len(loads)] {
+			minMsgs, maxMsgs = math.Min(minMsgs, r.MsgsPerCall), math.Max(maxMsgs, r.MsgsPerCall)
+			minTime, maxTime = math.Min(minTime, r.AcqTime), math.Max(maxTime, r.AcqTime)
+		}
+		for c, v := range []float64{minMsgs, maxMsgs, bounds[scheme].MaxMessages, minTime, maxTime, bounds[scheme].MaxAcqTime} {
+			cols[c].Values = append(cols[c].Values, v)
+		}
 	}
-	b.WriteString(metrics.Table("scheme", rows, cols))
-	for _, n := range r.Notes {
-		fmt.Fprintf(&b, "  note: %s\n", n)
-	}
-	return b.String()
-}
-
-// Table3 reproduces Table 3: the minimum/maximum message complexity and
-// acquisition time observed across a load sweep, checked against the
-// paper's bound expressions.
-func Table3(env Env, loads []float64) (Table3Result, error) {
-	if len(loads) == 0 {
-		loads = []float64{0.05, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2}
-	}
-	prim := env.PrimariesPerCell()
-	n := env.InterferenceDegree()
-	p := env.AdaptiveParams()
-	bounds := analytic.Table3Bounds(n, float64(p.Alpha), 1)
-	res := Table3Result{
-		Title: "Table 3 — min/max across load sweep (Erlang per primary: sparse→overload)",
-		Loads: loads,
+	return Table{
+		Title:     "Table 3 — min/max across load sweep (Erlang per primary: sparse→overload)",
+		RowHeader: "scheme",
+		Rows:      schemes,
+		Cols:      cols,
 		Notes: []string{
 			"bound columns are the paper's maxima in messages and T-units; inf = unbounded",
 			"mean per-call values; the update baselines' maxima grow with MaxRounds",
 		},
+	}, nil
+}
+
+// Breakdown runs appendix table A1 at a moderate uniform load, on the
+// first seed only and with every message through the binary codec:
+// control traffic per completed request by message kind, plus the wire
+// bytes per request.
+func Breakdown(env Env, schemes []string) (Table, error) {
+	if len(schemes) == 0 {
+		schemes = Schemes()
 	}
-	var specs []spec
-	for _, scheme := range dynamicSchemes() {
-		for _, load := range loads {
-			specs = append(specs, spec{
-				env: env, scheme: scheme,
-				profile: traffic.Uniform{PerCell: env.RatePerCell(load * prim)},
-			})
-		}
+	e := env
+	e.Seeds = env.Seeds[:1]
+	specs := eachScheme(e, schemes, traffic.Uniform{PerCell: env.RatePerCell(0.6 * env.PrimariesPerCell())})
+	for i := range specs {
+		specs[i].wire = true
 	}
-	ms, err := runSpecs(env.workers(), specs)
+	rs, err := sweep(env, specs)
 	if err != nil {
-		return Table3Result{}, err
+		return Table{}, err
 	}
-	i := 0
-	for _, scheme := range dynamicSchemes() {
-		row := BoundRow{
-			Scheme:  scheme,
-			MinMsgs: math.Inf(1), MinTime: math.Inf(1),
-			MaxMsgs: math.Inf(-1), MaxTime: math.Inf(-1),
-			BoundMsgs: bounds[scheme].MaxMessages,
-			BoundTime: bounds[scheme].MaxAcqTime,
+	// perCall averages a count per completed request over the seeds.
+	perCall := func(count func(r seedRun) uint64) func(result) float64 {
+		return func(r result) float64 {
+			var sum float64
+			for _, run := range r.runs {
+				completed := float64(run.st.Grants + run.st.Denies)
+				if completed == 0 {
+					completed = 1
+				}
+				sum += float64(count(run)) / completed
+			}
+			return sum / float64(len(r.runs))
 		}
-		for range loads {
-			m := ms[i]
-			i++
-			row.MinMsgs = math.Min(row.MinMsgs, m.MsgsPerCall)
-			row.MaxMsgs = math.Max(row.MaxMsgs, m.MsgsPerCall)
-			row.MinTime = math.Min(row.MinTime, m.AcqTime)
-			row.MaxTime = math.Max(row.MaxTime, m.AcqTime)
-		}
-		res.Rows = append(res.Rows, row)
 	}
-	return res, nil
+	cols := make([]metrics.Series, message.NumKinds+1)
+	for k := range message.NumKinds {
+		cols[k] = metrics.Series{Label: message.Kind(k).String(),
+			Values: points(rs, perCall(func(r seedRun) uint64 { return r.st.Messages.ByKind[k] }))}
+	}
+	cols[message.NumKinds] = metrics.Series{Label: "bytes/call",
+		Values: points(rs, perCall(func(r seedRun) uint64 { return r.st.Messages.Bytes }))}
+	return Table{
+		Title:     "A1 — control traffic by message kind (0.6 Erlang/primary, wire-encoded)",
+		RowHeader: "scheme",
+		Rows:      schemes,
+		Cols:      cols,
+	}, nil
+}
+
+// AblationLender runs ablation F5d, the paper's Best() lender heuristic
+// (Figure 10) versus naive policies, under a clustered hot load
+// (several adjacent hot cells, so lender choice actually matters). The
+// collision proxy is attempts/borrow: mean update rounds per borrowing
+// acquisition (1.0 = no collisions ever).
+func AblationLender(env Env) (Table, error) {
+	g := gridOf(env)
+	prim := env.PrimariesPerCell()
+	profile := traffic.NewHotspot(g, g.InteriorCell(), 1,
+		env.RatePerCell(0.35*prim), env.RatePerCell(1.1*prim))
+	policies := []core.LenderStrategy{core.BestLender(), core.FirstLender(), core.RandomLender()}
+	names := make([]string, len(policies))
+	specs := make([]spec, len(policies))
+	for i, pol := range policies {
+		e := env
+		e.Adaptive = env.AdaptiveParams()
+		e.Adaptive.Strategy = pol
+		names[i] = pol.Name()
+		specs[i] = spec{env: e, scheme: "adaptive", profile: profile}
+	}
+	rs, err := sweep(env, specs)
+	if err != nil {
+		return Table{}, err
+	}
+	return Table{
+		Title:     "F5d — lender-choice ablation (Figure 10 Best() vs naive)",
+		RowHeader: "policy",
+		Rows:      names,
+		Cols: []metrics.Series{
+			{Label: "attempts/borrow", Values: points(rs, attempts)},
+			{Label: "msgs/call", Values: points(rs, msgsPerCall)},
+			{Label: "blocking", Values: points(rs, blocking)},
+		},
+	}, nil
+}
+
+// Transient runs F10, the Section 6 comparison against the
+// allocated-search scheme of Prakash et al.: a hot pulse (one mean-hold
+// long) in the middle of the run over a light background. Section 6
+// claims the adaptive scheme matches basic search's transfer behavior
+// with a single messaging round, while the allocated-search scheme needs
+// TRANSFER/AGREE/confirm rounds once the region's channels are spread
+// across allocated sets. Reported are the hot cell's blocking during
+// the pulse, the per-call message bill and the mean acquisition time.
+func Transient(env Env, schemes []string) (Table, error) {
+	if len(schemes) == 0 {
+		schemes = []string{"adaptive", "allocated-search", "basic-search"}
+	}
+	prim := env.PrimariesPerCell()
+	pulseStart := env.Warmup + (env.Duration-env.Warmup)/3
+	profile := traffic.Hotspot{
+		Base:  env.RatePerCell(0.3 * prim),
+		Hot:   env.RatePerCell(1.8 * prim),
+		Cells: map[hexgrid.CellID]bool{gridOf(env).InteriorCell(): true},
+		Start: pulseStart,
+		End:   pulseStart + (env.Duration-env.Warmup)/3,
+	}
+	rs, err := sweep(env, eachScheme(env, schemes, profile))
+	if err != nil {
+		return Table{}, err
+	}
+	return Table{
+		Title:     "F10 — transient hot spot: adaptive vs allocated-search (§6)",
+		RowHeader: "scheme",
+		Rows:      schemes,
+		Cols: []metrics.Series{
+			{Label: "hot blocking", Values: points(rs, hotBlocking)},
+			{Label: "msgs/call", Values: points(rs, msgsPerCall)},
+			{Label: "acq time (T)", Values: points(rs, acqTime)},
+		},
+	}, nil
 }

@@ -9,7 +9,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -297,15 +296,4 @@ func csvCell(vals []float64, i int) string {
 	default:
 		return strconv.FormatFloat(v, 'g', -1, 64)
 	}
-}
-
-// SortedKeys returns the sorted keys of a string-keyed map of float64,
-// for deterministic report iteration.
-func SortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

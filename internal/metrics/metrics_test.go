@@ -281,14 +281,6 @@ func TestCSVNegInf(t *testing.T) {
 	}
 }
 
-func TestSortedKeys(t *testing.T) {
-	m := map[string]float64{"b": 1, "a": 2, "c": 3}
-	keys := SortedKeys(m)
-	if len(keys) != 3 || keys[0] != "a" || keys[2] != "c" {
-		t.Fatalf("keys = %v", keys)
-	}
-}
-
 func TestHistogramObserveExtremeValues(t *testing.T) {
 	// Regression: int(x/width) on +Inf or math.MaxFloat64 is an
 	// out-of-range float→int conversion (minimum int64 on amd64), which

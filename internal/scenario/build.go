@@ -36,16 +36,6 @@ func Build(sc Scenario) (*Parts, error) {
 		return nil, err
 	}
 	sc = sc.withDefaults()
-	grid, err := hexgrid.New(hexgrid.Config{
-		Shape: hexgrid.Rect, Width: sc.GridWidth, Height: sc.GridHeight, ReuseDistance: sc.ReuseDistance, Wrap: sc.Wrap,
-	})
-	if err != nil {
-		return nil, err
-	}
-	assign, err := chanset.Assign(grid, sc.Channels)
-	if err != nil {
-		return nil, err
-	}
 	cfg := registry.Config{Latency: sim.Time(sc.LatencyTicks), MaxRounds: sc.MaxRounds}
 	if a := sc.Adaptive; a != nil {
 		cfg.Adaptive = core.Params{ThetaLow: a.ThetaLow, ThetaHigh: a.ThetaHigh, Alpha: a.Alpha, Window: sim.Time(a.WindowTicks)}
@@ -59,7 +49,7 @@ func Build(sc Scenario) (*Parts, error) {
 	if l := sc.Lender; l != nil {
 		cfg.Adaptive.Strategy, _ = policy.BuildStrategy(*l)
 	}
-	p := &Parts{Scenario: sc, Grid: grid, Assign: assign}
+	p := &Parts{Scenario: sc}
 	if o := sc.Obs; o != nil {
 		p.Registry = obs.New()
 		if o.Journal != nil {
@@ -67,10 +57,34 @@ func Build(sc Scenario) (*Parts, error) {
 		}
 		cfg.Obs = obs.NewProtocol(p.Registry, p.Journal)
 	}
-	if p.Factory, err = registry.Build(sc.Scheme, grid, assign, cfg); err != nil {
+	var err error
+	p.Grid, p.Assign, p.Factory, err = Assemble(hexgrid.Config{
+		Shape: hexgrid.Rect, Width: sc.GridWidth, Height: sc.GridHeight, ReuseDistance: sc.ReuseDistance, Wrap: sc.Wrap,
+	}, sc.Channels, sc.Scheme, cfg)
+	if err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// Assemble builds what every run stands on: the grid gc describes, its
+// primary plan over channels, and scheme's allocator factory under cfg.
+// Build, the evaluation's runs and the scheme conformance harness all
+// assemble through it.
+func Assemble(gc hexgrid.Config, channels int, scheme string, cfg registry.Config) (*hexgrid.Grid, *chanset.Assignment, alloc.Factory, error) {
+	grid, err := hexgrid.New(gc)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	assign, err := chanset.Assign(grid, channels)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	factory, err := registry.Build(scheme, grid, assign, cfg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return grid, assign, factory, nil
 }
 
 // Driver wires the DES driver over the parts: on the serial kernel, or

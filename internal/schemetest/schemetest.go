@@ -10,10 +10,10 @@ import (
 	"testing"
 
 	"repro/internal/alloc"
-	"repro/internal/chanset"
 	"repro/internal/driver"
 	"repro/internal/hexgrid"
 	"repro/internal/registry"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -67,15 +67,7 @@ func DefaultGrid() hexgrid.Config {
 // Build wires a driver.Sim for the named scheme.
 func Build(t *testing.T, scheme string, sc Scenario) *driver.Sim {
 	t.Helper()
-	g, err := hexgrid.New(sc.Grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assign, err := chanset.Assign(g, sc.Channels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := registry.Build(scheme, g, assign, registry.Config{Latency: sc.Latency})
+	g, assign, f, err := scenario.Assemble(sc.Grid, sc.Channels, scheme, registry.Config{Latency: sc.Latency})
 	if err != nil {
 		t.Fatal(err)
 	}

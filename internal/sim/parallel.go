@@ -257,9 +257,6 @@ func (k *Shards) SetReserveBudget(bytes int64) {
 // NumShards returns the shard count.
 func (k *Shards) NumShards() int { return len(k.shards) }
 
-// Lookahead returns the window width T.
-func (k *Shards) Lookahead() Time { return k.lookahead }
-
 // Now returns shard s's current virtual time. Within a window different
 // shards' clocks may differ by up to T-1 ticks; at every barrier all
 // clocks are inside the same window.

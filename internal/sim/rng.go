@@ -10,7 +10,6 @@ import (
 // does not perturb the draws of other cells.
 type Rand struct {
 	state uint64
-	draws uint64
 }
 
 // NewRand returns a stream seeded with seed.
@@ -39,18 +38,11 @@ func SubstreamValue(seed uint64, id uint64) Rand {
 // Uint64 returns the next 64 random bits.
 func (r *Rand) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15
-	r.draws++
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
-
-// Draws returns the number of Uint64 draws consumed so far. Determinism
-// tests use it to assert that two runs consumed a stream identically
-// (equal draw counts per substream), which localises a divergence to
-// the stream whose counts differ.
-func (r *Rand) Draws() uint64 { return r.draws }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {

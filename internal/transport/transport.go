@@ -18,8 +18,11 @@
 package transport
 
 import (
+	"strings"
+
 	"repro/internal/hexgrid"
 	"repro/internal/message"
+	"repro/internal/metrics"
 )
 
 // Handler consumes messages addressed to one station.
@@ -93,6 +96,26 @@ func (s *Stats) Add(o Stats) {
 	s.DupsSuppressed += o.DupsSuppressed
 	s.AcksSent += o.AcksSent
 	s.RetryExhausted += o.RetryExhausted
+}
+
+// Dump lists the counters as exact integers, each name under prefix:
+// the total as prefix itself, then the bytes, the count of each message
+// kind, the injected faults and the reliability layer's tallies.
+func (s Stats) Dump(prefix string) metrics.Dump {
+	d := make(metrics.Dump, 0, 9+len(s.ByKind))
+	d.Put(prefix, s.Total)
+	d.Put(prefix+".bytes", s.Bytes)
+	for k, n := range s.ByKind {
+		d.Put(prefix+"."+strings.ToLower(message.Kind(k).String()), n)
+	}
+	d.Put(prefix+".drops_injected", s.DropsInjected)
+	d.Put(prefix+".dups_injected", s.DupsInjected)
+	d.Put(prefix+".reorders_injected", s.ReordersInjected)
+	d.Put(prefix+".retransmits", s.Retransmits)
+	d.Put(prefix+".dups_suppressed", s.DupsSuppressed)
+	d.Put(prefix+".acks_sent", s.AcksSent)
+	d.Put(prefix+".retry_exhausted", s.RetryExhausted)
+	return d
 }
 
 // Count records one sent message. Exported for the DES driver, which
