@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/alloc"
 	"repro/internal/chanset"
@@ -118,11 +119,14 @@ type Factory struct {
 	// the live runtimes, where cells of one factory run on different
 	// goroutines.
 	scratch sync.Pool
-	// masks interns the neighbor-overlap vectors (borrowing.masks) by
-	// value: a vector depends only on the shape of a neighborhood, of
-	// which a wrapped grid has a few dozen, so its cells share them.
-	masksMu sync.Mutex
-	masks   map[[64]uint64]*[64]uint64
+	// overlap holds a read-only table per stencil class of the grid
+	// (hexgrid.Grid.Class). For a cell of the class, row k marks, by
+	// neighbor index, which of its neighbors also interfere with
+	// neighbors()[k], in ⌈n/64⌉ words, so best() counts |UpdateS_i ∩ IN_j|
+	// with an AND and a popcount per word. Cells of one class have the
+	// same lists up to translation, so they share the table; the first
+	// lender scan of the class builds it (overlapOf).
+	overlap []atomic.Pointer[[]uint64]
 	// slabs hands out the stations' slabs.
 	slabs wordArena
 }
@@ -169,7 +173,38 @@ func NewFactory(grid *hexgrid.Grid, assign *chanset.Assignment, params Params) (
 		strategy: cmp.Or(params.Strategy, BestLender()),
 		obs:      &noObs,
 		scratch:  sync.Pool{New: func() any { return new(lenderScratch) }},
+		overlap:  make([]atomic.Pointer[[]uint64], grid.NumClasses()),
 	}, nil
+}
+
+// overlapOf returns the overlap table of cell's class (Factory.overlap),
+// building it from cell on the class's first lender scan: row k is one
+// merge of the cell's sorted list with its neighbor k's. Built when
+// needed, a grid pays only for the classes that borrow: a 7×7 wrapped
+// grid has 25 classes for its 49 cells, and a grid whose sides are
+// within 2D+1 has a class per cell. Scans racing on a class build equal
+// tables, and either may stay.
+func (f *Factory) overlapOf(cell hexgrid.CellID) []uint64 {
+	slot := &f.overlap[f.grid.Class(cell)]
+	if t := slot.Load(); t != nil {
+		return *t
+	}
+	nbrs := f.grid.Interference(cell)
+	mw := (len(nbrs) + 63) / 64
+	t := make([]uint64, len(nbrs)*mw)
+	for k, j := range nbrs {
+		in, i := f.grid.Interference(j), 0
+		for idx, nb := range nbrs {
+			for i < len(in) && in[i] < nb {
+				i++
+			}
+			if i < len(in) && in[i] == nb {
+				t[k*mw+idx/64] |= 1 << (idx % 64)
+			}
+		}
+	}
+	slot.Store(&t)
+	return t
 }
 
 // Name implements alloc.Factory.
@@ -304,14 +339,6 @@ type borrowing struct {
 	// grantors are the neighbors that granted the update attempt in
 	// flight, in arrival order: a rejected attempt releases to them.
 	grantors []hexgrid.CellID
-	// masks[k] marks which of this cell's neighbors also interfere with
-	// neighbors()[k], so best() counts |UpdateS_i ∩ IN_j| with one
-	// AND+popcount instead of a binary search per member of IN_j, the
-	// dominant cost of candidate gathering under steady borrow load. Set
-	// on the first lender scan, and only when the neighborhood fits one
-	// mask word; shared with every cell of the same shape (Factory.masks)
-	// and read-only.
-	masks *[64]uint64
 }
 
 // Start implements alloc.Allocator.
@@ -405,18 +432,8 @@ func (a *Adaptive) inMask(which, k int) bool {
 // nbrIdx returns j's index in the sorted interference list, or -1 when
 // j is not a neighbor of this cell.
 func (a *Adaptive) nbrIdx(j hexgrid.CellID) int {
-	nb := a.neighbors()
-	lo, hi := 0, len(nb)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if nb[mid] < j {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(nb) && nb[lo] == j {
-		return lo
+	if k, ok := slices.BinarySearch(a.neighbors(), j); ok {
+		return k
 	}
 	return -1
 }

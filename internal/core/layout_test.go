@@ -6,8 +6,8 @@ package core
 // and footprint budgets.
 
 import (
-	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -282,7 +282,7 @@ func TestSlabMatchesPerSetModel(t *testing.T) {
 
 // TestNeighborMasksPastOneWord: a neighborhood wider than 64 cells
 // spreads UpdateS_i and the await mask over several slab words, and the
-// lender scan falls back from the precomputed overlap masks.
+// lender scan's overlap rows take two words too.
 func TestNeighborMasksPastOneWord(t *testing.T) {
 	gcfg := hexgrid.Config{Shape: hexgrid.Rect, Width: 15, Height: 15, ReuseDistance: 5, Wrap: true}
 	a, env, _ := stationAt(t, gcfg, 200, 0)
@@ -325,66 +325,195 @@ func TestNeighborMasksPastOneWord(t *testing.T) {
 	if len(to) != 2 || to[0] != a.neighbors()[65] || to[1] != a.neighbors()[70] {
 		t.Fatalf("acquisition announced to %v, want [%d %d]", to, a.neighbors()[65], a.neighbors()[70])
 	}
-	if a.best(); !a.Warm() || a.blk.masks != nil {
-		t.Fatal("overlap masks built for a neighborhood wider than one word")
+	// Every third neighbor borrowing too: the lender scan's shared-borrower
+	// counts, read from two-word overlap rows, are the reference scan's,
+	// and so is the lender it picks.
+	for k := 0; k < n; k += 3 {
+		a.Handle(message.Message{Kind: message.ChangeMode, From: a.neighbors()[k], To: 0, Mode: message.ModeBorrowing})
+	}
+	env.take()
+	rec := &recordingLender{}
+	a.factory.strategy = rec
+	got := a.best()
+	counts := map[int]bool{}
+	for _, c := range rec.cands {
+		bn := 0
+		for _, k := range a.factory.grid.Interference(c.Cell) {
+			if idx, ok := slices.BinarySearch(a.neighbors(), k); ok && a.inMask(maskUpdateS, idx) {
+				bn++
+			}
+		}
+		if bn != c.SharedBorrowers {
+			t.Fatalf("lender %d: %d shared borrowers, the reference scan counts %d", c.Cell, c.SharedBorrowers, bn)
+		}
+		counts[bn] = true
+	}
+	if len(counts) < 3 {
+		t.Fatalf("%d candidates with only %d distinct shared-borrower counts: the check is vacuous", len(rec.cands), len(counts))
+	}
+	if want := rec.cands[BestLender().Choose(rec.cands, nil)].Cell; got != want {
+		t.Fatalf("the scan picked lender %d, the reference scan %d", got, want)
 	}
 }
 
-// TestNeighborMasksAreInternedMerges: the overlap vector a cell builds
-// by merging sorted interference lists is, bit for bit, the one a binary
-// search per member of every IN_j gives; cells of one neighborhood shape
-// share one vector through the factory — a wrapped grid has a few dozen
-// shapes for any number of cells, an unwrapped one more along its rim —
-// and building the vector of a shape already seen allocates nothing.
-func TestNeighborMasksAreInternedMerges(t *testing.T) {
-	for _, wrap := range []bool{true, false} {
-		g := hexgrid.MustNew(hexgrid.Config{Shape: hexgrid.Rect, Width: 12, Height: 12, ReuseDistance: 2, Wrap: wrap})
+// recordingLender is BestLender, keeping a copy of the candidates it saw.
+type recordingLender struct{ cands []LenderCandidate }
+
+func (*recordingLender) Name() string { return "recording" }
+func (r *recordingLender) Choose(cands []LenderCandidate, rng *sim.Rand) int {
+	r.cands = slices.Clone(cands)
+	return BestLender().Choose(cands, rng)
+}
+
+// overlapRow is the reference row of the lender scan's overlap table:
+// bit idx marks nbrs[idx] as a member of IN(j), found by one binary
+// search per member of IN(j).
+func overlapRow(g *hexgrid.Grid, nbrs []hexgrid.CellID, j hexgrid.CellID) []uint64 {
+	row := make([]uint64, (len(nbrs)+63)/64)
+	for _, k := range g.Interference(j) {
+		if idx, ok := slices.BinarySearch(nbrs, k); ok {
+			row[idx/64] |= 1 << (idx % 64)
+		}
+	}
+	return row
+}
+
+// TestOverlapTablesPerClass: the overlap table a cell reads through its
+// stencil class — built by the first cell of the class asked, and read
+// by every later one — is, row by row and bit for bit, the reference row
+// of each of the cell's own neighbors: on wrapped and unwrapped grids at
+// reuse distances 1, 2, 3 and 5 (90 neighbors, two words a row), on a
+// Hexagon grid, and on 7×7 wrapped grids, where a seam sits within 2D
+// of every cell. Every class has cells, and a class is built once. A
+// cold station's first lender scan in a class already built allocates
+// its borrowing block (the block and its U_j words) and nothing else.
+func TestOverlapTablesPerClass(t *testing.T) {
+	var cfgs []hexgrid.Config
+	for _, d := range []int{1, 2, 3, 5} {
+		for _, wrap := range []bool{true, false} {
+			cfgs = append(cfgs, hexgrid.Config{Shape: hexgrid.Rect, Width: 13, Height: 12, ReuseDistance: d, Wrap: wrap})
+		}
+	}
+	cfgs = append(cfgs,
+		hexgrid.Config{Shape: hexgrid.Hexagon, Radius: 4, ReuseDistance: 2},
+		hexgrid.Config{Shape: hexgrid.Rect, Width: 7, Height: 7, ReuseDistance: 2, Wrap: true},
+		hexgrid.Config{Shape: hexgrid.Rect, Width: 7, Height: 7, ReuseDistance: 3, Wrap: true})
+	for _, cfg := range cfgs {
+		g := hexgrid.MustNew(cfg)
 		f, err := NewFactory(g, chanset.MustAssign(g, 70), DefaultParams(10))
 		if err != nil {
 			t.Fatal(err)
 		}
-		station := func(c hexgrid.CellID) *Adaptive {
-			a := f.New(c).(*Adaptive)
-			a.Start(&stubEnv{id: c, neighbors: g.Interference(c), rand: sim.NewRand(1)})
-			return a
+		if len(f.overlap) != g.NumClasses() {
+			t.Fatalf("%+v: %d tables for %d classes", cfg, len(f.overlap), g.NumClasses())
 		}
-		byShape := map[string]*uint64{}
-		for c := 0; c < g.NumCells(); c++ {
-			a := station(hexgrid.CellID(c))
-			a.buildNbrMasks()
-			masks := a.blk.masks[:len(a.neighbors())]
-			for ji, j := range a.neighbors() {
-				var want uint64
-				for _, k := range g.Interference(j) {
-					if idx := a.nbrIdx(k); idx >= 0 {
-						want |= 1 << uint(idx)
-					}
-				}
-				if masks[ji] != want {
-					t.Fatalf("cell %d, neighbor %d: mask %#x, want %#x", c, j, masks[ji], want)
-				}
+		for c := range hexgrid.CellID(g.NumCells()) {
+			built := f.overlap[g.Class(c)].Load()
+			table := f.overlapOf(c)
+			if built != nil && &(*built)[0] != &table[0] {
+				t.Fatalf("%+v, cell %d: class %d built again", cfg, c, g.Class(c))
 			}
-			for _, rest := range a.blk.masks[len(masks):] {
-				if rest != 0 {
-					t.Fatalf("cell %d: a mask past its %d neighbors", c, len(masks))
-				}
+			nbrs := g.Interference(c)
+			mw := (len(nbrs) + 63) / 64
+			if len(table) != len(nbrs)*mw {
+				t.Fatalf("%+v, cell %d: table of %d words for %d neighbors", cfg, c, len(table), len(nbrs))
 			}
-			shape := fmt.Sprint(masks)
-			if first, seen := byShape[shape]; !seen {
-				byShape[shape] = &a.blk.masks[0]
-			} else if first != &a.blk.masks[0] {
-				t.Fatalf("cell %d keeps a private copy of a vector another cell holds", c)
+			for k, j := range nbrs {
+				if got, want := table[k*mw:(k+1)*mw], overlapRow(g, nbrs, j); !slices.Equal(got, want) {
+					t.Fatalf("%+v, cell %d (class %d), neighbor %d: row %#x, want %#x", cfg, c, g.Class(c), j, got, want)
+				}
 			}
 		}
-		if len(byShape) != len(f.masks) || wrap && len(byShape) > 32 || !wrap && len(byShape) < 10 {
-			t.Fatalf("wrap=%v: %d distinct vectors among %d cells, %d interned", wrap, len(byShape), g.NumCells(), len(f.masks))
+		for k := range f.overlap {
+			if f.overlap[k].Load() == nil {
+				t.Fatalf("%+v: no cell of class %d", cfg, k)
+			}
 		}
 		if !raceflag.Enabled {
-			a := station(g.InteriorCell())
-			if allocs := testing.AllocsPerRun(100, a.buildNbrMasks); allocs != 0 {
-				t.Errorf("wrap=%v: building a vector the factory holds allocates %.1f objects, want 0", wrap, allocs)
+			a := f.New(g.InteriorCell()).(*Adaptive)
+			a.Start(&stubEnv{id: a.cell, neighbors: a.neighbors(), rand: sim.NewRand(1)})
+			scan := func() {
+				a.blk = nil
+				a.best()
+			}
+			if allocs := testing.AllocsPerRun(100, scan); allocs != 2 {
+				t.Errorf("%+v: a cold station's first lender scan allocates %.1f objects, want 2 (its borrowing block)", cfg, allocs)
 			}
 		}
+	}
+}
+
+// TestOverlapTablesBuiltConcurrently: on the sharded kernel and the live
+// runtime the first scans of one class can run on different goroutines
+// (run under -race). Stations of one class on a fresh factory scan at
+// once, and each must pick the lender it picks on a factory whose
+// tables were built before.
+func TestOverlapTablesBuiltConcurrently(t *testing.T) {
+	g := hexgrid.MustNew(hexgrid.Config{Shape: hexgrid.Rect, Width: 12, Height: 12, ReuseDistance: 2, Wrap: true})
+	assign := chanset.MustAssign(g, 70)
+	var cells []hexgrid.CellID
+	for c := range hexgrid.CellID(g.NumCells()) {
+		if g.Class(c) == g.Class(g.InteriorCell()) {
+			cells = append(cells, c)
+		}
+	}
+	stations := func() []*Adaptive {
+		f, err := NewFactory(g, assign, DefaultParams(10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]*Adaptive, len(cells))
+		for i, c := range cells {
+			a := f.New(c).(*Adaptive)
+			a.Start(&stubEnv{id: c, neighbors: g.Interference(c), rand: sim.NewRand(1)})
+			for k := i % 3; k < len(a.neighbors()); k += 3 {
+				a.Handle(message.Message{Kind: message.ChangeMode, From: a.neighbors()[k], To: c, Mode: message.ModeBorrowing})
+			}
+			out[i] = a
+		}
+		return out
+	}
+	want := make([]hexgrid.CellID, len(cells))
+	for i, a := range stations() {
+		want[i] = a.best()
+	}
+	var wg sync.WaitGroup
+	for i, a := range stations() {
+		wg.Add(1)
+		go func(i int, a *Adaptive) {
+			defer wg.Done()
+			if got := a.best(); got != want[i] {
+				t.Errorf("cell %d: picked lender %d on a fresh factory, %d on a built one", cells[i], got, want[i])
+			}
+		}(i, a)
+	}
+	wg.Wait()
+	if len(cells) < 8 {
+		t.Fatalf("only %d cells share the interior cell's class", len(cells))
+	}
+}
+
+// BenchmarkFirstLenderScan measures a cold station's first lender scan
+// on a wrapped 60×60 reuse-2 grid: the scan itself plus the borrowing
+// block it allocates, station after station across the grid.
+func BenchmarkFirstLenderScan(b *testing.B) {
+	g := hexgrid.MustNew(hexgrid.Config{Shape: hexgrid.Rect, Width: 60, Height: 60, ReuseDistance: 2, Wrap: true})
+	f, err := NewFactory(g, chanset.MustAssign(g, 70), DefaultParams(10))
+	if err != nil {
+		b.Fatal(err)
+	}
+	stations := make([]*Adaptive, g.NumCells())
+	for c := range stations {
+		a := f.New(hexgrid.CellID(c)).(*Adaptive)
+		a.Start(&stubEnv{id: a.cell, neighbors: a.neighbors(), rand: sim.NewRand(1)})
+		stations[c] = a
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		a := stations[i%len(stations)]
+		a.blk = nil
+		a.best()
 	}
 }
 
@@ -588,7 +717,7 @@ func TestPerCellFootprintBudget(t *testing.T) {
 			}
 			held = append(held, env.granted)
 		}
-		if a.primary().Contains(held[len(held)-1]) || !a.Warm() || a.blk.masks == nil {
+		if a.primary().Contains(held[len(held)-1]) || !a.Warm() || a.counters.UpdateAttempts == 0 {
 			t.Fatalf("cell %d: last grant %d was not borrowed through a lender scan", c, held[len(held)-1])
 		}
 		borrowed++

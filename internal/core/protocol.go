@@ -651,7 +651,7 @@ type lenderScratch struct {
 // allocation-free and no cell carries the scratch. The first scan warms
 // the station.
 func (a *Adaptive) best() hexgrid.CellID {
-	b := a.block()
+	a.block()
 	freeSet := a.freeAnywhere()
 	if freeSet.Empty() {
 		return hexgrid.None
@@ -659,9 +659,6 @@ func (a *Adaptive) best() hexgrid.CellID {
 	free := freeSet.Words()
 	nbrs, w := a.neighbors(), int(a.w)
 	n := len(nbrs)
-	if b.masks == nil && n <= 64 {
-		a.buildNbrMasks()
-	}
 	sc := a.factory.scratch.Get().(*lenderScratch)
 	defer a.factory.scratch.Put(sc)
 	if cap(sc.cands) < n {
@@ -672,6 +669,7 @@ func (a *Adaptive) best() hexgrid.CellID {
 	}
 	cands := sc.cands[:0]
 	updateS := a.mask(maskUpdateS)
+	overlap, mw := a.factory.overlapOf(a.cell), len(updateS)
 	for ji, j := range nbrs {
 		if a.inMask(maskUpdateS, ji) {
 			continue // NotBorrowing = IN_i − UpdateS_i
@@ -691,15 +689,9 @@ func (a *Adaptive) best() hexgrid.CellID {
 		if count == 0 {
 			continue // nothing to borrow from j
 		}
-		var bn int // |UpdateS_i ∩ IN_j|
-		if b.masks != nil {
-			bn = bits.OnesCount64(updateS[0] & b.masks[ji])
-		} else {
-			for _, k := range a.factory.grid.Interference(j) {
-				if idx := a.nbrIdx(k); idx >= 0 && a.inMask(maskUpdateS, idx) {
-					bn++
-				}
-			}
+		bn := 0 // |UpdateS_i ∩ IN_j|
+		for wi, m := range overlap[ji*mw : (ji+1)*mw] {
+			bn += bits.OnesCount64(updateS[wi] & m)
 		}
 		cands = append(cands, LenderCandidate{
 			Cell:            j,
@@ -717,40 +709,6 @@ func (a *Adaptive) best() hexgrid.CellID {
 		return hexgrid.None // strategy declined: fall through to search
 	}
 	return cands[idx].Cell
-}
-
-// buildNbrMasks sets, on the cell's first borrow attempt, the
-// per-neighbor interference overlap as bitmasks over this cell's
-// neighbor indices (grids whose neighborhoods exceed one word keep the
-// scan in best): one merge of two sorted lists per neighbor, into a
-// vector on the stack that is then interned in the factory.
-func (a *Adaptive) buildNbrMasks() {
-	var masks [64]uint64
-	nbrs := a.neighbors()
-	for ji, j := range nbrs {
-		in, i := a.factory.grid.Interference(j), 0
-		for idx, nb := range nbrs {
-			for i < len(in) && in[i] < nb {
-				i++
-			}
-			if i < len(in) && in[i] == nb {
-				masks[ji] |= 1 << uint(idx)
-			}
-		}
-	}
-	f := a.factory
-	f.masksMu.Lock()
-	defer f.masksMu.Unlock()
-	shared := f.masks[masks]
-	if shared == nil {
-		if f.masks == nil {
-			f.masks = make(map[[64]uint64]*[64]uint64)
-		}
-		shared = new([64]uint64)
-		*shared = masks
-		f.masks[masks] = shared
-	}
-	a.block().masks = shared
 }
 
 // pickBorrow selects the channel to borrow from lender j: the lowest

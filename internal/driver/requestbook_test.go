@@ -3,6 +3,7 @@ package driver_test
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -57,38 +58,53 @@ func occupy(t *testing.T, d *driver.Sim, assign *chanset.Assignment, cell hexgri
 
 // TestRequestBookFootprintBudget: requests waiting at a busy station cost
 // the heap their 40-byte records and nothing else — no map entry, no
-// node, no slot in the station's queue — on top of the 24 bytes per cell
-// (cellStat) every driver holds from the start.
+// node, no slot in the station's queue. Once the book's first page is
+// whole, a page of waiting requests may allocate 40 bytes a request,
+// plus 24 per cell in all (the size of the cellStat every driver holds
+// from the start) for the book's page index; counted as every byte the
+// pushes allocate, garbage included, so the reading does not depend on
+// when the collector ran.
 func TestRequestBookFootprintBudget(t *testing.T) {
 	skipUnderRace(t)
-	// With the borrow round's record and the never-used record 0, the
-	// waiting requests fill 64 whole pages.
-	const n = 64<<10 - 2
+	// The never-used record 0 and the borrow round's record, then first
+	// the rest of the first page (which doubles up to 1 024 records),
+	// then 15 whole pages: their index grows to 16 entries, 720 bytes.
+	const first, n = 1<<10 - 2, 15 << 10
 	g, assign, _, drivers := bookDrivers(t, 7)
 	cell := g.InteriorCell()
 	for _, d := range drivers {
 		occupy(t, d, assign, cell)
-		before := settledHeap()
-		for i := 0; i < n; i++ {
+		for i := 0; i < first; i++ {
 			d.Request(cell, nil)
 		}
-		grew := settledHeap() - before
-		if got := d.Outstanding(); got != n+1 {
-			t.Fatalf("%s: %d requests in flight, want %d", driverName(d), got, n+1)
+		allocated := allocatedBy(func() {
+			for i := 0; i < n; i++ {
+				d.Request(cell, nil)
+			}
+		})
+		if got := d.Outstanding(); got != first+n+1 {
+			t.Fatalf("%s: %d requests in flight, want %d", driverName(d), got, first+n+1)
 		}
-		if budget := uint64(40*n + 24*g.NumCells()); grew > budget {
-			t.Errorf("%s: %d waiting requests grew the heap by %d bytes (%.2f each), budget %d: 40 per request plus 24 per cell",
-				driverName(d), n, grew, float64(grew)/n, budget)
+		if budget := uint64(40*n + 24*g.NumCells()); allocated > budget {
+			t.Errorf("%s: %d waiting requests allocated %d bytes (%.2f each), budget %d: 40 per request plus 24 per cell",
+				driverName(d), n, allocated, float64(allocated)/n, budget)
 		}
-		t.Logf("%s: %.2f heap bytes per waiting request", driverName(d), float64(grew)/n)
+		t.Logf("%s: %d bytes allocated by %d waiting requests, %.3f each", driverName(d), allocated, n, float64(allocated)/n)
 	}
 }
 
-func settledHeap() uint64 {
-	runtime.GC()
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return m.HeapAlloc
+// allocatedBy returns how many bytes fn allocates. Like
+// testing.AllocsPerRun it runs fn on one processor, so that other
+// goroutines — a previous test's, finishing — do not allocate meanwhile,
+// and it keeps the collector off.
+func allocatedBy(fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // contHandler is a CallHandler that keeps the channel of the last

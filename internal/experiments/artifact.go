@@ -21,7 +21,7 @@ type Curve struct {
 	Title, SVGTitle string
 	XLabel, YLabel  string
 	X               []float64
-	Series          []plot.Series
+	Series          []metrics.Series
 	// Height is the chart's plot height in rows.
 	Height int
 }
@@ -90,11 +90,11 @@ func points(rs []result, read func(result) float64) []float64 {
 
 // series splits results laid out by across into one series per label,
 // reading each point with read.
-func series(labels []string, rs []result, read func(result) float64) []plot.Series {
+func series(labels []string, rs []result, read func(result) float64) []metrics.Series {
 	n := len(rs) / len(labels)
-	out := make([]plot.Series, len(labels))
+	out := make([]metrics.Series, len(labels))
 	for i, l := range labels {
-		out[i] = plot.Series{Label: l, Values: points(rs[i*n:(i+1)*n], read)}
+		out[i] = metrics.Series{Label: l, Values: points(rs[i*n:(i+1)*n], read)}
 	}
 	return out
 }

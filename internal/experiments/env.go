@@ -88,10 +88,6 @@ type Measured struct {
 	MsgsPerCall float64
 	// AcqTime is the mean acquisition delay in units of T.
 	AcqTime float64
-	// AcqP95 is the 95th-percentile acquisition delay in units of T.
-	AcqP95 float64
-	// AcqMax is the maximum observed acquisition delay in units of T.
-	AcqMax float64
 	// Xi1/Xi2/Xi3 are the measured acquisition-path fractions.
 	Xi1, Xi2, Xi3 float64
 	// M is the measured mean update attempts per borrowing acquisition
@@ -104,10 +100,6 @@ type Measured struct {
 	ModeSearchFrac float64
 	// Fairness is the Jain index of per-cell grant ratios.
 	Fairness float64
-	// Offered/Grants/Denies are totals across replications.
-	Offered, Grants, Denies uint64
-	// Messages is the total message count across replications.
-	Messages uint64
 }
 
 // RunScheme drives the workload through the named scheme once per seed
@@ -168,10 +160,6 @@ func runOnce(sp *spec, seed uint64) seedRun {
 		Scheme:      sp.scheme,
 		Blocking:    ts.BlockingProbability(),
 		HandoffDrop: ts.HandoffDropProbability(),
-		Offered:     ts.Offered,
-		Grants:      st.Grants,
-		Denies:      st.Denies,
-		Messages:    st.Messages.Total,
 	}
 	completed := float64(st.Grants + st.Denies)
 	if completed > 0 {
@@ -179,8 +167,6 @@ func runOnce(sp *spec, seed uint64) seedRun {
 	}
 	t := float64(env.Latency)
 	m.AcqTime = st.AcqDelay.Mean() / t
-	m.AcqP95 = st.DelayP95 / t
-	m.AcqMax = st.AcqDelay.Max() / t
 	if g := float64(st.Counters.Grants()); g > 0 {
 		m.Xi1 = float64(st.Counters.GrantsLocal) / g
 		m.Xi2 = float64(st.Counters.GrantsUpdate) / g

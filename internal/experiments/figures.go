@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/plot"
 	"repro/internal/sim"
 	"repro/internal/traffic"
 )
@@ -48,10 +47,7 @@ func (r SweepResult) Table() string {
 		name string
 		c    Curve
 	}{{"blocking", r.Blocking}, {"acq delay (T)", r.Delay}, {"msgs/call", r.Messages}} {
-		t := Table{Title: m.name + " by load:", RowHeader: "load", Rows: r.byLoad("%.2f")}
-		for _, s := range m.c.Series {
-			t.Cols = append(t.Cols, metrics.Series(s))
-		}
+		t := Table{Title: m.name + " by load:", RowHeader: "load", Rows: r.byLoad("%.2f"), Cols: m.c.Series}
 		b.WriteString(t.Render())
 		b.WriteByte('\n')
 	}
@@ -85,7 +81,7 @@ func LoadSweep(env Env, loads []float64, schemes []string) (SweepResult, error) 
 	if err != nil {
 		return SweepResult{}, err
 	}
-	fig := func(name, title, ylabel string, series []plot.Series) Curve {
+	fig := func(name, title, ylabel string, series []metrics.Series) Curve {
 		return Curve{Name: name, Title: title, XLabel: "Erlang/primary", YLabel: ylabel, X: loads, Series: series, Height: 14}
 	}
 	r := SweepResult{
@@ -95,7 +91,7 @@ func LoadSweep(env Env, loads []float64, schemes []string) (SweepResult, error) 
 	}
 	if i := slices.Index(schemes, "adaptive"); i >= 0 {
 		ad := rs[i*len(loads) : (i+1)*len(loads)]
-		r.Modes = fig("f7-modes", "F7 — adaptive acquisition-path fractions vs offered load", "fraction", []plot.Series{
+		r.Modes = fig("f7-modes", "F7 — adaptive acquisition-path fractions vs offered load", "fraction", []metrics.Series{
 			{Label: "ξ1 local", Values: points(ad, func(r result) float64 { return r.Xi1 })},
 			{Label: "ξ2 update", Values: points(ad, func(r result) float64 { return r.Xi2 })},
 			{Label: "ξ3 search", Values: points(ad, func(r result) float64 { return r.Xi3 })},
@@ -191,7 +187,7 @@ func Ablation(env Env, name string, values []float64) (Curve, error) {
 	if err != nil {
 		return Curve{}, err
 	}
-	return Curve{Title: a.title, XLabel: a.param, YLabel: "metric", X: values, Height: 12, Series: []plot.Series{
+	return Curve{Title: a.title, XLabel: a.param, YLabel: "metric", X: values, Height: 12, Series: []metrics.Series{
 		{Label: "blocking", Values: points(rs, blocking)},
 		{Label: "delay (T)", Values: points(rs, acqTime)},
 		{Label: "msgs/call /10", Values: points(rs, func(r result) float64 { return r.MsgsPerCall * 0.1 })},

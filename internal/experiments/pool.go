@@ -110,10 +110,6 @@ func aggregate(scheme string, runs []seedRun) Measured {
 		agg.HandoffDrop += m.HandoffDrop
 		agg.MsgsPerCall += m.MsgsPerCall
 		agg.AcqTime += m.AcqTime
-		agg.AcqP95 += m.AcqP95
-		if m.AcqMax > agg.AcqMax {
-			agg.AcqMax = m.AcqMax
-		}
 		agg.Xi1 += m.Xi1
 		agg.Xi2 += m.Xi2
 		agg.Xi3 += m.Xi3
@@ -121,17 +117,12 @@ func aggregate(scheme string, runs []seedRun) Measured {
 		agg.ModeBorrowFrac += m.ModeBorrowFrac
 		agg.ModeSearchFrac += m.ModeSearchFrac
 		fair += m.Fairness
-		agg.Offered += m.Offered
-		agg.Grants += m.Grants
-		agg.Denies += m.Denies
-		agg.Messages += m.Messages
 	}
 	n := float64(len(runs))
 	agg.Blocking /= n
 	agg.HandoffDrop /= n
 	agg.MsgsPerCall /= n
 	agg.AcqTime /= n
-	agg.AcqP95 /= n
 	agg.Xi1 /= n
 	agg.Xi2 /= n
 	agg.Xi3 /= n

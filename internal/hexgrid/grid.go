@@ -3,6 +3,7 @@ package hexgrid
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // CellID identifies a cell (equivalently its mobile service station, MSS)
@@ -309,6 +310,46 @@ func sortIDs(ids []CellID) {
 	}
 }
 
+// Class returns the stencil class of cell id, in [0, NumClasses()).
+// Cells of one class have lists of one shape: the same stencil offsets
+// (clipped off the same edges, or none) in the same order once sorted by
+// id (wrapped across the same seams). So what follows from the layout of
+// IN(id) in list order — which members interfere with which — is the
+// same for every cell of a class. A Rect grid's class is a pair of axis
+// classes: (2D+1)² of them when both sides are at least 2D+1, one of them
+// every cell more than D from a seam or an edge. A Hexagon grid, which no
+// scenario builds, gives each cell a class of its own: finer than need
+// be, but a class is never wrong for being small.
+func (g *Grid) Class(id CellID) int {
+	if g.box != nil {
+		return int(id)
+	}
+	w, d := g.cfg.Width, g.cfg.ReuseDistance
+	q, nq := axisClass(int(id)%w, w, d)
+	r, _ := axisClass(int(id)/w, g.cfg.Height, d)
+	return r*nq + q
+}
+
+// NumClasses returns the number of stencil classes.
+func (g *Grid) NumClasses() int {
+	if g.box != nil {
+		return len(g.cells)
+	}
+	_, nq := axisClass(0, g.cfg.Width, g.cfg.ReuseDistance)
+	_, nr := axisClass(0, g.cfg.Height, g.cfg.ReuseDistance)
+	return nq * nr
+}
+
+// axisClass returns the class of position x on an axis of n positions,
+// and the number of classes: a position within d of an end has its own,
+// those further in share one, and an axis of ≤ 2d+1 positions has n.
+func axisClass(x, n, d int) (class, classes int) {
+	if n/2 <= d {
+		return x, n
+	}
+	return min(x, d) + max(0, x-(n-1-d)), 2*d + 1
+}
+
 // NumCells returns the number of cells in the grid.
 func (g *Grid) NumCells() int { return len(g.cells) }
 
@@ -355,21 +396,10 @@ func (g *Grid) Adjacent(id CellID) []CellID {
 // Interferes reports whether cells a and b are within the reuse
 // distance of each other (a != b).
 func (g *Grid) Interferes(a, b CellID) bool {
-	if a == b {
-		return false
-	}
-	// Neighborhoods are symmetric by construction; binary-search a's.
-	in := g.Interference(a)
-	lo, hi := 0, len(in)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if in[mid] < b {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(in) && in[lo] == b
+	// Neighborhoods are symmetric by construction and leave the cell
+	// itself out; binary-search a's.
+	_, ok := slices.BinarySearch(g.Interference(a), b)
+	return ok
 }
 
 // MaxInterferenceDegree returns the size of the largest interference

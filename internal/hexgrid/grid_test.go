@@ -306,6 +306,64 @@ func TestBenchmarkGridsUnchanged(t *testing.T) {
 	}
 }
 
+// TestClassesShareShape: every cell's sorted interference list holds
+// the offsets its class's first cell holds, in the same order (on a
+// wrapped grid, offsets taken across the seam), so anything computed
+// from a list's relative layout is a function of the class; and every
+// class in [0, NumClasses()) has cells. A wrapped or
+// unwrapped grid with sides past 2D+1 has (2D+1)² classes; a side of at
+// most 2D+1 gives each of its positions one.
+func TestClassesShareShape(t *testing.T) {
+	for _, c := range []struct {
+		cfg     Config
+		classes int // 0: not pinned
+	}{
+		{Config{Shape: Rect, Width: 60, Height: 60, ReuseDistance: 2, Wrap: true}, 25},
+		{Config{Shape: Rect, Width: 60, Height: 60, ReuseDistance: 3, Wrap: true}, 49},
+		{Config{Shape: Rect, Width: 13, Height: 12, ReuseDistance: 2}, 25},
+		{Config{Shape: Rect, Width: 13, Height: 12, ReuseDistance: 5, Wrap: true}, 121},
+		{Config{Shape: Rect, Width: 7, Height: 7, ReuseDistance: 3, Wrap: true}, 49},
+		{Config{Shape: Rect, Width: 5, Height: 4, ReuseDistance: math.MaxInt}, 20},
+		{Config{Shape: Hexagon, Radius: 6, ReuseDistance: 2}, 1 + 3*6*7},
+	} {
+		g := MustNew(c.cfg)
+		offsets := func(id CellID) []Axial {
+			var out []Axial
+			for _, nb := range g.Interference(id) {
+				o := g.Pos(nb).Sub(g.Pos(id))
+				if d := c.cfg.ReuseDistance; c.cfg.Wrap {
+					o = Axial{mod(o.Q+d, c.cfg.Width) - d, mod(o.R+d, c.cfg.Height) - d}
+				}
+				out = append(out, o)
+			}
+			return out
+		}
+		if n := g.NumClasses(); c.classes != 0 && n != c.classes || n > g.NumCells() {
+			t.Fatalf("%+v: %d classes, want %d", c.cfg, n, c.classes)
+		}
+		first := make([]CellID, g.NumClasses()) // the first cell of each class
+		for k := range first {
+			first[k] = None
+		}
+		for id := range CellID(g.NumCells()) {
+			k := g.Class(id)
+			if k < 0 || k >= len(first) {
+				t.Fatalf("%+v: cell %d of class %d, outside [0, %d)", c.cfg, id, k, len(first))
+			}
+			if first[k] == None {
+				first[k] = id
+			}
+			if got, want := offsets(id), offsets(first[k]); !slices.Equal(got, want) {
+				t.Fatalf("%+v: cell %d of class %d has offsets %v, its class %v", c.cfg, id, k, got, want)
+			}
+		}
+		if i := slices.Index(first, None); i >= 0 {
+			t.Fatalf("%+v: no cell of class %d", c.cfg, i)
+		}
+		t.Logf("%+v: %d classes among %d cells", c.cfg, len(first), g.NumCells())
+	}
+}
+
 // TestOversizedGridsRefused: a grid with more cells than a CellID can
 // index, or a neighborhood table larger than its offsets can index, is a
 // descriptive error, returned before anything is allocated.

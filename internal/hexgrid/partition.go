@@ -1,6 +1,9 @@
 package hexgrid
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Tile is one contiguous block of cell ids [Lo, Hi) owned by a single
 // shard of the parallel kernel. Contiguity in id space matches the
@@ -71,7 +74,7 @@ func (g *Grid) Partition(n int) (*Partition, error) {
 			for _, nb := range g.Interference(c) {
 				if s := p.shardOf[nb]; s != int32(i) {
 					crosses = true
-					if !containsShard(nbrs, s) {
+					if !slices.Contains(nbrs, s) {
 						nbrs = append(nbrs, s)
 					}
 				}
@@ -81,33 +84,10 @@ func (g *Grid) Partition(n int) (*Partition, error) {
 				p.halo++
 			}
 		}
-		sortShards(nbrs)
+		slices.Sort(nbrs)
 		p.nbrShards[i] = nbrs
 	}
 	return p, nil
-}
-
-// containsShard reports whether s is in the (tiny) list nbrs.
-func containsShard(nbrs []int32, s int32) bool {
-	for _, v := range nbrs {
-		if v == s {
-			return true
-		}
-	}
-	return false
-}
-
-// sortShards sorts a tiny shard list in place by insertion sort.
-func sortShards(s []int32) {
-	for i := 1; i < len(s); i++ {
-		v := s[i]
-		j := i - 1
-		for j >= 0 && s[j] > v {
-			s[j+1] = s[j]
-			j--
-		}
-		s[j+1] = v
-	}
 }
 
 // NumShards returns the number of tiles.

@@ -189,7 +189,8 @@ func JainIndex(xs []float64) float64 {
 	return sum * sum / (float64(len(xs)) * sq)
 }
 
-// Series is a labelled column of numbers for report tables.
+// Series is a labelled column of numbers: a column of a report table,
+// or one curve of a plot chart.
 type Series struct {
 	Label  string
 	Values []float64

@@ -7,13 +7,9 @@ import (
 	"fmt"
 	"math"
 	"strings"
-)
 
-// Series is one labelled curve.
-type Series struct {
-	Label  string
-	Values []float64
-}
+	"repro/internal/metrics"
+)
 
 // markers are assigned to series in order.
 var markers = []byte{'*', 'o', '+', 'x', '#', '@', '%', '&'}
@@ -21,7 +17,7 @@ var markers = []byte{'*', 'o', '+', 'x', '#', '@', '%', '&'}
 // Chart renders the series against xs as an ASCII chart of the given
 // inner width and height, with Y autoscaled, a legend, and the X range
 // printed underneath. NaN values are skipped.
-func Chart(title, xlabel, ylabel string, xs []float64, series []Series, width, height int) string {
+func Chart(title, xlabel, ylabel string, xs []float64, series []metrics.Series, width, height int) string {
 	if width < 8 {
 		width = 8
 	}
@@ -74,7 +70,7 @@ func Chart(title, xlabel, ylabel string, xs []float64, series []Series, width, h
 	return b.String()
 }
 
-func bounds(series []Series) (lo, hi float64) {
+func bounds(series []metrics.Series) (lo, hi float64) {
 	lo, hi = math.Inf(1), math.Inf(-1)
 	for _, s := range series {
 		for _, v := range s.Values {

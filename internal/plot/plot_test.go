@@ -4,12 +4,14 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 func TestChartContainsStructure(t *testing.T) {
 	out := Chart("Drop rate vs load", "Erlang", "P(block)",
 		[]float64{0.1, 0.5, 1.0},
-		[]Series{
+		[]metrics.Series{
 			{Label: "adaptive", Values: []float64{0.0, 0.01, 0.2}},
 			{Label: "fixed", Values: []float64{0.01, 0.15, 0.4}},
 		}, 40, 10)
@@ -28,7 +30,7 @@ func TestChartMonotoneSeriesOrdering(t *testing.T) {
 	// The max of an increasing series must be plotted on a higher row
 	// (earlier line) than its min.
 	out := Chart("t", "x", "y", []float64{0, 1},
-		[]Series{{Label: "s", Values: []float64{0, 100}}}, 20, 8)
+		[]metrics.Series{{Label: "s", Values: []float64{0, 100}}}, 20, 8)
 	lines := strings.Split(out, "\n")
 	firstMark, lastMark := -1, -1
 	for i, l := range lines {
@@ -47,21 +49,21 @@ func TestChartMonotoneSeriesOrdering(t *testing.T) {
 func TestChartHandlesDegenerateInput(t *testing.T) {
 	// Constant series, NaN/Inf values, tiny dimensions: must not panic.
 	out := Chart("t", "x", "y", []float64{1, 1},
-		[]Series{{Label: "s", Values: []float64{5, 5}}}, 2, 2)
+		[]metrics.Series{{Label: "s", Values: []float64{5, 5}}}, 2, 2)
 	if out == "" {
 		t.Fatal("empty chart")
 	}
 	out = Chart("t", "x", "y", []float64{0, 1},
-		[]Series{{Label: "s", Values: []float64{math.NaN(), math.Inf(1)}}}, 20, 5)
+		[]metrics.Series{{Label: "s", Values: []float64{math.NaN(), math.Inf(1)}}}, 20, 5)
 	if !strings.Contains(out, "s") {
 		t.Fatal("legend missing")
 	}
 }
 
 func TestChartAllSeriesGetDistinctMarkers(t *testing.T) {
-	series := make([]Series, 4)
+	series := make([]metrics.Series, 4)
 	for i := range series {
-		series[i] = Series{Label: string(rune('a' + i)), Values: []float64{float64(i)}}
+		series[i] = metrics.Series{Label: string(rune('a' + i)), Values: []float64{float64(i)}}
 	}
 	out := Chart("t", "x", "y", []float64{0}, series, 20, 6)
 	for _, m := range []string{"*", "o", "+", "x"} {

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"repro/internal/metrics"
 )
 
 // SVG renders the series against xs as a standalone SVG line chart —
 // same data contract as Chart, publication-friendly output. Pure
 // stdlib string building; no external renderer needed.
-func SVG(title, xlabel, ylabel string, xs []float64, series []Series) string {
+func SVG(title, xlabel, ylabel string, xs []float64, series []metrics.Series) string {
 	const (
 		width   = 640.0
 		height  = 400.0

@@ -5,12 +5,14 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 func sampleSVG() string {
 	return SVG("Blocking vs load", "Erlang", "P(block)",
 		[]float64{0.1, 0.5, 1.0},
-		[]Series{
+		[]metrics.Series{
 			{Label: "adaptive", Values: []float64{0, 0.01, 0.2}},
 			{Label: "fixed & friends", Values: []float64{0.01, 0.15, 0.4}},
 		})
@@ -47,7 +49,7 @@ func TestSVGContainsStructure(t *testing.T) {
 
 func TestSVGEscapesLabels(t *testing.T) {
 	out := SVG(`a<b>"c"&d`, "x", "y", []float64{0, 1},
-		[]Series{{Label: "s", Values: []float64{1, 2}}})
+		[]metrics.Series{{Label: "s", Values: []float64{1, 2}}})
 	if strings.Contains(out, `a<b>`) {
 		t.Fatal("title not escaped")
 	}
@@ -60,12 +62,12 @@ func TestSVGDegenerateData(t *testing.T) {
 	// Constant series, NaN, infinities, single point — must not panic
 	// and must stay well-formed.
 	out := SVG("t", "x", "y", []float64{1, 1},
-		[]Series{{Label: "s", Values: []float64{math.NaN(), math.Inf(1)}}})
+		[]metrics.Series{{Label: "s", Values: []float64{math.NaN(), math.Inf(1)}}})
 	if !strings.Contains(out, "</svg>") {
 		t.Fatal("truncated SVG")
 	}
 	out = SVG("t", "x", "y", []float64{3},
-		[]Series{{Label: "s", Values: []float64{5}}})
+		[]metrics.Series{{Label: "s", Values: []float64{5}}})
 	if strings.Contains(out, "<polyline") {
 		t.Fatal("single point must not emit a polyline")
 	}
