@@ -13,9 +13,11 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/alloc"
 	"repro/internal/chanset"
@@ -129,6 +131,52 @@ type Factory struct {
 	overlap []atomic.Pointer[[]uint64]
 	// slabs hands out the stations' slabs.
 	slabs wordArena
+	// The backing arrays of the borrowing blocks' lists, pooled so that
+	// an array one station outgrows serves the next station to grow to
+	// its size (recycler.add).
+	grantArrays   recycler[grant]
+	deferArrays   recycler[deferred]
+	grantorArrays recycler[hexgrid.CellID]
+}
+
+// recycler grows the borrowing blocks' lists (grants, DeferQ_i,
+// grantors) by doubling and keeps the arrays they outgrow for the next
+// list to grow to that size, in a sync.Pool per capacity class: class c
+// holds arrays of capacity 1<<c, each as a pointer to its first element,
+// which an interface holds without allocating. A large warm run
+// allocates too little after priming to trigger a collection, so every
+// outgrown array would otherwise add to the process's peak; where
+// collections do run, they empty the pools, so nothing is kept that no
+// station takes. Cells of one factory grow
+// on different goroutines (shard workers, a netrun node's loop); a Put
+// happens before the Get that returns it.
+type recycler[T any] struct {
+	classes [bits.UintSize]sync.Pool
+	// off makes add grow by plain allocation and keep nothing: the
+	// reference a test compares recycling against.
+	off bool
+}
+
+// add appends v to s. When s is full its next array, of twice the
+// capacity, comes out of the pool if one is there, and s goes into the
+// pool — but only once it has been copied out: from then on another
+// station may take it and write over it.
+func (r *recycler[T]) add(s []T, v T) []T {
+	if len(s) < cap(s) {
+		return append(s, v)
+	}
+	c := bits.Len(uint(cap(s))) // the class of the next array
+	var next []T
+	if p, ok := r.classes[c].Get().(*T); ok {
+		next = unsafe.Slice(p, 1<<c)[:0]
+	} else {
+		next = make([]T, 0, 1<<c)
+	}
+	next = append(append(next, s...), v)
+	if cap(s) > 0 && !r.off {
+		r.classes[c-1].Put(unsafe.SliceData(s)) // cap(s) is 1<<(c-1)
+	}
+	return next
 }
 
 // wordArena carves word slabs out of shared pointer-free chunks, so a
@@ -547,7 +595,7 @@ func (a *Adaptive) granted(k int, ch chanset.Channel) int {
 func (a *Adaptive) grantRecord(k int, ch chanset.Channel) {
 	if ch >= 0 && a.granted(k, ch) < 0 {
 		b := a.block()
-		b.grants = append(b.grants, grant{int32(k), ch})
+		b.grants = a.factory.grantArrays.add(b.grants, grant{int32(k), ch})
 	}
 }
 

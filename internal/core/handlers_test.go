@@ -134,6 +134,36 @@ func TestHandlerAcquisitionDecrementsWaiting(t *testing.T) {
 	}
 }
 
+// TestHandlerStrayAcquisitionAtZeroWaiting: an ACQUISITION(search)
+// that no answered search is owed — a duplicate, or one from a searcher
+// this station never answered — reaches a station whose waiting_i is 0.
+// The counter must stay at 0 and nothing may be dispatched; afterwards
+// it still counts the next search it answers, so a request parks behind
+// it until that search's own acquisition arrives.
+func TestHandlerStrayAcquisitionAtZeroWaiting(t *testing.T) {
+	a, env := station(t)
+	a.Handle(message.Message{Kind: message.Acquisition, Acq: message.AcqSearch, From: 2, To: 0,
+		Ch: chanset.NoChannel})
+	if a.waiting != 0 {
+		t.Fatalf("waiting = %d after a stray acquisition, want 0", a.waiting)
+	}
+	if ms := env.take(); len(ms) != 0 || len(env.granted) != 0 || env.denied != 0 || a.req != nil {
+		t.Fatalf("a stray acquisition dispatched something: sent %v, granted %v, denied %d", ms, env.granted, env.denied)
+	}
+	a.Handle(message.Message{Kind: message.Request, Req: message.ReqSearch, From: 2, To: 0,
+		Ch: chanset.NoChannel, TS: lamport.Stamp{Time: 9, Node: 2}})
+	env.take()
+	a.Request(1)
+	if a.waiting != 1 || len(env.granted) != 0 || !a.pending {
+		t.Fatalf("waiting = %d, granted %v: the request must park behind the answered search", a.waiting, env.granted)
+	}
+	a.Handle(message.Message{Kind: message.Acquisition, Acq: message.AcqSearch, From: 2, To: 0,
+		Ch: chanset.NoChannel})
+	if a.waiting != 0 || len(env.granted) != 1 {
+		t.Fatalf("waiting = %d, granted %v: the search's acquisition must release the parked request", a.waiting, env.granted)
+	}
+}
+
 func TestHandlerChangeModeTracksUpdateS(t *testing.T) {
 	a, env := station(t)
 	a.Handle(message.Message{Kind: message.ChangeMode, Mode: message.ModeBorrowing, From: 3, To: 0})

@@ -151,7 +151,6 @@ type dampedTrendPredictor struct {
 
 	level, trend float64 // trend is per tick
 	last         sim.Time
-	started      bool
 }
 
 type dampedBuilder struct{ alpha, beta, phi float64 }
@@ -170,7 +169,7 @@ func (b dampedBuilder) New(sim.Time) Predictor {
 }
 
 func (p *dampedTrendPredictor) Init(t0 sim.Time, count int) {
-	p.level, p.trend, p.last, p.started = float64(count), 0, t0, true
+	p.level, p.trend, p.last = float64(count), 0, t0
 }
 
 func (p *dampedTrendPredictor) Observe(t sim.Time, count int) {

@@ -508,7 +508,7 @@ func (a *Adaptive) onRequest(m message.Message, k int) {
 // in acquire decrements the gauge).
 func (a *Adaptive) deferPush(d deferred) {
 	b := a.block()
-	b.deferQ = append(b.deferQ, d)
+	b.deferQ = a.factory.deferArrays.add(b.deferQ, d)
 	a.counters.Deferred++
 	a.factory.obs.DeferredTotal.Inc()
 	a.factory.obs.DeferQueueDepth.Add(1)
@@ -569,7 +569,7 @@ func (a *Adaptive) onResponse(m message.Message, k int) {
 		}
 		a.awaitClear(k)
 		if m.Res == message.ResGrant {
-			a.blk.grantors = append(a.blk.grantors, m.From)
+			a.blk.grantors = a.factory.grantorArrays.add(a.blk.grantors, m.From)
 		} else {
 			r.rejected = true
 		}

@@ -259,6 +259,18 @@ func (p *Parallel) postFunc(shard int, at sim.Time, origin int32, fn func()) {
 	p.kernel.At(shard, at, origin, fn)
 }
 
+// SetCutoff tells the kernel that the run ends at cutoff (a truncated
+// drain: DrainUntil, then ForceQuiesce), so that it queues nothing due
+// later — it would be discarded unrun (sim.Engine.SetCutoff). Pre-run
+// only.
+func (p *Parallel) SetCutoff(cutoff sim.Time) {
+	if p.engine != nil {
+		p.engine.SetCutoff(cutoff)
+		return
+	}
+	p.kernel.SetCutoff(cutoff)
+}
+
 // ReserveShard pre-sizes shard s's event heap (an Erlang estimate from
 // the workload). Absurd hints are rejected with a descriptive error (see
 // sim.Shards.Reserve).

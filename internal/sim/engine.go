@@ -53,13 +53,33 @@ type Engine struct {
 	// reserveBudget caps the heap capacity Reserve may pin (bytes);
 	// zero means DefaultReserveBudget.
 	reserveBudget uint64
+	// cutoff is the time past which posts are queued nowhere (SetCutoff);
+	// math.MaxInt64 until set.
+	cutoff Time
 }
 
 // NewEngine returns an engine at time 0 with an empty queue.
 func NewEngine() *Engine {
-	e := &Engine{}
+	e := &Engine{cutoff: math.MaxInt64}
 	e.q.pool = &e.pool
 	return e
+}
+
+// SetCutoff declares that no event due after cutoff will run: the run
+// stops there (DrainUntil) and discards the rest. From then on a post
+// due after cutoff still passes every check and draws its keys, so the
+// keys of later posts are those of a run without a cutoff, but it is
+// only counted (Footprint.PastCutoff), not queued.
+func (e *Engine) SetCutoff(cutoff Time) { e.cutoff = cutoff }
+
+// drop reports whether an event due at at falls past the cutoff, and
+// counts its record if so.
+func (e *Engine) drop(at Time) bool {
+	if at <= e.cutoff {
+		return false
+	}
+	e.q.pastCutoff++
+	return true
 }
 
 // Handle registers h as the interpreter of events of kind k.
@@ -145,6 +165,9 @@ func (e *Engine) Post(at Time, origin int32, ev Event, att Attachment) {
 		e.panicPast(at, "")
 	}
 	ev.At, ev.key, ev.ref = at, e.keys(origin, 1), 0
+	if e.drop(at) {
+		return
+	}
 	if !att.Empty() {
 		ev.ref = e.q.attach(e.memo(origin), att)
 	}
@@ -172,13 +195,17 @@ func (e *Engine) PostFan(at Time, origin int32, ev Event, word int, mask uint64)
 		e.panicPast(at, "")
 	}
 	if n := bits.OnesCount64(mask); n > 0 {
-		e.q.post(e.handlers.fanRecord(ev, at, e.keys(origin, n), word, mask), n)
+		if rec := e.handlers.fanRecord(ev, at, e.keys(origin, n), word, mask); !e.drop(at) {
+			e.q.post(rec, n)
+		}
 	}
 }
 
 // postFunc queues fn as a KindFunc event.
 func (e *Engine) postFunc(at Time, origin int32, fn func()) {
-	e.q.post(Event{At: at, key: e.keys(origin, 1), ref: e.q.fns.park(fn)}, 1)
+	if key := e.keys(origin, 1); !e.drop(at) {
+		e.q.post(Event{At: at, key: key, ref: e.q.fns.park(fn)}, 1)
+	}
 }
 
 // At schedules fn at the absolute virtual time at. Scheduling in the past

@@ -179,6 +179,9 @@ type Shards struct {
 	// attempting a huge allocation.
 	reservedBytes uint64
 	reserveBudget uint64
+	// cutoff is the time past which posts are queued nowhere (SetCutoff);
+	// math.MaxInt64 until set.
+	cutoff Time
 	// inbound[dst] lists the source shards (ascending) that have
 	// materialized a mailbox to dst; routeCount[src] is len(routes) at
 	// the last inbound build. Together they let flush distribute the
@@ -236,6 +239,7 @@ func NewShards(n int, lookahead Time, numOrigins int) *Shards {
 		cnt:           make([]uint64, numOrigins),
 		last:          make([]attMemo, numOrigins),
 		reserveBudget: DefaultReserveBudget,
+		cutoff:        math.MaxInt64,
 	}
 	for i := range k.shards {
 		k.shards[i].q.pool = &k.pool
@@ -252,6 +256,21 @@ func (k *Shards) SetReserveBudget(bytes int64) {
 		return
 	}
 	k.reserveBudget = uint64(bytes)
+}
+
+// SetCutoff is Engine.SetCutoff: a post due after cutoff is checked,
+// draws its keys and is counted in the posting shard's queue, but is
+// neither queued nor boxed. Pre-run only.
+func (k *Shards) SetCutoff(cutoff Time) { k.cutoff = cutoff }
+
+// drop reports whether an event shard s posts for at falls past the
+// cutoff, and counts its record there if so.
+func (k *Shards) drop(s int, at Time) bool {
+	if at <= k.cutoff {
+		return false
+	}
+	k.shards[s].q.pastCutoff++
+	return true
 }
 
 // NumShards returns the shard count.
@@ -379,6 +398,9 @@ func (k *Shards) post(s int, at Time, origin int32, ev Event, side sideEntry) {
 	k.checkPost(s, at, origin)
 	sh := &k.shards[s]
 	ev.At, ev.key, ev.ref = at, k.keys(origin, 1), 0
+	if k.drop(s, at) {
+		return
+	}
 	if !side.empty() {
 		if ev.Kind == KindFunc {
 			ev.ref = sh.q.fns.park(side.fn)
@@ -398,6 +420,9 @@ func (k *Shards) cross(src, dst int, at Time, origin int32, ev Event, side sideE
 	}
 	k.checkCross(src, dst, at)
 	ev.At, ev.key, ev.ref = at, k.keys(origin, 1), 0
+	if k.drop(src, at) {
+		return
+	}
 	rt := k.shards[src].route(int32(dst))
 	if !side.empty() {
 		if ev.Kind == KindFunc {
@@ -436,11 +461,17 @@ func (k *Shards) PostFan(src, dst int, at Time, origin int32, ev Event, word int
 	}
 	if src == dst {
 		k.checkPost(src, at, origin)
-		k.shards[src].q.post(k.handlers.fanRecord(ev, at, k.keys(origin, n), word, mask), n)
-		return
+	} else {
+		k.checkCross(src, dst, at)
 	}
-	k.checkCross(src, dst, at)
-	k.shards[src].route(int32(dst)).put(&k.pool, k.handlers.fanRecord(ev, at, k.keys(origin, n), word, mask), n)
+	rec := k.handlers.fanRecord(ev, at, k.keys(origin, n), word, mask)
+	switch {
+	case k.drop(src, at):
+	case src == dst:
+		k.shards[src].q.post(rec, n)
+	default:
+		k.shards[src].route(int32(dst)).put(&k.pool, rec, n)
+	}
 }
 
 // At schedules fn at absolute time at on shard s with the given origin

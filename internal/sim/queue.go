@@ -516,6 +516,9 @@ type queue struct {
 	// peakRecords and peakPending are the high-water marks of n and
 	// pending.
 	peakRecords, peakPending int
+	// pastCutoff counts the records posted here for after the kernel's
+	// cutoff and never queued.
+	pastCutoff uint64
 	// stop ends a fan record's expansion after the delivery under way
 	// (Engine.Stop).
 	stop bool
@@ -817,6 +820,14 @@ type Footprint struct {
 	PeakRecords, PeakEvents int
 	// Pops counts records popped; Executed()/Pops is the mean fan-out.
 	Pops uint64
+	// PastCutoff counts the records — a fan record once — posted for
+	// after the kernel's cutoff (SetCutoff). None of them is queued: a
+	// truncated run would discard them at the cutoff without running
+	// one, and until then they would only hold heap slots, mailbox slots
+	// and parked attachments and funcs — at a warm start, the hang-ups
+	// of most of the calls it seeds, through the burst that sets the
+	// page pool's high-water mark.
+	PastCutoff uint64
 }
 
 // addTo reports the pool's share of a kernel's footprint.
@@ -839,6 +850,7 @@ func (q *queue) addTo(f *Footprint) {
 	f.PeakRecords += q.peakRecords
 	f.PeakEvents += q.peakPending
 	f.Pops += q.pops
+	f.PastCutoff += q.pastCutoff
 	f.AttParked += q.attParked
 	f.AttShared += q.attShared
 }

@@ -1,6 +1,11 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+)
 
 // TestEngineDrainUntilDiscardPending: DrainUntil executes exactly the
 // events at or before the cutoff, parks the clock there, and leaves the
@@ -114,4 +119,157 @@ func TestShardsDrainUntilMatchesDrainPrefix(t *testing.T) {
 	if len(*truncLog) != 4 {
 		t.Fatalf("executed %d events up to cutoff 9, want 4", len(*truncLog))
 	}
+}
+
+// TestCutoffPostsAreCountedNotQueued: with SetCutoff, a post due after
+// the cutoff — single, fan or func — is counted in PastCutoff and
+// queued nowhere, and the run up to the cutoff is the run without one:
+// the same events with the same keys (a dropped post still draws its
+// keys), the same Executed(). What the reference run still has queued
+// at the cutoff is exactly what the cut run counted, so the discard that
+// follows a truncated drain drops nothing. On Engine and on Shards at 1
+// and 7 shards with 1 and 2 workers, in both fan modes.
+func TestCutoffPostsAreCountedNotQueued(t *testing.T) {
+	const cutoff = 22
+	type outcome struct {
+		executed   uint64
+		logs       [][]fanRec
+		pending    int
+		records    int
+		pastCutoff uint64
+		dropped    int
+	}
+	check := func(t *testing.T, ref, cut outcome) {
+		t.Helper()
+		if ref.pending == 0 || ref.pastCutoff != 0 {
+			t.Fatalf("reference run: %d events pending at the cutoff, %d counted past it", ref.pending, ref.pastCutoff)
+		}
+		if cut.executed != ref.executed || !reflect.DeepEqual(cut.logs, ref.logs) {
+			t.Fatalf("the cut run executed %d events, the reference %d, or a different (At, key, Cell) sequence", cut.executed, ref.executed)
+		}
+		if cut.pastCutoff != uint64(ref.records) || cut.pending != 0 || cut.records != 0 || cut.dropped != 0 {
+			t.Fatalf("counted %d records past the cutoff for the reference's %d queued; %d events (%d records) queued and %d discarded at the cutoff, want 0",
+				cut.pastCutoff, ref.records, cut.pending, cut.records, cut.dropped)
+		}
+	}
+	w := newFanWorld(140, 1)
+	for _, fans := range []bool{false, true} {
+		run := func(cut bool) outcome {
+			e, s := fanOnEngine(w, fans) // seeds nothing past the cutoff
+			if cut {
+				e.SetCutoff(cutoff)
+			}
+			if !e.DrainUntil(cutoff, math.MaxUint64) {
+				t.Fatal("DrainUntil hit a backstop it was not given")
+			}
+			f := e.Footprint()
+			return outcome{e.Executed(), s.logs, e.Pending(), f.Records, f.PastCutoff, e.DiscardPending()}
+		}
+		t.Run(fmt.Sprintf("Engine/fans=%v", fans), func(t *testing.T) { check(t, run(false), run(true)) })
+	}
+	for _, shards := range []int{1, 7} {
+		w := newFanWorld(140, shards)
+		for _, workers := range []int{1, 2} {
+			for _, fans := range []bool{false, true} {
+				run := func(cut bool) outcome {
+					k, s := fanOnShards(w, fans)
+					if cut {
+						k.SetCutoff(cutoff)
+					}
+					if !k.DrainUntil(workers, cutoff, math.MaxUint64) {
+						t.Fatal("DrainUntil hit a backstop it was not given")
+					}
+					f := k.Footprint()
+					return outcome{k.Executed(), s.logs, k.Pending(), f.Records, f.PastCutoff, k.DiscardPending()}
+				}
+				t.Run(fmt.Sprintf("Shards/shards=%d/workers=%d/fans=%v", shards, workers, fans), func(t *testing.T) { check(t, run(false), run(true)) })
+			}
+		}
+	}
+}
+
+// TestCutoffBoundary: a post at exactly the cutoff is queued and runs;
+// one a tick later is counted and dropped, and the post after it gets
+// the key it would get with no cutoff set — for a single post, a fan
+// record and a func event, on both kernels (two shards, a cross post;
+// one worker, since both shards log to one list).
+func TestCutoffBoundary(t *testing.T) {
+	const cutoff = 10
+	w := &fanWorld{nbrs: [][]int32{{1}, {0}, {0, 1}}, shards: 2}
+	type rec struct {
+		at  Time
+		key uint64
+	}
+	for _, name := range []string{"Engine", "Shards"} {
+		run := func(cut bool) ([]rec, Footprint) {
+			var got []rec
+			h := handlerFunc(func(ev Event, _ Attachment) { got = append(got, rec{ev.At, ev.key}) })
+			var p ports
+			var drain func()
+			var foot func() Footprint
+			if name == "Engine" {
+				e := NewEngine()
+				if cut {
+					e.SetCutoff(cutoff)
+				}
+				e.SetFanout(w)
+				e.Handle(KindMessage, h)
+				p, drain, foot = enginePorts(e), func() { e.DrainUntil(cutoff, math.MaxUint64) }, e.Footprint
+			} else {
+				k := NewShards(2, 5, 3)
+				if cut {
+					k.SetCutoff(cutoff)
+				}
+				k.SetFanout(w)
+				k.Handle(KindMessage, h)
+				p, drain, foot = shardsPorts(k, w), func() { k.DrainUntil(1, cutoff, math.MaxUint64) }, k.Footprint
+			}
+			// Cell 2 (shard 1 of 2) posts to cell 0 (shard 0), fans to
+			// cells 0 and 1 (both shard 0) and queues funcs of its own.
+			for _, at := range []Time{cutoff, cutoff + 1, cutoff} {
+				p.post(2, 0, at, Event{Kind: KindMessage}, Attachment{Words: []uint64{uint64(at)}})
+				p.postFan(2, at, Event{Kind: KindMessage}, 0, 0b11)
+				p.fn(2, at, func() { got = append(got, rec{at, 0}) })
+			}
+			drain()
+			return got, foot()
+		}
+		ref, refFoot := run(false)
+		got, f := run(true)
+		if !reflect.DeepEqual(got, ref) || len(got) != 8 {
+			t.Fatalf("%s: executed %v, want the %d events at the cutoff the reference ran, %v", name, got, len(ref), ref)
+		}
+		// The two attachments that are queued hold the same word, and
+		// the dropped one between them is not stored, so the second
+		// shares the first's slot; the reference stored all three.
+		if f.PastCutoff != 3 || refFoot.PastCutoff != 0 || f.AttParked != 1 || f.AttShared != 1 || refFoot.AttParked != 3 {
+			t.Fatalf("%s: %d records counted past the cutoff, want 3; attachments %d stored and %d shared, want 1 and 1 (the reference stored %d)",
+				name, f.PastCutoff, f.AttParked, f.AttShared, refFoot.AttParked)
+		}
+	}
+}
+
+// TestCutoffKeepsChecks: a post past the cutoff still fails the checks
+// every post passes — into the past on Engine, inside the lookahead
+// across shards.
+func TestCutoffKeepsChecks(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s past the cutoff did not panic", name)
+			}
+		}()
+		f()
+	}
+	e := NewEngine()
+	e.SetCutoff(10)
+	e.Run(20)
+	mustPanic("a post into the past", func() { e.Post(15, 0, Event{Kind: KindMessage}, Attachment{}) })
+	mustPanic("a func into the past", func() { e.AtOrigin(15, 0, func() {}) })
+	k := NewShards(2, 5, 2)
+	k.SetCutoff(10)
+	k.Run(1, 10)
+	mustPanic("a cross post inside the lookahead", func() { k.PostCross(0, 1, 12, 0, Event{Kind: KindMessage}, Attachment{}) })
+	mustPanic("a cross func inside the lookahead", func() { k.Cross(0, 1, 12, 0, func() {}) })
 }

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/driver"
@@ -50,13 +51,27 @@ func PrimeParallel(p *driver.Parallel, spec Spec) (*PrimedParallel, error) {
 		return nil, err
 	}
 	part := p.Partition()
+	// A truncated run discards whatever is queued at its cutoff unrun,
+	// so the kernel queues nothing due later: most of a warm start's
+	// hang-ups, among others.
+	byCutoff := 1.0
+	if spec.DrainHorizon > 0 {
+		cutoff := spec.Duration + spec.DrainHorizon
+		p.SetCutoff(cutoff)
+		// Holds (and dwells) are exponential, hence memoryless: whenever
+		// a call is held, its next event — hang-up or handoff — lands by
+		// the cutoff with probability at most 1 − e^{−cutoff·(1/MeanHold
+		// + HandoffRate)}, and only those are queued.
+		byCutoff = -math.Expm1(-float64(cutoff) * (1/spec.MeanHold + spec.HandoffRate))
+	}
 	// Per-shard capacity hints for the kernel: a shard's queue
 	// concurrently holds one candidate arrival per cell plus roughly one
-	// release/handoff event per held call, and the expected held-call
-	// count is the offered load in Erlangs (Σ rate × mean hold). 1.25x
-	// headroom absorbs load fluctuations without pinning double the
-	// steady-state footprint — at 10^6 cells a 2x hint alone added
-	// hundreds of MB of permanently-dead heap capacity.
+	// release/handoff event per held call that can end by the cutoff,
+	// and the expected held-call count is the offered load in Erlangs
+	// (Σ rate × mean hold). 1.25x headroom absorbs load fluctuations
+	// without pinning double the steady-state footprint — at 10^6 cells
+	// a 2x hint alone added hundreds of MB of permanently-dead heap
+	// capacity.
 	// Mailboxes take no hint: they borrow pages from the kernel's pool
 	// while they hold records and hold none between barriers.
 	for si := 0; si < part.NumShards(); si++ {
@@ -67,7 +82,7 @@ func PrimeParallel(p *driver.Parallel, spec Spec) (*PrimedParallel, error) {
 				rate += r
 			}
 		}
-		if err := p.ReserveShard(si, t.Cells()+64+int(1.25*rate*spec.MeanHold)); err != nil {
+		if err := p.ReserveShard(si, t.Cells()+64+int(1.25*rate*spec.MeanHold*byCutoff)); err != nil {
 			return nil, err
 		}
 	}

@@ -277,3 +277,65 @@ func TestRunParallelRejectsNegativeDrainHorizon(t *testing.T) {
 		t.Errorf("serial: want descriptive DrainHorizon error, got %v", err)
 	}
 }
+
+// TestTruncatedRunQueuesNothingPastCutoff: a truncated warm run tells
+// the kernel its cutoff before priming, so at the cutoff nothing is
+// left for ForceQuiesce's first discard — and what the kernel counted
+// instead of queuing is exactly what a full-drain run of the same
+// workload holds queued when it reaches the cutoff, after executing the
+// same events. On the serial kernel and at 1 and 7 shards with 1 and 2
+// workers.
+func TestTruncatedRunQueuesNothingPastCutoff(t *testing.T) {
+	g, assign := truncGrid(t)
+	cut, full := truncSpec(g, shortHorizon), truncSpec(g, 0)
+	cutoff := cut.Duration + cut.DrainHorizon
+	type point struct {
+		executed   uint64
+		pending    int
+		records    int
+		pastCutoff uint64
+	}
+	// toCutoff primes spec and runs it to the cutoff: what is queued
+	// then, and what was counted past it.
+	toCutoff := func(d *driver.Parallel, spec traffic.Spec) (point, *traffic.PrimedParallel) {
+		t.Helper()
+		primed, err := traffic.PrimeParallel(d, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !d.DrainUntil(cutoff, 2_000_000_000) {
+			t.Fatal("DrainUntil hit its backstop")
+		}
+		f := d.Footprint()
+		return point{d.Executed(), d.Pending(), f.Records, f.PastCutoff}, primed
+	}
+	build := func(shards, workers int) *driver.Parallel {
+		factory, err := registry.Build("adaptive", g, assign, registry.Config{Latency: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shards == 0 {
+			return driver.New(g, assign, factory, driver.Options{Latency: 10, Seed: 7})
+		}
+		p, err := driver.NewParallel(g, assign, factory, driver.ParallelOptions{Latency: 10, Seed: 7, Shards: shards, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, c := range []struct{ shards, workers int }{{0, 0}, {1, 1}, {1, 2}, {7, 1}, {7, 2}} {
+		ref, _ := toCutoff(build(c.shards, c.workers), full)
+		d := build(c.shards, c.workers)
+		got, primed := toCutoff(d, cut)
+		if ref.pending == 0 || ref.pastCutoff != 0 {
+			t.Fatalf("shards=%d workers=%d: the full drain holds %d events at the cutoff and counted %d past it", c.shards, c.workers, ref.pending, ref.pastCutoff)
+		}
+		if got.executed != ref.executed || got.pending != 0 || got.pastCutoff != uint64(ref.records) {
+			t.Fatalf("shards=%d workers=%d: the truncated run executed %d events (full drain %d), holds %d at the cutoff (want 0) and counted %d records past it (the full drain holds %d)",
+				c.shards, c.workers, got.executed, ref.executed, got.pending, got.pastCutoff, ref.records)
+		}
+		if _, err := primed.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
