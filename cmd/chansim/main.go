@@ -231,7 +231,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 }
 
 // printReport renders the scenario report: telephony outcomes
-// (including handoff drops, merged across shards), latency in units of
+// (including handoff drops, merged across shards, and the requests a
+// -drain-horizon cutoff cancelled), latency in units of
 // T, message overhead and the adaptive path mix.
 func printReport(w io.Writer, scheme string, ws adca.WorkloadStats, st adca.Stats, latencyTicks int64) {
 	fmt.Fprintf(w, "scheme            %s\n", scheme)
@@ -240,6 +241,7 @@ func printReport(w io.Writer, scheme string, ws adca.WorkloadStats, st adca.Stat
 	if ws.HandoffAttempts > 0 {
 		fmt.Fprintf(w, "handoff drops     %.4f (%d attempts)\n", ws.HandoffDropProbability(), ws.HandoffAttempts)
 	}
+	fmt.Fprintf(w, "cancelled         %d requests in flight at the cutoff, neither granted nor denied\n", ws.Cancelled)
 	tUnit := float64(latencyTicks)
 	if tUnit == 0 {
 		tUnit = 10

@@ -108,6 +108,34 @@ func TestOneShardJournalMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestReportCountsCancelledRequests: the report says how many requests
+// a -drain-horizon cutoff withdrew unanswered, the same at any shard
+// count, and none on a full drain.
+func TestReportCountsCancelledRequests(t *testing.T) {
+	cancelled := func(args ...string) string {
+		t.Helper()
+		code, stdout, stderr := chansim(args...)
+		if code != 0 {
+			t.Fatalf("chansim %v: exit %d, stderr %q", args, code, stderr)
+		}
+		for _, line := range strings.Split(stdout, "\n") {
+			if strings.HasPrefix(line, "cancelled") {
+				return strings.Fields(line)[1]
+			}
+		}
+		t.Fatalf("chansim %v: no cancelled line in\n%s", args, stdout)
+		return ""
+	}
+	warm := []string{"-width", "12", "-erlang", "9", "-warm-start", "-duration", "2000", "-warmup", "200", "-drain-horizon", "100"}
+	serial, sharded := cancelled(warm...), cancelled(append(warm, "-shards", "4")...)
+	if serial == "0" || sharded != serial {
+		t.Errorf("a warm truncated run cancelled %s requests serially and %s at 4 shards; want the same, and some", serial, sharded)
+	}
+	if n := cancelled("-width", "8", "-erlang", "2", "-duration", "4000", "-warmup", "800"); n != "0" {
+		t.Errorf("a full drain cancelled %s requests, want 0", n)
+	}
+}
+
 func TestBenchFlagIsGone(t *testing.T) {
 	code, _, stderr := chansim("-bench")
 	if code != 2 || !strings.Contains(stderr, "flag provided but not defined: -bench") {

@@ -342,10 +342,21 @@ type Adaptive struct {
 	blk *borrowing
 
 	// pred forecasts the free-primary count for check_mode (policy.go);
-	// fixed at Start. The lender strategy is the factory's.
+	// fixed at Start, and &nfc for the paper's predictor. The lender
+	// strategy is the factory's.
 	pred Predictor
 
 	req *request // active request FSM, nil when idle
+
+	// nfc is NFC_i when the factory's predictor is LinearPredictor(), the
+	// default: the window lives in the station, so a station and its
+	// history are one allocation and check_mode reads one object. Another
+	// predictor is an object of its own and nfc stays zero. A station is
+	// never copied, so the window's ring may point into it. The ring is
+	// the station's last pointer: what follows is scalars, which the
+	// collector does not scan.
+	nfc linearPredictor
+
 	// reqBuf backs req: one request is in flight at a time, so the FSM
 	// state is reused across requests instead of allocated per request.
 	reqBuf request
@@ -397,7 +408,12 @@ func (a *Adaptive) Start(env alloc.Env) {
 	a.w = int32((assign.NumChannels + 63) / 64)
 	a.setOff = int32(numMasks * ((len(a.neighbors()) + 63) / 64))
 	a.slab = a.factory.slabs.take(int(a.setOff) + numSets*int(a.w))
-	a.pred = a.factory.params.Predictor.New(a.factory.params.Window)
+	if b := a.factory.params.Predictor; b == LinearPredictor() {
+		a.nfc.w.window = a.factory.params.Window
+		a.pred = &a.nfc
+	} else {
+		a.pred = b.New(a.factory.params.Window)
+	}
 	a.pred.Init(env.Now(), a.primary().Len())
 }
 

@@ -21,18 +21,20 @@ import (
 	"repro/internal/sim"
 )
 
-// TestAdaptiveStructSize pins the allocator struct at 352 bytes or
-// less: every station pays for it, warm or cold, and at 10^6 cells every
-// size-class step is 30-60 MB. It was 448 until the ledger, DeferQ_i and
-// the lender masks moved into the borrowing block behind one pointer
-// (64 bytes), what the factory already knows — PR_i, the spectrum size,
-// the instrument bundle and the neighbor list — was read through it
-// instead of copied (64 bytes with padding), and the request FSM gave
-// its grantor list to the block (40 bytes with a one-byte phase); it is
-// 280 now. A defer-queue entry is 24, a ledger entry 8.
+// TestAdaptiveStructSize pins the allocator struct at 304 bytes or
+// less, its NFC window included (a 320-byte size class): every station
+// pays for it, warm or cold, and at 10^6 cells every size-class step is
+// 30-60 MB. It was 448 until the ledger, DeferQ_i and the lender masks
+// moved into the borrowing block behind one pointer (64 bytes), what the
+// factory already knows — PR_i, the spectrum size, the instrument bundle
+// and the neighbor list — was read through it instead of copied (64
+// bytes with padding), and the request FSM gave its grantor list to the
+// block (40 bytes with a one-byte phase); 232 bytes, and a 72-byte
+// predictor object beside it, until the window moved into the station. A
+// defer-queue entry is 24, a ledger entry 8.
 func TestAdaptiveStructSize(t *testing.T) {
-	if got := unsafe.Sizeof(Adaptive{}); got > 352 {
-		t.Fatalf("unsafe.Sizeof(core.Adaptive{}) = %d, budget 352", got)
+	if got := unsafe.Sizeof(Adaptive{}); got > 304 {
+		t.Fatalf("unsafe.Sizeof(core.Adaptive{}) = %d, budget 304", got)
 	}
 	if got := unsafe.Sizeof(deferred{}); got > 24 {
 		t.Fatalf("unsafe.Sizeof(core.deferred{}) = %d, budget 24", got)

@@ -30,10 +30,12 @@ import (
 // busiest window. The first ring is the window's own inline array, so a
 // cell whose window never holds more than nfcRingMin samples stores its
 // history in the predictor object itself. The ring may point into the
-// window, so a window must not be copied after init.
+// window, so a window must not be copied after init. The ring comes
+// first: it is the window's one pointer, and a station holding the
+// window is scanned by the collector only up to its last pointer.
 type nfcWindow struct {
-	window sim.Time
 	ring   []uint64
+	window sim.Time
 	head   uint32 // index of the oldest retained sample
 	n      uint32 // retained samples, >= 1 after init
 	inline [nfcRingMin]uint64

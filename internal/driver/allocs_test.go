@@ -340,14 +340,15 @@ func skipUnderRace(t *testing.T) {
 }
 
 // TestConstructionAllocationBudget: driver.New with the adaptive factory
-// allocates at most two objects per cell — the station and its NFC
-// predictor. The station's slab comes from the factory's word arena,
-// the predictor keeps its first samples inline, and the station keeps
-// no request queue (five objects per cell before). The per-cell figure is the difference between two grid
-// sizes, so what is allocated once per driver drops out.
+// allocates one object per cell — the station, which holds its NFC
+// window (two objects before; five before that). The station's slab comes
+// from the factory's word arena, the window keeps its first samples
+// inline, and the station keeps no request queue. The per-cell figure is
+// the difference between two grid sizes, so what is allocated once per
+// driver drops out.
 func TestConstructionAllocationBudget(t *testing.T) {
 	skipUnderRace(t)
-	const budget = 2.05 // objects per cell: 2, plus a 512-word arena chunk per 64 slabs
+	const budget = 1.05 // objects per cell: 1, plus a 512-word arena chunk per 64 slabs
 	build := func(side int) float64 {
 		g := hexgrid.MustNew(hexgrid.Config{Shape: hexgrid.Rect, Width: side, Height: side, ReuseDistance: 2, Wrap: true})
 		assign := chanset.MustAssign(g, 70)

@@ -41,11 +41,11 @@
 // Two rules depend on the shard count, not on the constructor. Theorem 1
 // is checked inside every granting event at one shard, and over the whole
 // grid at every window barrier (a consistent cut) above it: reading a
-// remote cell's channel set mid-window would race its shard. And a
-// Journal is accepted at one shard only: JSONL emission order across
-// shards is scheduling-dependent, which would silently break the
-// byte-identical-artifacts contract (the Obs registry is atomics, and
-// works at any).
+// remote cell's row of the holdings table mid-window would race its
+// shard. And a Journal is accepted at one shard only: JSONL emission
+// order across shards is scheduling-dependent, which would silently
+// break the byte-identical-artifacts contract (the Obs registry is
+// atomics, and works at any).
 package driver
 
 import (
@@ -74,10 +74,16 @@ type Options struct {
 	Jitter sim.Time
 	// Seed drives all randomness (per-cell substreams are derived).
 	Seed uint64
-	// Check enables the co-channel interference checker (Theorem 1): on
-	// every grant at one shard, at every window barrier above it. Panics
-	// on violation — a violation is never a recoverable condition, it
-	// falsifies the protocol.
+	// Check enables the co-channel interference checker (Theorem 1). The
+	// driver keeps a table of the channels it has reported granted and
+	// not yet handed back (trace.Holdings), and checks that: each grant's
+	// channel against the neighbors' rows at one shard, every
+	// interfering pair at every window barrier above it, split over the
+	// shard workers. After every call into a station, the cell's row must
+	// equal the station's InUse(). Panics on violation or disagreement —
+	// neither is a recoverable condition: the one falsifies the protocol,
+	// the other the check. CheckInvariant asks the stations themselves,
+	// with or without Check.
 	Check bool
 	// TraceSize, if positive, keeps a per-shard ring buffer of the most
 	// recent lifecycle events for debugging.
@@ -165,6 +171,11 @@ type parShard struct {
 	// outstanding forwards. Calls are fungible tokens — any consistent
 	// matching of releases to held channels preserves system state.
 	moved map[hexgrid.CellID]map[chanset.Channel][]chanset.Channel
+	// fault is the first failure of Options.Check this shard found when
+	// there are several — a station that disagrees with its row, or a
+	// co-channel pair whose lower cell is the shard's — for the next
+	// window barrier to raise.
+	fault error
 	dog   trace.Watchdog
 	ring  *trace.Ring
 	msgs  transport.Stats
@@ -181,16 +192,6 @@ type parShard struct {
 
 type parLink struct {
 	from, to hexgrid.CellID
-}
-
-// cellStat is one cell's completion tallies (uint32: 4 billion per cell
-// is far beyond any run length) and its chain in the shard's book.
-type cellStat struct {
-	grants, denies uint32
-	chain          reqbook.Chain
-	// began is when its station began work on the oldest request
-	// (Env.Began), 0 until it does.
-	began sim.Time
 }
 
 // shareStat packs a request counter and the three delay accumulators
@@ -217,26 +218,30 @@ type Parallel struct {
 	k      eventKernel
 
 	part    *hexgrid.Partition
-	allocs  []alloc.Allocator
 	opts    Options
 	checker *trace.InterferenceChecker
-	shards  []parShard
-	calls   CallHandler
+	// held is the table Options.Check checks Theorem 1 against, nil
+	// without it. A cell's row is written only by its shard's worker.
+	held   *trace.Holdings
+	shards []parShard
+	calls  CallHandler
 
-	// Per-cell tallies, written only by the owning shard's worker.
-	cells []cellStat
-	// envs is the per-cell allocator environment slab; cell i's env is
-	// &envs[i], with its RNG stream embedded by value.
+	// envs is the per-cell record: the cell's allocator and its
+	// environment, with the cell's RNG stream embedded by value, and the
+	// cell's tallies and request chain, written only by the owning
+	// shard's worker. Cell i's is &envs[i].
 	envs []cellEnv
 
-	// shared, own and stride are what the constructor makes the cells
-	// share: a cell counts its requests and accumulates its delays in
-	// shared[cell&own], and request ids are spaced stride apart — a record
-	// per cell, all ones and the cell count under NewParallel; one record,
-	// 0 and 1 under New. See the package comment.
-	shared []shareStat
-	own    hexgrid.CellID
-	stride int64
+	// shared, jitters, own and stride are what the constructor makes the
+	// cells share: a cell counts its requests and accumulates its delays
+	// in shared[cell&own], draws its jitter (jittered runs only) from
+	// jitters[cell&own], and request ids are spaced stride apart — a
+	// record per cell, all ones and the cell count under NewParallel; one
+	// record, 0 and 1 under New. See the package comment.
+	shared  []shareStat
+	jitters []sim.Rand
+	own     hexgrid.CellID
+	stride  int64
 
 	// checkGrant: Theorem 1 is checked inside every granting event (one
 	// shard with Options.Check).
@@ -368,11 +373,10 @@ func New(grid *hexgrid.Grid, assign *chanset.Assignment, factory alloc.Factory, 
 	}
 	p.engine = sim.NewEngine()
 	p.shared, p.own, p.stride = make([]shareStat, 1), 0, 1
-	var jitter *sim.Rand
 	if opts.Jitter > 0 {
-		jitter = sim.Substream(opts.Seed, 0xfeed)
+		p.jitters = []sim.Rand{sim.SubstreamValue(opts.Seed, 0xfeed)}
 	}
-	p.start(p.engine, factory, func(hexgrid.CellID) *sim.Rand { return jitter })
+	p.start(p.engine, factory)
 	return p
 }
 
@@ -386,9 +390,13 @@ func NewParallel(grid *hexgrid.Grid, assign *chanset.Assignment, factory alloc.F
 	cells := grid.NumCells()
 	p.kernel = sim.NewShards(p.opts.Shards, p.opts.Latency, cells)
 	p.shared, p.own, p.stride = make([]shareStat, cells), -1, int64(cells)
-	p.start(p.kernel, factory, func(cell hexgrid.CellID) *sim.Rand {
-		return sim.Substream(opts.Seed, 0x6a170000+uint64(cell))
-	})
+	if opts.Jitter > 0 {
+		p.jitters = make([]sim.Rand, cells)
+		for c := range p.jitters {
+			p.jitters[c] = sim.SubstreamValue(opts.Seed, 0x6a170000+uint64(c))
+		}
+	}
+	p.start(p.kernel, factory)
 	return p, nil
 }
 
@@ -409,9 +417,7 @@ func prepare(grid *hexgrid.Grid, assign *chanset.Assignment, opts Options) (*Par
 		part:       part,
 		opts:       opts,
 		shards:     make([]parShard, opts.Shards),
-		cells:      make([]cellStat, cells),
 		envs:       make([]cellEnv, cells),
-		allocs:     make([]alloc.Allocator, cells),
 		checkGrant: opts.Check && opts.Shards == 1,
 	}
 	for i := range p.shards {
@@ -426,39 +432,84 @@ func prepare(grid *hexgrid.Grid, assign *chanset.Assignment, opts Options) (*Par
 	}
 	p.obs.bind(opts.Obs, opts.Journal, opts.Latency)
 	p.checker = trace.NewInterferenceChecker(grid, func(id hexgrid.CellID) chanset.Set {
-		return p.allocs[id].InUse()
+		return p.envs[id].a.InUse()
 	})
+	if opts.Check {
+		p.held = trace.NewHoldings(grid, assign.NumChannels)
+	}
 	return p, nil
 }
 
 // start binds the driver to its kernel k and starts one allocator per
-// cell; jitterOf names each sender's jitter stream (jittered runs only).
-func (p *Parallel) start(k eventKernel, factory alloc.Factory, jitterOf func(hexgrid.CellID) *sim.Rand) {
+// cell.
+func (p *Parallel) start(k eventKernel, factory alloc.Factory) {
 	p.k = k
 	k.Handle(sim.KindMessage, p)
 	k.SetFanout(gridFanout{p.grid})
-	for i := range p.allocs {
+	for i := range p.envs {
 		cell := hexgrid.CellID(i)
-		a := factory.New(cell)
-		p.allocs[i] = a
 		env := &p.envs[i]
 		*env = cellEnv{
 			p:     p,
-			shard: p.part.ShardOf(cell),
+			a:     factory.New(cell),
+			shard: int32(p.part.ShardOf(cell)),
 			cell:  cell,
 			rand:  sim.SubstreamValue(p.opts.Seed, uint64(i)+1),
 		}
-		if p.opts.Jitter > 0 {
-			env.jitter = jitterOf(cell)
-		}
-		a.Start(env)
+		env.a.Start(env)
 	}
-	if p.opts.Check && !p.checkGrant { // more than one shard: the sharded kernel
-		p.kernel.SetBarrier(func() {
-			if err := p.checker.CheckAll(); err != nil {
-				panic(err)
+	if p.held != nil && !p.checkGrant { // more than one shard: the sharded kernel
+		// At every barrier, each shard's worker checks the pairs whose
+		// lower cell is its own; then the coordinator raises what they
+		// and the shards' events found.
+		check := func(s int) {
+			if sh := &p.shards[s]; sh.fault == nil {
+				t := p.part.Tile(s)
+				sh.fault = p.held.Check(t.Lo, t.Hi)
 			}
+		}
+		p.kernel.SetBarrier(func() {
+			p.kernel.Each(p.opts.Workers, check)
+			p.raise()
 		})
+	}
+}
+
+// agree checks that cell's row of the holdings table (Options.Check)
+// equals its station's Use set; a no-op without Check. Called after
+// every call into the station: a station's set changes only inside
+// events at its cell, so at every event boundary each row is its
+// station's set, and a grant's one channel is all Theorem 1 needs to
+// look at.
+func (p *Parallel) agree(cell hexgrid.CellID) {
+	if p.held == nil {
+		return
+	}
+	if row, use := p.held.Row(cell), p.envs[cell].a.InUse(); !row.Equal(use) {
+		p.fail(cell, fmt.Errorf("driver: cell %d's station uses %v, but the driver granted it %v and has not released them", cell, use, row))
+	}
+}
+
+// fail reports a failure of Options.Check found at cell: a panic now at
+// one shard; above it, at the next window barrier — a shard worker may be
+// running this, and a panic on the coordinator is one the caller can
+// recover.
+func (p *Parallel) fail(cell hexgrid.CellID, err error) {
+	if p.checkGrant {
+		panic(err)
+	}
+	if sh := &p.shards[p.part.ShardOf(cell)]; sh.fault == nil {
+		sh.fault = err
+	}
+}
+
+// raise panics with the fault of the lowest shard that has one.
+// Coordinator context only.
+func (p *Parallel) raise() {
+	for i := range p.shards {
+		if err := p.shards[i].fault; err != nil {
+			panic(err)
+		}
 	}
 }
 
@@ -481,7 +532,8 @@ func (p *Parallel) SetCallHandler(h CallHandler) {
 // HandleEvent implements sim.Handler for KindMessage: deliver the
 // message to its destination cell's allocator, on that cell's shard.
 func (p *Parallel) HandleEvent(ev sim.Event, att sim.Attachment) {
-	p.allocs[ev.Cell].Handle(transport.MessageOf(ev, att))
+	p.envs[ev.Cell].a.Handle(transport.MessageOf(ev, att))
+	p.agree(hexgrid.CellID(ev.Cell))
 }
 
 // Grid returns the scenario grid.
@@ -501,7 +553,7 @@ func (p *Parallel) NumShards() int { return p.opts.Shards }
 
 // Allocator returns the allocator of the given cell (for inspection;
 // only safe while the kernel is parked).
-func (p *Parallel) Allocator(cell hexgrid.CellID) alloc.Allocator { return p.allocs[cell] }
+func (p *Parallel) Allocator(cell hexgrid.CellID) alloc.Allocator { return p.envs[cell].a }
 
 // ShardOf returns the shard that owns cell.
 func (p *Parallel) ShardOf(cell hexgrid.CellID) int { return p.part.ShardOf(cell) }
@@ -570,7 +622,7 @@ func (p *Parallel) request(cell hexgrid.CellID, cb func(Result), cont Continuati
 	id := alloc.RequestID(int64(p.shared[counter].reqCount)*p.stride + int64(counter) + 1)
 	p.shared[counter].reqCount++
 	now := p.now(si)
-	chain := &p.cells[cell].chain
+	chain := &p.envs[cell].chain
 	sh.book.Push(chain, reqbook.Rec{ID: id, Submitted: now, Hold: cont.Hold, Peer: cont.Cell, Ch: cont.Ch, Op: cont.Op, Flag: cont.Flag}, cb)
 	sh.dog.Submitted(now)
 	p.obs.outstanding.Add(1)
@@ -578,7 +630,8 @@ func (p *Parallel) request(cell hexgrid.CellID, cb func(Result), cont Continuati
 		p.obs.journal.Emit(int64(now), "request", int(cell), obs.FI("req", int64(id)))
 	}
 	sh.traceEvent(trace.Event{At: now, Kind: trace.EvRequest, Cell: cell, Ch: chanset.NoChannel, Info: int64(id)})
-	sh.book.HandOver(chain, p.allocs[cell])
+	sh.book.HandOver(chain, p.envs[cell].a)
+	p.agree(cell)
 	return id
 }
 
@@ -591,7 +644,7 @@ func (p *Parallel) request(cell hexgrid.CellID, cb func(Result), cont Continuati
 func (p *Parallel) Release(cell hexgrid.CellID, ch chanset.Channel) {
 	si := p.part.ShardOf(cell)
 	sh := &p.shards[si]
-	if m := sh.moved[cell]; m != nil && !p.allocs[cell].InUse().Contains(ch) {
+	if m := sh.moved[cell]; m != nil && !p.envs[cell].a.InUse().Contains(ch) {
 		if q := m[ch]; len(q) > 0 {
 			target := q[0]
 			if len(q) == 1 {
@@ -607,11 +660,15 @@ func (p *Parallel) Release(cell hexgrid.CellID, ch chanset.Channel) {
 		p.obs.journal.Emit(int64(now), "release", int(cell), obs.FI("ch", int64(ch)))
 	}
 	sh.traceEvent(trace.Event{At: now, Kind: trace.EvRelease, Cell: cell, Ch: ch})
-	if err := p.allocs[cell].Release(ch); err != nil {
+	if p.held != nil {
+		p.held.Drop(cell, ch)
+	}
+	if err := p.envs[cell].a.Release(ch); err != nil {
 		// In the deterministic sim an unheld release is a driver bug,
 		// not an environmental fault — fail loudly.
 		panic(err)
 	}
+	p.agree(cell)
 	sh.releases++
 }
 
@@ -629,15 +686,16 @@ func (p *Parallel) ActiveCalls() uint64 {
 }
 
 // ForceQuiesce terminates a truncated run at the current clock: it
-// discards every still-queued event, force-releases every held channel
-// in ascending (cell, in-use-set) order — each release goes through the
-// normal allocator path, so allocator state and traces stay canonical,
-// but with protocol sends suppressed (teardown): the messages could
-// never be delivered before the cutoff — then discards what the releases
-// did queue and cancels the remaining in-flight requests: no callback,
-// no grant/deny count, no trace event, so no order to observe. Each
-// shard's request book is emptied, pages kept: the records of the
-// cancelled requests simply become free.
+// force-releases every held channel in ascending (cell, in-use-set)
+// order — each release goes through the normal allocator path, so
+// allocator state and traces stay canonical, but with protocol sends
+// suppressed (teardown): the messages could never be delivered before
+// the cutoff — then discards every queued event, what the releases
+// queued and, without SetCutoff, what was due past the cutoff, and
+// cancels the remaining in-flight requests: no callback, no grant/deny
+// count, no trace event, so no order to observe. Each shard's request
+// book is emptied, pages kept: the records of the cancelled requests
+// simply become free.
 // Coordinator-context only: call it after DrainUntil returns, never
 // mid-window. All shard clocks are equal then, so the forced releases
 // trace at one uniform cutoff time and the trajectory is the same at any
@@ -646,10 +704,9 @@ func (p *Parallel) ActiveCalls() uint64 {
 func (p *Parallel) ForceQuiesce() (released, cancelled int) {
 	p.teardown = true
 	defer func() { p.teardown = false }()
-	p.k.DiscardPending()
-	for cell := range p.allocs {
+	for cell := range p.envs {
 		for {
-			use := p.allocs[cell].InUse()
+			use := p.envs[cell].a.InUse()
 			if use.Empty() {
 				break
 			}
@@ -667,8 +724,9 @@ func (p *Parallel) ForceQuiesce() (released, cancelled int) {
 		cancelled += n
 		clear(sh.moved)
 	}
-	for c := range p.cells {
-		p.cells[c].chain, p.cells[c].began = reqbook.Chain{}, 0
+	p.raise() // what the forced releases found: no barrier follows
+	for c := range p.envs {
+		p.envs[c].chain, p.envs[c].began = reqbook.Chain{}, 0
 	}
 	return released, cancelled
 }
@@ -850,8 +908,8 @@ func (st Stats) Dump() metrics.Dump {
 // bit-identical regardless of how the run was scheduled.
 func (p *Parallel) Stats() Stats {
 	st := Stats{
-		CellGrants: make([]uint64, len(p.cells)),
-		CellDenies: make([]uint64, len(p.cells)),
+		CellGrants: make([]uint64, len(p.envs)),
+		CellDenies: make([]uint64, len(p.envs)),
 	}
 	merged := metrics.NewHistogram(float64(p.opts.Latency)/2, delayBuckets)
 	for i := range p.shards {
@@ -862,9 +920,9 @@ func (p *Parallel) Stats() Stats {
 		merged.Merge(sh.delayHist)
 	}
 	st.DelayP95 = merged.Quantile(0.95)
-	for c, cs := range p.cells {
-		st.CellGrants[c] = uint64(cs.grants)
-		st.CellDenies[c] = uint64(cs.denies)
+	for c := range p.envs {
+		st.CellGrants[c] = uint64(p.envs[c].grants)
+		st.CellDenies[c] = uint64(p.envs[c].denies)
 	}
 	// One streaming pass over the packed records, in ascending cell
 	// order: Welford merges are float-order-sensitive, so this fixed
@@ -876,8 +934,8 @@ func (p *Parallel) Stats() Stats {
 		st.TotalDelay.Merge(acc.totalDelay)
 		st.QueueDelay.Merge(acc.queueDelay)
 	}
-	for _, a := range p.allocs {
-		if cp, ok := a.(alloc.CounterProvider); ok {
+	for c := range p.envs {
+		if cp, ok := p.envs[c].a.(alloc.CounterProvider); ok {
 			st.Counters.Add(cp.ProtocolCounters())
 		}
 	}
@@ -894,8 +952,8 @@ type Warmer interface{ Warm() bool }
 // safe while the kernel is parked.
 func (p *Parallel) WarmStations() int {
 	n := 0
-	for _, a := range p.allocs {
-		if w, ok := a.(Warmer); ok && w.Warm() {
+	for c := range p.envs {
+		if w, ok := p.envs[c].a.(Warmer); ok && w.Warm() {
 			n++
 		}
 	}
@@ -907,14 +965,14 @@ func (p *Parallel) WarmStations() int {
 // Only safe while the kernel is parked.
 func (p *Parallel) ModeOccupancy() [4]float64 {
 	var counts [4]int
-	for _, a := range p.allocs {
-		m := a.Mode()
+	for c := range p.envs {
+		m := p.envs[c].a.Mode()
 		if m >= 0 && m < 4 {
 			counts[m]++
 		}
 	}
 	var out [4]float64
-	n := float64(len(p.allocs))
+	n := float64(len(p.envs))
 	for i, c := range counts {
 		out[i] = float64(c) / n
 	}

@@ -15,24 +15,31 @@ import (
 	"repro/internal/transport"
 )
 
-// cellEnv implements alloc.Env for one cell, and with it the DES
-// transport: a Send is a KindMessage event (transport.EventOf) one
-// latency ahead in the destination's shard. Instances live in
-// Parallel.envs, one slab for the whole grid, with the cell's RNG stream
-// embedded by value (the jitter stream stays a pointer: it exists only
-// for jittered scenarios, and under New every cell points at the same
-// one).
+// cellEnv is one cell's driver record: it holds the cell's allocator
+// and implements alloc.Env for it, and with it the DES transport — a
+// Send is a KindMessage event (transport.EventOf) one latency ahead in
+// the destination's shard — and it holds the cell's completion tallies
+// and its chain in the shard's request book, so that a grant touches one
+// 64-byte record. Instances live in Parallel.envs, one slab for the
+// whole grid, with the cell's RNG stream embedded by value.
 type cellEnv struct {
-	p      *Parallel
-	shard  int
-	cell   hexgrid.CellID
-	rand   sim.Rand
-	jitter *sim.Rand
+	p    *Parallel
+	a    alloc.Allocator
+	rand sim.Rand
+	// began is when the station began work on the oldest request
+	// (Env.Began), 0 until it does.
+	began sim.Time
+	chain reqbook.Chain
+	shard int32
+	cell  hexgrid.CellID
+	// grants and denies are the cell's completion tallies (uint32: 4
+	// billion per cell is far beyond any run length).
+	grants, denies uint32
 }
 
 func (e *cellEnv) ID() hexgrid.CellID          { return e.cell }
 func (e *cellEnv) Neighbors() []hexgrid.CellID { return e.p.grid.Interference(e.cell) }
-func (e *cellEnv) Now() sim.Time               { return e.p.now(e.shard) }
+func (e *cellEnv) Now() sim.Time               { return e.p.now(int(e.shard)) }
 func (e *cellEnv) Latency() sim.Time           { return e.p.opts.Latency }
 func (e *cellEnv) Rand() *sim.Rand             { return &e.rand }
 
@@ -63,9 +70,9 @@ func (e *cellEnv) Send(m message.Message) {
 		}
 		m = decoded
 	}
-	at := p.now(e.shard) + p.opts.Latency
+	at := p.now(int(e.shard)) + p.opts.Latency
 	if p.opts.Jitter > 0 {
-		at += sim.Time(e.jitter.Intn(int(p.opts.Jitter) + 1))
+		at += sim.Time(p.jitters[e.cell&p.own].Intn(int(p.opts.Jitter) + 1))
 		key := parLink{m.From, m.To}
 		if last := sh.lastAt[key]; at < last {
 			at = last // preserve FIFO on the link
@@ -73,7 +80,7 @@ func (e *cellEnv) Send(m message.Message) {
 		sh.lastAt[key] = at
 	}
 	ev, att := transport.EventOf(m)
-	p.post(e.shard, p.part.ShardOf(m.To), at, int32(e.cell), ev, att)
+	p.post(int(e.shard), p.part.ShardOf(m.To), at, int32(e.cell), ev, att)
 }
 
 // Multicast implements alloc.Multicaster. The destinations of one send
@@ -95,7 +102,7 @@ func (e *cellEnv) Multicast(m message.Message, mask []uint64) {
 	if p.teardown {
 		return
 	}
-	at := p.now(e.shard) + p.opts.Latency
+	at := p.now(int(e.shard)) + p.opts.Latency
 	sent := 0
 	for w := 0; w*64 < len(neighbors); w++ {
 		word := sim.FanWord(mask, len(neighbors), w)
@@ -106,7 +113,7 @@ func (e *cellEnv) Multicast(m message.Message, mask []uint64) {
 			for rest := word &^ run; rest != 0 && p.part.ShardOf(neighbors[w*64+bits.TrailingZeros64(rest)]) == dst; rest &= rest - 1 {
 				run |= rest & -rest
 			}
-			p.postFan(e.shard, dst, at, int32(e.cell), ev, w, run)
+			p.postFan(int(e.shard), dst, at, int32(e.cell), ev, w, run)
 			word &^= run
 		}
 	}
@@ -115,9 +122,8 @@ func (e *cellEnv) Multicast(m message.Message, mask []uint64) {
 }
 
 func (e *cellEnv) Began(id alloc.RequestID) {
-	c := &e.p.cells[e.cell]
-	e.p.shards[e.shard].book.Check(&c.chain, e.cell, "start", id)
-	c.began = e.p.now(e.shard)
+	e.p.shards[e.shard].book.Check(&e.chain, e.cell, "start", id)
+	e.began = e.p.now(int(e.shard))
 }
 
 // conclude marks request id, the cell's oldest, concluded (what names
@@ -125,14 +131,17 @@ func (e *cellEnv) Began(id alloc.RequestID) {
 // Result so far. Work on it began at Env.Began, or at its submission for
 // a station that never said.
 func (e *cellEnv) conclude(id alloc.RequestID, what string, granted bool, ch chanset.Channel) (reqbook.Rec, func(Result), Result) {
-	c := &e.p.cells[e.cell]
-	q, fn := e.p.shards[e.shard].book.Conclude(&c.chain, e.cell, what, id)
-	began := max(c.began, q.Submitted)
-	c.began = 0
-	return q, fn, Result{ID: id, Cell: e.cell, Granted: granted, Ch: ch, Submitted: q.Submitted, Began: began, Done: e.p.now(e.shard)}
+	q, fn := e.p.shards[e.shard].book.Conclude(&e.chain, e.cell, what, id)
+	began := max(e.began, q.Submitted)
+	e.began = 0
+	return q, fn, Result{ID: id, Cell: e.cell, Granted: granted, Ch: ch, Submitted: q.Submitted, Began: began, Done: e.p.now(int(e.shard))}
 }
 
 func (e *cellEnv) Moved(from, to chanset.Channel) {
+	if h := e.p.held; h != nil {
+		h.Drop(e.cell, from)
+		h.Hold(e.cell, to)
+	}
 	sh := &e.p.shards[e.shard]
 	if sh.moved == nil {
 		sh.moved = make(map[hexgrid.CellID]map[chanset.Channel][]chanset.Channel)
@@ -152,7 +161,7 @@ func (e *cellEnv) Granted(id alloc.RequestID, ch chanset.Channel) {
 	now, began := res.Done, res.Began
 	sh.dog.Completed(now)
 	sh.grants++
-	p.cells[e.cell].grants++
+	e.grants++
 	acc := &p.shared[e.cell&p.own]
 	acc.acqDelay.Observe(float64(now - began))
 	acc.totalDelay.Observe(float64(now - res.Submitted))
@@ -167,9 +176,12 @@ func (e *cellEnv) Granted(id alloc.RequestID, ch chanset.Channel) {
 			obs.FI("ch", int64(ch)), obs.FI("ticks", int64(now-began)))
 	}
 	sh.traceEvent(trace.Event{At: now, Kind: trace.EvGrant, Cell: e.cell, Ch: ch, Info: int64(id)})
-	if p.checkGrant {
-		if err := p.checker.CheckCell(e.cell); err != nil {
-			panic(err)
+	if h := p.held; h != nil {
+		h.Hold(e.cell, ch)
+		if p.checkGrant {
+			if j, clash := h.Clash(e.cell, ch); clash {
+				panic(trace.CoChannel(e.cell, j, chanset.SetOf(ch)))
+			}
 		}
 	}
 	e.complete(q, fn, res)
@@ -182,7 +194,7 @@ func (e *cellEnv) Denied(id alloc.RequestID) {
 	now := res.Done
 	sh.dog.Completed(now)
 	sh.denies++
-	p.cells[e.cell].denies++
+	e.denies++
 	p.obs.denied.Inc()
 	p.obs.outstanding.Add(-1)
 	if p.obs.journal != nil {
@@ -205,7 +217,8 @@ func (e *cellEnv) complete(q reqbook.Rec, fn func(Result), res Result) {
 	case q.Op != 0:
 		e.p.calls.Complete(res, Continuation{Op: q.Op, Flag: q.Flag, Cell: q.Peer, Ch: q.Ch, Hold: q.Hold})
 	}
-	e.p.shards[e.shard].book.Finish(&e.p.cells[e.cell].chain, e.p.allocs[e.cell])
+	e.p.shards[e.shard].book.Finish(&e.chain, e.a)
+	e.p.agree(e.cell)
 }
 
 // Kernel access. eventKernel is what sim.Engine and sim.Shards spell

@@ -60,10 +60,9 @@ func occupy(t *testing.T, d *driver.Sim, assign *chanset.Assignment, cell hexgri
 // the heap their 40-byte records and nothing else — no map entry, no
 // node, no slot in the station's queue. Once the book's first page is
 // whole, a page of waiting requests may allocate 40 bytes a request,
-// plus 24 per cell in all (the size of the cellStat every driver holds
-// from the start) for the book's page index; counted as every byte the
-// pushes allocate, garbage included, so the reading does not depend on
-// when the collector ran.
+// plus a slack of 24 per cell in all for the book's page index; counted
+// as every byte the pushes allocate, garbage included, so the reading
+// does not depend on when the collector ran.
 func TestRequestBookFootprintBudget(t *testing.T) {
 	skipUnderRace(t)
 	// The never-used record 0 and the borrow round's record, then first

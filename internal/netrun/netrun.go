@@ -45,6 +45,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/reqbook"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -139,9 +140,11 @@ type Node struct {
 	lateGrants      uint64
 	abandoned       uint64
 	badReleases     uint64
-	holding         []chanset.Set // committed holdings per hosted cell (checker)
-	violation       error
-	closed          bool
+	// held is the committed holdings of the hosted cells, what the
+	// node checks Theorem 1 against.
+	held      *trace.Holdings
+	violation error
+	closed    bool
 
 	// netMu guards the routing table and peer set; the per-message send
 	// path only ever takes it in read mode.
@@ -219,16 +222,16 @@ func NewNode(grid *hexgrid.Grid, assign *chanset.Assignment, factory alloc.Facto
 		}
 	}
 	n := &Node{
-		grid:    grid,
-		cfg:     cfg,
-		ln:      ln,
-		local:   transport.NewLive(cfg.Delay),
-		hosted:  make(map[hexgrid.CellID]alloc.Allocator, len(cfg.Cells)),
-		chains:  make([]reqbook.Chain, grid.NumCells()),
-		routes:  make(map[hexgrid.CellID]string),
-		peers:   make(map[string]*peerConn),
-		holding: make([]chanset.Set, grid.NumCells()),
-		start:   time.Now(),
+		grid:   grid,
+		cfg:    cfg,
+		ln:     ln,
+		local:  transport.NewLive(cfg.Delay),
+		hosted: make(map[hexgrid.CellID]alloc.Allocator, len(cfg.Cells)),
+		chains: make([]reqbook.Chain, grid.NumCells()),
+		routes: make(map[hexgrid.CellID]string),
+		peers:  make(map[string]*peerConn),
+		held:   trace.NewHoldings(grid, assign.NumChannels),
+		start:  time.Now(),
 	}
 	n.timer = time.AfterFunc(time.Hour, func() { n.local.Do(n.cfg.Cells[0], n.expire) })
 	n.timer.Stop()
@@ -744,7 +747,9 @@ func (n *Node) BadReleases() uint64 {
 // caller must not take down the signaling plane.
 func (n *Node) Release(cell hexgrid.CellID, ch chanset.Channel) {
 	n.mu.Lock()
-	n.holding[cell].Remove(ch)
+	if n.held.Row(cell).Contains(ch) { // a channel outside the spectrum is in no row
+		n.held.Drop(cell, ch)
+	}
 	n.mu.Unlock()
 	n.local.Do(cell, func() { n.release(cell, ch) })
 }
@@ -814,16 +819,11 @@ func (n *Node) complete(cell hexgrid.CellID, what string, id alloc.RequestID, gr
 		n.outst--
 		if granted {
 			n.grants++
-			n.holding[cell].Add(ch)
+			n.held.Hold(cell, ch)
 			// Committed-outcome interference check (Theorem 1 over the
 			// node's book of record).
-			if n.violation == nil {
-				for _, j := range n.grid.Interference(cell) {
-					if n.holding[j].Contains(ch) {
-						n.violation = fmt.Errorf("netrun: cells %d and %d both hold channel %d", cell, j, ch)
-						break
-					}
-				}
+			if j, clash := n.held.Clash(cell, ch); clash && n.violation == nil {
+				n.violation = fmt.Errorf("netrun: cells %d and %d both hold channel %d", cell, j, ch)
 			}
 		} else {
 			n.denies++

@@ -1,12 +1,15 @@
 package netrun_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/alloc"
 	"repro/internal/chanset"
 	"repro/internal/hexgrid"
+	"repro/internal/message"
 	"repro/internal/netrun"
 	"repro/internal/raceflag"
 	"repro/internal/registry"
@@ -392,5 +395,66 @@ func TestBorrowRoundAllocationBudget(t *testing.T) {
 	if perMsg > 0.1 {
 		t.Fatalf("a warm borrow round allocates %.1f objects for %.1f fabric messages (%.3f per message), want <= 0.1",
 			allocs, perRound, perMsg)
+	}
+}
+
+// grantZero grants channel 0 to every request: two neighbours holding it
+// at once falsify Theorem 1.
+type grantZero struct {
+	env alloc.Env
+	use chanset.Set
+}
+
+func (g *grantZero) Start(env alloc.Env)        { g.env, g.use = env, chanset.NewSet(70) }
+func (g *grantZero) Request(id alloc.RequestID) { g.use.Add(0); g.env.Granted(id, 0) }
+func (g *grantZero) Release(ch chanset.Channel) error {
+	g.use.Remove(ch)
+	return nil
+}
+func (g *grantZero) Handle(message.Message) {}
+func (g *grantZero) InUse() chanset.Set     { return g.use }
+func (g *grantZero) Mode() int              { return 0 }
+
+type grantZeroFactory struct{}
+
+func (grantZeroFactory) Name() string                       { return "grant-zero" }
+func (grantZeroFactory) New(hexgrid.CellID) alloc.Allocator { return &grantZero{} }
+
+// TestViolationNamesTheCoChannelPair: the node checks each committed
+// grant against its neighbours' committed holdings, which a release
+// leaves at once — a channel released before a neighbour takes it is no
+// violation, two neighbours holding it are, named by cell and channel.
+func TestViolationNamesTheCoChannelPair(t *testing.T) {
+	grid := hexgrid.MustNew(hexgrid.Config{Shape: hexgrid.Rect, Width: 7, Height: 7, ReuseDistance: 2, Wrap: true})
+	n, err := netrun.NewNode(grid, chanset.MustAssign(grid, 70), grantZeroFactory{}, "", netrun.Config{TickDuration: 50 * time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	request := func(cell hexgrid.CellID) {
+		t.Helper()
+		done := make(chan netrun.Result, 1)
+		n.Request(cell, func(r netrun.Result) { done <- r })
+		select {
+		case r := <-done:
+			if !r.Granted || r.Ch != 0 {
+				t.Fatalf("cell %d: %+v, want channel 0", cell, r)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("timeout")
+		}
+	}
+	cell := grid.InteriorCell()
+	neighbor := grid.Interference(cell)[0]
+	request(cell)
+	n.Release(cell, 0)
+	request(neighbor)
+	if err := n.Violation(); err != nil {
+		t.Fatalf("a channel released before a neighbour took it: %v", err)
+	}
+	request(cell)
+	want := fmt.Sprintf("netrun: cells %d and %d both hold channel 0", cell, neighbor)
+	if err := n.Violation(); err == nil || err.Error() != want {
+		t.Errorf("Violation() = %v, want %q", err, want)
 	}
 }

@@ -29,6 +29,11 @@ type Scenario struct {
 	// SendOnly hides the driver's alloc.Multicaster capability from the
 	// scheme (see SendOnly).
 	SendOnly bool
+	// Shards, when positive, runs the scenario on the sharded kernel
+	// (driver.NewParallel, two workers) instead of the serial one, where
+	// Theorem 1 is checked at every window barrier instead of at every
+	// grant.
+	Shards int
 }
 
 // SendOnly wraps f so that its allocators start on an Env offering
@@ -74,9 +79,26 @@ func Build(t *testing.T, scheme string, sc Scenario) *driver.Sim {
 	if sc.SendOnly {
 		f = SendOnly(f)
 	}
-	return driver.New(g, assign, f, driver.Options{
-		Latency: sc.Latency, Seed: sc.Seed, Check: true,
-	})
+	opts := driver.Options{Latency: sc.Latency, Seed: sc.Seed, Check: true}
+	if sc.Shards == 0 {
+		return driver.New(g, assign, f, opts)
+	}
+	opts.Shards, opts.Workers = sc.Shards, 2
+	s, err := driver.NewParallel(g, assign, f, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// at schedules fn at time t for cell: on the serial kernel as an event
+// of no cell, on the sharded one in cell's shard.
+func at(s *driver.Sim, cell hexgrid.CellID, t sim.Time, fn func()) {
+	if e := s.Engine(); e != nil {
+		e.At(t, fn)
+		return
+	}
+	s.At(cell, t, fn)
 }
 
 // RandomWorkload drives a seeded random request/release mix through the
@@ -96,18 +118,17 @@ func randomWorkload(t *testing.T, scheme string, sc Scenario) (s *driver.Sim, su
 	s = Build(t, scheme, sc)
 	rng := sim.NewRand(sc.Seed + 0x9e37)
 	n := s.Grid().NumCells()
-	e := s.Engine()
 	submitted, completed = make([][]alloc.RequestID, n), make([][]alloc.RequestID, n)
-	at := sim.Time(0)
+	now := sim.Time(0)
 	for i := 0; i < sc.Events; i++ {
-		at += rng.ExpTicks(sc.MeanGap)
+		now += rng.ExpTicks(sc.MeanGap)
 		cell := hexgrid.CellID(rng.Intn(n))
 		hold := rng.ExpTicks(sc.MeanHold)
-		e.At(at, func() {
+		at(s, cell, now, func() {
 			id := s.Request(cell, func(r driver.Result) {
 				completed[r.Cell] = append(completed[r.Cell], r.ID)
 				if r.Granted {
-					e.After(hold, func() { s.Release(r.Cell, r.Ch) })
+					at(s, r.Cell, s.Now(r.Cell)+hold, func() { s.Release(r.Cell, r.Ch) })
 				}
 			})
 			submitted[cell] = append(submitted[cell], id)
@@ -143,11 +164,12 @@ func Conformance(t *testing.T, scheme string) {
 		Grid: DefaultGrid(), Channels: 21, Events: 500,
 		MeanGap: 20, MeanHold: 6000, Seed: 12,
 	}
+	moderate := Scenario{
+		Grid: DefaultGrid(), Channels: 70, Events: 500,
+		MeanGap: 30, MeanHold: 2500, Seed: 11,
+	}
 	t.Run("moderate", func(t *testing.T) {
-		RandomWorkload(t, scheme, Scenario{
-			Grid: DefaultGrid(), Channels: 70, Events: 500,
-			MeanGap: 30, MeanHold: 2500, Seed: 11,
-		})
+		RandomWorkload(t, scheme, moderate)
 	})
 	t.Run("overload", func(t *testing.T) {
 		RandomWorkload(t, scheme, overload)
@@ -160,6 +182,14 @@ func Conformance(t *testing.T, scheme string) {
 			if !reflect.DeepEqual(completed[cell], submitted[cell]) {
 				t.Fatalf("%s: cell %d completed requests %v, submitted %v", scheme, cell, completed[cell], submitted[cell])
 			}
+		}
+	})
+	t.Run("sharded-check", func(t *testing.T) {
+		// The same batteries at four shards, where the check runs over
+		// the holdings table at every window barrier.
+		for _, sc := range []Scenario{moderate, overload} {
+			sc.Shards = 4
+			RandomWorkload(t, scheme, sc)
 		}
 	})
 	t.Run("multicast-equals-sends", func(t *testing.T) {

@@ -7,6 +7,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/chanset"
@@ -32,31 +33,131 @@ func NewInterferenceChecker(grid *hexgrid.Grid, use UseFunc) *InterferenceChecke
 	return &InterferenceChecker{grid: grid, use: use}
 }
 
-// CheckCell verifies cell against its interference neighborhood. It is
-// cheap enough to run on every acquisition: any violating pair is
-// detected when its second member acquires.
-func (c *InterferenceChecker) CheckCell(cell hexgrid.CellID) error {
+// checkCell verifies cell against its interference neighborhood, asking
+// the cell and each neighbor for its set. (A runtime that checks every
+// grant keeps a Holdings table instead, which asks no station.)
+func (c *InterferenceChecker) checkCell(cell hexgrid.CellID) error {
 	mine := c.use(cell)
 	if mine.Empty() {
 		return nil
 	}
 	for _, j := range c.grid.Interference(cell) {
 		if theirs := c.use(j); mine.Intersects(theirs) {
-			shared := chanset.Intersect(mine, theirs)
-			return fmt.Errorf("trace: co-channel interference: cells %d and %d share %v", cell, j, shared)
+			return CoChannel(cell, j, chanset.Intersect(mine, theirs))
 		}
 	}
 	return nil
 }
 
+// CoChannel is the error of a Theorem 1 violation: cells a and b, within
+// the reuse distance of each other, both hold the channels in shared.
+func CoChannel(a, b hexgrid.CellID, shared chanset.Set) error {
+	return fmt.Errorf("trace: co-channel interference: cells %d and %d share %v", a, b, shared)
+}
+
 // CheckAll verifies the whole grid (used at scenario end and in tests).
 func (c *InterferenceChecker) CheckAll() error {
 	for i := 0; i < c.grid.NumCells(); i++ {
-		if err := c.CheckCell(hexgrid.CellID(i)); err != nil {
+		if err := c.checkCell(hexgrid.CellID(i)); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// Holdings is a runtime's own record of the channels each cell has been
+// granted and not yet released, kept to check Theorem 1 against: one row
+// of ⌈channels/64⌉ words per cell, every row in one flat slice. A grant
+// is checked by testing one bit in each neighbor's row, and the whole
+// grid by one AND per word of each interfering pair, without asking a
+// single station for its set.
+//
+// The table is only as good as its agreement with the stations: the
+// runtime sets a bit where it reports a grant, clears it where it hands a
+// release to the station, and compares the row with the station's own
+// set after every call into it (driver.Options.Check).
+//
+// Rows of different cells are different words, so goroutines owning
+// disjoint sets of cells may write their own rows concurrently; reading
+// another's row needs the writer parked.
+type Holdings struct {
+	grid *hexgrid.Grid
+	w    int // words per row
+	rows []uint64
+}
+
+// NewHoldings returns an empty table for a spectrum of channels channels
+// over grid's cells.
+func NewHoldings(grid *hexgrid.Grid, channels int) *Holdings {
+	w := (channels + 63) / 64
+	return &Holdings{grid: grid, w: w, rows: make([]uint64, grid.NumCells()*w)}
+}
+
+// Row is cell's row as a set: a view of the table, valid until the row
+// next changes.
+func (h *Holdings) Row(cell hexgrid.CellID) chanset.Set {
+	off := int(cell) * h.w
+	return chanset.FromWords(h.rows[off : off+h.w : off+h.w])
+}
+
+// bit locates channel ch of cell's row: its word and its mask.
+func (h *Holdings) bit(cell hexgrid.CellID, ch chanset.Channel) (*uint64, uint64) {
+	return &h.rows[int(cell)*h.w+int(ch>>6)], 1 << (uint(ch) & 63)
+}
+
+// Hold records that cell holds ch.
+func (h *Holdings) Hold(cell hexgrid.CellID, ch chanset.Channel) {
+	word, m := h.bit(cell, ch)
+	*word |= m
+}
+
+// Drop records that cell no longer holds ch.
+func (h *Holdings) Drop(cell hexgrid.CellID, ch chanset.Channel) {
+	word, m := h.bit(cell, ch)
+	*word &^= m
+}
+
+// Clash returns a neighbor of cell, within the reuse distance, whose row
+// holds ch — the lowest-numbered one — and whether there is one. It is
+// the whole check of a grant of ch to cell when every other row agrees
+// with its station: any co-channel pair is found when its second member
+// acquires.
+func (h *Holdings) Clash(cell hexgrid.CellID, ch chanset.Channel) (hexgrid.CellID, bool) {
+	off, m := int(ch>>6), uint64(1)<<(uint(ch)&63)
+	for _, j := range h.grid.Interference(cell) {
+		if h.rows[int(j)*h.w+off]&m != 0 {
+			return j, true
+		}
+	}
+	return -1, false
+}
+
+// Check verifies Theorem 1 over every interfering pair whose lower cell
+// is in [lo, hi), in ascending order of that cell, and returns the first
+// violation. Calls over disjoint ranges may run concurrently while no
+// row changes; together, ranges covering the grid check all of it.
+func (h *Holdings) Check(lo, hi hexgrid.CellID) error {
+	for c := lo; c < hi; c++ {
+		mine := h.Row(c)
+		if mine.Empty() {
+			continue
+		}
+		// The list is sorted and lacks c: the pairs whose lower cell is c
+		// are its tail from where c would be.
+		nbrs := h.grid.Interference(c)
+		k, _ := slices.BinarySearch(nbrs, c)
+		for _, j := range nbrs[k:] {
+			if theirs := h.Row(j); mine.Intersects(theirs) {
+				return CoChannel(c, j, chanset.Intersect(mine, theirs))
+			}
+		}
+	}
+	return nil
+}
+
+// CheckAll verifies Theorem 1 over the whole grid.
+func (h *Holdings) CheckAll() error {
+	return h.Check(0, hexgrid.CellID(h.grid.NumCells()))
 }
 
 // Watchdog validates liveness: as long as requests are outstanding, the

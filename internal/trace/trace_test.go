@@ -1,11 +1,13 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/chanset"
 	"repro/internal/hexgrid"
+	"repro/internal/raceflag"
 )
 
 func checkerFixture(t *testing.T) (*hexgrid.Grid, map[hexgrid.CellID]chanset.Set, *InterferenceChecker) {
@@ -38,14 +40,14 @@ func TestCheckerDetectsViolation(t *testing.T) {
 	n := g.Interference(0)[0]
 	use[0] = chanset.SetOf(7)
 	use[n] = chanset.SetOf(7)
-	if err := c.CheckCell(0); err == nil {
-		t.Fatal("violation missed by CheckCell")
+	if err := c.checkCell(0); err == nil {
+		t.Fatal("violation missed by checkCell")
 	}
 	if err := c.CheckAll(); err == nil {
 		t.Fatal("violation missed by CheckAll")
 	}
-	if !strings.Contains(c.CheckCell(0).Error(), "{7}") {
-		t.Errorf("error should name the channel: %v", c.CheckCell(0))
+	if !strings.Contains(c.checkCell(0).Error(), "{7}") {
+		t.Errorf("error should name the channel: %v", c.checkCell(0))
 	}
 }
 
@@ -56,6 +58,63 @@ func TestCheckerDifferentChannelsOK(t *testing.T) {
 	use[n] = chanset.SetOf(8)
 	if err := c.CheckAll(); err != nil {
 		t.Fatalf("disjoint channels flagged: %v", err)
+	}
+}
+
+func TestHoldingsClashAndCheck(t *testing.T) {
+	g, _, _ := checkerFixture(t)
+	h := NewHoldings(g, 70)
+	n := g.Interference(0)[2]
+	h.Hold(0, 66) // the second word of a row
+	h.Hold(35, 66)
+	h.Hold(n, 7)
+	if j, ok := h.Clash(n, 7); ok {
+		t.Fatalf("cell %d clashes with %d over 7, a channel no neighbor holds", n, j)
+	}
+	if err := h.CheckAll(); err != nil {
+		t.Fatalf("clean table flagged: %v", err)
+	}
+	h.Hold(n, 66)
+	if j, ok := h.Clash(n, 66); !ok || j != 0 {
+		t.Fatalf("Clash(%d, 66) = %d, %v; want cell 0", n, j, ok)
+	}
+	for name, err := range map[string]error{"CheckAll": h.CheckAll(), "Check of cell 0": h.Check(0, 1)} {
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("cells 0 and %d share {66}", n)) {
+			t.Errorf("%s: %v, want cells 0 and %d sharing {66}", name, err, n)
+		}
+	}
+	if err := h.Check(1, hexgrid.CellID(g.NumCells())); err != nil {
+		t.Errorf("a range without the pair's lower cell: %v", err)
+	}
+	h.Drop(n, 66)
+	if err := h.CheckAll(); err != nil {
+		t.Fatalf("after Drop: %v", err)
+	}
+	if got := h.Row(n); !got.Equal(chanset.SetOf(7)) {
+		t.Errorf("Row(%d) = %v, want {7}", n, got)
+	}
+}
+
+// TestHoldingsAllocatesNothing: keeping and checking the table allocates
+// nothing short of a violation.
+func TestHoldingsAllocatesNothing(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	g, _, _ := checkerFixture(t)
+	h := NewHoldings(g, 70)
+	if allocs := testing.AllocsPerRun(100, func() {
+		for c := 0; c < g.NumCells(); c++ { // 36 cells, each on its own channel
+			h.Hold(hexgrid.CellID(c), chanset.Channel(c))
+		}
+		if _, ok := h.Clash(3, 3); ok || h.CheckAll() != nil || h.Row(3).Empty() {
+			t.Fatal("clean table flagged")
+		}
+		for c := 0; c < g.NumCells(); c++ {
+			h.Drop(hexgrid.CellID(c), chanset.Channel(c))
+		}
+	}); allocs != 0 {
+		t.Errorf("%.1f allocations per round, want 0", allocs)
 	}
 }
 

@@ -99,16 +99,17 @@ func (r *PrimedParallel) Finish() (Stats, error) {
 	if g.spec.DrainHorizon > 0 {
 		// Truncated drain: run to the cutoff (window boundaries and
 		// barrier samples before it are exactly the full drain's), then
-		// force the rest quiescent. The forced sweep is canonical
-		// (ascending cell, then ascending channel), so the truncated
-		// trajectory is as deterministic as the full one, at any worker
-		// and shard count.
+		// force the rest quiescent, counting the requests it cancels.
+		// The forced sweep is canonical (ascending cell, then ascending
+		// channel), so the truncated trajectory is as deterministic as
+		// the full one, at any worker and shard count.
 		cutoff := g.spec.Duration + g.spec.DrainHorizon
 		if !p.DrainUntil(cutoff, 2_000_000_000) {
 			return g.result(), fmt.Errorf("traffic: truncated drain hit its event backstop before cutoff %d: %d events pending, %d requests outstanding (per shard: %s), sim time %d",
 				cutoff, p.Pending(), p.Outstanding(), shardOutstandingSummary(p.ShardOutstanding()), p.Now(0))
 		}
-		p.ForceQuiesce()
+		_, cancelled := p.ForceQuiesce()
+		g.stats.Cancelled = uint64(cancelled)
 		if p.Outstanding() != 0 {
 			return g.result(), fmt.Errorf("traffic: %d requests still outstanding after forced quiesce (per shard: %s), sim time %d",
 				p.Outstanding(), shardOutstandingSummary(p.ShardOutstanding()), p.Now(0))

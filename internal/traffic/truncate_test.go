@@ -100,6 +100,13 @@ func runTruncParallel(t *testing.T, g *hexgrid.Grid, assign *chanset.Assignment,
 	return mobileOutcome{stats: p.Stats(), traffic: ts, trace: p.Trace(), use: use}, p
 }
 
+// measured is st without Cancelled, the one count that depends on the
+// horizon by definition: what is still in flight at the cutoff.
+func measured(st traffic.Stats) traffic.Stats {
+	st.Cancelled = 0
+	return st
+}
+
 // measuredTrace filters a trace to the Warmup..Duration measurement
 // window — the part a truncated run must reproduce exactly.
 func measuredTrace(evs []trace.Event, spec traffic.Spec) []trace.Event {
@@ -129,7 +136,10 @@ func TestRunParallelTruncatedMatchesFullDrain(t *testing.T) {
 	if serShort.traffic.Offered == 0 || serShort.traffic.HandoffAttempts == 0 {
 		t.Fatalf("workload too tame: %+v", serShort.traffic)
 	}
-	if !reflect.DeepEqual(serShort.traffic, serFull.traffic) {
+	if serShort.traffic.Cancelled == 0 || serFull.traffic.Cancelled != 0 {
+		t.Errorf("the short horizon cancelled %d requests, the one past quiescence %d: want some, and none", serShort.traffic.Cancelled, serFull.traffic.Cancelled)
+	}
+	if !reflect.DeepEqual(measured(serShort.traffic), serFull.traffic) {
 		t.Errorf("serial truncated traffic stats diverged from untruncated:\n trunc %+v\n full  %+v", serShort.traffic, serFull.traffic)
 	}
 	if !reflect.DeepEqual(measuredTrace(serShort.trace, short), measuredTrace(serFull.trace, full)) {
@@ -160,7 +170,7 @@ func TestRunParallelTruncatedMatchesFullDrain(t *testing.T) {
 
 	parShort, pShort := runTruncParallel(t, g, assign, short, 7, 2)
 	parFull, _ := runTruncParallel(t, g, assign, full, 7, 2)
-	if !reflect.DeepEqual(parShort.traffic, parFull.traffic) {
+	if !reflect.DeepEqual(measured(parShort.traffic), parFull.traffic) {
 		t.Errorf("parallel truncated traffic stats diverged from untruncated:\n trunc %+v\n full  %+v", parShort.traffic, parFull.traffic)
 	}
 	if !reflect.DeepEqual(measuredTrace(parShort.trace, short), measuredTrace(parFull.trace, full)) {
@@ -336,6 +346,48 @@ func TestTruncatedRunQueuesNothingPastCutoff(t *testing.T) {
 		}
 		if _, err := primed.Finish(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestCancelledCountsWhatTheCutoffWithdraws: a truncated run reports as
+// Stats.Cancelled exactly the requests still in flight when it reaches
+// its cutoff, and a full drain cancels none. On the serial kernel and at
+// 7 shards.
+func TestCancelledCountsWhatTheCutoffWithdraws(t *testing.T) {
+	g, assign := truncGrid(t)
+	for _, shards := range []int{0, 7} {
+		for _, spec := range []traffic.Spec{truncSpec(g, shortHorizon), truncSpec(g, 0)} {
+			factory, err := registry.Build("adaptive", g, assign, registry.Config{Latency: 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var d *driver.Parallel
+			if shards == 0 {
+				d = driver.New(g, assign, factory, driver.Options{Latency: 10, Seed: 7})
+			} else if d, err = driver.NewParallel(g, assign, factory, driver.ParallelOptions{Latency: 10, Seed: 7, Shards: shards, Workers: 2}); err != nil {
+				t.Fatal(err)
+			}
+			primed, err := traffic.PrimeParallel(d, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := 0
+			if spec.DrainHorizon > 0 {
+				if !d.DrainUntil(spec.Duration+spec.DrainHorizon, 2_000_000_000) {
+					t.Fatal("DrainUntil hit its backstop")
+				}
+				if want = d.Outstanding(); want == 0 {
+					t.Fatalf("shards=%d: nothing in flight at the cutoff; the test needs requests to cancel", shards)
+				}
+			}
+			st, err := primed.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Cancelled != uint64(want) {
+				t.Errorf("shards=%d horizon=%d: Cancelled = %d, want the %d requests in flight at the cutoff", shards, spec.DrainHorizon, st.Cancelled, want)
+			}
 		}
 	}
 }

@@ -122,6 +122,12 @@ type Stats struct {
 	// HandoffAttempts counts cell-boundary crossings by active calls;
 	// HandoffDrops those that found no channel in the new cell.
 	HandoffAttempts, HandoffDrops uint64
+	// Cancelled counts the requests a truncated drain (DrainHorizon > 0)
+	// found still in flight at its cutoff and withdrew: neither granted
+	// nor denied, so none of them is in Blocked or HandoffDrops. It is
+	// every request outstanding then, whenever it was submitted, and 0
+	// on a full drain.
+	Cancelled uint64
 	// PerCellOffered/PerCellBlocked break blocking down by cell.
 	PerCellOffered, PerCellBlocked []uint64
 }
@@ -142,14 +148,15 @@ func (st Stats) HandoffDropProbability() float64 {
 	return float64(st.HandoffDrops) / float64(st.HandoffAttempts)
 }
 
-// Dump lists the report as exact integers (metrics.Dump): the call and
-// handoff counts, then the per-cell tallies.
+// Dump lists the report as exact integers (metrics.Dump): the call,
+// handoff and cancellation counts, then the per-cell tallies.
 func (st Stats) Dump() metrics.Dump {
-	d := make(metrics.Dump, 0, 4+2*len(st.PerCellOffered))
+	d := make(metrics.Dump, 0, 5+2*len(st.PerCellOffered))
 	d.Put("offered", st.Offered)
 	d.Put("blocked", st.Blocked)
 	d.Put("handoff_attempts", st.HandoffAttempts)
 	d.Put("handoff_drops", st.HandoffDrops)
+	d.Put("cancelled", st.Cancelled)
 	d.PutSeries("cell_offered", st.PerCellOffered)
 	d.PutSeries("cell_blocked", st.PerCellBlocked)
 	return d
