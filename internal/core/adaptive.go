@@ -321,8 +321,9 @@ const (
 // cell id cost ~50 bytes of bucket overhead per neighbor per cell and a
 // chanset.Set per neighbor costs a 24-byte header plus a pointer hop on
 // every bit test; at 10^6 cells x 18 neighbors either dominates
-// steady-state memory, while a binary search over <= 18 sorted ids costs
-// a handful of compares. Where set algebra wants a chanset.Set, view
+// steady-state memory, while a sender's index is one load from the
+// grid's per-class slot table (hexgrid.Grid.Slot). Where set algebra
+// wants a chanset.Set, view
 // builds one on the stack over the slab's words.
 //
 // What the factory knows — PR_i, the spectrum, the instruments and the
@@ -494,13 +495,8 @@ func (a *Adaptive) inMask(which, k int) bool {
 }
 
 // nbrIdx returns j's index in the sorted interference list, or -1 when
-// j is not a neighbor of this cell.
-func (a *Adaptive) nbrIdx(j hexgrid.CellID) int {
-	if k, ok := slices.BinarySearch(a.neighbors(), j); ok {
-		return k
-	}
-	return -1
-}
+// j is not a neighbor of this cell (hexgrid.Grid.Slot).
+func (a *Adaptive) nbrIdx(j hexgrid.CellID) int { return a.factory.grid.Slot(a.cell, j) }
 
 // InUse implements alloc.Allocator.
 func (a *Adaptive) InUse() chanset.Set { return a.view(setUse) }

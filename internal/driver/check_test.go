@@ -166,3 +166,79 @@ func TestHoldingsTableAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// mover is an allocator that grants a cell's first request a channel of
+// its own, 1 + the cell's id, and moves that call onto channel 0 at the
+// next request, which it denies: two neighbours that both move falsify
+// Theorem 1 by a move, with no grant.
+type mover struct {
+	env  alloc.Env
+	cell hexgrid.CellID
+	use  chanset.Set
+}
+
+func (m *mover) Start(env alloc.Env) { m.env, m.use = env, chanset.NewSet(70) }
+func (m *mover) Request(id alloc.RequestID) {
+	own := chanset.Channel(1 + m.cell)
+	if !m.use.Contains(own) {
+		m.use.Add(own)
+		m.env.Granted(id, own)
+		return
+	}
+	m.use.Remove(own)
+	m.use.Add(0)
+	m.env.Moved(own, 0)
+	m.env.Denied(id)
+}
+func (m *mover) Release(chanset.Channel) error { return nil }
+func (m *mover) Handle(message.Message)        {}
+func (m *mover) InUse() chanset.Set            { return m.use }
+func (m *mover) Mode() int                     { return 0 }
+
+type moverFactory struct{}
+
+func (moverFactory) Name() string                            { return "mover" }
+func (moverFactory) New(cell hexgrid.CellID) alloc.Allocator { return &mover{cell: cell} }
+
+// TestCheckFindsAMoveOntoANeighboursChannel: a call moved onto a channel
+// a neighbour holds is a co-channel pair as much as a grant of it is. At
+// one shard it panics in the move's event; above it, at the barrier
+// ending the window of the move, though the cell was granted nothing in
+// that window and its neighbour moved in an earlier one.
+func TestCheckFindsAMoveOntoANeighboursChannel(t *testing.T) {
+	g := hexgrid.MustNew(hexgrid.Config{Shape: hexgrid.Rect, Width: 7, Height: 7, ReuseDistance: 2, Wrap: true})
+	assign := chanset.MustAssign(g, 70)
+	cell := g.InteriorCell()
+	neighbor := g.Interference(cell)[0]
+	for _, shards := range []int{1, 7} {
+		d, err := driver.NewParallel(g, assign, moverFactory{}, driver.Options{Latency: 10, Check: true, Shards: shards, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Both are granted their own channel in the first window, and
+		// neighbor moves onto 0; cell moves onto 0 in the second.
+		d.At(neighbor, 5, func() { d.Request(neighbor, nil) })
+		d.At(cell, 6, func() { d.Request(cell, nil) })
+		d.At(neighbor, 7, func() { d.Request(neighbor, nil) })
+		d.At(cell, 30, func() { d.Request(cell, nil) })
+		ran := 0
+		d.At(cell, 31, func() { ran = 31 })
+		d.At(cell, 50, func() { ran = 50 })
+		want, wantRan := fmt.Sprintf("cells %d and %d share {0}", cell, neighbor), 0
+		if shards > 1 {
+			want, wantRan = fmt.Sprintf("cells %d and %d share {0}", min(cell, neighbor), max(cell, neighbor)), 31
+		}
+		msg := func() (msg string) {
+			defer func() {
+				if err, ok := recover().(error); ok {
+					msg = err.Error()
+				}
+			}()
+			d.Run(100)
+			return ""
+		}()
+		if !strings.Contains(msg, want) || ran != wantRan {
+			t.Errorf("%d shards: panic %q, probes ran to t=%d; want %q with the probes run to t=%d", shards, msg, ran, want, wantRan)
+		}
+	}
+}

@@ -173,12 +173,16 @@ type parShard struct {
 	moved map[hexgrid.CellID]map[chanset.Channel][]chanset.Channel
 	// fault is the first failure of Options.Check this shard found when
 	// there are several — a station that disagrees with its row, or a
-	// co-channel pair whose lower cell is the shard's — for the next
-	// window barrier to raise.
+	// co-channel pair one of whose cells the shard granted a channel —
+	// for the next window barrier to raise.
 	fault error
-	dog   trace.Watchdog
-	ring  *trace.Ring
-	msgs  transport.Stats
+	// grew lists the shard's cells granted a channel, or moved onto one,
+	// since the last barrier: the cells whose pairs that barrier checks
+	// (Options.Check above one shard).
+	grew []hexgrid.CellID
+	dog  trace.Watchdog
+	ring *trace.Ring
+	msgs transport.Stats
 	// delayHist accumulates this shard's acquisition delays; Stats()
 	// merges the buckets (integer counts, order-insensitive).
 	delayHist *metrics.Histogram
@@ -459,14 +463,15 @@ func (p *Parallel) start(k eventKernel, factory alloc.Factory) {
 		env.a.Start(env)
 	}
 	if p.held != nil && !p.checkGrant { // more than one shard: the sharded kernel
-		// At every barrier, each shard's worker checks the pairs whose
-		// lower cell is its own; then the coordinator raises what they
-		// and the shards' events found.
+		// At every barrier, each shard's worker checks the pairs of the
+		// cells it granted a channel in the window; then the coordinator
+		// raises what they and the shards' events found.
 		check := func(s int) {
-			if sh := &p.shards[s]; sh.fault == nil {
-				t := p.part.Tile(s)
-				sh.fault = p.held.Check(t.Lo, t.Hi)
+			sh := &p.shards[s]
+			if sh.fault == nil {
+				sh.fault = p.held.Check(sh.grew)
 			}
+			sh.grew = sh.grew[:0]
 		}
 		p.kernel.SetBarrier(func() {
 			p.kernel.Each(p.opts.Workers, check)

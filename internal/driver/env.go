@@ -140,7 +140,7 @@ func (e *cellEnv) conclude(id alloc.RequestID, what string, granted bool, ch cha
 func (e *cellEnv) Moved(from, to chanset.Channel) {
 	if h := e.p.held; h != nil {
 		h.Drop(e.cell, from)
-		h.Hold(e.cell, to)
+		e.hold(h, to)
 	}
 	sh := &e.p.shards[e.shard]
 	if sh.moved == nil {
@@ -177,14 +177,24 @@ func (e *cellEnv) Granted(id alloc.RequestID, ch chanset.Channel) {
 	}
 	sh.traceEvent(trace.Event{At: now, Kind: trace.EvGrant, Cell: e.cell, Ch: ch, Info: int64(id)})
 	if h := p.held; h != nil {
-		h.Hold(e.cell, ch)
-		if p.checkGrant {
-			if j, clash := h.Clash(e.cell, ch); clash {
-				panic(trace.CoChannel(e.cell, j, chanset.SetOf(ch)))
-			}
-		}
+		e.hold(h, ch)
 	}
 	e.complete(q, fn, res)
+}
+
+// hold records in the table of Options.Check that the cell gained ch,
+// by a grant or a move, and checks the new holding: at once at one
+// shard, at the window's barrier above it.
+func (e *cellEnv) hold(h *trace.Holdings, ch chanset.Channel) {
+	h.Hold(e.cell, ch)
+	if e.p.checkGrant {
+		if j, clash := h.Clash(e.cell, ch); clash {
+			panic(trace.CoChannel(e.cell, j, chanset.SetOf(ch)))
+		}
+		return
+	}
+	sh := &e.p.shards[e.shard]
+	sh.grew = append(sh.grew, e.cell)
 }
 
 func (e *cellEnv) Denied(id alloc.RequestID) {

@@ -42,10 +42,6 @@ var directions = [6]Axial{
 	{+1, 0}, {+1, -1}, {0, -1}, {-1, 0}, {-1, +1}, {0, +1},
 }
 
-// Directions returns the six unit direction vectors of the hex lattice.
-// The returned array is a copy; callers may modify it freely.
-func Directions() [6]Axial { return directions }
-
 // Neighbor returns the neighbor of a in direction d (0..5).
 func (a Axial) Neighbor(d int) Axial { return a.Add(directions[d%6]) }
 

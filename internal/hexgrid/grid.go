@@ -78,6 +78,29 @@ type Grid struct {
 	// neighbors are adjFlat[adjOff[id]:adjOff[id+1]], sorted.
 	nbrOff, adjOff   []uint32
 	nbrFlat, adjFlat []CellID
+	// slots is Slot's table, nil where Slot binary-searches instead: for
+	// each class, the index in its cells' lists of the member at each
+	// offset (dq, dr), -1 where there is none. Offsets run over
+	// [-q.reach, q.reach] × [-r.reach, r.reach], class-major, then by dr.
+	slots []int8
+	q, r  slotAxis
+}
+
+// slotAxis is one axis of the slot table: a neighbor's offset along it
+// lies in [-reach, reach], and on a wrapped axis an offset past that is
+// moved back by side (0 on an unwrapped one, which leaves it outside).
+type slotAxis struct{ reach, side int }
+
+// index returns d+reach for an offset d that some wrap makes a neighbor
+// offset, and something outside [0, 2·reach] otherwise.
+func (a slotAxis) index(d int) int {
+	d += a.reach
+	if d > 2*a.reach {
+		d -= a.side
+	} else if d < 0 {
+		d += a.side
+	}
+	return d
 }
 
 // span is one row of a stencil: the lattice offsets (dq, dr) for dq in
@@ -150,6 +173,7 @@ func New(cfg Config) (*Grid, error) {
 		}
 	}
 	g.buildNeighborhoods(stencil, size)
+	g.buildSlots(size)
 	return g, nil
 }
 
@@ -310,6 +334,63 @@ func sortIDs(ids []CellID) {
 	}
 }
 
+// buildSlots builds Slot's table for a Rect grid whose lists fit its
+// index type, from one cell of each class: its list gives the offset of
+// each of its members, and every cell of the class has its members at
+// the same offsets in the same order.
+func (g *Grid) buildSlots(size int) {
+	if g.box != nil || size > math.MaxInt8 {
+		return
+	}
+	w, h, d := g.cfg.Width, g.cfg.Height, g.cfg.ReuseDistance
+	g.q, g.r = slotAxis{reach: min(d, w-1)}, slotAxis{reach: min(d, h-1)}
+	if g.cfg.Wrap {
+		g.q.side, g.r.side = w, h
+	}
+	_, nq := axisClass(0, w, d)
+	_, nr := axisClass(0, h, d)
+	sq, sr := 2*g.q.reach+1, 2*g.r.reach+1
+	g.slots = make([]int8, nq*nr*sq*sr)
+	for i := range g.slots {
+		g.slots[i] = -1
+	}
+	for cr := range nr {
+		for cq := range nq {
+			q, r := axisMember(cq, w, d), axisMember(cr, h, d)
+			base := (cr*nq + cq) * sr * sq
+			for k, j := range g.Interference(CellID(r*w + q)) {
+				dq, dr := g.q.index(int(j)%w-q), g.r.index(int(j)/w-r)
+				g.slots[base+dr*sq+dq] = int8(k)
+			}
+		}
+	}
+}
+
+// Slot returns j's index in Interference(c), or -1 when j is not in it
+// (j itself, a cell too far, or no cell at all). On a Rect grid it reads
+// one entry of a table per stencil class — the neighbor lists are not
+// touched; on a Hexagon grid, or one whose lists are too long for the
+// table, it binary-searches c's list.
+func (g *Grid) Slot(c, j CellID) int {
+	if g.slots == nil {
+		if k, ok := slices.BinarySearch(g.Interference(c), j); ok {
+			return k
+		}
+		return -1
+	}
+	if uint(j) >= uint(len(g.cells)) {
+		return -1
+	}
+	w := uint32(g.cfg.Width)
+	qc, rc := int(uint32(c)%w), int(uint32(c)/w)
+	dq, dr := g.q.index(int(uint32(j)%w)-qc), g.r.index(int(uint32(j)/w)-rc)
+	sq, sr := 2*g.q.reach+1, 2*g.r.reach+1
+	if uint(dq) >= uint(sq) || uint(dr) >= uint(sr) {
+		return -1
+	}
+	return int(g.slots[(g.classAt(qc, rc)*sr+dr)*sq+dq])
+}
+
 // Class returns the stencil class of cell id, in [0, NumClasses()).
 // Cells of one class have lists of one shape: the same stencil offsets
 // (clipped off the same edges, or none) in the same order once sorted by
@@ -324,10 +405,16 @@ func (g *Grid) Class(id CellID) int {
 	if g.box != nil {
 		return int(id)
 	}
-	w, d := g.cfg.Width, g.cfg.ReuseDistance
-	q, nq := axisClass(int(id)%w, w, d)
-	r, _ := axisClass(int(id)/w, g.cfg.Height, d)
-	return r*nq + q
+	w := g.cfg.Width
+	return g.classAt(int(id)%w, int(id)/w)
+}
+
+// classAt returns the class of the Rect cell at (q, r).
+func (g *Grid) classAt(q, r int) int {
+	d := g.cfg.ReuseDistance
+	cq, nq := axisClass(q, g.cfg.Width, d)
+	cr, _ := axisClass(r, g.cfg.Height, d)
+	return cr*nq + cq
 }
 
 // NumClasses returns the number of stencil classes.
@@ -348,6 +435,15 @@ func axisClass(x, n, d int) (class, classes int) {
 		return x, n
 	}
 	return min(x, d) + max(0, x-(n-1-d)), 2*d + 1
+}
+
+// axisMember returns a position of axis class k: the inverse of
+// axisClass, taking the interior class at d.
+func axisMember(k, n, d int) int {
+	if n/2 <= d || k <= d {
+		return k
+	}
+	return n - 1 - 2*d + k
 }
 
 // NumCells returns the number of cells in the grid.
@@ -395,12 +491,7 @@ func (g *Grid) Adjacent(id CellID) []CellID {
 
 // Interferes reports whether cells a and b are within the reuse
 // distance of each other (a != b).
-func (g *Grid) Interferes(a, b CellID) bool {
-	// Neighborhoods are symmetric by construction and leave the cell
-	// itself out; binary-search a's.
-	_, ok := slices.BinarySearch(g.Interference(a), b)
-	return ok
-}
+func (g *Grid) Interferes(a, b CellID) bool { return g.Slot(a, b) >= 0 }
 
 // MaxInterferenceDegree returns the size of the largest interference
 // neighborhood in the grid (the paper's parameter N for interior cells).

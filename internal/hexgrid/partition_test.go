@@ -39,7 +39,7 @@ func checkPartition(t *testing.T, g *Grid, n int) *Partition {
 				}
 			}
 			inHalo := false
-			for _, hc := range tile.Halo {
+			for _, hc := range halo(g, p, i) {
 				if hc == c {
 					inHalo = true
 					break
@@ -52,8 +52,8 @@ func checkPartition(t *testing.T, g *Grid, n int) *Partition {
 				h++
 			}
 		}
-		if h != len(tile.Halo) {
-			t.Errorf("tile %d halo double-counts: %d listed, %d distinct", i, len(tile.Halo), h)
+		if hl := halo(g, p, i); h != len(hl) {
+			t.Errorf("tile %d halo double-counts: %d listed, %d distinct", i, len(hl), h)
 		}
 	}
 	if covered != cells {
@@ -66,13 +66,13 @@ func TestPartitionRect(t *testing.T) {
 	g := MustNew(Config{Shape: Rect, Width: 10, Height: 8, ReuseDistance: 2})
 	for _, n := range []int{1, 3, 7, 16, 80} {
 		p := checkPartition(t, g, n)
-		if n == 1 && p.HaloCells() != 0 {
-			t.Errorf("single-shard partition has %d halo cells, want 0", p.HaloCells())
+		if n == 1 && haloCells(g, p) != 0 {
+			t.Errorf("single-shard partition has %d halo cells, want 0", haloCells(g, p))
 		}
 		if n == 80 {
 			// Every cell interferes with something abroad when alone.
-			if p.HaloCells() != 80 {
-				t.Errorf("per-cell partition has %d halo cells, want 80", p.HaloCells())
+			if haloCells(g, p) != 80 {
+				t.Errorf("per-cell partition has %d halo cells, want 80", haloCells(g, p))
 			}
 		}
 	}
@@ -90,9 +90,9 @@ func TestPartitionWrapped(t *testing.T) {
 	p := checkPartition(t, g, 4)
 	// On a torus the first and last tiles wrap into each other, so both
 	// ends must contribute halo cells.
-	if len(p.Tile(0).Halo) == 0 || len(p.Tile(3).Halo) == 0 {
+	if len(halo(g, p, 0)) == 0 || len(halo(g, p, 3)) == 0 {
 		t.Errorf("wrapped partition missing halo at the seam: %d / %d",
-			len(p.Tile(0).Halo), len(p.Tile(3).Halo))
+			len(halo(g, p, 0)), len(halo(g, p, 3)))
 	}
 }
 
@@ -114,15 +114,14 @@ func TestPartitionHaloBoundsInterior(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		tile := p.Tile(i)
-		if got, want := len(tile.Halo), 4*10; got != want {
+		if got, want := len(halo(g, p, i)), 4*10; got != want {
 			t.Errorf("tile %d: %d halo cells, want %d (2 boundary rows per seam, 2 seams on the torus)", i, got, want)
 		}
 	}
 }
 
 func TestPartitionNeighborShardsCorrect(t *testing.T) {
-	// NeighborShards must equal the brute-force set of shards reachable
+	// neighborShards must equal the brute-force set of shards reachable
 	// from any cell's interference neighborhood, for every tile.
 	for _, cfg := range []Config{
 		{Shape: Rect, Width: 10, Height: 8, ReuseDistance: 2},
@@ -145,7 +144,7 @@ func TestPartitionNeighborShardsCorrect(t *testing.T) {
 						}
 					}
 				}
-				got := p.NeighborShards(i)
+				got := neighborShards(g, p, i)
 				if len(got) != len(want) {
 					t.Fatalf("%v n=%d shard %d: NeighborShards=%v, want %d shards", cfg, n, i, got, len(want))
 				}
@@ -179,7 +178,7 @@ func TestPartitionNeighborShardsSparse(t *testing.T) {
 	const maxNeighbors = 8 // small constant; dense routing would be shards-1 = 255
 	total := 0
 	for i := 0; i < shards; i++ {
-		nbrs := p.NeighborShards(i)
+		nbrs := neighborShards(g, p, i)
 		if len(nbrs) > maxNeighbors {
 			t.Errorf("shard %d has %d neighbor shards (%v), want <= %d", i, len(nbrs), nbrs, maxNeighbors)
 		}

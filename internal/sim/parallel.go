@@ -29,6 +29,7 @@ import (
 	"math/bits"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -103,9 +104,10 @@ type pshard struct {
 	q   queue
 	// routes holds this shard's cross-shard mailboxes, sorted by
 	// destination shard and created lazily on first use. With
-	// contiguous ID-range tiles a shard only ever talks to its few
-	// partition neighbors (hexgrid.Partition.NeighborShards), so this
-	// stays O(neighbor shards) — a dense [][]Event outbox would be
+	// contiguous ID-range tiles a shard only ever talks to the few
+	// shards its cells' neighborhoods reach (at most 8 at 256 shards of
+	// 500x500, TestPartitionNeighborShardsSparse), so this stays
+	// O(neighbor shards) — a dense [][]Event outbox would be
 	// O(shards) per shard and dominate memory at the shard counts a
 	// 10^6-cell grid wants. Only this shard's worker appends; only the
 	// coordinator (between windows) drains.
@@ -195,6 +197,8 @@ type Shards struct {
 	// made once, so that handing it to Each allocates nothing.
 	horizon  Time
 	runShard func(shard int)
+	// claimed counts the shards Each's workers have claimed this call.
+	claimed atomic.Int32
 }
 
 // attMemo is what the kernel remembers per origin so that a snapshot
@@ -639,12 +643,15 @@ func (k *Shards) minDue() (Time, bool) {
 	return lo, ok
 }
 
-// Each calls fn(s) for every shard s on worker s%workers — a static
-// assignment, so which goroutine runs a shard never depends on timing —
-// and returns when every call has; workers <= 1 runs inline in shard
-// order with zero synchronization. Windows, the parallel flush and the
-// warm start (driver.Parallel.EachShard) all run through it; fn may
-// touch only what shard s owns.
+// Each calls fn(s) once for every shard s and returns when every call
+// has; workers <= 1 runs inline in shard order with zero
+// synchronization. Above that, each of min(workers, shards) goroutines
+// claims the next shard nobody has taken until none is left, so a worker
+// that finishes a light shard early takes the next one instead of
+// waiting. Windows, the parallel flush, the barrier check and the warm
+// start (driver.Parallel.EachShard) all run through it, and fn may touch
+// only what shard s owns, so which goroutine runs a shard changes
+// nothing. Coordinator only: the claim counter is the kernel's.
 func (k *Shards) Each(workers int, fn func(shard int)) {
 	// The clamped count is a fresh variable: reassigning the parameter
 	// would make the worker closure capture it by reference and
@@ -657,15 +664,16 @@ func (k *Shards) Each(workers int, fn func(shard int)) {
 		}
 		return
 	}
+	k.claimed.Store(0)
 	var wg sync.WaitGroup
 	wg.Add(nw)
-	for w := 0; w < nw; w++ {
-		go func(w int) {
+	for range nw {
+		go func() {
 			defer wg.Done()
-			for i := w; i < n; i += nw {
+			for i := int(k.claimed.Add(1)) - 1; i < n; i = int(k.claimed.Add(1)) - 1 {
 				fn(i)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 }

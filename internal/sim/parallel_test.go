@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
 )
 
@@ -391,5 +392,25 @@ func TestShardsReserveBudgetCumulative(t *testing.T) {
 	k.SetReserveBudget(0)
 	if err := k.Reserve(0, 2*perCall); err != nil {
 		t.Fatalf("reserve after restoring the default budget rejected: %v", err)
+	}
+}
+
+// TestEachClaimsEveryShardOnce: whatever the shard and worker counts,
+// one call of Each runs every shard exactly once, and a second call on
+// the same kernel does again.
+func TestEachClaimsEveryShardOnce(t *testing.T) {
+	for _, shards := range []int{1, 7, 64} {
+		k := NewShards(shards, 10, shards)
+		for _, workers := range []int{1, 2, 3, 8} {
+			runs := make([]atomic.Int32, shards)
+			for call := 1; call <= 2; call++ {
+				k.Each(workers, func(s int) { runs[s].Add(1) })
+				for s := range runs {
+					if got := runs[s].Load(); got != int32(call) {
+						t.Fatalf("%d shards, %d workers, call %d: shard %d ran %d times in all, want %d", shards, workers, call, s, got, call)
+					}
+				}
+			}
+		}
 	}
 }

@@ -7,7 +7,6 @@ package trace
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"repro/internal/chanset"
@@ -132,32 +131,44 @@ func (h *Holdings) Clash(cell hexgrid.CellID, ch chanset.Channel) (hexgrid.CellI
 	return -1, false
 }
 
-// Check verifies Theorem 1 over every interfering pair whose lower cell
-// is in [lo, hi), in ascending order of that cell, and returns the first
-// violation. Calls over disjoint ranges may run concurrently while no
-// row changes; together, ranges covering the grid check all of it.
-func (h *Holdings) Check(lo, hi hexgrid.CellID) error {
-	for c := lo; c < hi; c++ {
-		mine := h.Row(c)
-		if mine.Empty() {
-			continue
-		}
-		// The list is sorted and lacks c: the pairs whose lower cell is c
-		// are its tail from where c would be.
-		nbrs := h.grid.Interference(c)
-		k, _ := slices.BinarySearch(nbrs, c)
-		for _, j := range nbrs[k:] {
-			if theirs := h.Row(j); mine.Intersects(theirs) {
-				return CoChannel(c, j, chanset.Intersect(mine, theirs))
-			}
+// Check verifies Theorem 1 over every interfering pair with a member in
+// cells, a cell against its whole neighborhood in list order, and
+// returns the first violation, lower cell first. A pair can only form
+// when one of its cells gains a channel, so the cells granted one, or
+// moved onto one, since the table was last clean are all a check needs.
+// Calls may run concurrently while no row changes.
+func (h *Holdings) Check(cells []hexgrid.CellID) error {
+	for _, c := range cells {
+		if err := h.checkCell(c); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// CheckAll verifies Theorem 1 over the whole grid.
+// CheckAll verifies Theorem 1 over the whole grid: the first violation
+// is that of the lowest cell in one, with its lowest co-channel neighbor.
 func (h *Holdings) CheckAll() error {
-	return h.Check(0, hexgrid.CellID(h.grid.NumCells()))
+	for c := range h.grid.NumCells() {
+		if err := h.checkCell(hexgrid.CellID(c)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkCell verifies cell's row against each neighbor's.
+func (h *Holdings) checkCell(c hexgrid.CellID) error {
+	mine := h.Row(c)
+	if mine.Empty() {
+		return nil
+	}
+	for _, j := range h.grid.Interference(c) {
+		if theirs := h.Row(j); mine.Intersects(theirs) {
+			return CoChannel(min(c, j), max(c, j), chanset.Intersect(mine, theirs))
+		}
+	}
+	return nil
 }
 
 // Watchdog validates liveness: as long as requests are outstanding, the

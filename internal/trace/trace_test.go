@@ -78,13 +78,13 @@ func TestHoldingsClashAndCheck(t *testing.T) {
 	if j, ok := h.Clash(n, 66); !ok || j != 0 {
 		t.Fatalf("Clash(%d, 66) = %d, %v; want cell 0", n, j, ok)
 	}
-	for name, err := range map[string]error{"CheckAll": h.CheckAll(), "Check of cell 0": h.Check(0, 1)} {
+	for name, err := range map[string]error{"CheckAll": h.CheckAll(), "Check of cell 0": h.Check([]hexgrid.CellID{0}), "Check of the later cell": h.Check([]hexgrid.CellID{35, n})} {
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("cells 0 and %d share {66}", n)) {
 			t.Errorf("%s: %v, want cells 0 and %d sharing {66}", name, err, n)
 		}
 	}
-	if err := h.Check(1, hexgrid.CellID(g.NumCells())); err != nil {
-		t.Errorf("a range without the pair's lower cell: %v", err)
+	if err := h.Check([]hexgrid.CellID{1, 35}); err != nil {
+		t.Errorf("cells outside the pair: %v", err)
 	}
 	h.Drop(n, 66)
 	if err := h.CheckAll(); err != nil {

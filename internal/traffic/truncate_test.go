@@ -290,7 +290,7 @@ func TestRunParallelRejectsNegativeDrainHorizon(t *testing.T) {
 
 // TestTruncatedRunQueuesNothingPastCutoff: a truncated warm run tells
 // the kernel its cutoff before priming, so at the cutoff nothing is
-// left for ForceQuiesce's first discard — and what the kernel counted
+// left queued past it — and what the kernel counted
 // instead of queuing is exactly what a full-drain run of the same
 // workload holds queued when it reaches the cutoff, after executing the
 // same events. On the serial kernel and at 1 and 7 shards with 1 and 2
