@@ -262,10 +262,10 @@ func printReport(w io.Writer, scheme string, ws adca.WorkloadStats, st adca.Stat
 // printKernel renders the event kernel's own account of what it holds.
 func printKernel(w io.Writer, f adca.KernelFootprint) {
 	const mb = 1 << 20
-	fmt.Fprintf(w, "kernel memory     heap %.1f MB (%d pages), attachments %.1f MB (%d pages), funcs %.1f MB, routes %.1f MB\n",
-		float64(f.HeapBytes)/mb, f.HeapPages, float64(f.AttBytes)/mb, f.AttPages, float64(f.SideBytes)/mb, float64(f.RouteBytes)/mb)
-	fmt.Fprintf(w, "kernel queue      peak %d records for %d events pending, in a pool that peaked at %d pages (%.1f MB, %d out now); %d records popped, %d past the cutoff never queued; attachments %d stored, %d shared\n",
-		f.PeakRecords, f.PeakEvents, f.PoolPages, float64(f.PoolBytes)/mb, f.PoolOut, f.Pops, f.PastCutoff, f.AttParked, f.AttShared)
+	fmt.Fprintf(w, "kernel memory     heap %.1f MB (%d pages), far log %.1f MB (%d pages), attachments %.1f MB (%d pages), funcs %.1f MB, routes %.1f MB\n",
+		float64(f.HeapBytes)/mb, f.HeapPages, float64(f.LogBytes)/mb, f.LogPages, float64(f.AttBytes)/mb, f.AttPages, float64(f.SideBytes)/mb, float64(f.RouteBytes)/mb)
+	fmt.Fprintf(w, "kernel queue      peak %d records for %d events pending, in a pool that peaked at %d pages (%.1f MB, %d out now); %d records popped, %d of them through %d far-log batches (%d in the log now); %d past the cutoff never queued; attachments %d stored, %d shared\n",
+		f.PeakRecords, f.PeakEvents, f.PoolPages, float64(f.PoolBytes)/mb, f.PoolOut, f.Pops, f.Batched, f.Refills, f.LogRecords, f.PastCutoff, f.AttParked, f.AttShared)
 }
 
 // profiles are the -cpuprofile and -exectrace outputs a run has started.

@@ -283,6 +283,7 @@ type simObs struct {
 	kernelPages *obs.GaugeVec
 	kernelPeak  *obs.GaugeVec
 	kernelAtts  *obs.GaugeVec
+	kernelFar   *obs.GaugeVec
 }
 
 // gridFanout resolves the kernel's fan records against the grid's
@@ -318,6 +319,8 @@ func (o *simObs) bind(r *obs.Registry, j *obs.Journal, latency sim.Time) {
 		"High-water mark of the event queues: records queued, and the events they stood for.", "unit")
 	o.kernelAtts = r.GaugeVec("adca_kernel_attachments",
 		"Message attachments posted so far: stored (parked), and satisfied by one already stored (shared).", "how")
+	o.kernelFar = r.GaugeVec("adca_kernel_batched",
+		"Batches the event queues have sorted out of their far logs so far (refills), and the records those batches moved (records).", "unit")
 }
 
 // footprint publishes k's footprint; a no-op without a registry.
@@ -327,17 +330,21 @@ func (o *simObs) footprint(k eventKernel) {
 	}
 	f := k.Footprint()
 	o.kernelBytes.With("heap").Set(float64(f.HeapBytes))
+	o.kernelBytes.With("log").Set(float64(f.LogBytes))
 	o.kernelBytes.With("attachments").Set(float64(f.AttBytes))
 	o.kernelBytes.With("funcs").Set(float64(f.SideBytes))
 	o.kernelBytes.With("routes").Set(float64(f.RouteBytes))
 	o.kernelBytes.With("pool").Set(float64(f.PoolBytes))
 	o.kernelPages.With("heap").Set(float64(f.HeapPages))
+	o.kernelPages.With("log").Set(float64(f.LogPages))
 	o.kernelPages.With("pool").Set(float64(f.PoolPages))
 	o.kernelPages.With("attachments").Set(float64(f.AttPages))
 	o.kernelPeak.With("records").Set(float64(f.PeakRecords))
 	o.kernelPeak.With("events").Set(float64(f.PeakEvents))
 	o.kernelAtts.With("parked").Set(float64(f.AttParked))
 	o.kernelAtts.With("shared").Set(float64(f.AttShared))
+	o.kernelFar.With("refills").Set(float64(f.Refills))
+	o.kernelFar.With("records").Set(float64(f.Batched))
 }
 
 // Continuation is a typed request completion: what the workload layer

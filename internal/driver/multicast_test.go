@@ -228,6 +228,10 @@ func TestKernelFootprintGauges(t *testing.T) {
 			`adca_kernel_bytes{table="attachments"}`:   float64(fp.AttBytes),
 			`adca_kernel_bytes{table="routes"}`:        float64(fp.RouteBytes),
 			`adca_kernel_pages{table="heap"}`:          float64(fp.HeapPages),
+			`adca_kernel_bytes{table="log"}`:           float64(fp.LogBytes),
+			`adca_kernel_pages{table="log"}`:           float64(fp.LogPages),
+			`adca_kernel_batched{unit="refills"}`:      float64(fp.Refills),
+			`adca_kernel_batched{unit="records"}`:      float64(fp.Batched),
 			`adca_kernel_bytes{table="pool"}`:          float64(fp.PoolBytes),
 			`adca_kernel_pages{table="pool"}`:          float64(fp.PoolPages),
 			`adca_kernel_peak_pending{unit="records"}`: float64(fp.PeakRecords),
@@ -246,7 +250,7 @@ func TestKernelFootprintGauges(t *testing.T) {
 				t.Errorf("%s: %s = %v, want %v", name, key, got, want)
 			}
 		}
-		if fp.HeapBytes == 0 || fp.AttBytes == 0 || fp.AttParked == 0 || fp.AttShared == 0 || fp.PeakRecords == 0 || fp.PeakEvents < fp.PeakRecords || fp.Pops == 0 || fp.Events != 0 || fp.Records != 0 {
+		if fp.HeapBytes == 0 || fp.AttBytes == 0 || fp.AttParked == 0 || fp.AttShared == 0 || fp.PeakRecords == 0 || fp.PeakEvents < fp.PeakRecords || fp.Pops == 0 || fp.Refills == 0 || fp.Events != 0 || fp.Records != 0 {
 			t.Errorf("%s: footprint %+v after a drained run", name, fp)
 		}
 	}

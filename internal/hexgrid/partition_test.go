@@ -28,33 +28,6 @@ func checkPartition(t *testing.T, g *Grid, n int) *Partition {
 			}
 			covered++
 		}
-		// A cell is in the halo iff some interference neighbor is abroad.
-		h := 0
-		for c := tile.Lo; c < tile.Hi; c++ {
-			abroad := false
-			for _, nb := range g.Interference(c) {
-				if p.ShardOf(nb) != i {
-					abroad = true
-					break
-				}
-			}
-			inHalo := false
-			for _, hc := range halo(g, p, i) {
-				if hc == c {
-					inHalo = true
-					break
-				}
-			}
-			if abroad != inHalo {
-				t.Errorf("tile %d cell %d: abroad=%v but halo membership %v", i, c, abroad, inHalo)
-			}
-			if inHalo {
-				h++
-			}
-		}
-		if hl := halo(g, p, i); h != len(hl) {
-			t.Errorf("tile %d halo double-counts: %d listed, %d distinct", i, len(hl), h)
-		}
 	}
 	if covered != cells {
 		t.Fatalf("tiles cover %d cells, want %d", covered, cells)
@@ -116,47 +89,6 @@ func TestPartitionHaloBoundsInterior(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		if got, want := len(halo(g, p, i)), 4*10; got != want {
 			t.Errorf("tile %d: %d halo cells, want %d (2 boundary rows per seam, 2 seams on the torus)", i, got, want)
-		}
-	}
-}
-
-func TestPartitionNeighborShardsCorrect(t *testing.T) {
-	// neighborShards must equal the brute-force set of shards reachable
-	// from any cell's interference neighborhood, for every tile.
-	for _, cfg := range []Config{
-		{Shape: Rect, Width: 10, Height: 8, ReuseDistance: 2},
-		{Shape: Rect, Width: 9, Height: 9, ReuseDistance: 2, Wrap: true},
-		{Shape: Hexagon, Radius: 4, ReuseDistance: 2},
-	} {
-		g := MustNew(cfg)
-		for _, n := range []int{1, 2, 5, 16} {
-			p, err := g.Partition(n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < n; i++ {
-				want := map[int32]bool{}
-				tile := p.Tile(i)
-				for c := tile.Lo; c < tile.Hi; c++ {
-					for _, nb := range g.Interference(c) {
-						if s := int32(p.ShardOf(nb)); s != int32(i) {
-							want[s] = true
-						}
-					}
-				}
-				got := neighborShards(g, p, i)
-				if len(got) != len(want) {
-					t.Fatalf("%v n=%d shard %d: NeighborShards=%v, want %d shards", cfg, n, i, got, len(want))
-				}
-				for k, s := range got {
-					if !want[s] {
-						t.Errorf("%v n=%d shard %d: NeighborShards contains %d, not reachable", cfg, n, i, s)
-					}
-					if k > 0 && got[k-1] >= s {
-						t.Errorf("%v n=%d shard %d: NeighborShards not sorted ascending: %v", cfg, n, i, got)
-					}
-				}
-			}
 		}
 	}
 }

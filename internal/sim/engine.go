@@ -1,9 +1,10 @@
 // Package sim is a deterministic discrete-event simulation kernel: a
-// virtual clock, one 4-ary-heap queue of flat typed event records in
-// paged storage, with stable FIFO ordering of simultaneous events and
-// one record per multi-destination send (queue.go), under a serial
-// (Engine) and a sharded (Shards) event loop, and seeded random-number
-// streams.
+// virtual clock, one queue of flat typed event records in paged storage
+// — a 4-ary heap for what is due soon and a log sorted in batches for
+// what is due later — with stable FIFO ordering of simultaneous events
+// and one record per multi-destination send (queue.go, far.go), under a
+// serial (Engine) and a sharded (Shards) event loop, and seeded
+// random-number streams.
 //
 // All protocol benchmarks run on this kernel so results are exactly
 // reproducible from a seed; the live goroutine runtime in
@@ -106,10 +107,11 @@ func (e *Engine) Footprint() Footprint {
 	return f
 }
 
-// Reserve grows the queue's capacity to hold at least n events without
-// reallocating. Drivers that can estimate the number of concurrently
-// scheduled events (e.g. expected in-flight calls plus one arrival per
-// cell) should call it once up front to avoid growth copies mid-run.
+// Reserve readies the queue's far log to hold at least n events without
+// allocating: the pages go into the queue's page pool now. Drivers that
+// can estimate the number of concurrently scheduled events (e.g.
+// expected in-flight calls plus one arrival per cell) should call it
+// once up front to allocate the pages in one go.
 // Absurd hints — negative, or exceeding the engine's reserve budget —
 // return a descriptive error and leave the queue untouched.
 func (e *Engine) Reserve(n int) error {
@@ -162,7 +164,7 @@ func (e *Engine) keys(origin int32, n int) uint64 {
 // before Post returns.
 func (e *Engine) Post(at Time, origin int32, ev Event, att Attachment) {
 	if at < e.now {
-		e.panicPast(at, "")
+		e.panicPast(at)
 	}
 	ev.At, ev.key, ev.ref = at, e.keys(origin, 1), 0
 	if e.drop(at) {
@@ -192,7 +194,7 @@ func (e *Engine) memo(origin int32) *uint32 {
 // ascending index order, queued as a single record.
 func (e *Engine) PostFan(at Time, origin int32, ev Event, word int, mask uint64) {
 	if at < e.now {
-		e.panicPast(at, "")
+		e.panicPast(at)
 	}
 	if n := bits.OnesCount64(mask); n > 0 {
 		if rec := e.handlers.fanRecord(ev, at, e.keys(origin, n), word, mask); !e.drop(at) {
@@ -212,7 +214,7 @@ func (e *Engine) postFunc(at Time, origin int32, fn func()) {
 // panics: that is always a protocol-logic bug worth failing loudly on.
 func (e *Engine) At(at Time, fn func()) {
 	if at < e.now {
-		e.panicPast(at, "")
+		e.panicPast(at)
 	}
 	e.postFunc(at, -1, fn)
 }
@@ -224,7 +226,7 @@ func (e *Engine) At(at Time, fn func()) {
 // would use.
 func (e *Engine) AtOrigin(at Time, origin int32, fn func()) {
 	if at < e.now {
-		e.panicPast(at, "")
+		e.panicPast(at)
 	}
 	e.postFunc(at, origin, fn)
 }
@@ -234,20 +236,9 @@ func (e *Engine) AtOrigin(at Time, origin int32, fn func()) {
 func (e *Engine) AfterOrigin(delay Time, origin int32, fn func()) {
 	at := e.now + delay
 	if at < e.now {
-		e.panicPast(at, "")
+		e.panicPast(at)
 	}
 	e.postFunc(at, origin, fn)
-}
-
-// AtLabeled is At with a diagnostic label that is included in the
-// past-scheduling panic message. The label is ignored on the success
-// path, so labeling a hot call site costs nothing (no allocation, one
-// extra comparison only when the panic fires).
-func (e *Engine) AtLabeled(at Time, label string, fn func()) {
-	if at < e.now {
-		e.panicPast(at, label)
-	}
-	e.postFunc(at, -1, fn)
 }
 
 // After schedules fn delay ticks from now. Negative delays panic;
@@ -255,24 +246,20 @@ func (e *Engine) AtLabeled(at Time, label string, fn func()) {
 func (e *Engine) After(delay Time, fn func()) {
 	at := e.now + delay
 	if at < e.now {
-		e.panicPast(at, "")
+		e.panicPast(at)
 	}
 	e.postFunc(at, -1, fn)
 }
 
 // panicPast reports a past-scheduling bug including the event's origin:
-// the label (if any) and the caller site of the scheduling call. The
-// caller lookup runs only on this failure path, keeping scheduling
-// allocation-free.
-func (e *Engine) panicPast(at Time, label string) {
+// the caller site of the scheduling call. The caller lookup runs only on
+// this failure path, keeping scheduling allocation-free.
+func (e *Engine) panicPast(at Time) {
 	origin := "unknown origin"
 	// Skip panicPast and the exported scheduling method: frame 2 is the
 	// call site that scheduled the event.
 	if _, file, line, ok := runtime.Caller(2); ok {
 		origin = fmt.Sprintf("%s:%d", file, line)
-	}
-	if label != "" {
-		origin = label + " @ " + origin
 	}
 	panic(fmt.Sprintf("sim: scheduling event at %d before now %d (origin %s)", at, e.now, origin))
 }
@@ -286,11 +273,11 @@ func (e *Engine) Stop() { e.q.stop = true }
 // through a Stop, as they always have.
 func (e *Engine) run(until Time, budget uint64, stoppable bool) bool {
 	e.q.stop = false
-	for e.q.n > 0 && e.q.top().At <= until {
+	for e.q.next(until) != nil {
 		if budget == 0 {
 			return false
 		}
-		ev := e.q.pop()
+		ev := e.q.take()
 		e.now = ev.At
 		budget -= e.q.exec(&e.handlers, ev, budget)
 		if e.q.stop {
@@ -318,10 +305,10 @@ func (e *Engine) Run(until Time) uint64 {
 // Step executes exactly one event if any is queued; it reports whether an
 // event ran. Useful for fine-grained tests.
 func (e *Engine) Step() bool {
-	if e.q.n == 0 {
+	if e.q.next(math.MaxInt64) == nil {
 		return false
 	}
-	ev := e.q.pop()
+	ev := e.q.take()
 	e.now = ev.At
 	e.q.exec(&e.handlers, ev, 1)
 	return true
@@ -332,12 +319,12 @@ func (e *Engine) Step() bool {
 // tests to reach quiescence with a runaway-loop backstop.
 func (e *Engine) Drain(maxEvents uint64) bool {
 	e.run(math.MaxInt64, maxEvents, false)
-	return e.q.n == 0
+	return e.q.records == 0
 }
 
 // DrainUntil executes every event at or before cutoff, leaving later
-// events queued with the heap untouched, so the caller can decide to
-// discard them (truncate-at-horizon drain) or keep running. The clock
+// events queued, so the caller can decide to discard them
+// (truncate-at-horizon drain) or keep running. The clock
 // ends at cutoff when behind. maxEvents is a runaway-loop backstop
 // checked per event; DrainUntil reports whether every event due at or
 // before cutoff actually ran (false only when the backstop tripped).

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // PoisonPages turns on, for the rest of t, the pool's hook that
 // overwrites every page handed back with records due at -1 (see
@@ -9,4 +12,24 @@ import "testing"
 func PoisonPages(t testing.TB) {
 	poisonPages = true
 	t.Cleanup(func() { poisonPages = false })
+}
+
+// Perm fills a permutation of [0, n) using Fisher-Yates.
+func (r *Rand) Perm(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	for i := n - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
+	return p
+}
+
+// pop removes and returns the queue's earliest record; the queue must
+// not be empty.
+func (q *queue) pop() Event {
+	q.next(math.MaxInt64)
+	return q.take()
 }

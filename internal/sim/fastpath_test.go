@@ -43,32 +43,6 @@ func TestPastPanicMessageHasOrigin(t *testing.T) {
 	e.At(10, func() {})
 }
 
-func TestPastPanicMessageHasLabel(t *testing.T) {
-	e := NewEngine()
-	e.At(50, func() {})
-	e.Run(100)
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected panic")
-		}
-		if msg := r.(string); !strings.Contains(msg, "handoff-timer") {
-			t.Errorf("panic message should carry the label, got %q", msg)
-		}
-	}()
-	e.AtLabeled(10, "handoff-timer", func() {})
-}
-
-func TestAtLabeledSchedulesNormally(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	e.AtLabeled(5, "ok", func() { fired = true })
-	e.Run(10)
-	if !fired {
-		t.Fatal("labeled event did not fire")
-	}
-}
-
 // TestHeapStressOrdering drives the 4-ary heap through a large
 // interleaved push/pop pattern and checks global time order with FIFO
 // tie-breaking.

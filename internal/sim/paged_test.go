@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/raceflag"
 )
@@ -31,11 +34,14 @@ func allocated(f func()) (objects, bytes uint64) {
 // TestPagedTablesAllocationBudget: growing a table to N slots allocates
 // about one object per page and within 5 % of the bytes it ends up
 // holding — an append-grown slice allocates some 3.3 times that — for
-// the event heap and for the attachment arena.
+// the event queue's two tables, the near heap and the far log, and for
+// the attachment arena.
 func TestPagedTablesAllocationBudget(t *testing.T) {
 	skipUnderRace(t)
-	const slack = 64 // the first page's doublings and the page table's own growth
+	const slack = 64 // the first page's doublings and the page tables' own growth
 
+	// Due times 0..4095 from a clock at 0: one in 64 goes on the heap,
+	// the rest to the far log.
 	const events = 1 << 20
 	q := queue{pool: new(pagePool)}
 	objects, bytes := allocated(func() {
@@ -43,7 +49,7 @@ func TestPagedTablesAllocationBudget(t *testing.T) {
 			q.push(Event{At: Time(i % 4096), key: uint64(i)})
 		}
 	})
-	if pages := uint64(events/pageSlots + 1); objects > pages+slack {
+	if pages := uint64(events/pageSlots + 2); objects > pages+slack {
 		t.Errorf("pushing %d events allocated %d objects, want at most %d (one per page) + %d", events, objects, pages, slack)
 	}
 	if limit := events * EventSize * 105 / 100; bytes > limit {
@@ -51,7 +57,8 @@ func TestPagedTablesAllocationBudget(t *testing.T) {
 	}
 	var f Footprint
 	q.addTo(&f)
-	if f.HeapBytes > bytes || f.HeapPages != events/pageSlots+1 || f.PeakRecords != events {
+	if f.HeapBytes+f.LogBytes > bytes || f.HeapPages+f.LogPages > events/pageSlots+2 || f.PeakRecords != events ||
+		f.Records != events || f.LogRecords != events-events/4096*nearSpan {
 		t.Errorf("footprint %+v after %d pushes that allocated %d bytes", f, events, bytes)
 	}
 	for last, i := Time(0), 0; i < events; i++ {
@@ -61,7 +68,12 @@ func TestPagedTablesAllocationBudget(t *testing.T) {
 			last = ev.At
 		}
 	}
-
+	far := f.LogRecords
+	f = Footprint{}
+	q.addTo(&f)
+	if f.LogPages != 0 || f.Records != 0 || f.Batched != uint64(far) || f.Refills != (4096-nearSpan)/batchSpan+1 {
+		t.Errorf("footprint %+v once popped: want no log page, %d records batched in %d refills", f, far, (4096-nearSpan)/batchSpan+1)
+	}
 	const parked = 1 << 18
 	words := []uint64{1, 2}
 	slotBytes := uint64(8 * (attHeader + len(words)))
@@ -82,8 +94,10 @@ func TestPagedTablesAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestSmallQueueStaysSmall: a queue that never outgrows its first page
-// holds a doubling array, as a slice would — not a whole page.
+// TestSmallQueueStaysSmall: a heap that never outgrows its first page
+// holds a doubling array, as a slice would — not a whole page — and the
+// far log of a small queue holds one page of the pool's, which it hands
+// back once it empties.
 func TestSmallQueueStaysSmall(t *testing.T) {
 	q := queue{pool: new(pagePool)}
 	for i := 0; i < 100; i++ {
@@ -91,23 +105,35 @@ func TestSmallQueueStaysSmall(t *testing.T) {
 	}
 	var f Footprint
 	q.addTo(&f)
-	if f.HeapPages != 1 || f.HeapBytes > 128*EventSize {
-		t.Fatalf("100 events hold %d bytes in %d pages; want one array of at most 128 slots", f.HeapBytes, f.HeapPages)
+	if f.HeapPages != 1 || f.HeapBytes > 128*EventSize || f.LogPages != 1 || f.LogRecords != 100-nearSpan {
+		t.Fatalf("100 events hold %d bytes in %d heap pages and %d records in %d log pages; want one array of at most 128 slots and one page",
+			f.HeapBytes, f.HeapPages, f.LogRecords, f.LogPages)
+	}
+	for i := 0; i < 100; i++ {
+		q.pop()
+	}
+	f = Footprint{}
+	q.addTo(&f)
+	if f.LogPages != 0 || q.pool.out != 0 {
+		t.Fatalf("the emptied queue holds %d log pages, %d pool pages out", f.LogPages, q.pool.out)
 	}
 }
 
-// heapPages is the address of every page of q's heap.
-func heapPages(q *queue) []*Event {
-	var out []*Event
-	for _, pg := range q.heap.tab {
-		out = append(out, &pg[0])
+// pageSet is the addresses of pages, sorted.
+func pageSet(pages [][]Event) []uintptr {
+	var out []uintptr
+	for _, pg := range pages {
+		if pg != nil {
+			out = append(out, uintptr(unsafe.Pointer(&pg[0])))
+		}
 	}
+	slices.Sort(out)
 	return out
 }
 
-// TestReserveThenPushAllocatesNothing: Reserve(n) pre-allocates the very
-// pages n pushes then fill — nothing is allocated, nothing outgrown and
-// dropped — on both kernels, below and above one page.
+// TestReserveThenPushAllocatesNothing: Reserve(n) stocks the pool with
+// the very pages n far pushes then fill — nothing is allocated, nothing
+// outgrown and dropped — on both kernels, below and above one page.
 func TestReserveThenPushAllocatesNothing(t *testing.T) {
 	skipUnderRace(t)
 	for _, n := range []int{300, 5 * pageSlots} {
@@ -122,31 +148,68 @@ func TestReserveThenPushAllocatesNothing(t *testing.T) {
 		if err := k.Reserve(1, n); err != nil {
 			t.Fatal(err)
 		}
-		before := [][]*Event{heapPages(&e.q), heapPages(&k.shards[1].q)}
+		before := [][]uintptr{pageSet(e.pool.free), pageSet(k.pool.free)}
+		if want := (n + pageMask) / pageSlots; len(before[0]) != want || len(before[1]) != want {
+			t.Fatalf("Reserve(%d) stocked %d and %d pages, want %d", n, len(before[0]), len(before[1]), want)
+		}
 		if allocs := testing.AllocsPerRun(1, func() {
 			e.DiscardPending()
 			k.DiscardPending()
 			for i := 0; i < n; i++ {
-				e.Post(Time(n-i), 0, Event{Kind: KindRelease}, Attachment{})
-				k.Post(1, Time(n-i), 1, Event{Kind: KindRelease}, Attachment{})
+				e.Post(Time(nearSpan+n-i), 0, Event{Kind: KindRelease}, Attachment{})
+				k.Post(1, Time(nearSpan+n-i), 1, Event{Kind: KindRelease}, Attachment{})
 			}
 		}); allocs != 0 {
 			t.Errorf("Reserve(%d) then %d pushes allocated %.0f objects, want 0", n, n, allocs)
 		}
-		after := [][]*Event{heapPages(&e.q), heapPages(&k.shards[1].q)}
-		for i := range before {
-			if len(before[i]) != len(after[i]) {
-				t.Fatalf("Reserve(%d): %d pages reserved, %d after the pushes", n, len(before[i]), len(after[i]))
-			}
-			for p := range before[i] {
-				if before[i][p] != after[i][p] {
-					t.Fatalf("Reserve(%d): page %d was replaced by the pushes", n, p)
-				}
-			}
+		after := [][]uintptr{pageSet(e.q.far.tab), pageSet(k.shards[1].q.far.tab)}
+		if !reflect.DeepEqual(after, before) {
+			t.Fatalf("Reserve(%d): the far logs filled pages %v, not the %v reserved", n, after, before)
 		}
-		if e.Pending() != n || k.Pending() != n {
-			t.Fatalf("pending %d and %d after %d pushes", e.Pending(), k.Pending(), n)
+		if e.Pending() != n || k.Pending() != n || e.q.far.records() != n || k.shards[1].q.far.records() != n {
+			t.Fatalf("pending %d and %d after %d far pushes, %d and %d of them in the far logs", e.Pending(), k.Pending(), n, e.q.far.records(), k.shards[1].q.far.records())
 		}
+	}
+}
+
+// TestFarLogAllocatesNothing: a round of far posts — in a shard and
+// across a shard boundary — that fills the far logs, refills batches from
+// them and runs them allocates nothing once the pool holds the round's
+// pages.
+func TestFarLogAllocatesNothing(t *testing.T) {
+	skipUnderRace(t)
+	const posts = 3000
+	nop := handlerFunc(func(Event, Attachment) {})
+	e := NewEngine()
+	e.Handle(KindRelease, nop)
+	round := func() {
+		now := e.Now()
+		for i := 0; i < posts; i++ {
+			e.Post(now+nearSpan+Time(i*7%1000), int32(i%5), Event{Kind: KindRelease}, Attachment{})
+		}
+		e.Run(now + nearSpan + 1000)
+	}
+	round()
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Errorf("engine: %.1f allocations per far round, want 0", allocs)
+	}
+	k := NewShards(2, 5, 2)
+	k.Handle(KindRelease, nop)
+	sround := func() {
+		now := k.Now(0)
+		for i := 0; i < posts; i++ {
+			k.Post(0, now+nearSpan+Time(i*7%1000), 0, Event{Kind: KindRelease}, Attachment{})
+			k.PostCross(0, 1, now+nearSpan+Time(i*11%1000), 0, Event{Kind: KindRelease, Cell: 1}, Attachment{})
+		}
+		k.Run(1, now+nearSpan+1000)
+	}
+	sround()
+	if allocs := testing.AllocsPerRun(20, sround); allocs != 0 {
+		t.Errorf("shards: %.1f allocations per far round, want 0", allocs)
+	}
+	// 22 rounds each: the first and AllocsPerRun's 21.
+	if ef, kf := e.Footprint(), k.Footprint(); ef.Batched != 22*posts || kf.Batched != 2*22*posts || ef.Records != 0 || kf.Records != 0 {
+		t.Fatalf("the rounds batched %d and %d records, want %d and %d", ef.Batched, kf.Batched, 22*posts, 2*22*posts)
 	}
 }
 

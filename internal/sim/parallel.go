@@ -2,7 +2,7 @@ package sim
 
 // Conservative parallel DES kernel. The grid is sharded into contiguous
 // tiles (hexgrid.Partition); each shard owns a private event queue (the
-// same flat-record 4-ary heap the serial Engine runs on, queue.go) and
+// same near heap and far log the serial Engine runs on, queue.go) and
 // advances in lockstep windows of width equal to the lookahead (the
 // one-way message latency T). Within a window [W, W+T) shards execute
 // independently: an event at time t can only affect another shard via a
@@ -336,9 +336,10 @@ func (k *Shards) Footprint() Footprint {
 // sparse-routing property.
 func (k *Shards) Routes(s int) int { return len(k.shards[s].routes) }
 
-// Reserve grows shard s's heap to hold at least n events, mirroring
-// Engine.Reserve for the serial kernel: the pages come out of the pool
-// now instead of one by one as the heap fills. Absurd hints — negative,
+// Reserve readies shard s's far log to hold at least n events, mirroring
+// Engine.Reserve for the serial kernel: the pages go into the kernel's
+// pool now instead of being allocated one by one as the log fills, and
+// any of its tables may take them. Absurd hints — negative,
 // or blowing the kernel's reserve budget — return a descriptive error
 // and leave the heap untouched.
 func (k *Shards) Reserve(s, n int) error {
@@ -498,8 +499,8 @@ func (k *Shards) Cross(src, dst int, at Time, origin int32, fn func()) {
 
 // runWindow executes shard s's events with at < horizon.
 func (s *pshard) runWindow(h *handlers, horizon Time) {
-	for s.q.n > 0 && s.q.top().At < horizon {
-		ev := s.q.pop()
+	for s.q.next(horizon-1) != nil {
+		ev := s.q.take()
 		s.now = ev.At
 		s.q.exec(h, ev, math.MaxUint64)
 	}
@@ -627,16 +628,13 @@ func (k *Shards) flushParallel(workers int) {
 }
 
 // minDue returns the earliest queued event time across all shards, or
-// (0, false) when every heap is empty. Mailboxes are flushed first by
-// the caller, so heaps are authoritative.
+// (0, false) when every queue is empty. Mailboxes are flushed first by
+// the caller, so queues are authoritative. It reads each queue's bound
+// and refills nothing: refills run on the shard workers.
 func (k *Shards) minDue() (Time, bool) {
 	lo, ok := Time(0), false
 	for i := range k.shards {
-		sh := &k.shards[i]
-		if sh.q.n == 0 {
-			continue
-		}
-		if at := sh.q.top().At; !ok || at < lo {
+		if at, queued := k.shards[i].q.lowest(); queued && (!ok || at < lo) {
 			lo, ok = at, true
 		}
 	}
@@ -752,10 +750,10 @@ func (k *Shards) DrainUntil(workers int, cutoff Time, maxEvents uint64) bool {
 	// At normal loop exit the mailboxes have all been flushed (flush
 	// precedes the minDue break) and the earliest heap entry is past
 	// cutoff. Only the maxEvents path can leave due work behind, so
-	// verify directly: heap tops, plus unflushed boxes on that path.
+	// verify directly: queue bounds, plus unflushed boxes on that path.
 	for i := range k.shards {
 		sh := &k.shards[i]
-		if sh.q.n > 0 && sh.q.top().At <= cutoff {
+		if at, queued := sh.q.lowest(); queued && at <= cutoff {
 			return false
 		}
 		for j := range sh.routes {

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/raceflag"
@@ -18,9 +20,11 @@ import (
 // first few windows, every other call-end sends a message with a two-word
 // attachment seventeen origins on — another shard, as a rule — and a
 // message is answered by a call-end of half the weight three ticks later,
-// until the weight is spent. until > 0 stops the run there. It returns a
-// hash per origin of what the origin handled, and when, and the kernel.
-func burstRun(t *testing.T, shards, workers, burst int, until Time) ([]uint64, *Shards) {
+// until the weight is spent. With far, every third call-end of the burst
+// is due 100 to 1 100 ticks out instead, in the far logs. until > 0 stops
+// the run there. It returns a hash per origin of what the origin handled,
+// and when, and the kernel.
+func burstRun(t *testing.T, shards, workers, burst int, far bool, until Time) ([]uint64, *Shards) {
 	t.Helper()
 	const origins, lookahead, span = 64, 10, 40
 	shardOf := func(c int32) int { return int(c) * shards / origins }
@@ -55,7 +59,11 @@ func burstRun(t *testing.T, shards, workers, burst int, until Time) ([]uint64, *
 	}))
 	for c := int32(0); c < origins; c++ {
 		for i := 0; i < burst; i++ {
-			k.Post(shardOf(c), Time((i*7+int(c))%span), c, Event{Kind: KindRelease, Cell: c, T: int64(i % 64)}, Attachment{})
+			at := Time((i*7 + int(c)) % span)
+			if far && i%3 == 0 {
+				at += 100 + Time(i*13%1000)
+			}
+			k.Post(shardOf(c), at, c, Event{Kind: KindRelease, Cell: c, T: int64(i % 64)}, Attachment{})
 		}
 	}
 	if until > 0 {
@@ -78,8 +86,9 @@ func withoutHighWater(f Footprint) Footprint {
 // TestPoolKeepsTrajectoriesAndFootprints: per-origin trajectories are
 // the same at every shard and worker count, and at each shard count
 // everything the kernel reports — pages held by the heaps, pages out of
-// the pool at the end, peaks, pops, attachments stored and shared — is
-// the same whether one worker or two moved the pages. Only the pool's
+// the pool at the end, peaks, pops, far-log refills and the records they
+// batched, attachments stored and shared — is the same whether one
+// worker or two moved the pages. Only the pool's
 // high-water mark may differ: a page one worker hands back a moment
 // after another asked for one is a page more.
 func TestPoolKeepsTrajectoriesAndFootprints(t *testing.T) {
@@ -87,16 +96,17 @@ func TestPoolKeepsTrajectoriesAndFootprints(t *testing.T) {
 	if raceflag.Enabled {
 		burst = 500 // still several pages per heap at 4 shards, at a third of the detector's time
 	}
-	ref, _ := burstRun(t, 1, 1, burst, 0)
+	ref, _ := burstRun(t, 1, 1, burst, true, 0)
 	for _, shards := range []int{1, 4, 16} {
 		var one Footprint
 		for _, workers := range []int{1, 2} {
-			hash, k := burstRun(t, shards, workers, burst, 0)
+			hash, k := burstRun(t, shards, workers, burst, true, 0)
 			if !reflect.DeepEqual(hash, ref) {
 				t.Fatalf("%d shards, %d workers: trajectories differ from one shard's", shards, workers)
 			}
 			f := k.Footprint()
-			if f.Events != 0 || f.Records != 0 || f.PoolOut > shards || f.AttShared == 0 || f.PoolPages < 64*burst/pageSlots-shards {
+			if f.Events != 0 || f.Records != 0 || f.PoolOut > shards || f.AttShared == 0 || f.PoolPages < 64*burst/pageSlots-shards ||
+				f.LogPages != 0 || f.Refills < 4 || f.Batched < uint64(64*burst/3) {
 				t.Fatalf("%d shards, %d workers: footprint %+v after the drain", shards, workers, f)
 			}
 			if workers == 1 {
@@ -116,7 +126,7 @@ func TestPoolKeepsTrajectoriesAndFootprints(t *testing.T) {
 // used to cost the sum of both worst cases.
 func TestPoolHighWaterBudget(t *testing.T) {
 	for _, workers := range []int{1, 2} {
-		_, k := burstRun(t, 4, workers, 2000, 0)
+		_, k := burstRun(t, 4, workers, 2000, false, 0)
 		f := k.Footprint()
 		tables := 0
 		for s := 0; s < k.NumShards(); s++ {
@@ -133,7 +143,7 @@ func TestPoolHighWaterBudget(t *testing.T) {
 // the first page, which is its own — and a mailbox holds no page before
 // its first record or between barriers.
 func TestDiscardPendingReturnsPages(t *testing.T) {
-	_, k := burstRun(t, 4, 2, 2000, 25)
+	_, k := burstRun(t, 4, 2, 2000, false, 25)
 	if f := k.Footprint(); f.PoolOut < 16 || f.Events == 0 {
 		t.Fatalf("the run was cut too late to leave anything queued: %+v", f)
 	}
@@ -165,15 +175,17 @@ func TestDiscardPendingReturnsPages(t *testing.T) {
 	}
 }
 
-// TestRecycledPagesAreWrittenBeforeRead runs the burst, and the suites
-// that pin fan records, shared attachments, the destination-parallel
-// flush and the truncated drain, with every page overwritten on its way
-// back into the pool by records due at -1. Such a record sorts before
-// anything a run can queue, so a heap or a mailbox that read a slot of a
-// recycled page it had not written would run it first — a scheduling
-// panic, a missing handler or a different trajectory.
+// TestRecycledPagesAreWrittenBeforeRead runs the burst with its far
+// call-ends, and the suites that pin the queue's order, the far log's
+// pages, fan records, shared attachments, the destination-parallel flush
+// and the truncated drain, with every page overwritten on its way back
+// into the pool by records due at -1. Such a record sorts before
+// anything a run can queue, so a heap, a far log, a batch or a mailbox
+// that read a slot of a recycled page it had not written would run it
+// first — a scheduling panic, a missing handler or a different
+// trajectory.
 func TestRecycledPagesAreWrittenBeforeRead(t *testing.T) {
-	ref, _ := burstRun(t, 1, 1, 1500, 0)
+	ref, _ := burstRun(t, 1, 1, 1500, true, 0)
 	PoisonPages(t)
 	var p pagePool
 	pg := p.get()
@@ -184,12 +196,14 @@ func TestRecycledPagesAreWrittenBeforeRead(t *testing.T) {
 	}
 	for _, shape := range [][2]int{{4, 1}, {4, 2}, {16, 2}} {
 		t.Run(fmt.Sprintf("burst on %d shards, %d workers", shape[0], shape[1]), func(t *testing.T) {
-			if hash, _ := burstRun(t, shape[0], shape[1], 1500, 0); !reflect.DeepEqual(hash, ref) {
+			if hash, _ := burstRun(t, shape[0], shape[1], 1500, true, 0); !reflect.DeepEqual(hash, ref) {
 				t.Fatal("trajectories differ from the unpoisoned run's")
 			}
 		})
 	}
 	t.Run("discard", TestDiscardPendingReturnsPages)
+	t.Run("far log pages", TestFarLogReturnsPages)
+	t.Run("queue order", TestQueueMatchesReference)
 	if !raceflag.Enabled { // ten seconds there, and what a table reads is no matter of timing
 		t.Run("fan records", TestFanRecordsMatchSinglePosts)
 		t.Run("shared attachments", TestSharedAttachmentsMatchCopies)
@@ -199,4 +213,43 @@ func TestRecycledPagesAreWrittenBeforeRead(t *testing.T) {
 	t.Run("attachment outlives handler", TestAttachmentSlotOutlivesHandler)
 	t.Run("parallel flush", TestShardsParallelFlushMatchesSerial)
 	t.Run("truncated drain", TestShardsDrainUntilMatchesDrainPrefix)
+}
+
+// TestFarLogReturnsPages: the far log hands its pages back to the pool as
+// batches are read past them and the last one once it empties;
+// DiscardPending hands back what it still holds; and a log filled again
+// after the discard, due long after anything the discarded one held,
+// runs in order to the end.
+func TestFarLogReturnsPages(t *testing.T) {
+	e := NewEngine()
+	var got []Time
+	e.Handle(KindRelease, handlerFunc(func(ev Event, _ Attachment) { got = append(got, ev.At) }))
+	fill := func(from Time) {
+		for i := 0; i < 5*pageSlots; i++ {
+			e.Post(from+Time(i*7%4096), 0, Event{Kind: KindRelease}, Attachment{})
+		}
+	}
+	fill(nearSpan)
+	if f := e.Footprint(); f.LogPages != 5 || f.PoolOut != 5 || f.LogRecords != 5*pageSlots {
+		t.Fatalf("%d far posts: %+v", 5*pageSlots, f)
+	}
+	e.Run(nearSpan + 2047)
+	f := e.Footprint()
+	if left := f.LogRecords; left == 0 || f.Refills == 0 || f.LogPages > left/pageSlots+2 || f.PoolOut != f.LogPages {
+		t.Fatalf("half run: %d records left in %d log pages, %d pool pages out", left, f.LogPages, f.PoolOut)
+	}
+	if n := e.DiscardPending(); n != f.LogRecords {
+		t.Fatalf("discarded %d events, the log held %d", n, f.LogRecords)
+	}
+	if f := e.Footprint(); f.LogPages != 0 || f.PoolOut != 0 {
+		t.Fatalf("after the discard: %+v", f)
+	}
+	got = got[:0]
+	fill(e.Now() + 10000)
+	if !e.Drain(math.MaxUint64) || len(got) != 5*pageSlots || !slices.IsSorted(got) {
+		t.Fatalf("the refilled log ran %d of %d events, sorted: %v", len(got), 5*pageSlots, slices.IsSorted(got))
+	}
+	if f := e.Footprint(); f.LogPages != 0 || f.PoolOut != 0 || f.Records != 0 {
+		t.Fatalf("after the drain: %+v", f)
+	}
 }

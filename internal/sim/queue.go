@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -272,11 +273,12 @@ func (p *paged[T]) bytes() uint64 {
 }
 
 // pagePool is a kernel's stock of whole event pages, the only source of
-// one. A heap past its first page and a cross-shard mailbox from its
-// first record draw on it and hand back what they empty, so no table is
+// one. A heap past its first page, a far log and a cross-shard mailbox
+// from its first record draw on it and hand back what they empty, so no table is
 // sized for a worst case the others never see at the same time. The pool
-// never frees, and allocates only when every page it holds is out: the
-// pages it holds, out + len(free), are the most that were ever out at once.
+// never frees, and allocates only when every page it holds is out or
+// when a Reserve stocks it: the pages it holds, out + len(free), are the
+// most that were ever out at once or the stock, whichever is more.
 type pagePool struct {
 	mu   sync.Mutex // shard workers and flush workers share the pool
 	free [][]Event
@@ -298,6 +300,16 @@ func (p *pagePool) get() []Event {
 		return pg
 	}
 	return make([]Event, pageSlots)
+}
+
+// stock adds n new pages to the free list: a reserve taken ahead of the
+// records that will need it.
+func (p *pagePool) stock(n int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for range n {
+		p.free = append(p.free, make([]Event, pageSlots))
+	}
 }
 
 func (p *pagePool) put(pg []Event) {
@@ -488,13 +500,19 @@ func (a *attArena) reset() { a.n, a.free = 0, 0 }
 // costs one page lookup. Slots 0-2 are unused.
 const heapRoot = 3
 
-// queue is the event queue under both kernels: a 4-ary min-heap of flat
-// records in paged storage — wider nodes halve the tree depth versus a
-// binary heap, and value-typed pages avoid the interface boxing
-// container/heap forces on every Push/Pop — plus the side tables for
-// the events that carry more than the record holds: an event's ref
-// indexes fns when its kind is KindFunc, atts otherwise. The heap's
-// first page is the queue's own; the others come from the kernel's pool.
+// queue is the event queue under both kernels, in three parts that
+// together hold every record in one total order, (At, key): a 4-ary
+// min-heap of flat records in paged storage for those due within
+// nearSpan ticks of the queue's clock — wider nodes halve the tree depth
+// versus a binary heap, and value-typed pages avoid the interface boxing
+// container/heap forces on every Push/Pop — and, for the rest, the far
+// table of far.go, an unsorted log that is sorted a batch at a time as
+// it comes due. next yields the lesser of the heap's top and the batch's
+// head. Beside them are the side tables for the events that carry more
+// than the record holds: an event's ref indexes fns when its kind is
+// KindFunc, atts otherwise. The heap's first page is the queue's own;
+// every other event page, the far table's included, comes from the
+// kernel's pool.
 //
 // A record is one event or, with fan set, one fan record (PostFan):
 // several events of one origin and one due time, delivered one handler
@@ -504,8 +522,16 @@ type queue struct {
 	heap paged[Event]
 	pool *pagePool
 	n    int // records in the heap: slots heapRoot .. heapRoot+n-1
-	fns  funcTable
-	atts attArena
+	far  farLog
+	// records counts the records queued in the heap and the far table.
+	records int
+	// clock is the due time of the record taken last: a record due fewer
+	// than nearSpan ticks after it goes on the heap.
+	clock Time
+	// fromBatch says where the record next returned lies.
+	fromBatch bool
+	fns       funcTable
+	atts      attArena
 
 	pending  int    // events queued and not yet executed
 	executed uint64 // events executed
@@ -513,7 +539,7 @@ type queue struct {
 	// attParked and attShared count the attachments posted here: stored,
 	// and satisfied by a slot already holding the same bytes.
 	attParked, attShared uint64
-	// peakRecords and peakPending are the high-water marks of n and
+	// peakRecords and peakPending are the high-water marks of records and
 	// pending.
 	peakRecords, peakPending int
 	// pastCutoff counts the records posted here for after the kernel's
@@ -545,8 +571,68 @@ func b2i(b bool) int {
 	return 0
 }
 
-// top is the earliest record; the heap must not be empty.
+// top is the heap's earliest record; the heap must not be empty.
 func (q *queue) top() *Event { return &q.heap.tab[0][heapRoot] }
+
+// next returns the earliest record if it is due at or before until, and
+// nil if none is. When the batch is spent and the log's earliest record
+// may precede the heap's top, it refills the batch first, on the caller's
+// goroutine: a shard's own worker, inside its window.
+func (q *queue) next(until Time) *Event {
+	f := &q.far
+	if !f.batched() && f.n > f.bend && f.min <= until && (q.n == 0 || f.min <= q.top().At) {
+		f.refill(q.pool)
+	}
+	if f.batched() {
+		if b := f.at(f.head); q.n == 0 || less(b, q.top()) {
+			q.fromBatch = true
+			if b.At <= until {
+				return b
+			}
+			return nil
+		}
+	}
+	q.fromBatch = false
+	if q.n > 0 && q.top().At <= until {
+		return q.top()
+	}
+	return nil
+}
+
+// take removes and returns the record next returned last; nothing may
+// have been queued since.
+func (q *queue) take() Event {
+	q.pops++
+	q.records--
+	var ev Event
+	if q.fromBatch {
+		ev = q.far.pop(q.pool)
+	} else {
+		ev = q.popHeap()
+	}
+	q.clock = ev.At
+	return ev
+}
+
+// lowest returns the due time of the earliest record, and false when
+// the queue is empty. It never refills: the log's earliest due time is
+// kept as records are appended.
+func (q *queue) lowest() (Time, bool) {
+	if q.records == 0 {
+		return 0, false
+	}
+	lo, f := Time(math.MaxInt64), &q.far
+	if q.n > 0 {
+		lo = q.top().At
+	}
+	if f.batched() {
+		lo = min(lo, f.at(f.head).At)
+	}
+	if f.n > f.bend {
+		lo = min(lo, f.min)
+	}
+	return lo, true
+}
 
 // owe counts n more events as queued.
 func (q *queue) owe(n int) {
@@ -563,17 +649,24 @@ func (q *queue) post(ev Event, n int) {
 	q.push(ev)
 }
 
-// push adds the record ev and restores the heap by sifting it up.
-// Parents move down into the hole; ev is written once, where it lands.
+// push adds the record ev: to the far log when it is due nearSpan ticks
+// or more after the clock and after everything the batch may hold, and
+// otherwise to the heap, sifting it up — parents move down into the
+// hole, and ev is written once, where it lands. Times are never negative,
+// so the difference cannot overflow.
 func (q *queue) push(ev Event) {
+	if q.records++; q.records > q.peakRecords {
+		q.peakRecords = q.records
+	}
+	if ev.At-q.clock >= nearSpan && ev.At > q.far.last {
+		q.far.add(q.pool, ev)
+		return
+	}
 	i := heapRoot + q.n
 	if i >= q.heap.cap && !q.heap.growFirst(max(4, 2*q.heap.cap), 1) {
 		q.heap.add(q.pool.get())
 	}
 	q.n++
-	if q.n > q.peakRecords {
-		q.peakRecords = q.n
-	}
 	tab := q.heap.tab
 	hole := &tab[i>>pageShift][i&pageMask]
 	for i > heapRoot {
@@ -588,13 +681,12 @@ func (q *queue) push(ev Event) {
 	*hole = ev
 }
 
-// pop removes and returns the earliest record: the last one sifts down
-// from the root, smaller children moving up into the hole.
-func (q *queue) pop() Event {
+// popHeap removes and returns the heap's earliest record: the last one
+// sifts down from the root, smaller children moving up into the hole.
+func (q *queue) popHeap() Event {
 	tab := q.heap.tab
 	hole := &tab[0][heapRoot]
 	root := *hole
-	q.pops++
 	q.n--
 	end := heapRoot + q.n // the last record's slot; the heap's end once it has moved
 	x := tab[end>>pageShift][end&pageMask]
@@ -656,29 +748,27 @@ func (q *queue) dropPage() {
 }
 
 // discard drops every queued record and side entry and returns how many
-// events were dropped. Every heap page but the first goes back to the
-// pool; the side tables keep theirs.
+// events were dropped. Every heap page but the first and every page of
+// the far table goes back to the pool; the side tables keep theirs.
 func (q *queue) discard() int {
 	dropped := q.pending
-	q.n, q.pending = 0, 0
+	q.n, q.pending, q.records = 0, 0, 0
 	for len(q.heap.tab) > 1 {
 		q.dropPage()
 	}
+	q.far.release(q.pool)
 	q.fns.reset()
 	q.atts.reset()
 	return dropped
 }
 
-// capacity is the number of records the heap's pages hold.
-func (q *queue) capacity() int { return max(0, q.heap.cap-heapRoot) }
+// capacity is the number of records the far table's pages hold.
+func (q *queue) capacity() int { return q.far.capacity() }
 
-// reserve makes room for n records, taking the pages from the pool now.
-func (q *queue) reserve(n int) {
-	q.heap.growFirst(n+heapRoot, 1)
-	for q.heap.cap < n+heapRoot {
-		q.heap.add(q.pool.get())
-	}
-}
+// reserve readies the far table — where the records a driver can count
+// ahead, a call's hang-up and a cell's next arrival, go — for n records,
+// stocking the pool with their pages now.
+func (q *queue) reserve(n int) { q.far.reserve(q.pool, n) }
 
 // Fan records. A send to many cells of one origin's neighbour list is
 // one record: At, the origin and every payload field are shared, the
@@ -773,6 +863,9 @@ func (q *queue) execFan(h *handlers, ev Event, budget uint64) uint64 {
 			return done
 		}
 		ev.key++
+		// Only the heap can hold a record that sorts before the next
+		// delivery: one queued by the handler meanwhile, due now. Nothing
+		// queued before the record was taken lies between its keys.
 		if done == budget || q.stop || (q.n > 0 && less(q.top(), &ev)) {
 			ev.fan = fan
 			ev.setFanMask(mask)
@@ -792,6 +885,15 @@ type Footprint struct {
 	// HeapPages and HeapBytes are the event heaps' pages.
 	HeapPages int
 	HeapBytes uint64
+	// LogPages and LogBytes are the far tables' pages — the far logs'
+	// and their batches' — all of them out of the pool; LogRecords is
+	// what the tables hold now, a part of Records.
+	LogPages   int
+	LogBytes   uint64
+	LogRecords int
+	// Refills counts the batches filled from a far log, and Batched the
+	// records they moved: every record the queues took from a far table.
+	Refills, Batched uint64
 	// AttPages and AttBytes are the attachment arenas'.
 	AttPages int
 	AttBytes uint64
@@ -803,8 +905,9 @@ type Footprint struct {
 	RouteBytes uint64
 	// PoolPages and PoolBytes are the event pages the kernel's pool has
 	// allocated, which is the most that were ever out of it at once — in
-	// heaps past their first page, where HeapPages counts them too, and
-	// in mailboxes. PoolOut is how many are out now.
+	// heaps past their first page, where HeapPages counts them too, in far
+	// tables (LogPages) and in mailboxes — or the stock Reserve put in,
+	// whichever is more. PoolOut is how many are out now.
 	PoolPages, PoolOut int
 	PoolBytes          uint64
 	// AttParked and AttShared split the attachments posted so far into
@@ -812,8 +915,8 @@ type Footprint struct {
 	// and those that cost a reference to one already holding the same
 	// bytes. AttShared / (AttParked + AttShared) is the sharing ratio.
 	AttParked, AttShared uint64
-	// Records and Events are what is queued now: heap and mailbox
-	// records, and the events they stand for (Pending).
+	// Records and Events are what is queued now: heap, far-table and
+	// mailbox records, and the events they stand for (Pending).
 	Records, Events int
 	// PeakRecords and PeakEvents are the high-water marks of the two,
 	// taken per queue and summed: what the heaps had to grow to.
@@ -842,10 +945,15 @@ func (p *pagePool) addTo(f *Footprint) {
 func (q *queue) addTo(f *Footprint) {
 	f.HeapPages += len(q.heap.tab)
 	f.HeapBytes += q.heap.bytes()
+	f.LogPages += q.far.pages()
+	f.LogBytes += uint64(q.far.pages()) * pageSlots * EventSize
+	f.LogRecords += q.far.records()
+	f.Refills += q.far.refills
+	f.Batched += q.far.moved
 	f.AttPages += len(q.atts.words.tab)
 	f.AttBytes += q.atts.words.bytes()
 	f.SideBytes += uint64(cap(q.fns.slots))*uint64(unsafe.Sizeof(q.fns.slots[0])) + uint64(cap(q.fns.free))*4
-	f.Records += q.n
+	f.Records += q.records
 	f.Events += q.pending
 	f.PeakRecords += q.peakRecords
 	f.PeakEvents += q.peakPending
