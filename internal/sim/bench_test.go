@@ -69,7 +69,7 @@ func BenchmarkQueueHold(b *testing.B) {
 	for i := range gaps {
 		gaps[i] = r.ExpTicks(3000) + 1
 	}
-	q := queue{pool: new(pagePool)}
+	q := queue{pool: new(pagePool), near: nearSpan}
 	for i := 0; i < depth; i++ {
 		q.push(Event{At: gaps[i&4095], key: uint64(i)})
 	}

@@ -62,7 +62,7 @@ type Engine struct {
 // NewEngine returns an engine at time 0 with an empty queue.
 func NewEngine() *Engine {
 	e := &Engine{cutoff: math.MaxInt64}
-	e.q.pool = &e.pool
+	e.q.pool, e.q.near = &e.pool, nearSpan
 	return e
 }
 

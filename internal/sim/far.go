@@ -10,41 +10,67 @@ import (
 // arrival at a cell — while the records executed next are mostly
 // messages due one latency out. A heap pays for the far records on every
 // pop: the last record sifts down through all of them, one dependent
-// cache miss per level. So the queue keeps only records due within
-// nearSpan ticks of its clock (the due time of the record it popped
-// last) in the heap and appends the others, unsorted, to a far table.
+// cache miss per level. So a queue past smallQueue records keeps only
+// records due within its near horizon of its clock (the due time of the
+// record it popped last) in the heap and appends the others, unsorted,
+// to a far table.
 // When the heap's top no longer precedes the far table's earliest record,
 // one sweep moves every far record due within batchSpan ticks of that
 // earliest one to the front of the table, where a counting sort by due
 // tick puts them in order; popping them is then a sequential read.
 //
-// The far table is a run of pool pages: [head, bend) is the batch,
-// sorted by (At, key), and [bend, n) the log, in append order, whose
-// earliest due time is min. Pages the batch has been read past go back
-// to the pool as it is read, and every page goes back when the table
-// empties. Nothing but routing and the sweep depends on the constants:
-// the order is (At, key) whichever part holds a record.
+// The far table is a run of pages: [head, bend) is the batch, sorted by
+// (At, key), and [bend, n) the log, in append order, whose earliest due
+// time is min. Its first page is the queue's own, short and doubling
+// while it is the only one, as the heap's first page is; every later page
+// comes from the kernel's pool. Pages the batch has been read past go
+// back as it is read — the pool's to the pool, the own page to the table
+// as a spare it takes again first — and every page goes back when the
+// table empties. Nothing but routing and the sweep depends on the
+// constants: the order is (At, key) whichever part holds a record.
 const (
-	// nearSpan is the near heap's horizon. Messages, handoffs and
-	// release-backs are due one latency (10 ticks in the repository's
-	// workloads) after the record that sends them, and a shard's clock
-	// may trail the window that sent a cross-shard message by up to one
-	// more; 64 ticks keeps every such record in the heap with room for
-	// jitter, while a far record — due a hold time of thousands of ticks
-	// out — lands inside it a few times in a hundred.
+	// nearSpan is the near heap's horizon on the serial kernel, and its
+	// least on the sharded one. Messages, handoffs and release-backs are
+	// due one latency (10 ticks in the repository's workloads) after the
+	// record that sends them, and a shard's clock may trail the window
+	// that sent a cross-shard message by up to one lookahead more; 64
+	// ticks keeps every such record in the heap with room to spare, while
+	// a far record — due a hold time of thousands of ticks out — lands
+	// inside it a few times in a hundred. Shards widen it to three
+	// lookaheads (nearOf); the serial kernel, which knows no latency,
+	// files the messages of a latency of 64 ticks or more in the log.
 	nearSpan = 64
 	// batchSpan is the width, in ticks, of the due times one refill
-	// moves. At 256 a batch holds some 4 500 records on
-	// light-mobile-serial, whose run refills 336 times: fewer, wider
+	// moves. At 256 a batch holds some 4 800 records on
+	// light-mobile-serial, whose run refills 318 times: fewer, wider
 	// batches sort more records than the heap ever had to order at once;
 	// narrower ones sweep the log more often.
 	batchSpan = 256
+	// smallQueue is the number of records a queue keeps in its heap
+	// whatever they are due: a queue that never holds more is one heap
+	// array, as before the split, and pays for no second table.
+	smallQueue = 128
 )
 
-// farLog is the queue's far table (see above). Its pages come from the
-// queue's pool, which the methods are handed.
+// nearOf is the near horizon of a sharded kernel of the given lookahead:
+// a message is due at most two lookaheads after its shard's clock, and
+// the third is room to spare, as nearSpan leaves for the repository's 10.
+func nearOf(lookahead Time) Time {
+	if lookahead > math.MaxInt64/3 {
+		return math.MaxInt64
+	}
+	return max(nearSpan, 3*lookahead)
+}
+
+// farLog is the queue's far table (see above). Its pages past the first
+// come from the queue's pool, which the methods are handed.
 type farLog struct {
-	tab        [][]Event
+	tab [][]Event
+	// own is the table's own page, nil until its first record; inTab
+	// says whether the table holds it or keeps it spare. While it is short
+	// it is the table's only page or the table is empty.
+	own        []Event
+	inTab      bool
 	head, bend int
 	n          int
 	min        Time
@@ -72,9 +98,14 @@ func (f *farLog) records() int { return f.n - f.head }
 func (f *farLog) add(pool *pagePool, ev Event) {
 	i := f.n
 	if i>>pageShift == len(f.tab) {
-		f.tab = append(f.tab, pool.get())
+		f.tab = append(f.tab, f.page(pool))
 	}
-	f.tab[i>>pageShift][i&pageMask] = ev
+	pg := f.tab[i>>pageShift]
+	if i&pageMask == len(pg) { // the own page, short and full
+		f.growOwn(2 * len(pg))
+		pg = f.own
+	}
+	pg[i&pageMask] = ev
 	if f.n++; f.n == f.bend+1 || ev.At < f.min {
 		f.min = ev.At
 	}
@@ -90,7 +121,7 @@ func (f *farLog) pop(pool *pagePool) Event {
 	case f.head == f.n:
 		f.release(pool)
 	case f.head&pageMask == 0:
-		pool.put(f.tab[i>>pageShift])
+		f.put(pool, f.tab[i>>pageShift])
 		f.tab[i>>pageShift] = nil
 	}
 	return ev
@@ -102,7 +133,7 @@ func (f *farLog) pop(pool *pagePool) Event {
 func (f *farLog) release(pool *pagePool) {
 	for p := len(f.tab) - 1; p >= 0; p-- {
 		if f.tab[p] != nil {
-			pool.put(f.tab[p])
+			f.put(pool, f.tab[p])
 			f.tab[p] = nil
 		}
 	}
@@ -110,30 +141,78 @@ func (f *farLog) release(pool *pagePool) {
 	f.head, f.bend, f.n = 0, 0, 0
 }
 
-// capacity is the number of records the table's page table has room
-// for from head on.
-func (f *farLog) capacity() int { return cap(f.tab)<<pageShift - f.head }
+// page returns the page the table appends next: its own while that is
+// spare, and one of the pool's once the table holds it.
+func (f *farLog) page(pool *pagePool) []Event {
+	if f.inTab {
+		return pool.get()
+	}
+	if f.own == nil {
+		f.own = make([]Event, 4)
+	}
+	f.inTab = true
+	return f.own
+}
 
-// reserve readies the table for n records: its page table gets the room
-// and the pool the pages, which any table of the kernel may then take —
-// the warm start's burst of messages, due in the first window, fills
-// the heaps from the same stock the far logs draw on.
-func (f *farLog) reserve(pool *pagePool, n int) {
-	if more := (f.head+n+pageMask)>>pageShift - cap(f.tab); more > 0 {
-		pool.stock(more)
-		f.tab = slices.Grow(f.tab, cap(f.tab)+more-len(f.tab))
+// put takes back a page the table is done with: the own page stays, a
+// spare, and any other goes back to the pool.
+func (f *farLog) put(pool *pagePool, pg []Event) {
+	if &pg[0] != &f.own[0] {
+		pool.put(pg)
+		return
+	}
+	f.inTab = false
+	if poisonPages {
+		poison(pg)
 	}
 }
 
-// pages is the number of pages the table holds.
-func (f *farLog) pages() int {
-	n := 0
+// growOwn makes the own page, still short, hold size slots, a whole page
+// at most — the one copy the table ever makes of its records.
+func (f *farLog) growOwn(size int) {
+	pg := make([]Event, min(size, pageSlots))
+	copy(pg, f.own)
+	f.own = pg
+	if f.inTab {
+		f.tab[0] = pg
+	}
+}
+
+// capacity is the number of records the table has room for from head
+// on: its own page and a page of the pool's for every further entry its
+// page table has room for.
+func (f *farLog) capacity() int { return len(f.own) + (max(cap(f.tab), 1)-1)<<pageShift - f.head }
+
+// reserve readies the table for n records: the own page grows to hold
+// them, a whole page at most, and the pool is stocked with the pages
+// past it, which any table of the kernel may then take — the warm
+// start's burst of messages, due in the first window, fills the heaps
+// from the same stock the far logs draw on.
+func (f *farLog) reserve(pool *pagePool, n int) {
+	if need := f.head + n; need > len(f.own) && len(f.own) < pageSlots {
+		f.growOwn(need)
+	}
+	pages := (f.head + n + pageMask) >> pageShift
+	if more := pages - max(cap(f.tab), 1); more > 0 {
+		pool.stock(more)
+		f.tab = slices.Grow(f.tab, pages-len(f.tab))
+	}
+}
+
+// pages and bytes are the pages the table holds, its own included
+// whether it is in use or spare, and their memory.
+func (f *farLog) pages() (n int, bytes uint64) {
 	for _, pg := range f.tab {
 		if pg != nil {
 			n++
+			bytes += uint64(len(pg)) * EventSize
 		}
 	}
-	return n
+	if f.own != nil && !f.inTab {
+		n++
+		bytes += uint64(len(f.own)) * EventSize
+	}
+	return n, bytes
 }
 
 // refill makes the batch of every log record due within batchSpan ticks
@@ -195,7 +274,7 @@ func (f *farLog) rebase(pool *pagePool) {
 	f.head, f.bend, f.n = 0, 0, n
 	keep := (f.n + pageMask) >> pageShift
 	for p := len(f.tab) - 1; p >= keep; p-- {
-		pool.put(f.tab[p])
+		f.put(pool, f.tab[p])
 		f.tab[p] = nil
 	}
 	f.tab = f.tab[:keep]

@@ -271,7 +271,8 @@ func runOrder(s *orderSched, k orderKernel) orderRun {
 // sequence need not ascend: a zero-delay post can sort before the event
 // that made it, and runs next.)
 // Each kernel discards what the model held mid-run, and ends with its
-// far logs empty, every page back, having refilled batches on the way.
+// far logs empty, holding their own pages only, every pool page back,
+// having refilled batches on the way.
 func TestQueueMatchesReference(t *testing.T) {
 	const T = 5
 	for _, cutoff := range []Time{math.MaxInt64, 4000} {
@@ -291,7 +292,7 @@ func TestQueueMatchesReference(t *testing.T) {
 			t.Fatalf("the schedule is vacuous: %d events, %d discarded", n, want.discarded)
 		}
 		wantCells := byCell(want.logs)
-		check := func(t *testing.T, got orderRun) {
+		check := func(t *testing.T, got orderRun, queues int) {
 			t.Helper()
 			if got.discarded != want.discarded || got.executed != uint64(len(want.logs[0])) {
 				t.Fatalf("discarded %d and executed %d events; the model %d and %d", got.discarded, got.executed, want.discarded, len(want.logs[0]))
@@ -299,7 +300,7 @@ func TestQueueMatchesReference(t *testing.T) {
 			if !reflect.DeepEqual(byCell(got.logs), wantCells) {
 				t.Fatal("some cell's sequence differs from the model's")
 			}
-			if f := got.foot; f.Records != 0 || f.LogRecords != 0 || f.LogPages != 0 || f.Refills == 0 || f.Batched == 0 {
+			if f := got.foot; f.Records != 0 || f.LogRecords != 0 || f.LogPages > queues || f.PoolOut != 0 || f.Refills == 0 || f.Batched == 0 {
 				t.Fatalf("footprint after the drain: %+v", f)
 			}
 		}
@@ -321,7 +322,7 @@ func TestQueueMatchesReference(t *testing.T) {
 			if !reflect.DeepEqual(got.logs, want.logs) {
 				t.Fatal("the engine's sequence differs from the model's")
 			}
-			check(t, got)
+			check(t, got, 1)
 		})
 		for _, shards := range []int{1, 7} {
 			w := newFanWorld(140, shards)
@@ -340,7 +341,7 @@ func TestQueueMatchesReference(t *testing.T) {
 						discard:  k.DiscardPending,
 						executed: k.Executed,
 						foot:     k.Footprint,
-					}))
+					}), shards)
 				})
 			}
 		}
@@ -352,8 +353,10 @@ func TestQueueMatchesReference(t *testing.T) {
 // zero-delay event that sorts before the rest of their fan record — and
 // steps, runs, cutoffs and discards on an Engine, checking every event
 // it executes, as it executes it, against a model of the pending events
-// that takes the least (At, key) by a linear scan. The seed corpus is in
-// testdata/fuzz/FuzzQueueOrder.
+// that takes the least (At, key) by a linear scan. The queue starts, and
+// starts again after each discard, with smallQueue records due late, so
+// that it is never small and far posts go to the far log. The seed
+// corpus is in testdata/fuzz/FuzzQueueOrder.
 func FuzzQueueOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const origins = 8
@@ -394,6 +397,15 @@ func FuzzQueueOrder(f *testing.F) {
 			}
 			return e.Now() + d
 		}
+		ballast := func() {
+			for i := range smallQueue {
+				at := max(e.Now(), math.MaxInt64-1<<16+Time(i))
+				ev := Event{Kind: KindRelease, Cell: int32(i % origins)}
+				ref.add(at, int32(i%origins), ev, Attachment{}, nil)
+				e.Post(at, int32(i%origins), ev, Attachment{})
+			}
+		}
+		ballast()
 		due := func(class, b byte) Time {
 			switch class % 4 {
 			case 0:
@@ -429,6 +441,7 @@ func FuzzQueueOrder(f *testing.F) {
 					fail = fmt.Sprintf("discarded %d events of the model's %d", n, len(ref.recs))
 				}
 				ref.recs = ref.recs[:0]
+				ballast()
 			case 7:
 				cut := after(Time(a)*64 + Time(b))
 				e.SetCutoff(cut)

@@ -38,18 +38,19 @@ func allocated(f func()) (objects, bytes uint64) {
 // the attachment arena.
 func TestPagedTablesAllocationBudget(t *testing.T) {
 	skipUnderRace(t)
-	const slack = 64 // the first page's doublings and the page tables' own growth
+	const slack = 64 // the first pages' doublings and the page tables' own growth
 
-	// Due times 0..4095 from a clock at 0: one in 64 goes on the heap,
-	// the rest to the far log.
+	// Due times 0..4095 from a clock at 0: the first smallQueue records
+	// and then one in 64 go on the heap, the rest to the far log.
 	const events = 1 << 20
-	q := queue{pool: new(pagePool)}
+	const heapRecs = smallQueue + (events/4096-1)*nearSpan
+	q := queue{pool: new(pagePool), near: nearSpan}
 	objects, bytes := allocated(func() {
 		for i := 0; i < events; i++ {
 			q.push(Event{At: Time(i % 4096), key: uint64(i)})
 		}
 	})
-	if pages := uint64(events/pageSlots + 2); objects > pages+slack {
+	if pages := uint64(events/pageSlots + 1); objects > pages+slack {
 		t.Errorf("pushing %d events allocated %d objects, want at most %d (one per page) + %d", events, objects, pages, slack)
 	}
 	if limit := events * EventSize * 105 / 100; bytes > limit {
@@ -57,9 +58,10 @@ func TestPagedTablesAllocationBudget(t *testing.T) {
 	}
 	var f Footprint
 	q.addTo(&f)
-	if f.HeapBytes+f.LogBytes > bytes || f.HeapPages+f.LogPages > events/pageSlots+2 || f.PeakRecords != events ||
-		f.Records != events || f.LogRecords != events-events/4096*nearSpan {
-		t.Errorf("footprint %+v after %d pushes that allocated %d bytes", f, events, bytes)
+	heapPages, logPages := (heapRecs+heapRoot+pageMask)/pageSlots, (events-heapRecs+pageMask)/pageSlots
+	if f.HeapBytes+f.LogBytes > bytes || f.HeapPages != heapPages || f.LogPages != logPages || f.HeapPages+f.LogPages != events/pageSlots+1 ||
+		f.PeakRecords != events || f.Records != events || f.LogRecords != events-heapRecs {
+		t.Errorf("footprint %+v after %d pushes that allocated %d bytes; want %d heap pages and %d log pages", f, events, bytes, heapPages, logPages)
 	}
 	for last, i := Time(0), 0; i < events; i++ {
 		if ev := q.pop(); ev.At < last {
@@ -71,8 +73,8 @@ func TestPagedTablesAllocationBudget(t *testing.T) {
 	far := f.LogRecords
 	f = Footprint{}
 	q.addTo(&f)
-	if f.LogPages != 0 || f.Records != 0 || f.Batched != uint64(far) || f.Refills != (4096-nearSpan)/batchSpan+1 {
-		t.Errorf("footprint %+v once popped: want no log page, %d records batched in %d refills", f, far, (4096-nearSpan)/batchSpan+1)
+	if f.LogPages != 1 || f.LogBytes != pageSlots*EventSize || f.Records != 0 || f.Batched != uint64(far) || f.Refills != (4096-nearSpan)/batchSpan+1 {
+		t.Errorf("footprint %+v once popped: want the log's own page alone, %d records batched in %d refills", f, far, (4096-nearSpan)/batchSpan+1)
 	}
 	const parked = 1 << 18
 	words := []uint64{1, 2}
@@ -94,28 +96,18 @@ func TestPagedTablesAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestSmallQueueStaysSmall: a heap that never outgrows its first page
-// holds a doubling array, as a slice would — not a whole page — and the
-// far log of a small queue holds one page of the pool's, which it hands
-// back once it empties.
+// TestSmallQueueStaysSmall: a queue that never outgrows its first page
+// holds a doubling array, as a slice would — not a whole page — and no
+// far log.
 func TestSmallQueueStaysSmall(t *testing.T) {
-	q := queue{pool: new(pagePool)}
+	q := queue{pool: new(pagePool), near: nearSpan}
 	for i := 0; i < 100; i++ {
 		q.push(Event{At: Time(i)})
 	}
 	var f Footprint
 	q.addTo(&f)
-	if f.HeapPages != 1 || f.HeapBytes > 128*EventSize || f.LogPages != 1 || f.LogRecords != 100-nearSpan {
-		t.Fatalf("100 events hold %d bytes in %d heap pages and %d records in %d log pages; want one array of at most 128 slots and one page",
-			f.HeapBytes, f.HeapPages, f.LogRecords, f.LogPages)
-	}
-	for i := 0; i < 100; i++ {
-		q.pop()
-	}
-	f = Footprint{}
-	q.addTo(&f)
-	if f.LogPages != 0 || q.pool.out != 0 {
-		t.Fatalf("the emptied queue holds %d log pages, %d pool pages out", f.LogPages, q.pool.out)
+	if f.HeapPages != 1 || f.HeapBytes+f.LogBytes > 128*EventSize {
+		t.Fatalf("100 events hold %d bytes in %d heap pages and %d in %d log pages; want one array of at most 128 slots", f.HeapBytes, f.HeapPages, f.LogBytes, f.LogPages)
 	}
 }
 
@@ -131,9 +123,11 @@ func pageSet(pages [][]Event) []uintptr {
 	return out
 }
 
-// TestReserveThenPushAllocatesNothing: Reserve(n) stocks the pool with
-// the very pages n far pushes then fill — nothing is allocated, nothing
-// outgrown and dropped — on both kernels, below and above one page.
+// TestReserveThenPushAllocatesNothing: Reserve(n) readies the very
+// storage n far pushes then fill — the heap's first page for the
+// smallQueue records a queue keeps there, the far log's own page and
+// pool pages for the rest — so nothing is allocated, nothing outgrown
+// and dropped, on both kernels, below and above one page.
 func TestReserveThenPushAllocatesNothing(t *testing.T) {
 	skipUnderRace(t)
 	for _, n := range []int{300, 5 * pageSlots} {
@@ -148,9 +142,13 @@ func TestReserveThenPushAllocatesNothing(t *testing.T) {
 		if err := k.Reserve(1, n); err != nil {
 			t.Fatal(err)
 		}
-		before := [][]uintptr{pageSet(e.pool.free), pageSet(k.pool.free)}
-		if want := (n + pageMask) / pageSlots; len(before[0]) != want || len(before[1]) != want {
-			t.Fatalf("Reserve(%d) stocked %d and %d pages, want %d", n, len(before[0]), len(before[1]), want)
+		qs, pools := []*queue{&e.q, &k.shards[1].q}, []*pagePool{&e.pool, &k.pool}
+		var before [][]uintptr
+		for i, q := range qs {
+			if want := max(n-smallQueue-pageSlots+pageMask, 0) / pageSlots; len(pools[i].free) != want {
+				t.Fatalf("Reserve(%d) stocked %d pages, want %d", n, len(pools[i].free), want)
+			}
+			before = append(before, pageSet(append([][]Event{q.heap.tab[0], q.far.own}, pools[i].free...)))
 		}
 		if allocs := testing.AllocsPerRun(1, func() {
 			e.DiscardPending()
@@ -162,12 +160,16 @@ func TestReserveThenPushAllocatesNothing(t *testing.T) {
 		}); allocs != 0 {
 			t.Errorf("Reserve(%d) then %d pushes allocated %.0f objects, want 0", n, n, allocs)
 		}
-		after := [][]uintptr{pageSet(e.q.far.tab), pageSet(k.shards[1].q.far.tab)}
-		if !reflect.DeepEqual(after, before) {
-			t.Fatalf("Reserve(%d): the far logs filled pages %v, not the %v reserved", n, after, before)
+		for i, q := range qs {
+			if after := pageSet(append([][]Event{q.heap.tab[0]}, q.far.tab...)); !reflect.DeepEqual(after, before[i]) {
+				t.Fatalf("Reserve(%d): the pushes filled pages %v, not the %v reserved", n, after, before[i])
+			}
+			if q.far.records() != n-smallQueue {
+				t.Fatalf("Reserve(%d): %d of the far pushes in the far log, want %d", n, q.far.records(), n-smallQueue)
+			}
 		}
-		if e.Pending() != n || k.Pending() != n || e.q.far.records() != n || k.shards[1].q.far.records() != n {
-			t.Fatalf("pending %d and %d after %d far pushes, %d and %d of them in the far logs", e.Pending(), k.Pending(), n, e.q.far.records(), k.shards[1].q.far.records())
+		if e.Pending() != n || k.Pending() != n {
+			t.Fatalf("pending %d and %d after %d far pushes", e.Pending(), k.Pending(), n)
 		}
 	}
 }
@@ -207,9 +209,10 @@ func TestFarLogAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, sround); allocs != 0 {
 		t.Errorf("shards: %.1f allocations per far round, want 0", allocs)
 	}
-	// 22 rounds each: the first and AllocsPerRun's 21.
-	if ef, kf := e.Footprint(), k.Footprint(); ef.Batched != 22*posts || kf.Batched != 2*22*posts || ef.Records != 0 || kf.Records != 0 {
-		t.Fatalf("the rounds batched %d and %d records, want %d and %d", ef.Batched, kf.Batched, 22*posts, 2*22*posts)
+	// 22 rounds each, the first and AllocsPerRun's 21, of which a queue
+	// keeps the first smallQueue posts on its heap.
+	if ef, kf := e.Footprint(), k.Footprint(); ef.Batched != 22*(posts-smallQueue) || kf.Batched != 2*22*(posts-smallQueue) || ef.Records != 0 || kf.Records != 0 {
+		t.Fatalf("the rounds batched %d and %d records, want %d and %d", ef.Batched, kf.Batched, 22*(posts-smallQueue), 2*22*(posts-smallQueue))
 	}
 }
 

@@ -246,7 +246,7 @@ func NewShards(n int, lookahead Time, numOrigins int) *Shards {
 		cutoff:        math.MaxInt64,
 	}
 	for i := range k.shards {
-		k.shards[i].q.pool = &k.pool
+		k.shards[i].q.pool, k.shards[i].q.near = &k.pool, nearOf(lookahead)
 	}
 	k.runShard = func(s int) { k.shards[s].runWindow(&k.handlers, k.horizon) }
 	return k

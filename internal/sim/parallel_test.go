@@ -155,8 +155,8 @@ func TestShardsReserve(t *testing.T) {
 	k := NewShards(2, 5, 2)
 	k.At(0, 1, 0, func() {})
 	k.Reserve(0, 3000)
-	if f := k.Footprint(); f.HeapPages != 1 || f.LogPages != 0 || f.PoolPages != 3 || f.PoolOut != 0 {
-		t.Fatalf("Reserve(3000) left %d heap pages and %d log pages, %d of the pool's %d out; want the heap's own page and three pages in the pool, none out", f.HeapPages, f.LogPages, f.PoolOut, f.PoolPages)
+	if f := k.Footprint(); f.HeapPages != 1 || f.LogPages != 1 || f.LogBytes != pageSlots*EventSize || f.PoolPages != 2 || f.PoolOut != 0 {
+		t.Fatalf("Reserve(3000) left %d heap pages and %d log pages, %d of the pool's %d out; want the heap's and the log's own pages and two pages in the pool, none out", f.HeapPages, f.LogPages, f.PoolOut, f.PoolPages)
 	}
 	if k.Pending() != 1 {
 		t.Fatalf("pending = %d after reserve, want 1", k.Pending())

@@ -106,7 +106,7 @@ func TestPoolKeepsTrajectoriesAndFootprints(t *testing.T) {
 			}
 			f := k.Footprint()
 			if f.Events != 0 || f.Records != 0 || f.PoolOut > shards || f.AttShared == 0 || f.PoolPages < 64*burst/pageSlots-shards ||
-				f.LogPages != 0 || f.Refills < 4 || f.Batched < uint64(64*burst/3) {
+				f.LogPages > shards || f.Refills < 4 || f.Batched < uint64(64*burst/3-shards*smallQueue) {
 				t.Fatalf("%d shards, %d workers: footprint %+v after the drain", shards, workers, f)
 			}
 			if workers == 1 {
@@ -122,56 +122,70 @@ func TestPoolKeepsTrajectoriesAndFootprints(t *testing.T) {
 // pool that never had more pages out than the records at their peak
 // fill, plus two per table — a heap's page of hysteresis and the page
 // being filled, a mailbox's last page and the one the merge is copying
-// while the heap takes another. Per-route reserves beside per-heap ones
-// used to cost the sum of both worst cases.
+// while the heap takes another. With far call-ends the far logs' own
+// pages count too, and the same budget holds. Per-route reserves beside
+// per-heap ones used to cost the sum of both worst cases.
 func TestPoolHighWaterBudget(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		_, k := burstRun(t, 4, workers, 2000, false, 0)
-		f := k.Footprint()
-		tables := 0
-		for s := 0; s < k.NumShards(); s++ {
-			tables += 1 + k.Routes(s)
-		}
-		if budget := f.PeakRecords/pageSlots + 2*tables; f.PoolPages > budget || tables <= 4 {
-			t.Errorf("%d workers: pool high-water %d pages for a peak of %d records in %d tables, budget %d", workers, f.PoolPages, f.PeakRecords, tables, budget)
+	for _, far := range []bool{false, true} {
+		for _, workers := range []int{1, 2} {
+			_, k := burstRun(t, 4, workers, 2000, far, 0)
+			f := k.Footprint()
+			tables := 0
+			for s := 0; s < k.NumShards(); s++ {
+				tables += 1 + k.Routes(s)
+			}
+			if budget := f.PeakRecords/pageSlots + 2*tables; f.PoolPages+f.LogPages > budget || tables <= 4 || far != (f.Batched > 0) {
+				t.Errorf("far %v, %d workers: pool high-water %d pages and %d log pages for a peak of %d records in %d tables, budget %d; %d records batched",
+					far, workers, f.PoolPages, f.LogPages, f.PeakRecords, tables, budget, f.Batched)
+			}
 		}
 	}
 }
 
 // TestDiscardPendingReturnsPages: after a truncated drain and
 // DiscardPending every pool page is back in the pool — each heap keeps
-// the first page, which is its own — and a mailbox holds no page before
-// its first record or between barriers.
+// the first page, which is its own, and with far call-ends queued each
+// far log its own page too — and a mailbox holds no page before its
+// first record or between barriers.
 func TestDiscardPendingReturnsPages(t *testing.T) {
-	_, k := burstRun(t, 4, 2, 2000, false, 25)
-	if f := k.Footprint(); f.PoolOut < 16 || f.Events == 0 {
-		t.Fatalf("the run was cut too late to leave anything queued: %+v", f)
-	}
-	k.shards[0].route(3) // materialized, never written
-	for at := k.Now(1) + 10; at < k.Now(1)+13; at++ {
-		k.PostCross(1, 2, at, 20, Event{Kind: KindMessage, Cell: 40}, Attachment{})
-	}
-	if rt := k.shards[1].findRoute(2); len(rt.box) != 1 || len(k.shards[0].findRoute(3).box) != 0 {
-		t.Fatalf("three boxed records hold %d pages, an unused mailbox %d", len(rt.box), len(k.shards[0].findRoute(3).box))
-	}
-	if k.DiscardPending() == 0 {
-		t.Fatal("nothing was discarded")
-	}
-	f := k.Footprint()
-	if f.PoolOut != 0 || f.HeapPages != 4 || f.HeapBytes != 4*pageSlots*EventSize || f.Records != 0 || f.Events != 0 {
-		t.Fatalf("after DiscardPending: %+v", f)
-	}
-	for s := range k.shards {
-		for j := range k.shards[s].routes {
-			if rt := &k.shards[s].routes[j]; len(rt.box) != 0 || rt.n != 0 {
-				t.Fatalf("route %d->%d still holds %d pages", s, rt.dst, len(rt.box))
+	for _, far := range []bool{false, true} {
+		t.Run(fmt.Sprintf("far=%v", far), func(t *testing.T) {
+			_, k := burstRun(t, 4, 2, 2000, far, 25)
+			if f := k.Footprint(); f.PoolOut < 16 || f.Events == 0 || far != (f.LogRecords > 0) {
+				t.Fatalf("the run was cut too late to leave anything queued: %+v", f)
 			}
-		}
-	}
-	// The pages are good for another run.
-	k.Post(0, k.Now(0)+1, 0, Event{Kind: KindRelease, Cell: 0, T: 4}, Attachment{})
-	if !k.Drain(2, 1000) || k.Footprint().PoolPages != f.PoolPages {
-		t.Fatalf("the kernel did not run on after the discard: %+v", k.Footprint())
+			k.shards[0].route(3) // materialized, never written
+			for at := k.Now(1) + 10; at < k.Now(1)+13; at++ {
+				k.PostCross(1, 2, at, 20, Event{Kind: KindMessage, Cell: 40}, Attachment{})
+			}
+			if rt := k.shards[1].findRoute(2); len(rt.box) != 1 || len(k.shards[0].findRoute(3).box) != 0 {
+				t.Fatalf("three boxed records hold %d pages, an unused mailbox %d", len(rt.box), len(k.shards[0].findRoute(3).box))
+			}
+			if k.DiscardPending() == 0 {
+				t.Fatal("nothing was discarded")
+			}
+			logs := 0
+			if far {
+				logs = 4
+			}
+			f := k.Footprint()
+			if f.PoolOut != 0 || f.HeapPages != 4 || f.HeapBytes != 4*pageSlots*EventSize || f.LogPages != logs || f.LogBytes != uint64(logs)*pageSlots*EventSize ||
+				f.Records != 0 || f.Events != 0 {
+				t.Fatalf("after DiscardPending: %+v", f)
+			}
+			for s := range k.shards {
+				for j := range k.shards[s].routes {
+					if rt := &k.shards[s].routes[j]; len(rt.box) != 0 || rt.n != 0 {
+						t.Fatalf("route %d->%d still holds %d pages", s, rt.dst, len(rt.box))
+					}
+				}
+			}
+			// The pages are good for another run.
+			k.Post(0, k.Now(0)+1, 0, Event{Kind: KindRelease, Cell: 0, T: 4}, Attachment{})
+			if !k.Drain(2, 1000) || k.Footprint().PoolPages != f.PoolPages {
+				t.Fatalf("the kernel did not run on after the discard: %+v", k.Footprint())
+			}
+		})
 	}
 }
 
@@ -216,10 +230,10 @@ func TestRecycledPagesAreWrittenBeforeRead(t *testing.T) {
 }
 
 // TestFarLogReturnsPages: the far log hands its pages back to the pool as
-// batches are read past them and the last one once it empties;
-// DiscardPending hands back what it still holds; and a log filled again
-// after the discard, due long after anything the discarded one held,
-// runs in order to the end.
+// batches are read past them and the last one once it empties, keeping
+// only its own; DiscardPending hands back what it still holds; and a log
+// filled again after the discard, due long after anything the discarded
+// one held, runs in order to the end.
 func TestFarLogReturnsPages(t *testing.T) {
 	e := NewEngine()
 	var got []Time
@@ -230,18 +244,20 @@ func TestFarLogReturnsPages(t *testing.T) {
 		}
 	}
 	fill(nearSpan)
-	if f := e.Footprint(); f.LogPages != 5 || f.PoolOut != 5 || f.LogRecords != 5*pageSlots {
+	// The first smallQueue posts go on the heap; the log holds the rest in
+	// its own page and four of the pool's.
+	if f := e.Footprint(); f.LogPages != 5 || f.PoolOut != 4 || f.LogRecords != 5*pageSlots-smallQueue {
 		t.Fatalf("%d far posts: %+v", 5*pageSlots, f)
 	}
 	e.Run(nearSpan + 2047)
 	f := e.Footprint()
-	if left := f.LogRecords; left == 0 || f.Refills == 0 || f.LogPages > left/pageSlots+2 || f.PoolOut != f.LogPages {
+	if left := f.LogRecords; left == 0 || f.Refills == 0 || f.PoolOut > left/pageSlots+2 || f.PoolOut != f.LogPages-1 {
 		t.Fatalf("half run: %d records left in %d log pages, %d pool pages out", left, f.LogPages, f.PoolOut)
 	}
 	if n := e.DiscardPending(); n != f.LogRecords {
 		t.Fatalf("discarded %d events, the log held %d", n, f.LogRecords)
 	}
-	if f := e.Footprint(); f.LogPages != 0 || f.PoolOut != 0 {
+	if f := e.Footprint(); f.LogPages != 1 || f.LogBytes != pageSlots*EventSize || f.PoolOut != 0 {
 		t.Fatalf("after the discard: %+v", f)
 	}
 	got = got[:0]
@@ -249,7 +265,7 @@ func TestFarLogReturnsPages(t *testing.T) {
 	if !e.Drain(math.MaxUint64) || len(got) != 5*pageSlots || !slices.IsSorted(got) {
 		t.Fatalf("the refilled log ran %d of %d events, sorted: %v", len(got), 5*pageSlots, slices.IsSorted(got))
 	}
-	if f := e.Footprint(); f.LogPages != 0 || f.PoolOut != 0 || f.Records != 0 {
+	if f := e.Footprint(); f.LogPages != 1 || f.PoolOut != 0 || f.Records != 0 {
 		t.Fatalf("after the drain: %+v", f)
 	}
 }

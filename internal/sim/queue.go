@@ -290,6 +290,12 @@ type pagePool struct {
 // of a recycled page before writing it runs one. Set by tests only.
 var poisonPages bool
 
+func poison(pg []Event) {
+	for i := range pg {
+		pg[i] = Event{At: -1}
+	}
+}
+
 func (p *pagePool) get() []Event {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -314,9 +320,7 @@ func (p *pagePool) stock(n int) {
 
 func (p *pagePool) put(pg []Event) {
 	if poisonPages {
-		for i := range pg {
-			pg[i] = Event{At: -1}
-		}
+		poison(pg)
 	}
 	p.mu.Lock()
 	p.out--
@@ -502,17 +506,17 @@ const heapRoot = 3
 
 // queue is the event queue under both kernels, in three parts that
 // together hold every record in one total order, (At, key): a 4-ary
-// min-heap of flat records in paged storage for those due within
-// nearSpan ticks of the queue's clock — wider nodes halve the tree depth
-// versus a binary heap, and value-typed pages avoid the interface boxing
-// container/heap forces on every Push/Pop — and, for the rest, the far
-// table of far.go, an unsorted log that is sorted a batch at a time as
-// it comes due. next yields the lesser of the heap's top and the batch's
-// head. Beside them are the side tables for the events that carry more
-// than the record holds: an event's ref indexes fns when its kind is
-// KindFunc, atts otherwise. The heap's first page is the queue's own;
-// every other event page, the far table's included, comes from the
-// kernel's pool.
+// min-heap of flat records in paged storage for those due within the
+// near horizon of the queue's clock, and for every record of a small
+// queue — wider nodes halve the tree depth versus a binary heap, and
+// value-typed pages avoid the interface boxing container/heap forces on
+// every Push/Pop — and, for the rest, the far table of far.go, an
+// unsorted log that is sorted a batch at a time as it comes due. next
+// yields the lesser of the heap's top and the batch's head. Beside them
+// are the side tables for the events that carry more than the record
+// holds: an event's ref indexes fns when its kind is KindFunc, atts
+// otherwise. The first pages of the heap and of the far table are the
+// queue's own; every other event page comes from the kernel's pool.
 //
 // A record is one event or, with fan set, one fan record (PostFan):
 // several events of one origin and one due time, delivered one handler
@@ -526,8 +530,8 @@ type queue struct {
 	// records counts the records queued in the heap and the far table.
 	records int
 	// clock is the due time of the record taken last: a record due fewer
-	// than nearSpan ticks after it goes on the heap.
-	clock Time
+	// than near ticks after it goes on the heap.
+	clock, near Time
 	// fromBatch says where the record next returned lies.
 	fromBatch bool
 	fns       funcTable
@@ -649,16 +653,17 @@ func (q *queue) post(ev Event, n int) {
 	q.push(ev)
 }
 
-// push adds the record ev: to the far log when it is due nearSpan ticks
-// or more after the clock and after everything the batch may hold, and
-// otherwise to the heap, sifting it up — parents move down into the
-// hole, and ev is written once, where it lands. Times are never negative,
-// so the difference cannot overflow.
+// push adds the record ev: to the far log when it is due near ticks or
+// more after the clock and after everything the batch may hold, and the
+// queue holds more than smallQueue records; otherwise to the heap,
+// sifting it up — parents move down into the hole, and ev is written
+// once, where it lands. Times are never negative, so the difference
+// cannot overflow.
 func (q *queue) push(ev Event) {
 	if q.records++; q.records > q.peakRecords {
 		q.peakRecords = q.records
 	}
-	if ev.At-q.clock >= nearSpan && ev.At > q.far.last {
+	if ev.At-q.clock >= q.near && ev.At > q.far.last && q.records > smallQueue {
 		q.far.add(q.pool, ev)
 		return
 	}
@@ -748,8 +753,8 @@ func (q *queue) dropPage() {
 }
 
 // discard drops every queued record and side entry and returns how many
-// events were dropped. Every heap page but the first and every page of
-// the far table goes back to the pool; the side tables keep theirs.
+// events were dropped. Every page but the heap's and the far table's
+// own goes back to the pool; the side tables keep theirs.
 func (q *queue) discard() int {
 	dropped := q.pending
 	q.n, q.pending, q.records = 0, 0, 0
@@ -762,13 +767,21 @@ func (q *queue) discard() int {
 	return dropped
 }
 
-// capacity is the number of records the far table's pages hold.
-func (q *queue) capacity() int { return q.far.capacity() }
+// capacity is the number of records the queue has room for: the small
+// queue's in the heap's first page and the far table's.
+func (q *queue) capacity() int {
+	return min(max(q.heap.cap-heapRoot, 0), smallQueue) + q.far.capacity()
+}
 
-// reserve readies the far table — where the records a driver can count
-// ahead, a call's hang-up and a cell's next arrival, go — for n records,
-// stocking the pool with their pages now.
-func (q *queue) reserve(n int) { q.far.reserve(q.pool, n) }
+// reserve readies the queue for n records: the heap's first page for
+// those a small queue keeps there, and the far table — where the records
+// a driver can count ahead, a call's hang-up and a cell's next arrival,
+// go — for the rest, stocking the pool with its pages now.
+func (q *queue) reserve(n int) {
+	small := min(n, smallQueue)
+	q.heap.growFirst(small+heapRoot, 1)
+	q.far.reserve(q.pool, n-small)
+}
 
 // Fan records. A send to many cells of one origin's neighbour list is
 // one record: At, the origin and every payload field are shared, the
@@ -886,8 +899,9 @@ type Footprint struct {
 	HeapPages int
 	HeapBytes uint64
 	// LogPages and LogBytes are the far tables' pages — the far logs'
-	// and their batches' — all of them out of the pool; LogRecords is
-	// what the tables hold now, a part of Records.
+	// and their batches' — each table's own page, whole or short, and
+	// the rest out of the pool; LogRecords is what the tables hold now, a
+	// part of Records.
 	LogPages   int
 	LogBytes   uint64
 	LogRecords int
@@ -905,9 +919,9 @@ type Footprint struct {
 	RouteBytes uint64
 	// PoolPages and PoolBytes are the event pages the kernel's pool has
 	// allocated, which is the most that were ever out of it at once — in
-	// heaps past their first page, where HeapPages counts them too, in far
-	// tables (LogPages) and in mailboxes — or the stock Reserve put in,
-	// whichever is more. PoolOut is how many are out now.
+	// heaps and far tables past their own first page, where HeapPages and
+	// LogPages count them too, and in mailboxes — or the stock Reserve put
+	// in, whichever is more. PoolOut is how many are out now.
 	PoolPages, PoolOut int
 	PoolBytes          uint64
 	// AttParked and AttShared split the attachments posted so far into
@@ -945,8 +959,9 @@ func (p *pagePool) addTo(f *Footprint) {
 func (q *queue) addTo(f *Footprint) {
 	f.HeapPages += len(q.heap.tab)
 	f.HeapBytes += q.heap.bytes()
-	f.LogPages += q.far.pages()
-	f.LogBytes += uint64(q.far.pages()) * pageSlots * EventSize
+	pages, bytes := q.far.pages()
+	f.LogPages += pages
+	f.LogBytes += bytes
 	f.LogRecords += q.far.records()
 	f.Refills += q.far.refills
 	f.Batched += q.far.moved
