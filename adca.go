@@ -210,10 +210,10 @@ func (n *Network) RequestAt(at int64, cell int, cb func(Result)) RequestID {
 	return id
 }
 
-// at schedules fn at an absolute virtual time: unattributed on the
-// serial kernel — ahead of every cell's own events of that tick, as it
-// always ran — and as an event of cell in cell's shard on the sharded
-// one, which has no unattributed events.
+// at schedules fn at an absolute virtual time: unattributed under the
+// serial driver — ahead of every cell's own events of that tick, as it
+// always ran — and as an event of cell in cell's shard under the sharded
+// one, whose kernel takes no unattributed events.
 func (n *Network) at(at int64, cell int, fn func()) {
 	if e := n.sim.Engine(); e != nil {
 		e.At(sim.Time(at), fn)

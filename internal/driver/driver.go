@@ -5,13 +5,12 @@
 // experiment reports. It exposes a programmatic request/release API;
 // workload generation on top of it lives in internal/traffic.
 //
-// There is one driver. Cells are partitioned into contiguous tiles
-// (hexgrid.Partition); each shard owns the driver state of its cells and
-// the only interaction between shards is message delivery, which the
-// kernel's lookahead windows make safe. New runs it on the serial
-// sim.Engine as one shard, NewParallel on the sharded sim.Shards at any
-// shard count; which kernel is underneath shows only in the helpers at
-// the end of env.go.
+// There is one driver on one event loop, sim.Shards. Cells are
+// partitioned into contiguous tiles (hexgrid.Partition); each shard owns
+// the driver state of its cells and the only interaction between shards
+// is message delivery, which the kernel's lookahead windows (one latency
+// T wide) make safe. New runs it at one shard, NewParallel at any shard
+// count; they differ only in what the cells share (below).
 //
 // Determinism: a run's trajectory — every per-cell stat, the trace, and
 // the final channel sets — is a function of (scenario, seed) only. The
@@ -36,7 +35,9 @@
 //     summation order: the means agree to about 1e-16.
 //
 // New also reads its one trace ring in execution order, where
-// NewParallel merges the shards' rings in canonical (At, Cell) order.
+// NewParallel merges the shards' rings in canonical (At, Cell) order,
+// and exposes its kernel's serial view (Engine), whose unattributed
+// events run before every cell's events of their tick.
 //
 // Two rules depend on the shard count, not on the constructor. Theorem 1
 // is checked inside every granting event at one shard, and over the whole
@@ -215,11 +216,8 @@ type shareStat struct {
 type Parallel struct {
 	grid   *hexgrid.Grid
 	assign *chanset.Assignment
-	// The event kernel: engine under New, kernel under NewParallel, the
-	// other nil; k is whichever it is, for what both spell alike.
-	engine *sim.Engine
+	// kernel is the event loop: one shard under New.
 	kernel *sim.Shards
-	k      eventKernel
 
 	part    *hexgrid.Partition
 	opts    Options
@@ -324,7 +322,7 @@ func (o *simObs) bind(r *obs.Registry, j *obs.Journal, latency sim.Time) {
 }
 
 // footprint publishes k's footprint; a no-op without a registry.
-func (o *simObs) footprint(k eventKernel) {
+func (o *simObs) footprint(k *sim.Shards) {
 	if o.kernelBytes == nil {
 		return
 	}
@@ -382,12 +380,17 @@ func New(grid *hexgrid.Grid, assign *chanset.Assignment, factory alloc.Factory, 
 	if err != nil {
 		panic(err.Error())
 	}
-	p.engine = sim.NewEngine()
+	// Built for one origin: at one shard the kernel grows its per-origin
+	// tables as cells first post. Sizing them for every cell up front
+	// moved when the collector runs enough to raise light-mobile-serial's
+	// peak RSS by some 1.7 MB. prepare has checked the cell count against
+	// the origin limit.
+	p.kernel = sim.NewShards(1, p.opts.Latency, 1)
 	p.shared, p.own, p.stride = make([]shareStat, 1), 0, 1
 	if opts.Jitter > 0 {
 		p.jitters = []sim.Rand{sim.SubstreamValue(opts.Seed, 0xfeed)}
 	}
-	p.start(p.engine, factory)
+	p.start(factory)
 	return p
 }
 
@@ -407,7 +410,7 @@ func NewParallel(grid *hexgrid.Grid, assign *chanset.Assignment, factory alloc.F
 			p.jitters[c] = sim.SubstreamValue(opts.Seed, 0x6a170000+uint64(c))
 		}
 	}
-	p.start(p.kernel, factory)
+	p.start(factory)
 	return p, nil
 }
 
@@ -451,12 +454,11 @@ func prepare(grid *hexgrid.Grid, assign *chanset.Assignment, opts Options) (*Par
 	return p, nil
 }
 
-// start binds the driver to its kernel k and starts one allocator per
+// start binds the driver to its kernel and starts one allocator per
 // cell.
-func (p *Parallel) start(k eventKernel, factory alloc.Factory) {
-	p.k = k
-	k.Handle(sim.KindMessage, p)
-	k.SetFanout(gridFanout{p.grid})
+func (p *Parallel) start(factory alloc.Factory) {
+	p.kernel.Handle(sim.KindMessage, p)
+	p.kernel.SetFanout(gridFanout{p.grid})
 	for i := range p.envs {
 		cell := hexgrid.CellID(i)
 		env := &p.envs[i]
@@ -525,10 +527,18 @@ func (p *Parallel) raise() {
 	}
 }
 
-// Engine exposes the serial event kernel: nil under NewParallel.
-func (p *Parallel) Engine() *sim.Engine { return p.engine }
+// Engine exposes the event kernel's serial view under New, where
+// unattributed events (sim.Engine.At) keep their place before every
+// cell's events of the same tick; nil under NewParallel, at any shard
+// count.
+func (p *Parallel) Engine() *sim.Engine {
+	if p.own != 0 {
+		return nil
+	}
+	return p.kernel.Engine()
+}
 
-// Kernel exposes the sharded event kernel: nil under New.
+// Kernel exposes the event kernel: one shard under New.
 func (p *Parallel) Kernel() *sim.Shards { return p.kernel }
 
 // SetCallHandler installs the workload layer's interpreter of the
@@ -537,7 +547,7 @@ func (p *Parallel) Kernel() *sim.Shards { return p.kernel }
 func (p *Parallel) SetCallHandler(h CallHandler) {
 	p.calls = h
 	for _, k := range callKinds {
-		p.k.Handle(k, h)
+		p.kernel.Handle(k, h)
 	}
 }
 
@@ -571,21 +581,20 @@ func (p *Parallel) Allocator(cell hexgrid.CellID) alloc.Allocator { return p.env
 func (p *Parallel) ShardOf(cell hexgrid.CellID) int { return p.part.ShardOf(cell) }
 
 // Now returns cell's shard-local virtual time.
-func (p *Parallel) Now(cell hexgrid.CellID) sim.Time { return p.now(p.part.ShardOf(cell)) }
+func (p *Parallel) Now(cell hexgrid.CellID) sim.Time { return p.kernel.Now(p.part.ShardOf(cell)) }
 
 // PostAt schedules the typed event ev at absolute time at in cell's
 // shard, with the cell as the event's origin. Callable before Run or
 // from an event already executing in that shard (workload generators
 // are built this way).
 func (p *Parallel) PostAt(cell hexgrid.CellID, at sim.Time, ev sim.Event) {
-	s := p.part.ShardOf(cell)
-	p.post(s, s, at, int32(cell), ev, sim.Attachment{})
+	p.kernel.Post(p.part.ShardOf(cell), at, int32(cell), ev, sim.Attachment{})
 }
 
 // PostAfter schedules ev delay ticks from cell's shard-local now.
 func (p *Parallel) PostAfter(cell hexgrid.CellID, delay sim.Time, ev sim.Event) {
 	s := p.part.ShardOf(cell)
-	p.post(s, s, p.now(s)+delay, int32(cell), ev, sim.Attachment{})
+	p.kernel.Post(s, p.kernel.Now(s)+delay, int32(cell), ev, sim.Attachment{})
 }
 
 // PostRelay schedules ev one message latency from from's shard-local
@@ -598,19 +607,18 @@ func (p *Parallel) PostAfter(cell hexgrid.CellID, delay sim.Time, ev sim.Event) 
 // in from's shard (or before the run starts).
 func (p *Parallel) PostRelay(from, to hexgrid.CellID, ev sim.Event) {
 	src := p.part.ShardOf(from)
-	p.post(src, p.part.ShardOf(to), p.now(src)+p.opts.Latency, int32(from), ev, sim.Attachment{})
+	p.kernel.PostCross(src, p.part.ShardOf(to), p.kernel.Now(src)+p.opts.Latency, int32(from), ev, sim.Attachment{})
 }
 
 // At schedules fn at absolute time at in cell's shard, with the cell as
 // the event's origin. Same context rule as PostAt.
 func (p *Parallel) At(cell hexgrid.CellID, at sim.Time, fn func()) {
-	p.postFunc(p.part.ShardOf(cell), at, int32(cell), fn)
+	p.kernel.At(p.part.ShardOf(cell), at, int32(cell), fn)
 }
 
 // After schedules fn delay ticks from cell's shard-local now.
 func (p *Parallel) After(cell hexgrid.CellID, delay sim.Time, fn func()) {
-	s := p.part.ShardOf(cell)
-	p.postFunc(s, p.now(s)+delay, int32(cell), fn)
+	p.kernel.After(p.part.ShardOf(cell), delay, int32(cell), fn)
 }
 
 // Request submits a channel request at cell; cb (optional) runs on
@@ -633,7 +641,7 @@ func (p *Parallel) request(cell hexgrid.CellID, cb func(Result), cont Continuati
 	counter := cell & p.own
 	id := alloc.RequestID(int64(p.shared[counter].reqCount)*p.stride + int64(counter) + 1)
 	p.shared[counter].reqCount++
-	now := p.now(si)
+	now := p.kernel.Now(si)
 	chain := &p.envs[cell].chain
 	sh.book.Push(chain, reqbook.Rec{ID: id, Submitted: now, Hold: cont.Hold, Peer: cont.Cell, Ch: cont.Ch, Op: cont.Op, Flag: cont.Flag}, cb)
 	sh.dog.Submitted(now)
@@ -667,7 +675,7 @@ func (p *Parallel) Release(cell hexgrid.CellID, ch chanset.Channel) {
 			ch = target
 		}
 	}
-	now := p.now(si)
+	now := p.kernel.Now(si)
 	if p.obs.journal != nil {
 		p.obs.journal.Emit(int64(now), "release", int(cell), obs.FI("ch", int64(ch)))
 	}
@@ -726,7 +734,7 @@ func (p *Parallel) ForceQuiesce() (released, cancelled int) {
 			released++
 		}
 	}
-	p.k.DiscardPending()
+	p.kernel.DiscardPending()
 	for i := range p.shards {
 		sh := &p.shards[i]
 		n := sh.dog.Outstanding()
@@ -770,7 +778,7 @@ func (p *Parallel) Outstanding() int {
 // than window ticks without progress (Theorem 2 violation symptom).
 func (p *Parallel) Stalled(window sim.Time) bool {
 	for i := range p.shards {
-		if p.shards[i].dog.Stalled(p.now(i), window) {
+		if p.shards[i].dog.Stalled(p.kernel.Now(i), window) {
 			return true
 		}
 	}
@@ -778,15 +786,15 @@ func (p *Parallel) Stalled(window sim.Time) bool {
 }
 
 // Executed returns the number of events executed so far.
-func (p *Parallel) Executed() uint64 { return p.k.Executed() }
+func (p *Parallel) Executed() uint64 { return p.kernel.Executed() }
 
 // Pending returns the number of queued events, unflushed mailbox entries
 // included.
-func (p *Parallel) Pending() int { return p.k.Pending() }
+func (p *Parallel) Pending() int { return p.kernel.Pending() }
 
 // Footprint reports what the kernel's queues hold and have held, summed
 // over shards. Not during a run.
-func (p *Parallel) Footprint() sim.Footprint { return p.k.Footprint() }
+func (p *Parallel) Footprint() sim.Footprint { return p.kernel.Footprint() }
 
 // Trace returns the retained lifecycle events (nil without TraceSize):
 // in execution order under New, and under NewParallel merged across
@@ -799,7 +807,7 @@ func (p *Parallel) Footprint() sim.Footprint { return p.k.Footprint() }
 // giant-grid scale the gather-all sort was the driver's largest
 // post-run transient.
 func (p *Parallel) Trace() []trace.Event {
-	if p.engine != nil {
+	if p.own == 0 { // New
 		if ring := p.shards[0].ring; ring != nil {
 			return ring.Events()
 		}

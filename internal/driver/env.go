@@ -39,7 +39,7 @@ type cellEnv struct {
 
 func (e *cellEnv) ID() hexgrid.CellID          { return e.cell }
 func (e *cellEnv) Neighbors() []hexgrid.CellID { return e.p.grid.Interference(e.cell) }
-func (e *cellEnv) Now() sim.Time               { return e.p.now(int(e.shard)) }
+func (e *cellEnv) Now() sim.Time               { return e.p.kernel.Now(int(e.shard)) }
 func (e *cellEnv) Latency() sim.Time           { return e.p.opts.Latency }
 func (e *cellEnv) Rand() *sim.Rand             { return &e.rand }
 
@@ -70,7 +70,7 @@ func (e *cellEnv) Send(m message.Message) {
 		}
 		m = decoded
 	}
-	at := p.now(int(e.shard)) + p.opts.Latency
+	at := p.kernel.Now(int(e.shard)) + p.opts.Latency
 	if p.opts.Jitter > 0 {
 		at += sim.Time(p.jitters[e.cell&p.own].Intn(int(p.opts.Jitter) + 1))
 		key := parLink{m.From, m.To}
@@ -80,7 +80,7 @@ func (e *cellEnv) Send(m message.Message) {
 		sh.lastAt[key] = at
 	}
 	ev, att := transport.EventOf(m)
-	p.post(int(e.shard), p.part.ShardOf(m.To), at, int32(e.cell), ev, att)
+	p.kernel.PostCross(int(e.shard), p.part.ShardOf(m.To), at, int32(e.cell), ev, att)
 }
 
 // Multicast implements alloc.Multicaster. The destinations of one send
@@ -102,7 +102,7 @@ func (e *cellEnv) Multicast(m message.Message, mask []uint64) {
 	if p.teardown {
 		return
 	}
-	at := p.now(int(e.shard)) + p.opts.Latency
+	at := p.kernel.Now(int(e.shard)) + p.opts.Latency
 	sent := 0
 	for w := 0; w*64 < len(neighbors); w++ {
 		word := sim.FanWord(mask, len(neighbors), w)
@@ -113,7 +113,7 @@ func (e *cellEnv) Multicast(m message.Message, mask []uint64) {
 			for rest := word &^ run; rest != 0 && p.part.ShardOf(neighbors[w*64+bits.TrailingZeros64(rest)]) == dst; rest &= rest - 1 {
 				run |= rest & -rest
 			}
-			p.postFan(int(e.shard), dst, at, int32(e.cell), ev, w, run)
+			p.kernel.PostFan(int(e.shard), dst, at, int32(e.cell), ev, w, run)
 			word &^= run
 		}
 	}
@@ -123,7 +123,7 @@ func (e *cellEnv) Multicast(m message.Message, mask []uint64) {
 
 func (e *cellEnv) Began(id alloc.RequestID) {
 	e.p.shards[e.shard].book.Check(&e.chain, e.cell, "start", id)
-	e.began = e.p.now(int(e.shard))
+	e.began = e.p.kernel.Now(int(e.shard))
 }
 
 // conclude marks request id, the cell's oldest, concluded (what names
@@ -134,7 +134,7 @@ func (e *cellEnv) conclude(id alloc.RequestID, what string, granted bool, ch cha
 	q, fn := e.p.shards[e.shard].book.Conclude(&e.chain, e.cell, what, id)
 	began := max(e.began, q.Submitted)
 	e.began = 0
-	return q, fn, Result{ID: id, Cell: e.cell, Granted: granted, Ch: ch, Submitted: q.Submitted, Began: began, Done: e.p.now(int(e.shard))}
+	return q, fn, Result{ID: id, Cell: e.cell, Granted: granted, Ch: ch, Submitted: q.Submitted, Began: began, Done: e.p.kernel.Now(int(e.shard))}
 }
 
 func (e *cellEnv) Moved(from, to chanset.Channel) {
@@ -231,110 +231,34 @@ func (e *cellEnv) complete(q reqbook.Rec, fn func(Result), res Result) {
 	e.p.agree(e.cell)
 }
 
-// Kernel access. eventKernel is what sim.Engine and sim.Shards spell
-// alike, none of it on an event's path; where the two differ — a shard
-// argument, a worker count — the helpers below forward to whichever
-// constructor's kernel is there. Nothing else in the package asks.
-type eventKernel interface {
-	Handle(sim.Kind, sim.Handler)
-	SetFanout(sim.Fanout)
-	Executed() uint64
-	Pending() int
-	Footprint() sim.Footprint
-	DiscardPending() int
-}
-
-// now returns shard's clock.
-func (p *Parallel) now(shard int) sim.Time {
-	if p.engine != nil {
-		return p.engine.Now()
-	}
-	return p.kernel.Now(shard)
-}
-
-// post schedules ev at time at in shard dst, from an event executing in
-// shard src (or pre-run); at must respect the lookahead when they
-// differ.
-func (p *Parallel) post(src, dst int, at sim.Time, origin int32, ev sim.Event, att sim.Attachment) {
-	if p.engine != nil {
-		p.engine.Post(at, origin, ev, att)
-		return
-	}
-	p.kernel.PostCross(src, dst, at, origin, ev, att)
-}
-
-// postFan is post for one fan record: the neighbours of origin that mask
-// selects in the given word of its list, all in shard dst.
-func (p *Parallel) postFan(src, dst int, at sim.Time, origin int32, ev sim.Event, word int, mask uint64) {
-	if p.engine != nil {
-		p.engine.PostFan(at, origin, ev, word, mask)
-		return
-	}
-	p.kernel.PostFan(src, dst, at, origin, ev, word, mask)
-}
-
-// postFunc schedules fn at time at in shard.
-func (p *Parallel) postFunc(shard int, at sim.Time, origin int32, fn func()) {
-	if p.engine != nil {
-		p.engine.AtOrigin(at, origin, fn)
-		return
-	}
-	p.kernel.At(shard, at, origin, fn)
-}
-
 // SetCutoff tells the kernel that the run ends at cutoff (a truncated
 // drain: DrainUntil, then ForceQuiesce), so that it queues nothing due
-// later — it would be discarded unrun (sim.Engine.SetCutoff). Pre-run
+// later — it would be discarded unrun (sim.Shards.SetCutoff). Pre-run
 // only.
-func (p *Parallel) SetCutoff(cutoff sim.Time) {
-	if p.engine != nil {
-		p.engine.SetCutoff(cutoff)
-		return
-	}
-	p.kernel.SetCutoff(cutoff)
-}
+func (p *Parallel) SetCutoff(cutoff sim.Time) { p.kernel.SetCutoff(cutoff) }
 
 // ReserveShard pre-sizes shard s's event heap (an Erlang estimate from
 // the workload). Absurd hints are rejected with a descriptive error (see
 // sim.Shards.Reserve).
-func (p *Parallel) ReserveShard(s, n int) error {
-	if p.engine != nil {
-		return p.engine.Reserve(n)
-	}
-	return p.kernel.Reserve(s, n)
-}
+func (p *Parallel) ReserveShard(s, n int) error { return p.kernel.Reserve(s, n) }
 
 // EachShard calls fn(s) for every shard s on the worker that runs its
-// windows (sim.Shards.Each), and fn(0) on the serial kernel; fn may do
-// for s's cells what an event of shard s may. Pre-run only.
-func (p *Parallel) EachShard(fn func(shard int)) {
-	if p.engine != nil {
-		fn(0)
-		return
-	}
-	p.kernel.Each(p.opts.Workers, fn)
-}
+// windows (sim.Shards.Each); fn may do for s's cells what an event of
+// shard s may. Pre-run only.
+func (p *Parallel) EachShard(fn func(shard int)) { p.kernel.Each(p.opts.Workers, fn) }
 
 // Run advances virtual time to until, executing all due events (the
 // shards in lockstep windows).
 func (p *Parallel) Run(until sim.Time) {
-	if p.engine != nil {
-		p.engine.Run(until)
-	} else {
-		p.kernel.Run(p.opts.Workers, until)
-	}
-	p.obs.footprint(p.k)
+	p.kernel.Run(p.opts.Workers, until)
+	p.obs.footprint(p.kernel)
 }
 
 // Drain runs to quiescence with a backstop; it reports whether every
 // queue emptied.
-func (p *Parallel) Drain(maxEvents uint64) (drained bool) {
-	if p.engine != nil {
-		drained = p.engine.Drain(maxEvents)
-	} else {
-		drained = p.kernel.Drain(p.opts.Workers, maxEvents)
-	}
-	p.obs.footprint(p.k)
+func (p *Parallel) Drain(maxEvents uint64) bool {
+	drained := p.kernel.Drain(p.opts.Workers, maxEvents)
+	p.obs.footprint(p.kernel)
 	return drained
 }
 
@@ -343,12 +267,8 @@ func (p *Parallel) Drain(maxEvents uint64) (drained bool) {
 // a full Drain — and parks every shard clock there, leaving later
 // events queued for ForceQuiesce. It reports whether all due events ran
 // (false only on the maxEvents backstop).
-func (p *Parallel) DrainUntil(cutoff sim.Time, maxEvents uint64) (done bool) {
-	if p.engine != nil {
-		done = p.engine.DrainUntil(cutoff, maxEvents)
-	} else {
-		done = p.kernel.DrainUntil(p.opts.Workers, cutoff, maxEvents)
-	}
-	p.obs.footprint(p.k)
+func (p *Parallel) DrainUntil(cutoff sim.Time, maxEvents uint64) bool {
+	done := p.kernel.DrainUntil(p.opts.Workers, cutoff, maxEvents)
+	p.obs.footprint(p.kernel)
 	return done
 }

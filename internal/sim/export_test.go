@@ -33,3 +33,6 @@ func (q *queue) pop() Event {
 	q.next(math.MaxInt64)
 	return q.take()
 }
+
+// q is the engine's one queue.
+func (e *Engine) q() *queue { return &e.k.shards[0].q }

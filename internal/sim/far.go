@@ -29,16 +29,16 @@ import (
 // table empties. Nothing but routing and the sweep depends on the
 // constants: the order is (At, key) whichever part holds a record.
 const (
-	// nearSpan is the near heap's horizon on the serial kernel, and its
-	// least on the sharded one. Messages, handoffs and release-backs are
+	// nearSpan is the near heap's least horizon, and the whole of it on
+	// NewEngine's kernel, which knows no latency. Messages, handoffs and release-backs are
 	// due one latency (10 ticks in the repository's workloads) after the
 	// record that sends them, and a shard's clock may trail the window
 	// that sent a cross-shard message by up to one lookahead more; 64
 	// ticks keeps every such record in the heap with room to spare, while
 	// a far record — due a hold time of thousands of ticks out — lands
-	// inside it a few times in a hundred. Shards widen it to three
-	// lookaheads (nearOf); the serial kernel, which knows no latency,
-	// files the messages of a latency of 64 ticks or more in the log.
+	// inside it a few times in a hundred. A kernel of lookahead T widens
+	// it to three lookaheads (nearOf); NewEngine's files the messages of
+	// a latency of 64 ticks or more in the log.
 	nearSpan = 64
 	// batchSpan is the width, in ticks, of the due times one refill
 	// moves. At 256 a batch holds some 4 800 records on
@@ -52,7 +52,7 @@ const (
 	smallQueue = 128
 )
 
-// nearOf is the near horizon of a sharded kernel of the given lookahead:
+// nearOf is the near horizon of a kernel of the given lookahead:
 // a message is due at most two lookaheads after its shard's clock, and
 // the third is room to spare, as nearSpan leaves for the repository's 10.
 func nearOf(lookahead Time) Time {

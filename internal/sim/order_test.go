@@ -121,9 +121,8 @@ func (s *orderSched) log(ev Event, cell int32, att Attachment) {
 	s.logs[sh] = append(s.logs[sh], rec)
 }
 
-// latest is the latest due time the schedule uses: a sharded window is
-// exclusive of its horizon, which saturates at MaxInt64.
-const latest = math.MaxInt64 - 1
+// latest is the latest due time the schedule uses: the end of time.
+const latest = math.MaxInt64
 
 // later is now+d, saturated at latest.
 func later(now, d Time) Time {
@@ -355,35 +354,66 @@ func TestQueueMatchesReference(t *testing.T) {
 // it executes, as it executes it, against a model of the pending events
 // that takes the least (At, key) by a linear scan. The queue starts, and
 // starts again after each discard, with smallQueue records due late, so
-// that it is never small and far posts go to the far log. The seed
-// corpus is in testdata/fuzz/FuzzQueueOrder.
+// that it is never small and far posts go to the far log. Then the same
+// posts go up front to three shards, whose fan records each stay in
+// their shard, and two workers drain them under a watchdog, each shard
+// checked against a model of its own. The seed corpus is in
+// testdata/fuzz/FuzzQueueOrder.
 func FuzzQueueOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const origins = 8
 		w := &fanWorld{nbrs: make([][]int32, origins), shards: 1}
+		w3 := &fanWorld{nbrs: make([][]int32, origins), shards: 3}
 		for o := range w.nbrs {
 			for c := int32(0); c < origins; c++ {
 				w.nbrs[o] = append(w.nbrs[o], c)
+				if w3.shardOf(c) == w3.shardOf(int32(o)) {
+					w3.nbrs[o] = append(w3.nbrs[o], c)
+				}
 			}
 		}
+		// take checks that ev is the least of ref's pending events, noting
+		// the first failure in *fail, and removes it.
+		take := func(ref *refKernel, fail *string, ev Event) {
+			i := slices.IndexFunc(ref.recs, func(r refRec) bool { return r.ev.key == ev.key && r.ev.At == ev.At })
+			for j := range ref.recs {
+				if *fail == "" && less(&ref.recs[j].ev, &ev) {
+					*fail = fmt.Sprintf("ran (%d, %#x) with (%d, %#x) pending", ev.At, ev.key, ref.recs[j].ev.At, ref.recs[j].ev.key)
+				}
+			}
+			if i < 0 {
+				if *fail == "" {
+					*fail = fmt.Sprintf("ran (%d, %#x), which the model does not hold", ev.At, ev.key)
+				}
+				return
+			}
+			ref.recs = slices.Delete(ref.recs, i, i+1)
+		}
+		after := func(now, d Time) Time { // now+d, saturated
+			if now > math.MaxInt64-d {
+				return math.MaxInt64
+			}
+			return now + d
+		}
+		due := func(now Time, class, b byte) Time {
+			switch class % 4 {
+			case 0:
+				return now
+			case 1:
+				return after(now, Time(b%nearSpan))
+			case 2:
+				return after(now, nearSpan+Time(b)*17)
+			}
+			return max(now, math.MaxInt64-Time(b))
+		}
+		ops := data
+
 		e := NewEngine()
 		e.SetFanout(w)
 		ref := newRefKernel(w)
 		var fail string
 		var h handlerFunc = func(ev Event, _ Attachment) {
-			i := slices.IndexFunc(ref.recs, func(r refRec) bool { return r.ev.key == ev.key && r.ev.At == ev.At })
-			for j := range ref.recs {
-				if fail == "" && less(&ref.recs[j].ev, &ev) {
-					fail = fmt.Sprintf("ran (%d, %#x) with (%d, %#x) pending", ev.At, ev.key, ref.recs[j].ev.At, ref.recs[j].ev.key)
-				}
-			}
-			if i < 0 {
-				if fail == "" {
-					fail = fmt.Sprintf("ran (%d, %#x), which the model does not hold", ev.At, ev.key)
-				}
-				return
-			}
-			ref.recs = slices.Delete(ref.recs, i, i+1)
+			take(ref, &fail, ev)
 			if ev.Ch == 1 { // answer now, as origin 0: before the rest of a fan record of a higher origin
 				ref.add(e.Now(), 0, Event{Kind: KindRelease}, Attachment{}, nil)
 				e.Post(e.Now(), 0, Event{Kind: KindRelease}, Attachment{})
@@ -391,12 +421,6 @@ func FuzzQueueOrder(f *testing.F) {
 		}
 		e.Handle(KindMessage, h)
 		e.Handle(KindRelease, h)
-		after := func(d Time) Time { // e.Now()+d, saturated
-			if e.Now() > math.MaxInt64-d {
-				return math.MaxInt64
-			}
-			return e.Now() + d
-		}
 		ballast := func() {
 			for i := range smallQueue {
 				at := max(e.Now(), math.MaxInt64-1<<16+Time(i))
@@ -406,28 +430,17 @@ func FuzzQueueOrder(f *testing.F) {
 			}
 		}
 		ballast()
-		due := func(class, b byte) Time {
-			switch class % 4 {
-			case 0:
-				return e.Now()
-			case 1:
-				return after(Time(b % nearSpan))
-			case 2:
-				return after(nearSpan + Time(b)*17)
-			}
-			return max(e.Now(), math.MaxInt64-Time(b))
-		}
 		for ; len(data) >= 3 && fail == ""; data = data[3:] {
 			op, a, b := data[0], data[1], data[2]
 			origin := int32(a % origins)
 			switch op % 8 {
 			case 0, 1, 2:
-				at := due(a>>3, b)
+				at := due(e.Now(), a>>3, b)
 				ev := Event{Kind: KindMessage, Cell: int32(b % origins), Ch: int32(op>>3) % 2}
 				ref.add(at, origin, ev, Attachment{}, nil)
 				e.Post(at, origin, ev, Attachment{})
 			case 3:
-				at := due(a>>3, b)
+				at := due(e.Now(), a>>3, b)
 				ev := Event{Kind: KindMessage, Ch: int32(op>>3) % 2}
 				ref.ports().postFan(origin, at, ev, 0, uint64(b))
 				e.PostFan(at, origin, ev, 0, uint64(b))
@@ -435,7 +448,7 @@ func FuzzQueueOrder(f *testing.F) {
 				for i := 0; i < int(a%16) && e.Step(); i++ {
 				}
 			case 5:
-				e.Run(after(Time(a) * Time(b)))
+				e.Run(after(e.Now(), Time(a)*Time(b)))
 			case 6:
 				if n := e.DiscardPending(); n != len(ref.recs) && fail == "" {
 					fail = fmt.Sprintf("discarded %d events of the model's %d", n, len(ref.recs))
@@ -443,7 +456,7 @@ func FuzzQueueOrder(f *testing.F) {
 				ref.recs = ref.recs[:0]
 				ballast()
 			case 7:
-				cut := after(Time(a)*64 + Time(b))
+				cut := after(e.Now(), Time(a)*64+Time(b))
 				e.SetCutoff(cut)
 				ref.cutoff = cut
 			}
@@ -454,6 +467,56 @@ func FuzzQueueOrder(f *testing.F) {
 		}
 		if fail != "" {
 			t.Fatal(fail)
+		}
+
+		k := NewShards(w3.shards, 10, origins)
+		k.SetFanout(w3)
+		refs, fails := make([]*refKernel, w3.shards), make([]string, w3.shards)
+		for s := range refs {
+			refs[s] = newRefKernel(w3)
+		}
+		var h3 handlerFunc = func(ev Event, _ Attachment) {
+			s := w3.shardOf(ev.Cell)
+			take(refs[s], &fails[s], ev)
+			if ev.Ch == 1 { // answer now, as the shard's lowest origin
+				low := w3.nbrs[ev.Cell][0]
+				answer := Event{Kind: KindRelease, Cell: low}
+				refs[s].add(k.Now(s), low, answer, Attachment{}, nil)
+				k.Post(s, k.Now(s), low, answer, Attachment{})
+			}
+		}
+		k.Handle(KindMessage, h3)
+		k.Handle(KindRelease, h3)
+		post := func(at Time, origin int32, ev Event) {
+			s := w3.shardOf(origin)
+			ev.Cell = origin
+			refs[s].add(at, origin, ev, Attachment{}, nil)
+			k.Post(s, at, origin, ev, Attachment{})
+		}
+		for i := range w3.shards * smallQueue {
+			post(math.MaxInt64-1<<16+Time(i), int32(i%origins), Event{Kind: KindRelease})
+		}
+		for ; len(ops) >= 3; ops = ops[3:] {
+			op, a, b := ops[0], ops[1], ops[2]
+			origin := int32(a % origins)
+			ev := Event{Kind: KindMessage, Ch: int32(op>>3) % 2}
+			switch op % 8 {
+			case 0, 1, 2:
+				post(due(0, a>>3, b), origin, ev)
+			case 3:
+				s, at, mask := w3.shardOf(origin), due(0, a>>3, b), uint64(b)&(1<<len(w3.nbrs[origin])-1)
+				refs[s].ports().postFan(origin, at, ev, 0, mask)
+				k.PostFan(s, s, at, origin, ev, 0, mask)
+			}
+		}
+		watchdog(t, func() { k.Drain(2, math.MaxUint64) })
+		for s, ref := range refs {
+			if fails[s] == "" && len(ref.recs) != 0 {
+				fails[s] = fmt.Sprintf("the drain left %d of the model's events unrun", len(ref.recs))
+			}
+			if fails[s] != "" {
+				t.Fatalf("shard %d of %d: %s", s, w3.shards, fails[s])
+			}
 		}
 	})
 }

@@ -142,7 +142,7 @@ func TestReserveThenPushAllocatesNothing(t *testing.T) {
 		if err := k.Reserve(1, n); err != nil {
 			t.Fatal(err)
 		}
-		qs, pools := []*queue{&e.q, &k.shards[1].q}, []*pagePool{&e.pool, &k.pool}
+		qs, pools := []*queue{e.q(), &k.shards[1].q}, []*pagePool{&e.k.pool, &k.pool}
 		var before [][]uintptr
 		for i, q := range qs {
 			if want := max(n-smallQueue-pageSlots+pageMask, 0) / pageSlots; len(pools[i].free) != want {
@@ -270,8 +270,8 @@ func TestSharedAttachmentFootprintBudget(t *testing.T) {
 	for i := 0; i < posts; i++ {
 		e.Post(5, 0, msg, Attachment{Words: use})
 	}
-	if f := e.Footprint(); e.q.atts.n != 1 || f.AttParked != 1 || f.AttShared != posts-1 || f.Events != posts {
-		t.Fatalf("engine: %d posts took %d slots (%d stored, %d shared)", posts, e.q.atts.n, f.AttParked, f.AttShared)
+	if f := e.Footprint(); e.q().atts.n != 1 || f.AttParked != 1 || f.AttShared != posts-1 || f.Events != posts {
+		t.Fatalf("engine: %d posts took %d slots (%d stored, %d shared)", posts, e.q().atts.n, f.AttParked, f.AttShared)
 	}
 
 	k := NewShards(2, 5, 2)

@@ -1,8 +1,8 @@
 package sim
 
-// Conservative parallel DES kernel. The grid is sharded into contiguous
-// tiles (hexgrid.Partition); each shard owns a private event queue (the
-// same near heap and far log the serial Engine runs on, queue.go) and
+// Conservative parallel DES kernel, the package's one event loop. The
+// grid is sharded into contiguous tiles (hexgrid.Partition); each shard
+// owns a private event queue (near heap and far log, queue.go) and
 // advances in lockstep windows of width equal to the lookahead (the
 // one-way message latency T). Within a window [W, W+T) shards execute
 // independently: an event at time t can only affect another shard via a
@@ -22,12 +22,20 @@ package sim
 // does not affect execution order because the heap re-orders by key;
 // it is fixed anyway so heap layouts, and therefore any tie-breaking
 // bug, would reproduce exactly.
+//
+// A serial run is the one-shard case: no mailbox, no barrier, the same
+// windows. Only there may events be unattributed (origin -1, counted on
+// the kernel-wide seq, so before every attributed event of their tick),
+// origins grow on demand past the count the kernel was built for, and a
+// run's event budget is exact (Engine).
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -95,10 +103,9 @@ func (rt *outRoute) put(pool *pagePool, ev Event, n int) {
 	rt.pending += n
 }
 
-// pshard is one shard's private state: clock, queue, and outboxes.
-// Unlike the serial Engine's global insertion seq, an event's (origin,
-// counter) key is assigned by the origin cell's own shard, keeping key
-// assignment race-free.
+// pshard is one shard's private state: clock, queue, and outboxes. An
+// event's (origin, counter) key is assigned by the origin cell's own
+// shard, keeping key assignment race-free.
 type pshard struct {
 	now Time
 	q   queue
@@ -172,7 +179,12 @@ type Shards struct {
 	cnt []uint64
 	// last[org] is where origin org's last attachments went, written
 	// under the same rule as cnt.
-	last    []attMemo
+	last []attMemo
+	// seq and anon are cnt and last of the unattributed events (origin
+	// -1), which only a one-shard kernel takes.
+	seq     uint64
+	anon    attMemo
+	serial  Engine // the view Engine returns at one shard
 	barrier func()
 	windows uint64
 	// reservedBytes accumulates the capacity pinned by Reserve, checked
@@ -193,9 +205,11 @@ type Shards struct {
 	// byte-for-byte. Rebuilt lazily when any shard grows a new route.
 	inbound    [][]int32
 	routeCount []int
-	// runShard runs the window ending before horizon on one shard; it is
-	// made once, so that handing it to Each allocates nothing.
-	horizon  Time
+	// runShard runs the window that ends at tick end on one shard, at
+	// most budget events of it; it is made once, so that handing it to
+	// Each allocates nothing.
+	end      Time
+	budget   uint64
 	runShard func(shard int)
 	// claimed counts the shards Each's workers have claimed this call.
 	claimed atomic.Int32
@@ -248,8 +262,19 @@ func NewShards(n int, lookahead Time, numOrigins int) *Shards {
 	for i := range k.shards {
 		k.shards[i].q.pool, k.shards[i].q.near = &k.pool, nearOf(lookahead)
 	}
-	k.runShard = func(s int) { k.shards[s].runWindow(&k.handlers, k.horizon) }
+	k.serial.k = k
+	k.runShard = func(s int) { k.shards[s].runWindow(&k.handlers, k.end, k.budget) }
 	return k
+}
+
+// Engine returns the serial view of a one-shard kernel, and nil at more
+// shards. The view and the kernel are one: posts, runs and counts
+// through either are the other's.
+func (k *Shards) Engine() *Engine {
+	if len(k.shards) > 1 {
+		return nil
+	}
+	return &k.serial
 }
 
 // SetReserveBudget caps the cumulative bytes of event capacity that
@@ -336,9 +361,8 @@ func (k *Shards) Footprint() Footprint {
 // sparse-routing property.
 func (k *Shards) Routes(s int) int { return len(k.shards[s].routes) }
 
-// Reserve readies shard s's far log to hold at least n events, mirroring
-// Engine.Reserve for the serial kernel: the pages go into the kernel's
-// pool now instead of being allocated one by one as the log fills, and
+// Reserve readies shard s's far log to hold at least n events: the
+// pages go into the kernel's pool now instead of being allocated one by one as the log fills, and
 // any of its tables may take them. Absurd hints — negative,
 // or blowing the kernel's reserve budget — return a descriptive error
 // and leave the heap untouched.
@@ -377,13 +401,65 @@ func (k *Shards) SetFanout(f Fanout) { k.handlers.fan = f }
 // keys draws the canonical tie-breaks of origin's next n events and
 // returns the first.
 func (k *Shards) keys(origin int32, n int) uint64 {
+	if uint32(origin) >= uint32(len(k.cnt)) {
+		return k.keysBeyond(origin, n)
+	}
 	return drawKeys(&k.cnt[origin], origin, n)
+}
+
+// keysBeyond is keys for an origin the kernel was not built for: an
+// unattributed event, or a cell past numOrigins, whose counters grow
+// geometrically to take it. Both at one shard only: more would have
+// shards' workers share the seq or race to grow the tables.
+func (k *Shards) keysBeyond(origin int32, n int) uint64 {
+	if len(k.shards) > 1 {
+		panic(fmt.Sprintf("sim: an event of origin %d on a kernel of %d shards built for origins 0..%d", origin, len(k.shards), len(k.cnt)-1))
+	}
+	if origin < 0 {
+		return drawKeys(&k.seq, origin, n)
+	}
+	k.cnt, k.last = growTo(k.cnt, int(origin)+1), growTo(k.last, int(origin)+1)
+	return drawKeys(&k.cnt[origin], origin, n)
+}
+
+// growTo returns s lengthened to n, geometrically: appending one origin
+// at a time reallocates O(log n) times.
+func growTo[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	return slices.Grow(s, n-len(s))[:n]
+}
+
+// memo returns origin's attachment hints; keys has drawn its keys.
+func (k *Shards) memo(origin int32) *attMemo {
+	if origin < 0 {
+		return &k.anon
+	}
+	return &k.last[origin]
 }
 
 // checkPost panics on an event scheduled into shard s's past.
 func (k *Shards) checkPost(s int, at Time, origin int32) {
 	if now := k.shards[s].now; at < now {
-		panic(fmt.Sprintf("sim: shard %d scheduling event at %d before now %d (origin cell %d)", s, at, now, origin))
+		panic(fmt.Sprintf("sim: shard %d scheduling event at %d before now %d (origin cell %d, scheduled at %s)", s, at, now, origin, callSite()))
+	}
+}
+
+// callSite names the code that scheduled an event: the first caller
+// outside the kernel's own methods. Only the failure path calls it,
+// which keeps scheduling allocation-free.
+func callSite() string {
+	pc := make([]uintptr, 16)
+	frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
+	for {
+		f, more := frames.Next()
+		if !strings.Contains(f.Function, "sim.(*Shards).") && !strings.Contains(f.Function, "sim.(*Engine).") {
+			return fmt.Sprintf("%s:%d", f.File, f.Line)
+		}
+		if !more {
+			return "an unknown site"
+		}
 	}
 }
 
@@ -410,7 +486,7 @@ func (k *Shards) post(s int, at Time, origin int32, ev Event, side sideEntry) {
 		if ev.Kind == KindFunc {
 			ev.ref = sh.q.fns.park(side.fn)
 		} else {
-			ev.ref = sh.q.attach(&k.last[origin].slot, side.att)
+			ev.ref = sh.q.attach(&k.memo(origin).slot, side.att)
 		}
 	}
 	sh.q.post(ev, 1)
@@ -434,15 +510,15 @@ func (k *Shards) cross(src, dst int, at Time, origin int32, ev Event, side sideE
 			rt.fns = append(rt.fns, side.fn)
 			ev.ref = uint32(len(rt.fns))
 		} else {
-			ev.ref = rt.attach(&k.last[origin].box, side.att)
+			ev.ref = rt.attach(&k.memo(origin).box, side.att)
 		}
 	}
 	rt.put(&k.pool, ev, 1)
 }
 
 // Post schedules the typed event ev at absolute time at on shard s with
-// the given origin cell (see Engine.Post). Scheduling in the past
-// panics, as in the serial Engine.
+// the given origin cell, which draws the event's key. Scheduling in the
+// past panics.
 func (k *Shards) Post(s int, at Time, origin int32, ev Event, att Attachment) {
 	k.post(s, at, origin, ev, sideEntry{att: att})
 }
@@ -480,7 +556,7 @@ func (k *Shards) PostFan(src, dst int, at Time, origin int32, ev Event, word int
 }
 
 // At schedules fn at absolute time at on shard s with the given origin
-// cell. Scheduling in the past panics, as in the serial Engine.
+// cell. Scheduling in the past panics.
 func (k *Shards) At(s int, at Time, origin int32, fn func()) {
 	k.post(s, at, origin, Event{}, sideEntry{fn: fn})
 }
@@ -497,12 +573,13 @@ func (k *Shards) Cross(src, dst int, at Time, origin int32, fn func()) {
 	k.cross(src, dst, at, origin, Event{}, sideEntry{fn: fn})
 }
 
-// runWindow executes shard s's events with at < horizon.
-func (s *pshard) runWindow(h *handlers, horizon Time) {
-	for s.q.next(horizon-1) != nil {
+// runWindow executes shard s's events due at or before end, at most
+// budget of them, and stops early at a Stop.
+func (s *pshard) runWindow(h *handlers, end Time, budget uint64) {
+	for budget > 0 && !s.q.stop && s.q.next(end) != nil {
 		ev := s.q.take()
 		s.now = ev.At
-		s.q.exec(h, ev, math.MaxUint64)
+		budget -= s.q.exec(h, ev, budget)
 	}
 }
 
@@ -676,54 +753,85 @@ func (k *Shards) Each(workers int, fn func(shard int)) {
 	wg.Wait()
 }
 
-// runWindowAll executes one window, up to the exclusive horizon, on all
-// shards.
-func (k *Shards) runWindowAll(workers int, horizon Time) {
-	k.horizon = horizon
-	k.Each(workers, k.runShard)
-}
-
 // Run advances all shards in lockstep windows until every queued event
 // later than until would remain, then sets all clocks to until (when
 // behind). workers <= 0 means runtime.NumCPU(). It returns the number
-// of events executed by this call.
+// of events executed by this call. At one shard, a Stop ends it after
+// the event under way.
 func (k *Shards) Run(workers int, until Time) uint64 {
-	return k.run(workers, until, math.MaxUint64)
+	start := k.Executed()
+	k.run(workers, until, math.MaxUint64, true)
+	return k.Executed() - start
 }
 
 // Drain runs windows until no events remain or maxEvents callbacks have
-// run (checked at window granularity), whichever is first. It reports
-// whether the queues emptied.
+// run, whichever is first. It reports whether the queues emptied.
 func (k *Shards) Drain(workers int, maxEvents uint64) bool {
-	k.run(workers, math.MaxInt64, maxEvents)
+	k.run(workers, math.MaxInt64, maxEvents, false)
 	return k.Pending() == 0
 }
 
-func (k *Shards) run(workers int, until Time, maxEvents uint64) uint64 {
+// DrainUntil advances windows until every remaining event is later than
+// cutoff, executing events exactly as Run(workers, cutoff) would —
+// window boundaries and barrier calls before the cutoff are identical
+// to a full Drain's, so pre-cutoff trajectories (and anything sampled
+// at barriers) are unperturbed. Post-cutoff events stay queued in their
+// heaps and mailboxes for DiscardPending. maxEvents is a runaway-loop
+// backstop; DrainUntil reports whether every event due at or before
+// cutoff actually ran (false only when the backstop tripped mid-drain,
+// which leaves the clocks where they were).
+func (k *Shards) DrainUntil(workers int, cutoff Time, maxEvents uint64) bool {
+	return k.run(workers, cutoff, maxEvents, false)
+}
+
+// Step runs one window with a budget of one event per shard: at one
+// shard, exactly the next event. It reports whether an event ran.
+func (k *Shards) Step() bool {
+	start := k.Executed()
+	k.run(1, math.MaxInt64, 1, false)
+	return k.Executed() > start
+}
+
+// run executes windows while an event is due at or before until, and
+// reports whether none is left: false only when the event budget ran out
+// first. Each window's shards get what is left of the budget, so it is
+// exact at one shard, and at n shards a window runs at most n times it.
+// A Stop (one shard only: Engine.Stop) ends the window under way, and
+// the run when stoppable. Unless the budget ran out, clocks behind a
+// finite until end there.
+func (k *Shards) run(workers int, until Time, budget uint64, stoppable bool) bool {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	start := k.Executed()
-	for k.Executed()-start < maxEvents {
+	start, stop := k.Executed(), &k.shards[0].q.stop
+	*stop = false
+	for done := uint64(0); ; done = k.Executed() - start {
+		if done >= budget {
+			if k.dueBy(until) {
+				return false
+			}
+			break
+		}
 		k.flush(workers)
 		wlow, ok := k.minDue()
 		if !ok || wlow > until {
 			break
 		}
-		// The window is [wlow, wlow+T); horizon is exclusive. Events at
-		// exactly `until` must still run (Engine.Run semantics), hence
-		// the +1 cap, overflow-guarded for until = MaxInt64.
-		horizon := wlow + k.lookahead
-		if horizon < wlow {
-			horizon = math.MaxInt64
+		// The window is [wlow, wlow+T-1], cut at until: an inclusive last
+		// tick, so that an event due at MaxInt64 has a window too.
+		k.end, k.budget = until, budget-done
+		if k.lookahead-1 < until-wlow {
+			k.end = wlow + k.lookahead - 1
 		}
-		if until < math.MaxInt64 && horizon > until+1 {
-			horizon = until + 1
-		}
-		k.runWindowAll(workers, horizon)
+		k.Each(workers, k.runShard)
 		k.windows++
 		if k.barrier != nil {
 			k.barrier()
+		}
+		if *stop {
+			if *stop = false; stoppable {
+				break
+			}
 		}
 	}
 	if until < math.MaxInt64 {
@@ -733,38 +841,25 @@ func (k *Shards) run(workers int, until Time, maxEvents uint64) uint64 {
 			}
 		}
 	}
-	return k.Executed() - start
+	return true
 }
 
-// DrainUntil advances windows until every remaining event is later than
-// cutoff, executing events exactly as Run(workers, cutoff) would —
-// window boundaries and barrier calls before the cutoff are identical
-// to a full Drain's, so pre-cutoff trajectories (and anything sampled
-// at barriers) are unperturbed. Post-cutoff events stay queued in their
-// heaps and mailboxes for DiscardPending. maxEvents is a runaway-loop
-// backstop checked at window granularity; DrainUntil reports whether
-// every event due at or before cutoff actually ran (false only when
-// the backstop tripped mid-drain).
-func (k *Shards) DrainUntil(workers int, cutoff Time, maxEvents uint64) bool {
-	k.run(workers, cutoff, maxEvents)
-	// At normal loop exit the mailboxes have all been flushed (flush
-	// precedes the minDue break) and the earliest heap entry is past
-	// cutoff. Only the maxEvents path can leave due work behind, so
-	// verify directly: queue bounds, plus unflushed boxes on that path.
+// dueBy reports whether any event due at or before t is queued or boxed.
+func (k *Shards) dueBy(t Time) bool {
 	for i := range k.shards {
 		sh := &k.shards[i]
-		if at, queued := sh.q.lowest(); queued && at <= cutoff {
-			return false
+		if at, queued := sh.q.lowest(); queued && at <= t {
+			return true
 		}
 		for j := range sh.routes {
 			for rt, i := &sh.routes[j], 0; i < rt.n; i++ {
-				if rt.at(i).At <= cutoff {
-					return false
+				if rt.at(i).At <= t {
+					return true
 				}
 			}
 		}
 	}
-	return true
+	return false
 }
 
 // DiscardPending drops every queued event — shard heaps and cross-shard

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestShardsCanonicalOrder pins the execution order of simultaneous
@@ -181,14 +182,209 @@ func TestShardsDrainBackstop(t *testing.T) {
 	}
 }
 
-func TestShardsRunMaxInt(t *testing.T) {
-	k := NewShards(1, 5, 1)
-	ran := false
-	k.At(0, math.MaxInt64-1, 0, func() { ran = true })
-	k.Run(1, math.MaxInt64)
-	if !ran {
-		t.Fatal("event near MaxInt64 never ran (horizon overflow)")
+// watchdog runs f and fails t unless it returns within a minute, as a
+// kernel whose run loop never ends would not. Such a loop goes on
+// spinning in the background after the failure.
+func watchdog(t testing.TB, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("the run did not return")
 	}
+}
+
+// TestShardsRunMaxInt: events due a tick before the end of time and at
+// it, MaxInt64, run, through Run and through Drain, at one shard and at
+// seven, and the run returns: a window's last tick is inclusive, so it
+// never overflows.
+func TestShardsRunMaxInt(t *testing.T) {
+	for _, shards := range []int{1, 7} {
+		for _, drain := range []bool{false, true} {
+			k := NewShards(shards, 5, shards)
+			s := shards - 1
+			var ran []Time
+			for _, at := range []Time{math.MaxInt64, math.MaxInt64 - 1} {
+				k.At(s, at, int32(s), func() { ran = append(ran, k.Now(s)) })
+			}
+			watchdog(t, func() {
+				if drain {
+					k.Drain(2, 10)
+				} else {
+					k.Run(2, math.MaxInt64)
+				}
+			})
+			if want := []Time{math.MaxInt64 - 1, math.MaxInt64}; !reflect.DeepEqual(ran, want) {
+				t.Fatalf("shards=%d drain=%v: ran at %v, want %v", shards, drain, ran, want)
+			}
+		}
+	}
+}
+
+// TestShardsDrainStopsRunaway: an event that reschedules itself with
+// zero delay never ends its window. The backstop counts every event,
+// so Drain still returns: after exactly maxEvents at one shard, and
+// after at most maxEvents per shard at seven, each running one such
+// loop.
+func TestShardsDrainStopsRunaway(t *testing.T) {
+	const budget = 1000
+	for _, shards := range []int{1, 7} {
+		k := NewShards(shards, 5, shards)
+		for s := range shards {
+			var rearm func()
+			rearm = func() { k.After(s, 0, int32(s), rearm) }
+			k.At(s, 3, int32(s), rearm)
+		}
+		var drained bool
+		watchdog(t, func() { drained = k.Drain(2, budget) })
+		if n := k.Executed(); drained || n < budget || n > uint64(shards)*budget || shards == 1 && n != budget {
+			t.Fatalf("shards=%d: drained=%v after %d events of a runaway, want false after %d (at most %d per shard)", shards, drained, n, budget, budget)
+		}
+	}
+}
+
+// TestKernelParity: the serial view (Engine) and Shards at one and at
+// seven shards take the same posts — due at the end of time and a tick
+// before it, at and past a cutoff, with zero delay, and into the past,
+// which must panic on each — and run the same events: every cell the
+// same (At, key) sequence, and the two one-shard kernels the same
+// sequence overall. Unattributed events run first in their tick on both
+// one-shard kernels and are refused at seven shards.
+func TestKernelParity(t *testing.T) {
+	const cells, T, cutoff = 7, 5, 40
+	nbrs := make([][]int32, cells)
+	for c := range nbrs {
+		nbrs[c] = []int32{int32((c + 1) % cells)}
+	}
+	type result struct {
+		logs     [][]fanRec // per shard, in execution order
+		tried    int        // posts into the past
+		past     int        // and those of them that panicked
+		executed uint64
+		foot     Footprint
+	}
+	type kernel struct {
+		name string
+		w    *fanWorld
+		// open builds the kernel with cutoff cut and handler h; run runs
+		// it to the end, or to the cutoff when one is set.
+		open func(cut Time, h Handler) (p ports, run func(), executed func() uint64, foot func() Footprint)
+	}
+	onShards := func(n int) kernel {
+		w := &fanWorld{nbrs: nbrs, shards: n}
+		return kernel{fmt.Sprintf("Shards/%d", n), w, func(cut Time, h Handler) (ports, func(), func() uint64, func() Footprint) {
+			k := NewShards(n, T, cells)
+			k.SetCutoff(cut)
+			k.Handle(KindMessage, h)
+			run := func() { k.Drain(1, math.MaxUint64) } // one worker: every shard logs into one result
+			if cut < math.MaxInt64 {
+				run = func() { k.DrainUntil(1, cut, math.MaxUint64) }
+			}
+			return shardsPorts(k, w), run, k.Executed, k.Footprint
+		}}
+	}
+	kernels := []kernel{
+		{"Engine", &fanWorld{nbrs: nbrs, shards: 1}, func(cut Time, h Handler) (ports, func(), func() uint64, func() Footprint) {
+			e := NewEngine()
+			e.SetCutoff(cut)
+			e.Handle(KindMessage, h)
+			run := func() { e.Drain(math.MaxUint64) }
+			if cut < math.MaxInt64 {
+				run = func() { e.DrainUntil(cut, math.MaxUint64) }
+			}
+			return enginePorts(e), run, e.Executed, e.Footprint
+		}},
+		onShards(1),
+		onShards(7),
+	}
+	for _, cut := range []Time{math.MaxInt64, cutoff} {
+		var ref result
+		for i, kn := range kernels {
+			res := result{logs: make([][]fanRec, kn.w.shards)}
+			var p ports
+			p, run, executed, foot := kn.open(cut, handlerFunc(func(ev Event, _ Attachment) {
+				c, sh := ev.Cell, kn.w.shardOf(ev.Cell)
+				res.logs[sh] = append(res.logs[sh], fanRec{at: ev.At, key: ev.key, cell: c})
+				if ev.T == 0 {
+					return
+				}
+				now := p.now(c)
+				res.tried++
+				p.post(c, c, now, Event{Kind: KindMessage}, Attachment{})
+				p.post(c, nbrs[c][0], now+T, Event{Kind: KindMessage, T: ev.T - 1}, Attachment{})
+				func() {
+					defer func() {
+						if recover() != nil {
+							res.past++
+						}
+					}()
+					p.post(c, c, now-1, Event{Kind: KindMessage}, Attachment{})
+				}()
+			}))
+			for c := range int32(cells) {
+				for _, at := range []Time{math.MaxInt64, math.MaxInt64 - 1, 0} {
+					p.post(c, c, at, Event{Kind: KindMessage}, Attachment{})
+				}
+				for _, at := range []Time{cutoff + 1, cutoff, Time(c)} {
+					p.post(c, c, at, Event{Kind: KindMessage, T: 3}, Attachment{})
+				}
+			}
+			watchdog(t, run)
+			res.executed, res.foot = executed(), foot()
+			if res.past != res.tried {
+				t.Fatalf("%s, cutoff %d: %d of %d posts into the past panicked", kn.name, cut, res.past, res.tried)
+			}
+			if i == 0 {
+				ref = res
+				continue
+			}
+			switch {
+			case res.executed != ref.executed || res.past != ref.past || res.foot.PastCutoff != ref.foot.PastCutoff:
+				t.Fatalf("%s, cutoff %d: %d events run, %d past posts refused, %d records past the cutoff; Engine %d, %d and %d",
+					kn.name, cut, res.executed, res.past, res.foot.PastCutoff, ref.executed, ref.past, ref.foot.PastCutoff)
+			case kn.w.shards == 1 && !reflect.DeepEqual(res.logs, ref.logs):
+				t.Fatalf("%s, cutoff %d: ran another sequence than Engine", kn.name, cut)
+			case !reflect.DeepEqual(byCell(res.logs), byCell(ref.logs)):
+				t.Fatalf("%s, cutoff %d: some cell ran another sequence than on Engine", kn.name, cut)
+			}
+		}
+		if n := len(ref.logs[0]); cut == cutoff && ref.foot.PastCutoff == 0 || n < 6*cells || ref.tried == 0 {
+			t.Fatalf("cutoff %d: the schedule is vacuous: %d events, %d records past the cutoff, %d past posts", cut, n, ref.foot.PastCutoff, ref.tried)
+		}
+	}
+
+	var order []int32
+	e, k := NewEngine(), NewShards(1, T, 1)
+	for _, post := range []func(origin int32){
+		func(origin int32) {
+			if origin < 0 {
+				e.At(2, func() { order = append(order, origin) })
+			} else {
+				e.AtOrigin(2, origin, func() { order = append(order, origin) })
+			}
+		},
+		func(origin int32) { k.At(0, 2, origin, func() { order = append(order, 10+origin) }) },
+	} {
+		post(0)
+		post(-1)
+		post(3) // past the one origin k was built for: its counters grow
+	}
+	e.Run(5)
+	k.Run(1, 5)
+	if want := []int32{-1, 0, 3, 9, 10, 13}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("one-shard kernels ran %v, want the unattributed event first: %v", order, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an unattributed event on seven shards did not panic")
+		}
+	}()
+	NewShards(7, T, cells).At(0, 2, -1, func() {})
 }
 
 func ExampleShards() {

@@ -914,8 +914,8 @@ type Footprint struct {
 	// SideBytes is the func side tables.
 	SideBytes uint64
 	// RouteBytes is what the cross-shard mailboxes hold — the pages of
-	// records not yet merged, their func lists and word arenas (zero on
-	// the serial kernel).
+	// records not yet merged, their func lists and word arenas (zero at
+	// one shard).
 	RouteBytes uint64
 	// PoolPages and PoolBytes are the event pages the kernel's pool has
 	// allocated, which is the most that were ever out of it at once — in

@@ -158,19 +158,19 @@ func TestSideTableSlotsAreRecycled(t *testing.T) {
 	if got.Seq == 0 || len(got.Words) != 1 {
 		t.Fatalf("attachment did not reach the handler: %+v", got)
 	}
-	if nf, na := len(e.q.fns.slots), e.q.atts.n; nf > inFlight+1 || na > inFlight+1 {
+	if nf, na := len(e.q().fns.slots), e.q().atts.n; nf > inFlight+1 || na > inFlight+1 {
 		t.Fatalf("side tables grew to %d func and %d attachment slots with %d events in flight", nf, na, inFlight)
 	}
 	if dropped := e.DiscardPending(); dropped != inFlight {
 		t.Fatalf("DiscardPending dropped %d events, want %d", dropped, inFlight)
 	}
-	if n := len(e.q.fns.slots) + e.q.atts.n + len(e.q.fns.free) + e.q.atts.freeSlots(); n != 0 {
+	if n := len(e.q().fns.slots) + e.q().atts.n + len(e.q().fns.free) + e.q().atts.freeSlots(); n != 0 {
 		t.Fatalf("DiscardPending left %d side entries and free slots", n)
 	}
 	for i := 0; i < inFlight; i++ {
 		e.At(e.Now()+1, func() {})
 	}
-	if n := len(e.q.fns.slots); n != inFlight {
+	if n := len(e.q().fns.slots); n != inFlight {
 		t.Fatalf("side table has %d slots after rescheduling %d events", n, inFlight)
 	}
 
@@ -251,7 +251,7 @@ func TestAtOriginAscendingOriginsGrowsGeometrically(t *testing.T) {
 			e.AtOrigin(1, o, fn)
 		}
 		e.DiscardPending()
-		e.cnt = nil
+		e.k.cnt, e.k.last = nil, nil
 	})
 	// AllocsPerRun runs the body twice (one warm-up). Counter growth is
 	// 1.25x-2x per step: well under 100 reallocations for 32768 origins;
@@ -315,7 +315,7 @@ func TestAttachmentSlotOutlivesHandler(t *testing.T) {
 		if handled < events {
 			t.Fatalf("handled %d events, want at least %d", handled, events)
 		}
-		if n := e.q.atts.n; n > 64 {
+		if n := e.q().atts.n; n > 64 {
 			t.Fatalf("attachment table grew to %d slots", n)
 		}
 	})
@@ -407,14 +407,14 @@ func TestAttachmentSlotOutlivesHandler(t *testing.T) {
 			e.Post(at, 0, Event{Kind: KindMessage, T: shared}, att(shared))
 			scribble()
 		}
-		if e.q.atts.n != 1 {
-			t.Fatalf("three identical posts took %d slots", e.q.atts.n)
+		if e.q().atts.n != 1 {
+			t.Fatalf("three identical posts took %d slots", e.q().atts.n)
 		}
 		if !e.Drain(100) || handled != 3+6 {
 			t.Fatalf("handled %d events", handled)
 		}
-		if f := e.Footprint(); f.AttShared != 2 || e.q.atts.n != 1+6 || e.q.atts.freeSlots() != e.q.atts.n {
-			t.Fatalf("%d shared, %d slots, %d free after the drain", f.AttShared, e.q.atts.n, e.q.atts.freeSlots())
+		if f := e.Footprint(); f.AttShared != 2 || e.q().atts.n != 1+6 || e.q().atts.freeSlots() != e.q().atts.n {
+			t.Fatalf("%d shared, %d slots, %d free after the drain", f.AttShared, e.q().atts.n, e.q().atts.freeSlots())
 		}
 
 		// Across a boundary: one mailbox entry, parked once by the merge;

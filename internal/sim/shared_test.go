@@ -292,9 +292,9 @@ func TestSharedAttachmentsMatchCopies(t *testing.T) {
 			t.Fatalf("the schedule is vacuous: %d events", len(s.got[0]))
 		}
 		s.check(t, "engine", e.Footprint())
-		wantAllFree(t, "engine", &e.q)
-		if e.q.atts.width != attHeader+sharedWidth {
-			t.Fatalf("arena slots are %d words wide: no wider snapshot was ever posted", e.q.atts.width)
+		wantAllFree(t, "engine", e.q())
+		if e.q().atts.width != attHeader+sharedWidth {
+			t.Fatalf("arena slots are %d words wide: no wider snapshot was ever posted", e.q().atts.width)
 		}
 		ref = sharedByCell(s.got)
 
@@ -302,8 +302,8 @@ func TestSharedAttachmentsMatchCopies(t *testing.T) {
 		// deliveries as the straight run.
 		ce, cs := sharedOnEngine(w)
 		cs.seed(ttl)
-		if !ce.DrainUntil(cutoff, math.MaxUint64) || sharedSlots(&ce.q) == 0 {
-			t.Fatalf("DrainUntil(%d) left %d shared slots queued", cutoff, sharedSlots(&ce.q))
+		if !ce.DrainUntil(cutoff, math.MaxUint64) || sharedSlots(ce.q()) == 0 {
+			t.Fatalf("DrainUntil(%d) left %d shared slots queued", cutoff, sharedSlots(ce.q()))
 		}
 		if !ce.Drain(math.MaxUint64) || !reflect.DeepEqual(cs.got, s.got) {
 			t.Fatal("a run cut at DrainUntil and resumed delivered something else than a straight one")
@@ -324,7 +324,7 @@ func TestSharedAttachmentsMatchCopies(t *testing.T) {
 			t.Fatalf("the run after the discard is vacuous: %d events", len(ds.got[0])-before)
 		}
 		ds.check(t, "engine after DiscardPending", de.Footprint())
-		wantAllFree(t, "engine after DiscardPending", &de.q)
+		wantAllFree(t, "engine after DiscardPending", de.q())
 	})
 
 	for _, shards := range []int{1, 7} {
@@ -423,17 +423,17 @@ func TestSharedAttachmentCornerCases(t *testing.T) {
 		post(1, 1, a, 0)
 		post(2, 1, a, 0)
 		post(5, 1, a, 0)
-		if e.q.atts.n != 1 || sharedSlots(&e.q) != 1 {
-			t.Fatalf("three identical posts hold %d slots, %d of them shared", e.q.atts.n, sharedSlots(&e.q))
+		if e.q().atts.n != 1 || sharedSlots(e.q()) != 1 {
+			t.Fatalf("three identical posts hold %d slots, %d of them shared", e.q().atts.n, sharedSlots(e.q()))
 		}
 		post(3, 2, c, 0)
 		post(4, 1, a, 0) // the memo survives the re-stride
-		if e.q.atts.n != 2 || e.q.atts.width != attHeader+len(c) {
-			t.Fatalf("after widening: %d slots of %d words", e.q.atts.n, e.q.atts.width)
+		if e.q().atts.n != 2 || e.q().atts.width != attHeader+len(c) {
+			t.Fatalf("after widening: %d slots of %d words", e.q().atts.n, e.q().atts.width)
 		}
 		e.Drain(10)
 		want(t, "across a widen", a, a, c, a, a)
-		wantAllFree(t, "across a widen", &e.q)
+		wantAllFree(t, "across a widen", e.q())
 
 		if f := e.Footprint(); f.AttParked != 2 || f.AttShared != 3 {
 			t.Fatalf("%d attachments stored and %d shared, want 2 and 3", f.AttParked, f.AttShared)
@@ -479,12 +479,12 @@ func TestSharedAttachmentCornerCases(t *testing.T) {
 		post(9, 2, b, 0)
 		post(9, 1, a, 0)
 		post(9, 1, b, 0) // equal to a live slot, but not the one its memo names: a copy
-		if e.q.atts.n != 3 {
-			t.Fatalf("%d slots after the discard, want 3", e.q.atts.n)
+		if e.q().atts.n != 3 {
+			t.Fatalf("%d slots after the discard, want 3", e.q().atts.n)
 		}
 		e.Drain(10)
 		want(t, "after DiscardPending", a, b, b)
-		wantAllFree(t, "after DiscardPending", &e.q)
+		wantAllFree(t, "after DiscardPending", e.q())
 	})
 
 	t.Run("Shards", func(t *testing.T) {
