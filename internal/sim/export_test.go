@@ -35,4 +35,4 @@ func (q *queue) pop() Event {
 }
 
 // q is the engine's one queue.
-func (e *Engine) q() *queue { return &e.k.shards[0].q }
+func (e *Engine) q() *queue { return &e.shards[0].q }

@@ -142,7 +142,7 @@ func TestReserveThenPushAllocatesNothing(t *testing.T) {
 		if err := k.Reserve(1, n); err != nil {
 			t.Fatal(err)
 		}
-		qs, pools := []*queue{e.q(), &k.shards[1].q}, []*pagePool{&e.k.pool, &k.pool}
+		qs, pools := []*queue{e.q(), &k.shards[1].q}, []*pagePool{&e.pool, &k.pool}
 		var before [][]uintptr
 		for i, q := range qs {
 			if want := max(n-smallQueue-pageSlots+pageMask, 0) / pageSlots; len(pools[i].free) != want {

@@ -184,7 +184,6 @@ type Shards struct {
 	// -1), which only a one-shard kernel takes.
 	seq     uint64
 	anon    attMemo
-	serial  Engine // the view Engine returns at one shard
 	barrier func()
 	windows uint64
 	// reservedBytes accumulates the capacity pinned by Reserve, checked
@@ -262,19 +261,18 @@ func NewShards(n int, lookahead Time, numOrigins int) *Shards {
 	for i := range k.shards {
 		k.shards[i].q.pool, k.shards[i].q.near = &k.pool, nearOf(lookahead)
 	}
-	k.serial.k = k
 	k.runShard = func(s int) { k.shards[s].runWindow(&k.handlers, k.end, k.budget) }
 	return k
 }
 
 // Engine returns the serial view of a one-shard kernel, and nil at more
-// shards. The view and the kernel are one: posts, runs and counts
-// through either are the other's.
+// shards. The view is the kernel under another method set: posts, runs
+// and counts through either are the other's.
 func (k *Shards) Engine() *Engine {
 	if len(k.shards) > 1 {
 		return nil
 	}
-	return &k.serial
+	return (*Engine)(k)
 }
 
 // SetReserveBudget caps the cumulative bytes of event capacity that

@@ -251,7 +251,7 @@ func TestAtOriginAscendingOriginsGrowsGeometrically(t *testing.T) {
 			e.AtOrigin(1, o, fn)
 		}
 		e.DiscardPending()
-		e.k.cnt, e.k.last = nil, nil
+		e.cnt, e.last = nil, nil
 	})
 	// AllocsPerRun runs the body twice (one warm-up). Counter growth is
 	// 1.25x-2x per step: well under 100 reallocations for 32768 origins;
