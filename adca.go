@@ -336,6 +336,16 @@ type KernelFootprint = sim.Footprint
 // adca_kernel_* gauges). Not during a run.
 func (n *Network) KernelFootprint() KernelFootprint { return n.sim.Footprint() }
 
+// KernelWorker is where one shard worker's wall clock went: the phases
+// (windows, barrier merges, per-shard passes) it ran, the time it was
+// busy in them and the time it waited at their ends.
+type KernelWorker = sim.WorkerTime
+
+// KernelWorkers reports the event kernel's shard workers, worker 0
+// first (the goroutine that called the run); nil when every run was on
+// one worker. Not during a run.
+func (n *Network) KernelWorkers() []KernelWorker { return n.sim.Kernel().WorkerTimes() }
+
 // Metrics snapshots every registered metric as exposition-style keys
 // (e.g. `adca_grants_total{path="local"}`). Nil when the scenario did
 // not enable Obs.

@@ -42,7 +42,8 @@
 // execution trace of the whole run (`go tool trace`: goroutines per
 // shard worker, barrier waits, GC). All three work with -shards. The
 // report's "kernel" lines are the event kernel's own account of its
-// memory (sim.Footprint), no profile needed.
+// memory (sim.Footprint) and, above one worker, of its shard workers'
+// busy and waiting time (sim.WorkerTime), no profile needed.
 package main
 
 import (
@@ -97,7 +98,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		predictor = fs.String("predictor", "", `adaptive NFC predictor "name[,key=val...]": `+strings.Join(adca.Predictors(), ", "))
 		lender    = fs.String("lender", "", `adaptive lender strategy "name[,key=val...]": `+strings.Join(adca.LenderStrategies(), ", "))
 		shards    = fs.Int("shards", 0, "run on the sharded event kernel with this many shards (0 = serial kernel)")
-		workers   = fs.Int("workers", 0, "with -shards: kernel worker goroutines (0 = NumCPU)")
+		workers   = fs.Int("workers", 0, "with -shards: kernel worker goroutines (0 = GOMAXPROCS, and at most that)")
 
 		metricsAddr = fs.String("metrics", "", "serve Prometheus text metrics at this address (e.g. :9090)")
 		journalPath = fs.String("journal", "", "write a JSONL event journal to this file")
@@ -222,7 +223,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if net.Scheme() == "adaptive" {
 		fmt.Fprintf(stdout, "warm stations     %d of %d hold a borrowing block\n", st.WarmStations, net.NumCells())
 	}
-	printKernel(stdout, net.KernelFootprint())
+	printKernel(stdout, net.KernelFootprint(), net.KernelWorkers())
 	if addr := net.MetricsAddr(); addr != "" && *linger > 0 {
 		fmt.Fprintf(stdout, "metrics           lingering at http://%s/metrics for %v\n", addr, *linger)
 		time.Sleep(*linger)
@@ -259,13 +260,21 @@ func printReport(w io.Writer, scheme string, ws adca.WorkloadStats, st adca.Stat
 	fmt.Fprintf(w, "invariant         ok (no co-channel interference)\n")
 }
 
-// printKernel renders the event kernel's own account of what it holds.
-func printKernel(w io.Writer, f adca.KernelFootprint) {
+// printKernel renders the event kernel's own account of what it holds
+// and, above one worker, of where its workers' wall clock went.
+func printKernel(w io.Writer, f adca.KernelFootprint, workers []adca.KernelWorker) {
 	const mb = 1 << 20
 	fmt.Fprintf(w, "kernel memory     heap %.1f MB (%d pages), far log %.1f MB (%d pages), attachments %.1f MB (%d pages), funcs %.1f MB, routes %.1f MB\n",
 		float64(f.HeapBytes)/mb, f.HeapPages, float64(f.LogBytes)/mb, f.LogPages, float64(f.AttBytes)/mb, f.AttPages, float64(f.SideBytes)/mb, float64(f.RouteBytes)/mb)
 	fmt.Fprintf(w, "kernel queue      peak %d records for %d events pending, in a pool that peaked at %d pages (%.1f MB, %d out now); %d records popped, %d of them through %d far-log batches (%d in the log now); %d past the cutoff never queued; attachments %d stored, %d shared\n",
 		f.PeakRecords, f.PeakEvents, f.PoolPages, float64(f.PoolBytes)/mb, f.PoolOut, f.Pops, f.Batched, f.Refills, f.LogRecords, f.PastCutoff, f.AttParked, f.AttShared)
+	if len(workers) > 1 {
+		each := make([]string, len(workers))
+		for i, t := range workers {
+			each[i] = fmt.Sprintf("%d: %d phases, busy %.3f s, wait %.3f s", i, t.Phases, t.Busy.Seconds(), t.Wait.Seconds())
+		}
+		fmt.Fprintf(w, "kernel workers    %s\n", strings.Join(each, "; "))
+	}
 }
 
 // profiles are the -cpuprofile and -exectrace outputs a run has started.

@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -233,5 +235,41 @@ func TestFlagsOverrideConfig(t *testing.T) {
 	hotspot := filepath.Join("..", "..", "scenarios", "hotspot.json")
 	if def, two := report("-config", hotspot)["offered calls"], report("-config", hotspot, "-erlang", "2")["offered calls"]; def == two {
 		t.Errorf("-erlang 2 did not change hotspot.json's offered calls: %q", def)
+	}
+}
+
+// TestKernelWorkersLine: above one worker the report ends with where
+// each shard worker's wall clock went, every worker in every phase; on
+// one worker there is no such line.
+func TestKernelWorkersLine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	scenario := []string{"-width", "8", "-erlang", "9", "-duration", "4000", "-warmup", "800", "-shards", "4"}
+	workersLine := func(workers string) string {
+		t.Helper()
+		code, stdout, stderr := chansim(append(scenario, "-workers", workers)...)
+		if code != 0 {
+			t.Fatalf("-workers %s: exit %d, stderr %q", workers, code, stderr)
+		}
+		for _, line := range strings.Split(stdout, "\n") {
+			if strings.HasPrefix(line, "kernel workers") {
+				return line
+			}
+		}
+		return ""
+	}
+	if line := workersLine("1"); line != "" {
+		t.Fatalf("one worker reports %q", line)
+	}
+	line := workersLine("2")
+	var phases [2]int
+	if _, err := fmt.Sscanf(line, "kernel workers     0: %d phases,", &phases[0]); err != nil {
+		t.Fatalf("two workers report %q: %v", line, err)
+	}
+	i := strings.Index(line, "; 1: ")
+	if i < 0 {
+		t.Fatalf("two workers report %q", line)
+	}
+	if _, err := fmt.Sscanf(line[i:], "; 1: %d phases,", &phases[1]); err != nil || phases[0] == 0 || phases[1] != phases[0] {
+		t.Fatalf("two workers report %q (%v): want both in the same phases", line, err)
 	}
 }

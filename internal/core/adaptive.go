@@ -510,9 +510,6 @@ func (a *Adaptive) ProtocolCounters() alloc.Counters { return a.counters }
 // Primary returns PR_i (for tests).
 func (a *Adaptive) Primary() chanset.Set { return a.primary().Clone() }
 
-// Waiting exposes waiting_i (for tests).
-func (a *Adaptive) Waiting() int { return int(a.waiting) }
-
 // free returns PR_i − (Use_i ∪ I_i): the free primary channels in this
 // cell's view. The result is a view of the slab's scratch set and is
 // valid only until the next freePrimary/freeAnywhere call (every call

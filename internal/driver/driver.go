@@ -108,7 +108,8 @@ type Options struct {
 	// it at 1. Per-cell results are shard-count-invariant.
 	Shards int
 	// Workers is the number of goroutines advancing and seeding shards
-	// (default NumCPU, capped at Shards). Never affects results.
+	// (default GOMAXPROCS, capped at Shards; a run uses at most GOMAXPROCS
+	// of them, sim.Shards.Run). Never affects results.
 	Workers int
 }
 
@@ -128,7 +129,7 @@ func (o *Options) check(cells int) error {
 		o.Shards = min(16, cells)
 	}
 	if o.Workers == 0 {
-		o.Workers = runtime.NumCPU()
+		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	o.Workers = min(o.Workers, o.Shards)
 	if o.Latency < 1 || o.Jitter < 0 {

@@ -242,9 +242,10 @@ func (p *Parallel) SetCutoff(cutoff sim.Time) { p.kernel.SetCutoff(cutoff) }
 // sim.Shards.Reserve).
 func (p *Parallel) ReserveShard(s, n int) error { return p.kernel.Reserve(s, n) }
 
-// EachShard calls fn(s) for every shard s on the worker that runs its
-// windows (sim.Shards.Each); fn may do for s's cells what an event of
-// shard s may. Pre-run only.
+// EachShard calls fn(s) for every shard s on the kernel's shard workers,
+// each starting with the block of shards it runs windows for
+// (sim.Shards.Each); fn may do for s's cells what an event of shard s
+// may. Pre-run only.
 func (p *Parallel) EachShard(fn func(shard int)) { p.kernel.Each(p.opts.Workers, fn) }
 
 // Run advances virtual time to until, executing all due events (the

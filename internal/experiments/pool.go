@@ -98,8 +98,8 @@ type seedRun struct {
 }
 
 // aggregate averages one spec's replications in seed order — the exact
-// arithmetic (and summation order) RunScheme has always used, so a
-// parallel sweep reproduces sequential results bitwise.
+// arithmetic (and summation order) of a sequential loop over the seeds,
+// so a parallel sweep reproduces sequential results bitwise.
 func aggregate(scheme string, runs []seedRun) Measured {
 	var agg Measured
 	agg.Scheme = scheme

@@ -592,11 +592,6 @@ func (n *Node) linkDied(p *peerConn, err error, unwritten int) {
 	}
 }
 
-// MessagesSent returns the number of messages this node put on the
-// fabric (local and remote; with a reliability layer this includes acks
-// and retransmits — they are real traffic).
-func (n *Node) MessagesSent() uint64 { return n.fabric.Stats().Total }
-
 // SendErrors returns the number of messages dropped: the peer could not
 // be dialed, a write to it failed, the cell had no route, or the frame
 // was for a cell this node does not host.

@@ -158,24 +158,6 @@ func Predictors() []string { return sortedKeys(predictors) }
 // Strategies returns the registered lender-strategy names, sorted.
 func Strategies() []string { return sortedKeys(strategies) }
 
-// PredictorHelp returns one-line descriptions keyed by predictor name.
-func PredictorHelp() map[string]string {
-	out := make(map[string]string, len(predictors))
-	for name, e := range predictors {
-		out[name] = e.help
-	}
-	return out
-}
-
-// StrategyHelp returns one-line descriptions keyed by strategy name.
-func StrategyHelp() map[string]string {
-	out := make(map[string]string, len(strategies))
-	for name, e := range strategies {
-		out[name] = e.help
-	}
-	return out
-}
-
 // BuildPredictor constructs the named predictor builder. The zero Name
 // selects "linear".
 func BuildPredictor(s Spec) (core.PredictorBuilder, error) {

@@ -4,9 +4,10 @@
 // what is due later — with stable FIFO ordering of simultaneous events
 // and one record per multi-destination send (queue.go, far.go), under
 // one conservative event loop (Shards, parallel.go) that advances any
-// number of shards in lockstep windows one lookahead wide, and seeded
-// random-number streams. A serial run is its one-shard case; Engine is
-// the one-shard kernel's serial view.
+// number of shards in lockstep windows one lookahead wide, on a crew of
+// workers that lives as long as the run, each keeping its home block of
+// shards (crew.go), and seeded random-number streams. A serial run is
+// its one-shard case; Engine is the one-shard kernel's serial view.
 //
 // All protocol benchmarks run on this kernel so results are exactly
 // reproducible from a seed; the live goroutine runtime in

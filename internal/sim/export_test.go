@@ -36,3 +36,21 @@ func (q *queue) pop() Event {
 
 // q is the engine's one queue.
 func (e *Engine) q() *queue { return &e.shards[0].q }
+
+// findRoute returns the mailbox for destination dst, or nil when the
+// shard has never sent to dst.
+func (s *pshard) findRoute(dst int32) *outRoute {
+	lo, hi := 0, len(s.routes)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if s.routes[mid].dst < dst {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(s.routes) && s.routes[lo].dst == dst {
+		return &s.routes[lo]
+	}
+	return nil
+}

@@ -284,7 +284,7 @@ func TestSharedAttachmentFootprintBudget(t *testing.T) {
 	if n := k.shards[0].q.atts.n; n != 1 || len(rt.words) != attHeader+len(use) || rt.n != posts {
 		t.Fatalf("shards: %d posts each way took %d slots in the shard and %d mailbox words under %d records", posts, n, len(rt.words), rt.n)
 	}
-	k.flush(1)
+	k.flush()
 	if f := k.Footprint(); k.shards[1].q.atts.n != 1 || f.AttParked != 2 || f.AttShared != 2*(posts-1) || f.Events != 2*posts {
 		t.Fatalf("shards: the merge parked %d slots (%d stored, %d shared so far)", k.shards[1].q.atts.n, f.AttParked, f.AttShared)
 	}

@@ -8,7 +8,8 @@ package sim
 // independently: an event at time t can only affect another shard via a
 // message delivered at >= t+T >= W+T, i.e. in a later window. Cross-shard
 // sends land in per-(src,dst) mailboxes that are merged into the
-// destination heaps at the window barrier.
+// destination heaps at the window barrier. Windows and merges are phases
+// of the run's crew of workers (crew.go).
 //
 // Determinism contract: events are totally ordered by the canonical key
 // (at, origin, counter) where origin is the cell whose handler scheduled
@@ -36,8 +37,6 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"unsafe"
 )
 
@@ -116,31 +115,13 @@ type pshard struct {
 	// 500x500, TestPartitionNeighborShardsSparse), so this stays
 	// O(neighbor shards) — a dense [][]Event outbox would be
 	// O(shards) per shard and dominate memory at the shard counts a
-	// 10^6-cell grid wants. Only this shard's worker appends; only the
-	// coordinator (between windows) drains.
+	// 10^6-cell grid wants. Only this shard's worker appends, during a
+	// window; only the worker that merges the destination drains, at the
+	// barrier.
 	routes []outRoute
 	// pad avoids false sharing between adjacent shards' hot fields
 	// when workers advance them concurrently.
 	_ [64]byte
-}
-
-// findRoute returns the mailbox for destination dst, or nil when the
-// shard has never sent to dst. Read-only: safe for concurrent use from
-// flush workers as long as no route is being created.
-func (s *pshard) findRoute(dst int32) *outRoute {
-	lo, hi := 0, len(s.routes)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.routes[mid].dst < dst {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s.routes) && s.routes[lo].dst == dst {
-		return &s.routes[lo]
-	}
-	return nil
 }
 
 // route returns the mailbox for destination dst, creating it in sorted
@@ -195,23 +176,26 @@ type Shards struct {
 	// cutoff is the time past which posts are queued nowhere (SetCutoff);
 	// math.MaxInt64 until set.
 	cutoff Time
-	// inbound[dst] lists the source shards (ascending) that have
-	// materialized a mailbox to dst; routeCount[src] is len(routes) at
-	// the last inbound build. Together they let flush distribute the
-	// barrier merge across workers by destination — each dst heap is
-	// touched by exactly one goroutine, and pushing in ascending-src,
-	// then append, order reproduces the serial merge's heap layout
-	// byte-for-byte. Rebuilt lazily when any shard grows a new route.
-	inbound    [][]int32
-	routeCount []int
+	// inbound[dst] lists the mailboxes to dst in ascending source shard,
+	// and indexed is how many routes the shards had when it was built:
+	// routes are only ever added, so another total means it is stale.
+	// The barrier merge runs by destination, and pushing in
+	// ascending-source, then append, order makes each heap's contents the
+	// same whichever worker fills it.
+	inbound [][]*outRoute
+	indexed int
 	// runShard runs the window that ends at tick end on one shard, at
-	// most budget events of it; it is made once, so that handing it to
-	// Each allocates nothing.
-	end      Time
-	budget   uint64
-	runShard func(shard int)
-	// claimed counts the shards Each's workers have claimed this call.
-	claimed atomic.Int32
+	// most budget events of it, and mergeShard merges one shard's
+	// inbound mailboxes; both are made once, so that a phase allocates
+	// nothing.
+	end        Time
+	budget     uint64
+	runShard   func(shard int)
+	mergeShard func(shard int)
+	// crew runs the phases of the run or Each under way (nil at one
+	// worker), and workerTimes sums the figures of every crew so far.
+	crew        *crew
+	workerTimes []WorkerTime
 }
 
 // attMemo is what the kernel remembers per origin so that a snapshot
@@ -262,6 +246,13 @@ func NewShards(n int, lookahead Time, numOrigins int) *Shards {
 		k.shards[i].q.pool, k.shards[i].q.near = &k.pool, nearOf(lookahead)
 	}
 	k.runShard = func(s int) { k.shards[s].runWindow(&k.handlers, k.end, k.budget) }
+	k.mergeShard = func(d int) {
+		for _, rt := range k.inbound[d] {
+			if rt.n > 0 {
+				rt.merge(&k.shards[d].q)
+			}
+		}
+	}
 	return k
 }
 
@@ -385,7 +376,8 @@ func (k *Shards) Reserve(s, n int) error {
 // SetBarrier installs fn to run on the coordinator goroutine at every
 // window barrier, after all shards have finished the window and before
 // mailboxes are merged. All shard state is quiescent during the call —
-// drivers use it for consistent-cut invariant checks.
+// drivers use it for consistent-cut invariant checks — and an Each it
+// makes is a phase of the run's crew.
 func (k *Shards) SetBarrier(fn func()) { k.barrier = fn }
 
 // Handle registers h as the interpreter of events of kind k, on every
@@ -620,86 +612,47 @@ func (rt *outRoute) reset() {
 	rt.words = rt.words[:0]
 }
 
-// parallelFlushThreshold is the minimum number of boxed cross-shard
-// events per barrier before flush fans the merge out to workers. Below
-// it the goroutine handoff costs more than the pushes; counting is
-// O(materialized routes), which sparse routing keeps tiny.
-const parallelFlushThreshold = 4096
+// flush merges every mailbox into its destination heap at the window
+// barrier, as a crew phase: whoever claims a destination shard — its
+// home worker, as a rule, so the heap it fills stays in that core's
+// cache — merges its mailboxes in ascending source, then append, order.
+// That order is fixed, so heap layouts, and therefore trajectories, are
+// the same at any worker count.
+func (k *Shards) flush() {
+	routes, boxed := 0, false
+	for si := range k.shards {
+		sh := &k.shards[si]
+		routes += len(sh.routes)
+		for ri := range sh.routes {
+			boxed = boxed || sh.routes[ri].n > 0
+		}
+	}
+	if !boxed {
+		return
+	}
+	if routes != k.indexed {
+		k.indexInbound()
+		k.indexed = routes
+	}
+	k.phase(k.mergeShard)
+}
 
-// flush merges every mailbox into its destination heap. Runs at the
-// window barrier; the per-destination merge order (ascending src, then
-// append order) is fixed regardless of the path taken, so heap layouts
-// — and therefore trajectories — are identical at any worker count.
-// Under borrow pressure at large shard counts the merge is a measurable
-// slice of the barrier, so when enough events are boxed it runs
-// destination-parallel: each dst heap is owned by exactly one worker.
-func (k *Shards) flush(workers int) {
-	total := 0
+// indexInbound rebuilds inbound. A route is created only by a
+// cross-shard post, never during a merge, so the index holds for the
+// whole phase.
+func (k *Shards) indexInbound() {
+	if k.inbound == nil {
+		k.inbound = make([][]*outRoute, len(k.shards))
+	}
+	for d := range k.inbound {
+		k.inbound[d] = k.inbound[d][:0]
+	}
 	for si := range k.shards {
 		for ri := range k.shards[si].routes {
-			total += k.shards[si].routes[ri].n
+			rt := &k.shards[si].routes[ri]
+			k.inbound[rt.dst] = append(k.inbound[rt.dst], rt)
 		}
 	}
-	if total == 0 {
-		return
-	}
-	if workers <= 1 || len(k.shards) < 2 || total < parallelFlushThreshold {
-		k.flushSerial()
-		return
-	}
-	k.flushParallel(workers)
-}
-
-// flushSerial is the coordinator-only merge path.
-func (k *Shards) flushSerial() {
-	for si := range k.shards {
-		src := &k.shards[si]
-		for ri := range src.routes {
-			rt := &src.routes[ri]
-			if rt.n == 0 {
-				continue
-			}
-			rt.merge(&k.shards[rt.dst].q)
-		}
-	}
-}
-
-// flushParallel distributes the merge by destination shard. Routes are
-// created only by a cross-shard post, never during flush, so the
-// inbound index is stable for the whole call and only needs rebuilding
-// when some shard materialized a new route since the last build.
-func (k *Shards) flushParallel(workers int) {
-	if k.inbound == nil {
-		k.inbound = make([][]int32, len(k.shards))
-		k.routeCount = make([]int, len(k.shards))
-	}
-	stale := false
-	for si := range k.shards {
-		if len(k.shards[si].routes) != k.routeCount[si] {
-			stale = true
-			break
-		}
-	}
-	if stale {
-		for d := range k.inbound {
-			k.inbound[d] = k.inbound[d][:0]
-		}
-		for si := range k.shards {
-			k.routeCount[si] = len(k.shards[si].routes)
-			for ri := range k.shards[si].routes {
-				d := k.shards[si].routes[ri].dst
-				k.inbound[d] = append(k.inbound[d], int32(si))
-			}
-		}
-	}
-	k.Each(workers, func(d int) {
-		dst := &k.shards[d]
-		for _, si := range k.inbound[d] {
-			if rt := k.shards[si].findRoute(int32(d)); rt != nil && rt.n > 0 {
-				rt.merge(&dst.q)
-			}
-		}
-	})
 }
 
 // minDue returns the earliest queued event time across all shards, or
@@ -717,44 +670,26 @@ func (k *Shards) minDue() (Time, bool) {
 }
 
 // Each calls fn(s) once for every shard s and returns when every call
-// has; workers <= 1 runs inline in shard order with zero
-// synchronization. Above that, each of min(workers, shards) goroutines
-// claims the next shard nobody has taken until none is left, so a worker
-// that finishes a light shard early takes the next one instead of
-// waiting. Windows, the parallel flush, the barrier check and the warm
-// start (driver.Parallel.EachShard) all run through it, and fn may touch
-// only what shard s owns, so which goroutine runs a shard changes
-// nothing. Coordinator only: the claim counter is the kernel's.
+// has. Inside a run it is a phase of the run's crew; outside one it
+// starts a crew of min(workers, shards, GOMAXPROCS) workers for the
+// call, and at one worker it runs inline in shard order with no
+// synchronization. Each worker runs its home block of shards, then
+// takes what the others have left. The barrier check and the warm start
+// (driver.Parallel.EachShard) run through it, and fn may touch only what
+// shard s owns, so which worker runs a shard changes nothing.
+// Coordinator only.
 func (k *Shards) Each(workers int, fn func(shard int)) {
-	// The clamped count is a fresh variable: reassigning the parameter
-	// would make the worker closure capture it by reference and
-	// heap-allocate it on every call, the inline path included.
-	n := len(k.shards)
-	nw := min(workers, n)
-	if nw <= 1 {
-		for i := range n {
-			fn(i)
-		}
-		return
+	if k.crew == nil && k.startCrew(workers) {
+		defer k.stopCrew()
 	}
-	k.claimed.Store(0)
-	var wg sync.WaitGroup
-	wg.Add(nw)
-	for range nw {
-		go func() {
-			defer wg.Done()
-			for i := int(k.claimed.Add(1)) - 1; i < n; i = int(k.claimed.Add(1)) - 1 {
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	k.phase(fn)
 }
 
 // Run advances all shards in lockstep windows until every queued event
 // later than until would remain, then sets all clocks to until (when
-// behind). workers <= 0 means runtime.NumCPU(). It returns the number
-// of events executed by this call. At one shard, a Stop ends it after
+// behind), on a crew of min(workers, shards, GOMAXPROCS) workers
+// (crew.go); workers <= 0 means GOMAXPROCS. It returns the number of
+// events executed by this call. At one shard, a Stop ends it after
 // the event under way.
 func (k *Shards) Run(workers int, until Time) uint64 {
 	start := k.Executed()
@@ -799,7 +734,10 @@ func (k *Shards) Step() bool {
 // finite until end there.
 func (k *Shards) run(workers int, until Time, budget uint64, stoppable bool) bool {
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if k.crew == nil && k.startCrew(workers) {
+		defer k.stopCrew()
 	}
 	start, stop := k.Executed(), &k.shards[0].q.stop
 	*stop = false
@@ -810,7 +748,7 @@ func (k *Shards) run(workers int, until Time, budget uint64, stoppable bool) boo
 			}
 			break
 		}
-		k.flush(workers)
+		k.flush()
 		wlow, ok := k.minDue()
 		if !ok || wlow > until {
 			break
@@ -821,7 +759,7 @@ func (k *Shards) run(workers int, until Time, budget uint64, stoppable bool) boo
 		if k.lookahead-1 < until-wlow {
 			k.end = wlow + k.lookahead - 1
 		}
-		k.Each(workers, k.runShard)
+		k.phase(k.runShard)
 		k.windows++
 		if k.barrier != nil {
 			k.barrier()

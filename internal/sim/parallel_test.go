@@ -424,18 +424,18 @@ func TestShardsRoutesLazySparse(t *testing.T) {
 	}
 }
 
-// TestShardsParallelFlushMatchesSerial drives enough cross-shard
-// traffic through a barrier (> parallelFlushThreshold boxed events)
-// that flush takes the destination-parallel path at workers > 1, and
-// asserts the per-origin execution logs match the workers=1 serial
-// merge exactly. The boxed events are a mix of func events, flat typed
-// events and typed events carrying an attachment, so side entries are
-// re-homed from route to destination table on both flush paths (run
-// under -race: a side table shared between two flush workers would
-// show here). The second wave targets destinations never used before
-// the run, so the inbound index goes stale mid-run and the rebuild path
-// is exercised too.
-func TestShardsParallelFlushMatchesSerial(t *testing.T) {
+// TestShardsMergeMatchesOneWorker drives heavy cross-shard traffic
+// (8192 boxed events at the first barrier) through the barrier merge,
+// which runs by destination on the crew, and asserts that the
+// per-origin execution logs at 2 and 4 workers match one worker's,
+// whose merge runs inline, exactly. The boxed events are a mix of func
+// events, flat typed events and typed events carrying an attachment, so
+// side entries are re-homed from route to destination table by
+// whichever worker merges the destination (run under -race: a side
+// table shared between two merging workers would show here). The second
+// wave targets destinations never used before the run, so the inbound
+// index goes stale mid-run and the rebuild path is exercised too.
+func TestShardsMergeMatchesOneWorker(t *testing.T) {
 	const (
 		nShards = 8
 		origins = 1024
@@ -544,7 +544,7 @@ func TestShardsParallelFlushMatchesSerial(t *testing.T) {
 	}
 	for _, w := range []int{2, 4} {
 		if got := run(w); !reflect.DeepEqual(got, ref) {
-			t.Fatalf("workers=%d: execution log diverged from serial flush", w)
+			t.Fatalf("workers=%d: execution log diverged from one worker's", w)
 		}
 	}
 }

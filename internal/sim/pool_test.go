@@ -191,8 +191,8 @@ func TestDiscardPendingReturnsPages(t *testing.T) {
 
 // TestRecycledPagesAreWrittenBeforeRead runs the burst with its far
 // call-ends, and the suites that pin the queue's order, the far log's
-// pages, fan records, shared attachments, the destination-parallel flush
-// and the truncated drain, with every page overwritten on its way back
+// pages, fan records, shared attachments, the barrier merge on two and
+// four workers and the truncated drain, with every page overwritten on its way back
 // into the pool by records due at -1. Such a record sorts before
 // anything a run can queue, so a heap, a far log, a batch or a mailbox
 // that read a slot of a recycled page it had not written would run it
@@ -225,7 +225,7 @@ func TestRecycledPagesAreWrittenBeforeRead(t *testing.T) {
 	t.Run("fan push-back", TestFanPushBack)
 	t.Run("shared attachment corners", TestSharedAttachmentCornerCases)
 	t.Run("attachment outlives handler", TestAttachmentSlotOutlivesHandler)
-	t.Run("parallel flush", TestShardsParallelFlushMatchesSerial)
+	t.Run("parallel flush", TestShardsMergeMatchesOneWorker)
 	t.Run("truncated drain", TestShardsDrainUntilMatchesDrainPrefix)
 }
 

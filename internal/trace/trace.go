@@ -207,9 +207,6 @@ func (w *Watchdog) Cancelled(n int) {
 // Outstanding returns the number of in-flight requests.
 func (w *Watchdog) Outstanding() int { return w.outstanding }
 
-// Completions returns the number of finished requests.
-func (w *Watchdog) Completions() uint64 { return w.completions }
-
 // Stalled reports whether requests have been outstanding for longer than
 // window ticks with no completion — a deadlock symptom.
 func (w *Watchdog) Stalled(now, window sim.Time) bool {

@@ -229,10 +229,6 @@ func (l *Live) discard(n int) {
 // "the fabric has drained", nothing stronger.
 func (l *Live) Idle() bool { return l.inflight.Load() == 0 }
 
-// DroppedOnStop reports how many sends and closures were discarded
-// because they raced with or followed Stop.
-func (l *Live) DroppedOnStop() uint64 { return l.droppedOnStop.Load() }
-
 // Stats implements Transport.
 func (l *Live) Stats() Stats {
 	var s Stats

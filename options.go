@@ -8,7 +8,7 @@ package adca
 type Option func(*sizing)
 
 // sizing is the tile count (default min(16, cells)) and the goroutine
-// count advancing them (default NumCPU).
+// count advancing them (default GOMAXPROCS, and at most that).
 type sizing struct{ shards, workers int }
 
 // WithShards sets the sharded kernel's tile count.
