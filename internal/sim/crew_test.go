@@ -22,8 +22,9 @@ type keyed struct {
 
 // relay builds a kernel of shards shards running the relay workload,
 // logging each executed event's (At, key) in its shard's log, and a
-// barrier that runs an Each over the shards (as the driver's check
-// does), counting the calls each shard saw in passes.
+// barrier that runs an Each over the shards (as the per-barrier
+// channel-reuse check of a sharded simulation does), counting the calls
+// each shard saw in passes.
 func relay(shards, workers int) (k *Shards, logs [][]keyed, passes []int) {
 	const T = 5
 	cells := shards * crewCells
