@@ -20,8 +20,9 @@
 //	_ = id // matches Result.ID in the callback
 //
 // Everything is deterministic given Scenario.Seed — including with
-// observability enabled (Scenario.Obs): instruments observe the
-// protocol but never feed back into it.
+// observability enabled (Scenario.Obs): the metrics read the run's own
+// tallies and the journal records its events, and neither feeds back
+// into the protocol.
 package adca
 
 import (
@@ -347,8 +348,10 @@ type KernelWorker = sim.WorkerTime
 func (n *Network) KernelWorkers() []KernelWorker { return n.sim.Kernel().WorkerTimes() }
 
 // Metrics snapshots every registered metric as exposition-style keys
-// (e.g. `adca_grants_total{path="local"}`). Nil when the scenario did
-// not enable Obs.
+// (e.g. `adca_grants_total{path="local"}`), as of the last time the
+// network published its tallies: when a run (RunFor, RunUntilIdle,
+// RunWorkload) stops, and during one at most once per 100 T. Nil
+// when the scenario did not enable Obs.
 func (n *Network) Metrics() map[string]float64 { return n.parts.Registry.Snapshot() }
 
 // WriteMetrics renders the metrics in the Prometheus text exposition

@@ -108,10 +108,19 @@ func TestRequestIDMonotonic(t *testing.T) {
 	}
 }
 
+// TestStatsMatchMetrics: the metrics are the run's own counts, for every
+// scheme — the journal's protocol records and the borrowing they witness
+// are the adaptive scheme's alone.
 func TestStatsMatchMetrics(t *testing.T) {
+	for _, scheme := range adca.Schemes() {
+		t.Run(scheme, func(t *testing.T) { statsMatchMetrics(t, scheme) })
+	}
+}
+
+func statsMatchMetrics(t *testing.T, scheme string) {
 	var journal bytes.Buffer
 	net := adca.MustNew(adca.Scenario{
-		Wrap: true, Seed: 11, CheckInterference: true,
+		Scheme: scheme, Wrap: true, Seed: 11, CheckInterference: true,
 		Obs: &adca.ObsConfig{Journal: &journal},
 	})
 	defer net.Close()
@@ -150,7 +159,7 @@ func TestStatsMatchMetrics(t *testing.T) {
 	if trans != float64(st.ModeChanges) {
 		t.Errorf("mode transitions = %v, want %d", trans, st.ModeChanges)
 	}
-	if st.ModeChanges == 0 || st.UpdateAttempts == 0 {
+	if scheme == "adaptive" && (st.ModeChanges == 0 || st.UpdateAttempts == 0) {
 		t.Errorf("9 Erlang/cell should exercise borrowing: %+v", st)
 	}
 	// The histogram's count must equal the number of grants.
@@ -178,7 +187,11 @@ func TestStatsMatchMetrics(t *testing.T) {
 		}
 		types[*rec.Type]++
 	}
-	for _, want := range []string{"request", "result", "grant", "mode", "borrow"} {
+	kinds := []string{"request", "result"}
+	if scheme == "adaptive" {
+		kinds = append(kinds, "grant", "mode", "borrow")
+	}
+	for _, want := range kinds {
 		if types[want] == 0 {
 			t.Errorf("journal has no %q records (have %v)", want, types)
 		}
@@ -256,9 +269,10 @@ func TestObsPreservesDeterminism(t *testing.T) {
 
 // TestShardedObsMatchesStats: Scenario.Obs on the sharded kernel is
 // bound, not dropped — a 7-shard 2-worker run satisfies the Stats <->
-// metrics identities of TestStatsMatchMetrics (every instrument is an
-// atomic, so this also runs under -race), a one-shard run accepts a
-// journal, and a journal with more shards is a descriptive error.
+// metrics identities of TestStatsMatchMetrics (the registry reads what
+// the coordinator publishes, so this also runs under -race), a one-shard
+// run accepts a journal, and a journal with more shards is a descriptive
+// error.
 func TestShardedObsMatchesStats(t *testing.T) {
 	sc := adca.Scenario{Wrap: true, Seed: 11, CheckInterference: true, Obs: &adca.ObsConfig{}}
 	w := adca.Workload{ErlangPerCell: 9, DurationTicks: 30_000, Seed: 11}
@@ -321,5 +335,72 @@ func TestShardedObsMatchesStats(t *testing.T) {
 	}
 	if _, err := adca.NewParallel(sc, adca.WithShards(7)); err == nil || !strings.Contains(err.Error(), "a journal needs one shard, got 7") {
 		t.Errorf("a journal at 7 shards: error %v, want the one-shard rule", err)
+	}
+}
+
+// TestShardedObsScrapesMidRun: a scrape may run while the sharded kernel
+// does. It reads the snapshot the coordinator last published — at a
+// window barrier, at most every 100 T — so under -race nothing it reads
+// races a shard worker; no counter goes backwards from one scrape to the
+// next; a scrape from inside the run (a request's callback, on a shard
+// worker) sees the run under way; and once the run is over the last
+// scrape is Stats.
+func TestShardedObsScrapesMidRun(t *testing.T) {
+	net, err := adca.NewParallel(adca.Scenario{Wrap: true, Seed: 11, Obs: &adca.ObsConfig{}}, adca.WithShards(7), adca.WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	counter := func(key string) bool {
+		name, _, _ := strings.Cut(key, "{")
+		return strings.HasSuffix(name, "_total") || strings.HasPrefix(name, "adca_acquire_ticks")
+	}
+	stop, scraped := make(chan struct{}), make(chan int)
+	go func() {
+		n, last := 0, net.Metrics()
+		for {
+			select {
+			case <-stop:
+				scraped <- n
+				return
+			default:
+			}
+			m := net.Metrics()
+			for key, v := range last {
+				if counter(key) && m[key] < v {
+					t.Errorf("scrape %d: %s fell from %v to %v", n, key, v, m[key])
+				}
+			}
+			n, last = n+1, m
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+	const midRun = 15_000
+	var during map[string]float64
+	net.RequestAt(midRun, net.CenterCell(), func(adca.Result) { during = net.Metrics() })
+	if _, err := net.RunWorkload(adca.Workload{ErlangPerCell: 9, DurationTicks: 30_000, Seed: 11}); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	t.Logf("%d scrapes during the run", <-scraped)
+	st, m := net.Stats(), net.Metrics()
+	if g := during["adca_requests_granted_total"]; g == 0 || g >= float64(st.Grants) {
+		t.Errorf("at tick %d the metrics showed %v grants, of %d in the run", midRun, g, st.Grants)
+	}
+	for key, want := range map[string]uint64{
+		`adca_grants_total{path="local"}`:  st.LocalGrants,
+		`adca_grants_total{path="update"}`: st.UpdateGrants,
+		`adca_grants_total{path="search"}`: st.SearchGrants,
+		"adca_denies_total":                st.ProtocolDenies,
+		"adca_borrow_attempts_total":       st.UpdateAttempts,
+		"adca_deferred_total":              st.Deferred,
+		"adca_requests_granted_total":      st.Grants,
+		"adca_requests_denied_total":       st.Denies,
+		"adca_transport_messages_total":    st.Messages,
+		"adca_acquire_ticks_count":         st.Grants,
+	} {
+		if got := m[key]; got != float64(want) {
+			t.Errorf("after the run %s = %v, want %d", key, got, want)
+		}
 	}
 }

@@ -82,9 +82,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer jf.Close()
 		oc.Journal = jf
 	}
-	// One factory (and so one protocol instrument bundle) is shared by
-	// every node in this process: same-named counters aggregate across
-	// cells, so the endpoint reports fleet-wide protocol totals.
+	// Every node in this process registers into one registry: same-named
+	// collectors sum across nodes, so the endpoint reports fleet-wide
+	// totals, the protocol's read from each node's stations.
 	p, err := scenario.Build(scenario.Scenario{Scheme: *scheme, Wrap: true, Channels: *chans, Obs: oc})
 	if err != nil {
 		return fail(err)

@@ -151,6 +151,47 @@ type CounterProvider interface {
 	ProtocolCounters() Counters
 }
 
+// Tally is what the metrics render of a set of stations: their Counters
+// summed, plus the counts a scheme derives from its stations' state
+// instead of storing them (Tallier); zero for a scheme without one.
+type Tally struct {
+	Counters
+	// Rejected counts update rounds that ended rejected; Searches counts
+	// search rounds started.
+	Rejected, Searches uint64
+	// ToBorrowing and ToLocal split ModeChanges by direction.
+	ToBorrowing, ToLocal uint64
+	// DeferDepth is the number of requests standing in DeferQs.
+	DeferDepth uint64
+}
+
+// Add accumulates o into t.
+func (t *Tally) Add(o Tally) {
+	t.Counters.Add(o.Counters)
+	t.Rejected += o.Rejected
+	t.Searches += o.Searches
+	t.ToBorrowing += o.ToBorrowing
+	t.ToLocal += o.ToLocal
+	t.DeferDepth += o.DeferDepth
+}
+
+// Tallier is implemented by allocators whose Tally holds more than their
+// Counters (core.Adaptive).
+type Tallier interface {
+	Tally() Tally
+}
+
+// TallyOf returns a's Tally: its Tallier's, else its Counters, else zero.
+func TallyOf(a Allocator) Tally {
+	switch s := a.(type) {
+	case Tallier:
+		return s.Tally()
+	case CounterProvider:
+		return Tally{Counters: s.ProtocolCounters()}
+	}
+	return Tally{}
+}
+
 // Factory builds one Allocator per cell; it carries the scheme-global
 // configuration (grid, primary assignment, tuning parameters).
 type Factory interface {

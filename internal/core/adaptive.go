@@ -114,7 +114,10 @@ type Factory struct {
 	assign   *chanset.Assignment
 	params   Params
 	strategy LenderStrategy
-	obs      *obs.Protocol // never nil; &noObs when uninstrumented
+	// Journal, when non-nil, receives the protocol's event records; set
+	// it before the cells start. It observes the protocol and never feeds
+	// back into its decisions.
+	Journal *obs.Journal
 	// scratch pools best()'s candidate storage. A lender scan consumes
 	// its candidates before it returns, so the storage belongs to no
 	// cell; a pool keeps it per worker on the sharded kernel and safe on
@@ -219,7 +222,6 @@ func NewFactory(grid *hexgrid.Grid, assign *chanset.Assignment, params Params) (
 	return &Factory{
 		grid: grid, assign: assign, params: params,
 		strategy: cmp.Or(params.Strategy, BestLender()),
-		obs:      &noObs,
 		scratch:  sync.Pool{New: func() any { return new(lenderScratch) }},
 		overlap:  make([]atomic.Pointer[[]uint64], grid.NumClasses()),
 	}, nil
@@ -257,19 +259,6 @@ func (f *Factory) overlapOf(cell hexgrid.CellID) []uint64 {
 
 // Name implements alloc.Factory.
 func (f *Factory) Name() string { return "adaptive" }
-
-// Instrument binds every allocator of this factory to the given
-// instrument bundle, which they share by pointer; call it before the
-// cells start. A nil bundle (the default) keeps the protocol core fully
-// uninstrumented — a zero obs.Protocol's nil instruments are
-// allocation-free no-ops, so hot paths pay only a nil check. Instruments
-// observe the protocol; they never feed back into its decisions, so
-// enabling them cannot perturb DES determinism.
-func (f *Factory) Instrument(p *obs.Protocol) { f.obs = cmp.Or(p, &noObs) }
-
-// noObs is the bundle of an uninstrumented allocator: all instruments
-// nil, never written.
-var noObs obs.Protocol
 
 // New implements alloc.Factory.
 func (f *Factory) New(cell hexgrid.CellID) alloc.Allocator {
@@ -326,7 +315,7 @@ const (
 // wants a chanset.Set, view
 // builds one on the stack over the slab's words.
 //
-// What the factory knows — PR_i, the spectrum, the instruments and the
+// What the factory knows — PR_i, the spectrum, the journal and the
 // interference list every Env hands out as grid.Interference(cell) — is
 // read through it, not copied into every station.
 type Adaptive struct {
@@ -507,6 +496,31 @@ func (a *Adaptive) Mode() int { return int(a.mode) }
 // ProtocolCounters implements alloc.CounterProvider.
 func (a *Adaptive) ProtocolCounters() alloc.Counters { return a.counters }
 
+// Tally implements alloc.Tallier. What Counters lacks is derived from
+// state the station holds anyway, not stored: every update round ends in
+// an update grant or a rejection, every search round in a search grant
+// or a drop, and only the request in flight may still be in one; a
+// station starts local and its mode changes alternate direction.
+func (a *Adaptive) Tally() alloc.Tally {
+	c := a.counters
+	t := alloc.Tally{Counters: c, ToBorrowing: (c.ModeChanges + 1) / 2, ToLocal: c.ModeChanges / 2}
+	var updating, searching uint64
+	if a.req != nil {
+		switch a.req.ph {
+		case phaseGrants:
+			updating = 1
+		case phaseSearch:
+			searching = 1
+		}
+	}
+	t.Rejected = c.UpdateAttempts - c.GrantsUpdate - updating
+	t.Searches = c.GrantsSearch + c.Drops + searching
+	if a.blk != nil {
+		t.DeferDepth = uint64(len(a.blk.deferQ))
+	}
+	return t
+}
+
 // Primary returns PR_i (for tests).
 func (a *Adaptive) Primary() chanset.Set { return a.primary().Clone() }
 
@@ -683,17 +697,11 @@ func (a *Adaptive) checkMode() {
 	}
 }
 
-// modeEvent instruments one hysteresis transition: the labeled
-// transition counter plus a "mode" journal record carrying the old and
-// new mode and the NFC predictor value that drove the switch.
+// modeEvent journals one hysteresis transition: a "mode" record carrying
+// the old and new mode and the NFC predictor value that drove the switch.
 func (a *Adaptive) modeEvent(from, to int32, pred float64) {
-	if to == ModeBorrow {
-		a.factory.obs.ModeToBorrowing.Inc()
-	} else {
-		a.factory.obs.ModeToLocal.Inc()
-	}
-	if a.factory.obs.Journal != nil {
-		a.factory.obs.Journal.Emit(int64(a.env.Now()), "mode", int(a.cell),
+	if a.factory.Journal != nil {
+		a.factory.Journal.Emit(int64(a.env.Now()), "mode", int(a.cell),
 			obs.FI("old", int64(from)), obs.FI("new", int64(to)), obs.F("pred", pred))
 	}
 }

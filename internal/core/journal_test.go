@@ -32,7 +32,7 @@ func journaled(t *testing.T, p Params) (*Adaptive, *stubEnv, func() []map[string
 	}
 	var buf bytes.Buffer
 	j := obs.NewJournal(&buf)
-	f.Instrument(obs.NewProtocol(obs.New(), j))
+	f.Journal = j
 	a := f.New(0).(*Adaptive)
 	env := &stubEnv{id: 0, neighbors: g.Interference(0), rand: sim.NewRand(1)}
 	a.Start(env)

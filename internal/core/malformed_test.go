@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/chanset"
 	"repro/internal/hexgrid"
 	"repro/internal/lamport"
@@ -19,9 +20,9 @@ import (
 // carry reaches Handle. Each malformed shape, on each of the five
 // message kinds, must be dropped before it touches the station — no
 // reply, no state change, no Lamport tick, and above all no panic and no
-// write into another neighbor's slab words — and counted three ways:
-// the protocol counter, the adca_bad_messages_total instrument and a
-// journal record.
+// write into another neighbor's slab words — and counted: by the
+// protocol counter, in the adca_bad_messages_total family rendered from
+// it, and by a journal record.
 func TestMalformedMessagesAreCountedDrops(t *testing.T) {
 	const channels, cell = 70, hexgrid.CellID(40)
 	g := hexgrid.MustNew(hexgrid.Config{Shape: hexgrid.Rect, Width: 9, Height: 9, ReuseDistance: 2})
@@ -33,8 +34,9 @@ func TestMalformedMessagesAreCountedDrops(t *testing.T) {
 	reg := obs.New()
 	var journal bytes.Buffer
 	j := obs.NewJournal(&journal)
-	f.Instrument(obs.NewProtocol(reg, j))
+	f.Journal = j
 	a := f.New(cell).(*Adaptive)
+	alloc.RegisterObs(reg, func() alloc.Tally { return a.Tally() })
 	env := &stubEnv{id: cell, neighbors: g.Interference(cell), rand: sim.NewRand(1)}
 	a.Start(env)
 

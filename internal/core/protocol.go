@@ -115,12 +115,11 @@ func (a *Adaptive) forceBorrow() {
 	alloc.Broadcast(a.env, message.Message{Kind: message.ChangeMode, From: a.cell, Mode: message.ModeBorrowing})
 }
 
-// stallEvent instruments one quiescence stall (a request parked in
+// stallEvent journals one quiescence stall (a request parked in
 // phaseQuiesce behind waiting_i > 0).
 func (a *Adaptive) stallEvent() {
-	a.factory.obs.QuiesceStalls.Inc()
-	if a.factory.obs.Journal != nil {
-		a.factory.obs.Journal.Emit(int64(a.env.Now()), "stall", int(a.cell),
+	if a.factory.Journal != nil {
+		a.factory.Journal.Emit(int64(a.env.Now()), "stall", int(a.cell),
 			obs.FI("waiting", int64(a.waiting)), obs.FI("req", int64(a.req.id)))
 	}
 }
@@ -155,9 +154,8 @@ func (a *Adaptive) dispatchBorrow() {
 		// and ask the whole interference region for permission.
 		a.mode = ModeBorrowUpdate
 		a.counters.UpdateAttempts++
-		a.factory.obs.BorrowAttempts.Inc()
-		if a.factory.obs.Journal != nil {
-			a.factory.obs.Journal.Emit(int64(a.env.Now()), "borrow", int(a.cell),
+		if a.factory.Journal != nil {
+			a.factory.Journal.Emit(int64(a.env.Now()), "borrow", int(a.cell),
 				obs.FI("lender", int64(j)), obs.FI("ch", int64(ch)),
 				obs.FI("round", int64(a.rounds)))
 		}
@@ -178,9 +176,8 @@ func (a *Adaptive) dispatchBorrow() {
 	// timestamp order sequentializes concurrent requests, so a free
 	// channel is found whenever one exists.
 	a.mode = ModeBorrowSearch
-	a.factory.obs.BorrowSearches.Inc()
-	if a.factory.obs.Journal != nil {
-		a.factory.obs.Journal.Emit(int64(a.env.Now()), "search", int(a.cell),
+	if a.factory.Journal != nil {
+		a.factory.Journal.Emit(int64(a.env.Now()), "search", int(a.cell),
 			obs.FI("round", int64(a.rounds)))
 	}
 	r.ph = phaseSearch
@@ -203,9 +200,8 @@ func (a *Adaptive) completeGrants() {
 	}
 	// Failed: release the permissions we did get, then retry (the
 	// granters added ch to their interference sets when granting).
-	a.factory.obs.BorrowRejected.Inc()
-	if a.factory.obs.Journal != nil {
-		a.factory.obs.Journal.Emit(int64(a.env.Now()), "borrow_rejected", int(a.cell),
+	if a.factory.Journal != nil {
+		a.factory.Journal.Emit(int64(a.env.Now()), "borrow_rejected", int(a.cell),
 			obs.FI("ch", int64(r.ch)), obs.FI("round", int64(a.rounds)))
 	}
 	a.mode = ModeBorrow
@@ -230,9 +226,8 @@ func (a *Adaptive) completeSearch() {
 	// neighbors decrement their waiting counters (DESIGN.md D6).
 	a.acquire(chanset.NoChannel)
 	a.counters.Drops++
-	a.factory.obs.Denies.Inc()
-	if a.factory.obs.Journal != nil {
-		a.factory.obs.Journal.Emit(int64(a.env.Now()), "deny", int(a.cell),
+	if a.factory.Journal != nil {
+		a.factory.Journal.Emit(int64(a.env.Now()), "deny", int(a.cell),
 			obs.FI("req", int64(r.id)))
 	}
 	id := r.id
@@ -249,19 +244,16 @@ func (a *Adaptive) finishGrant(ch chanset.Channel, path int) {
 	switch path {
 	case pathLocal:
 		a.counters.GrantsLocal++
-		a.factory.obs.GrantsLocal.Inc()
 		pathName = "local"
 	case pathUpdate:
 		a.counters.GrantsUpdate++
-		a.factory.obs.GrantsUpdate.Inc()
 		pathName = "update"
 	case pathSearch:
 		a.counters.GrantsSearch++
-		a.factory.obs.GrantsSearch.Inc()
 		pathName = "search"
 	}
-	if a.factory.obs.Journal != nil {
-		a.factory.obs.Journal.Emit(int64(a.env.Now()), "grant", int(a.cell),
+	if a.factory.Journal != nil {
+		a.factory.Journal.Emit(int64(a.env.Now()), "grant", int(a.cell),
 			obs.FS("path", pathName), obs.FI("ch", int64(ch)),
 			obs.FI("req", int64(r.id)))
 	}
@@ -298,9 +290,6 @@ func (a *Adaptive) acquire(ch chanset.Channel) {
 	n := 0
 	if a.blk != nil {
 		n = len(a.blk.deferQ)
-	}
-	if n > 0 {
-		a.factory.obs.DeferQueueDepth.Add(-float64(n))
 	}
 	for i := 0; i < n; i++ {
 		d := a.blk.deferQ[i]
@@ -344,9 +333,8 @@ func (a *Adaptive) acquire(ch chanset.Channel) {
 func (a *Adaptive) Release(ch chanset.Channel) error {
 	if !a.inSpectrum(ch) || !a.has(setUse, ch) {
 		a.counters.BadReleases++
-		a.factory.obs.BadReleases.Inc()
-		if a.factory.obs.Journal != nil {
-			a.factory.obs.Journal.Emit(int64(a.env.Now()), "bad_release", int(a.cell),
+		if a.factory.Journal != nil {
+			a.factory.Journal.Emit(int64(a.env.Now()), "bad_release", int(a.cell),
 				obs.FI("ch", int64(ch)))
 		}
 		return fmt.Errorf("core: cell %d releasing channel %d it does not hold", a.cell, ch)
@@ -439,9 +427,8 @@ func (a *Adaptive) fitsSpectrum(use chanset.Set) bool {
 // Lamport clock included — untouched.
 func (a *Adaptive) badMessage(m message.Message) {
 	a.counters.BadMessages++
-	a.factory.obs.BadMessages.Inc()
-	if a.factory.obs.Journal != nil {
-		a.factory.obs.Journal.Emit(int64(a.env.Now()), "bad_message", int(a.cell),
+	if a.factory.Journal != nil {
+		a.factory.Journal.Emit(int64(a.env.Now()), "bad_message", int(a.cell),
 			obs.FS("kind", m.Kind.String()), obs.FI("from", int64(m.From)),
 			obs.FI("ch", int64(m.Ch)), obs.FI("use_words", int64(len(m.Use.Words()))))
 	}
@@ -503,21 +490,18 @@ func (a *Adaptive) onRequest(m message.Message, k int) {
 	}
 }
 
-// deferPush appends one entry to DeferQ_i and instruments the deferral
-// (total deferrals plus the live aggregate queue-depth gauge; the drain
-// in acquire decrements the gauge).
+// deferPush appends one entry to DeferQ_i, counts the deferral and
+// journals it with the queue's depth.
 func (a *Adaptive) deferPush(d deferred) {
 	b := a.block()
 	b.deferQ = a.factory.deferArrays.add(b.deferQ, d)
 	a.counters.Deferred++
-	a.factory.obs.DeferredTotal.Inc()
-	a.factory.obs.DeferQueueDepth.Add(1)
-	if a.factory.obs.Journal != nil {
+	if a.factory.Journal != nil {
 		kind := "update"
 		if d.search {
 			kind = "search"
 		}
-		a.factory.obs.Journal.Emit(int64(a.env.Now()), "defer", int(a.cell),
+		a.factory.Journal.Emit(int64(a.env.Now()), "defer", int(a.cell),
 			obs.FS("req_kind", kind), obs.FI("from", int64(a.neighbors()[d.k])),
 			obs.FI("depth", int64(len(b.deferQ))))
 	}

@@ -45,14 +45,16 @@
 // remote cell's row of the holdings table mid-window would race its
 // shard. And a Journal is accepted at one shard only: JSONL emission
 // order across shards is scheduling-dependent, which would silently
-// break the byte-identical-artifacts contract (the Obs registry is
-// atomics, and works at any).
+// break the byte-identical-artifacts contract (the metrics registry reads
+// snapshots the coordinator publishes, and works at any).
 package driver
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/alloc"
 	"repro/internal/chanset"
@@ -93,16 +95,18 @@ type Options struct {
 	// send, decode on delivery), validating serialization against live
 	// traffic and accounting wire bytes in Stats.Messages.Bytes.
 	Wire bool
-	// Obs, when non-nil, binds driver-level instruments into the
-	// registry: request outcomes, the outstanding-request gauge, the
-	// acquisition-delay histogram, the transport message counter and the
-	// kernel's footprint gauges. Protocol-core instruments are bound
-	// separately via registry.Config.Obs. All are atomic: shard workers
-	// increment them concurrently and a scrape may read them mid-run.
+	// Obs, when non-nil, renders the run's own tallies into the registry:
+	// request outcomes and those in flight, the acquisition delays, the
+	// transport's message count, every scheme's protocol counts
+	// (alloc.Tally) and the kernel's footprint. Nothing counts for it: the
+	// driver publishes a snapshot of what Stats and Footprint report when
+	// the kernel parks (the end of Run, Drain and DrainUntil), after
+	// ForceQuiesce, and at a window barrier at most once per publishEvery
+	// latencies of virtual time, and a scrape reads the last one.
 	Obs *obs.Registry
 	// Journal, when non-nil, receives request lifecycle records
 	// (request/result/release) in addition to whatever the protocol
-	// core emits through registry.Config.Obs. One shard only.
+	// core emits through registry.Config.Journal. One shard only.
 	Journal *obs.Journal
 	// Shards is the number of tiles (default min(16, cells)); New fixes
 	// it at 1. Per-cell results are shard-count-invariant.
@@ -119,6 +123,10 @@ type ParallelOptions = Options
 
 // delayBuckets sizes the acquisition-delay histogram: 64 buckets of T/2.
 const delayBuckets = 64
+
+// publishEvery is the virtual time, in latencies T, that at least
+// separates two snapshots the window barrier publishes for Options.Obs.
+const publishEvery = 100
 
 // check applies the defaults and rejects what no kernel can run.
 func (o *Options) check(cells int) error {
@@ -258,31 +266,26 @@ type Parallel struct {
 	// events just to discard them.
 	teardown bool
 
-	obs simObs
+	// metrics is the snapshot Options.Obs renders, nil without it;
+	// nextPublish is the virtual time from which a window barrier
+	// publishes the next.
+	metrics     atomic.Pointer[snapshot]
+	nextPublish sim.Time
 }
 
 // Sim is Parallel; New returns one on the serial kernel.
 type Sim = Parallel
 
-// simObs is the driver's bound instrument set. The zero value is fully
-// disabled: every instrument is nil (allocation-free no-op) and journal
-// is nil. Journal emissions must stay behind `if journal != nil` so the
-// disabled path never builds variadic field slices.
-type simObs struct {
-	messages    *obs.Counter
-	granted     *obs.Counter
-	denied      *obs.Counter
-	outstanding *obs.Gauge
-	acquire     *obs.Histogram
-	journal     *obs.Journal
-	// The event kernel's footprint (sim.Footprint), set whenever the
-	// kernel parks — the end of Run, Drain and DrainUntil — rather than
-	// read by a collector: the queues are not safe to walk mid-run.
-	kernelBytes *obs.GaugeVec
-	kernelPages *obs.GaugeVec
-	kernelPeak  *obs.GaugeVec
-	kernelAtts  *obs.GaugeVec
-	kernelFar   *obs.GaugeVec
+// snapshot is what Options.Obs renders: the run's own tallies as the
+// driver last published them. It is never written once published.
+type snapshot struct {
+	grants, denies, messages uint64
+	outstanding              int
+	acquire                  obs.HistogramValue
+	tally                    alloc.Tally
+	// kernel is the kernel's footprint as of the last time it parked:
+	// its queues are not safe to walk mid-run.
+	kernel sim.Footprint
 }
 
 // gridFanout resolves the kernel's fan records against the grid's
@@ -291,59 +294,6 @@ type gridFanout struct{ grid *hexgrid.Grid }
 
 func (f gridFanout) Neighbor(origin int32, i int) int32 {
 	return int32(f.grid.Interference(hexgrid.CellID(origin))[i])
-}
-
-func (o *simObs) bind(r *obs.Registry, j *obs.Journal, latency sim.Time) {
-	o.journal = j
-	if r == nil {
-		return
-	}
-	o.messages = r.Counter("adca_transport_messages_total",
-		"Protocol messages handed to the transport.")
-	o.granted = r.Counter("adca_requests_granted_total",
-		"Channel requests completed with a grant.")
-	o.denied = r.Counter("adca_requests_denied_total",
-		"Channel requests completed with a denial.")
-	o.outstanding = r.Gauge("adca_requests_outstanding",
-		"Channel requests currently in flight.")
-	t := float64(latency)
-	o.acquire = r.Histogram("adca_acquire_ticks",
-		"Acquisition (protocol) delay of granted requests, in ticks.",
-		[]float64{t / 2, t, 2 * t, 4 * t, 8 * t, 16 * t, 32 * t, 64 * t})
-	o.kernelBytes = r.GaugeVec("adca_kernel_bytes",
-		"Memory the event kernel's tables hold, as of the last time it parked.", "table")
-	o.kernelPages = r.GaugeVec("adca_kernel_pages",
-		"Pages the event kernel's paged tables hold, as of the last time it parked; pool is the high-water mark of event pages out at once.", "table")
-	o.kernelPeak = r.GaugeVec("adca_kernel_peak_pending",
-		"High-water mark of the event queues: records queued, and the events they stood for.", "unit")
-	o.kernelAtts = r.GaugeVec("adca_kernel_attachments",
-		"Message attachments posted so far: stored (parked), and satisfied by one already stored (shared).", "how")
-	o.kernelFar = r.GaugeVec("adca_kernel_batched",
-		"Batches the event queues have sorted out of their far logs so far (refills), and the records those batches moved (records).", "unit")
-}
-
-// footprint publishes k's footprint; a no-op without a registry.
-func (o *simObs) footprint(k *sim.Shards) {
-	if o.kernelBytes == nil {
-		return
-	}
-	f := k.Footprint()
-	o.kernelBytes.With("heap").Set(float64(f.HeapBytes))
-	o.kernelBytes.With("log").Set(float64(f.LogBytes))
-	o.kernelBytes.With("attachments").Set(float64(f.AttBytes))
-	o.kernelBytes.With("funcs").Set(float64(f.SideBytes))
-	o.kernelBytes.With("routes").Set(float64(f.RouteBytes))
-	o.kernelBytes.With("pool").Set(float64(f.PoolBytes))
-	o.kernelPages.With("heap").Set(float64(f.HeapPages))
-	o.kernelPages.With("log").Set(float64(f.LogPages))
-	o.kernelPages.With("pool").Set(float64(f.PoolPages))
-	o.kernelPages.With("attachments").Set(float64(f.AttPages))
-	o.kernelPeak.With("records").Set(float64(f.PeakRecords))
-	o.kernelPeak.With("events").Set(float64(f.PeakEvents))
-	o.kernelAtts.With("parked").Set(float64(f.AttParked))
-	o.kernelAtts.With("shared").Set(float64(f.AttShared))
-	o.kernelFar.With("refills").Set(float64(f.Refills))
-	o.kernelFar.With("records").Set(float64(f.Batched))
 }
 
 // Continuation is a typed request completion: what the workload layer
@@ -445,7 +395,6 @@ func prepare(grid *hexgrid.Grid, assign *chanset.Assignment, opts Options) (*Par
 			sh.lastAt = make(map[parLink]sim.Time)
 		}
 	}
-	p.obs.bind(opts.Obs, opts.Journal, opts.Latency)
 	p.checker = trace.NewInterferenceChecker(grid, func(id hexgrid.CellID) chanset.Set {
 		return p.envs[id].a.InUse()
 	})
@@ -472,21 +421,129 @@ func (p *Parallel) start(factory alloc.Factory) {
 		}
 		env.a.Start(env)
 	}
-	if p.held != nil && !p.checkGrant { // more than one shard: the sharded kernel
-		// At every barrier, each shard's worker checks the pairs of the
-		// cells it granted a channel in the window; then the coordinator
-		// raises what they and the shards' events found.
-		check := func(s int) {
-			sh := &p.shards[s]
-			if sh.fault == nil {
-				sh.fault = p.held.Check(sh.grew)
-			}
-			sh.grew = sh.grew[:0]
+	checks := p.held != nil && !p.checkGrant // more than one shard: the sharded kernel
+	// At every barrier, each shard's worker checks the pairs of the cells
+	// it granted a channel in the window; then the coordinator raises what
+	// they and the shards' events found.
+	check := func(s int) {
+		sh := &p.shards[s]
+		if sh.fault == nil {
+			sh.fault = p.held.Check(sh.grew)
 		}
+		sh.grew = sh.grew[:0]
+	}
+	if checks || p.opts.Obs != nil {
 		p.kernel.SetBarrier(func() {
-			p.kernel.Each(p.opts.Workers, check)
-			p.raise()
+			if checks {
+				p.kernel.Each(p.opts.Workers, check)
+				p.raise()
+			}
+			if now := p.kernel.Now(0); p.opts.Obs != nil && now >= p.nextPublish {
+				p.nextPublish = now + publishEvery*p.opts.Latency
+				p.publish(false)
+			}
 		})
+	}
+	if r := p.opts.Obs; r != nil {
+		p.publish(true)
+		p.register(r)
+	}
+}
+
+// publish stores the run's tallies for Options.Obs to render, and with
+// parked the kernel's footprint; a no-op without a registry. Coordinator
+// context: the kernel parked, or at a window barrier.
+func (p *Parallel) publish(parked bool) {
+	if p.opts.Obs == nil {
+		return
+	}
+	st, delays := p.Stats(), p.delays()
+	s := &snapshot{grants: st.Grants, denies: st.Denies, messages: st.Messages.Total, outstanding: p.Outstanding()}
+	s.acquire = obs.HistogramValue{Count: delays.N(), Sum: math.Round(st.AcqDelay.Mean() * float64(st.AcqDelay.N()))}
+	for _, k := range acquireBuckets(p.opts.Latency) {
+		s.acquire.Cumulative = append(s.acquire.Cumulative, delays.Below(k))
+	}
+	for c := range p.envs {
+		s.tally.Add(alloc.TallyOf(p.envs[c].a))
+	}
+	if parked {
+		s.kernel = p.kernel.Footprint()
+	} else {
+		s.kernel = p.metrics.Load().kernel
+	}
+	p.metrics.Store(s)
+}
+
+// acquireBuckets returns the edges adca_acquire_ticks reports, as counts
+// of the delay histogram's T/2 buckets: T/2, T, 2T, ... 32T, each edge a
+// whole number of ticks once (at T = 1 the first two are one).
+func acquireBuckets(latency sim.Time) []int {
+	var ks []int
+	for k := 1; k <= delayBuckets; k *= 2 {
+		if n := len(ks); n == 0 || acquireBound(ks[n-1], latency) < acquireBound(k, latency) {
+			ks = append(ks, k)
+		}
+	}
+	return ks
+}
+
+// acquireBound is the le of the edge k T/2 buckets up: the histogram
+// counts whole ticks below k·T/2, so at most ⌈k·T/2⌉−1.
+func acquireBound(k int, latency sim.Time) float64 {
+	return math.Ceil(float64(k)*float64(latency)/2) - 1
+}
+
+// register binds Options.Obs's families into r, each read from the last
+// published snapshot.
+func (p *Parallel) register(r *obs.Registry) {
+	last := func() *snapshot { return p.metrics.Load() }
+	count := func(name, help string, get func(*snapshot) uint64) {
+		r.CounterFunc(name, help, func() float64 { return float64(get(last())) })
+	}
+	count("adca_transport_messages_total", "Protocol messages handed to the transport.",
+		func(s *snapshot) uint64 { return s.messages })
+	count("adca_requests_granted_total", "Channel requests completed with a grant.",
+		func(s *snapshot) uint64 { return s.grants })
+	count("adca_requests_denied_total", "Channel requests completed with a denial.",
+		func(s *snapshot) uint64 { return s.denies })
+	r.GaugeFunc("adca_requests_outstanding", "Channel requests currently in flight.",
+		func() float64 { return float64(last().outstanding) })
+	var bounds []float64
+	for _, k := range acquireBuckets(p.opts.Latency) {
+		bounds = append(bounds, acquireBound(k, p.opts.Latency))
+	}
+	r.HistogramFunc("adca_acquire_ticks", "Acquisition (protocol) delay of granted requests, in ticks.",
+		bounds, func() obs.HistogramValue { return last().acquire })
+	alloc.RegisterObs(r, func() alloc.Tally { return last().tally })
+	help := map[string]string{
+		"adca_kernel_bytes":        "Memory the event kernel's tables hold, as of the last time it parked.",
+		"adca_kernel_pages":        "Pages the event kernel's paged tables hold, as of the last time it parked; pool is the high-water mark of event pages out at once.",
+		"adca_kernel_peak_pending": "High-water mark of the event queues: records queued, and the events they stood for.",
+		"adca_kernel_attachments":  "Message attachments posted so far: stored (parked), and satisfied by one already stored (shared).",
+		"adca_kernel_batched":      "Batches the event queues have sorted out of their far logs so far (refills), and the records those batches moved (records).",
+	}
+	for _, g := range []struct {
+		name, label, value string
+		get                func(f *sim.Footprint) float64
+	}{
+		{"adca_kernel_bytes", "table", "heap", func(f *sim.Footprint) float64 { return float64(f.HeapBytes) }},
+		{"adca_kernel_bytes", "table", "log", func(f *sim.Footprint) float64 { return float64(f.LogBytes) }},
+		{"adca_kernel_bytes", "table", "attachments", func(f *sim.Footprint) float64 { return float64(f.AttBytes) }},
+		{"adca_kernel_bytes", "table", "funcs", func(f *sim.Footprint) float64 { return float64(f.SideBytes) }},
+		{"adca_kernel_bytes", "table", "routes", func(f *sim.Footprint) float64 { return float64(f.RouteBytes) }},
+		{"adca_kernel_bytes", "table", "pool", func(f *sim.Footprint) float64 { return float64(f.PoolBytes) }},
+		{"adca_kernel_pages", "table", "heap", func(f *sim.Footprint) float64 { return float64(f.HeapPages) }},
+		{"adca_kernel_pages", "table", "log", func(f *sim.Footprint) float64 { return float64(f.LogPages) }},
+		{"adca_kernel_pages", "table", "pool", func(f *sim.Footprint) float64 { return float64(f.PoolPages) }},
+		{"adca_kernel_pages", "table", "attachments", func(f *sim.Footprint) float64 { return float64(f.AttPages) }},
+		{"adca_kernel_peak_pending", "unit", "records", func(f *sim.Footprint) float64 { return float64(f.PeakRecords) }},
+		{"adca_kernel_peak_pending", "unit", "events", func(f *sim.Footprint) float64 { return float64(f.PeakEvents) }},
+		{"adca_kernel_attachments", "how", "parked", func(f *sim.Footprint) float64 { return float64(f.AttParked) }},
+		{"adca_kernel_attachments", "how", "shared", func(f *sim.Footprint) float64 { return float64(f.AttShared) }},
+		{"adca_kernel_batched", "unit", "refills", func(f *sim.Footprint) float64 { return float64(f.Refills) }},
+		{"adca_kernel_batched", "unit", "records", func(f *sim.Footprint) float64 { return float64(f.Batched) }},
+	} {
+		r.GaugeFunc(g.name, help[g.name], func() float64 { return g.get(&last().kernel) }, g.label, g.value)
 	}
 }
 
@@ -646,9 +703,8 @@ func (p *Parallel) request(cell hexgrid.CellID, cb func(Result), cont Continuati
 	chain := &p.envs[cell].chain
 	sh.book.Push(chain, reqbook.Rec{ID: id, Submitted: now, Hold: cont.Hold, Peer: cont.Cell, Ch: cont.Ch, Op: cont.Op, Flag: cont.Flag}, cb)
 	sh.dog.Submitted(now)
-	p.obs.outstanding.Add(1)
-	if p.obs.journal != nil {
-		p.obs.journal.Emit(int64(now), "request", int(cell), obs.FI("req", int64(id)))
+	if p.opts.Journal != nil {
+		p.opts.Journal.Emit(int64(now), "request", int(cell), obs.FI("req", int64(id)))
 	}
 	sh.traceEvent(trace.Event{At: now, Kind: trace.EvRequest, Cell: cell, Ch: chanset.NoChannel, Info: int64(id)})
 	sh.book.HandOver(chain, p.envs[cell].a)
@@ -677,8 +733,8 @@ func (p *Parallel) Release(cell hexgrid.CellID, ch chanset.Channel) {
 		}
 	}
 	now := p.kernel.Now(si)
-	if p.obs.journal != nil {
-		p.obs.journal.Emit(int64(now), "release", int(cell), obs.FI("ch", int64(ch)))
+	if p.opts.Journal != nil {
+		p.opts.Journal.Emit(int64(now), "release", int(cell), obs.FI("ch", int64(ch)))
 	}
 	sh.traceEvent(trace.Event{At: now, Kind: trace.EvRelease, Cell: cell, Ch: ch})
 	if p.held != nil {
@@ -741,7 +797,6 @@ func (p *Parallel) ForceQuiesce() (released, cancelled int) {
 		n := sh.dog.Outstanding()
 		sh.book.Reset()
 		sh.dog.Cancelled(n)
-		p.obs.outstanding.Add(-float64(n))
 		cancelled += n
 		clear(sh.moved)
 	}
@@ -749,6 +804,7 @@ func (p *Parallel) ForceQuiesce() (released, cancelled int) {
 	for c := range p.envs {
 		p.envs[c].chain, p.envs[c].began = reqbook.Chain{}, 0
 	}
+	p.publish(true)
 	return released, cancelled
 }
 
@@ -932,15 +988,13 @@ func (p *Parallel) Stats() Stats {
 		CellGrants: make([]uint64, len(p.envs)),
 		CellDenies: make([]uint64, len(p.envs)),
 	}
-	merged := metrics.NewHistogram(float64(p.opts.Latency)/2, delayBuckets)
 	for i := range p.shards {
 		sh := &p.shards[i]
 		st.Grants += sh.grants
 		st.Denies += sh.denies
 		st.Messages.Add(sh.msgs)
-		merged.Merge(sh.delayHist)
 	}
-	st.DelayP95 = merged.Quantile(0.95)
+	st.DelayP95 = p.delays().Quantile(0.95)
 	for c := range p.envs {
 		st.CellGrants[c] = uint64(p.envs[c].grants)
 		st.CellDenies[c] = uint64(p.envs[c].denies)
@@ -961,6 +1015,16 @@ func (p *Parallel) Stats() Stats {
 		}
 	}
 	return st
+}
+
+// delays merges the shards' acquisition-delay histograms (integer
+// counts, order-insensitive).
+func (p *Parallel) delays() *metrics.Histogram {
+	merged := metrics.NewHistogram(float64(p.opts.Latency)/2, delayBuckets)
+	for i := range p.shards {
+		merged.Merge(p.shards[i].delayHist)
+	}
+	return merged
 }
 
 // Warmer is an allocator that allocates its per-cell borrowing storage

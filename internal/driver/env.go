@@ -59,7 +59,6 @@ func (e *cellEnv) Send(m message.Message) {
 	m.From = e.cell
 	p := e.p
 	sh := &p.shards[e.shard]
-	p.obs.messages.Inc()
 	sh.msgs.Count(m)
 	if p.opts.Wire {
 		sh.wireBuf = message.Encode(sh.wireBuf[:0], m)
@@ -117,7 +116,6 @@ func (e *cellEnv) Multicast(m message.Message, mask []uint64) {
 			word &^= run
 		}
 	}
-	p.obs.messages.Add(uint64(sent))
 	p.shards[e.shard].msgs.CountN(m, sent)
 }
 
@@ -167,11 +165,8 @@ func (e *cellEnv) Granted(id alloc.RequestID, ch chanset.Channel) {
 	acc.totalDelay.Observe(float64(now - res.Submitted))
 	acc.queueDelay.Observe(float64(began - res.Submitted))
 	sh.delayHist.Observe(float64(now - began))
-	p.obs.granted.Inc()
-	p.obs.outstanding.Add(-1)
-	p.obs.acquire.Observe(float64(now - began))
-	if p.obs.journal != nil {
-		p.obs.journal.Emit(int64(now), "result", int(e.cell),
+	if p.opts.Journal != nil {
+		p.opts.Journal.Emit(int64(now), "result", int(e.cell),
 			obs.FI("req", int64(id)), obs.FI("granted", 1),
 			obs.FI("ch", int64(ch)), obs.FI("ticks", int64(now-began)))
 	}
@@ -205,10 +200,8 @@ func (e *cellEnv) Denied(id alloc.RequestID) {
 	sh.dog.Completed(now)
 	sh.denies++
 	e.denies++
-	p.obs.denied.Inc()
-	p.obs.outstanding.Add(-1)
-	if p.obs.journal != nil {
-		p.obs.journal.Emit(int64(now), "result", int(e.cell),
+	if p.opts.Journal != nil {
+		p.opts.Journal.Emit(int64(now), "result", int(e.cell),
 			obs.FI("req", int64(id)), obs.FI("granted", 0),
 			obs.FI("ticks", int64(now-res.Began)))
 	}
@@ -252,14 +245,14 @@ func (p *Parallel) EachShard(fn func(shard int)) { p.kernel.Each(p.opts.Workers,
 // shards in lockstep windows).
 func (p *Parallel) Run(until sim.Time) {
 	p.kernel.Run(p.opts.Workers, until)
-	p.obs.footprint(p.kernel)
+	p.publish(true)
 }
 
 // Drain runs to quiescence with a backstop; it reports whether every
 // queue emptied.
 func (p *Parallel) Drain(maxEvents uint64) bool {
 	drained := p.kernel.Drain(p.opts.Workers, maxEvents)
-	p.obs.footprint(p.kernel)
+	p.publish(true)
 	return drained
 }
 
@@ -270,6 +263,6 @@ func (p *Parallel) Drain(maxEvents uint64) bool {
 // (false only on the maxEvents backstop).
 func (p *Parallel) DrainUntil(cutoff sim.Time, maxEvents uint64) bool {
 	done := p.kernel.DrainUntil(p.opts.Workers, cutoff, maxEvents)
-	p.obs.footprint(p.kernel)
+	p.publish(true)
 	return done
 }

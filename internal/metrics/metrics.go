@@ -134,6 +134,16 @@ func (h *Histogram) Observe(x float64) {
 // N returns the number of observations.
 func (h *Histogram) N() uint64 { return h.total }
 
+// Below returns the number of observations in the first k buckets: those
+// below k times the bucket width.
+func (h *Histogram) Below(k int) uint64 {
+	var n uint64
+	for _, c := range h.buckets[:k] {
+		n += c
+	}
+	return n
+}
+
 // Quantile estimates the q-quantile (0 <= q <= 1) as the upper edge of
 // the bucket containing it; observations in the overflow bucket report
 // +Inf's stand-in: width*len(buckets).

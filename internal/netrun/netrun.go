@@ -83,12 +83,12 @@ type Config struct {
 	// arrives after its deadline is released back automatically.
 	RequestTimeout time.Duration
 
-	// Obs, when non-nil, registers this node's runtime- and
-	// transport-level metrics as scrape-time collectors. Several nodes
-	// of one process may share a single registry: same-named collectors
-	// sum at collection time, yielding cluster-wide totals. The DES
-	// driver registers some of the same families as plain counters, and
-	// mixing the two shapes in one registry panics by design.
+	// Obs, when non-nil, registers this node's runtime-, transport- and
+	// protocol-level metrics as scrape-time collectors; the protocol
+	// counts are the hosted stations' own (alloc.Tally), read on the loop.
+	// Several nodes of one process may share a single registry:
+	// same-named collectors sum at collection time, yielding cluster-wide
+	// totals.
 	Obs *obs.Registry
 	// Journal, when non-nil, receives request lifecycle records
 	// (request/result/deadline_deny), timestamped in ticks.
@@ -145,6 +145,9 @@ type Node struct {
 	held      *trace.Holdings
 	violation error
 	closed    bool
+	// tally is the hosted stations' tally as Close read it, what a scrape
+	// returns once the loop has stopped.
+	tally alloc.Tally
 
 	// netMu guards the routing table and peer set; the per-message send
 	// path only ever takes it in read mode.
@@ -295,6 +298,7 @@ func NewNode(grid *hexgrid.Grid, assign *chanset.Assignment, factory alloc.Facto
 			"Channel requests currently in flight.",
 			func() float64 { return float64(n.Outstanding()) })
 		transport.RegisterObs(r, n.stack.Stats)
+		alloc.RegisterObs(r, n.tallies)
 	}
 	if ln != nil {
 		n.wg.Add(1)
@@ -352,6 +356,12 @@ func (n *Node) Close() {
 	}
 	n.mu.Unlock()
 	n.wg.Wait()
+	if n.cfg.Obs != nil {
+		t := n.tallies() // the stations' last counts, for scrapes after Close
+		n.mu.Lock()
+		n.tally = t
+		n.mu.Unlock()
+	}
 	n.local.Stop()
 	_ = n.cfg.Journal.Flush() // the journal keeps its first error for its owner's Close
 }
@@ -771,6 +781,28 @@ func (n *Node) InUse(cell hexgrid.CellID) chanset.Set {
 	done := make(chan chanset.Set, 1)
 	n.local.Do(cell, func() { done <- n.hosted[cell].InUse().Clone() })
 	return <-done
+}
+
+// tallies sums the hosted stations' tallies, read on the loop as InUse
+// reads a station; once the loop has stopped, it returns those Close
+// read.
+func (n *Node) tallies() alloc.Tally {
+	done := make(chan alloc.Tally, 1)
+	n.local.Do(n.cfg.Cells[0], func() {
+		var t alloc.Tally
+		for _, a := range n.hosted {
+			t.Add(alloc.TallyOf(a))
+		}
+		done <- t
+	})
+	select {
+	case t := <-done:
+		return t
+	case <-n.local.Stopped():
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return n.tally
+	}
 }
 
 // Violation returns the first co-channel interference detected among

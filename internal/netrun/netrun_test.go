@@ -11,6 +11,7 @@ import (
 	"repro/internal/hexgrid"
 	"repro/internal/message"
 	"repro/internal/netrun"
+	"repro/internal/obs"
 	"repro/internal/raceflag"
 	"repro/internal/registry"
 	"repro/internal/transport"
@@ -456,5 +457,49 @@ func TestViolationNamesTheCoChannelPair(t *testing.T) {
 	want := fmt.Sprintf("netrun: cells %d and %d both hold channel 0", cell, neighbor)
 	if err := n.Violation(); err == nil || err.Error() != want {
 		t.Errorf("Violation() = %v, want %q", err, want)
+	}
+}
+
+// TestScrapeAfterCloseReturns: a node's protocol families are its hosted
+// stations' own counts, read on its loop; a scrape after Close, with the
+// loop stopped, returns the counts Close read instead of waiting for a
+// loop that will never run it.
+func TestScrapeAfterCloseReturns(t *testing.T) {
+	grid := hexgrid.MustNew(hexgrid.Config{Shape: hexgrid.Rect, Width: 7, Height: 7, ReuseDistance: 2, Wrap: true})
+	assign := chanset.MustAssign(grid, 21)
+	factory, err := registry.Build("adaptive", grid, assign, registry.Config{Latency: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.New()
+	n, err := netrun.NewNode(grid, assign, factory, "", netrun.Config{LatencyTicks: 10, Seed: 1, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	done := make(chan netrun.Result, 1)
+	n.Request(grid.InteriorCell(), func(r netrun.Result) { done <- r })
+	select {
+	case r := <-done:
+		if !r.Granted {
+			t.Fatal("a lone request was denied")
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("request neither granted nor denied")
+	}
+	const local = `adca_grants_total{path="local"}`
+	if got := reg.Snapshot()[local]; got != 1 {
+		t.Fatalf("running: %s = %v, want 1", local, got)
+	}
+	n.Close()
+	scraped := make(chan map[string]float64, 1)
+	go func() { scraped <- reg.Snapshot() }()
+	select {
+	case snap := <-scraped:
+		if got := snap[local]; got != 1 {
+			t.Errorf("closed: %s = %v, want 1", local, got)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a scrape after Close did not return")
 	}
 }

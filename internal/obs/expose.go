@@ -17,7 +17,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		return nil
 	}
 	bw := bufio.NewWriter(w)
-	for _, f := range r.sorted() {
+	r.collect(func(f *family) {
 		bw.WriteString("# HELP ")
 		bw.WriteString(f.name)
 		bw.WriteByte(' ')
@@ -27,35 +27,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		bw.WriteByte(' ')
 		bw.WriteString(f.kind.promType())
 		bw.WriteByte('\n')
-		switch f.kind {
-		case kindCounterFunc, kindGaugeFunc:
-			writeSample(bw, f.name, "", f.sumFns())
-			continue
-		}
-		f.mu.Lock()
-		ser := append([]*series(nil), f.order...)
-		f.mu.Unlock()
-		for _, s := range ser {
-			labels := labelString(f.labels, s.values, "")
-			switch f.kind {
-			case kindCounter:
-				writeSample(bw, f.name, labels, float64(s.ctr.Value()))
-			case kindGauge:
-				writeSample(bw, f.name, labels, s.gauge.Value())
-			case kindHistogram:
-				var cum uint64
-				for i := range s.hist.bounds {
-					cum += s.hist.counts[i].Load()
-					writeSample(bw, f.name+"_bucket",
-						labelString(f.labels, s.values, formatLe(s.hist.bounds[i])), float64(cum))
-				}
-				writeSample(bw, f.name+"_bucket",
-					labelString(f.labels, s.values, "+Inf"), float64(s.hist.Count()))
-				writeSample(bw, f.name+"_sum", labels, s.hist.Sum())
-				writeSample(bw, f.name+"_count", labels, float64(s.hist.Count()))
-			}
-		}
-	}
+	}, func(f *family, suffix, labels string, v float64) {
+		writeSample(bw, f.name+suffix, labels, v)
+	})
 	return bw.Flush()
 }
 
@@ -115,9 +89,6 @@ func formatValue(v float64) string {
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
-
-// formatLe renders a histogram bucket bound.
-func formatLe(v float64) string { return formatValue(v) }
 
 // Handler returns an http.Handler serving the exposition format.
 func (r *Registry) Handler() http.Handler {

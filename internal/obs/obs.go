@@ -1,144 +1,25 @@
-// Package obs is the unified observability layer: labeled counters,
-// gauges and histograms collected in a Registry, a structured JSONL
-// event Journal, and Prometheus text exposition over HTTP (expose.go).
+// Package obs is the observability layer: a Registry of labelled func
+// collectors rendered as Prometheus text over HTTP (expose.go), and a
+// structured JSONL event Journal (journal.go).
 //
-// Everything is nil-safe by design. A nil *Registry hands out nil
-// instruments, and every method on a nil instrument is an
-// allocation-free no-op. Instrumented code therefore binds its
-// instruments once at startup and calls them unconditionally on the hot
-// path — with observability disabled the cost is one nil check per call
-// site, no branches in the caller, no allocations, and no change to
-// deterministic-simulation behavior (instruments never feed back into
-// the code under observation).
+// A collector counts nothing itself. The code under observation keeps
+// its own tallies — the ones its reports are made of — and a collector
+// reads them at collection time through the func it was registered
+// with. So there is one set of counters, and an unobserved run pays
+// nothing: with a nil *Registry every registration is a no-op.
 //
-// Registration is idempotent: asking twice for the same family name
-// with the same shape returns the same underlying series, so several
-// components (e.g. the nodes of a distributed run) sharing a Registry
-// aggregate into cluster-wide totals automatically. Func collectors
-// (CounterFunc/GaugeFunc) also stack: registering several under one
-// name exposes their sum.
+// Registration stacks: several collectors registered under one name and
+// one set of label values expose their sum, so the components sharing a
+// Registry (the nodes of a distributed run) report totals.
 package obs
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
-
-// Counter is a monotonically increasing integer metric.
-type Counter struct{ v atomic.Uint64 }
-
-// Inc adds one. No-op on nil.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Add adds n. No-op on nil.
-func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
-
-// Value returns the current count (0 on nil).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is a float metric that can go up and down.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set stores v. No-op on nil.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add adds d (may be negative). No-op on nil.
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
-// Value returns the current value (0 on nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
-// Histogram counts observations into cumulative ≤-bound buckets
-// (Prometheus semantics: bucket i counts values ≤ bounds[i], plus an
-// implicit +Inf bucket) and tracks their sum.
-type Histogram struct {
-	bounds []float64       // ascending upper bounds, +Inf implicit
-	counts []atomic.Uint64 // len(bounds)+1; NOT cumulative in memory
-	sum    Gauge
-	n      atomic.Uint64
-}
-
-// Observe records v. No-op on nil.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v) // first bound ≥ v; +Inf at len
-	h.counts[i].Add(1)
-	h.n.Add(1)
-	h.sum.Add(v)
-}
-
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.n.Load()
-}
-
-// Sum returns the sum of observations (0 on nil).
-func (h *Histogram) Sum() float64 { return h.sum.Value() }
-
-// CounterVec is a family of Counters distinguished by label values.
-type CounterVec struct{ fam *family }
-
-// With returns the Counter for the given label values, creating it on
-// first use. Values are cached: repeated With calls with equal values
-// return the same Counter, so bind once and keep the pointer on hot
-// paths. Nil-safe (returns nil).
-func (v *CounterVec) With(values ...string) *Counter {
-	if v == nil {
-		return nil
-	}
-	return v.fam.series(values).ctr
-}
-
-// GaugeVec is a family of Gauges distinguished by label values.
-type GaugeVec struct{ fam *family }
-
-// With returns the Gauge for the given label values (see
-// CounterVec.With). Nil-safe.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	return v.fam.series(values).gauge
-}
 
 // metric family kinds.
 type kind int
@@ -147,19 +28,19 @@ const (
 	kindCounter kind = iota
 	kindGauge
 	kindHistogram
-	kindCounterFunc
-	kindGaugeFunc
 )
 
 func (k kind) promType() string {
-	switch k {
-	case kindCounter, kindCounterFunc:
-		return "counter"
-	case kindGauge, kindGaugeFunc:
-		return "gauge"
-	default:
-		return "histogram"
-	}
+	return [...]string{"counter", "gauge", "histogram"}[k]
+}
+
+// HistogramValue is what a histogram collector reports: the number of
+// observations at or below each bound of its family, in bound order,
+// the number of all observations and their sum.
+type HistogramValue struct {
+	Cumulative []uint64
+	Count      uint64
+	Sum        float64
 }
 
 // family is one named metric with a fixed label schema.
@@ -170,54 +51,21 @@ type family struct {
 	labels []string
 	bounds []float64 // histograms only
 
-	mu    sync.Mutex
-	order []*series
-	index map[string]*series
-	fns   []func() float64 // func collectors; exposed as their sum
+	mu     sync.Mutex
+	series []*series
 }
 
-// series is one (label values → instrument) binding within a family.
+// series is one set of label values of a family and the collectors
+// registered for it.
 type series struct {
 	values []string
 	key    string
-	ctr    *Counter
-	gauge  *Gauge
-	hist   *Histogram
-}
-
-func seriesKey(values []string) string { return strings.Join(values, "\x1f") }
-
-// series returns (creating on first use) the series for values.
-func (f *family) series(values []string) *series {
-	if len(values) != len(f.labels) {
-		panic(fmt.Sprintf("obs: %s expects %d label values, got %d", f.name, len(f.labels), len(values)))
-	}
-	key := seriesKey(values)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if s, ok := f.index[key]; ok {
-		return s
-	}
-	s := &series{values: append([]string(nil), values...), key: key}
-	switch f.kind {
-	case kindCounter:
-		s.ctr = &Counter{}
-	case kindGauge:
-		s.gauge = &Gauge{}
-	case kindHistogram:
-		s.hist = &Histogram{
-			bounds: f.bounds,
-			counts: make([]atomic.Uint64, len(f.bounds)+1),
-		}
-	}
-	f.index[key] = s
-	f.order = append(f.order, s)
-	return s
+	fns    []func() float64        // counters and gauges: their sum
+	hists  []func() HistogramValue // histograms: their bucket-wise sum
 }
 
 // Registry holds metric families. The zero value is not usable; New
-// returns a ready Registry, and a nil *Registry is the fully disabled
-// layer (all constructors return nil instruments).
+// returns a ready Registry, and a nil *Registry is the disabled layer.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -228,109 +76,74 @@ func New() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// family returns (registering on first use) the named family. A
-// re-registration with a matching shape returns the existing family;
-// a conflicting shape panics — that is a wiring bug, not a runtime
-// condition.
-func (r *Registry) family(name, help string, k kind, labels []string, bounds []float64) *family {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f, ok := r.families[name]; ok {
-		if f.kind != k || !equalStrings(f.labels, labels) || !equalFloats(f.bounds, bounds) {
-			panic(fmt.Sprintf("obs: conflicting registration of %s", name))
-		}
-		return f
-	}
-	f := &family{
-		name:   name,
-		help:   help,
-		kind:   k,
-		labels: append([]string(nil), labels...),
-		bounds: append([]float64(nil), bounds...),
-		index:  make(map[string]*series),
-	}
-	r.families[name] = f
-	return f
+// CounterFunc registers a counter read from fn at collection time. labels
+// are the series' label names and values, alternating ("path", "local").
+// fn must be safe to call from any goroutine. Nil-safe.
+func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...string) {
+	r.register(name, help, kindCounter, nil, labels, series{fns: []func() float64{fn}})
 }
 
-// Counter returns the unlabeled counter of the given name, registering
-// it on first use. Nil-safe (returns nil).
-func (r *Registry) Counter(name, help string) *Counter {
-	if r == nil {
-		return nil
-	}
-	return r.family(name, help, kindCounter, nil, nil).series(nil).ctr
+// GaugeFunc registers a gauge read from fn at collection time, labelled
+// as CounterFunc's. Nil-safe.
+func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
+	r.register(name, help, kindGauge, nil, labels, series{fns: []func() float64{fn}})
 }
 
-// CounterVec registers a labeled counter family. Nil-safe.
-func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	if r == nil {
-		return nil
-	}
-	return &CounterVec{fam: r.family(name, help, kindCounter, labels, nil)}
-}
-
-// Gauge returns the unlabeled gauge of the given name. Nil-safe.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.family(name, help, kindGauge, nil, nil).series(nil).gauge
-}
-
-// GaugeVec registers a labeled gauge family. Nil-safe.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	return &GaugeVec{fam: r.family(name, help, kindGauge, labels, nil)}
-}
-
-// Histogram returns the unlabeled histogram of the given name with the
-// given ascending bucket upper bounds (+Inf is implicit). Nil-safe.
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
+// HistogramFunc registers an unlabelled histogram with the given
+// ascending bucket upper bounds (+Inf is implicit), read from fn at
+// collection time; fn reports one cumulative count per bound. Nil-safe.
+func (r *Registry) HistogramFunc(name, help string, bounds []float64, fn func() HistogramValue) {
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
 			panic(fmt.Sprintf("obs: %s bucket bounds not ascending: %v", name, bounds))
 		}
 	}
-	return r.family(name, help, kindHistogram, nil, bounds).series(nil).hist
+	r.register(name, help, kindHistogram, bounds, nil, series{hists: []func() HistogramValue{fn}})
 }
 
-// CounterFunc registers a counter whose value is read from fn at
-// collection time (for monotonic counters owned elsewhere, e.g. a
-// transport stack's Stats). Several registrations under one name
-// expose the sum — the natural aggregation for multi-node runs.
-// fn must be safe to call from any goroutine. Nil-safe.
-func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	if r == nil || fn == nil {
+// register adds c's collectors to the series of the named family that
+// labels select, creating either on first use; a no-op on a nil
+// Registry. A re-registration with a matching shape joins the existing
+// family; a conflicting shape panics — that is a wiring bug, not a
+// runtime condition.
+func (r *Registry) register(name, help string, k kind, bounds []float64, labels []string, c series) {
+	if r == nil {
 		return
 	}
-	f := r.family(name, help, kindCounterFunc, nil, nil)
-	f.mu.Lock()
-	f.fns = append(f.fns, fn)
-	f.mu.Unlock()
-}
-
-// GaugeFunc registers a gauge read from fn at collection time; several
-// registrations under one name expose the sum. Nil-safe.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	if r == nil || fn == nil {
-		return
+	if len(labels)%2 != 0 {
+		panic(fmt.Sprintf("obs: %s labels %q are not name/value pairs", name, labels))
 	}
-	f := r.family(name, help, kindGaugeFunc, nil, nil)
+	var names, values []string
+	for i := 0; i < len(labels); i += 2 {
+		names, values = append(names, labels[i]), append(values, labels[i+1])
+	}
+	r.mu.Lock()
+	f, ok := r.families[name]
+	if !ok {
+		f = &family{name: name, help: help, kind: k, labels: names, bounds: slices.Clone(bounds)}
+		r.families[name] = f
+	}
+	r.mu.Unlock()
+	if f.kind != k || !slices.Equal(f.labels, names) || !slices.Equal(f.bounds, bounds) {
+		panic(fmt.Sprintf("obs: conflicting registration of %s", name))
+	}
+	key := strings.Join(values, "\x1f")
 	f.mu.Lock()
-	f.fns = append(f.fns, fn)
-	f.mu.Unlock()
+	defer f.mu.Unlock()
+	i, found := slices.BinarySearchFunc(f.series, key, func(s *series, key string) int { return strings.Compare(s.key, key) })
+	if !found {
+		f.series = slices.Insert(f.series, i, &series{values: values, key: key})
+	}
+	s := f.series[i]
+	s.fns = append(s.fns, c.fns...)
+	s.hists = append(s.hists, c.hists...)
 }
 
-// sorted returns the families sorted by name and, per family, the
-// series sorted by label values (collection-time ordering; registration
-// order is irrelevant to the exposition).
-func (r *Registry) sorted() []*family {
+// collect reads every collector: for each family in name order, head(f)
+// and then sample once per exposition line, series in label-value
+// order, with the line's name suffix, its rendered labels and value.
+// Collectors run with no lock held.
+func (r *Registry) collect(head func(f *family), sample func(f *family, suffix, labels string, v float64)) {
 	r.mu.Lock()
 	fams := make([]*family, 0, len(r.families))
 	for _, f := range r.families {
@@ -339,27 +152,46 @@ func (r *Registry) sorted() []*family {
 	r.mu.Unlock()
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 	for _, f := range fams {
+		if head != nil {
+			head(f)
+		}
 		f.mu.Lock()
-		sort.Slice(f.order, func(i, j int) bool { return f.order[i].key < f.order[j].key })
+		ser := make([]series, len(f.series))
+		for i, s := range f.series {
+			ser[i] = series{values: s.values, fns: slices.Clone(s.fns), hists: slices.Clone(s.hists)}
+		}
 		f.mu.Unlock()
+		for _, s := range ser {
+			labels := labelString(f.labels, s.values, "")
+			if f.kind != kindHistogram {
+				var v float64
+				for _, fn := range s.fns {
+					v += fn()
+				}
+				sample(f, "", labels, v)
+				continue
+			}
+			h := HistogramValue{Cumulative: make([]uint64, len(f.bounds))}
+			for _, fn := range s.hists {
+				v := fn()
+				for i, c := range v.Cumulative {
+					h.Cumulative[i] += c
+				}
+				h.Count += v.Count
+				h.Sum += v.Sum
+			}
+			for i, b := range f.bounds {
+				sample(f, "_bucket", labelString(f.labels, s.values, formatValue(b)), float64(h.Cumulative[i]))
+			}
+			sample(f, "_bucket", labelString(f.labels, s.values, "+Inf"), float64(h.Count))
+			sample(f, "_sum", labels, h.Sum)
+			sample(f, "_count", labels, float64(h.Count))
+		}
 	}
-	return fams
-}
-
-// sumFns evaluates a func family (f.mu NOT held while calling fns).
-func (f *family) sumFns() float64 {
-	f.mu.Lock()
-	fns := append([]func() float64(nil), f.fns...)
-	f.mu.Unlock()
-	var total float64
-	for _, fn := range fns {
-		total += fn()
-	}
-	return total
 }
 
 // Snapshot returns every sample as exposition-style key → value:
-// `name` for unlabeled series, `name{k="v",...}` for labeled ones, and
+// `name` for unlabelled series, `name{k="v",...}` for labelled ones, and
 // `name_bucket{le="..."}` / `name_sum` / `name_count` for histograms.
 // Nil-safe (returns nil).
 func (r *Registry) Snapshot() map[string]float64 {
@@ -367,57 +199,8 @@ func (r *Registry) Snapshot() map[string]float64 {
 		return nil
 	}
 	out := make(map[string]float64)
-	for _, f := range r.sorted() {
-		switch f.kind {
-		case kindCounterFunc, kindGaugeFunc:
-			out[f.name] = f.sumFns()
-			continue
-		}
-		f.mu.Lock()
-		ser := append([]*series(nil), f.order...)
-		f.mu.Unlock()
-		for _, s := range ser {
-			base := f.name + labelString(f.labels, s.values, "")
-			switch f.kind {
-			case kindCounter:
-				out[base] = float64(s.ctr.Value())
-			case kindGauge:
-				out[base] = s.gauge.Value()
-			case kindHistogram:
-				var cum uint64
-				for i := range s.hist.bounds {
-					cum += s.hist.counts[i].Load()
-					out[f.name+"_bucket"+labelString(f.labels, s.values, formatLe(s.hist.bounds[i]))] = float64(cum)
-				}
-				out[f.name+"_bucket"+labelString(f.labels, s.values, "+Inf")] = float64(s.hist.Count())
-				out[f.name+"_sum"+labelString(f.labels, s.values, "")] = s.hist.Sum()
-				out[f.name+"_count"+labelString(f.labels, s.values, "")] = float64(s.hist.Count())
-			}
-		}
-	}
+	r.collect(nil, func(f *family, suffix, labels string, v float64) {
+		out[f.name+suffix+labels] = v
+	})
 	return out
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalFloats(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -14,78 +14,75 @@ import (
 
 func TestCounterGaugeHistogram(t *testing.T) {
 	r := New()
-	c := r.Counter("c_total", "a counter")
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d", c.Value())
-	}
-	g := r.Gauge("g", "a gauge")
-	g.Set(2.5)
-	g.Add(-1)
-	if g.Value() != 1.5 {
-		t.Fatalf("gauge = %v", g.Value())
-	}
-	h := r.Histogram("h_ticks", "a histogram", []float64{1, 10, 100})
-	for _, v := range []float64{0.5, 1, 5, 50, 5000} {
-		h.Observe(v)
-	}
-	if h.Count() != 5 || h.Sum() != 5056.5 {
-		t.Fatalf("hist count=%d sum=%v", h.Count(), h.Sum())
-	}
+	count, level := 5.0, 1.5
+	r.CounterFunc("c_total", "a counter", func() float64 { return count })
+	r.GaugeFunc("g", "a gauge", func() float64 { return level })
+	r.HistogramFunc("h_ticks", "a histogram", []float64{1, 10, 100}, func() HistogramValue {
+		return HistogramValue{Cumulative: []uint64{2, 3, 4}, Count: 5, Sum: 5056.5}
+	})
 	snap := r.Snapshot()
+	if snap["c_total"] != 5 || snap["g"] != 1.5 {
+		t.Fatalf("counter %v, gauge %v", snap["c_total"], snap["g"])
+	}
 	if snap[`h_ticks_bucket{le="1"}`] != 2 || snap[`h_ticks_bucket{le="10"}`] != 3 ||
-		snap[`h_ticks_bucket{le="100"}`] != 4 || snap[`h_ticks_bucket{le="+Inf"}`] != 5 {
+		snap[`h_ticks_bucket{le="100"}`] != 4 || snap[`h_ticks_bucket{le="+Inf"}`] != 5 ||
+		snap["h_ticks_count"] != 5 || snap["h_ticks_sum"] != 5056.5 {
 		t.Fatalf("hist buckets: %v", snap)
+	}
+	// Collectors are read at collection time, not at registration.
+	count, level = 7, -2
+	if snap := r.Snapshot(); snap["c_total"] != 7 || snap["g"] != -2 {
+		t.Fatalf("second collection: %v", snap)
 	}
 }
 
-func TestVecCachingAndIdempotentRegistration(t *testing.T) {
+func TestLabelledRegistrationStacks(t *testing.T) {
 	r := New()
-	v := r.CounterVec("req_total", "requests", "path")
-	a, b := v.With("local"), v.With("local")
-	if a != b {
-		t.Fatal("With must cache per label values")
+	r.CounterFunc("req_total", "requests", func() float64 { return 2 }, "path", "search")
+	r.CounterFunc("req_total", "requests", func() float64 { return 5 }, "path", "local")
+	// Re-registration with the same shape and label values stacks (the
+	// nodes of one process share a registry).
+	r.CounterFunc("req_total", "requests", func() float64 { return 1 }, "path", "search")
+	snap := r.Snapshot()
+	if snap[`req_total{path="search"}`] != 3 || snap[`req_total{path="local"}`] != 5 {
+		t.Fatalf("labelled series: %v", snap)
 	}
-	v.With("search").Add(2)
-	// Re-registration with the same shape shares the series (multi-node
-	// aggregation).
-	v2 := r.CounterVec("req_total", "requests", "path")
-	v2.With("search").Inc()
-	if got := v.With("search").Value(); got != 3 {
-		t.Fatalf("shared series = %d", got)
+	for _, conflict := range []func(){
+		func() { r.GaugeFunc("req_total", "now a gauge", func() float64 { return 0 }, "path", "local") },
+		func() { r.CounterFunc("req_total", "other labels", func() float64 { return 0 }, "kind", "local") },
+		func() { r.CounterFunc("req_total", "odd labels", func() float64 { return 0 }, "path") },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("conflicting registration must panic")
+				}
+			}()
+			conflict()
+		}()
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("conflicting registration must panic")
-		}
-	}()
-	r.Gauge("req_total", "now a gauge")
 }
 
 func TestFuncCollectorsSum(t *testing.T) {
 	r := New()
 	r.CounterFunc("retrans_total", "retransmits", func() float64 { return 3 })
 	r.CounterFunc("retrans_total", "retransmits", func() float64 { return 4 })
-	if got := r.Snapshot()["retrans_total"]; got != 7 {
+	r.HistogramFunc("h", "", []float64{1}, func() HistogramValue { return HistogramValue{Cumulative: []uint64{1}, Count: 2, Sum: 3} })
+	r.HistogramFunc("h", "", []float64{1}, func() HistogramValue { return HistogramValue{Cumulative: []uint64{4}, Count: 4, Sum: 4} })
+	snap := r.Snapshot()
+	if got := snap["retrans_total"]; got != 7 {
 		t.Fatalf("func sum = %v", got)
+	}
+	if snap[`h_bucket{le="1"}`] != 5 || snap[`h_bucket{le="+Inf"}`] != 6 || snap["h_sum"] != 7 {
+		t.Fatalf("histogram sum: %v", snap)
 	}
 }
 
 func TestNilSafety(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x", "")
-	cv := r.CounterVec("y", "", "l")
-	g := r.Gauge("z", "")
-	gv := r.GaugeVec("w", "", "l")
-	h := r.Histogram("v", "", []float64{1})
-	r.CounterFunc("f", "", func() float64 { return 1 })
+	r.CounterFunc("f", "", func() float64 { return 1 }, "l", "a")
 	r.GaugeFunc("f2", "", func() float64 { return 1 })
-	c.Inc()
-	cv.With("a").Add(2)
-	g.Set(1)
-	gv.With("a").Add(1)
-	h.Observe(1)
+	r.HistogramFunc("v", "", []float64{1}, func() HistogramValue { return HistogramValue{} })
 	if r.Snapshot() != nil {
 		t.Fatal("nil registry snapshot must be nil")
 	}
@@ -99,29 +96,13 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
-func TestDisabledPathAllocationFree(t *testing.T) {
-	var c *Counter
-	var g *Gauge
-	var h *Histogram
-	allocs := testing.AllocsPerRun(200, func() {
-		c.Inc()
-		c.Add(3)
-		g.Set(1)
-		g.Add(-0.5)
-		h.Observe(2)
-		_ = c.Value()
-		_ = g.Value()
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled instruments allocated %v per run", allocs)
-	}
-}
-
 func TestWritePrometheusFormat(t *testing.T) {
 	r := New()
-	r.CounterVec("adca_grants_total", "grants by path", "path").With("local").Add(7)
-	r.Gauge("adca_outstanding", "in flight").Set(2)
-	r.Histogram("adca_acquire_ticks", "acq delay", []float64{10, 20}).Observe(15)
+	r.CounterFunc("adca_grants_total", "grants by path", func() float64 { return 7 }, "path", "local")
+	r.GaugeFunc("adca_outstanding", "in flight", func() float64 { return 2 })
+	r.HistogramFunc("adca_acquire_ticks", "acq delay", []float64{10, 20}, func() HistogramValue {
+		return HistogramValue{Cumulative: []uint64{0, 1}, Count: 1, Sum: 15}
+	})
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -151,7 +132,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 
 func TestServeEndpoint(t *testing.T) {
 	r := New()
-	r.Counter("up_total", "liveness").Inc()
+	r.CounterFunc("up_total", "liveness", func() float64 { return 1 })
 	srv, err := Serve("127.0.0.1:0", r)
 	if err != nil {
 		t.Fatal(err)
@@ -236,37 +217,9 @@ func TestJournalConcurrent(t *testing.T) {
 	}
 }
 
-func TestProtocolBundle(t *testing.T) {
-	if NewProtocol(nil, nil) != nil {
-		t.Fatal("fully disabled bundle must be nil")
-	}
-	r := New()
-	p := NewProtocol(r, nil)
-	p.GrantsLocal.Inc()
-	p.ModeToBorrowing.Inc()
-	p.DeferQueueDepth.Add(2)
-	snap := r.Snapshot()
-	if snap[`adca_grants_total{path="local"}`] != 1 {
-		t.Fatalf("snapshot: %v", snap)
-	}
-	if snap[`adca_mode_transitions_total{from="local",to="borrowing"}`] != 1 {
-		t.Fatalf("snapshot: %v", snap)
-	}
-	if snap["adca_defer_queue_depth"] != 2 {
-		t.Fatalf("snapshot: %v", snap)
-	}
-	// Journal-only bundle: instruments nil but usable.
-	var buf bytes.Buffer
-	jp := NewProtocol(nil, NewJournal(&buf))
-	jp.GrantsLocal.Inc()
-	if jp.Journal == nil {
-		t.Fatal("journal lost")
-	}
-}
-
 func ExampleRegistry_WritePrometheus() {
 	r := New()
-	r.CounterVec("adca_grants_total", "grants by path", "path").With("local").Add(3)
+	r.CounterFunc("adca_grants_total", "grants by path", func() float64 { return 3 }, "path", "local")
 	var buf bytes.Buffer
 	r.WritePrometheus(&buf)
 	fmt.Print(buf.String())

@@ -32,11 +32,10 @@ type Config struct {
 	// MaxRounds caps retries of the update-based baselines; <= 0
 	// selects their defaults.
 	MaxRounds int
-	// Obs, when non-nil, instruments the protocol core with the bundle's
-	// counters and journal. Only the adaptive scheme is instrumented;
-	// the baselines ignore it. Nil (the default) keeps every hot path
-	// allocation-free.
-	Obs *obs.Protocol
+	// Journal, when non-nil, receives the protocol core's event records.
+	// Only the adaptive scheme journals; the baselines ignore it. Every
+	// scheme's counts reach the metrics through alloc.Tally.
+	Journal *obs.Journal
 }
 
 // Names returns all registered scheme names, sorted.
@@ -57,7 +56,7 @@ func Build(name string, grid *hexgrid.Grid, assign *chanset.Assignment, cfg Conf
 		if err != nil {
 			return nil, err
 		}
-		fac.Instrument(cfg.Obs)
+		fac.Journal = cfg.Journal
 		return fac, nil
 	case "fixed":
 		return fixed.NewFactory(assign), nil

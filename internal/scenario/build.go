@@ -15,7 +15,8 @@ import (
 
 // Parts is a scenario built up to its runtime: the grid, the primary
 // plan and the scheme's allocator factory, plus, with Obs, the metrics
-// registry and journal the factory reports to. Either runtime runs on
+// registry the runtime renders its tallies into and the journal it and
+// the factory write. Either runtime runs on
 // them: the DES through Driver, the wall-clock one through
 // netrun.NewNode.
 type Parts struct {
@@ -55,7 +56,7 @@ func Build(sc Scenario) (*Parts, error) {
 		if o.Journal != nil {
 			p.Journal = obs.NewJournal(o.Journal)
 		}
-		cfg.Obs = obs.NewProtocol(p.Registry, p.Journal)
+		cfg.Journal = p.Journal
 	}
 	var err error
 	p.Grid, p.Assign, p.Factory, err = Assemble(hexgrid.Config{

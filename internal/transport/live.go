@@ -166,6 +166,10 @@ func (l *Live) Do(cell hexgrid.CellID, fn func()) {
 	l.put(work{fn: fn})
 }
 
+// Stopped returns a channel closed by Stop: a caller waiting for a Do
+// func to report selects on it too, since after Stop the func never runs.
+func (l *Live) Stopped() <-chan struct{} { return l.done }
+
 // Send implements Transport. After Stop, messages are dropped cleanly.
 func (l *Live) Send(m message.Message) {
 	l.total.Add(1)

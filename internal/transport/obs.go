@@ -7,8 +7,9 @@ import "repro/internal/obs"
 // reliability-layer work). stats is called at collection time, so it
 // must be safe to invoke from the scrape goroutine — Live, Faulty and
 // Reliable all satisfy this (atomics or mutex-guarded Stats); the DES
-// driver's per-shard Stats do not, which is why it counts messages
-// inline instead of registering here.
+// driver's per-shard Stats do not, which is why it renders its message
+// count from the snapshot it publishes (driver.Options.Obs) instead of
+// registering here.
 //
 // Registering several stats funcs (one per node) under one registry is
 // supported: func collectors under the same name sum at collection
